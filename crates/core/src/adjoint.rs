@@ -38,9 +38,9 @@
 //! one-sided slope where the duty clamp flattens one leg of the stencil,
 //! and the mean of the one-sided slopes across the converter's
 //! zero-transfer kink (see [`otem_hees::HybridHees::step_with_jacobian`]).
-//! The golden traces were blessed under finite-difference gradients;
-//! matching their subgradient conventions keeps both gradient modes on
-//! the same closed-loop trajectory.
+//! Matching the finite-difference oracle's subgradient conventions
+//! keeps the production adjoint mode on the same closed-loop physics
+//! as the FD golden trace (`tests/golden/otem_fd.csv`).
 //!
 //! The forward pass here **is** the MPC's rollout: [`rollout_cost_taped`]
 //! with `tape = None` is the cost evaluation

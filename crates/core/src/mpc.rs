@@ -74,18 +74,20 @@ pub struct MpcConfig {
     /// block's move is applied for one control period and the problem is
     /// re-solved (standard receding-horizon practice).
     pub block_size: usize,
-    /// How the gradient of the rollout objective is evaluated.
-    /// [`GradientMode::Serial`] is plain central finite differences
-    /// (`4·horizon` rollouts per gradient); [`GradientMode::Parallel`]
-    /// fans those coordinates out across scoped threads with
-    /// bit-identical results, cutting solve latency roughly by the
-    /// thread count; [`GradientMode::Adjoint`] replaces finite
-    /// differences entirely with a hand-derived reverse-mode sweep —
-    /// one taped rollout per gradient regardless of the horizon (see
-    /// `adjoint` module), matching FD to ~1e-6 relative error away from
-    /// penalty kinks; [`GradientMode::GaussNewton`] additionally
-    /// assembles a Gauss-Newton curvature matrix from the *same* tape
-    /// and solves with a projected Levenberg–Marquardt step.
+    /// How the gradient of the rollout objective is evaluated. The
+    /// default is [`GradientMode::Adjoint`]: a hand-derived reverse-mode
+    /// sweep, one taped rollout per gradient regardless of the horizon
+    /// (see `adjoint` module), matching FD to ~1e-6 relative error away
+    /// from penalty kinks. [`GradientMode::Serial`] is plain central
+    /// finite differences (`4·horizon` rollouts per gradient), kept as
+    /// the test oracle; [`GradientMode::Parallel`] fans those
+    /// coordinates out across scoped threads with bit-identical
+    /// results (measured at 0.65–0.97× of serial speed on a 1-core
+    /// host, see `BENCH_mpc.json`). [`GradientMode::GaussNewton`]
+    /// additionally assembles a Gauss-Newton curvature matrix from the
+    /// *same* tape and solves with a projected Levenberg–Marquardt step;
+    /// it is not the default because it certifies points ~1.3–1.4× the
+    /// clairvoyant DP energy on the energy-only rig (DESIGN.md §12).
     pub gradient_mode: GradientMode,
     /// Optional per-solve compute budget in nanoseconds (the *anytime*
     /// contract): the inner solver polls its [`Clock`] once per outer
@@ -120,7 +122,7 @@ impl Default for MpcConfig {
             warm_start: true,
             terminal_tail: 600.0,
             block_size: 1,
-            gradient_mode: GradientMode::Serial,
+            gradient_mode: GradientMode::Adjoint,
             deadline_ns: None,
             batch_line_search: 0,
         }
@@ -1076,6 +1078,7 @@ mod tests {
             .collect();
         let mut serial_mpc = Mpc::new(MpcConfig {
             horizon: 8,
+            gradient_mode: GradientMode::Serial,
             ..MpcConfig::default()
         });
         let mut parallel_mpc = Mpc::new(MpcConfig {
@@ -1185,7 +1188,10 @@ mod tests {
         assert!(sink.count_kind("gradient_eval") > 0);
         let hits = sink.count_kind("pool_hit");
         let misses = sink.count_kind("pool_miss");
-        assert_eq!(misses, 1, "serial mode needs exactly one workspace");
+        assert_eq!(
+            misses, 1,
+            "single-threaded modes need exactly one workspace"
+        );
         assert!(hits > misses, "pool should run warm: {hits} hits");
     }
 
@@ -1421,6 +1427,7 @@ mod tests {
             .collect();
         let mut fd_mpc = Mpc::new(MpcConfig {
             horizon: 12,
+            gradient_mode: GradientMode::Serial,
             ..MpcConfig::default()
         });
         let mut adj_mpc = Mpc::new(MpcConfig {

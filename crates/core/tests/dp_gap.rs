@@ -5,12 +5,17 @@
 //! planner optimises energy alone with the whole route in hand. The gap
 //! between them bounds what the missing future knowledge (and the
 //! lifetime weighting) costs in energy terms.
+//!
+//! The bound is checked for the production gradient mode and for the
+//! central finite-difference oracle. Gauss-Newton is not held to it: on
+//! this rig it ends ~1.3–1.4× the DP energy (DESIGN.md §12).
 
 use otem::mpc::MpcConfig;
 use otem::planner::{plan_split, PlannerConfig};
 use otem::policy::Otem;
 use otem::{Simulator, SystemConfig};
 use otem_drivecycle::PowerTrace;
+use otem_solver::GradientMode;
 use otem_units::{Seconds, Watts};
 
 fn pulsed_trace() -> PowerTrace {
@@ -23,8 +28,9 @@ fn pulsed_trace() -> PowerTrace {
     PowerTrace::new(Seconds::new(1.0), samples)
 }
 
-#[test]
-fn otem_energy_is_within_reach_of_the_clairvoyant_bound() {
+/// Runs energy-only OTEM under `gradient_mode` and asserts its HEES
+/// energy lands between 0.93× and 1.25× of the clairvoyant DP plan.
+fn assert_within_reach_of_the_clairvoyant_bound(gradient_mode: GradientMode) {
     let config = SystemConfig::default();
     let trace = pulsed_trace();
 
@@ -43,6 +49,7 @@ fn otem_energy_is_within_reach_of_the_clairvoyant_bound() {
         horizon: 8,
         solver_iterations: 15,
         w2: 0.0,
+        gradient_mode,
         ..MpcConfig::default()
     };
     let mut otem = Otem::with_mpc(&config, mpc).expect("controller");
@@ -53,13 +60,23 @@ fn otem_energy_is_within_reach_of_the_clairvoyant_bound() {
     // OTEM cannot beat the clairvoyant plan by more than grid noise…
     assert!(
         otem_energy > plan.energy.value() * 0.93,
-        "OTEM {otem_energy:.0} J implausibly beat the DP bound {:.0} J",
+        "{gradient_mode:?}: OTEM {otem_energy:.0} J implausibly beat the DP bound {:.0} J",
         plan.energy.value()
     );
     // …and a healthy controller lands within ~25 % of it.
     assert!(
         otem_energy < plan.energy.value() * 1.25,
-        "OTEM {otem_energy:.0} J vs clairvoyant {:.0} J — gap too large",
+        "{gradient_mode:?}: OTEM {otem_energy:.0} J vs clairvoyant {:.0} J — gap too large",
         plan.energy.value()
     );
+}
+
+#[test]
+fn otem_energy_is_within_reach_of_the_clairvoyant_bound() {
+    assert_within_reach_of_the_clairvoyant_bound(MpcConfig::default().gradient_mode);
+}
+
+#[test]
+fn fd_oracle_energy_is_within_reach_of_the_clairvoyant_bound() {
+    assert_within_reach_of_the_clairvoyant_bound(GradientMode::Serial);
 }

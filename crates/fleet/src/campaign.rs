@@ -117,7 +117,12 @@ impl VehicleSpec {
             _ => Methodology::Otem,
         };
         let mpc_horizon = rng.gen_range(6usize..=12);
-        let mpc_iterations = rng.gen_range(8usize..=16);
+        // Budget sized for the default adjoint gradient (one taped
+        // rollout per gradient, ~2.5 rollouts per iteration with the
+        // line search): 16–32 iterations cost far less than the 8–16
+        // central-FD iterations (4·horizon rollouts per gradient) this
+        // range replaced. Last draw, so no field above depends on it.
+        let mpc_iterations = rng.gen_range(16usize..=32);
         Self {
             id,
             cycle,
@@ -539,6 +544,41 @@ mod tests {
             .filter(|v| v.methodology == Methodology::Otem)
             .count();
         assert!(otem > 0 && otem < 60, "≈10 % OTEM, got {otem}/200");
+    }
+
+    /// Fleet OTEM vehicles pin no gradient mode of their own: each
+    /// solve runs under `MpcConfig::default().gradient_mode`, so the
+    /// single-car and fleet defaults cannot drift apart.
+    #[test]
+    fn synthesized_otem_vehicles_solve_with_the_default_gradient_mode() {
+        use otem_telemetry::{Event, MemorySink};
+        use otem_units::Watts;
+
+        let want = MpcConfig::default().gradient_mode.name();
+        let otem: Vec<VehicleSpec> = Campaign::synthetic(200, 1)
+            .vehicles
+            .into_iter()
+            .filter(|v| v.methodology == Methodology::Otem)
+            .take(3)
+            .collect();
+        assert!(!otem.is_empty(), "campaign has OTEM vehicles");
+        for spec in &otem {
+            assert!((16..=32).contains(&spec.mpc_iterations), "{spec:?}");
+            let config = spec.config();
+            let mut controller = spec.controller(&config).expect("valid");
+            let sink = MemorySink::with_capacity(1 << 16);
+            let forecast = vec![Watts::new(20_000.0); spec.mpc_horizon];
+            controller.step_with(Watts::new(20_000.0), &forecast, Seconds::new(1.0), &sink);
+            let modes: Vec<&str> = sink
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    Event::SolveOutcome { mode, .. } => Some(mode),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(modes, [want], "vehicle {}", spec.id);
+        }
     }
 
     #[test]

@@ -796,7 +796,9 @@ mod tests {
 
         let mut campaign = Campaign::synthetic(4, 11);
         campaign.vehicles[2].poison_step = Some(1);
-        let sink = MemorySink::with_capacity(64);
+        // Roomy: the other shard's per-step events must not evict the
+        // containment event from the bounded ring.
+        let sink = MemorySink::with_capacity(1 << 20);
         let report =
             FleetEngine::new(Schedule::WorkStealing { shards: 2 }).run_with(&campaign, &sink);
         assert_eq!(report.summaries.len(), 3, "three vehicles complete");

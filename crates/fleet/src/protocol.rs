@@ -219,7 +219,7 @@ impl SimulateRequest {
                 capacitance_f,
                 methodology,
                 mpc_horizon: json_u64(body, "mpc_horizon").unwrap_or(8) as usize,
-                mpc_iterations: json_u64(body, "mpc_iterations").unwrap_or(12) as usize,
+                mpc_iterations: json_u64(body, "mpc_iterations").unwrap_or(24) as usize,
                 mpc_deadline_us: parse_deadline_us(body)?,
                 poison_step: None,
             },
