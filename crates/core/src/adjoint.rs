@@ -42,12 +42,31 @@
 //! keeps the production adjoint mode on the same closed-loop physics
 //! as the FD golden trace (`tests/golden/otem_fd.csv`).
 //!
-//! The forward pass here **is** the MPC's rollout: [`rollout_cost_taped`]
-//! with `tape = None` is the cost evaluation
+//! There is one rollout implementation: [`rollout_cost_taped`] with
+//! `tape = None` is the plain cost evaluation
 //! ([`crate::mpc::rollout_cost`] delegates to it), and with a tape it
 //! runs the identical arithmetic through
-//! [`otem_hees::HybridHees::step_with_jacobian`] — bit-identical results
-//! by construction, so taping cannot perturb the objective.
+//! [`otem_hees::HybridHees::step_with_jacobian`] and the fused
+//! [`otem_battery::AgingParams::loss_rate_and_partials`] — bit-identical
+//! costs by construction, so taping cannot perturb the objective. The
+//! tape also stores every partial the sweeps need, so the backward pass
+//! evaluates no model function of its own.
+//!
+//! # Tape reuse
+//!
+//! In the adjoint-family modes the MPC objective tapes *every*
+//! evaluation and its workspace remembers the decision vector the tape
+//! belongs to. The solvers only ask for a gradient at the trial their
+//! line search has just accepted — the last point evaluated — so the
+//! gradient runs the backward sweep (and, for Gauss-Newton,
+//! [`tape_curvature`]) on the stored tape instead of a second, identical
+//! forward pass; a gradient at any other point tapes afresh. Per solver
+//! iteration that is `L` taped trials plus one sweep, where re-taping
+//! would cost `L` plain trials, one taped forward and one sweep. The
+//! memo lives for one solve only: the start state, forecast and step
+//! change between solves while the decision vector can repeat (an
+//! all-zero cold start), so the workspace pool forgets it on every
+//! rebind.
 
 use crate::mpc::{MpcConfig, MpcPlant};
 use otem_hees::{HeesStepJacobian, HybridCommand, HybridHees};
@@ -63,8 +82,13 @@ pub(crate) struct TapeStep {
     /// Post-step battery temperature (K) — state of the stage aging cost
     /// and the soft-ceiling penalty.
     battery_post: f64,
-    /// Battery per-cell C-rate of the step.
-    c_rate: f64,
+    /// Stage aging rate `ℓ(T_b, c)` and its partials `∂ℓ/∂T_b`, `∂ℓ/∂c`
+    /// at the post-step temperature and the step's per-cell C-rate,
+    /// evaluated once by the taped forward pass (the rate is the one the
+    /// stage cost summed) so neither sweep re-runs the exp/powf chain.
+    loss_rate: f64,
+    d_loss_t: f64,
+    d_loss_c: f64,
     /// Unserved load (W); its penalty is active iff positive.
     shortfall: f64,
     /// Post-step state of charge.
@@ -197,8 +221,20 @@ pub(crate) fn rollout_stage(
 
     // --- Eq. 19 terms ---------------------------------------------
     *cost += config.w1 * cooling_electric.value() * dtv;
-    let loss = plant.aging.loss_rate(state.battery, step.battery_c_rate) * dtv;
-    *cost += config.w2 * loss;
+    // The fused evaluation's rate is bit-identical to `loss_rate`; only
+    // a taped pass pays for the partials.
+    let (loss_rate, d_loss_t, d_loss_c) = if tape.is_some() {
+        plant
+            .aging
+            .loss_rate_and_partials(state.battery, step.battery_c_rate)
+    } else {
+        (
+            plant.aging.loss_rate(state.battery, step.battery_c_rate),
+            0.0,
+            0.0,
+        )
+    };
+    *cost += config.w2 * (loss_rate * dtv);
     *cost += config.w3 * step.hees_power().value() * dtv;
 
     // --- Constraint penalties ---------------------------------------
@@ -218,7 +254,9 @@ pub(crate) fn rollout_stage(
         t.push(TapeStep {
             jac,
             battery_post: state.battery.value(),
-            c_rate: step.battery_c_rate,
+            loss_rate,
+            d_loss_t,
+            d_loss_c,
             shortfall: step.shortfall.value(),
             soc_post: hees.soc().value(),
             soe_post: hees.soe().value(),
@@ -326,11 +364,8 @@ pub(crate) fn adjoint_sweep(
 
         // Total adjoints of the post-step state: the incoming λ plus the
         // stage cost's own dependence on it (aging and soft penalties).
-        let (_, d_loss_t, d_loss_c) = plant
-            .aging
-            .loss_rate_and_partials(Kelvin::new(t.battery_post), t.c_rate);
         let over_t = (t.battery_post - config.temp_soft.value()).max(0.0);
-        let g_tb = l_tb + config.w2 * dtv * d_loss_t + 2.0 * config.temp_penalty * over_t;
+        let g_tb = l_tb + config.w2 * dtv * t.d_loss_t + 2.0 * config.temp_penalty * over_t;
         let g_tc = l_tc;
         let soc_short = (plant.soc_min.value() - t.soc_post).max(0.0);
         let soe_short = (plant.soe_min.value() - t.soe_post).max(0.0);
@@ -343,7 +378,7 @@ pub(crate) fn adjoint_sweep(
         let l_delivered = -2.0 * config.shortfall_penalty * t.shortfall;
         let l_net = 2.0 * config.shortfall_penalty * t.shortfall;
         let l_internal = config.w3 * dtv;
-        let l_crate = config.w2 * dtv * d_loss_c;
+        let l_crate = config.w2 * dtv * t.d_loss_c;
         let l_heat = g_tb * jt.d_battery_heat[0] + g_tc * jt.d_battery_heat[1];
         let g_inlet = g_tb * jt.d_inlet[0] + g_tc * jt.d_inlet[1];
 
@@ -497,7 +532,7 @@ pub(crate) fn tape_curvature(
         let d_inlet_d_duty = -t.delta;
         let d_inlet_d_tc = 1.0 - t.duty * (1.0 - t.dcoldest);
         let p_sign = t.battery_bus.signum();
-        let aging = aging_eigenpair(plant, config, t.battery_post, t.c_rate);
+        let aging = aging_eigenpair(plant, config, t);
 
         for col in 0..m {
             let d_cap = if col == k { cap_max } else { 0.0 };
@@ -595,22 +630,15 @@ pub(crate) fn tape_curvature(
 /// convex) negative eigenvalue and returns the dominant eigenpair as
 /// `(e_T, e_c, λ₊)`, or `None` when the term carries no curvature
 /// (`w₂ = 0`, zero loss, or a degenerate eigenvector).
-fn aging_eigenpair(
-    plant: &MpcPlant,
-    config: &MpcConfig,
-    battery_post: f64,
-    c_rate: f64,
-) -> Option<(f64, f64, f64)> {
+fn aging_eigenpair(plant: &MpcPlant, config: &MpcConfig, t: &TapeStep) -> Option<(f64, f64, f64)> {
     if config.w2 <= 0.0 {
         return None;
     }
-    let (loss, d_t, d_c) = plant
-        .aging
-        .loss_rate_and_partials(Kelvin::new(battery_post), c_rate);
+    let (loss, d_t, d_c) = (t.loss_rate, t.d_loss_t, t.d_loss_c);
     if loss <= 1e-30 {
         return None;
     }
-    let t_val = battery_post.max(200.0);
+    let t_val = t.battery_post.max(200.0);
     let p = (d_t * d_t / loss) * (1.0 - 2.0 * GAS_CONSTANT * t_val / plant.aging.l2).max(0.0);
     let q = d_t * d_c / loss;
     let r = (d_c * d_c / loss) * (plant.aging.l3 - 1.0).max(0.0) / plant.aging.l3;

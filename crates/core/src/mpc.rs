@@ -76,7 +76,8 @@ pub struct MpcConfig {
     pub block_size: usize,
     /// How the gradient of the rollout objective is evaluated. The
     /// default is [`GradientMode::Adjoint`]: a hand-derived reverse-mode
-    /// sweep, one taped rollout per gradient regardless of the horizon
+    /// sweep over the tape the line search's accepted trial recorded, so
+    /// a gradient costs no rollout of its own regardless of the horizon
     /// (see `adjoint` module), matching FD to ~1e-6 relative error away
     /// from penalty kinks. [`GradientMode::Serial`] is plain central
     /// finite differences (`4·horizon` rollouts per gradient), kept as
@@ -102,7 +103,9 @@ pub struct MpcConfig {
     /// through the structure-of-arrays batched rollout kernel (see the
     /// `batch` module). The accepted iterate is bit-identical either
     /// way — lanes run the same scalar step body — only the number of
-    /// speculative evaluations differs.
+    /// speculative evaluations differs. Batched lanes record no tape, so
+    /// in the adjoint-family modes each gradient after a batched ladder
+    /// re-runs its forward pass.
     pub batch_line_search: usize,
 }
 
@@ -282,9 +285,12 @@ impl Mpc {
     }
 
     /// Total plant rollouts performed by [`Mpc::solve`] so far — the
-    /// MPC's unit of work (each objective evaluation simulates the whole
-    /// horizon once). Benchmarks divide this by wall time to report
-    /// rollouts/second.
+    /// MPC's unit of work: the forward passes that simulate the whole
+    /// horizon, one per objective evaluation plus one per gradient that
+    /// could not reuse the last evaluation's tape (every finite-
+    /// difference stencil point; in the adjoint-family modes only a
+    /// gradient asked for away from the last evaluated point).
+    /// Benchmarks divide this by wall time to report rollouts/second.
     pub fn rollouts(&self) -> u64 {
         self.pool.rollouts.load(Ordering::Relaxed)
     }
@@ -451,11 +457,18 @@ fn warm_start_shift(x0: &mut [f64], prev: &[f64], n: usize, block: usize) {
 struct RolloutWorkspace {
     hees: HybridHees,
     xp: Vec<f64>,
-    /// Adjoint tape: per-step Jacobian records written by the forward
-    /// pass and consumed by the backward sweep. Retains its capacity
+    /// Adjoint tape: per-step Jacobian records written by every taped
+    /// forward pass — each objective evaluation in the adjoint-family
+    /// modes — and consumed by the backward sweep. Retains its capacity
     /// across solves, so steady-state adjoint gradients allocate
     /// nothing.
     tape: Vec<crate::adjoint::TapeStep>,
+    /// The decision vector `tape` was recorded at, or empty when the
+    /// tape describes no point of the current solve. A gradient asked
+    /// for at a bit-equal point runs only the backward sweep. Cleared
+    /// by [`WorkspacePool::rebind`]: the start state, forecast and step
+    /// change between solves while the decision vector can repeat.
+    taped_at: Vec<f64>,
     /// Forward-sensitivity buffers for the Gauss-Newton curvature sweep
     /// over the same tape; likewise capacity-retaining.
     curvature: crate::adjoint::CurvatureScratch,
@@ -497,6 +510,7 @@ impl WorkspacePool {
         // panic into every later solve.
         let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
         slots.retain_mut(|ws| {
+            ws.taped_at.clear();
             ws.hees.restore(snapshot);
             ws.hees == *source
         });
@@ -518,6 +532,7 @@ impl WorkspacePool {
                     hees: source.clone(),
                     xp: Vec::new(),
                     tape: Vec::new(),
+                    taped_at: Vec::new(),
                     curvature: crate::adjoint::CurvatureScratch::default(),
                     batch: crate::batch::BatchState::new(),
                 }
@@ -595,34 +610,64 @@ impl RolloutObjective<'_> {
         self.pool.put(ws);
     }
 
-    /// Reverse-mode gradient: one taped forward rollout plus an
-    /// allocation-free backward sweep — the whole gradient for the price
-    /// of a single rollout, independent of the horizon length.
-    fn gradient_adjoint(&self, x: &[f64], grad: &mut [f64]) {
-        let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        let RolloutWorkspace { hees, tape, .. } = &mut ws;
-        hees.restore(self.start);
+    /// One taped rollout through a workspace: rewind, simulate, score,
+    /// and record `z` as the point the workspace's tape belongs to.
+    fn tape_with(&self, ws: &mut RolloutWorkspace, z: &[f64]) -> f64 {
+        ws.hees.restore(self.start);
         self.pool.rollouts.fetch_add(1, Ordering::Relaxed);
+        ws.taped_at.clear();
+        ws.taped_at.extend_from_slice(z);
         crate::adjoint::rollout_cost_taped(
             self.plant,
-            hees,
+            &mut ws.hees,
             self.loads,
             self.dt,
             self.config,
-            x,
-            Some(tape),
-        );
-        crate::adjoint::adjoint_sweep(self.plant, self.loads, self.dt, self.config, tape, grad);
+            z,
+            Some(&mut ws.tape),
+        )
+    }
+
+    /// Leaves the workspace's tape recorded at `x`: reused as is when
+    /// the last taped evaluation was at a bit-equal point — the line
+    /// search's accepted trial, in every scalar-ladder iteration —
+    /// otherwise taped afresh.
+    fn ensure_tape(&self, ws: &mut RolloutWorkspace, x: &[f64]) {
+        let reusable = ws.taped_at.len() == x.len()
+            && ws
+                .taped_at
+                .iter()
+                .zip(x)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !reusable {
+            self.tape_with(ws, x);
+        }
+    }
+
+    /// Reverse-mode gradient: an allocation-free backward sweep over the
+    /// tape of `x` — the whole gradient for at most the price of a
+    /// single rollout, independent of the horizon length, and for none
+    /// when `x` is the point the objective last evaluated.
+    fn gradient_adjoint(&self, x: &[f64], grad: &mut [f64]) {
+        let _rollout_span = span(self.sink, "rollout");
+        let mut ws = self.pool.take(&self.plant.hees, self.sink);
+        self.ensure_tape(&mut ws, x);
+        crate::adjoint::adjoint_sweep(self.plant, self.loads, self.dt, self.config, &ws.tape, grad);
         self.pool.put(ws);
     }
 }
 
 impl Objective for RolloutObjective<'_> {
+    /// In the adjoint-family modes every evaluation is taped, so the
+    /// gradient at the line search's accepted trial needs no second
+    /// forward pass; the finite-difference modes stay untaped.
     fn value(&self, z: &[f64]) -> f64 {
         let _rollout_span = span(self.sink, "rollout");
         let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        let cost = self.eval_with(&mut ws.hees, z);
+        let cost = match self.config.gradient_mode {
+            GradientMode::Adjoint | GradientMode::GaussNewton => self.tape_with(&mut ws, z),
+            GradientMode::Serial | GradientMode::Parallel { .. } => self.eval_with(&mut ws.hees, z),
+        };
         self.pool.put(ws);
         cost
     }
@@ -702,32 +747,20 @@ impl Objective for RolloutObjective<'_> {
 }
 
 impl CurvatureObjective for RolloutObjective<'_> {
-    /// One taped rollout, then *two* consumers of the same tape: the
-    /// backward sweep for the gradient and the forward sensitivity
-    /// sweep for the Gauss-Newton curvature. No extra rollouts, no new
+    /// The tape of `x` (reused from the accepted trial's evaluation
+    /// when possible, see [`RolloutObjective::ensure_tape`]), then *two*
+    /// consumers of it: the backward sweep for the gradient and the
+    /// forward sensitivity sweep for the Gauss-Newton curvature. No new
     /// model derivatives.
     fn gradient_and_curvature(&self, x: &[f64], grad: &mut [f64], hess: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
         assert_eq!(hess.len(), x.len() * x.len(), "curvature buffer mismatch");
         let _rollout_span = span(self.sink, "rollout");
         let mut ws = self.pool.take(&self.plant.hees, self.sink);
+        self.ensure_tape(&mut ws, x);
         let RolloutWorkspace {
-            hees,
-            tape,
-            curvature,
-            ..
+            tape, curvature, ..
         } = &mut ws;
-        hees.restore(self.start);
-        self.pool.rollouts.fetch_add(1, Ordering::Relaxed);
-        crate::adjoint::rollout_cost_taped(
-            self.plant,
-            hees,
-            self.loads,
-            self.dt,
-            self.config,
-            x,
-            Some(tape),
-        );
         crate::adjoint::adjoint_sweep(self.plant, self.loads, self.dt, self.config, tape, grad);
         crate::adjoint::tape_curvature(
             self.plant,
@@ -1487,6 +1520,101 @@ mod tests {
         // Telemetry keeps flowing unchanged through the same spans.
         assert!(sink.count_kind("gradient_eval") > 0);
         assert!(sink.count_kind("solver_iteration") > 0);
+    }
+
+    #[test]
+    fn cold_started_solves_never_reuse_a_previous_solves_tape() {
+        // With warm starts off every solve begins at the same all-zero
+        // x0, so a tape memo that outlived its solve would hand the
+        // second plant the first plant's gradient. Each decision must
+        // match a fresh controller's bit for bit.
+        let config = SystemConfig::default();
+        let loads: Vec<Watts> = (0..6)
+            .map(|k| Watts::new(10_000.0 + 8_000.0 * k as f64))
+            .collect();
+        let dt = Seconds::new(1.0);
+        for mode in [GradientMode::Adjoint, GradientMode::GaussNewton] {
+            let cfg = MpcConfig {
+                horizon: 6,
+                warm_start: false,
+                gradient_mode: mode,
+                ..MpcConfig::default()
+            };
+            let mut reused = Mpc::new(cfg);
+            for (celsius, soc) in [(30.0, 0.8), (39.0, 0.4), (30.0, 0.8)] {
+                let mut p = plant(&config);
+                p.hees.set_state(Ratio::new(soc), Ratio::new(0.5));
+                p.state = ThermalState::uniform(Kelvin::from_celsius(celsius));
+                let a = reused.solve(&p, &loads, dt);
+                let b = Mpc::new(cfg).solve(&p, &loads, dt);
+                assert_eq!(a.cap_bus.value().to_bits(), b.cap_bus.value().to_bits());
+                assert_eq!(a.cool_duty.to_bits(), b.cool_duty.to_bits());
+                assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+                assert_eq!(
+                    a.iterations,
+                    b.iterations,
+                    "{} at {celsius} °C",
+                    mode.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_retapes_unless_asked_at_the_last_evaluated_point() {
+        let config = SystemConfig::default();
+        let mut p = plant(&config);
+        p.state = ThermalState::uniform(Kelvin::from_celsius(36.0));
+        let n = 6;
+        let cfg = MpcConfig {
+            horizon: n,
+            ..MpcConfig::default()
+        };
+        let loads = vec![Watts::new(30_000.0); n];
+        let dt = Seconds::new(1.0);
+        let z: Vec<f64> = (0..2 * n).map(|i| 0.05 * i as f64 - 0.1).collect();
+        let other: Vec<f64> = z.iter().map(|v| v + 0.03).collect();
+        let reference = |p: &MpcPlant, x: &[f64]| {
+            let mut g = vec![0.0; 2 * n];
+            rollout_gradient_adjoint(p, &loads, dt, &cfg, x, &mut g);
+            g
+        };
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let pool = WorkspacePool::new();
+        let objective = RolloutObjective {
+            plant: &p,
+            loads: &loads,
+            dt,
+            config: &cfg,
+            pool: &pool,
+            start: p.hees.snapshot(),
+            sink: &NullSink,
+        };
+        let mut grad = vec![0.0; 2 * n];
+        objective.value(&z);
+        // At the evaluated point: the stored tape, no new forward pass.
+        objective.gradient(&z, &mut grad);
+        assert_eq!(bits(&grad), bits(&reference(&p, &z)));
+        assert_eq!(pool.rollouts.load(Ordering::Relaxed), 1);
+        // Anywhere else: a fresh tape.
+        objective.gradient(&other, &mut grad);
+        assert_eq!(bits(&grad), bits(&reference(&p, &other)));
+        assert_eq!(pool.rollouts.load(Ordering::Relaxed), 2);
+
+        // A rebind starts a new solve: the same decision vector from a
+        // different start state must not hit the old tape.
+        let mut q = p.clone();
+        q.hees.set_state(Ratio::new(0.4), Ratio::new(0.3));
+        pool.rebind(&q.hees);
+        let objective = RolloutObjective {
+            plant: &q,
+            start: q.hees.snapshot(),
+            ..objective
+        };
+        objective.gradient(&other, &mut grad);
+        assert_eq!(bits(&grad), bits(&reference(&q, &other)));
+        assert_eq!(pool.rollouts.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -53,9 +53,16 @@ impl Otem {
     ///
     /// # Errors
     ///
-    /// Propagates component validation errors.
+    /// Returns [`OtemError::InvalidConfig`] for a zero MPC horizon and
+    /// propagates component validation errors.
     pub fn with_mpc(config: &SystemConfig, mpc_config: MpcConfig) -> Result<Self, OtemError> {
         config.validate()?;
+        if mpc_config.horizon == 0 {
+            return Err(OtemError::InvalidConfig {
+                field: "horizon",
+                constraint: "≥ 1 step",
+            });
+        }
         let battery = BatteryPack::new(config.cell.clone(), config.pack)?;
         let mut hees = HybridHees::new(
             battery,
@@ -292,6 +299,25 @@ mod tests {
             solver_iterations: 15,
             ..MpcConfig::default()
         }
+    }
+
+    #[test]
+    fn zero_horizon_is_a_config_error() {
+        let err = Otem::with_mpc(
+            &SystemConfig::default(),
+            MpcConfig {
+                horizon: 0,
+                ..MpcConfig::default()
+            },
+        )
+        .expect_err("a zero horizon has no first move to apply");
+        assert!(matches!(
+            err,
+            OtemError::InvalidConfig {
+                field: "horizon",
+                ..
+            }
+        ));
     }
 
     #[test]

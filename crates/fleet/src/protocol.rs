@@ -209,6 +209,17 @@ impl SimulateRequest {
         if !(1_000.0..=100_000.0).contains(&capacitance_f) {
             return Err("\"capacitance_f\" must be in 1000..=100000".into());
         }
+        // The horizon sizes the MPC's buffers: 0 panics the first solve
+        // and a huge one can abort the whole process on allocation,
+        // which per-vehicle panic isolation cannot contain.
+        let mpc_horizon = json_u64(body, "mpc_horizon").unwrap_or(8) as usize;
+        if !(1..=64).contains(&mpc_horizon) {
+            return Err("\"mpc_horizon\" must be in 1..=64".into());
+        }
+        let mpc_iterations = json_u64(body, "mpc_iterations").unwrap_or(24) as usize;
+        if mpc_iterations > 400 {
+            return Err("\"mpc_iterations\" must be ≤ 400".into());
+        }
         Ok(Self::Vehicle {
             spec: VehicleSpec {
                 id: json_u64(body, "id").unwrap_or(0),
@@ -218,8 +229,8 @@ impl SimulateRequest {
                 ambient_c,
                 capacitance_f,
                 methodology,
-                mpc_horizon: json_u64(body, "mpc_horizon").unwrap_or(8) as usize,
-                mpc_iterations: json_u64(body, "mpc_iterations").unwrap_or(24) as usize,
+                mpc_horizon,
+                mpc_iterations,
                 mpc_deadline_us: parse_deadline_us(body)?,
                 poison_step: None,
             },
@@ -385,6 +396,26 @@ mod tests {
         assert!(SimulateRequest::parse("{\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"poison_id\":4}").is_err());
+    }
+
+    #[test]
+    fn mpc_shape_is_bounded() {
+        for body in [
+            "{\"mpc_horizon\":0}",
+            "{\"mpc_horizon\":65}",
+            "{\"mpc_horizon\":4000000000}",
+            "{\"mpc_iterations\":401}",
+        ] {
+            assert!(SimulateRequest::parse(body).is_err(), "{body} accepted");
+        }
+        let r = SimulateRequest::parse("{\"mpc_horizon\":64,\"mpc_iterations\":400}")
+            .expect("the bounds themselves parse");
+        match r {
+            SimulateRequest::Vehicle { spec, .. } => {
+                assert_eq!((spec.mpc_horizon, spec.mpc_iterations), (64, 400));
+            }
+            other => panic!("expected vehicle, got {other:?}"),
+        }
     }
 
     #[test]

@@ -336,6 +336,25 @@ fn plan_beyond_the_step_cap_is_a_400() {
 }
 
 #[test]
+fn unservable_mpc_shape_is_a_400_and_the_server_stays_up() {
+    let mut handle = spawn_server();
+    for body in ["{\"mpc_horizon\":0}", "{\"mpc_horizon\":1000000000}"] {
+        let (status, lines) = roundtrip(&handle, "POST", "/simulate", body);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+        assert!(
+            lines[0].contains("mpc_horizon"),
+            "reason names the field: {lines:?}"
+        );
+    }
+    let (status, lines) = roundtrip(&handle, "POST", "/simulate", "{\"mpc_iterations\":401}");
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(lines[0].contains("mpc_iterations"), "{lines:?}");
+    let (status, _) = roundtrip(&handle, "GET", "/healthz", "");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    handle.shutdown();
+}
+
+#[test]
 fn header_flood_is_refused() {
     let mut handle = spawn_server();
     // More headers than MAX_HEADER_COUNT, still under the byte cap.
