@@ -147,11 +147,11 @@ impl Cell {
     /// `V_oc·I − R·I²` over `I`, attained at `I = V_oc / 2R`), before the
     /// datasheet current limit.
     pub fn max_discharge_power(&self, temperature: Kelvin) -> Watts {
-        let voc = self.open_circuit_voltage().value();
-        let r = self.internal_resistance(temperature).value();
-        let i_peak = voc / (2.0 * r);
-        let i = i_peak.min(self.params.max_discharge_current);
-        Watts::new(voc * i - r * i * i)
+        Watts::new(crate::kernel::peak_power(
+            self.open_circuit_voltage().value(),
+            self.internal_resistance(temperature).value(),
+            self.params.max_discharge_current,
+        ))
     }
 
     /// Captures the cell's mutable state for a later [`Cell::restore`].

@@ -1,14 +1,15 @@
 //! Scalar-generic battery step math.
 //!
-//! The quadratic pack-current solve, the cell heat law and the coulomb
-//! counter of Eq. 1–4, written once against [`otem_units::Scalar`] and
-//! monomorphised per scalar type. The concrete `f64` methods on
-//! [`crate::BatteryPack`] / [`crate::Cell`] delegate here — the `f64`
-//! instantiation performs the *same operations in the same order* as the
-//! pre-refactor hand-written code, so delegation is bit-identical (the
-//! contract the golden traces pin). The OCV and resistance table lookups
-//! stay `f64` at the kernel boundary; only the arithmetic downstream of
-//! them is generic.
+//! The quadratic pack-current solve, the peak-power envelope, the cell
+//! heat law and the coulomb counter of Eq. 1–4, written once against
+//! [`otem_units::Scalar`] and monomorphised per scalar type. The concrete
+//! `f64` methods on [`crate::BatteryPack`] / [`crate::Cell`] delegate
+//! here — the `f64` instantiation performs the *same operations in the
+//! same order* as the pre-refactor hand-written code, so delegation is
+//! bit-identical (the contract the golden traces pin). The OCV and
+//! resistance curves stay `f64` at the kernel boundary and are evaluated
+//! once per step into a [`crate::PackCurves`]; the kernels take the
+//! evaluated values, so no kernel evaluates a curve of its own.
 
 use otem_units::Scalar;
 
@@ -23,6 +24,16 @@ pub fn pack_current<S: Scalar>(voc: S, r: S, p: S) -> Option<S> {
         return None;
     }
     Some((voc - discriminant.sqrt()) / (S::from_f64(2.0) * r))
+}
+
+/// Peak terminal power of `P = V_oc·I − R·I²` over the current, with the
+/// current capped at the datasheet limit: the vertex current
+/// `V_oc/(2R)` or `max_current`, whichever is smaller.
+#[inline]
+pub fn peak_power<S: Scalar>(voc: S, r: S, max_current: S) -> S {
+    let i_peak = voc / (S::from_f64(2.0) * r);
+    let i = i_peak.min(max_current);
+    voc * i - r * i * i
 }
 
 /// Cell heat generation (Eq. 4): `Q = I²·R + I·T·κ` — non-negative Joule

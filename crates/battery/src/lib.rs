@@ -47,6 +47,6 @@ pub use aging::{AgingModel, AgingParams};
 pub use cell::{Cell, CellSnapshot};
 pub use error::BatteryError;
 pub use estimator::{EkfConfig, SocEstimator};
-pub use pack::{BatteryPack, DrawPartials, PackConfig, PackSnapshot, PowerDraw};
+pub use pack::{BatteryPack, DrawPartials, PackConfig, PackCurves, PackSnapshot, PowerDraw};
 pub use params::{CellParams, OcvCurve, ResistanceCurve, SlopeTable};
 pub use transient::{RcPair, TransientCell};

@@ -46,11 +46,25 @@
 //! `tape = None` is the plain cost evaluation
 //! ([`crate::mpc::rollout_cost`] delegates to it), and with a tape it
 //! runs the identical arithmetic through
-//! [`otem_hees::HybridHees::step_with_jacobian`] and the fused
+//! [`otem_hees::HybridHees::step_prepared`] with a Jacobian and the fused
 //! [`otem_battery::AgingParams::loss_rate_and_partials`] — bit-identical
 //! costs by construction, so taping cannot perturb the objective. The
 //! tape also stores every partial the sweeps need, so the backward pass
 //! evaluates no model function of its own.
+//!
+//! # Stage constants
+//!
+//! Whatever a stage needs that depends on neither the decisions nor the
+//! step index — the step length, the bank's leak factor, the
+//! Crank–Nicolson operator and its Jacobian, the terminal tail's C-rate —
+//! lives in one `Copy` [`StageConstants`] block, built once per solve by
+//! the MPC (once per call by the standalone entry points) and read by
+//! every stage, the terminal cost and both sweeps. Within a stage each
+//! state-dependent curve is evaluated once: the plant step shares one
+//! battery curve evaluation and one bank `√SoE` between the draw, the
+//! heat law, the converter voltage and the partials. Each hoisted value
+//! is the same expression, evaluated in the same order, as the per-step
+//! code it replaced, so the hoisting changes no bit of any result.
 //!
 //! # Tape reuse
 //!
@@ -69,9 +83,47 @@
 //! rebind.
 
 use crate::mpc::{MpcConfig, MpcPlant};
-use otem_hees::{HeesStepJacobian, HybridCommand, HybridHees};
-use otem_thermal::ThermalState;
+use otem_hees::{HeesStepConstants, HeesStepJacobian, HybridCommand, HybridHees};
+use otem_thermal::{CrankNicolsonCoefficients, CrankNicolsonJacobian, ThermalState};
 use otem_units::{Kelvin, Seconds, Watts, GAS_CONSTANT};
+
+/// Everything about a rollout stage that depends on neither the decision
+/// vector nor the step index: built once per solve by the MPC (once per
+/// call by the standalone entry points) and shared by every forward
+/// stage, the terminal tail and both backward sweeps.
+///
+/// Each member is computed by the same expression, in the same order,
+/// that its per-step evaluation used, so hoisting it changes no bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageConstants {
+    /// HEES step constants: the control period and the bank's leak
+    /// factor over it.
+    hees: HeesStepConstants,
+    /// The Crank–Nicolson operator at `dt`.
+    cn: CrankNicolsonCoefficients<f64>,
+    /// Its Jacobian — constant, as the two-node model is linear.
+    cn_jacobian: CrankNicolsonJacobian,
+    /// The terminal tail's nominal per-cell C-rate, a constant of the
+    /// forecast and the start state.
+    terminal_c_rate: f64,
+}
+
+impl StageConstants {
+    pub(crate) fn new(plant: &MpcPlant, loads: &[Watts], dt: Seconds, config: &MpcConfig) -> Self {
+        let cn = plant.thermal.crank_nicolson_coefficients(dt);
+        Self {
+            hees: plant.hees.step_constants(dt),
+            cn,
+            cn_jacobian: cn.jacobian(),
+            terminal_c_rate: terminal_c_rate(plant, loads, config.horizon),
+        }
+    }
+
+    /// The control period.
+    fn dt(&self) -> Seconds {
+        self.hees.dt()
+    }
+}
 
 /// One horizon step's forward-pass record: everything the backward sweep
 /// needs to differentiate the branch that actually executed.
@@ -129,7 +181,7 @@ pub(crate) fn rollout_cost_taped(
     plant: &MpcPlant,
     hees: &mut HybridHees,
     loads: &[Watts],
-    dt: Seconds,
+    stage: &StageConstants,
     config: &MpcConfig,
     z: &[f64],
     mut tape: Option<&mut Vec<TapeStep>>,
@@ -151,14 +203,14 @@ pub(crate) fn rollout_cost_taped(
             load,
             z[k],
             z[n + k],
-            dt,
+            stage,
             config,
             &mut cost,
             tape.as_deref_mut(),
         );
     }
 
-    rollout_terminal(plant, loads, n, state, dt, config, &mut cost);
+    rollout_terminal(plant, state, stage, config, &mut cost);
     cost
 }
 
@@ -179,12 +231,12 @@ pub(crate) fn rollout_stage(
     load: Watts,
     z_cap: f64,
     z_duty: f64,
-    dt: Seconds,
+    stage: &StageConstants,
     config: &MpcConfig,
     cost: &mut f64,
     tape: Option<&mut Vec<TapeStep>>,
 ) -> ThermalState {
-    let dtv = dt.value();
+    let dtv = stage.dt().value();
     let cap_bus = Watts::new(z_cap * plant.cap_power_max.value());
     let duty = z_duty.clamp(0.0, 1.0);
 
@@ -206,18 +258,15 @@ pub(crate) fn rollout_stage(
         battery_bus,
         cap_bus,
     };
-    let (step, jac) = if tape.is_some() {
-        hees.step_with_jacobian(command, state.battery, dt)
-    } else {
-        (
-            hees.step(command, state.battery, dt),
-            HeesStepJacobian::default(),
-        )
-    };
+    let mut jac = HeesStepJacobian::default();
+    let step = hees.step_prepared(
+        command,
+        state.battery,
+        &stage.hees,
+        tape.is_some().then_some(&mut jac),
+    );
 
-    state = plant
-        .thermal
-        .step_crank_nicolson(state, step.battery_heat, action.inlet, dt);
+    state = stage.cn.step(state, step.battery_heat, action.inlet);
 
     // --- Eq. 19 terms ---------------------------------------------
     *cost += config.w1 * cooling_electric.value() * dtv;
@@ -291,25 +340,26 @@ pub(crate) fn rollout_stage(
 /// same order.
 pub(crate) fn rollout_terminal(
     plant: &MpcPlant,
-    loads: &[Watts],
-    n: usize,
     state: ThermalState,
-    dt: Seconds,
+    stage: &StageConstants,
     config: &MpcConfig,
     cost: &mut f64,
 ) {
     if config.terminal_tail > 0.0 {
-        let c_load = terminal_c_rate(plant, loads, n);
+        let c_load = stage.terminal_c_rate;
         *cost += config.w2 * plant.aging.loss_rate(state.battery, c_load) * config.terminal_tail;
         let over_t = (state.battery.value() - config.temp_soft.value()).max(0.0);
-        *cost +=
-            config.temp_penalty * over_t * over_t * (config.terminal_tail / dt.value().max(1e-9));
+        *cost += config.temp_penalty
+            * over_t
+            * over_t
+            * (config.terminal_tail / stage.dt().value().max(1e-9));
     }
 }
 
 /// The terminal tail's nominal per-cell C-rate — a constant of the load
-/// forecast and the *unrolled* plant, shared between the forward cost
-/// and the backward sweep.
+/// forecast and the *unrolled* plant, evaluated once into
+/// [`StageConstants`] and shared between the forward cost and the
+/// backward sweeps.
 fn terminal_c_rate(plant: &MpcPlant, loads: &[Watts], n: usize) -> f64 {
     let mean_load: f64 = loads.iter().take(n).map(|p| p.value().abs()).sum::<f64>() / n as f64;
     let pack = plant.hees.battery();
@@ -324,8 +374,7 @@ fn terminal_c_rate(plant: &MpcPlant, loads: &[Watts], n: usize) -> f64 {
 /// `[cap_share_0..n-1, cool_duty_0..n-1]`). One pass, no rollouts.
 pub(crate) fn adjoint_sweep(
     plant: &MpcPlant,
-    loads: &[Watts],
-    dt: Seconds,
+    stage: &StageConstants,
     config: &MpcConfig,
     tape: &[TapeStep],
     grad: &mut [f64],
@@ -336,11 +385,10 @@ pub(crate) fn adjoint_sweep(
     if n == 0 {
         return;
     }
-    let dtv = dt.value();
-    let jt = plant.thermal.crank_nicolson_jacobian(dt);
-    let pp = plant.plant.params();
-    let flow_over_eff = pp.flow_capacity.value() / pp.efficiency.value();
-    let pump = pp.pump_power.value();
+    let dtv = stage.dt().value();
+    let jt = &stage.cn_jacobian;
+    let flow_over_eff = plant.plant.flow_over_efficiency();
+    let pump = plant.plant.params().pump_power.value();
     let cap_max = plant.cap_power_max.value();
 
     // Adjoints of the *post-step* state (T_b, T_c, SoC, SoE), seeded by
@@ -348,7 +396,7 @@ pub(crate) fn adjoint_sweep(
     // alone — its nominal C-rate is a constant of the forecast).
     let (mut l_tb, mut l_tc, mut l_s, mut l_e) = (0.0, 0.0, 0.0, 0.0);
     if config.terminal_tail > 0.0 {
-        let c_load = terminal_c_rate(plant, loads, n);
+        let c_load = stage.terminal_c_rate;
         let tb_n = tape[n - 1].battery_post;
         let (_, d_temp, _) = plant
             .aging
@@ -502,8 +550,7 @@ impl CurvatureScratch {
 /// `O(n²)` propagation plus rank-one updates for active residuals only.
 pub(crate) fn tape_curvature(
     plant: &MpcPlant,
-    loads: &[Watts],
-    dt: Seconds,
+    stage: &StageConstants,
     config: &MpcConfig,
     tape: &[TapeStep],
     scratch: &mut CurvatureScratch,
@@ -516,11 +563,10 @@ pub(crate) fn tape_curvature(
     if n == 0 {
         return;
     }
-    let dtv = dt.value();
-    let jt = plant.thermal.crank_nicolson_jacobian(dt);
-    let pp = plant.plant.params();
-    let flow_over_eff = pp.flow_capacity.value() / pp.efficiency.value();
-    let pump = pp.pump_power.value();
+    let dtv = stage.dt().value();
+    let jt = &stage.cn_jacobian;
+    let flow_over_eff = plant.plant.flow_over_efficiency();
+    let pump = plant.plant.params().pump_power.value();
     let cap_max = plant.cap_power_max.value();
     scratch.reset(m);
 
@@ -611,7 +657,7 @@ pub(crate) fn tape_curvature(
     // alone (its nominal C-rate is a constant of the forecast), so its
     // exact temperature curvature rides on the final sensitivity row.
     if config.w2 > 0.0 && config.terminal_tail > 0.0 {
-        let c_load = terminal_c_rate(plant, loads, n);
+        let c_load = stage.terminal_c_rate;
         let tb_n = tape[n - 1].battery_post;
         let (loss, d_temp, _) = plant
             .aging

@@ -30,7 +30,7 @@
 //! step, no rerun — so the surviving lanes and the telemetry stream
 //! are untouched.
 
-use crate::adjoint::{rollout_stage, rollout_terminal};
+use crate::adjoint::{rollout_stage, rollout_terminal, StageConstants};
 use crate::mpc::{MpcConfig, MpcPlant};
 use otem_hees::HybridHees;
 use otem_thermal::ThermalState;
@@ -94,10 +94,10 @@ impl BatchState {
 /// state is swapped per lane visit — the same rewind-instead-of-clone
 /// trick the scalar workspace pool uses, applied per lane.
 #[derive(Debug)]
-pub struct BatchStep<'a> {
+struct BatchStep<'a> {
     plant: &'a MpcPlant,
     hees: &'a mut HybridHees,
-    dt: Seconds,
+    stage: &'a StageConstants,
     config: &'a MpcConfig,
 }
 
@@ -106,16 +106,16 @@ impl<'a> BatchStep<'a> {
     /// already be in the plant's start state (`hees == plant.hees`); it
     /// is used as the per-lane scratch plant and left in the last
     /// lane's end-of-horizon state.
-    pub fn new(
+    fn new(
         plant: &'a MpcPlant,
         hees: &'a mut HybridHees,
-        dt: Seconds,
+        stage: &'a StageConstants,
         config: &'a MpcConfig,
     ) -> Self {
         Self {
             plant,
             hees,
-            dt,
+            stage,
             config,
         }
     }
@@ -125,7 +125,7 @@ impl<'a> BatchStep<'a> {
     /// vector is `zs[l·2n .. (l+1)·2n]` in the usual
     /// `[cap_share_0..n-1, cool_duty_0..n-1]` layout) and `load` the
     /// step's forecast load, shared by all lanes.
-    pub fn advance(&mut self, batch: &mut BatchState, k: usize, load: Watts, zs: &[f64]) {
+    fn advance(&mut self, batch: &mut BatchState, k: usize, load: Watts, zs: &[f64]) {
         let n = self.config.horizon;
         let m = 2 * n;
         debug_assert!(k < n);
@@ -149,7 +149,7 @@ impl<'a> BatchStep<'a> {
                 load,
                 z[k],
                 z[n + k],
-                self.dt,
+                self.stage,
                 self.config,
                 &mut batch.cost[l],
                 None,
@@ -163,8 +163,7 @@ impl<'a> BatchStep<'a> {
 
     /// Applies the terminal tail cost to every lane (call once, after
     /// the last [`BatchStep::advance`]).
-    pub fn finish(&mut self, batch: &mut BatchState, loads: &[Watts]) {
-        let n = self.config.horizon;
+    fn finish(&mut self, batch: &mut BatchState) {
         for l in 0..batch.lanes() {
             let state = ThermalState {
                 battery: Kelvin::new(batch.t_batt[l]),
@@ -172,10 +171,8 @@ impl<'a> BatchStep<'a> {
             };
             rollout_terminal(
                 self.plant,
-                loads,
-                n,
                 state,
-                self.dt,
+                self.stage,
                 self.config,
                 &mut batch.cost[l],
             );
@@ -183,15 +180,16 @@ impl<'a> BatchStep<'a> {
     }
 }
 
-/// [`rollout_cost_batch`] against a caller-provided scratch plant and
-/// batch workspace — the allocation-free path the MPC objective routes
-/// through. `hees` must already be in the plant's start state.
+/// [`rollout_cost_batch`] against a caller-provided scratch plant, batch
+/// workspace and stage constants — the allocation-free path the MPC
+/// objective routes through. `hees` must already be in the plant's
+/// start state.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rollout_cost_batch_with(
     plant: &MpcPlant,
     hees: &mut HybridHees,
     loads: &[Watts],
-    dt: Seconds,
+    stage: &StageConstants,
     config: &MpcConfig,
     zs: &[f64],
     lanes: usize,
@@ -206,12 +204,12 @@ pub(crate) fn rollout_cost_batch_with(
     );
     assert_eq!(out.len(), lanes, "output buffer length mismatch");
     batch.reset(lanes, hees, plant.state);
-    let mut step = BatchStep::new(plant, hees, dt, config);
+    let mut step = BatchStep::new(plant, hees, stage, config);
     for k in 0..n {
         let load = loads.get(k).copied().unwrap_or(Watts::ZERO);
         step.advance(batch, k, load, zs);
     }
-    step.finish(batch, loads);
+    step.finish(batch);
     out.copy_from_slice(&batch.cost);
 }
 
@@ -221,8 +219,9 @@ pub(crate) fn rollout_cost_batch_with(
 /// `zs` is the flat lane-major decision matrix (`lanes × 2·horizon`).
 /// Each lane's cost is bit-identical to
 /// [`crate::mpc::rollout_cost`] of that lane's vector — this entry
-/// point clones the plant's HEES once per call; the MPC's inner loop
-/// avoids even that by routing through a pooled workspace instead.
+/// point clones the plant's HEES and builds the stage constants once per
+/// call; the MPC's inner loop avoids both by routing through a pooled
+/// workspace and the solve's constants instead.
 pub fn rollout_cost_batch(
     plant: &MpcPlant,
     loads: &[Watts],
@@ -234,8 +233,9 @@ pub fn rollout_cost_batch(
 ) {
     let mut hees = plant.hees.clone();
     let mut batch = BatchState::new();
+    let stage = StageConstants::new(plant, loads, dt, config);
     rollout_cost_batch_with(
-        plant, &mut hees, loads, dt, config, zs, lanes, &mut batch, out,
+        plant, &mut hees, loads, &stage, config, zs, lanes, &mut batch, out,
     );
 }
 

@@ -22,6 +22,7 @@
 //! warm-started from the previous period's shifted solution (standard
 //! receding-horizon practice).
 
+use crate::adjoint::StageConstants;
 use otem_battery::AgingParams;
 use otem_hees::{HeesSnapshot, HybridHees};
 use otem_solver::{
@@ -350,8 +351,8 @@ impl Mpc {
         let objective = RolloutObjective {
             plant,
             loads,
-            dt,
             config: &self.config,
+            stage: StageConstants::new(plant, loads, dt, &self.config),
             pool: &self.pool,
             start: plant.hees.snapshot(),
             sink,
@@ -576,8 +577,10 @@ impl std::fmt::Debug for WorkspacePool {
 struct RolloutObjective<'a> {
     plant: &'a MpcPlant,
     loads: &'a [Watts],
-    dt: Seconds,
     config: &'a MpcConfig,
+    /// The solve's decision-independent stage constants, built once in
+    /// [`Mpc::solve_with`] and shared by every rollout and sweep.
+    stage: StageConstants,
     pool: &'a WorkspacePool,
     /// The plant's state when the solve began; every rollout starts by
     /// rewinding its workspace here, exactly like a fresh clone would.
@@ -593,7 +596,15 @@ impl RolloutObjective<'_> {
     fn eval_with(&self, hees: &mut HybridHees, z: &[f64]) -> f64 {
         hees.restore(self.start);
         self.pool.rollouts.fetch_add(1, Ordering::Relaxed);
-        rollout_cost_with(self.plant, hees, self.loads, self.dt, self.config, z)
+        crate::adjoint::rollout_cost_taped(
+            self.plant,
+            hees,
+            self.loads,
+            &self.stage,
+            self.config,
+            z,
+            None,
+        )
     }
 
     /// Central differences over the coordinate window starting at `start`,
@@ -621,7 +632,7 @@ impl RolloutObjective<'_> {
             self.plant,
             &mut ws.hees,
             self.loads,
-            self.dt,
+            &self.stage,
             self.config,
             z,
             Some(&mut ws.tape),
@@ -652,7 +663,7 @@ impl RolloutObjective<'_> {
         let _rollout_span = span(self.sink, "rollout");
         let mut ws = self.pool.take(&self.plant.hees, self.sink);
         self.ensure_tape(&mut ws, x);
-        crate::adjoint::adjoint_sweep(self.plant, self.loads, self.dt, self.config, &ws.tape, grad);
+        crate::adjoint::adjoint_sweep(self.plant, &self.stage, self.config, &ws.tape, grad);
         self.pool.put(ws);
     }
 }
@@ -703,7 +714,7 @@ impl Objective for RolloutObjective<'_> {
             self.plant,
             hees,
             self.loads,
-            self.dt,
+            &self.stage,
             self.config,
             points,
             lanes,
@@ -761,16 +772,8 @@ impl CurvatureObjective for RolloutObjective<'_> {
         let RolloutWorkspace {
             tape, curvature, ..
         } = &mut ws;
-        crate::adjoint::adjoint_sweep(self.plant, self.loads, self.dt, self.config, tape, grad);
-        crate::adjoint::tape_curvature(
-            self.plant,
-            self.loads,
-            self.dt,
-            self.config,
-            tape,
-            curvature,
-            hess,
-        );
+        crate::adjoint::adjoint_sweep(self.plant, &self.stage, self.config, tape, grad);
+        crate::adjoint::tape_curvature(self.plant, &self.stage, self.config, tape, curvature, hess);
         self.pool.put(ws);
     }
 }
@@ -778,9 +781,13 @@ impl CurvatureObjective for RolloutObjective<'_> {
 /// Simulates the horizon under the candidate controls and returns the
 /// Eq. 19 cost plus constraint penalties.
 ///
-/// Clones the plant's HEES once per call; the MPC's inner loop avoids
-/// even that by routing through a pooled workspace instead
-/// (see [`Mpc::solve`]).
+/// Clones the plant's HEES and builds the stage constants once per call;
+/// the MPC's inner loop avoids both by routing through a pooled
+/// workspace and the solve's constants instead (see [`Mpc::solve`]).
+///
+/// The implementation lives in the crate-private `adjoint` module
+/// (untaped mode) so the adjoint's forward pass and the plain objective
+/// are the same code — bit-identical by construction.
 pub fn rollout_cost(
     plant: &MpcPlant,
     loads: &[Watts],
@@ -789,25 +796,8 @@ pub fn rollout_cost(
     z: &[f64],
 ) -> f64 {
     let mut hees = plant.hees.clone();
-    rollout_cost_with(plant, &mut hees, loads, dt, config, z)
-}
-
-/// [`rollout_cost`] against a caller-provided HEES instance, which must
-/// already be in the plant's start state (`hees == plant.hees`); it is
-/// left in the end-of-horizon state. Allocation-free.
-///
-/// The implementation lives in [`crate::adjoint`] (untaped mode) so the
-/// adjoint's forward pass and the plain objective are the same code —
-/// bit-identical by construction.
-fn rollout_cost_with(
-    plant: &MpcPlant,
-    hees: &mut HybridHees,
-    loads: &[Watts],
-    dt: Seconds,
-    config: &MpcConfig,
-    z: &[f64],
-) -> f64 {
-    crate::adjoint::rollout_cost_taped(plant, hees, loads, dt, config, z, None)
+    let stage = StageConstants::new(plant, loads, dt, config);
+    crate::adjoint::rollout_cost_taped(plant, &mut hees, loads, &stage, config, z, None)
 }
 
 /// Reverse-mode gradient of [`rollout_cost`]: one taped forward rollout
@@ -829,10 +819,18 @@ pub fn rollout_gradient_adjoint(
     grad: &mut [f64],
 ) -> f64 {
     let mut hees = plant.hees.clone();
+    let stage = StageConstants::new(plant, loads, dt, config);
     let mut tape = Vec::with_capacity(config.horizon);
-    let cost =
-        crate::adjoint::rollout_cost_taped(plant, &mut hees, loads, dt, config, z, Some(&mut tape));
-    crate::adjoint::adjoint_sweep(plant, loads, dt, config, &tape, grad);
+    let cost = crate::adjoint::rollout_cost_taped(
+        plant,
+        &mut hees,
+        loads,
+        &stage,
+        config,
+        z,
+        Some(&mut tape),
+    );
+    crate::adjoint::adjoint_sweep(plant, &stage, config, &tape, grad);
     cost
 }
 
@@ -1018,8 +1016,8 @@ mod tests {
         let objective = RolloutObjective {
             plant: &p,
             loads: &loads,
-            dt,
             config: &cfg,
+            stage: StageConstants::new(&p, &loads, dt, &cfg),
             pool: &pool,
             start: p.hees.snapshot(),
             sink: &NullSink,
@@ -1058,8 +1056,8 @@ mod tests {
         let objective = RolloutObjective {
             plant: &p,
             loads: &loads,
-            dt,
             config: &cfg,
+            stage: StageConstants::new(&p, &loads, dt, &cfg),
             pool: &pool,
             start: p.hees.snapshot(),
             sink: &NullSink,
@@ -1585,8 +1583,8 @@ mod tests {
         let objective = RolloutObjective {
             plant: &p,
             loads: &loads,
-            dt,
             config: &cfg,
+            stage: StageConstants::new(&p, &loads, dt, &cfg),
             pool: &pool,
             start: p.hees.snapshot(),
             sink: &NullSink,
@@ -1609,6 +1607,7 @@ mod tests {
         pool.rebind(&q.hees);
         let objective = RolloutObjective {
             plant: &q,
+            stage: StageConstants::new(&q, &loads, dt, &cfg),
             start: q.hees.snapshot(),
             ..objective
         };
@@ -1729,11 +1728,20 @@ mod tests {
         let m = 2 * n;
 
         let mut hees = p.hees.clone();
+        let stage = StageConstants::new(&p, &loads, dt, &cfg);
         let mut tape = Vec::new();
-        crate::adjoint::rollout_cost_taped(&p, &mut hees, &loads, dt, &cfg, &z, Some(&mut tape));
+        crate::adjoint::rollout_cost_taped(
+            &p,
+            &mut hees,
+            &loads,
+            &stage,
+            &cfg,
+            &z,
+            Some(&mut tape),
+        );
         let mut scratch = crate::adjoint::CurvatureScratch::default();
         let mut hess = vec![0.0; m * m];
-        crate::adjoint::tape_curvature(&p, &loads, dt, &cfg, &tape, &mut scratch, &mut hess);
+        crate::adjoint::tape_curvature(&p, &stage, &cfg, &tape, &mut scratch, &mut hess);
 
         assert!(hess.iter().all(|v| v.is_finite()));
         let scale = hess.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()));

@@ -16,13 +16,31 @@ fn field_value<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     Some(body[at + needle.len()..].trim_start())
 }
 
-/// Extracts an unsigned integer field (`"key":123`).
+/// Extracts an unsigned integer field (`"key":123`); `None` when the
+/// field is absent or not a plain unsigned integer (see [`json_uint`]).
 pub fn json_u64(body: &str, key: &str) -> Option<u64> {
-    let rest = field_value(body, key)?;
+    json_uint(body, key).ok().flatten()
+}
+
+/// Extracts an unsigned integer field strictly: `Ok(None)` when absent,
+/// `Err` when present but not a plain run of ASCII digits that fits a
+/// `u64` and ends the value (`1e3`, `-5`, `1.0`, `"7"`, `null` and
+/// anything above `u64::MAX` are all errors, never a truncated number).
+pub fn json_uint(body: &str, key: &str) -> Result<Option<u64>, ParseError> {
+    let Some(rest) = field_value(body, key) else {
+        return Ok(None);
+    };
     let end = rest
         .find(|c: char| !c.is_ascii_digit())
         .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let ends_value = rest[end..]
+        .chars()
+        .next()
+        .is_none_or(|c| c == ',' || c == '}' || c.is_whitespace());
+    match rest[..end].parse() {
+        Ok(value) if ends_value => Ok(Some(value)),
+        _ => Err(format!("\"{key}\" must be an unsigned integer below 2^64")),
+    }
 }
 
 /// Extracts a float field (`"key":-12.5`).
@@ -142,7 +160,7 @@ pub type ParseError = String;
 /// `0` (the default) means "no deadline"; anything above 10 s per solve
 /// is rejected as a client error rather than silently accepted.
 fn parse_deadline_us(body: &str) -> Result<u64, ParseError> {
-    let us = json_u64(body, "mpc_deadline_us").unwrap_or(0);
+    let us = json_uint(body, "mpc_deadline_us")?.unwrap_or(0);
     if us > 10_000_000 {
         return Err("\"mpc_deadline_us\" must be ≤ 10000000 (10 s)".into());
     }
@@ -154,7 +172,7 @@ impl SimulateRequest {
     /// fleet request; anything else is a single vehicle with defaults
     /// for every omitted field.
     pub fn parse(body: &str) -> Result<Self, ParseError> {
-        if let Some(vehicles) = json_u64(body, "vehicles") {
+        if let Some(vehicles) = json_uint(body, "vehicles")? {
             if vehicles == 0 {
                 return Err("\"vehicles\" must be ≥ 1".into());
             }
@@ -164,7 +182,7 @@ impl SimulateRequest {
                 Some("serial") => "serial",
                 Some(other) => return Err(format!("unknown schedule {other:?}")),
             };
-            let poison_id = json_u64(body, "poison_id");
+            let poison_id = json_uint(body, "poison_id")?;
             if let Some(id) = poison_id {
                 if id >= vehicles {
                     return Err(format!(
@@ -173,9 +191,10 @@ impl SimulateRequest {
                 }
             }
             return Ok(Self::Fleet {
-                vehicles: vehicles as usize,
-                seed: json_u64(body, "seed").unwrap_or(42),
-                shards: json_u64(body, "shards").unwrap_or(0) as usize,
+                vehicles: usize::try_from(vehicles).unwrap_or(usize::MAX),
+                seed: json_uint(body, "seed")?.unwrap_or(42),
+                shards: usize::try_from(json_uint(body, "shards")?.unwrap_or(0))
+                    .unwrap_or(usize::MAX),
                 schedule,
                 mpc_deadline_us: parse_deadline_us(body)?,
                 poison_id,
@@ -197,7 +216,7 @@ impl SimulateRequest {
             Some("chrome") => Telemetry::Chrome,
             Some(other) => return Err(format!("unknown telemetry mode {other:?}")),
         };
-        let steps = json_u64(body, "steps").unwrap_or(120) as usize;
+        let steps = json_uint(body, "steps")?.unwrap_or(120);
         if steps == 0 || steps > 100_000 {
             return Err("\"steps\" must be in 1..=100000".into());
         }
@@ -212,25 +231,25 @@ impl SimulateRequest {
         // The horizon sizes the MPC's buffers: 0 panics the first solve
         // and a huge one can abort the whole process on allocation,
         // which per-vehicle panic isolation cannot contain.
-        let mpc_horizon = json_u64(body, "mpc_horizon").unwrap_or(8) as usize;
+        let mpc_horizon = json_uint(body, "mpc_horizon")?.unwrap_or(8);
         if !(1..=64).contains(&mpc_horizon) {
             return Err("\"mpc_horizon\" must be in 1..=64".into());
         }
-        let mpc_iterations = json_u64(body, "mpc_iterations").unwrap_or(24) as usize;
+        let mpc_iterations = json_uint(body, "mpc_iterations")?.unwrap_or(24);
         if mpc_iterations > 400 {
             return Err("\"mpc_iterations\" must be ≤ 400".into());
         }
         Ok(Self::Vehicle {
             spec: VehicleSpec {
-                id: json_u64(body, "id").unwrap_or(0),
+                id: json_uint(body, "id")?.unwrap_or(0),
                 cycle,
-                steps,
+                steps: steps as usize,
                 compact: json_bool(body, "compact").unwrap_or(false),
                 ambient_c,
                 capacitance_f,
                 methodology,
-                mpc_horizon,
-                mpc_iterations,
+                mpc_horizon: mpc_horizon as usize,
+                mpc_iterations: mpc_iterations as usize,
                 mpc_deadline_us: parse_deadline_us(body)?,
                 poison_step: None,
             },
@@ -239,7 +258,11 @@ impl SimulateRequest {
     }
 
     /// The [`Schedule`] a fleet request resolves to, given the server's
-    /// configured default shard width.
+    /// configured shard width: the width of a request that pins none,
+    /// and the most one request may ask for (`0` resolves to the host's
+    /// core count, as in [`crate::pool::resolve_workers`]) — a client
+    /// cannot make the server spawn more threads than it was configured
+    /// with.
     pub fn schedule(&self, default_shards: usize) -> Schedule {
         match self {
             Self::Fleet {
@@ -248,7 +271,7 @@ impl SimulateRequest {
                 let width = if *shards == 0 {
                     default_shards
                 } else {
-                    *shards
+                    (*shards).min(crate::pool::resolve_workers(default_shards))
                 };
                 match *schedule {
                     "serial" => Schedule::Serial,
@@ -416,6 +439,64 @@ mod tests {
             }
             other => panic!("expected vehicle, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn malformed_integer_fields_are_rejected_not_truncated() {
+        for field in ["vehicles", "seed", "shards", "poison_id", "mpc_deadline_us"] {
+            for value in [
+                "1e3",
+                "-5",
+                "\"abc\"",
+                "2.0",
+                "null",
+                "18446744073709551616",
+            ] {
+                let body = if field == "vehicles" {
+                    format!("{{\"vehicles\":{value}}}")
+                } else {
+                    format!("{{\"vehicles\":4,\"{field}\":{value}}}")
+                };
+                let err = SimulateRequest::parse(&body).expect_err(&body);
+                assert!(err.contains(field), "{body}: {err}");
+            }
+        }
+        for field in [
+            "steps",
+            "mpc_horizon",
+            "mpc_iterations",
+            "mpc_deadline_us",
+            "id",
+        ] {
+            for value in ["1e3", "-5", "\"abc\"", "8.5", "18446744073709551616"] {
+                let body = format!("{{\"{field}\":{value}}}");
+                let err = SimulateRequest::parse(&body).expect_err(&body);
+                assert!(err.contains(field), "{body}: {err}");
+            }
+        }
+        // The largest u64 is still a well-formed integer (the seed takes
+        // any value), and whitespace may follow a number.
+        let r = SimulateRequest::parse("{\"vehicles\": 3 ,\"seed\":18446744073709551615}")
+            .expect("parses");
+        match r {
+            SimulateRequest::Fleet { vehicles, seed, .. } => {
+                assert_eq!((vehicles, seed), (3, u64::MAX));
+            }
+            other => panic!("expected fleet, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn requested_shards_are_clamped_to_the_configured_width() {
+        let r = SimulateRequest::parse("{\"vehicles\":1000,\"shards\":1000}").expect("parses");
+        assert_eq!(r.schedule(4), Schedule::WorkStealing { shards: 4 });
+        let r = SimulateRequest::parse("{\"vehicles\":1000,\"shards\":3,\"schedule\":\"static\"}")
+            .expect("parses");
+        assert_eq!(r.schedule(8), Schedule::Static { shards: 3 });
+        assert_eq!(r.schedule(2), Schedule::Static { shards: 2 });
+        let auto = crate::pool::resolve_workers(0);
+        let r = SimulateRequest::parse("{\"vehicles\":10,\"shards\":100000}").expect("parses");
+        assert_eq!(r.schedule(0), Schedule::WorkStealing { shards: auto });
     }
 
     #[test]

@@ -355,6 +355,45 @@ fn unservable_mpc_shape_is_a_400_and_the_server_stays_up() {
 }
 
 #[test]
+fn malformed_integer_fields_are_400s_and_the_server_stays_up() {
+    let mut handle = spawn_server();
+    for body in [
+        "{\"vehicles\":1e3}",
+        "{\"vehicles\":-5}",
+        "{\"vehicles\":\"abc\"}",
+        "{\"vehicles\":18446744073709551616}",
+        "{\"vehicles\":4,\"shards\":2.5}",
+        "{\"steps\":1e2}",
+    ] {
+        let (status, lines) = roundtrip(&handle, "POST", "/simulate", body);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+        assert!(
+            lines[0].contains("unsigned integer"),
+            "reason names the rule: {lines:?}"
+        );
+    }
+    // An oversized shard request is clamped to the configured width and
+    // served like any other.
+    let (status, lines) = roundtrip(
+        &handle,
+        "POST",
+        "/simulate",
+        "{\"vehicles\":3,\"seed\":42,\"shards\":100000}",
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let local =
+        FleetEngine::new(Schedule::WorkStealing { shards: 2 }).run(&Campaign::synthetic(3, 42));
+    let expected = format!("\"fleet_checksum\":\"{:016x}\"", local.fleet_checksum());
+    assert!(
+        lines.last().is_some_and(|l| l.contains(&expected)),
+        "{lines:?}"
+    );
+    let (status, _) = roundtrip(&handle, "GET", "/healthz", "");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    handle.shutdown();
+}
+
+#[test]
 fn header_flood_is_refused() {
     let mut handle = spawn_server();
     // More headers than MAX_HEADER_COUNT, still under the byte cap.

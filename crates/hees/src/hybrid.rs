@@ -3,7 +3,7 @@
 
 use crate::error::HeesError;
 use crate::step::HeesStep;
-use otem_battery::{BatteryPack, CellParams, PackConfig, PackSnapshot, PowerDraw};
+use otem_battery::{BatteryPack, CellParams, PackConfig, PackCurves, PackSnapshot, PowerDraw};
 use otem_converter::DcDcConverter;
 use otem_ultracap::{CapDraw, UltracapBank, UltracapParams};
 use otem_units::{Farads, Kelvin, Ratio, Seconds, Volts, Watts};
@@ -48,6 +48,24 @@ impl HeesStepJacobian {
     pub const IN_SOC: usize = 3;
     /// Column index of the pre-step state of energy.
     pub const IN_SOE: usize = 4;
+}
+
+/// The decision-independent inputs of a [`HybridHees`] step at one step
+/// length: the step length itself and the ultracapacitor's
+/// self-discharge factor `e^{−dt/τ}`. Built once per rollout by
+/// [`HybridHees::step_constants`] and passed to every
+/// [`HybridHees::step_prepared`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HeesStepConstants {
+    dt: Seconds,
+    leak: f64,
+}
+
+impl HeesStepConstants {
+    /// The step length the constants were built for.
+    pub fn dt(&self) -> Seconds {
+        self.dt
+    }
 }
 
 /// Independent bus-side power commands for the two storages.
@@ -245,7 +263,8 @@ impl HybridHees {
     /// feasibility envelope; the clamped remainder shows up as
     /// [`HeesStep::shortfall`] relative to the commanded net.
     pub fn step(&mut self, command: HybridCommand, temperature: Kelvin, dt: Seconds) -> HeesStep {
-        self.step_impl(command, temperature, dt, None)
+        let constants = self.step_constants(dt);
+        self.step_prepared(command, temperature, &constants, None)
     }
 
     /// [`HybridHees::step`] plus the exact partial derivatives of every
@@ -262,21 +281,43 @@ impl HybridHees {
         temperature: Kelvin,
         dt: Seconds,
     ) -> (HeesStep, HeesStepJacobian) {
+        let constants = self.step_constants(dt);
         let mut jac = HeesStepJacobian::default();
-        let step = self.step_impl(command, temperature, dt, Some(&mut jac));
+        let step = self.step_prepared(command, temperature, &constants, Some(&mut jac));
         (step, jac)
     }
 
-    /// Shared single-step implementation. When `jac` is provided, the
+    /// The decision-independent constants of a step of length `dt`.
+    pub fn step_constants(&self, dt: Seconds) -> HeesStepConstants {
+        HeesStepConstants {
+            dt,
+            leak: self.cap.leak_factor(dt),
+        }
+    }
+
+    /// The single-step implementation behind [`HybridHees::step`] and
+    /// [`HybridHees::step_with_jacobian`], with the per-rollout
+    /// constants evaluated by the caller. When `jac` is provided, the
     /// executed branch of each leg additionally records its partial
     /// derivatives; all forward arithmetic is identical either way.
-    fn step_impl(
+    ///
+    /// Each state-dependent model curve is evaluated once: the battery's
+    /// OCV and resistance (three exponentials, fused with their slopes
+    /// when taping) and the bank's `√SoE`, shared by the draw, the heat
+    /// law, the converter voltage and the partials.
+    pub fn step_prepared(
         &mut self,
         command: HybridCommand,
         temperature: Kelvin,
-        dt: Seconds,
+        constants: &HeesStepConstants,
         mut jac: Option<&mut HeesStepJacobian>,
     ) -> HeesStep {
+        debug_assert_eq!(
+            constants.leak.to_bits(),
+            self.cap.leak_factor(constants.dt).to_bits(),
+            "step constants built for a different bank"
+        );
+        let dt = constants.dt;
         if let Some(j) = jac.as_deref_mut() {
             // A leg that errors out leaves its storage untouched: the
             // state rows default to the identity and are overwritten by
@@ -291,7 +332,12 @@ impl HybridHees {
         // --- Battery leg -------------------------------------------------
         let (bat_internal, bat_heat, bat_c_rate) = {
             let bus = command.battery_bus;
-            let v = self.battery.open_circuit_voltage();
+            let curves = if jac.is_some() {
+                self.battery.curves_with_slopes(temperature)
+            } else {
+                self.battery.curves(temperature)
+            };
+            let v = curves.open_circuit_voltage();
             let storage_request = if bus.value() >= 0.0 {
                 self.battery_converter.input_for_output(bus, v)
             } else {
@@ -301,11 +347,10 @@ impl HybridHees {
                 Ok(storage_power) => {
                     let draw = self
                         .battery
-                        .draw_power(storage_power, temperature)
+                        .draw_power_at(storage_power, &curves)
                         .or_else(|_| {
-                            let peak = self.battery.max_discharge_power(temperature) * 0.999;
-                            self.battery
-                                .draw_power(peak.min(storage_power), temperature)
+                            let peak = self.battery.max_discharge_power_at(&curves) * 0.999;
+                            self.battery.draw_power_at(peak.min(storage_power), &curves)
                         });
                     match draw {
                         Ok(d) => {
@@ -323,15 +368,7 @@ impl HybridHees {
                                 bus
                             };
                             if let Some(j) = jac.as_deref_mut() {
-                                self.battery_leg_jacobian(
-                                    j,
-                                    bus,
-                                    v,
-                                    storage_power,
-                                    &d,
-                                    temperature,
-                                    dt,
-                                );
+                                self.battery_leg_jacobian(j, bus, storage_power, &d, &curves, dt);
                             }
                             self.battery.integrate(d, dt);
                             if let Some(j) = jac.as_deref_mut() {
@@ -357,7 +394,11 @@ impl HybridHees {
         // --- Ultracapacitor leg ------------------------------------------
         let cap_internal = {
             let bus = command.cap_bus;
-            let v = self.cap.voltage();
+            let (v, dv_dsoe) = if jac.is_some() {
+                self.cap.voltage_and_slope()
+            } else {
+                (self.cap.voltage(), 0.0)
+            };
             let storage_request = if bus.value() >= 0.0 {
                 self.cap_converter.input_for_output(bus, v)
             } else {
@@ -370,7 +411,7 @@ impl HybridHees {
                         -self.cap.max_charge_power().value(),
                         self.cap.max_discharge_power().value(),
                     ));
-                    match self.cap.draw_power(clamped) {
+                    match self.cap.draw_power_at(clamped, v) {
                         Ok(d) => {
                             let bus_got = if clamped == storage_power {
                                 bus
@@ -389,15 +430,15 @@ impl HybridHees {
                                 self.cap_leg_jacobian(
                                     j,
                                     bus,
-                                    v,
+                                    (v, dv_dsoe),
                                     storage_power,
                                     clamped,
                                     bus_got,
                                     &d,
-                                    dt,
+                                    constants,
                                 );
                             }
-                            self.cap.integrate(d, dt);
+                            self.cap.integrate_with_leak(d, dt, constants.leak);
                             if let Some(j) = jac {
                                 let post = self.cap.soe().value();
                                 if post == 0.0 || post == 1.0 {
@@ -428,26 +469,26 @@ impl HybridHees {
     }
 
     /// Records the battery leg's partial derivatives for the branch the
-    /// forward pass executed. Must run *before* `integrate` (the draw
-    /// partials differentiate at the pre-step state of charge).
-    #[allow(clippy::too_many_arguments)]
+    /// forward pass executed, from the step's curves (built with
+    /// slopes). Must run *before* `integrate` (the draw partials
+    /// differentiate at the pre-step state of charge).
     fn battery_leg_jacobian(
         &self,
         j: &mut HeesStepJacobian,
         bus: Watts,
-        v: Volts,
         storage_power: Watts,
         d: &PowerDraw,
-        temperature: Kelvin,
+        curves: &PackCurves,
         dt: Seconds,
     ) {
         const PB: usize = HeesStepJacobian::IN_BATTERY_BUS;
         const T: usize = HeesStepJacobian::IN_TEMPERATURE;
         const SOC: usize = HeesStepJacobian::IN_SOC;
-        let Some(dp) = self.battery.draw_partials(d.terminal_power, temperature) else {
+        let Some(dp) = self.battery.draw_partials_at(d.terminal_power, curves) else {
             return;
         };
-        let dv_dsoc = self.battery.open_circuit_voltage_slope();
+        let v = curves.open_circuit_voltage();
+        let dv_dsoc = self.battery.open_circuit_voltage_slope_at(curves);
         let nominal = d.terminal_power == storage_power;
         // Sensitivities of the storage power actually drawn, over
         // [∂/∂P_bus, ∂/∂SoC, ∂/∂T].
@@ -480,7 +521,7 @@ impl HybridHees {
         } else {
             // Fallback drew 99.9 % of the SoC/temperature-dependent peak;
             // the bus command no longer reaches the pack.
-            let (dpk_soc, dpk_t) = self.battery.max_discharge_power_partials(temperature);
+            let (dpk_soc, dpk_t) = self.battery.max_discharge_power_partials_at(curves);
             (0.0, 0.999 * dpk_soc, 0.999 * dpk_t)
         };
         let chain = |row: [f64; 3]| -> [f64; 3] {
@@ -535,25 +576,25 @@ impl HybridHees {
     }
 
     /// Records the ultracapacitor leg's partial derivatives for the
-    /// branch the forward pass executed. Must run *before* `integrate`.
+    /// branch the forward pass executed, at the step's bank voltage and
+    /// slope `(v, dV/dSoE)`. Must run *before* `integrate`.
     #[allow(clippy::too_many_arguments)]
     fn cap_leg_jacobian(
         &self,
         j: &mut HeesStepJacobian,
         bus: Watts,
-        v: Volts,
+        (v, dv_dsoe): (Volts, f64),
         storage_power: Watts,
         clamped: Watts,
         bus_got: Watts,
         d: &CapDraw,
-        dt: Seconds,
+        constants: &HeesStepConstants,
     ) {
         const PC: usize = HeesStepJacobian::IN_CAP_BUS;
         const SOE: usize = HeesStepJacobian::IN_SOE;
-        let Some(dp) = self.cap.draw_partials(d.terminal_power) else {
+        let Some(dp) = self.cap.draw_partials_at(d.terminal_power, v, dv_dsoe) else {
             return;
         };
-        let dv_dsoe = self.cap.voltage_slope();
         let nominal = clamped == storage_power;
         // Sensitivities of the clamped storage power, over
         // [∂/∂P_bus, ∂/∂SoE].
@@ -597,7 +638,7 @@ impl HybridHees {
         // SoE⁺ = (SoE − P_int·dt/E_cap)·leak; saturation is zeroed by the
         // caller after integrating.
         let e_cap = self.cap.params().energy_capacity().value();
-        let leak = (-dt.value() / self.cap.params().leakage_time_constant).exp();
+        let (dt, leak) = (constants.dt, constants.leak);
         j.soe_next[PC] = -leak * dt.value() / e_cap * internal[0];
         j.soe_next[SOE] = leak * (1.0 - dt.value() / e_cap * internal[1]);
         if nominal {
@@ -938,5 +979,185 @@ mod tests {
         let mut depleted = hees();
         depleted.set_state(Ratio::ONE, Ratio::new(0.01));
         assert!(depleted.cap_bus_limit() < h.cap_bus_limit());
+    }
+
+    /// The forward step as it read before prepared curves: every
+    /// quantity through the per-call component entry points, each of
+    /// which re-evaluates its own curves, roots and leak.
+    fn per_call_step(
+        h: &mut HybridHees,
+        cmd: HybridCommand,
+        temperature: Kelvin,
+        dt: Seconds,
+    ) -> HeesStep {
+        let mut converter_loss = Watts::ZERO;
+        let mut delivered = Watts::ZERO;
+        let (mut bat_internal, mut bat_heat, mut bat_c_rate) = (Watts::ZERO, Watts::ZERO, 0.0);
+        let bus = cmd.battery_bus;
+        let v = h.battery.open_circuit_voltage();
+        let request = if bus.value() >= 0.0 {
+            h.battery_converter.input_for_output(bus, v)
+        } else {
+            h.battery_converter.output_for_input(bus, v)
+        };
+        if let Ok(storage_power) = request {
+            let draw = h
+                .battery
+                .draw_power(storage_power, temperature)
+                .or_else(|_| {
+                    let peak = h.battery.max_discharge_power(temperature) * 0.999;
+                    h.battery.draw_power(peak.min(storage_power), temperature)
+                });
+            if let Ok(d) = draw {
+                let bus_got = if d.terminal_power == storage_power || bus.value() < 0.0 {
+                    bus
+                } else {
+                    h.battery_converter
+                        .output_for_input(d.terminal_power, v)
+                        .unwrap_or(Watts::ZERO)
+                };
+                h.battery.integrate(d, dt);
+                delivered += bus_got;
+                converter_loss += (d.terminal_power - bus_got).abs();
+                (bat_internal, bat_heat, bat_c_rate) = (d.internal_power, d.heat, d.c_rate);
+            }
+        }
+        let mut cap_internal = Watts::ZERO;
+        let bus = cmd.cap_bus;
+        let v = h.cap.voltage();
+        let request = if bus.value() >= 0.0 {
+            h.cap_converter.input_for_output(bus, v)
+        } else {
+            h.cap_converter.output_for_input(bus, v)
+        };
+        if let Ok(storage_power) = request {
+            let clamped = Watts::new(storage_power.value().clamp(
+                -h.cap.max_charge_power().value(),
+                h.cap.max_discharge_power().value(),
+            ));
+            if let Ok(d) = h.cap.draw_power(clamped) {
+                let bus_got = if clamped == storage_power {
+                    bus
+                } else if bus.value() >= 0.0 {
+                    h.cap_converter
+                        .output_for_input(clamped, v)
+                        .unwrap_or(Watts::ZERO)
+                } else {
+                    h.cap_converter
+                        .input_for_output(clamped, v)
+                        .unwrap_or(Watts::ZERO)
+                };
+                h.cap.integrate(d, dt);
+                delivered += bus_got;
+                converter_loss += (d.terminal_power - bus_got).abs();
+                cap_internal = d.internal_power;
+            }
+        }
+        HeesStep {
+            delivered,
+            shortfall: Watts::new((cmd.net().value() - delivered.value()).max(0.0)),
+            battery_internal: bat_internal,
+            cap_internal,
+            battery_heat: bat_heat,
+            battery_c_rate: bat_c_rate,
+            converter_loss,
+        }
+    }
+
+    fn step_bits(s: &HeesStep, h: &HybridHees) -> [u64; 9] {
+        [
+            s.delivered.value().to_bits(),
+            s.shortfall.value().to_bits(),
+            s.battery_internal.value().to_bits(),
+            s.cap_internal.value().to_bits(),
+            s.battery_heat.value().to_bits(),
+            s.battery_c_rate.to_bits(),
+            s.converter_loss.value().to_bits(),
+            h.soc().value().to_bits(),
+            h.soe().value().to_bits(),
+        ]
+    }
+
+    #[test]
+    fn prepared_step_reproduces_the_per_call_step_bitwise() {
+        let dt = Seconds::new(1.0);
+        let commands = [
+            (0.0, 0.0),
+            (20_000.0, 10_000.0),
+            (8_000.0, -8_000.0),
+            (-12_000.0, 0.0),
+            (30_000.0, 95_000.0), // cap discharge clamps at the power rating
+            (5_000.0, -95_000.0), // cap charge clamps
+        ];
+        let mut fallbacks = 0;
+        for (soc, soe) in [(0.85, 0.6), (0.3, 0.02), (0.95, 0.999), (0.05, 0.0)] {
+            for celsius in [0.0, 25.0, 41.0] {
+                let t = Kelvin::from_celsius(celsius);
+                let mut base = hees();
+                base.set_state(Ratio::new(soc), Ratio::new(soe));
+                // Past the `V_oc²/4R` vertex: the battery falls back to
+                // 99.9 % of its datasheet peak.
+                let voc = base.battery().open_circuit_voltage().value();
+                let r = base.battery().internal_resistance(t).value();
+                let beyond = 1.05 * voc * voc / (4.0 * r);
+                for (pb, pc) in commands.into_iter().chain([(beyond, 0.0)]) {
+                    let cmd = HybridCommand {
+                        battery_bus: Watts::new(pb),
+                        cap_bus: Watts::new(pc),
+                    };
+                    let mut reference = hees();
+                    reference.set_state(Ratio::new(soc), Ratio::new(soe));
+                    let mut plain = reference.clone();
+                    let mut taped = reference.clone();
+                    let mut prepared = reference.clone();
+                    let want = per_call_step(&mut reference, cmd, t, dt);
+                    let want_bits = step_bits(&want, &reference);
+                    let a = plain.step(cmd, t, dt);
+                    let (b, _) = taped.step_with_jacobian(cmd, t, dt);
+                    let constants = prepared.step_constants(dt);
+                    let c = prepared.step_prepared(cmd, t, &constants, None);
+                    assert_eq!(
+                        step_bits(&a, &plain),
+                        want_bits,
+                        "step {soc} {soe} {t:?} {cmd:?}"
+                    );
+                    assert_eq!(
+                        step_bits(&b, &taped),
+                        want_bits,
+                        "taped {soc} {soe} {t:?} {cmd:?}"
+                    );
+                    assert_eq!(step_bits(&c, &prepared), want_bits, "prepared {cmd:?}");
+                    if pb == beyond && want.battery_internal.value() > 0.0 {
+                        assert!(want.shortfall.value() > 0.0, "no fallback at {soc} {t:?}");
+                        fallbacks += 1;
+                    }
+                }
+            }
+        }
+        assert!(fallbacks > 0, "the peak-power fallback never ran");
+    }
+
+    #[test]
+    fn one_constants_block_serves_a_whole_trajectory() {
+        // A rollout builds the constants once and steps many states with
+        // them; every step must match the self-contained entry points.
+        let dt = Seconds::new(1.0);
+        let mut prepared = hees();
+        prepared.set_state(Ratio::new(0.8), Ratio::new(0.5));
+        let mut fresh = prepared.clone();
+        let constants = prepared.step_constants(dt);
+        assert_eq!(constants.dt(), dt);
+        for k in 0..40 {
+            let cmd = HybridCommand {
+                battery_bus: Watts::new(15_000.0 + 900.0 * (k % 7) as f64),
+                cap_bus: Watts::new(if k % 3 == 0 { -6_000.0 } else { 9_000.0 }),
+            };
+            let t = Kelvin::from_celsius(24.0 + 0.3 * k as f64);
+            let mut jac = HeesStepJacobian::default();
+            let a = prepared.step_prepared(cmd, t, &constants, Some(&mut jac));
+            let (b, jac_fresh) = fresh.step_with_jacobian(cmd, t, dt);
+            assert_eq!(step_bits(&a, &prepared), step_bits(&b, &fresh), "step {k}");
+            assert_eq!(jac, jac_fresh, "jacobian at step {k}");
+        }
     }
 }

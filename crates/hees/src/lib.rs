@@ -32,7 +32,7 @@ mod step;
 
 pub use dual::{DualHees, DualMode};
 pub use error::HeesError;
-pub use hybrid::{HeesSnapshot, HeesStepJacobian, HybridCommand, HybridHees};
+pub use hybrid::{HeesSnapshot, HeesStepConstants, HeesStepJacobian, HybridCommand, HybridHees};
 pub use parallel::ParallelHees;
 pub use semi_active::{ConvertedSide, SemiActiveHees};
 pub use step::HeesStep;

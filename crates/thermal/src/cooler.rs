@@ -121,9 +121,17 @@ impl CoolerAction {
 
 /// The active cooling plant: maps a requested inlet temperature to a
 /// feasible one and prices it (Eq. 16 with constraints C2–C3).
+///
+/// The two parameter ratios every actuation needs are evaluated once at
+/// construction (the parameters are immutable afterwards), so pricing a
+/// move costs no division.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CoolingPlant {
     params: PlantParams,
+    /// `P̄_c·η_c/Ċ_c` — the largest inlet drop the power limit allows (K).
+    max_drop: f64,
+    /// `Ċ_c/η_c` — cooler electric power per kelvin of drop (W/K).
+    flow_over_efficiency: f64,
 }
 
 impl CoolingPlant {
@@ -134,7 +142,12 @@ impl CoolingPlant {
     /// Returns [`ThermalError::InvalidParameter`] when validation fails.
     pub fn new(params: PlantParams) -> Result<Self, ThermalError> {
         params.validate()?;
-        Ok(Self { params })
+        Ok(Self {
+            params,
+            max_drop: params.max_cooler_power.value() * params.efficiency.value()
+                / params.flow_capacity.value(),
+            flow_over_efficiency: params.flow_capacity.value() / params.efficiency.value(),
+        })
     }
 
     /// The parameter set.
@@ -150,19 +163,23 @@ impl CoolingPlant {
         if dt <= 0.0 {
             return Watts::ZERO;
         }
-        Watts::new(self.params.flow_capacity.value() / self.params.efficiency.value() * dt)
+        Watts::new(self.flow_over_efficiency * dt)
+    }
+
+    /// `Ċ_c/η_c`: the slope of [`CoolingPlant::power_for_inlet`] in the
+    /// inlet drop, wherever the cooler runs.
+    pub fn flow_over_efficiency(&self) -> f64 {
+        self.flow_over_efficiency
     }
 
     /// Coldest inlet achievable right now given the outlet temperature
     /// and the cooler power limit.
     pub fn coldest_inlet(&self, outlet: Kelvin) -> Kelvin {
-        let max_drop = self.params.max_cooler_power.value() * self.params.efficiency.value()
-            / self.params.flow_capacity.value();
         // The floor cannot exceed the outlet itself: if the loop already
         // runs colder than `min_inlet`, the best the plant can do is pass
         // the coolant through unchanged.
         let floor = self.params.min_inlet.value().min(outlet.value());
-        Kelvin::new((outlet.value() - max_drop).max(floor))
+        Kelvin::new((outlet.value() - self.max_drop).max(floor))
     }
 
     /// Slope of [`CoolingPlant::coldest_inlet`] in the outlet
@@ -172,10 +189,8 @@ impl CoolingPlant {
     ///   wins) or when the pass-through floor binds (`floor = outlet`),
     /// * `0.0` when the fixed `min_inlet` floor binds.
     pub fn coldest_inlet_slope(&self, outlet: Kelvin) -> f64 {
-        let max_drop = self.params.max_cooler_power.value() * self.params.efficiency.value()
-            / self.params.flow_capacity.value();
         let floor = self.params.min_inlet.value().min(outlet.value());
-        if outlet.value() - max_drop >= floor {
+        if outlet.value() - self.max_drop >= floor {
             1.0
         } else if self.params.min_inlet.value() < outlet.value() {
             0.0
@@ -300,5 +315,49 @@ mod tests {
         let mut p = PlantParams::ev_plant();
         p.max_cooler_power = Watts::ZERO;
         assert!(CoolingPlant::new(p).is_err());
+    }
+
+    #[test]
+    fn cached_ratios_price_bit_identically_to_the_per_call_formulas() {
+        // Non-unit efficiencies and odd flows, so a reassociated ratio
+        // shows in the bits.
+        for (efficiency, flow) in [(1.0, 1_050.0), (2.7, 1_050.0), (0.37, 733.3), (3.1, 911.0)] {
+            cached_ratios_at(efficiency, flow);
+        }
+    }
+
+    fn cached_ratios_at(efficiency: f64, flow: f64) {
+        let p = CoolingPlant::new(PlantParams {
+            efficiency: Ratio::new(efficiency),
+            flow_capacity: ThermalConductance::new(flow),
+            ..PlantParams::ev_plant()
+        })
+        .expect("valid");
+        let pp = *p.params();
+        for (outlet, inlet) in [
+            (35.0, 20.0),
+            (30.0, 29.5),
+            (19.0, 18.0),
+            (25.0, 26.0),
+            (41.3, 33.7),
+            (28.9, 21.1),
+        ] {
+            let (outlet, inlet) = (c(outlet), c(inlet));
+            let max_drop =
+                pp.max_cooler_power.value() * pp.efficiency.value() / pp.flow_capacity.value();
+            let floor = pp.min_inlet.value().min(outlet.value());
+            let coldest = (outlet.value() - max_drop).max(floor);
+            assert_eq!(p.coldest_inlet(outlet).value().to_bits(), coldest.to_bits());
+            let drop = outlet.value() - inlet.value();
+            let power = if drop <= 0.0 {
+                0.0
+            } else {
+                pp.flow_capacity.value() / pp.efficiency.value() * drop
+            };
+            assert_eq!(
+                p.power_for_inlet(outlet, inlet).value().to_bits(),
+                power.to_bits()
+            );
+        }
     }
 }

@@ -53,6 +53,7 @@ mod pump;
 
 pub use cooler::{CoolerAction, CoolingPlant, PlantParams};
 pub use error::ThermalError;
+pub use kernel::CrankNicolsonCoefficients;
 pub use model::{CrankNicolsonJacobian, ThermalModel, ThermalParams, ThermalState};
 pub use multi_node::{MultiNodeModel, MultiNodeState};
 pub use pump::VariableFlowPump;

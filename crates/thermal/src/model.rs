@@ -2,6 +2,7 @@
 //! discretised per Eq. 17).
 
 use crate::error::ThermalError;
+use crate::kernel::CrankNicolsonCoefficients;
 use otem_units::{HeatCapacity, Kelvin, KelvinPerSecond, Seconds, ThermalConductance, Watts};
 use serde::{Deserialize, Serialize};
 
@@ -171,7 +172,7 @@ impl ThermalState {
 /// parameters and the step length — constants reused across a whole MPC
 /// horizon by the adjoint backward sweep.
 ///
-/// Produced by [`ThermalModel::crank_nicolson_jacobian`]. Row arrays are
+/// Produced by [`CrankNicolsonCoefficients::jacobian`]. Row arrays are
 /// ordered `[∂·/∂T_b, ∂·/∂T_c]` (state rows) or `[∂T_b⁺/∂u, ∂T_c⁺/∂u]`
 /// (input rows).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -264,22 +265,19 @@ impl ThermalModel {
         inlet: Kelvin,
         dt: Seconds,
     ) -> ThermalState {
-        let (tb, tc) = crate::kernel::crank_nicolson(
-            self.node_constants(),
-            state.battery.value(),
-            state.coolant.value(),
-            battery_heat.value(),
-            inlet.value(),
-            dt.value(),
-        );
-        ThermalState {
-            battery: Kelvin::new(tb),
-            coolant: Kelvin::new(tc),
-        }
+        self.crank_nicolson_coefficients(dt)
+            .step(state, battery_heat, inlet)
     }
 
-    /// The kernel-facing constants of the two-node system — what the
-    /// batched SoA rollout hoists out of its lane loop.
+    /// The Crank–Nicolson operator of one step length — what a rollout
+    /// evaluates once and steps every horizon stage with
+    /// ([`CrankNicolsonCoefficients::step`]).
+    pub fn crank_nicolson_coefficients(&self, dt: Seconds) -> CrankNicolsonCoefficients<f64> {
+        CrankNicolsonCoefficients::new(self.node_constants(), dt.value())
+    }
+
+    /// The kernel-facing constants of the two-node system, from which
+    /// [`ThermalModel::crank_nicolson_coefficients`] builds the operator.
     pub fn node_constants(&self) -> crate::kernel::NodeConstants<f64> {
         let p = &self.params;
         crate::kernel::NodeConstants {
@@ -289,46 +287,6 @@ impl ThermalModel {
             f: p.coolant_flow_capacity.value(),
             ha: p.ambient_conductance.value(),
             t_ambient: p.ambient_temperature.value(),
-        }
-    }
-
-    /// The exact Jacobian of [`ThermalModel::step_crank_nicolson`] for a
-    /// fixed step length. The two-node system is linear, so these
-    /// sensitivities are constants of the solve — compute once per MPC
-    /// horizon and reuse at every step of the adjoint backward sweep.
-    pub fn crank_nicolson_jacobian(&self, dt: Seconds) -> CrankNicolsonJacobian {
-        let p = &self.params;
-        let cb = p.battery_heat_capacity.value();
-        let cc = p.coolant_heat_capacity.value();
-        let h = p.battery_coolant_conductance.value();
-        let f = p.coolant_flow_capacity.value();
-        let ha = p.ambient_conductance.value();
-        let dtv = dt.value();
-
-        let a11 = -(h + ha) / cb;
-        let a12 = h / cb;
-        let a21 = h / cc;
-        let a22 = -(h + f) / cc;
-        let k = dtv / 2.0;
-        let m11 = 1.0 - k * a11;
-        let m12 = -k * a12;
-        let m21 = -k * a21;
-        let m22 = 1.0 - k * a22;
-        let det = m11 * m22 - m12 * m21;
-        // x⁺ = M⁻¹·((I + k·A)·x + dt·r): differentiate the solved linear
-        // map in the prior state, the heat source (enters r1) and the
-        // inlet temperature (enters r2).
-        CrankNicolsonJacobian {
-            d_battery: [
-                ((1.0 + k * a11) * m22 - k * a21 * m12) / det,
-                (k * a12 * m22 - (1.0 + k * a22) * m12) / det,
-            ],
-            d_coolant: [
-                (k * a21 * m11 - (1.0 + k * a11) * m21) / det,
-                ((1.0 + k * a22) * m11 - k * a12 * m21) / det,
-            ],
-            d_battery_heat: [(dtv / cb) * m22 / det, -(dtv / cb) * m21 / det],
-            d_inlet: [-(dtv * f / cc) * m12 / det, (dtv * f / cc) * m11 / det],
         }
     }
 
@@ -361,6 +319,50 @@ impl ThermalModel {
         ThermalState {
             battery: Kelvin::new(tb),
             coolant: Kelvin::new(tc),
+        }
+    }
+}
+
+impl CrankNicolsonCoefficients<f64> {
+    /// One Crank–Nicolson step under these coefficients — the body of
+    /// [`ThermalModel::step_crank_nicolson`].
+    pub fn step(&self, state: ThermalState, battery_heat: Watts, inlet: Kelvin) -> ThermalState {
+        let (tb, tc) = crate::kernel::crank_nicolson(
+            self,
+            state.battery.value(),
+            state.coolant.value(),
+            battery_heat.value(),
+            inlet.value(),
+        );
+        ThermalState {
+            battery: Kelvin::new(tb),
+            coolant: Kelvin::new(tc),
+        }
+    }
+
+    /// The exact Jacobian of [`CrankNicolsonCoefficients::step`]. The
+    /// two-node system is linear, so these sensitivities are constants of
+    /// the step length — the MPC computes them once per solve and reuses
+    /// them at every step of the adjoint backward sweep.
+    pub fn jacobian(&self) -> CrankNicolsonJacobian {
+        let [[a11, a12], [a21, a22]] = self.a;
+        let [[m11, m12], [m21, m22]] = self.m;
+        let (k, dtv, det) = (self.k, self.dt, self.det);
+        let (cb, cc, f) = (self.cb, self.cc, self.f);
+        // x⁺ = M⁻¹·((I + k·A)·x + dt·r): differentiate the solved linear
+        // map in the prior state, the heat source (enters r1) and the
+        // inlet temperature (enters r2).
+        CrankNicolsonJacobian {
+            d_battery: [
+                ((1.0 + k * a11) * m22 - k * a21 * m12) / det,
+                (k * a12 * m22 - (1.0 + k * a22) * m12) / det,
+            ],
+            d_coolant: [
+                (k * a21 * m11 - (1.0 + k * a11) * m21) / det,
+                ((1.0 + k * a22) * m11 - k * a12 * m21) / det,
+            ],
+            d_battery_heat: [(dtv / cb) * m22 / det, -(dtv / cb) * m21 / det],
+            d_inlet: [-(dtv * f / cc) * m12 / det, (dtv * f / cc) * m11 / det],
         }
     }
 }
@@ -528,7 +530,7 @@ mod tests {
         for params in [ThermalParams::ev_pack(), ThermalParams::city_pack()] {
             let m = ThermalModel::new(params).unwrap();
             let dt = Seconds::new(1.0);
-            let jac = m.crank_nicolson_jacobian(dt);
+            let jac = m.crank_nicolson_coefficients(dt).jacobian();
             let base = ThermalState {
                 battery: c(33.0),
                 coolant: c(29.0),
@@ -587,6 +589,64 @@ mod tests {
                 step(base, q, Kelvin::new(inlet.value() - h)),
                 "∂/∂T_in",
             );
+        }
+    }
+
+    /// The Jacobian as it read before prepared coefficients, re-deriving
+    /// the operator from the parameters.
+    fn per_call_jacobian(p: &ThermalParams, dtv: f64) -> [f64; 8] {
+        let cb = p.battery_heat_capacity.value();
+        let cc = p.coolant_heat_capacity.value();
+        let h = p.battery_coolant_conductance.value();
+        let f = p.coolant_flow_capacity.value();
+        let ha = p.ambient_conductance.value();
+        let a11 = -(h + ha) / cb;
+        let a12 = h / cb;
+        let a21 = h / cc;
+        let a22 = -(h + f) / cc;
+        let k = dtv / 2.0;
+        let m11 = 1.0 - k * a11;
+        let m12 = -k * a12;
+        let m21 = -k * a21;
+        let m22 = 1.0 - k * a22;
+        let det = m11 * m22 - m12 * m21;
+        [
+            ((1.0 + k * a11) * m22 - k * a21 * m12) / det,
+            (k * a12 * m22 - (1.0 + k * a22) * m12) / det,
+            (k * a21 * m11 - (1.0 + k * a11) * m21) / det,
+            ((1.0 + k * a22) * m11 - k * a12 * m21) / det,
+            (dtv / cb) * m22 / det,
+            -(dtv / cb) * m21 / det,
+            -(dtv * f / cc) * m12 / det,
+            (dtv * f / cc) * m11 / det,
+        ]
+    }
+
+    #[test]
+    fn prepared_jacobian_is_bit_identical_to_the_per_call_formula() {
+        for params in [
+            ThermalParams::ev_pack(),
+            ThermalParams::city_pack(),
+            ThermalParams::ev_pack_passive(),
+        ] {
+            let m = ThermalModel::new(params).unwrap();
+            for dt in [0.5, 1.0, 5.0] {
+                let j = m.crank_nicolson_coefficients(Seconds::new(dt)).jacobian();
+                let got = [
+                    j.d_battery[0],
+                    j.d_battery[1],
+                    j.d_coolant[0],
+                    j.d_coolant[1],
+                    j.d_battery_heat[0],
+                    j.d_battery_heat[1],
+                    j.d_inlet[0],
+                    j.d_inlet[1],
+                ];
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    per_call_jacobian(&params, dt).map(f64::to_bits)
+                );
+            }
         }
     }
 }

@@ -120,6 +120,20 @@ impl UltracapBank {
         ))
     }
 
+    /// [`UltracapBank::voltage`] and its slope in the state of energy,
+    /// `dV/dSoE = V_r/(2·√SoE)`, from one square root. The voltage is
+    /// bit-identical to [`UltracapBank::voltage`]. The slope is guarded to
+    /// zero on a fully depleted bank, where the square root is not
+    /// differentiable — the adjoint must stay finite even at the
+    /// saturation boundary.
+    pub fn voltage_and_slope(&self) -> (Volts, f64) {
+        let soe = self.soe.value();
+        let root = soe.sqrt();
+        let rated = self.params.rated_voltage.value();
+        let slope = if soe > 0.0 { rated / (2.0 * root) } else { 0.0 };
+        (Volts::new(rated * root), slope)
+    }
+
     /// Maximum discharge power deliverable right now: limited by the
     /// interface power rating and by what would drain the bank within one
     /// second (a conservative depletion guard so a draw can always be
@@ -144,10 +158,22 @@ impl UltracapBank {
     /// [`Self::max_discharge_power`] or a charge exceeds
     /// [`Self::max_charge_power`].
     pub fn draw_power(&self, power: Watts) -> Result<CapDraw, UltracapError> {
+        self.draw_power_at(power, self.voltage())
+    }
+
+    /// [`UltracapBank::draw_power`] at a voltage the caller already
+    /// evaluated for the present state of energy — no square root of its
+    /// own.
+    ///
+    /// # Errors
+    ///
+    /// As [`UltracapBank::draw_power`].
+    pub fn draw_power_at(&self, power: Watts, voltage: Volts) -> Result<CapDraw, UltracapError> {
+        self.debug_check(voltage);
         let p = power.value();
         if p == 0.0 {
             return Ok(CapDraw {
-                voltage: self.voltage(),
+                voltage,
                 ..CapDraw::IDLE
             });
         }
@@ -163,7 +189,7 @@ impl UltracapBank {
                 available: self.max_charge_power(),
             });
         }
-        let v = self.voltage().value();
+        let v = voltage.value();
         if v <= 0.0 && p > 0.0 {
             return Err(UltracapError::PowerInfeasible {
                 requested: power,
@@ -191,17 +217,15 @@ impl UltracapBank {
         })
     }
 
-    /// Slope of the open-circuit voltage in the state of energy,
-    /// `dV/dSoE = V_r/(2·√SoE)`. Guarded to zero on a fully depleted
-    /// bank, where the square root is not differentiable — the adjoint
-    /// must stay finite even at the saturation boundary.
-    pub fn voltage_slope(&self) -> f64 {
-        let soe = self.soe.value();
-        if soe > 0.0 {
-            self.params.rated_voltage.value() / (2.0 * soe.sqrt())
-        } else {
-            0.0
-        }
+    /// Prepared voltages are valid only for the state of energy they
+    /// were evaluated at (bitwise, so a non-finite state compares equal
+    /// to itself).
+    fn debug_check(&self, voltage: Volts) {
+        debug_assert_eq!(
+            voltage.value().to_bits(),
+            self.voltage().value().to_bits(),
+            "bank voltage used after the state of energy moved"
+        );
     }
 
     /// Slope of [`UltracapBank::max_discharge_power`] in the state of
@@ -234,9 +258,23 @@ impl UltracapBank {
     /// of the zero-resistance model). Returns `None` where the forward
     /// call errors or sits on a non-differentiable boundary.
     pub fn draw_partials(&self, power: Watts) -> Option<CapDrawPartials> {
+        let (v, dv) = self.voltage_and_slope();
+        self.draw_partials_at(power, v, dv)
+    }
+
+    /// [`UltracapBank::draw_partials`] at the voltage and slope
+    /// [`UltracapBank::voltage_and_slope`] returned for the present state
+    /// of energy — no square root of its own.
+    pub fn draw_partials_at(
+        &self,
+        power: Watts,
+        voltage: Volts,
+        slope: f64,
+    ) -> Option<CapDrawPartials> {
+        self.debug_check(voltage);
         let p = power.value();
-        let v = self.voltage().value();
-        let dv = self.voltage_slope();
+        let v = voltage.value();
+        let dv = slope;
         if v <= 0.0 && p > 0.0 {
             return None;
         }
@@ -277,13 +315,25 @@ impl UltracapBank {
     /// SoE integral (Eq. 9) including the self-discharge leak, clamped
     /// to `[0, 1]`.
     pub fn integrate(&mut self, draw: CapDraw, dt: Seconds) {
+        self.integrate_with_leak(draw, dt, self.leak_factor(dt));
+    }
+
+    /// Self-discharge factor `e^{−dt/τ}` of one step of length `dt` — a
+    /// constant of the step length, so a rollout evaluates it once.
+    pub fn leak_factor(&self, dt: Seconds) -> f64 {
+        crate::kernel::leak_factor(dt.value(), self.params.leakage_time_constant)
+    }
+
+    /// [`UltracapBank::integrate`] with the step's
+    /// [`UltracapBank::leak_factor`] already evaluated.
+    pub fn integrate_with_leak(&mut self, draw: CapDraw, dt: Seconds, leak: f64) {
         let e_cap = self.params.energy_capacity().value();
         self.soe = Ratio::new(crate::kernel::soe_after_step(
             self.soe.value(),
             draw.internal_power.value(),
             dt.value(),
             e_cap,
-            self.params.leakage_time_constant,
+            leak,
         ));
     }
 
@@ -587,8 +637,170 @@ mod tests {
             c.voltage().value()
         };
         let fd = (at(0.36 + h) - at(0.36 - h)) / (2.0 * h);
-        assert!((b.voltage_slope() - fd).abs() <= 1e-4 * fd.abs());
+        assert!((b.voltage_and_slope().1 - fd).abs() <= 1e-4 * fd.abs());
         b.set_soe(Ratio::ZERO);
-        assert_eq!(b.voltage_slope(), 0.0);
+        assert_eq!(b.voltage_and_slope(), (Volts::new(0.0), 0.0));
+    }
+
+    /// The per-call draw as it read before prepared voltages: the bank
+    /// re-derives `V_r·√SoE` inside.
+    fn per_call_draw(b: &UltracapBank, power: Watts) -> Option<CapDraw> {
+        let p = power.value();
+        if p == 0.0 {
+            return Some(CapDraw {
+                voltage: b.voltage(),
+                ..CapDraw::IDLE
+            });
+        }
+        if (p > 0.0 && power > b.max_discharge_power())
+            || (p < 0.0 && power.abs() > b.max_charge_power())
+        {
+            return None;
+        }
+        let v = b.voltage().value();
+        if v <= 0.0 && p > 0.0 {
+            return None;
+        }
+        let r = b.params().series_resistance;
+        let i = if r == 0.0 {
+            p / v.max(0.05 * b.params().rated_voltage.value())
+        } else {
+            let disc = v * v - 4.0 * r * p;
+            if disc < 0.0 {
+                return None;
+            }
+            (v - disc.sqrt()) / (2.0 * r)
+        };
+        Some(CapDraw {
+            terminal_power: power,
+            internal_power: Watts::new(v * i),
+            current: Amps::new(i),
+            voltage: Volts::new(v),
+        })
+    }
+
+    /// The per-call partials: voltage and slope each take their own root.
+    fn per_call_partials(b: &UltracapBank, power: Watts) -> Option<[f64; 4]> {
+        let p = power.value();
+        let v = b.voltage().value();
+        let soe = b.soe().value();
+        let rated = b.params().rated_voltage.value();
+        let dv = if soe > 0.0 {
+            rated / (2.0 * soe.sqrt())
+        } else {
+            0.0
+        };
+        if v <= 0.0 && p > 0.0 {
+            return None;
+        }
+        let r = b.params().series_resistance;
+        if r == 0.0 {
+            let floor = 0.05 * rated;
+            return Some(if v > floor {
+                [1.0, 0.0, 1.0 / v, -p / (v * v) * dv]
+            } else {
+                [v / floor, p / floor * dv, 1.0 / floor, 0.0]
+            });
+        }
+        let disc = v * v - 4.0 * r * p;
+        if disc <= 0.0 {
+            return None;
+        }
+        let sqrt_d = disc.sqrt();
+        let i = (v - sqrt_d) / (2.0 * r);
+        let di_dp = 1.0 / sqrt_d;
+        let di_dv = (1.0 - v / sqrt_d) / (2.0 * r);
+        Some([v * di_dp, (i + v * di_dv) * dv, di_dp, di_dv * dv])
+    }
+
+    fn draw_bits(d: &CapDraw) -> [u64; 4] {
+        [
+            d.terminal_power.value().to_bits(),
+            d.internal_power.value().to_bits(),
+            d.current.value().to_bits(),
+            d.voltage.value().to_bits(),
+        ]
+    }
+
+    #[test]
+    fn prepared_voltage_reproduces_the_per_call_formulas_bitwise() {
+        let e_cap = bank().params().energy_capacity().value();
+        let max_p = bank().params().max_power.value();
+        let resistive = UltracapParams {
+            series_resistance: 2.0e-4,
+            ..UltracapParams::default()
+        };
+        // A rated voltage that is not a power of two, so a reassociated
+        // root or slope cannot stay exact by scaling alone.
+        let odd_voltage = UltracapParams {
+            rated_voltage: Volts::new(48.6),
+            ..UltracapParams::default()
+        };
+        let mut exercised = [false; 4];
+        for params in [UltracapParams::default(), resistive, odd_voltage] {
+            // Empty, below the 5 % voltage floor, both envelope clamps
+            // active (energy-limited discharge near empty, headroom-limited
+            // charge near full), interior points and full.
+            for soe in [
+                0.0,
+                1.0e-3,
+                0.5 * max_p / e_cap,
+                0.3,
+                0.417,
+                0.75,
+                0.8813,
+                1.0 - 0.5 * max_p / e_cap,
+                1.0,
+            ] {
+                let mut b = UltracapBank::new(params).unwrap();
+                b.set_soe(Ratio::new(soe));
+                let (v, dv) = b.voltage_and_slope();
+                assert_eq!(v.value().to_bits(), b.voltage().value().to_bits());
+                let dis = b.max_discharge_power().value();
+                let chg = b.max_charge_power().value();
+                exercised[0] |= soe == 0.0;
+                exercised[1] |= v.value() > 0.0 && v.value() < 0.05 * params.rated_voltage.value();
+                exercised[2] |= dis < max_p;
+                exercised[3] |= chg < max_p;
+                for power in [0.0, 4_000.0, -9_000.0, dis, -chg, 1.01 * dis, -1.01 * chg] {
+                    let power = Watts::new(power);
+                    let want = per_call_draw(&b, power);
+                    let got = b.draw_power_at(power, v).ok();
+                    assert_eq!(
+                        want.as_ref().map(draw_bits),
+                        got.as_ref().map(draw_bits),
+                        "draw at soe {soe}, {power:?}"
+                    );
+                    let got = b.draw_partials_at(power, v, dv).map(|d| {
+                        [
+                            d.internal_power[0],
+                            d.internal_power[1],
+                            d.current[0],
+                            d.current[1],
+                        ]
+                    });
+                    assert_eq!(
+                        per_call_partials(&b, power).map(|a| a.map(f64::to_bits)),
+                        got.map(|a| a.map(f64::to_bits)),
+                        "partials at soe {soe}, {power:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(exercised, [true; 4], "empty / floor / both clamps");
+    }
+
+    #[test]
+    fn prepared_leak_integrates_bit_identically() {
+        let mut b = bank();
+        b.set_soe(Ratio::new(0.6));
+        let d = b.draw_power(Watts::new(12_000.0)).unwrap();
+        let dt = Seconds::new(1.0);
+        let e_cap = b.params().energy_capacity().value();
+        let tau = b.params().leakage_time_constant;
+        let per_call =
+            (0.6 - d.internal_power.value() * dt.value() / e_cap) * (-dt.value() / tau).exp();
+        b.integrate_with_leak(d, dt, b.leak_factor(dt));
+        assert_eq!(b.soe().value().to_bits(), per_call.to_bits());
     }
 }

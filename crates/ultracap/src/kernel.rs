@@ -5,7 +5,10 @@
 //! per scalar type. The concrete `f64` methods on [`crate::UltracapBank`]
 //! delegate here — the `f64` instantiation performs the *same operations
 //! in the same order* as the pre-refactor hand-written code, so delegation
-//! is bit-identical (the contract the golden traces pin).
+//! is bit-identical (the contract the golden traces pin). The
+//! self-discharge factor is its own kernel ([`leak_factor`]) because it
+//! depends only on the step length: a rollout evaluates it once and
+//! passes it to every [`soe_after_step`].
 
 use otem_units::Scalar;
 
@@ -32,19 +35,26 @@ pub fn bank_current<S: Scalar>(p: S, v: S, r: S, rated_voltage: S) -> Option<S> 
     Some((v - disc.sqrt()) / (S::from_f64(2.0) * r))
 }
 
+/// Self-discharge factor of one step: `e^{−dt/τ}`. A constant of the
+/// step length, so a rollout evaluates it once and passes it to every
+/// [`soe_after_step`].
+#[inline]
+pub fn leak_factor<S: Scalar>(dt: S, leakage_time_constant: S) -> S {
+    (-dt / leakage_time_constant).exp()
+}
+
 /// One SoE integration step (Eq. 9) including the self-discharge leak:
-/// `SoE⁺ = (SoE − P_int·dt/E_cap) · e^{−dt/τ}`. The caller clamps to
-/// `[0, 1]`.
+/// `SoE⁺ = (SoE − P_int·dt/E_cap) · leak` with `leak` from
+/// [`leak_factor`]. The caller clamps to `[0, 1]`.
 #[inline]
 pub fn soe_after_step<S: Scalar>(
     soe: S,
     internal_power: S,
     dt: S,
     energy_capacity: S,
-    leakage_time_constant: S,
+    leak: S,
 ) -> S {
     let delta = internal_power * dt / energy_capacity;
-    let leak = (-dt / leakage_time_constant).exp();
     (soe - delta) * leak
 }
 
@@ -72,7 +82,13 @@ mod tests {
 
     #[test]
     fn leak_discounts_the_integral() {
-        let next = soe_after_step(0.8_f64, 0.0, 3600.0, 1.0e6, 40.0 * 3600.0);
+        let next = soe_after_step(
+            0.8_f64,
+            0.0,
+            3600.0,
+            1.0e6,
+            leak_factor(3600.0, 40.0 * 3600.0),
+        );
         assert!((next - 0.8 * (-1.0_f64 / 40.0).exp()).abs() < 1e-12);
     }
 
