@@ -172,11 +172,7 @@ impl Cell {
     /// `SoC ← SoC − ∫ I / C_bat` against the effective capacity,
     /// clamped to `[0, 1]`.
     pub fn integrate_current(&mut self, current: Amps, dt: Seconds) {
-        let delta = crate::kernel::soc_decrement(
-            current.value(),
-            dt.value(),
-            self.effective_capacity().to_coulombs().value(),
-        );
+        let delta = current.value() * dt.value() / self.effective_capacity().to_coulombs().value();
         self.soc = self.soc.saturating_add(-delta);
     }
 }

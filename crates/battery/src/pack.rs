@@ -400,15 +400,16 @@ impl BatteryPack {
             });
         }
 
-        let i = match crate::kernel::pack_current(voc, r, p) {
-            Some(i) => i,
-            None => {
-                return Err(BatteryError::PowerInfeasible {
-                    requested: power,
-                    available: Watts::new(voc * voc / (4.0 * r)),
-                });
-            }
-        };
+        // The low-current (stable) root of `P = V_oc·I − R·I²`; no real
+        // current delivers a request past the vertex `V_oc²/(4R)`.
+        let discriminant = voc * voc - 4.0 * r * p;
+        if discriminant < 0.0 {
+            return Err(BatteryError::PowerInfeasible {
+                requested: power,
+                available: Watts::new(voc * voc / (4.0 * r)),
+            });
+        }
+        let i = (voc - discriminant.sqrt()) / (2.0 * r);
         let current = Amps::new(i);
         let terminal_voltage = Volts::new(voc - r * i);
         let per_cell_current = Amps::new(i / self.config.parallel as f64);

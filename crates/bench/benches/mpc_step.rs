@@ -46,18 +46,13 @@ fn bench_mpc(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel finite-difference gradients vs the reverse-mode
-/// adjoint at a fixed horizon. The two FD modes produce bit-identical
-/// decisions (see the parity tests in `otem::mpc`), so their difference
-/// is pure wall time; the adjoint replaces `4·horizon` FD rollouts per
-/// gradient with one taped rollout (DESIGN.md §8), which is where its
+/// Finite-difference gradients vs the reverse-mode adjoint at a fixed
+/// horizon: the adjoint replaces `4·horizon` FD rollouts per gradient
+/// with one taped rollout (DESIGN.md §8), which is where its
 /// order-of-magnitude gap comes from.
 fn bench_gradient_modes(c: &mut Criterion) {
     let config = SystemConfig::default();
     let p = plant(&config);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let mut group = c.benchmark_group("mpc_gradient_mode");
     group.sample_size(10);
     for horizon in [12usize, 24] {
@@ -66,7 +61,6 @@ fn bench_gradient_modes(c: &mut Criterion) {
             .collect();
         for (label, mode) in [
             ("serial", GradientMode::Serial),
-            ("parallel", GradientMode::Parallel { threads }),
             ("adjoint", GradientMode::Adjoint),
         ] {
             group.bench_with_input(BenchmarkId::new(label, horizon), &horizon, |b, _| {

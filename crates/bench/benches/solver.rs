@@ -1,7 +1,7 @@
 //! NLP-solver micro-benchmarks on reference problems.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use otem_solver::{Bounds, FnObjective, Lbfgs, NelderMead, ProjectedGradient};
+use otem_solver::{Bounds, FnObjective, ProjectedGradient};
 use std::hint::black_box;
 
 fn rosenbrock(x: &[f64]) -> f64 {
@@ -13,10 +13,6 @@ fn rosenbrock(x: &[f64]) -> f64 {
 fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("rosenbrock");
     for n in [2usize, 10] {
-        group.bench_with_input(BenchmarkId::new("lbfgs", n), &n, |b, &n| {
-            let f = FnObjective::new(rosenbrock);
-            b.iter(|| black_box(Lbfgs::default().minimize(&f, &vec![-1.2; n])));
-        });
         group.bench_with_input(BenchmarkId::new("projected_gradient", n), &n, |b, &n| {
             let f = FnObjective::new(rosenbrock);
             let bounds = Bounds::unbounded(n);
@@ -26,11 +22,6 @@ fn bench_solvers(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    c.bench_function("nelder_mead_quadratic_4d", |b| {
-        let f = FnObjective::new(|x: &[f64]| x.iter().map(|v| (v - 1.0).powi(2)).sum());
-        b.iter(|| black_box(NelderMead::default().minimize(&f, &[0.0; 4])));
-    });
 
     c.bench_function("box_qp_20d", |b| {
         let f = FnObjective::new(|x: &[f64]| {

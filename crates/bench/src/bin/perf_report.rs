@@ -1,10 +1,10 @@
-//! Performance trajectory for the MPC hot path: serial vs parallel
-//! finite-difference gradients, the reverse-mode adjoint gradient, and
-//! Gauss-Newton on the adjoint tape, across horizon lengths.
+//! Performance trajectory for the MPC hot path: finite-difference
+//! gradients, the reverse-mode adjoint gradient, and Gauss-Newton on the
+//! adjoint tape, across horizon lengths.
 //!
 //! Runs warm-started `Mpc::solve` repetitions at horizons {12, 24, 48}
-//! in [`GradientMode::Serial`], [`GradientMode::Parallel`] and
-//! [`GradientMode::Adjoint`] for the latency table, then re-runs
+//! in [`GradientMode::Serial`] and [`GradientMode::Adjoint`] for the
+//! latency table, then re-runs
 //! Adjoint vs [`GradientMode::GaussNewton`] under a raised iteration
 //! budget to measure *iterations to tolerance*, and writes
 //! `BENCH_mpc.json` (per-solve latency, rollouts/second, solves/second,
@@ -12,20 +12,14 @@
 //! changes have a baseline to compare against.
 //!
 //! Usage:
-//! `cargo run --release -p otem-bench --bin perf_report -- [threads] [--gradient adjoint|gauss-newton] [--batched]`
-//! (thread count defaults to the machine's available parallelism).
+//! `cargo run --release -p otem-bench --bin perf_report -- [--gradient adjoint|gauss-newton]`
 //! `--gradient adjoint` runs a quick adjoint-only smoke — used by
 //! `scripts/tier1.sh` — that asserts the per-solve rollout count stays
 //! horizon-independent; `--gradient gauss-newton` runs a second-order
 //! smoke asserting certified convergence in strictly fewer iterations
-//! than first-order descent; `--batched` runs the SoA line-search smoke
-//! asserting the batched ladder's decisions are bit-identical to the
-//! scalar ladder's before timing the two. No smoke rewrites
-//! `BENCH_mpc.json`.
+//! than first-order descent. No smoke rewrites `BENCH_mpc.json`.
 //!
-//! The two FD modes produce bit-identical decisions — asserted here on
-//! every repetition — so that comparison is purely about wall time. The
-//! adjoint differentiates the executed clamp branch exactly instead of
+//! The adjoint differentiates the executed clamp branch exactly instead of
 //! sampling across it, so its decisions are *not* asserted bit-identical
 //! to FD; its correctness contract lives in `tests/gradient_parity.rs`
 //! and `tests/golden_traces.rs`.
@@ -41,11 +35,6 @@ use std::time::Instant;
 
 const HORIZONS: [usize; 3] = [12, 24, 48];
 const REPS: usize = 8;
-
-/// Ladder width for the batched line-search rows: deep enough to cover
-/// the whole backtracking ladder in one SoA sweep at the default
-/// solver settings.
-const BATCH_WIDTH: usize = 8;
 
 /// Iteration budget for the iterations-to-tolerance comparison: high
 /// enough that termination is decided by convergence, not the cap.
@@ -131,14 +120,11 @@ struct ModeStats {
     rollouts_per_sec: f64,
     rollouts_per_solve: f64,
     solves_per_sec: f64,
-    /// Of the rollouts above, how many per solve went through the SoA
-    /// batch kernel (zero for scalar line searches).
-    batched_rollouts_per_solve: f64,
     mean_iterations: f64,
     outcomes: OutcomeCounts,
     /// Outcome of the last timed solve (the fully warm-started one).
     last_outcome: SolverOutcome,
-    /// First decision, for the cross-mode parity check.
+    /// First decision, checked finite.
     cap_bus: f64,
     cool_duty: f64,
 }
@@ -149,14 +135,12 @@ fn run_mode(
     horizon: usize,
     mode: GradientMode,
     iterations: usize,
-    batch: usize,
     sink: &dyn Sink,
 ) -> ModeStats {
     let mut mpc = Mpc::new(MpcConfig {
         horizon,
         gradient_mode: mode,
         solver_iterations: iterations,
-        batch_line_search: batch,
         ..MpcConfig::default()
     });
     let dt = Seconds::new(1.0);
@@ -166,7 +150,6 @@ fn run_mode(
     // writer cannot pollute the latency numbers.
     let first = mpc.solve_with(p, loads, dt, sink);
     let rollouts_before = mpc.rollouts();
-    let batched_before = mpc.batched_rollouts();
     let mut latencies_ms = Vec::with_capacity(REPS);
     let mut outcomes = OutcomeCounts::default();
     let mut iters_total = 0usize;
@@ -183,14 +166,12 @@ fn run_mode(
     }
     let elapsed = started.elapsed().as_secs_f64();
     let rollouts = mpc.rollouts() - rollouts_before;
-    let batched_rollouts = mpc.batched_rollouts() - batched_before;
     ModeStats {
         mean_ms: latencies_ms.iter().sum::<f64>() / REPS as f64,
         min_ms: latencies_ms.iter().copied().fold(f64::INFINITY, f64::min),
         rollouts_per_sec: rollouts as f64 / elapsed,
         rollouts_per_solve: rollouts as f64 / REPS as f64,
         solves_per_sec: REPS as f64 / elapsed,
-        batched_rollouts_per_solve: batched_rollouts as f64 / REPS as f64,
         mean_iterations: iters_total as f64 / REPS as f64,
         outcomes,
         last_outcome,
@@ -224,7 +205,6 @@ fn adjoint_smoke(config: &SystemConfig) {
             horizon,
             GradientMode::Adjoint,
             iterations,
-            0,
             &NullSink,
         );
         println!(
@@ -259,7 +239,6 @@ fn gauss_newton_smoke(config: &SystemConfig) {
         horizon,
         GradientMode::Adjoint,
         TOL_BUDGET,
-        0,
         &NullSink,
     );
     let gn = run_mode(
@@ -268,7 +247,6 @@ fn gauss_newton_smoke(config: &SystemConfig) {
         horizon,
         GradientMode::GaussNewton,
         TOL_BUDGET,
-        0,
         &NullSink,
     );
     println!(
@@ -293,67 +271,10 @@ fn gauss_newton_smoke(config: &SystemConfig) {
     println!("\ngauss-newton smoke: converged in fewer iterations than first-order descent");
 }
 
-/// Batched line-search smoke (`--batched`): the SoA kernel must change
-/// no bits — for every horizon, gradient mode, and ladder width the
-/// batched solver's decisions are asserted bit-identical to the scalar
-/// ladder's — and only then is throughput timed, with the ratio
-/// reported honestly whichever way it lands.
-fn batched_smoke(config: &SystemConfig) {
-    let p = plant(config);
-    let iterations = MpcConfig::default().solver_iterations;
-    println!(
-        "{:<8} {:<13} {:>6} {:>12} {:>12} {:>8}",
-        "horizon", "mode", "width", "scalar_ro/s", "batch_ro/s", "ratio"
-    );
-    for horizon in HORIZONS {
-        let loads: Vec<Watts> = (0..horizon)
-            .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
-            .collect();
-        for mode in [GradientMode::Adjoint, GradientMode::GaussNewton] {
-            let scalar = run_mode(&p, &loads, horizon, mode, iterations, 0, &NullSink);
-            for width in [4usize, 8] {
-                let batched = run_mode(&p, &loads, horizon, mode, iterations, width, &NullSink);
-                assert_eq!(
-                    scalar.cap_bus.to_bits(),
-                    batched.cap_bus.to_bits(),
-                    "horizon {horizon} {}: width-{width} batched cap_bus diverged from scalar",
-                    mode.name()
-                );
-                assert_eq!(
-                    scalar.cool_duty.to_bits(),
-                    batched.cool_duty.to_bits(),
-                    "horizon {horizon} {}: width-{width} batched cool_duty diverged from scalar",
-                    mode.name()
-                );
-                assert!(
-                    batched.batched_rollouts_per_solve > 0.0,
-                    "horizon {horizon} {}: width-{width} run never hit the batch kernel",
-                    mode.name()
-                );
-                assert_eq!(
-                    scalar.batched_rollouts_per_solve, 0.0,
-                    "scalar run leaked into the batch kernel"
-                );
-                println!(
-                    "{:<8} {:<13} {:>6} {:>12.0} {:>12.0} {:>8.2}",
-                    horizon,
-                    mode.name(),
-                    width,
-                    scalar.rollouts_per_sec,
-                    batched.rollouts_per_sec,
-                    batched.rollouts_per_sec / scalar.rollouts_per_sec
-                );
-            }
-        }
-    }
-    println!("\nbatched smoke: ladder decisions bit-identical to scalar at every width");
-}
-
 fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut threads = cores;
     let mut smoke: Option<&str> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -366,10 +287,6 @@ fn main() {
                     panic!("--gradient expects adjoint|gauss-newton|fd|all, got {other:?}")
                 }
             }
-        } else if arg == "--batched" {
-            smoke = Some("batched");
-        } else if let Ok(n) = arg.parse::<usize>() {
-            threads = n;
         } else {
             panic!("unrecognised argument {arg:?}");
         }
@@ -378,10 +295,6 @@ fn main() {
     match smoke {
         Some("adjoint") => {
             adjoint_smoke(&config);
-            return;
-        }
-        Some("batched") => {
-            batched_smoke(&config);
             return;
         }
         Some(_) => {
@@ -396,8 +309,8 @@ fn main() {
 
     let default_iters = MpcConfig::default().solver_iterations;
     println!(
-        "{:<8} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>7} {:>7}",
-        "horizon", "serial_ms", "par_ms", "adj_ms", "gn_ms", "adj_it", "gn_it", "par_x", "adj_x"
+        "{:<8} {:>11} {:>11} {:>11} {:>8} {:>8} {:>7}",
+        "horizon", "serial_ms", "adj_ms", "gn_ms", "adj_it", "gn_it", "adj_x"
     );
     // Every mode's outcome distribution also folds into one registry
     // snapshot, embedded in the report as the `metrics` object — the
@@ -414,16 +327,6 @@ fn main() {
             horizon,
             GradientMode::Serial,
             default_iters,
-            0,
-            &sink,
-        );
-        let parallel = run_mode(
-            &p,
-            &loads,
-            horizon,
-            GradientMode::Parallel { threads },
-            default_iters,
-            0,
             &sink,
         );
         let adjoint = run_mode(
@@ -432,7 +335,6 @@ fn main() {
             horizon,
             GradientMode::Adjoint,
             default_iters,
-            0,
             &sink,
         );
         // Iterations-to-tolerance: same problem, raised budget, so the
@@ -443,7 +345,6 @@ fn main() {
             horizon,
             GradientMode::Adjoint,
             TOL_BUDGET,
-            0,
             &sink,
         );
         let gauss_newton = run_mode(
@@ -452,25 +353,9 @@ fn main() {
             horizon,
             GradientMode::GaussNewton,
             TOL_BUDGET,
-            0,
-            &sink,
-        );
-        // Batched line search: the same adjoint solve with the ladder
-        // evaluated through the SoA kernel. Decisions are asserted
-        // bit-identical below, so this row is purely about throughput.
-        let adjoint_batched = run_mode(
-            &p,
-            &loads,
-            horizon,
-            GradientMode::Adjoint,
-            default_iters,
-            BATCH_WIDTH,
             &sink,
         );
         serial.outcomes.fold_into(&registry, GradientMode::Serial);
-        parallel
-            .outcomes
-            .fold_into(&registry, GradientMode::Parallel { threads });
         adjoint.outcomes.fold_into(&registry, GradientMode::Adjoint);
         adjoint_tol
             .outcomes
@@ -478,25 +363,6 @@ fn main() {
         gauss_newton
             .outcomes
             .fold_into(&registry, GradientMode::GaussNewton);
-        assert_eq!(
-            serial.cap_bus.to_bits(),
-            parallel.cap_bus.to_bits(),
-            "horizon {horizon}: parallel decision diverged from serial"
-        );
-        assert_eq!(serial.cool_duty.to_bits(), parallel.cool_duty.to_bits());
-        assert_eq!(
-            adjoint.cap_bus.to_bits(),
-            adjoint_batched.cap_bus.to_bits(),
-            "horizon {horizon}: batched line-search decision diverged from scalar"
-        );
-        assert_eq!(
-            adjoint.cool_duty.to_bits(),
-            adjoint_batched.cool_duty.to_bits()
-        );
-        assert!(
-            adjoint_batched.batched_rollouts_per_solve > 0.0,
-            "horizon {horizon}: batched row never hit the batch kernel"
-        );
         assert!(adjoint.cap_bus.is_finite() && adjoint.cool_duty.is_finite());
         assert!(gauss_newton.cap_bus.is_finite() && gauss_newton.cool_duty.is_finite());
         assert!(
@@ -506,40 +372,29 @@ fn main() {
             gauss_newton.mean_iterations,
             adjoint_tol.mean_iterations
         );
-        let speedup = serial.mean_ms / parallel.mean_ms;
         let adj_speedup = serial.mean_ms / adjoint.mean_ms;
         let rollout_reduction = serial.rollouts_per_solve / adjoint.rollouts_per_solve;
         let iteration_reduction = adjoint_tol.mean_iterations / gauss_newton.mean_iterations;
-        let batched_rollout_ratio = adjoint_batched.rollouts_per_sec / adjoint.rollouts_per_sec;
         println!(
-            "{:<8} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>8.1} {:>8.1} {:>7.2} {:>7.2}",
+            "{:<8} {:>11.3} {:>11.3} {:>11.3} {:>8.1} {:>8.1} {:>7.2}",
             horizon,
             serial.mean_ms,
-            parallel.mean_ms,
             adjoint.mean_ms,
             gauss_newton.mean_ms,
             adjoint_tol.mean_iterations,
             gauss_newton.mean_iterations,
-            speedup,
             adj_speedup
-        );
-        println!(
-            "          batched line search @ {horizon}: width {BATCH_WIDTH}, \
-             {:.0} vs {:.0} rollouts/s ({batched_rollout_ratio:.2}x, bit-identical)",
-            adjoint_batched.rollouts_per_sec, adjoint.rollouts_per_sec
         );
         let mode_json = |s: &ModeStats| {
             format!(
                 "{{ \"mean_ms\": {:.4}, \"min_ms\": {:.4}, \"rollouts_per_sec\": {:.0}, \
                  \"rollouts_per_solve\": {:.1}, \"solves_per_sec\": {:.1}, \
-                 \"batched_rollouts_per_solve\": {:.1}, \
                  \"mean_iterations\": {:.1}, \"outcomes\": {} }}",
                 s.mean_ms,
                 s.min_ms,
                 s.rollouts_per_sec,
                 s.rollouts_per_solve,
                 s.solves_per_sec,
-                s.batched_rollouts_per_solve,
                 s.mean_iterations,
                 s.outcomes.json()
             )
@@ -549,30 +404,22 @@ fn main() {
                 "    {{\n",
                 "      \"horizon\": {},\n",
                 "      \"serial\": {},\n",
-                "      \"parallel\": {},\n",
                 "      \"adjoint\": {},\n",
                 "      \"adjoint_tol_budget\": {},\n",
                 "      \"gauss_newton\": {},\n",
-                "      \"adjoint_batched\": {},\n",
-                "      \"speedup\": {:.3},\n",
                 "      \"fd_vs_adjoint_speedup\": {:.3},\n",
                 "      \"rollout_reduction\": {:.1},\n",
-                "      \"gn_iteration_reduction\": {:.2},\n",
-                "      \"batched_rollout_ratio\": {:.3}\n",
+                "      \"gn_iteration_reduction\": {:.2}\n",
                 "    }}"
             ),
             horizon,
             mode_json(&serial),
-            mode_json(&parallel),
             mode_json(&adjoint),
             mode_json(&adjoint_tol),
             mode_json(&gauss_newton),
-            mode_json(&adjoint_batched),
-            speedup,
             adj_speedup,
             rollout_reduction,
-            iteration_reduction,
-            batched_rollout_ratio
+            iteration_reduction
         ));
     }
 
@@ -583,9 +430,6 @@ fn main() {
             "  \"solves_per_mode\": {},\n",
             "  \"tol_budget\": {},\n",
             "  \"cpu_cores\": {},\n",
-            "  \"threads\": {},\n",
-            "  \"resolved_threads\": {},\n",
-            "  \"batch_line_search_width\": {},\n",
             "  \"results\": [\n{}\n  ],\n",
             "  \"metrics\": {}\n",
             "}}\n"
@@ -593,14 +437,11 @@ fn main() {
         REPS,
         TOL_BUDGET,
         cores,
-        threads,
-        otem_solver::resolve_threads(threads),
-        BATCH_WIDTH,
         rows.join(",\n"),
         registry.snapshot().render_json()
     );
     std::fs::write("BENCH_mpc.json", &json).expect("write BENCH_mpc.json");
     sink.flush();
-    println!("\nwrote BENCH_mpc.json ({threads} threads on {cores} cores)");
+    println!("\nwrote BENCH_mpc.json ({cores} cores)");
     println!("wrote results/perf_report_telemetry.jsonl (warm-up solve traces)");
 }

@@ -81,27 +81,34 @@ impl DcDcConverter {
         Ok(())
     }
 
-    /// Width of the quiescent-loss wake-up ramp (W); see
-    /// [`crate::kernel::QUIESCENT_RAMP`].
-    const QUIESCENT_RAMP: f64 = crate::kernel::QUIESCENT_RAMP;
+    /// Width of the quiescent-loss wake-up ramp (W): below this power the
+    /// controller overhead fades toward zero, keeping the loss model
+    /// smooth at zero transfer (the MPC differentiates through it).
+    const QUIESCENT_RAMP: f64 = 50.0;
 
     /// Loss for a given storage-side power magnitude at a given storage
     /// voltage.
     ///
     /// `P_loss = P_0·p/(p + 50 W) + k_i·|I| + k_r·I²` — the quiescent
     /// term ramps in smoothly as the converter wakes from idle.
-    /// Delegates to the scalar-generic [`crate::kernel::loss`] (the `f64`
-    /// instantiation is operation-identical to the historical inline
-    /// body).
     #[inline]
     pub fn loss(&self, storage_power: Watts, storage_voltage: Volts) -> Watts {
-        Watts::new(crate::kernel::loss(
-            self.quiescent_loss,
-            self.conduction_coefficient,
-            self.ohmic_coefficient,
-            storage_power.value(),
-            storage_voltage.value(),
-        ))
+        Watts::new(self.raw_loss(storage_power.value(), storage_voltage.value()))
+    }
+
+    /// [`DcDcConverter::loss`] on raw values: only the magnitude of
+    /// `power` matters, and `voltage` is clamped to the 1 mV evaluation
+    /// floor.
+    #[inline]
+    fn raw_loss(&self, power: f64, voltage: f64) -> f64 {
+        let p = power.abs();
+        if p == 0.0 {
+            return 0.0;
+        }
+        let v = voltage.max(1e-3);
+        let i = p / v;
+        let ramp_in = self.quiescent_loss * p / (p + Self::QUIESCENT_RAMP);
+        ramp_in + self.conduction_coefficient * i + self.ohmic_coefficient * i * i
     }
 
     /// Partial derivatives of [`DcDcConverter::loss`] in the transfer
@@ -223,23 +230,45 @@ impl DcDcConverter {
             });
         }
         let p_out = p_out.abs();
-        // Solve x − loss(x) = P_out in the magnitude domain via the
-        // scalar-generic kernel: a closed-form constant-quiescent seed
-        // refined by fixed-point iteration (a contraction in the feasible
-        // regime — ∂loss/∂x < 1).
-        match crate::kernel::input_for_output_magnitude(
-            self.quiescent_loss,
-            self.conduction_coefficient,
-            self.ohmic_coefficient,
-            p_out,
-            v,
-        ) {
-            Some(x) => Ok(Watts::new(x.copysign(bus_out.value()))),
-            None => Err(ConverterError::TransferInfeasible {
-                requested: p_out,
-                voltage: v,
-            }),
+        let infeasible = ConverterError::TransferInfeasible {
+            requested: p_out,
+            voltage: v,
+        };
+        // Solve x − loss(x) = P_out in the magnitude domain: a
+        // closed-form seed for the constant-quiescent approximation,
+        // refined by ≤ 30 fixed-point rounds to 1e-9 relative tolerance
+        // (a contraction in the feasible regime — ∂loss/∂x < 1).
+        let a = self.ohmic_coefficient / (v * v);
+        let b = self.conduction_coefficient / v - 1.0;
+        let c = p_out + self.quiescent_loss;
+        let seed = if a == 0.0 {
+            if b >= 0.0 {
+                return Err(infeasible);
+            }
+            -c / b
+        } else {
+            let disc = b * b - 4.0 * a * c;
+            if disc < 0.0 {
+                return Err(infeasible);
+            }
+            (-b - disc.sqrt()) / (2.0 * a)
+        };
+        if !seed.is_finite() || seed <= 0.0 {
+            return Err(infeasible);
         }
+        let mut x = seed;
+        for _ in 0..30 {
+            let next = p_out + self.raw_loss(x, v);
+            if (next - x).abs() < 1e-9 * x.max(1.0) {
+                x = next;
+                break;
+            }
+            x = next;
+        }
+        if !x.is_finite() || x <= 0.0 {
+            return Err(infeasible);
+        }
+        Ok(Watts::new(x.copysign(bus_out.value())))
     }
 
     /// Charge path: storage power received when `bus_in` is taken off the
@@ -258,19 +287,15 @@ impl DcDcConverter {
         if p_in == 0.0 {
             return Ok(Watts::ZERO);
         }
-        match crate::kernel::output_for_input(
-            self.quiescent_loss,
-            self.conduction_coefficient,
-            self.ohmic_coefficient,
-            p_in,
-            storage_voltage.value(),
-        ) {
-            Some(delivered) => Ok(Watts::new(delivered)),
-            None => Err(ConverterError::TransferInfeasible {
-                requested: p_in.abs(),
+        let magnitude = p_in.abs();
+        let delivered = magnitude - self.raw_loss(magnitude, storage_voltage.value());
+        if delivered <= 0.0 {
+            return Err(ConverterError::TransferInfeasible {
+                requested: magnitude,
                 voltage: storage_voltage.value(),
-            }),
+            });
         }
+        Ok(Watts::new(delivered.copysign(p_in)))
     }
 
     /// Conversion efficiency for a transfer of the given bus-side power at

@@ -35,7 +35,6 @@
 
 mod converter;
 mod error;
-pub mod kernel;
 
 pub use converter::DcDcConverter;
 pub use error::ConverterError;

@@ -100,7 +100,7 @@ pub(crate) struct StageConstants {
     /// factor over it.
     hees: HeesStepConstants,
     /// The Crank–Nicolson operator at `dt`.
-    cn: CrankNicolsonCoefficients<f64>,
+    cn: CrankNicolsonCoefficients,
     /// Its Jacobian — constant, as the two-node model is linear.
     cn_jacobian: CrankNicolsonJacobian,
     /// The terminal tail's nominal per-cell C-rate, a constant of the
@@ -215,16 +215,14 @@ pub(crate) fn rollout_cost_taped(
 }
 
 /// One horizon step of the rollout: actuation chain, HEES power split,
-/// thermal update, and the Eq. 19 stage cost — the *single* per-step
-/// body shared by the scalar rollout above and the batched SoA kernel
-/// ([`crate::batch`]), so the two are bit-identical by construction.
+/// thermal update, and the Eq. 19 stage cost.
 ///
-/// Accumulates directly into the caller's `cost` (preserving the scalar
-/// path's float summation order) and returns the post-step thermal
+/// Accumulates directly into the caller's `cost` (preserving the
+/// rollout's float summation order) and returns the post-step thermal
 /// state. `z_cap`/`z_duty` are the step's raw decision entries
 /// (`z[k]`, `z[n + k]`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rollout_stage(
+fn rollout_stage(
     plant: &MpcPlant,
     hees: &mut HybridHees,
     mut state: ThermalState,
@@ -336,9 +334,8 @@ pub(crate) fn rollout_stage(
 /// excluding the cooling-induced battery current, which would
 /// otherwise make the tail punish the very cooling that lowers the
 /// terminal temperature. Like [`rollout_stage`], accumulates directly
-/// into the caller's `cost` so scalar and batched paths sum in the
-/// same order.
-pub(crate) fn rollout_terminal(
+/// into the caller's `cost`.
+fn rollout_terminal(
     plant: &MpcPlant,
     state: ThermalState,
     stage: &StageConstants,

@@ -47,7 +47,6 @@
 
 mod adjoint;
 pub mod analysis;
-pub mod batch;
 mod config;
 mod controller;
 mod error;

@@ -104,8 +104,8 @@ impl Simulator {
 
     /// A suspended run at step zero: the step loop of
     /// [`Simulator::run_each`] handed out one [`RunCursor::advance`] at
-    /// a time, so a caller can interleave several vehicles' steps
-    /// (the fleet engine's lockstep batches). A fully drained cursor
+    /// a time, so a caller can act between steps (the repository
+    /// benchmark times each decision this way). A fully drained cursor
     /// produces [`RunTotals`] bit-identical to [`Simulator::run_each`]
     /// — the advance body *is* `run_each`'s loop body.
     pub fn cursor(&self) -> RunCursor {
@@ -120,8 +120,7 @@ impl Simulator {
 
 /// The resumable step loop of [`Simulator::run_each`]: holds exactly
 /// the loop state (`t` and the aging integrator), borrowing nothing, so
-/// a batch of cursors can be advanced in lockstep against their own
-/// controllers and traces.
+/// the caller keeps its controller and trace between steps.
 #[derive(Debug)]
 pub struct RunCursor {
     aging: AgingModel,

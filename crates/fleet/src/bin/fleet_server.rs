@@ -4,7 +4,6 @@
 //! fleet_server [--addr 127.0.0.1:7878] [--shards N] [--max-vehicles N]
 //!              [--workers N] [--queue-depth N] [--read-timeout-ms N]
 //!              [--drain-deadline-ms N] [--flight-dir DIR]
-//!              [--batch-lanes N]
 //! ```
 //!
 //! Speaks HTTP/1.1 with `application/x-ndjson` responses; see the
@@ -72,22 +71,12 @@ fn main() -> ExitCode {
                 }
             },
             "--flight-dir" => config.flight_dir = value("--flight-dir"),
-            // `0` (the default) disables lockstep batching; `>= 2`
-            // steps that many fleet vehicles per shard in lockstep
-            // (bit-identical to scalar; see DESIGN.md §15).
-            "--batch-lanes" => match value("--batch-lanes").parse() {
-                Ok(n) => config.batch_lanes = n,
-                _ => {
-                    eprintln!("--batch-lanes needs a non-negative integer");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 println!(
                     "usage: fleet_server [--addr HOST:PORT] [--shards N] [--max-vehicles N]\n\
                      \u{20}                   [--workers N] [--queue-depth N]\n\
                      \u{20}                   [--read-timeout-ms N] [--drain-deadline-ms N]\n\
-                     \u{20}                   [--flight-dir DIR] [--batch-lanes N]"
+                     \u{20}                   [--flight-dir DIR]"
                 );
                 return ExitCode::SUCCESS;
             }

@@ -5,8 +5,7 @@ use crate::campaign::{
 };
 use crate::pool::{fan_indexed_capped, fan_stealing};
 use otem::mpc::Clock;
-use otem::{Controller, OtemError, RunCursor, Simulator};
-use otem_drivecycle::PowerTrace;
+use otem::{OtemError, Simulator};
 use otem_telemetry::{Event, Histogram, Sink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,7 +134,7 @@ pub struct FleetReport {
     /// Vehicles that failed (panicked or errored), in campaign (id)
     /// order. Empty for healthy campaigns.
     pub failures: Vec<VehicleFailure>,
-    /// Wall-clock duration of the batched run, seconds.
+    /// Wall-clock duration of the campaign run, seconds.
     pub wall_s: f64,
     /// Total control periods simulated across all vehicles.
     pub total_steps: u64,
@@ -144,13 +143,6 @@ pub struct FleetReport {
     /// MPC solves by solver outcome, summed over the campaign —
     /// identical for every [`Schedule`] (counter addition commutes).
     pub solve_outcomes: SolveOutcomes,
-    /// Vehicle-steps executed through the lockstep batched path (zero
-    /// when [`FleetEngine::batch_lanes`] is off).
-    pub batched_steps: u64,
-    /// Lockstep sweeps performed (one sweep advances every live lane of
-    /// one batch by one step); `batched_steps / batch_sweeps` is the
-    /// mean lane occupancy.
-    pub batch_sweeps: u64,
 }
 
 impl FleetReport {
@@ -174,18 +166,6 @@ impl FleetReport {
     /// an ordinary error).
     pub fn vehicle_panics(&self) -> u64 {
         self.failures.iter().filter(|f| f.panicked).count() as u64
-    }
-
-    /// Mean live lanes per lockstep sweep (`0.0` when the batched path
-    /// did not run). Below the configured width means partially-full
-    /// batches: a drained tail chunk, or faulted lanes dropped from the
-    /// lockstep set.
-    pub fn mean_batch_occupancy(&self) -> f64 {
-        if self.batch_sweeps == 0 {
-            0.0
-        } else {
-            self.batched_steps as f64 / self.batch_sweeps as f64
-        }
     }
 }
 
@@ -228,14 +208,6 @@ pub struct FleetEngine {
     /// Optional per-vehicle solver clock (tests); `None` keeps the
     /// production monotonic clock.
     clock_factory: Option<ClockFactory>,
-    /// Lockstep batch width: `0` (or `1`) runs one vehicle at a time
-    /// per worker (the scalar path); `≥ 2` advances that many vehicles
-    /// per worker in lockstep through shared step cursors. Lanes are
-    /// independent closed loops, so summaries and checksums are
-    /// bit-identical either way; a lane that faults mid-batch is
-    /// dropped from the lockstep set and reported exactly as the
-    /// scalar path would report it.
-    batch_lanes: usize,
 }
 
 impl FleetEngine {
@@ -250,7 +222,6 @@ impl FleetEngine {
             schedule,
             cache,
             clock_factory: None,
-            batch_lanes: 0,
         }
     }
 
@@ -260,22 +231,6 @@ impl FleetEngine {
     pub fn with_clock_factory(mut self, factory: ClockFactory) -> Self {
         self.clock_factory = Some(factory);
         self
-    }
-
-    /// Sets the lockstep batch width (builder style): each worker
-    /// advances up to `lanes` vehicles together, one step per lane per
-    /// sweep, instead of running them to completion one at a time.
-    /// `0` and `1` keep the scalar path.
-    #[must_use]
-    pub fn with_batch_lanes(mut self, lanes: usize) -> Self {
-        self.batch_lanes = lanes;
-        self
-    }
-
-    /// The configured lockstep batch width (see
-    /// [`FleetEngine::with_batch_lanes`]).
-    pub fn batch_lanes(&self) -> usize {
-        self.batch_lanes
     }
 
     /// Simulates one vehicle exactly as the single-vehicle path would:
@@ -350,168 +305,6 @@ impl FleetEngine {
         }
     }
 
-    /// Runs up to one batch of vehicles in lockstep: every lane gets a
-    /// step cursor ([`Simulator::cursor`]) and each sweep advances all
-    /// live lanes by one closed-loop step. Lanes are fully independent
-    /// (own controller, own trace, own aging integrator), so each
-    /// vehicle's records, totals and checksum are **bit-identical** to
-    /// [`FleetEngine::run_vehicle_caught`]'s — only the interleaving of
-    /// work across lanes changes. A lane that panics or errors (at
-    /// setup or mid-sweep) is contained and dropped from the lockstep
-    /// set — the lane-masking rule — while the remaining lanes continue
-    /// untouched; the failure record matches the scalar path's.
-    ///
-    /// Results come back in `specs` order, one per spec.
-    pub fn run_batch_caught(
-        &self,
-        specs: &[VehicleSpec],
-        sink: &dyn Sink,
-    ) -> Vec<Result<VehicleSummary, VehicleFailure>> {
-        self.run_batch_inner(specs, sink, 0, None, None)
-    }
-
-    fn run_batch_inner(
-        &self,
-        specs: &[VehicleSpec],
-        sink: &dyn Sink,
-        request_id: u64,
-        latency: Option<&Histogram>,
-        stats: Option<&BatchStats>,
-    ) -> Vec<Result<VehicleSummary, VehicleFailure>> {
-        let width = if self.batch_lanes >= 2 {
-            self.batch_lanes
-        } else {
-            specs.len().max(1)
-        } as u64;
-        let t0 = Instant::now();
-        let done = |slot: &mut Option<Result<VehicleSummary, VehicleFailure>>,
-                    outcome: Result<VehicleSummary, VehicleFailure>| {
-            if let Some(latency) = latency {
-                latency.observe(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            *slot = Some(outcome);
-        };
-        let mut results: Vec<Option<Result<VehicleSummary, VehicleFailure>>> =
-            std::iter::repeat_with(|| None).take(specs.len()).collect();
-        let mut lanes: Vec<BatchLane> = Vec::with_capacity(specs.len());
-        for (slot, spec) in specs.iter().enumerate() {
-            sink.record(Event::VehicleStarted {
-                request_id,
-                vehicle: spec.id,
-            });
-            // Setup panics get the same containment the scalar path's
-            // whole-vehicle `catch_unwind` provides.
-            match catch_unwind(AssertUnwindSafe(|| self.lane_for(slot, spec))) {
-                Ok(Ok(lane)) => lanes.push(lane),
-                Ok(Err(err)) => done(
-                    &mut results[slot],
-                    Err(VehicleFailure {
-                        id: spec.id,
-                        panicked: false,
-                        message: err.to_string(),
-                    }),
-                ),
-                Err(payload) => {
-                    sink.record(Event::PanicCaught { context: "vehicle" });
-                    done(
-                        &mut results[slot],
-                        Err(VehicleFailure {
-                            id: spec.id,
-                            panicked: true,
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    );
-                }
-            }
-        }
-        while !lanes.is_empty() {
-            let mut stepped_lanes = 0u64;
-            let mut live = Vec::with_capacity(lanes.len());
-            for mut lane in lanes {
-                let BatchLane {
-                    controller,
-                    trace,
-                    builder,
-                    cursor,
-                    ..
-                } = &mut lane;
-                let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    cursor.advance(controller.as_mut(), trace, sink, |_, r| builder.push(r))
-                }));
-                match stepped {
-                    Ok(true) => {
-                        stepped_lanes += 1;
-                        // Retire a drained lane now instead of letting
-                        // the next sweep discover it — occupancy then
-                        // counts genuine steps only.
-                        if lane.cursor.steps() >= lane.trace.len() {
-                            let totals = lane.cursor.finish(sink);
-                            done(
-                                &mut results[lane.slot],
-                                Ok(lane.builder.finish(lane.id, totals)),
-                            );
-                        } else {
-                            live.push(lane);
-                        }
-                    }
-                    // Only an empty trace reaches a no-step retirement.
-                    Ok(false) => {
-                        let totals = lane.cursor.finish(sink);
-                        done(
-                            &mut results[lane.slot],
-                            Ok(lane.builder.finish(lane.id, totals)),
-                        );
-                    }
-                    Err(payload) => {
-                        sink.record(Event::PanicCaught { context: "vehicle" });
-                        done(
-                            &mut results[lane.slot],
-                            Err(VehicleFailure {
-                                id: lane.id,
-                                panicked: true,
-                                message: panic_message(payload.as_ref()),
-                            }),
-                        );
-                    }
-                }
-            }
-            if stepped_lanes > 0 {
-                sink.record(Event::BatchEvaluated {
-                    lanes: stepped_lanes,
-                    width,
-                });
-                if let Some(stats) = stats {
-                    stats.sweeps.fetch_add(1, Ordering::Relaxed);
-                    stats.lane_steps.fetch_add(stepped_lanes, Ordering::Relaxed);
-                }
-            }
-            lanes = live;
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every lane reached a terminal state"))
-            .collect()
-    }
-
-    /// Builds one lockstep lane: the same config → trace → controller →
-    /// simulator pipeline as [`FleetEngine::run_vehicle_with`], with
-    /// the step loop suspended behind a cursor instead of run inline.
-    fn lane_for(&self, slot: usize, spec: &VehicleSpec) -> Result<BatchLane, OtemError> {
-        let config = spec.config();
-        let trace = self.cache.trace_for(spec)?;
-        let clock = self.clock_factory.map(|f| f(spec));
-        let controller = spec.controller_with_clock(&config, clock)?;
-        let sim = Simulator::new(&config);
-        Ok(BatchLane {
-            slot,
-            id: spec.id,
-            controller,
-            trace,
-            builder: SummaryBuilder::new(config.dt),
-            cursor: sim.cursor(),
-        })
-    }
-
     /// Runs the whole campaign. Infallible: a vehicle that errors or
     /// panics becomes a [`FleetReport::failures`] entry while the rest
     /// of the fleet completes normally — one poisoned vehicle can no
@@ -561,37 +354,15 @@ impl FleetEngine {
             latency.observe(t0.elapsed().as_secs_f64() * 1e3);
             outcome
         };
-        let stats = BatchStats::default();
-        let outcomes: Vec<Result<VehicleSummary, VehicleFailure>> = if self.batch_lanes >= 2 {
-            // Lockstep path: each job is one batch of vehicles advanced
-            // together; chunks preserve campaign order, so the flattened
-            // outcome vector matches the scalar path's ordering.
-            let job = |_i: usize, chunk: &[VehicleSpec]| {
-                let _scope = otem_telemetry::request_scope(request_id);
-                self.run_batch_inner(chunk, &pair, request_id, Some(&latency), Some(&stats))
-            };
-            let chunks: Vec<&[VehicleSpec]> = campaign.vehicles.chunks(self.batch_lanes).collect();
-            let per_chunk = match self.schedule {
-                Schedule::Serial => chunks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, c)| job(i, c))
-                    .collect::<Vec<_>>(),
-                Schedule::Static { shards } => fan_indexed_capped(chunks, shards, job),
-                Schedule::WorkStealing { shards } => fan_stealing(chunks, shards, job),
-            };
-            per_chunk.into_iter().flatten().collect()
-        } else {
-            let specs: Vec<&VehicleSpec> = campaign.vehicles.iter().collect();
-            match self.schedule {
-                Schedule::Serial => specs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, s)| job(i, s))
-                    .collect(),
-                Schedule::Static { shards } => fan_indexed_capped(specs, shards, job),
-                Schedule::WorkStealing { shards } => fan_stealing(specs, shards, job),
-            }
+        let specs: Vec<&VehicleSpec> = campaign.vehicles.iter().collect();
+        let outcomes: Vec<Result<VehicleSummary, VehicleFailure>> = match self.schedule {
+            Schedule::Serial => specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| job(i, s))
+                .collect(),
+            Schedule::Static { shards } => fan_indexed_capped(specs, shards, job),
+            Schedule::WorkStealing { shards } => fan_stealing(specs, shards, job),
         };
         let wall_s = started.elapsed().as_secs_f64();
         let mut summaries = Vec::with_capacity(outcomes.len());
@@ -610,30 +381,8 @@ impl FleetEngine {
             total_steps,
             latency_ms: latency,
             solve_outcomes: tally.snapshot(),
-            batched_steps: stats.lane_steps.load(Ordering::Relaxed),
-            batch_sweeps: stats.sweeps.load(Ordering::Relaxed),
         }
     }
-}
-
-/// One vehicle's suspended closed loop inside a lockstep batch: its
-/// controller, trace and step cursor, plus where its result goes.
-struct BatchLane {
-    /// Index into the batch's result vector (campaign order).
-    slot: usize,
-    id: u64,
-    controller: Box<dyn Controller>,
-    trace: PowerTrace,
-    builder: SummaryBuilder,
-    cursor: RunCursor,
-}
-
-/// Shared occupancy counters for one campaign run's batched path;
-/// additions commute, so totals are schedule- and shard-independent.
-#[derive(Default)]
-struct BatchStats {
-    sweeps: AtomicU64,
-    lane_steps: AtomicU64,
 }
 
 /// Forwards every event to the campaign's [`OutcomeTally`] *and* an
@@ -722,72 +471,6 @@ mod tests {
             .collect();
         started.sort_unstable();
         assert_eq!(started, [0, 1, 2], "every vehicle announced exactly once");
-    }
-
-    #[test]
-    fn batched_lockstep_is_bit_identical_to_scalar() {
-        let campaign = Campaign::synthetic(7, 13);
-        let scalar = FleetEngine::new(Schedule::Serial).run(&campaign);
-        assert_eq!(scalar.batch_sweeps, 0, "scalar path must not batch");
-        for (schedule, lanes) in [
-            (Schedule::Serial, 3usize),
-            (Schedule::Static { shards: 2 }, 2),
-            (Schedule::WorkStealing { shards: 2 }, 4),
-        ] {
-            let batched = FleetEngine::new(schedule)
-                .with_batch_lanes(lanes)
-                .run(&campaign);
-            assert_eq!(
-                scalar.summaries, batched.summaries,
-                "lockstep perturbed results ({schedule:?}, {lanes} lanes)"
-            );
-            assert_eq!(scalar.fleet_checksum(), batched.fleet_checksum());
-            assert_eq!(
-                batched.batched_steps, batched.total_steps,
-                "every step ran through the lockstep path"
-            );
-            assert!(batched.batch_sweeps > 0);
-            let occupancy = batched.mean_batch_occupancy();
-            assert!(
-                occupancy > 0.0 && occupancy <= lanes as f64,
-                "occupancy {occupancy} out of range"
-            );
-            assert_eq!(batched.latency_ms.count(), 7, "one latency per vehicle");
-        }
-    }
-
-    #[test]
-    fn batched_lockstep_contains_poisoned_lanes() {
-        let mut campaign = Campaign::synthetic(5, 11);
-        campaign.vehicles[1].poison_step = Some(1);
-        let scalar = FleetEngine::new(Schedule::Serial).run(&campaign);
-        let batched = FleetEngine::new(Schedule::Serial)
-            .with_batch_lanes(5)
-            .run(&campaign);
-        assert_eq!(scalar.summaries, batched.summaries);
-        assert_eq!(scalar.failures, batched.failures);
-        assert!(batched.failures[0].panicked);
-        assert_eq!(batched.vehicle_panics(), 1);
-        // The faulted lane left the lockstep set: later sweeps run
-        // below full width, so mean occupancy sits under 5.
-        assert!(batched.mean_batch_occupancy() < 5.0);
-    }
-
-    #[test]
-    fn run_batch_caught_matches_per_vehicle_runs() {
-        let campaign = Campaign::synthetic(4, 3);
-        let engine = FleetEngine::new(Schedule::Serial).with_batch_lanes(4);
-        let sink = otem_telemetry::MemorySink::with_capacity(1 << 16);
-        let outcomes = engine.run_batch_caught(&campaign.vehicles, &sink);
-        assert_eq!(outcomes.len(), 4);
-        for (spec, outcome) in campaign.vehicles.iter().zip(&outcomes) {
-            let reference = engine.run_vehicle(spec).expect("healthy vehicle");
-            assert_eq!(outcome.as_ref().expect("healthy lane"), &reference);
-        }
-        assert!(
-            sink.count_kind("batch_evaluated") > 0,
-            "lockstep sweeps announce occupancy"
-        );
     }
 
     #[test]

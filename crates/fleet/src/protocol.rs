@@ -16,6 +16,14 @@ fn field_value<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     Some(body[at + needle.len()..].trim_start())
 }
 
+/// Whether `rest` (the text after a scalar value) ends the value: end
+/// of input, a separator, or whitespace.
+fn ends_value(rest: &str) -> bool {
+    rest.chars()
+        .next()
+        .is_none_or(|c| c == ',' || c == '}' || c.is_whitespace())
+}
+
 /// Extracts an unsigned integer field (`"key":123`); `None` when the
 /// field is absent or not a plain unsigned integer (see [`json_uint`]).
 pub fn json_u64(body: &str, key: &str) -> Option<u64> {
@@ -33,46 +41,65 @@ pub fn json_uint(body: &str, key: &str) -> Result<Option<u64>, ParseError> {
     let end = rest
         .find(|c: char| !c.is_ascii_digit())
         .unwrap_or(rest.len());
-    let ends_value = rest[end..]
-        .chars()
-        .next()
-        .is_none_or(|c| c == ',' || c == '}' || c.is_whitespace());
     match rest[..end].parse() {
-        Ok(value) if ends_value => Ok(Some(value)),
+        Ok(value) if ends_value(&rest[end..]) => Ok(Some(value)),
         _ => Err(format!("\"{key}\" must be an unsigned integer below 2^64")),
     }
 }
 
-/// Extracts a float field (`"key":-12.5`).
+/// Extracts a float field (`"key":-12.5`); `None` when the field is
+/// absent or malformed (see [`json_float`]).
 pub fn json_f64(body: &str, key: &str) -> Option<f64> {
-    let rest = field_value(body, key)?;
+    json_float(body, key).ok().flatten()
+}
+
+/// Extracts a float field strictly: `Ok(None)` when absent, `Err` when
+/// present but not a finite JSON number that ends the value (`"hot"`,
+/// `null`, `[]` and `35abc` are all errors, never a default or a
+/// truncated number).
+pub fn json_float(body: &str, key: &str) -> Result<Option<f64>, ParseError> {
+    let Some(rest) = field_value(body, key) else {
+        return Ok(None);
+    };
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
         .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    match rest[..end].parse::<f64>() {
+        Ok(value) if value.is_finite() && ends_value(&rest[end..]) => Ok(Some(value)),
+        _ => Err(format!("\"{key}\" must be a finite number")),
+    }
 }
 
-/// Extracts a string field (`"key":"value"`). Values are wire-name
-/// identifiers, so escapes are treated as malformed (`None`).
-pub fn json_str<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let rest = field_value(body, key)?.strip_prefix('"')?;
-    let end = rest.find(['"', '\\'])?;
-    if rest[end..].starts_with('\\') {
-        return None;
-    }
-    Some(&rest[..end])
+/// Extracts a string field (`"key":"value"`) strictly: `Ok(None)` when
+/// absent, `Err` when present but not a string. Values are wire-name
+/// identifiers, so escapes are treated as malformed.
+pub fn json_str<'a>(body: &'a str, key: &str) -> Result<Option<&'a str>, ParseError> {
+    let Some(rest) = field_value(body, key) else {
+        return Ok(None);
+    };
+    let value = rest.strip_prefix('"').and_then(|inner| {
+        let end = inner.find(['"', '\\'])?;
+        (inner[end..].starts_with('"') && ends_value(&inner[end + 1..])).then(|| &inner[..end])
+    });
+    value
+        .map(Some)
+        .ok_or_else(|| format!("\"{key}\" must be a string without escapes"))
 }
 
-/// Extracts a boolean field (`"key":true`).
-pub fn json_bool(body: &str, key: &str) -> Option<bool> {
-    let rest = field_value(body, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+/// Extracts a boolean field (`"key":true`) strictly: `Ok(None)` when
+/// absent, `Err` when present but not a bare `true` or `false`.
+pub fn json_bool(body: &str, key: &str) -> Result<Option<bool>, ParseError> {
+    let Some(rest) = field_value(body, key) else {
+        return Ok(None);
+    };
+    for (literal, value) in [("true", true), ("false", false)] {
+        if let Some(after) = rest.strip_prefix(literal) {
+            if ends_value(after) {
+                return Ok(Some(value));
+            }
+        }
     }
+    Err(format!("\"{key}\" must be true or false"))
 }
 
 /// Parses a cycle wire name (lower-case spec name).
@@ -176,7 +203,7 @@ impl SimulateRequest {
             if vehicles == 0 {
                 return Err("\"vehicles\" must be ≥ 1".into());
             }
-            let schedule = match json_str(body, "schedule") {
+            let schedule = match json_str(body, "schedule")? {
                 None | Some("steal") => "steal",
                 Some("static") => "static",
                 Some("serial") => "serial",
@@ -201,16 +228,16 @@ impl SimulateRequest {
             });
         }
 
-        let cycle = match json_str(body, "cycle") {
+        let cycle = match json_str(body, "cycle")? {
             None => StandardCycle::Us06,
             Some(name) => cycle_from_wire(name).ok_or_else(|| format!("unknown cycle {name:?}"))?,
         };
-        let methodology = match json_str(body, "methodology") {
+        let methodology = match json_str(body, "methodology")? {
             None => Methodology::Otem,
             Some(name) => Methodology::from_wire(name)
                 .ok_or_else(|| format!("unknown methodology {name:?}"))?,
         };
-        let telemetry = match json_str(body, "telemetry") {
+        let telemetry = match json_str(body, "telemetry")? {
             None | Some("none") => Telemetry::None,
             Some("jsonl") => Telemetry::Jsonl,
             Some("chrome") => Telemetry::Chrome,
@@ -220,11 +247,11 @@ impl SimulateRequest {
         if steps == 0 || steps > 100_000 {
             return Err("\"steps\" must be in 1..=100000".into());
         }
-        let ambient_c = json_f64(body, "ambient_c").unwrap_or(25.0);
+        let ambient_c = json_float(body, "ambient_c")?.unwrap_or(25.0);
         if !(-10.0..=39.0).contains(&ambient_c) {
             return Err("\"ambient_c\" must be in -10..=39".into());
         }
-        let capacitance_f = json_f64(body, "capacitance_f").unwrap_or(25_000.0);
+        let capacitance_f = json_float(body, "capacitance_f")?.unwrap_or(25_000.0);
         if !(1_000.0..=100_000.0).contains(&capacitance_f) {
             return Err("\"capacitance_f\" must be in 1000..=100000".into());
         }
@@ -244,7 +271,7 @@ impl SimulateRequest {
                 id: json_uint(body, "id")?.unwrap_or(0),
                 cycle,
                 steps: steps as usize,
-                compact: json_bool(body, "compact").unwrap_or(false),
+                compact: json_bool(body, "compact")?.unwrap_or(false),
                 ambient_c,
                 capacitance_f,
                 methodology,
@@ -484,6 +511,52 @@ mod tests {
             }
             other => panic!("expected fleet, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn malformed_float_bool_and_string_fields_are_rejected_not_defaulted() {
+        for (field, value) in [
+            ("ambient_c", "\"hot\""),
+            ("ambient_c", "null"),
+            ("ambient_c", "35abc"),
+            ("ambient_c", "1e999"),
+            ("ambient_c", ""),
+            ("capacitance_f", "[]"),
+            ("compact", "\"yes\""),
+            ("compact", "1"),
+            ("compact", "trueish"),
+            ("cycle", "5"),
+            ("cycle", "\"us\\u0030\""),
+            ("methodology", "null"),
+            ("telemetry", "1"),
+            ("id", "true"),
+        ] {
+            let body = format!("{{\"{field}\":{value}}}");
+            let err = SimulateRequest::parse(&body).expect_err(&body);
+            assert!(err.contains(field), "{body}: {err}");
+        }
+        let err =
+            SimulateRequest::parse("{\"vehicles\":4,\"schedule\":true}").expect_err("schedule");
+        assert!(err.contains("schedule"), "{err}");
+        // Well-formed values still parse, with whitespace after them.
+        let r = SimulateRequest::parse(
+            "{\"ambient_c\": -5.5e0 ,\"capacitance_f\":1e4,\"compact\":false }",
+        )
+        .expect("parses");
+        match r {
+            SimulateRequest::Vehicle { spec, .. } => {
+                assert_eq!((spec.ambient_c, spec.capacitance_f), (-5.5, 10_000.0));
+                assert!(!spec.compact);
+            }
+            other => panic!("expected vehicle, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lenient_float_reader_skips_malformed_values() {
+        assert_eq!(json_f64("{\"x\":2.5}", "x"), Some(2.5));
+        assert_eq!(json_f64("{\"x\":\"2.5\"}", "x"), None);
+        assert_eq!(json_f64("{\"y\":1}", "x"), None);
     }
 
     #[test]

@@ -131,11 +131,6 @@ pub struct ServerConfig {
     /// in memory only, where `GET /debug/flight` serves the most
     /// recent one.
     pub flight_dir: String,
-    /// Lockstep batch width for fleet requests (see
-    /// [`FleetEngine::with_batch_lanes`]): `0` (the default) runs the
-    /// scalar per-vehicle path; `≥ 2` advances that many vehicles per
-    /// shard in lockstep, with identical summaries and checksums.
-    pub batch_lanes: usize,
 }
 
 impl Default for ServerConfig {
@@ -152,7 +147,6 @@ impl Default for ServerConfig {
             write_timeout_ms: 2_000,
             drain_deadline_ms: 5_000,
             flight_dir: String::new(),
-            batch_lanes: 0,
         }
     }
 }
@@ -162,12 +156,6 @@ impl Default for ServerConfig {
 const SOLVE_OUTCOME_HELP: &str = "MPC solve outcomes by gradient mode across every request served.";
 const LATENCY_HELP: &str = "End-to-end request latency (queue wait included) by route.";
 const FLIGHT_DUMPS_HELP: &str = "Flight-recorder dumps frozen, by trigger event.";
-const BATCHED_ROLLOUTS_HELP: &str =
-    "Lanes evaluated through the lockstep batched rollout kernel (line-search candidates and fleet vehicles alike).";
-const BATCH_OCCUPANCY_HELP: &str =
-    "Occupied lanes per batched evaluation; counts below the configured width expose partially-full batches.";
-/// Bucket bounds (lane counts) for `otem_rollout_batch_occupancy`.
-const OCCUPANCY_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 /// Shared mutable server state (metrics + shutdown flag).
 struct ServerState {
@@ -251,19 +239,6 @@ impl ServerState {
                     &[("mode", mode), ("outcome", outcome)],
                 )
                 .inc();
-        }
-        if let Event::BatchEvaluated { lanes, .. } = event {
-            self.registry
-                .counter("otem_batched_rollouts_total", BATCHED_ROLLOUTS_HELP, &[])
-                .add(lanes);
-            self.registry
-                .histogram(
-                    "otem_rollout_batch_occupancy",
-                    BATCH_OCCUPANCY_HELP,
-                    &[],
-                    OCCUPANCY_BOUNDS,
-                )
-                .observe(lanes as f64);
         }
     }
 
@@ -1241,8 +1216,7 @@ fn simulate(
                 return respond_error(stream, 400, &format!("\"vehicles\" capped at {cap}"));
             }
             let schedule = request.schedule(state.config.shards);
-            let engine = FleetEngine::with_cache(schedule, Arc::clone(&state.cache))
-                .with_batch_lanes(state.config.batch_lanes);
+            let engine = FleetEngine::with_cache(schedule, Arc::clone(&state.cache));
             let mut campaign = Campaign::synthetic(*vehicles, *seed);
             if *mpc_deadline_us > 0 {
                 // A request-level deadline caps every solve in the

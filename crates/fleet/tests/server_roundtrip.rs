@@ -394,6 +394,38 @@ fn malformed_integer_fields_are_400s_and_the_server_stays_up() {
 }
 
 #[test]
+fn malformed_float_bool_and_string_fields_are_400s_and_the_server_stays_up() {
+    let mut handle = spawn_server();
+    for (body, field) in [
+        ("{\"ambient_c\":\"hot\"}", "ambient_c"),
+        ("{\"ambient_c\":null}", "ambient_c"),
+        ("{\"ambient_c\":35abc}", "ambient_c"),
+        ("{\"capacitance_f\":[]}", "capacitance_f"),
+        ("{\"compact\":\"yes\"}", "compact"),
+        ("{\"cycle\":5}", "cycle"),
+        ("{\"methodology\":null}", "methodology"),
+        ("{\"telemetry\":1}", "telemetry"),
+        ("{\"vehicles\":4,\"schedule\":true}", "schedule"),
+    ] {
+        let (status, lines) = roundtrip(&handle, "POST", "/simulate", body);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+        assert!(lines[0].contains(field), "reason names {field}: {lines:?}");
+        let (status, _) = roundtrip(&handle, "GET", "/healthz", "");
+        assert_eq!(status, "HTTP/1.1 200 OK", "server down after {body}");
+    }
+    // Well-formed values of the same fields are still served.
+    let (status, _) = roundtrip(
+        &handle,
+        "POST",
+        "/simulate",
+        "{\"cycle\":\"nycc\",\"methodology\":\"parallel\",\"steps\":5,\
+         \"ambient_c\":35,\"compact\":true}",
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    handle.shutdown();
+}
+
+#[test]
 fn header_flood_is_refused() {
     let mut handle = spawn_server();
     // More headers than MAX_HEADER_COUNT, still under the byte cap.

@@ -5,16 +5,11 @@
 //! setup by MATLAB's NLP machinery. This crate provides the equivalent
 //! from scratch:
 //!
-//! * [`Lbfgs`] — limited-memory BFGS with Armijo backtracking for smooth
-//!   unconstrained minimisation,
 //! * [`ProjectedGradient`] — Barzilai–Borwein spectral gradient descent
 //!   projected onto box constraints (the workhorse for the MPC's
 //!   single-shooting transcription),
-//! * [`NelderMead`] — derivative-free simplex fallback,
-//! * [`AugmentedLagrangian`] — converts equality/inequality constraints
-//!   into a sequence of box-constrained subproblems,
 //! * [`NumericalGradient`] — central finite differences for objectives
-//!   without analytic gradients,
+//!   without analytic gradients (the MPC's test oracle),
 //! * [`GaussNewton`] — projected Levenberg–Marquardt over a
 //!   [`CurvatureObjective`] (for the MPC: the Gauss-Newton matrix is
 //!   assembled from the same adjoint tape as the gradient),
@@ -41,23 +36,13 @@
 mod bounds;
 mod clock;
 mod gauss_newton;
-mod lagrangian;
-mod lbfgs;
-mod nelder_mead;
 mod objective;
 mod projected;
-mod scalar;
 mod solution;
 
 pub use bounds::Bounds;
 pub use clock::{Clock, Deadline, MonotonicClock, VirtualClock};
 pub use gauss_newton::{CurvatureObjective, DenseLeastSquares, GaussNewton};
-pub use lagrangian::{AugmentedLagrangian, ConstrainedProblem, Constraint};
-pub use lbfgs::Lbfgs;
-pub use nelder_mead::NelderMead;
-pub use objective::{
-    resolve_threads, FnObjective, FnObjectiveWithGrad, GradientMode, NumericalGradient, Objective,
-};
+pub use objective::{FnObjective, FnObjectiveWithGrad, GradientMode, NumericalGradient, Objective};
 pub use projected::ProjectedGradient;
-pub use scalar::{brent, golden_section};
 pub use solution::{Solution, SolverOutcome};

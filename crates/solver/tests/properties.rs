@@ -1,10 +1,7 @@
 //! Property tests: solver invariants on randomly generated convex
 //! problems with known solutions.
 
-use otem_solver::{
-    AugmentedLagrangian, Bounds, ConstrainedProblem, Constraint, FnObjective, Lbfgs, NelderMead,
-    ProjectedGradient,
-};
+use otem_solver::{Bounds, FnObjective, ProjectedGradient};
 use proptest::prelude::*;
 
 proptest! {
@@ -34,66 +31,6 @@ proptest! {
             prop_assert!(
                 (xi - expect).abs() < 1e-4,
                 "x[{i}] = {xi} expected {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn lbfgs_matches_projected_gradient_unconstrained(
-        center in prop::collection::vec(-3.0..3.0f64, 2..6),
-    ) {
-        let n = center.len();
-        let c1 = center.clone();
-        let f = FnObjective::new(move |x: &[f64]| {
-            x.iter().zip(&c1).map(|(&xi, &ci)| (xi - ci).powi(2)).sum()
-        });
-        let a = Lbfgs::default().minimize(&f, &vec![0.0; n]);
-        let b = ProjectedGradient::default().minimize(&f, &Bounds::unbounded(n), &vec![0.0; n]);
-        for ((ai, bi), ci) in a.x.iter().zip(&b.x).zip(&center) {
-            prop_assert!((ai - bi).abs() < 1e-4);
-            prop_assert!((ai - ci).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn nelder_mead_agrees_on_small_convex(
-        cx in -2.0..2.0f64,
-        cy in -2.0..2.0f64,
-    ) {
-        let f = FnObjective::new(move |x: &[f64]| {
-            (x[0] - cx).powi(2) + 2.0 * (x[1] - cy).powi(2)
-        });
-        let sol = NelderMead::default().minimize(&f, &[0.0, 0.0]);
-        prop_assert!((sol.x[0] - cx).abs() < 1e-3, "{sol:?}");
-        prop_assert!((sol.x[1] - cy).abs() < 1e-3);
-    }
-
-    #[test]
-    fn augmented_lagrangian_projects_onto_hyperplane(
-        c in prop::collection::vec(-2.0..2.0f64, 3),
-        rhs in -1.0..1.0f64,
-    ) {
-        // min Σ(xᵢ−cᵢ)² s.t. Σxᵢ = rhs: solution is c shifted by the
-        // uniform correction (rhs − Σc)/n.
-        let n = c.len();
-        let c1 = c.clone();
-        let f = FnObjective::new(move |x: &[f64]| {
-            x.iter().zip(&c1).map(|(&xi, &ci)| (xi - ci).powi(2)).sum()
-        });
-        let problem = ConstrainedProblem {
-            objective: &f,
-            bounds: Bounds::unbounded(n),
-            constraints: vec![Constraint::equality(move |x: &[f64]| {
-                x.iter().sum::<f64>() - rhs
-            })],
-        };
-        let sol = AugmentedLagrangian::default().minimize(&problem, &vec![0.0; n]);
-        let shift = (rhs - c.iter().sum::<f64>()) / n as f64;
-        for (i, (xi, ci)) in sol.x.iter().zip(&c).enumerate() {
-            prop_assert!(
-                (xi - (ci + shift)).abs() < 1e-3,
-                "x[{i}] = {xi} expected {}",
-                ci + shift
             );
         }
     }

@@ -14,9 +14,9 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// One outer iteration of a solver ([`ProjectedGradient`] /
-    /// `Lbfgs`-style): current objective value, convergence residual
-    /// (projected-gradient or gradient infinity norm) and the step
-    /// length about to be tried.
+    /// `GaussNewton`): current objective value, convergence residual
+    /// (projected-gradient infinity norm) and the step length (the
+    /// Levenberg–Marquardt damping for Gauss-Newton) about to be tried.
     ///
     /// [`ProjectedGradient`]: https://docs.rs/otem-solver
     SolverIteration {
@@ -29,13 +29,13 @@ pub enum Event {
         /// Step length entering this iteration's line search.
         step: f64,
     },
-    /// One full gradient evaluation (the MPC's dominant cost: `4·n`
-    /// plant rollouts for an `n`-block horizon).
+    /// One full gradient evaluation: a backward sweep over the tape of
+    /// the last taped rollout in the adjoint modes (plus one taped
+    /// rollout when that tape is stale), `2·dim` plant rollouts under
+    /// finite differences.
     GradientEval {
         /// Problem dimension (gradient coordinates evaluated).
         dim: u64,
-        /// Worker threads the evaluation fanned out across (1 = serial).
-        threads: u64,
     },
     /// One MPC solve finished: how it ended and how many outer
     /// iterations it spent. The per-solve roll-up behind the anytime
@@ -46,8 +46,7 @@ pub enum Event {
         /// Stable snake_case outcome name (`SolverOutcome::name()`).
         outcome: &'static str,
         /// Stable snake_case gradient-mode name (`GradientMode::
-        /// name()`: `serial` / `parallel` / `adjoint` /
-        /// `gauss_newton`) — the `mode` label of the
+        /// name()`: `serial` / `adjoint` / `gauss_newton`) — the `mode` label of the
         /// `otem_solve_outcome_total` metric family.
         mode: &'static str,
         /// Outer iterations actually performed.
@@ -207,19 +206,6 @@ pub enum Event {
         /// The vehicle's id within the campaign.
         vehicle: u64,
     },
-    /// One lockstep batched evaluation ran: `lanes` independent
-    /// rollouts (line-search candidates or fleet vehicles) advanced
-    /// together through a batch sized for `width` lanes. `lanes <
-    /// width` means a partially-full batch (ladder tail, drained or
-    /// faulted fleet lanes) — the signal behind the
-    /// `otem_rollout_batch_occupancy` histogram and the
-    /// `otem_batched_rollouts_total` counter.
-    BatchEvaluated {
-        /// Lanes actually occupied in this evaluation.
-        lanes: u64,
-        /// The batch's configured lane capacity.
-        width: u64,
-    },
     /// One closed-loop simulation step completed (the per-step signal
     /// set behind the paper's Figs. 1, 6–9).
     StepCompleted {
@@ -267,7 +253,6 @@ impl Event {
             Event::VehicleStarted { .. } => "vehicle_started",
             Event::SpanStart { .. } => "span_start",
             Event::SpanEnd { .. } => "span_end",
-            Event::BatchEvaluated { .. } => "batch_evaluated",
             Event::StepCompleted { .. } => "step_completed",
         }
     }
@@ -289,8 +274,8 @@ impl Event {
                 field(out, "residual", residual);
                 field(out, "step", step);
             }
-            Event::GradientEval { dim, threads } => {
-                let _ = write!(out, ",\"dim\":{dim},\"threads\":{threads}");
+            Event::GradientEval { dim } => {
+                let _ = write!(out, ",\"dim\":{dim}");
             }
             Event::SolveOutcome {
                 outcome,
@@ -387,9 +372,6 @@ impl Event {
                 let _ = write!(out, ",\"id\":{id}");
                 str_field(out, "name", name);
                 let _ = write!(out, ",\"lane\":{lane},\"t_ns\":{t_ns},\"dur_ns\":{dur_ns}");
-            }
-            Event::BatchEvaluated { lanes, width } => {
-                let _ = write!(out, ",\"lanes\":{lanes},\"width\":{width}");
             }
             Event::StepCompleted {
                 step,
@@ -540,11 +522,8 @@ mod tests {
 
     #[test]
     fn non_finite_floats_encode_as_null() {
-        let e = Event::GradientEval { dim: 4, threads: 2 };
-        assert_eq!(
-            e.to_json(),
-            "{\"event\":\"gradient_eval\",\"dim\":4,\"threads\":2}"
-        );
+        let e = Event::GradientEval { dim: 4 };
+        assert_eq!(e.to_json(), "{\"event\":\"gradient_eval\",\"dim\":4}");
         let bad = Event::CoolingToggle {
             on: true,
             battery_temp_k: f64::NAN,
@@ -738,16 +717,6 @@ mod tests {
                 "control char {byte:#x} must be escaped, got {out:?}"
             );
         }
-    }
-
-    #[test]
-    fn batch_evaluated_encodes_lanes_and_width() {
-        let e = Event::BatchEvaluated { lanes: 3, width: 8 };
-        assert_eq!(e.kind(), "batch_evaluated");
-        assert_eq!(
-            e.to_json(),
-            "{\"event\":\"batch_evaluated\",\"lanes\":3,\"width\":8}"
-        );
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!   Perfetto timeline with one row per worker thread.
 //! * Metric primitives — [`Counter`], [`Gauge`] and fixed-bucket
 //!   [`Histogram`] (with interpolated [`Histogram::quantile`]), all
-//!   interior-mutable so they can be shared across the solver's
-//!   gradient worker threads.
+//!   interior-mutable so they can be shared across the fleet engine's
+//!   worker threads.
 //! * [`RingBuffer`] — the bounded FIFO behind [`MemorySink`], exposed
 //!   for reuse.
 //! * [`MetricsRegistry`] — named counter/gauge/histogram *families*

@@ -1,8 +1,8 @@
 //! Metric primitives: counters, gauges, fixed-bucket histograms.
 //!
 //! All three are interior-mutable (`&self` updates) so one instance can
-//! be shared by the solver's scoped gradient-worker threads without
-//! locks on the hot path.
+//! be shared by the fleet engine's worker threads without locks on the
+//! hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -13,8 +13,8 @@ use std::sync::Mutex;
 /// An event consumer.
 ///
 /// Sinks are passed as `&dyn Sink` through the instrumented stack, so
-/// the trait is object-safe and `Sync` (the MPC's parallel gradient
-/// workers may emit concurrently). Implementations must be strictly
+/// the trait is object-safe and `Sync` (the fleet engine's workers
+/// may emit concurrently). Implementations must be strictly
 /// observational: recording an event may never influence the
 /// computation that emitted it.
 pub trait Sink: Sync {
@@ -238,8 +238,8 @@ impl<W: Write + Send> Drop for JsonlSink<W> {
 ///
 /// * [`Event::SpanStart`] / [`Event::SpanEnd`] become `ph:"B"` /
 ///   `ph:"E"` duration records; the span's lane becomes the `tid`, so
-///   the MPC's parallel gradient workers render as separate timeline
-///   rows; timestamps are microseconds with nanosecond resolution
+///   concurrent workers (fleet shards, server threads) render as
+///   separate timeline rows; timestamps are microseconds with nanosecond resolution
 ///   (fractional `ts`).
 /// * Every other event becomes a thread-scoped instant record
 ///   (`ph:"i"`, `s:"t"`) stamped at record time, with the event's own
@@ -391,7 +391,7 @@ mod tests {
     fn jsonl_sink_writes_one_line_per_event() {
         let sink = JsonlSink::new(Vec::new());
         sink.record(Event::PoolHit);
-        sink.record(Event::GradientEval { dim: 2, threads: 1 });
+        sink.record(Event::GradientEval { dim: 2 });
         let bytes = sink.into_inner();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<_> = text.lines().collect();

@@ -22,8 +22,8 @@
 //! first clock read; `u64` nanoseconds overflow after ~584 years). Span
 //! ids come from one process-wide atomic so they are unique across
 //! threads; each OS thread draws a *lane* id once, which becomes the
-//! `tid` of Chrome-trace output, so the MPC's parallel gradient workers
-//! render as separate timeline rows.
+//! `tid` of Chrome-trace output, so concurrent workers (fleet shards,
+//! server threads) render as separate timeline rows.
 //!
 //! # Drop order
 //!

@@ -1,34 +1,25 @@
-//! Scalar-generic thermal step math.
-//!
-//! The Crank–Nicolson update of the coupled battery/coolant two-node
-//! system (Eq. 14–17), written once against [`otem_units::Scalar`] and
-//! monomorphised per scalar type. The update is split in two: the
-//! operator of one step length ([`CrankNicolsonCoefficients`], built from
-//! the [`NodeConstants`] once per rollout) and the per-state step
-//! ([`crank_nicolson`]). The concrete `f64` method
-//! [`crate::ThermalModel::step_crank_nicolson`] builds the coefficients
-//! and steps — the `f64` instantiation performs the *same operations in
-//! the same order* as the pre-refactor hand-written code, so delegation
-//! is bit-identical (the contract the golden traces pin).
-
-use otem_units::Scalar;
+//! The Crank–Nicolson operator of the coupled battery/coolant two-node
+//! system (Eq. 14–17). The update is split in two: the operator of one
+//! step length ([`CrankNicolsonCoefficients`], built from the
+//! [`NodeConstants`] once per rollout) and the per-state step
+//! ([`CrankNicolsonCoefficients::step`]).
 
 /// The physical constants of the two-node system, pre-extracted from
 /// `ThermalParams` — the input of [`CrankNicolsonCoefficients::new`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeConstants<S> {
+pub struct NodeConstants {
     /// Battery lump heat capacity `C_b` (J/K).
-    pub cb: S,
+    pub cb: f64,
     /// Coolant lump heat capacity `C_c` (J/K).
-    pub cc: S,
+    pub cc: f64,
     /// Battery↔coolant conductance `h` (W/K).
-    pub h: S,
+    pub h: f64,
     /// Coolant flow capacity `f = ṁ·c_p` (W/K).
-    pub f: S,
+    pub f: f64,
     /// Battery↔ambient conductance `h_a` (W/K).
-    pub ha: S,
+    pub ha: f64,
     /// Ambient temperature `T_a` (K).
-    pub t_ambient: S,
+    pub t_ambient: f64,
 }
 
 /// The Crank–Nicolson update of one step length, with every quantity
@@ -36,44 +27,44 @@ pub struct NodeConstants<S> {
 /// system matrix `A`, the left/right-hand operators, the determinant of
 /// the explicit 2×2 inverse, and the ambient forcing `h_a·T_a`. Build it
 /// once per rollout (or per solve) and step any number of states with
-/// [`crank_nicolson`].
+/// [`CrankNicolsonCoefficients::step`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrankNicolsonCoefficients<S> {
+pub struct CrankNicolsonCoefficients {
     /// Battery lump heat capacity `C_b` (J/K).
-    pub(crate) cb: S,
+    pub(crate) cb: f64,
     /// Coolant lump heat capacity `C_c` (J/K).
-    pub(crate) cc: S,
+    pub(crate) cc: f64,
     /// Coolant flow capacity `f` (W/K).
-    pub(crate) f: S,
+    pub(crate) f: f64,
     /// Ambient forcing `h_a·T_a` (W).
-    pub(crate) ambient_forcing: S,
+    pub(crate) ambient_forcing: f64,
     /// System matrix `A` of `dx/dt = A·x + r`, row-major.
-    pub(crate) a: [[S; 2]; 2],
+    pub(crate) a: [[f64; 2]; 2],
     /// Step length `dt` (s).
-    pub(crate) dt: S,
+    pub(crate) dt: f64,
     /// Half step `dt/2`.
-    pub(crate) k: S,
+    pub(crate) k: f64,
     /// Implicit operator `M = I − dt/2·A`, row-major.
-    pub(crate) m: [[S; 2]; 2],
+    pub(crate) m: [[f64; 2]; 2],
     /// `det M`.
-    pub(crate) det: S,
+    pub(crate) det: f64,
 }
 
-impl<S: Scalar> CrankNicolsonCoefficients<S> {
+impl CrankNicolsonCoefficients {
     /// Evaluates the coefficients of one step of length `dt`.
     #[inline]
-    pub fn new(n: NodeConstants<S>, dt: S) -> Self {
+    pub fn new(n: NodeConstants, dt: f64) -> Self {
         let a11 = -(n.h + n.ha) / n.cb;
         let a12 = n.h / n.cb;
         let a21 = n.h / n.cc;
         let a22 = -(n.h + n.f) / n.cc;
-        let k = dt / S::from_f64(2.0);
-        let m11 = S::ONE - k * a11;
+        let k = dt / 2.0;
+        let m11 = 1.0 - k * a11;
         let m12 = -(k * a12);
         let m21 = -(k * a21);
-        let m22 = S::ONE - k * a22;
+        let m22 = 1.0 - k * a22;
         let det = m11 * m22 - m12 * m21;
-        debug_assert!(det.abs().to_f64() > 1e-12, "CN system became singular");
+        debug_assert!(det.abs() > 1e-12, "CN system became singular");
         Self {
             cb: n.cb,
             cc: n.cc,
@@ -88,31 +79,29 @@ impl<S: Scalar> CrankNicolsonCoefficients<S> {
     }
 }
 
-/// One Crank–Nicolson step of `dx/dt = A·x + r` with `x = [T_b, T_c]`:
-/// `(I − dt/2·A)·x⁺ = (I + dt/2·A)·x + dt·r`, solved by the explicit
-/// 2×2 inverse. Returns the next `(T_b, T_c)` pair.
-#[inline]
-pub fn crank_nicolson<S: Scalar>(
-    c: &CrankNicolsonCoefficients<S>,
-    xb: S,
-    xc: S,
-    battery_heat: S,
-    inlet: S,
-) -> (S, S) {
-    let [[a11, a12], [a21, a22]] = c.a;
-    let [[m11, m12], [m21, m22]] = c.m;
-    let r1 = (battery_heat + c.ambient_forcing) / c.cb;
-    let r2 = c.f * inlet / c.cc;
-    let b1 = xb + c.k * (a11 * xb + a12 * xc) + c.dt * r1;
-    let b2 = xc + c.k * (a21 * xb + a22 * xc) + c.dt * r2;
-    ((b1 * m22 - b2 * m12) / c.det, (b2 * m11 - b1 * m21) / c.det)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ThermalState;
+    use otem_units::{Kelvin, Watts};
 
-    fn constants() -> NodeConstants<f64> {
+    /// One step on raw temperatures through [`CrankNicolsonCoefficients::step`].
+    fn crank_nicolson(
+        c: &CrankNicolsonCoefficients,
+        xb: f64,
+        xc: f64,
+        battery_heat: f64,
+        inlet: f64,
+    ) -> (f64, f64) {
+        let state = ThermalState {
+            battery: Kelvin::new(xb),
+            coolant: Kelvin::new(xc),
+        };
+        let next = c.step(state, Watts::new(battery_heat), Kelvin::new(inlet));
+        (next.battery.value(), next.coolant.value())
+    }
+
+    fn constants() -> NodeConstants {
         NodeConstants {
             cb: 2.0e5,
             cc: 2.0e4,
@@ -139,34 +128,9 @@ mod tests {
         assert_eq!(tc, 300.0);
     }
 
-    #[cfg(feature = "f32")]
-    #[test]
-    fn f32_lanes_track_f64_within_single_precision() {
-        let c64 = CrankNicolsonCoefficients::new(constants(), 1.0);
-        let wide = crank_nicolson(&c64, 305.0, 300.0, 5_000.0, 290.0).0;
-        let n32 = NodeConstants::<f32> {
-            cb: 2.0e5,
-            cc: 2.0e4,
-            h: 500.0,
-            f: 350.0,
-            ha: 15.0,
-            t_ambient: 298.15,
-        };
-        let c32 = CrankNicolsonCoefficients::new(n32, 1.0);
-        let narrow = crank_nicolson(&c32, 305.0, 300.0, 5_000.0, 290.0).0 as f64;
-        assert!((wide - narrow).abs() < 1e-2, "{wide} vs {narrow}");
-    }
-
     /// The per-call step as it read before prepared coefficients: the
     /// whole operator re-derived from the node constants every step.
-    fn per_call(
-        n: NodeConstants<f64>,
-        xb: f64,
-        xc: f64,
-        q: f64,
-        inlet: f64,
-        dt: f64,
-    ) -> (f64, f64) {
+    fn per_call(n: NodeConstants, xb: f64, xc: f64, q: f64, inlet: f64, dt: f64) -> (f64, f64) {
         let a11 = -(n.h + n.ha) / n.cb;
         let a12 = n.h / n.cb;
         let a21 = n.h / n.cc;

@@ -272,13 +272,13 @@ impl ThermalModel {
     /// The Crank–Nicolson operator of one step length — what a rollout
     /// evaluates once and steps every horizon stage with
     /// ([`CrankNicolsonCoefficients::step`]).
-    pub fn crank_nicolson_coefficients(&self, dt: Seconds) -> CrankNicolsonCoefficients<f64> {
+    pub fn crank_nicolson_coefficients(&self, dt: Seconds) -> CrankNicolsonCoefficients {
         CrankNicolsonCoefficients::new(self.node_constants(), dt.value())
     }
 
     /// The kernel-facing constants of the two-node system, from which
     /// [`ThermalModel::crank_nicolson_coefficients`] builds the operator.
-    pub fn node_constants(&self) -> crate::kernel::NodeConstants<f64> {
+    pub fn node_constants(&self) -> crate::kernel::NodeConstants {
         let p = &self.params;
         crate::kernel::NodeConstants {
             cb: p.battery_heat_capacity.value(),
@@ -323,20 +323,23 @@ impl ThermalModel {
     }
 }
 
-impl CrankNicolsonCoefficients<f64> {
-    /// One Crank–Nicolson step under these coefficients — the body of
-    /// [`ThermalModel::step_crank_nicolson`].
+impl CrankNicolsonCoefficients {
+    /// One Crank–Nicolson step of `dx/dt = A·x + r` with
+    /// `x = [T_b, T_c]` under these coefficients — the body of
+    /// [`ThermalModel::step_crank_nicolson`]:
+    /// `(I − dt/2·A)·x⁺ = (I + dt/2·A)·x + dt·r`, solved by the explicit
+    /// 2×2 inverse.
     pub fn step(&self, state: ThermalState, battery_heat: Watts, inlet: Kelvin) -> ThermalState {
-        let (tb, tc) = crate::kernel::crank_nicolson(
-            self,
-            state.battery.value(),
-            state.coolant.value(),
-            battery_heat.value(),
-            inlet.value(),
-        );
+        let (xb, xc) = (state.battery.value(), state.coolant.value());
+        let [[a11, a12], [a21, a22]] = self.a;
+        let [[m11, m12], [m21, m22]] = self.m;
+        let r1 = (battery_heat.value() + self.ambient_forcing) / self.cb;
+        let r2 = self.f * inlet.value() / self.cc;
+        let b1 = xb + self.k * (a11 * xb + a12 * xc) + self.dt * r1;
+        let b2 = xc + self.k * (a21 * xb + a22 * xc) + self.dt * r2;
         ThermalState {
-            battery: Kelvin::new(tb),
-            coolant: Kelvin::new(tc),
+            battery: Kelvin::new((b1 * m22 - b2 * m12) / self.det),
+            coolant: Kelvin::new((b2 * m11 - b1 * m21) / self.det),
         }
     }
 

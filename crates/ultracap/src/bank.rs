@@ -114,10 +114,7 @@ impl UltracapBank {
     /// the voltage swing that the DC/DC converter efficiency model keys
     /// off.
     pub fn voltage(&self) -> Volts {
-        Volts::new(crate::kernel::bank_voltage(
-            self.params.rated_voltage.value(),
-            self.soe.value(),
-        ))
+        Volts::new(self.params.rated_voltage.value() * self.soe.value().sqrt())
     }
 
     /// [`UltracapBank::voltage`] and its slope in the state of energy,
@@ -196,18 +193,22 @@ impl UltracapBank {
                 available: Watts::ZERO,
             });
         }
-        // With the (tiny) series resistance: P = V·I − R·I². The
-        // zero-resistance branch floors a depleted bank's voltage at 5 %
-        // of rated to avoid a singularity when accepting charge.
+        // With the (tiny) series resistance: the stable root of
+        // P = V·I − R·I². The zero-resistance branch floors a depleted
+        // bank's voltage at 5 % of rated to avoid a singularity when
+        // accepting charge.
         let r = self.params.series_resistance;
-        let i = match crate::kernel::bank_current(p, v, r, self.params.rated_voltage.value()) {
-            Some(i) => i,
-            None => {
+        let i = if r == 0.0 {
+            p / v.max(0.05 * self.params.rated_voltage.value())
+        } else {
+            let disc = v * v - 4.0 * r * p;
+            if disc < 0.0 {
                 return Err(UltracapError::PowerInfeasible {
                     requested: power,
                     available: Watts::new(v * v / (4.0 * r)),
                 });
             }
+            (v - disc.sqrt()) / (2.0 * r)
         };
         Ok(CapDraw {
             terminal_power: power,
@@ -321,20 +322,15 @@ impl UltracapBank {
     /// Self-discharge factor `e^{−dt/τ}` of one step of length `dt` — a
     /// constant of the step length, so a rollout evaluates it once.
     pub fn leak_factor(&self, dt: Seconds) -> f64 {
-        crate::kernel::leak_factor(dt.value(), self.params.leakage_time_constant)
+        (-dt.value() / self.params.leakage_time_constant).exp()
     }
 
     /// [`UltracapBank::integrate`] with the step's
     /// [`UltracapBank::leak_factor`] already evaluated.
     pub fn integrate_with_leak(&mut self, draw: CapDraw, dt: Seconds, leak: f64) {
         let e_cap = self.params.energy_capacity().value();
-        self.soe = Ratio::new(crate::kernel::soe_after_step(
-            self.soe.value(),
-            draw.internal_power.value(),
-            dt.value(),
-            e_cap,
-            leak,
-        ));
+        let delta = draw.internal_power.value() * dt.value() / e_cap;
+        self.soe = Ratio::new((self.soe.value() - delta) * leak);
     }
 
     /// Lets the bank idle (no power exchange) for the given duration:

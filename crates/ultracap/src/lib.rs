@@ -32,7 +32,6 @@
 
 mod bank;
 mod error;
-pub mod kernel;
 mod params;
 
 pub use bank::{CapDraw, CapDrawPartials, UltracapBank};

@@ -65,19 +65,10 @@ cargo run -q --release -p otem-bench --bin fleet_bench -- --chaos-smoke
 echo "==> fleet_bench --obs-smoke (metrics exposition + flight recorder)"
 cargo run -q --release -p otem-bench --bin fleet_bench -- --obs-smoke
 
-# Batched line-search gate: the SoA ladder must change no bits — the
-# smoke asserts batched MPC decisions bit-identical to the scalar
-# ladder at every horizon, gradient mode, and width before timing
-# scalar vs batched rollout throughput.
-echo "==> perf_report --batched (SoA line-search bit-equality + throughput)"
-cargo run -q --release -p otem-bench --bin perf_report -- --batched
-
-# Lockstep-engine gate: batched fleet summaries and the FNV-1a
-# checksum must be bit-identical to the scalar engine across lane
-# widths and schedules, a poisoned lane must be contained, and the
-# batch metric families must surface on a live /metrics — all before
-# any timing is reported.
-echo "==> fleet_bench --batch-smoke (lockstep bit-equality + occupancy + /metrics)"
-cargo run -q --release -p otem-bench --bin fleet_bench -- --batch-smoke
+# Benchmark build gate: perfbench is a workspace of its own, so no step
+# above compiles it; a public-API change that breaks the benchmark must
+# fail here rather than only in the benchmark run.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "tier-1: all green"

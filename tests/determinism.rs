@@ -1,11 +1,9 @@
 //! Reproducibility: the whole pipeline is deterministic — identical
 //! configurations produce bit-identical results across runs.
 
-use otem_repro::control::mpc::MpcConfig;
-use otem_repro::control::policy::{Dual, Otem, Parallel};
+use otem_repro::control::policy::{Dual, Parallel};
 use otem_repro::control::{Simulator, SystemConfig};
-use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
-use otem_repro::solver::GradientMode;
+use otem_repro::drivecycle::{standard, Powertrain, StandardCycle, VehicleParams};
 
 #[test]
 fn cycle_synthesis_is_reproducible() {
@@ -32,31 +30,4 @@ fn simulation_is_reproducible() {
     let mut d1 = Dual::new(&config).unwrap();
     let mut d2 = Dual::new(&config).unwrap();
     assert_eq!(sim.run(&mut d1, &trace), sim.run(&mut d2, &trace));
-}
-
-/// Parallelising the MPC's finite-difference gradient must not change a
-/// single bit of the closed-loop result: every coordinate of the
-/// gradient is computed from the same perturbed points in the same IEEE
-/// order regardless of which thread evaluates it.
-#[test]
-fn parallel_gradient_mode_matches_serial_closed_loop() {
-    let config = SystemConfig::default();
-    let cycle = standard(StandardCycle::Nycc).unwrap();
-    let full = Powertrain::new(VehicleParams::midsize_ev())
-        .unwrap()
-        .power_trace(&cycle);
-    // A short prefix keeps the test quick; 60 warm-started solves are
-    // plenty to surface any cross-thread divergence.
-    let trace = PowerTrace::new(full.dt(), full.samples()[..60].to_vec());
-    let sim = Simulator::new(&config);
-
-    let mpc = |mode: GradientMode| MpcConfig {
-        horizon: 6,
-        solver_iterations: 15,
-        gradient_mode: mode,
-        ..MpcConfig::default()
-    };
-    let mut serial = Otem::with_mpc(&config, mpc(GradientMode::Serial)).unwrap();
-    let mut parallel = Otem::with_mpc(&config, mpc(GradientMode::Parallel { threads: 3 })).unwrap();
-    assert_eq!(sim.run(&mut serial, &trace), sim.run(&mut parallel, &trace));
 }

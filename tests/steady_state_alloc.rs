@@ -1,12 +1,11 @@
-//! Allocation-parity pin for the batched rollout workspace.
+//! Steady-state allocation pin for the MPC solve.
 //!
-//! The SoA batch kernel runs inside the MPC's pooled
-//! `RolloutWorkspace`, so in steady state a batched line search must
-//! perform **no per-lane, per-step, or per-rollout heap allocations**:
-//! widening the ladder or the horizon changes the steady-state
-//! allocation count not at all, and relative to the scalar ladder a
-//! batched solve pays at most the small once-per-solve candidate
-//! scratch.
+//! Once warm, a solve allocates only a fixed handful of per-solve
+//! vectors (the solver's iterate, gradient and line-search buffers, the
+//! returned plan): the pooled rollout workspace, its tape and the
+//! finite-difference scratch point are reused, so **nothing allocates
+//! per rollout or per horizon step**. The count is therefore the same at
+//! every horizon, in every gradient mode.
 //!
 //! This file holds a single `#[test]` on purpose: the counting global
 //! allocator below is process-wide, and a sibling test running
@@ -16,6 +15,7 @@
 use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::SystemConfig;
 use otem_repro::hees::HybridHees;
+use otem_repro::solver::GradientMode;
 use otem_repro::thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_repro::units::{Farads, Kelvin, Ratio, Seconds, Watts};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -50,6 +50,7 @@ fn allocations() -> u64 {
 }
 
 const SOLVES: u64 = 8;
+const HORIZONS: [usize; 3] = [6, 12, 24];
 
 fn plant(config: &SystemConfig) -> MpcPlant {
     let mut hees = HybridHees::ev_default(Farads::new(25_000.0)).expect("valid preset");
@@ -67,11 +68,11 @@ fn plant(config: &SystemConfig) -> MpcPlant {
     }
 }
 
-/// Allocations across `SOLVES` fully warm-started solves at the given
-/// ladder width and horizon (a fresh `Mpc` each call; three warm-up
-/// solves populate the workspace pool, the warm start, and the batch
-/// lanes before counting begins).
-fn steady_allocs(batch: usize, horizon: usize) -> u64 {
+/// Allocations across `SOLVES` fully warm-started solves in `mode` at
+/// `horizon` (a fresh `Mpc` each call; three warm-up solves populate
+/// the workspace pool, the tape and the warm start before counting
+/// begins).
+fn steady_allocs(mode: GradientMode, horizon: usize) -> u64 {
     let config = SystemConfig::default();
     let p = plant(&config);
     let loads: Vec<Watts> = (0..horizon)
@@ -80,19 +81,13 @@ fn steady_allocs(batch: usize, horizon: usize) -> u64 {
     let dt = Seconds::new(1.0);
     let mut mpc = Mpc::new(MpcConfig {
         horizon,
-        batch_line_search: batch,
+        gradient_mode: mode,
         solver_iterations: 12,
         ..MpcConfig::default()
     });
     for _ in 0..3 {
         let d = mpc.solve(&p, &loads, dt);
         assert!(d.cap_bus.value().is_finite(), "warm-up solve diverged");
-    }
-    if batch >= 2 {
-        assert!(
-            mpc.batched_rollouts() > 0,
-            "width-{batch} warm-up never hit the batch kernel"
-        );
     }
     let before = allocations();
     for _ in 0..SOLVES {
@@ -102,43 +97,29 @@ fn steady_allocs(batch: usize, horizon: usize) -> u64 {
 }
 
 #[test]
-fn batched_workspace_is_steady_state_allocation_parity_with_scalar() {
+fn mpc_steady_state_allocations_are_horizon_independent() {
     // Throwaway run: fault in lazy process-level initialisation so the
     // measured runs below do identical work.
-    let _ = steady_allocs(4, 6);
+    let _ = steady_allocs(GradientMode::Adjoint, 6);
 
-    let scalar_h6 = steady_allocs(0, 6);
-    let scalar_h12 = steady_allocs(0, 12);
-    let b4_h6 = steady_allocs(4, 6);
-    let b8_h6 = steady_allocs(8, 6);
-    let b4_h12 = steady_allocs(4, 12);
-    let b8_h12 = steady_allocs(8, 12);
-
-    // No per-lane allocations: doubling the ladder width changes the
-    // steady-state allocation count not at all.
-    assert_eq!(
-        b4_h6, b8_h6,
-        "widening the ladder changed the allocation count at horizon 6"
-    );
-    assert_eq!(
-        b4_h12, b8_h12,
-        "widening the ladder changed the allocation count at horizon 12"
-    );
-
-    // No per-step allocations: the batched-minus-scalar overhead is the
-    // same at both horizons (the once-per-solve candidate scratch), so
-    // nothing in the batch kernel scales with the rollout length.
-    let delta_h6 = b4_h6 as i64 - scalar_h6 as i64;
-    let delta_h12 = b4_h12 as i64 - scalar_h12 as i64;
-    assert_eq!(
-        delta_h6, delta_h12,
-        "batched allocation overhead scales with the horizon \
-         (h6: {b4_h6} vs {scalar_h6}, h12: {b4_h12} vs {scalar_h12})"
-    );
-
-    // And that overhead is at most a handful of vectors per solve.
-    assert!(
-        delta_h6 <= 8 * SOLVES as i64,
-        "batched solves allocate {delta_h6} more than scalar over {SOLVES} solves"
-    );
+    for (mode, per_solve_ceiling) in [
+        (GradientMode::Adjoint, 6),
+        (GradientMode::Serial, 6),
+        (GradientMode::GaussNewton, 10),
+    ] {
+        let counts = HORIZONS.map(|h| steady_allocs(mode, h));
+        // No per-step or per-rollout allocations: quadrupling the
+        // horizon (and with it every rollout's length, and under finite
+        // differences the rollouts per gradient) changes nothing.
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "{mode:?}: steady-state allocations scale with the horizon \
+             (h = {HORIZONS:?}: {counts:?})"
+        );
+        assert!(
+            counts[0] <= per_solve_ceiling * SOLVES,
+            "{mode:?}: {} allocations over {SOLVES} solves, ceiling {per_solve_ceiling}/solve",
+            counts[0]
+        );
+    }
 }
