@@ -78,22 +78,34 @@ impl AgingParams {
     /// direction.
     #[inline]
     pub fn loss_rate(&self, temperature: Kelvin, c_rate: f64) -> f64 {
-        let t = temperature.value().max(200.0);
-        self.l1 * (-self.l2 / (GAS_CONSTANT * t)).exp() * c_rate.abs().powf(self.l3)
+        self.loss_rate_and_arrhenius(temperature, c_rate).0
     }
 
-    /// [`AgingParams::loss_rate`] together with its partial derivatives:
-    /// `(rate, ∂rate/∂T, ∂rate/∂|c|·sign(c))`. The rate is computed in
-    /// exactly the operation order of the plain path (bit-identical);
-    /// the shared Arrhenius exponential is evaluated once. Below the
-    /// 200 K evaluation floor the temperature partial is zero (clamp
-    /// active); at zero C-rate the stress partial is zero (the
-    /// `|c|^(l3−1)` factor vanishes for `l3 > 1`).
+    /// [`AgingParams::loss_rate`] together with its Arrhenius factor
+    /// `e^(−l2/(R·T))`, so [`AgingParams::loss_rate_partials`] can price
+    /// the partials later without evaluating it again. The rate is
+    /// [`AgingParams::loss_rate`]'s, bit for bit.
     #[inline]
-    pub fn loss_rate_and_partials(&self, temperature: Kelvin, c_rate: f64) -> (f64, f64, f64) {
+    pub fn loss_rate_and_arrhenius(&self, temperature: Kelvin, c_rate: f64) -> (f64, f64) {
         let t = temperature.value().max(200.0);
         let arrhenius = (-self.l2 / (GAS_CONSTANT * t)).exp();
-        let rate = self.l1 * arrhenius * c_rate.abs().powf(self.l3);
+        (self.l1 * arrhenius * c_rate.abs().powf(self.l3), arrhenius)
+    }
+
+    /// `(∂rate/∂T, ∂rate/∂|c|·sign(c))` at one operating point, from the
+    /// rate and Arrhenius factor [`AgingParams::loss_rate_and_arrhenius`]
+    /// returned there. Below the 200 K evaluation floor the temperature
+    /// partial is zero (clamp active); at zero C-rate the stress partial
+    /// is zero (the `|c|^(l3−1)` factor vanishes for `l3 > 1`).
+    #[inline]
+    pub fn loss_rate_partials(
+        &self,
+        temperature: Kelvin,
+        c_rate: f64,
+        rate: f64,
+        arrhenius: f64,
+    ) -> (f64, f64) {
+        let t = temperature.value().max(200.0);
         let d_temp = if temperature.value() > 200.0 {
             rate * self.l2 / (GAS_CONSTANT * t * t)
         } else {
@@ -104,6 +116,16 @@ impl AgingParams {
         } else {
             self.l1 * arrhenius * self.l3 * c_rate.abs().powf(self.l3 - 1.0) * c_rate.signum()
         };
+        (d_temp, d_c)
+    }
+
+    /// [`AgingParams::loss_rate`] together with its partial derivatives:
+    /// `(rate, ∂rate/∂T, ∂rate/∂|c|·sign(c))`, sharing one Arrhenius
+    /// exponential. The rate is bit-identical to the plain path.
+    #[inline]
+    pub fn loss_rate_and_partials(&self, temperature: Kelvin, c_rate: f64) -> (f64, f64, f64) {
+        let (rate, arrhenius) = self.loss_rate_and_arrhenius(temperature, c_rate);
+        let (d_temp, d_c) = self.loss_rate_partials(temperature, c_rate, rate, arrhenius);
         (rate, d_temp, d_c)
     }
 }

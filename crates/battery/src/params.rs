@@ -50,26 +50,15 @@ impl OcvCurve {
     /// Evaluates `V_oc` at the given state of charge.
     #[inline]
     pub fn voltage(&self, soc: Ratio) -> Volts {
-        let s = soc.value();
-        let s2 = s * s;
-        Volts::new(
-            self.v1 * (self.v2 * s).exp()
-                + self.v3 * s2 * s2
-                + self.v4 * s2 * s
-                + self.v5 * s2
-                + self.v6 * s
-                + self.v7,
-        )
+        self.voltage_and_exponential(soc).0
     }
 
-    /// Evaluates `V_oc` and its slope `dV_oc/dSoC` in one pass, sharing
-    /// the single exponential between value and derivative. The voltage
-    /// term order matches [`OcvCurve::voltage`] exactly, so the value
-    /// component is bit-identical to the plain path — the adjoint
-    /// backward sweep differentiates precisely the voltage the forward
-    /// rollout produced.
+    /// [`OcvCurve::voltage`] together with its one exponential
+    /// `e^(v2·s)`, so [`OcvCurve::slope_from_exponential`] can price the
+    /// slope later without evaluating it again. The voltage is
+    /// [`OcvCurve::voltage`]'s, bit for bit.
     #[inline]
-    pub fn voltage_and_slope(&self, soc: Ratio) -> (Volts, f64) {
+    pub fn voltage_and_exponential(&self, soc: Ratio) -> (Volts, f64) {
         let s = soc.value();
         let s2 = s * s;
         let e = (self.v2 * s).exp();
@@ -79,12 +68,21 @@ impl OcvCurve {
             + self.v5 * s2
             + self.v6 * s
             + self.v7;
-        let slope = self.v1 * self.v2 * e
+        (Volts::new(v), e)
+    }
+
+    /// `dV_oc/dSoC` at `soc`, from the exponential
+    /// [`OcvCurve::voltage_and_exponential`] returned for the same state
+    /// of charge.
+    #[inline]
+    pub fn slope_from_exponential(&self, soc: Ratio, exponential: f64) -> f64 {
+        let s = soc.value();
+        let s2 = s * s;
+        self.v1 * self.v2 * exponential
             + 4.0 * self.v3 * s2 * s
             + 3.0 * self.v4 * s2
             + 2.0 * self.v5 * s
-            + self.v6;
-        (Volts::new(v), slope)
+            + self.v6
     }
 }
 
@@ -132,23 +130,16 @@ impl ResistanceCurve {
     /// cell temperature.
     #[inline]
     pub fn resistance(&self, soc: Ratio, temperature: Kelvin) -> Ohms {
-        let s = soc.value();
-        let base = self.r1 * (self.r2 * s).exp() + self.r3;
-        let t = temperature.value().max(200.0);
-        let factor = (self.temperature_sensitivity
-            * (1.0 / t - 1.0 / self.reference_temperature.value()))
-        .exp();
-        Ohms::new(base * factor)
+        self.resistance_and_exponentials(soc, temperature).0
     }
 
-    /// Resistance plus its partial derivatives `(R, ∂R/∂SoC, ∂R/∂T)` in
-    /// one pass, sharing the two exponentials between value and slopes.
-    /// The value is computed in exactly the operation order of
-    /// [`ResistanceCurve::resistance`], so it is bit-identical to the
-    /// plain path. Below the 200 K evaluation floor the temperature
-    /// partial is zero (the clamp is active).
+    /// [`ResistanceCurve::resistance`] together with its two
+    /// exponentials, the state-of-charge term `e^(r2·s)` and the
+    /// Arrhenius factor, so [`ResistanceCurve::slopes_from_exponentials`]
+    /// can price the slopes later without evaluating them again. The
+    /// resistance is [`ResistanceCurve::resistance`]'s, bit for bit.
     #[inline]
-    pub fn resistance_and_slopes(&self, soc: Ratio, temperature: Kelvin) -> (Ohms, f64, f64) {
+    pub fn resistance_and_exponentials(&self, soc: Ratio, temperature: Kelvin) -> (Ohms, f64, f64) {
         let s = soc.value();
         let e = (self.r2 * s).exp();
         let base = self.r1 * e + self.r3;
@@ -156,13 +147,29 @@ impl ResistanceCurve {
         let factor = (self.temperature_sensitivity
             * (1.0 / t - 1.0 / self.reference_temperature.value()))
         .exp();
-        let d_soc = self.r1 * self.r2 * e * factor;
+        (Ohms::new(base * factor), e, factor)
+    }
+
+    /// `(∂R/∂SoC, ∂R/∂T)` at `temperature`, from the exponentials
+    /// [`ResistanceCurve::resistance_and_exponentials`] returned for the
+    /// same operating point. Below the 200 K evaluation floor the
+    /// temperature partial is zero (the clamp is active).
+    #[inline]
+    pub fn slopes_from_exponentials(
+        &self,
+        temperature: Kelvin,
+        exponential: f64,
+        factor: f64,
+    ) -> (f64, f64) {
+        let base = self.r1 * exponential + self.r3;
+        let t = temperature.value().max(200.0);
+        let d_soc = self.r1 * self.r2 * exponential * factor;
         let d_temp = if temperature.value() > 200.0 {
             base * factor * (-self.temperature_sensitivity / (t * t))
         } else {
             0.0
         };
-        (Ohms::new(base * factor), d_soc, d_temp)
+        (d_soc, d_temp)
     }
 }
 
@@ -181,9 +188,10 @@ impl Default for ResistanceCurve {
 /// forward rollout and the adjoint backward pass want, since the adjoint
 /// needs exactly the segment slope the forward interpolation used.
 /// Tabulated `V_oc(SoC)` / `R(SoC, T)` curves (e.g. from datasheet
-/// points rather than the analytic fits) plug into the same fused-lookup
-/// discipline the analytic paths get from
-/// [`OcvCurve::voltage_and_slope`] / [`ResistanceCurve::resistance_and_slopes`].
+/// points rather than the analytic fits) plug into the same discipline
+/// the analytic paths get from [`OcvCurve::slope_from_exponential`] /
+/// [`ResistanceCurve::slopes_from_exponentials`]: the slope is read from
+/// what the value evaluation already computed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlopeTable {
     /// First knot abscissa.
@@ -426,7 +434,8 @@ mod tests {
         let ocv = OcvCurve::default();
         for i in 0..=200 {
             let soc = Ratio::new(i as f64 / 200.0);
-            let (v, slope) = ocv.voltage_and_slope(soc);
+            let (v, e) = ocv.voltage_and_exponential(soc);
+            let slope = ocv.slope_from_exponential(soc, e);
             assert_eq!(
                 v.value().to_bits(),
                 ocv.voltage(soc).value().to_bits(),
@@ -437,7 +446,8 @@ mod tests {
             let fd = (ocv.voltage(Ratio::new(s + h)).value()
                 - ocv.voltage(Ratio::new(s - h)).value())
                 / (2.0 * h);
-            let (_, slope_mid) = ocv.voltage_and_slope(Ratio::new(s));
+            let (_, e_mid) = ocv.voltage_and_exponential(Ratio::new(s));
+            let slope_mid = ocv.slope_from_exponential(Ratio::new(s), e_mid);
             assert!(
                 (slope_mid - fd).abs() <= 1e-5 * fd.abs().max(1.0),
                 "slope {slope_mid} vs FD {fd} at SoC {s}; boundary slope {slope}"
@@ -452,7 +462,8 @@ mod tests {
             let soc = Ratio::new(0.02 + 0.96 * i as f64 / 20.0);
             for celsius in [-10.0, 5.0, 25.0, 45.0] {
                 let t = Kelvin::from_celsius(celsius);
-                let (ohms, d_soc, d_temp) = r.resistance_and_slopes(soc, t);
+                let (ohms, e, factor) = r.resistance_and_exponentials(soc, t);
+                let (d_soc, d_temp) = r.slopes_from_exponentials(t, e, factor);
                 assert_eq!(
                     ohms.value().to_bits(),
                     r.resistance(soc, t).value().to_bits(),
@@ -480,7 +491,8 @@ mod tests {
     #[test]
     fn resistance_temperature_slope_is_zero_below_evaluation_floor() {
         let r = ResistanceCurve::default();
-        let (_, _, d_temp) = r.resistance_and_slopes(Ratio::HALF, Kelvin::new(150.0));
+        let (_, e, factor) = r.resistance_and_exponentials(Ratio::HALF, Kelvin::new(150.0));
+        let (_, d_temp) = r.slopes_from_exponentials(Kelvin::new(150.0), e, factor);
         assert_eq!(d_temp, 0.0, "clamped Arrhenius floor must kill ∂R/∂T");
     }
 

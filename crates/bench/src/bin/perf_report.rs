@@ -8,8 +8,9 @@
 //! Adjoint vs [`GradientMode::GaussNewton`] under a raised iteration
 //! budget to measure *iterations to tolerance*, and writes
 //! `BENCH_mpc.json` (per-solve latency, rollouts/second, solves/second,
-//! iteration counts, solver-outcome distributions, speedups) so later
-//! changes have a baseline to compare against.
+//! forward passes and differentiated points per solve, iteration counts,
+//! solver-outcome distributions, speedups) so later changes have a
+//! baseline to compare against.
 //!
 //! Usage:
 //! `cargo run --release -p otem-bench --bin perf_report -- [--gradient adjoint|gauss-newton]`
@@ -28,9 +29,10 @@ use otem::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem::SystemConfig;
 use otem_hees::HybridHees;
 use otem_solver::{GradientMode, SolverOutcome};
-use otem_telemetry::{JsonlSink, MetricsRegistry, NullSink, Sink};
+use otem_telemetry::{Event, JsonlSink, MetricsRegistry, NullSink, Sink};
 use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 const HORIZONS: [usize; 3] = [12, 24, 48];
@@ -114,11 +116,28 @@ impl OutcomeCounts {
     }
 }
 
+/// Counts [`Event::GradientEval`]s: one per point the solver
+/// differentiated (one derivative assembly in the adjoint-family modes,
+/// one finite-difference stencil in the serial mode).
+#[derive(Default)]
+struct GradientCounter(AtomicU64);
+
+impl Sink for GradientCounter {
+    fn record(&self, event: Event) {
+        if matches!(event, Event::GradientEval { .. }) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 struct ModeStats {
     mean_ms: f64,
     min_ms: f64,
     rollouts_per_sec: f64,
     rollouts_per_solve: f64,
+    /// Points differentiated per solve; a forward pass that is not one
+    /// (a rejected line-search trial) pays for values only.
+    differentiated_per_solve: f64,
     solves_per_sec: f64,
     mean_iterations: f64,
     outcomes: OutcomeCounts,
@@ -144,11 +163,15 @@ fn run_mode(
         ..MpcConfig::default()
     });
     let dt = Seconds::new(1.0);
-    // Warm-up solve: populates the workspace pool and the warm start, so
+    // Warm-up solve: builds the rollout workspace and the warm start, so
     // the timed repetitions measure the steady state. Only this solve is
     // traced — the timed loop below runs unobserved so the telemetry
     // writer cannot pollute the latency numbers.
     let first = mpc.solve_with(p, loads, dt, sink);
+    // Solves are deterministic, so an observed replay of the timed
+    // repetitions on a copy counts their gradients without a sink in
+    // the timed loop.
+    let mut replay = mpc.clone();
     let rollouts_before = mpc.rollouts();
     let mut latencies_ms = Vec::with_capacity(REPS);
     let mut outcomes = OutcomeCounts::default();
@@ -166,11 +189,21 @@ fn run_mode(
     }
     let elapsed = started.elapsed().as_secs_f64();
     let rollouts = mpc.rollouts() - rollouts_before;
+    let gradients = GradientCounter::default();
+    for _ in 0..REPS {
+        replay.solve_with(p, loads, dt, &gradients);
+    }
+    assert_eq!(
+        replay.rollouts(),
+        mpc.rollouts(),
+        "the replay diverged from the timed solves"
+    );
     ModeStats {
         mean_ms: latencies_ms.iter().sum::<f64>() / REPS as f64,
         min_ms: latencies_ms.iter().copied().fold(f64::INFINITY, f64::min),
         rollouts_per_sec: rollouts as f64 / elapsed,
         rollouts_per_solve: rollouts as f64 / REPS as f64,
+        differentiated_per_solve: gradients.0.load(Ordering::Relaxed) as f64 / REPS as f64,
         solves_per_sec: REPS as f64 / elapsed,
         mean_iterations: iters_total as f64 / REPS as f64,
         outcomes,
@@ -388,12 +421,13 @@ fn main() {
         let mode_json = |s: &ModeStats| {
             format!(
                 "{{ \"mean_ms\": {:.4}, \"min_ms\": {:.4}, \"rollouts_per_sec\": {:.0}, \
-                 \"rollouts_per_solve\": {:.1}, \"solves_per_sec\": {:.1}, \
-                 \"mean_iterations\": {:.1}, \"outcomes\": {} }}",
+                 \"rollouts_per_solve\": {:.1}, \"differentiated_per_solve\": {:.1}, \
+                 \"solves_per_sec\": {:.1}, \"mean_iterations\": {:.1}, \"outcomes\": {} }}",
                 s.mean_ms,
                 s.min_ms,
                 s.rollouts_per_sec,
                 s.rollouts_per_solve,
+                s.differentiated_per_solve,
                 s.solves_per_sec,
                 s.mean_iterations,
                 s.outcomes.json()

@@ -3,10 +3,11 @@
 //! Finite differences price a gradient at `4·horizon` rollouts (central
 //! differences over `2·horizon` coordinates). The adjoint method gets
 //! the same gradient from **one** rollout: a forward pass records, per
-//! horizon step, the exact Jacobian of the executed branch of every
-//! component model (the *tape*), and a backward sweep chain-rules the
-//! stage costs and the terminal TEB penalty through that tape back to
-//! the decision vector.
+//! horizon step, the operating point of the executed branch of every
+//! component model (the *tape*), the exact Jacobians of those branches
+//! are assembled from it, and a backward sweep chain-rules the stage
+//! costs and the terminal TEB penalty through them back to the decision
+//! vector.
 //!
 //! # Derivation sketch
 //!
@@ -42,15 +43,14 @@
 //! keeps the production adjoint mode on the same closed-loop physics
 //! as the FD golden trace (`tests/golden/otem_fd.csv`).
 //!
-//! There is one rollout implementation: [`rollout_cost_taped`] with
-//! `tape = None` is the plain cost evaluation
-//! ([`crate::mpc::rollout_cost`] delegates to it), and with a tape it
-//! runs the identical arithmetic through
-//! [`otem_hees::HybridHees::step_prepared`] with a Jacobian and the fused
-//! [`otem_battery::AgingParams::loss_rate_and_partials`] — bit-identical
-//! costs by construction, so taping cannot perturb the objective. The
-//! tape also stores every partial the sweeps need, so the backward pass
-//! evaluates no model function of its own.
+//! There is one rollout implementation, [`rollout`], and it computes
+//! values only: [`crate::mpc::rollout_cost`] and every MPC objective
+//! evaluation run it, and it writes a primal [`StageRecord`] per step
+//! whatever the caller goes on to do. The derivatives are assembled from
+//! those records by [`assemble_derivatives`], only at the points a
+//! solver differentiates (see "Tape reuse" below), so the sweeps evaluate
+//! no model curve of their own and the forward arithmetic cannot depend
+//! on whether a gradient follows.
 //!
 //! # Stage constants
 //!
@@ -62,28 +62,43 @@
 //! every stage, the terminal cost and both sweeps. Within a stage each
 //! state-dependent curve is evaluated once: the plant step shares one
 //! battery curve evaluation and one bank `√SoE` between the draw, the
-//! heat law, the converter voltage and the partials. Each hoisted value
-//! is the same expression, evaluated in the same order, as the per-step
-//! code it replaced, so the hoisting changes no bit of any result.
+//! heat law and the converter voltage, and the partials reuse the
+//! recorded exponentials. Each hoisted value is the same expression,
+//! evaluated in the same order, as the per-step code it replaced, so the
+//! hoisting changes no bit of any result.
 //!
 //! # Tape reuse
 //!
-//! In the adjoint-family modes the MPC objective tapes *every*
-//! evaluation and its workspace remembers the decision vector the tape
-//! belongs to. The solvers only ask for a gradient at the trial their
-//! line search has just accepted — the last point evaluated — so the
-//! gradient runs the backward sweep (and, for Gauss-Newton,
-//! [`tape_curvature`]) on the stored tape instead of a second, identical
-//! forward pass; a gradient at any other point tapes afresh. Per solver
-//! iteration that is `L` taped trials plus one sweep, where re-taping
-//! would cost `L` plain trials, one taped forward and one sweep. The
-//! memo lives for one solve only: the start state, forecast and step
-//! change between solves while the decision vector can repeat (an
-//! all-zero cold start), so the workspace pool forgets it on every
-//! rebind.
+//! The tape is split in two. Every rollout — accepted or rejected
+//! line-search trial, finite-difference stencil point — writes the
+//! *primal* record of each stage: the pack curves with their
+//! exponentials already evaluated, the resolved battery and bank draws,
+//! the converter operating points and the pre-step state of energy
+//! ([`otem_hees::HeesStepRecord`]), the post-step state, the aging rate
+//! with its Arrhenius factor, and the cooler branch. Nothing in that
+//! pass computes a derivative.
+//!
+//! The *derivatives* — the HEES step Jacobian, the aging partials and
+//! the cooler's branch slope — are assembled from the records by
+//! [`assemble_derivatives`] with the component crates' partial formulas,
+//! in the operation order of their fused value-and-partials entry
+//! points, so a gradient assembled after the fact is bit-identical to one
+//! taken during the forward pass. The MPC workspace
+//! remembers the decision vector its records belong to. The solvers only
+//! ask for a gradient at the trial their line search has just accepted —
+//! the last point evaluated — so a gradient assembles the stored records
+//! and sweeps them instead of running a second, identical forward pass;
+//! a gradient at any other point records afresh first. The adjoint mode
+//! assembles once per gradient for [`adjoint_sweep`]; Gauss-Newton
+//! assembles once per iteration and feeds both [`adjoint_sweep`] and
+//! [`tape_curvature`]. A rejected trial pays for its values and nothing
+//! else. The memo lives for one solve only: the start state, forecast
+//! and step change between solves while the decision vector can repeat
+//! (an all-zero cold start), so the workspace forgets it at the start of
+//! every solve.
 
 use crate::mpc::{MpcConfig, MpcPlant};
-use otem_hees::{HeesStepConstants, HeesStepJacobian, HybridCommand, HybridHees};
+use otem_hees::{HeesStepConstants, HeesStepJacobian, HeesStepRecord, HybridCommand, HybridHees};
 use otem_thermal::{CrankNicolsonCoefficients, CrankNicolsonJacobian, ThermalState};
 use otem_units::{Kelvin, Seconds, Watts, GAS_CONSTANT};
 
@@ -125,22 +140,23 @@ impl StageConstants {
     }
 }
 
-/// One horizon step's forward-pass record: everything the backward sweep
-/// needs to differentiate the branch that actually executed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TapeStep {
-    /// Exact partials of the HEES power split at the executed branch.
-    jac: HeesStepJacobian,
+/// One horizon step's primal record, written by every rollout: the
+/// values the step computed, and the operating points
+/// [`assemble_derivatives`] needs to differentiate the branch that
+/// actually executed. No derivative is computed to fill it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StageRecord {
+    /// The HEES step's operating points.
+    hees: HeesStepRecord,
     /// Post-step battery temperature (K) — state of the stage aging cost
     /// and the soft-ceiling penalty.
     battery_post: f64,
-    /// Stage aging rate `ℓ(T_b, c)` and its partials `∂ℓ/∂T_b`, `∂ℓ/∂c`
-    /// at the post-step temperature and the step's per-cell C-rate,
-    /// evaluated once by the taped forward pass (the rate is the one the
-    /// stage cost summed) so neither sweep re-runs the exp/powf chain.
+    /// The step's per-cell C-rate — the aging stress input.
+    c_rate: f64,
+    /// Stage aging rate `ℓ(T_b, c)` — the one the stage cost summed — and
+    /// its Arrhenius factor, which the aging partials reuse.
     loss_rate: f64,
-    d_loss_t: f64,
-    d_loss_c: f64,
+    arrhenius: f64,
     /// Unserved load (W); its penalty is active iff positive.
     shortfall: f64,
     /// Post-step state of charge.
@@ -149,16 +165,32 @@ pub(crate) struct TapeStep {
     soe_post: f64,
     /// Commanded battery bus power (W) — state of the C6 penalty.
     battery_bus: f64,
+    /// The raw duty decision `z[n + k]`.
+    z_duty: f64,
     /// Cooler duty after clamping to `[0, 1]`.
     duty: f64,
+    /// Coolant outlet temperature (K) — the cooler's operating point.
+    outlet: f64,
     /// Achievable inlet drop `T_o − coldest(T_o)` (K).
     delta: f64,
-    /// `∂coldest/∂T_o` at the outlet — branch indicator of the plant.
-    dcoldest: f64,
     /// Whether the cooler drew power (`duty·Δ > 0`) — or would at any
     /// positive duty (`duty = 0`, `Δ > 0`): the branch a one-sided duty
     /// perturbation executes, which is what the duty gradient prices.
     cooler_active: bool,
+}
+
+/// One horizon step's derivatives, assembled from its [`StageRecord`]
+/// by [`assemble_derivatives`] and read by both sweeps.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StageDerivatives {
+    /// Exact partials of the HEES power split at the executed branch.
+    jac: HeesStepJacobian,
+    /// The aging partials `∂ℓ/∂T_b`, `∂ℓ/∂c` at the post-step
+    /// temperature and the step's C-rate.
+    d_loss_t: f64,
+    d_loss_c: f64,
+    /// `∂coldest/∂T_o` at the outlet — branch indicator of the plant.
+    dcoldest: f64,
     /// Chain factor of the duty clamp, matched to the central-difference
     /// subgradient convention the golden traces were blessed with: `1`
     /// strictly inside `(0, 1)`, `½` exactly *on* a bound (a central
@@ -169,32 +201,30 @@ pub(crate) struct TapeStep {
 
 /// Simulates the horizon under the candidate controls `z` and returns
 /// the Eq. 19 cost plus constraint penalties — the single rollout
-/// implementation behind both the MPC objective and the adjoint forward
-/// pass. With `tape = Some(..)` each step additionally records a
-/// [`TapeStep`] (the vector is cleared first and its capacity reused);
-/// the forward arithmetic is identical either way.
+/// implementation behind the MPC objective and every standalone entry
+/// point. Computes values only, and overwrites `tape` with one
+/// [`StageRecord`] per step (resized to the horizon, its capacity
+/// reused).
 ///
 /// `hees` must already be in the plant's start state
 /// (`hees == plant.hees`); it is left in the end-of-horizon state.
-/// Allocation-free once the tape has reached horizon capacity.
-pub(crate) fn rollout_cost_taped(
+/// Allocation-free once the tape has reached horizon length.
+pub(crate) fn rollout(
     plant: &MpcPlant,
     hees: &mut HybridHees,
     loads: &[Watts],
     stage: &StageConstants,
     config: &MpcConfig,
     z: &[f64],
-    mut tape: Option<&mut Vec<TapeStep>>,
+    tape: &mut Vec<StageRecord>,
 ) -> f64 {
     let n = config.horizon;
     debug_assert_eq!(z.len(), 2 * n);
+    tape.resize(n, StageRecord::default());
     let mut state = plant.state;
     let mut cost = 0.0;
-    if let Some(t) = tape.as_deref_mut() {
-        t.clear();
-    }
 
-    for k in 0..n {
+    for (k, record) in tape.iter_mut().enumerate() {
         let load = loads.get(k).copied().unwrap_or(Watts::ZERO);
         state = rollout_stage(
             plant,
@@ -206,7 +236,7 @@ pub(crate) fn rollout_cost_taped(
             stage,
             config,
             &mut cost,
-            tape.as_deref_mut(),
+            record,
         );
     }
 
@@ -218,9 +248,9 @@ pub(crate) fn rollout_cost_taped(
 /// thermal update, and the Eq. 19 stage cost.
 ///
 /// Accumulates directly into the caller's `cost` (preserving the
-/// rollout's float summation order) and returns the post-step thermal
-/// state. `z_cap`/`z_duty` are the step's raw decision entries
-/// (`z[k]`, `z[n + k]`).
+/// rollout's float summation order), writes the step's primal `record`
+/// and returns the post-step thermal state. `z_cap`/`z_duty` are the
+/// step's raw decision entries (`z[k]`, `z[n + k]`).
 #[allow(clippy::too_many_arguments)]
 fn rollout_stage(
     plant: &MpcPlant,
@@ -232,7 +262,7 @@ fn rollout_stage(
     stage: &StageConstants,
     config: &MpcConfig,
     cost: &mut f64,
-    tape: Option<&mut Vec<TapeStep>>,
+    record: &mut StageRecord,
 ) -> ThermalState {
     let dtv = stage.dt().value();
     let cap_bus = Watts::new(z_cap * plant.cap_power_max.value());
@@ -256,31 +286,15 @@ fn rollout_stage(
         battery_bus,
         cap_bus,
     };
-    let mut jac = HeesStepJacobian::default();
-    let step = hees.step_prepared(
-        command,
-        state.battery,
-        &stage.hees,
-        tape.is_some().then_some(&mut jac),
-    );
+    let step = hees.step_prepared(command, state.battery, &stage.hees, &mut record.hees);
 
     state = stage.cn.step(state, step.battery_heat, action.inlet);
 
     // --- Eq. 19 terms ---------------------------------------------
     *cost += config.w1 * cooling_electric.value() * dtv;
-    // The fused evaluation's rate is bit-identical to `loss_rate`; only
-    // a taped pass pays for the partials.
-    let (loss_rate, d_loss_t, d_loss_c) = if tape.is_some() {
-        plant
-            .aging
-            .loss_rate_and_partials(state.battery, step.battery_c_rate)
-    } else {
-        (
-            plant.aging.loss_rate(state.battery, step.battery_c_rate),
-            0.0,
-            0.0,
-        )
-    };
+    let (loss_rate, arrhenius) = plant
+        .aging
+        .loss_rate_and_arrhenius(state.battery, step.battery_c_rate);
     *cost += config.w2 * (loss_rate * dtv);
     *cost += config.w3 * step.hees_power().value() * dtv;
 
@@ -297,33 +311,19 @@ fn rollout_stage(
     let over_p = (battery_bus.value().abs() - plant.battery_power_max.value()).max(0.0);
     *cost += config.power_penalty * over_p * over_p;
 
-    if let Some(t) = tape {
-        t.push(TapeStep {
-            jac,
-            battery_post: state.battery.value(),
-            loss_rate,
-            d_loss_t,
-            d_loss_c,
-            shortfall: step.shortfall.value(),
-            soc_post: hees.soc().value(),
-            soe_post: hees.soe().value(),
-            battery_bus: battery_bus.value(),
-            duty,
-            delta: outlet.value() - coldest.value(),
-            dcoldest: plant.plant.coldest_inlet_slope(outlet),
-            cooler_active: action.cooler_power.value() > 0.0 || (duty == 0.0 && outlet > coldest),
-            duty_gain: {
-                let raw = z_duty;
-                if raw == 0.0 || raw == 1.0 {
-                    0.5
-                } else if (0.0..=1.0).contains(&raw) {
-                    1.0
-                } else {
-                    0.0
-                }
-            },
-        });
-    }
+    record.battery_post = state.battery.value();
+    record.c_rate = step.battery_c_rate;
+    record.loss_rate = loss_rate;
+    record.arrhenius = arrhenius;
+    record.shortfall = step.shortfall.value();
+    record.soc_post = hees.soc().value();
+    record.soe_post = hees.soe().value();
+    record.battery_bus = battery_bus.value();
+    record.z_duty = z_duty;
+    record.duty = duty;
+    record.outlet = outlet.value();
+    record.delta = outlet.value() - coldest.value();
+    record.cooler_active = action.cooler_power.value() > 0.0 || (duty == 0.0 && outlet > coldest);
     state
 }
 
@@ -365,18 +365,58 @@ fn terminal_c_rate(plant: &MpcPlant, loads: &[Watts], n: usize) -> f64 {
     (cell_current / pack.cell().effective_capacity().value()).max(0.2)
 }
 
-/// Backward sweep over a recorded tape: chain-rules every stage cost and
-/// the terminal tail back through the thermal, HEES, and cooling-plant
-/// Jacobians, writing `∂J/∂z` into `grad` (layout
-/// `[cap_share_0..n-1, cool_duty_0..n-1]`). One pass, no rollouts.
+/// Assembles every stage's derivatives from its primal record into
+/// `derivatives` (cleared first, capacity reused): the HEES step
+/// Jacobian ([`HybridHees::step_jacobian`]), the aging partials
+/// ([`otem_battery::AgingParams::loss_rate_partials`], reusing the
+/// recorded rate and Arrhenius factor), the cooler's branch slope and
+/// the duty-clamp chain factor. The one derivative pass of a gradient;
+/// both sweeps read its output.
+pub(crate) fn assemble_derivatives(
+    plant: &MpcPlant,
+    stage: &StageConstants,
+    tape: &[StageRecord],
+    derivatives: &mut Vec<StageDerivatives>,
+) {
+    derivatives.clear();
+    derivatives.extend(tape.iter().map(|t| {
+        let (d_loss_t, d_loss_c) = plant.aging.loss_rate_partials(
+            Kelvin::new(t.battery_post),
+            t.c_rate,
+            t.loss_rate,
+            t.arrhenius,
+        );
+        StageDerivatives {
+            jac: plant.hees.step_jacobian(&t.hees, &stage.hees),
+            d_loss_t,
+            d_loss_c,
+            dcoldest: plant.plant.coldest_inlet_slope(Kelvin::new(t.outlet)),
+            duty_gain: if t.z_duty == 0.0 || t.z_duty == 1.0 {
+                0.5
+            } else if (0.0..=1.0).contains(&t.z_duty) {
+                1.0
+            } else {
+                0.0
+            },
+        }
+    }));
+}
+
+/// Backward sweep over a recorded tape and its assembled derivatives:
+/// chain-rules every stage cost and the terminal tail back through the
+/// thermal, HEES, and cooling-plant Jacobians, writing `∂J/∂z` into
+/// `grad` (layout `[cap_share_0..n-1, cool_duty_0..n-1]`). One pass, no
+/// rollouts.
 pub(crate) fn adjoint_sweep(
     plant: &MpcPlant,
     stage: &StageConstants,
     config: &MpcConfig,
-    tape: &[TapeStep],
+    tape: &[StageRecord],
+    derivatives: &[StageDerivatives],
     grad: &mut [f64],
 ) {
     let n = tape.len();
+    debug_assert_eq!(derivatives.len(), n);
     debug_assert_eq!(n, config.horizon);
     debug_assert_eq!(grad.len(), 2 * n);
     if n == 0 {
@@ -404,13 +444,13 @@ pub(crate) fn adjoint_sweep(
     }
 
     for k in (0..n).rev() {
-        let t = &tape[k];
-        let j = &t.jac;
+        let (t, d) = (&tape[k], &derivatives[k]);
+        let j = &d.jac;
 
         // Total adjoints of the post-step state: the incoming λ plus the
         // stage cost's own dependence on it (aging and soft penalties).
         let over_t = (t.battery_post - config.temp_soft.value()).max(0.0);
-        let g_tb = l_tb + config.w2 * dtv * t.d_loss_t + 2.0 * config.temp_penalty * over_t;
+        let g_tb = l_tb + config.w2 * dtv * d.d_loss_t + 2.0 * config.temp_penalty * over_t;
         let g_tc = l_tc;
         let soc_short = (plant.soc_min.value() - t.soc_post).max(0.0);
         let soe_short = (plant.soe_min.value() - t.soe_post).max(0.0);
@@ -423,7 +463,7 @@ pub(crate) fn adjoint_sweep(
         let l_delivered = -2.0 * config.shortfall_penalty * t.shortfall;
         let l_net = 2.0 * config.shortfall_penalty * t.shortfall;
         let l_internal = config.w3 * dtv;
-        let l_crate = config.w2 * dtv * t.d_loss_c;
+        let l_crate = config.w2 * dtv * d.d_loss_c;
         let l_heat = g_tb * jt.d_battery_heat[0] + g_tc * jt.d_battery_heat[1];
         let g_inlet = g_tb * jt.d_inlet[0] + g_tc * jt.d_inlet[1];
 
@@ -454,14 +494,14 @@ pub(crate) fn adjoint_sweep(
         let active = if t.cooler_active { 1.0 } else { 0.0 };
         let d_ce_d_duty = active * flow_over_eff * t.delta + pump;
         let d_inlet_d_duty = -t.delta;
-        grad[n + k] = t.duty_gain * (a_ce * d_ce_d_duty + g_inlet * d_inlet_d_duty);
+        grad[n + k] = d.duty_gain * (a_ce * d_ce_d_duty + g_inlet * d_inlet_d_duty);
 
         // Chain to the pre-step state. The coolant temperature feeds the
         // thermal map directly *and* the actuation chain (outlet →
         // coldest → Δ → inlet, cooling power); the HEES step saw the
         // pre-step battery temperature and states of charge/energy.
-        let d_inlet_d_tc = 1.0 - t.duty * (1.0 - t.dcoldest);
-        let d_ce_d_tc = active * flow_over_eff * t.duty * (1.0 - t.dcoldest);
+        let d_inlet_d_tc = 1.0 - t.duty * (1.0 - d.dcoldest);
+        let d_ce_d_tc = active * flow_over_eff * t.duty * (1.0 - d.dcoldest);
         l_tb =
             g_tb * jt.d_battery[0] + g_tc * jt.d_coolant[0] + a[HeesStepJacobian::IN_TEMPERATURE];
         l_tc = g_tb * jt.d_battery[1]
@@ -512,7 +552,8 @@ impl CurvatureScratch {
 }
 
 /// Generalized Gauss-Newton curvature of the rollout objective from the
-/// *same* tape the gradient sweep consumes — no new model derivatives.
+/// *same* tape and assembled derivatives the gradient sweep consumes —
+/// no new model derivatives.
 ///
 /// Every constraint penalty in the objective is a genuine weighted
 /// square `p·relu(r)²`, so its Gauss-Newton block is the exact
@@ -549,11 +590,13 @@ pub(crate) fn tape_curvature(
     plant: &MpcPlant,
     stage: &StageConstants,
     config: &MpcConfig,
-    tape: &[TapeStep],
+    tape: &[StageRecord],
+    derivatives: &[StageDerivatives],
     scratch: &mut CurvatureScratch,
     hess: &mut [f64],
 ) {
     let n = tape.len();
+    debug_assert_eq!(derivatives.len(), n);
     let m = 2 * n;
     debug_assert_eq!(hess.len(), m * m);
     hess.fill(0.0);
@@ -567,19 +610,19 @@ pub(crate) fn tape_curvature(
     let cap_max = plant.cap_power_max.value();
     scratch.reset(m);
 
-    for (k, t) in tape.iter().enumerate().take(n) {
-        let j = &t.jac;
+    for (k, (t, d)) in tape.iter().zip(derivatives).enumerate() {
+        let j = &d.jac;
         let active = if t.cooler_active { 1.0 } else { 0.0 };
         let d_ce_d_duty = active * flow_over_eff * t.delta + pump;
-        let d_ce_d_tc = active * flow_over_eff * t.duty * (1.0 - t.dcoldest);
+        let d_ce_d_tc = active * flow_over_eff * t.duty * (1.0 - d.dcoldest);
         let d_inlet_d_duty = -t.delta;
-        let d_inlet_d_tc = 1.0 - t.duty * (1.0 - t.dcoldest);
+        let d_inlet_d_tc = 1.0 - t.duty * (1.0 - d.dcoldest);
         let p_sign = t.battery_bus.signum();
-        let aging = aging_eigenpair(plant, config, t);
+        let aging = aging_eigenpair(plant, config, t, d);
 
         for col in 0..m {
             let d_cap = if col == k { cap_max } else { 0.0 };
-            let d_duty = if col == n + k { t.duty_gain } else { 0.0 };
+            let d_duty = if col == n + k { d.duty_gain } else { 0.0 };
             let s_tb = scratch.s_tb[col];
             let s_tc = scratch.s_tc[col];
 
@@ -673,11 +716,16 @@ pub(crate) fn tape_curvature(
 /// convex) negative eigenvalue and returns the dominant eigenpair as
 /// `(e_T, e_c, λ₊)`, or `None` when the term carries no curvature
 /// (`w₂ = 0`, zero loss, or a degenerate eigenvector).
-fn aging_eigenpair(plant: &MpcPlant, config: &MpcConfig, t: &TapeStep) -> Option<(f64, f64, f64)> {
+fn aging_eigenpair(
+    plant: &MpcPlant,
+    config: &MpcConfig,
+    t: &StageRecord,
+    d: &StageDerivatives,
+) -> Option<(f64, f64, f64)> {
     if config.w2 <= 0.0 {
         return None;
     }
-    let (loss, d_t, d_c) = (t.loss_rate, t.d_loss_t, t.d_loss_c);
+    let (loss, d_t, d_c) = (t.loss_rate, d.d_loss_t, d.d_loss_c);
     if loss <= 1e-30 {
         return None;
     }

@@ -22,7 +22,7 @@
 //! warm-started from the previous period's shifted solution (standard
 //! receding-horizon practice).
 
-use crate::adjoint::StageConstants;
+use crate::adjoint::{CurvatureScratch, StageConstants, StageDerivatives, StageRecord};
 use otem_battery::AgingParams;
 use otem_hees::{HeesSnapshot, HybridHees};
 use otem_solver::{
@@ -34,8 +34,8 @@ use otem_telemetry::{span, Event, NullSink, Sink};
 use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 /// Tuning of the OTEM optimisation (Eq. 19 weights, horizon, penalties).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -191,12 +191,25 @@ pub struct Mpc {
     // reused across every control period.
     bounds: Bounds,
     x0: Vec<f64>,
-    pool: WorkspacePool,
+    /// The rollout workspace, built on the first solve and held across
+    /// solves; a solve owns it outright while it runs.
+    workspace: Option<RolloutWorkspace>,
+    /// Forward passes run by every solve so far.
+    rollouts: u64,
 }
 
 impl Mpc {
     /// Builds an optimiser with the given tuning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.horizon` is zero: a zero-step window has no
+    /// first move to apply.
     pub fn new(config: MpcConfig) -> Self {
+        assert!(
+            config.horizon > 0,
+            "MpcConfig::horizon must be at least 1 step: a zero-step window has no first move"
+        );
         let solver = ProjectedGradient {
             max_iterations: config.solver_iterations,
             tolerance: 1e-5,
@@ -216,7 +229,8 @@ impl Mpc {
             clock: Arc::new(MonotonicClock::new()),
             bounds: Bounds::new(lower, upper),
             x0: vec![0.0; 2 * n],
-            pool: WorkspacePool::new(),
+            workspace: None,
+            rollouts: 0,
         }
     }
 
@@ -277,7 +291,7 @@ impl Mpc {
     /// gradient asked for away from the last evaluated point).
     /// Benchmarks divide this by wall time to report rollouts/second.
     pub fn rollouts(&self) -> u64 {
-        self.pool.rollouts.load(Ordering::Relaxed)
+        self.rollouts
     }
 
     /// Solves the control window given the plant snapshot and the load
@@ -289,8 +303,8 @@ impl Mpc {
 
     /// [`Mpc::solve`] with telemetry: the solve streams
     /// [`Event::SolverIteration`] / [`Event::GradientEval`] from the
-    /// inner solver, [`Event::PoolHit`] / [`Event::PoolMiss`] from the
-    /// rollout workspace pool, and [`Event::BoundClamp`] when the
+    /// inner solver, one [`Event::PoolHit`] or [`Event::PoolMiss`] for
+    /// the rollout workspace it runs on, and [`Event::BoundClamp`] when the
     /// applied first move sits pinned on a box bound (saturated
     /// ultracapacitor share at ±1, cooler duty at its ceiling — the
     /// always-active idle duty floor is deliberately not reported).
@@ -320,19 +334,11 @@ impl Mpc {
             }
         }
 
-        {
+        let workspace = {
             let _pool_span = span(sink, "pool");
-            self.pool.rebind(&plant.hees);
-        }
-        let objective = RolloutObjective {
-            plant,
-            loads,
-            config: &self.config,
-            stage: StageConstants::new(plant, loads, dt, &self.config),
-            pool: &self.pool,
-            start: plant.hees.snapshot(),
-            sink,
+            self.take_workspace(&plant.hees, sink)
         };
+        let objective = RolloutObjective::new(plant, loads, dt, &self.config, workspace, sink);
         let mut solver = self.solver;
         if let Some(cap) = self.iteration_cap {
             solver.max_iterations = solver.max_iterations.min(cap);
@@ -361,6 +367,8 @@ impl Mpc {
         } else {
             solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref())
         };
+        self.rollouts += objective.rollouts.get();
+        self.workspace = Some(objective.workspace.into_inner());
         sink.record(Event::SolveOutcome {
             outcome: outcome.name(),
             mode: self.config.gradient_mode.name(),
@@ -391,6 +399,27 @@ impl Mpc {
         };
         self.previous = Some(x);
         decision
+    }
+
+    /// The solve's workspace: the one held from the last solve when it
+    /// was built for this plant, otherwise a fresh one (the only time a
+    /// plant clone happens). After syncing state, any surviving
+    /// difference between the held plant and `source` means the caller
+    /// switched to a differently-parameterised plant, and reusing the
+    /// workspace would silently roll out the wrong model. `sink` learns
+    /// which way it went.
+    fn take_workspace(&mut self, source: &HybridHees, sink: &dyn Sink) -> RolloutWorkspace {
+        if let Some(mut ws) = self.workspace.take() {
+            ws.hees.restore(source.snapshot());
+            if ws.hees == *source {
+                // The records describe the previous solve's problem.
+                ws.taped_at.clear();
+                sink.record(Event::PoolHit);
+                return ws;
+            }
+        }
+        sink.record(Event::PoolMiss);
+        RolloutWorkspace::new(source)
     }
 }
 
@@ -425,115 +454,52 @@ fn warm_start_shift(x0: &mut [f64], prev: &[f64], n: usize, block: usize) {
     x0[2 * n - 1] = prev[2 * n - 1];
 }
 
-/// Per-evaluation scratch owned by one worker: a long-lived plant model
-/// that is rewound with [`HybridHees::restore`] before every rollout
-/// (instead of deep-cloning the plant per evaluation) plus a perturbation
-/// buffer for finite differences. Once warm, evaluating the objective or
-/// one gradient coordinate touches no allocator.
+/// Everything a solve evaluates through: a long-lived plant model that
+/// is rewound with [`HybridHees::restore`] before every rollout (instead
+/// of deep-cloning the plant per evaluation), the tape and the
+/// derivative buffers, and a perturbation buffer for finite
+/// differences. Once warm, a solve touches no allocator.
+#[derive(Clone)]
 struct RolloutWorkspace {
     hees: HybridHees,
     xp: Vec<f64>,
-    /// Adjoint tape: per-step Jacobian records written by every taped
-    /// forward pass — each objective evaluation in the adjoint-family
-    /// modes — and consumed by the backward sweep. Retains its capacity
-    /// across solves, so steady-state adjoint gradients allocate
-    /// nothing.
-    tape: Vec<crate::adjoint::TapeStep>,
+    /// Primal stage records, rewritten by every forward pass.
+    tape: Vec<StageRecord>,
     /// The decision vector `tape` was recorded at, or empty when the
     /// tape describes no point of the current solve. A gradient asked
-    /// for at a bit-equal point runs only the backward sweep. Cleared
-    /// by [`WorkspacePool::rebind`]: the start state, forecast and step
-    /// change between solves while the decision vector can repeat.
+    /// for at a bit-equal point assembles the stored records instead of
+    /// running a forward pass. Cleared at the start of every solve: the
+    /// start state, forecast and step change between solves while the
+    /// decision vector can repeat.
     taped_at: Vec<f64>,
-    /// Forward-sensitivity buffers for the Gauss-Newton curvature sweep
-    /// over the same tape; likewise capacity-retaining.
-    curvature: crate::adjoint::CurvatureScratch,
+    /// Derivatives assembled from `tape` for the last gradient.
+    derivatives: Vec<StageDerivatives>,
+    /// Forward-sensitivity buffers for the Gauss-Newton curvature sweep.
+    curvature: CurvatureScratch,
+    /// Derivative assemblies run through this workspace.
+    assemblies: u64,
 }
 
-/// Pool of [`RolloutWorkspace`]s, built on first use and retained
-/// across solves (a solve evaluates one rollout at a time, so it holds
-/// one workspace once warm).
-struct WorkspacePool {
-    slots: Mutex<Vec<RolloutWorkspace>>,
-    rollouts: AtomicU64,
-}
-
-impl WorkspacePool {
-    fn new() -> Self {
+impl RolloutWorkspace {
+    fn new(source: &HybridHees) -> Self {
         Self {
-            slots: Mutex::new(Vec::new()),
-            rollouts: AtomicU64::new(0),
-        }
-    }
-
-    /// Drops pooled workspaces whose plant no longer matches `source`
-    /// beyond its mutable state — after syncing state, any surviving
-    /// difference means the caller switched to a differently-parameterised
-    /// plant, and reusing the workspace would silently roll out the wrong
-    /// model. Runs once per solve over at most a handful of slots.
-    fn rebind(&self, source: &HybridHees) {
-        let snapshot = source.snapshot();
-        // Poisoning is not corruption here: every critical section is a
-        // plain Vec push/pop, and a panicking evaluation thread leaves the
-        // pool contents valid (at worst a workspace is lost to the
-        // panicking thread). Recover the guard instead of cascading the
-        // panic into every later solve.
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.retain_mut(|ws| {
-            ws.taped_at.clear();
-            ws.hees.restore(snapshot);
-            ws.hees == *source
-        });
-    }
-
-    /// Pops a pooled workspace, or builds one from `source` on first use
-    /// (the only time a plant clone happens). `sink` learns which way it
-    /// went — a warm pool records only [`Event::PoolHit`]s.
-    fn take(&self, source: &HybridHees, sink: &dyn Sink) -> RolloutWorkspace {
-        let pooled = self.slots.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        match pooled {
-            Some(ws) => {
-                sink.record(Event::PoolHit);
-                ws
-            }
-            None => {
-                sink.record(Event::PoolMiss);
-                RolloutWorkspace {
-                    hees: source.clone(),
-                    xp: Vec::new(),
-                    tape: Vec::new(),
-                    taped_at: Vec::new(),
-                    curvature: crate::adjoint::CurvatureScratch::default(),
-                }
-            }
-        }
-    }
-
-    fn put(&self, workspace: RolloutWorkspace) {
-        self.slots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(workspace);
-    }
-}
-
-impl Clone for WorkspacePool {
-    // Workspaces are lazily rebuilt caches; a clone starts empty but
-    // carries the rollout count so the work statistic stays monotone.
-    fn clone(&self) -> Self {
-        Self {
-            slots: Mutex::new(Vec::new()),
-            rollouts: AtomicU64::new(self.rollouts.load(Ordering::Relaxed)),
+            hees: source.clone(),
+            xp: Vec::new(),
+            tape: Vec::new(),
+            taped_at: Vec::new(),
+            derivatives: Vec::new(),
+            curvature: CurvatureScratch::default(),
+            assemblies: 0,
         }
     }
 }
 
-impl std::fmt::Debug for WorkspacePool {
+impl std::fmt::Debug for RolloutWorkspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkspacePool")
-            .field("slots", &self.slots.lock().map(|s| s.len()).unwrap_or(0))
-            .field("rollouts", &self.rollouts.load(Ordering::Relaxed))
-            .finish()
+        f.debug_struct("RolloutWorkspace")
+            .field("tape_len", &self.tape.len())
+            .field("assemblies", &self.assemblies)
+            .finish_non_exhaustive()
     }
 }
 
@@ -541,70 +507,77 @@ struct RolloutObjective<'a> {
     plant: &'a MpcPlant,
     loads: &'a [Watts],
     config: &'a MpcConfig,
-    /// The solve's decision-independent stage constants, built once in
-    /// [`Mpc::solve_with`] and shared by every rollout and sweep.
+    /// The solve's decision-independent stage constants, shared by every
+    /// rollout and sweep.
     stage: StageConstants,
-    pool: &'a WorkspacePool,
+    /// The solve's workspace; one evaluation runs at a time.
+    workspace: RefCell<RolloutWorkspace>,
+    /// Forward passes run through this objective.
+    rollouts: Cell<u64>,
     /// The plant's state when the solve began; every rollout starts by
     /// rewinding its workspace here, exactly like a fresh clone would.
     start: HeesSnapshot,
-    /// Telemetry sink for pool traffic ([`Event::PoolHit`] /
-    /// [`Event::PoolMiss`]) and `rollout` spans.
+    /// Telemetry sink for the `rollout` spans.
     sink: &'a dyn Sink,
 }
 
-impl RolloutObjective<'_> {
-    /// One rollout through a workspace plant: rewind, simulate, score.
-    fn eval_with(&self, hees: &mut HybridHees, z: &[f64]) -> f64 {
-        hees.restore(self.start);
-        self.pool.rollouts.fetch_add(1, Ordering::Relaxed);
-        crate::adjoint::rollout_cost_taped(
-            self.plant,
-            hees,
-            self.loads,
-            &self.stage,
-            self.config,
-            z,
-            None,
-        )
+impl<'a> RolloutObjective<'a> {
+    fn new(
+        plant: &'a MpcPlant,
+        loads: &'a [Watts],
+        dt: Seconds,
+        config: &'a MpcConfig,
+        workspace: RolloutWorkspace,
+        sink: &'a dyn Sink,
+    ) -> Self {
+        Self {
+            plant,
+            loads,
+            config,
+            stage: StageConstants::new(plant, loads, dt, config),
+            workspace: RefCell::new(workspace),
+            rollouts: Cell::new(0),
+            start: plant.hees.snapshot(),
+            sink,
+        }
     }
 
-    /// Central finite differences through one pooled workspace (the
-    /// [`GradientMode::Serial`] test oracle): no plant clone and no
-    /// perturbation-point allocation once warm.
-    fn gradient_fd(&self, x: &[f64], grad: &mut [f64]) {
-        let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        ws.xp.clear();
-        ws.xp.extend_from_slice(x);
-        let RolloutWorkspace { hees, xp, .. } = &mut ws;
-        NumericalGradient::central_with(xp, grad, |z| self.eval_with(hees, z));
-        self.pool.put(ws);
-    }
-
-    /// One taped rollout through a workspace: rewind, simulate, score,
+    /// One forward pass through the workspace: rewind, simulate, score,
     /// and record `z` as the point the workspace's tape belongs to.
-    fn tape_with(&self, ws: &mut RolloutWorkspace, z: &[f64]) -> f64 {
+    fn forward(&self, ws: &mut RolloutWorkspace, z: &[f64]) -> f64 {
         ws.hees.restore(self.start);
-        self.pool.rollouts.fetch_add(1, Ordering::Relaxed);
+        self.rollouts.set(self.rollouts.get() + 1);
         ws.taped_at.clear();
         ws.taped_at.extend_from_slice(z);
-        crate::adjoint::rollout_cost_taped(
+        crate::adjoint::rollout(
             self.plant,
             &mut ws.hees,
             self.loads,
             &self.stage,
             self.config,
             z,
-            Some(&mut ws.tape),
+            &mut ws.tape,
         )
     }
 
-    /// Leaves the workspace's tape recorded at `x`: reused as is when
-    /// the last taped evaluation was at a bit-equal point — the line
-    /// search's accepted trial, in every scalar-ladder iteration —
-    /// otherwise taped afresh.
-    fn ensure_tape(&self, ws: &mut RolloutWorkspace, x: &[f64]) {
+    /// Central finite differences through the workspace (the
+    /// [`GradientMode::Serial`] test oracle): no plant clone and no
+    /// perturbation-point allocation once warm.
+    fn gradient_fd(&self, x: &[f64], grad: &mut [f64]) {
+        let _rollout_span = span(self.sink, "rollout");
+        let ws = &mut *self.workspace.borrow_mut();
+        let mut xp = std::mem::take(&mut ws.xp);
+        xp.clear();
+        xp.extend_from_slice(x);
+        NumericalGradient::central_with(&mut xp, grad, |z| self.forward(ws, z));
+        ws.xp = xp;
+    }
+
+    /// Leaves the workspace's derivatives assembled at `x`, from the
+    /// stored tape when the last forward pass was at a bit-equal point —
+    /// the line search's accepted trial, in every iteration — otherwise
+    /// from a fresh one.
+    fn differentiate(&self, ws: &mut RolloutWorkspace, x: &[f64]) {
         let reusable = ws.taped_at.len() == x.len()
             && ws
                 .taped_at
@@ -612,36 +585,43 @@ impl RolloutObjective<'_> {
                 .zip(x)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
         if !reusable {
-            self.tape_with(ws, x);
+            self.forward(ws, x);
         }
+        crate::adjoint::assemble_derivatives(
+            self.plant,
+            &self.stage,
+            &ws.tape,
+            &mut ws.derivatives,
+        );
+        ws.assemblies += 1;
     }
 
-    /// Reverse-mode gradient: an allocation-free backward sweep over the
-    /// tape of `x` — the whole gradient for at most the price of a
-    /// single rollout, independent of the horizon length, and for none
-    /// when `x` is the point the objective last evaluated.
+    /// Reverse-mode gradient: one derivative assembly and an
+    /// allocation-free backward sweep — the whole gradient for at most
+    /// the price of a single rollout, independent of the horizon length,
+    /// and for none when `x` is the point the objective last evaluated.
     fn gradient_adjoint(&self, x: &[f64], grad: &mut [f64]) {
         let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        self.ensure_tape(&mut ws, x);
-        crate::adjoint::adjoint_sweep(self.plant, &self.stage, self.config, &ws.tape, grad);
-        self.pool.put(ws);
+        let ws = &mut *self.workspace.borrow_mut();
+        self.differentiate(ws, x);
+        crate::adjoint::adjoint_sweep(
+            self.plant,
+            &self.stage,
+            self.config,
+            &ws.tape,
+            &ws.derivatives,
+            grad,
+        );
     }
 }
 
 impl Objective for RolloutObjective<'_> {
-    /// In the adjoint-family modes every evaluation is taped, so the
-    /// gradient at the line search's accepted trial needs no second
-    /// forward pass; the finite-difference modes stay untaped.
+    /// A value-only forward pass; its primal records stay in the
+    /// workspace, so a gradient at the line search's accepted trial needs
+    /// no second forward pass.
     fn value(&self, z: &[f64]) -> f64 {
         let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        let cost = match self.config.gradient_mode {
-            GradientMode::Adjoint | GradientMode::GaussNewton => self.tape_with(&mut ws, z),
-            GradientMode::Serial => self.eval_with(&mut ws.hees, z),
-        };
-        self.pool.put(ws);
-        cost
+        self.forward(&mut self.workspace.borrow_mut(), z)
     }
 
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
@@ -654,36 +634,53 @@ impl Objective for RolloutObjective<'_> {
 }
 
 impl CurvatureObjective for RolloutObjective<'_> {
-    /// The tape of `x` (reused from the accepted trial's evaluation
-    /// when possible, see [`RolloutObjective::ensure_tape`]), then *two*
-    /// consumers of it: the backward sweep for the gradient and the
-    /// forward sensitivity sweep for the Gauss-Newton curvature. No new
-    /// model derivatives.
+    /// One derivative assembly at `x` (from the accepted trial's records
+    /// when possible, see [`RolloutObjective::differentiate`]), then
+    /// *two* consumers of it: the backward sweep for the gradient and the
+    /// forward sensitivity sweep for the Gauss-Newton curvature.
     fn gradient_and_curvature(&self, x: &[f64], grad: &mut [f64], hess: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
         assert_eq!(hess.len(), x.len() * x.len(), "curvature buffer mismatch");
         let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        self.ensure_tape(&mut ws, x);
+        let ws = &mut *self.workspace.borrow_mut();
+        self.differentiate(ws, x);
         let RolloutWorkspace {
-            tape, curvature, ..
-        } = &mut ws;
-        crate::adjoint::adjoint_sweep(self.plant, &self.stage, self.config, tape, grad);
-        crate::adjoint::tape_curvature(self.plant, &self.stage, self.config, tape, curvature, hess);
-        self.pool.put(ws);
+            tape,
+            derivatives,
+            curvature,
+            ..
+        } = ws;
+        crate::adjoint::adjoint_sweep(
+            self.plant,
+            &self.stage,
+            self.config,
+            tape,
+            derivatives,
+            grad,
+        );
+        crate::adjoint::tape_curvature(
+            self.plant,
+            &self.stage,
+            self.config,
+            tape,
+            derivatives,
+            curvature,
+            hess,
+        );
     }
 }
 
 /// Simulates the horizon under the candidate controls and returns the
 /// Eq. 19 cost plus constraint penalties.
 ///
-/// Clones the plant's HEES and builds the stage constants once per call;
-/// the MPC's inner loop avoids both by routing through a pooled
-/// workspace and the solve's constants instead (see [`Mpc::solve`]).
+/// Clones the plant's HEES, builds the stage constants and allocates a
+/// tape once per call; the MPC's inner loop avoids all three by routing
+/// through its workspace and the solve's constants instead (see
+/// [`Mpc::solve`]).
 ///
-/// The implementation lives in the crate-private `adjoint` module
-/// (untaped mode) so the adjoint's forward pass and the plain objective
-/// are the same code — bit-identical by construction.
+/// The implementation lives in the crate-private `adjoint` module, so the
+/// adjoint's forward pass and the plain objective are the same code —
+/// bit-identical by construction.
 pub fn rollout_cost(
     plant: &MpcPlant,
     loads: &[Watts],
@@ -693,16 +690,18 @@ pub fn rollout_cost(
 ) -> f64 {
     let mut hees = plant.hees.clone();
     let stage = StageConstants::new(plant, loads, dt, config);
-    crate::adjoint::rollout_cost_taped(plant, &mut hees, loads, &stage, config, z, None)
+    let mut tape = Vec::with_capacity(config.horizon);
+    crate::adjoint::rollout(plant, &mut hees, loads, &stage, config, z, &mut tape)
 }
 
-/// Reverse-mode gradient of [`rollout_cost`]: one taped forward rollout
-/// plus a backward sweep through the components' analytic Jacobians.
+/// Reverse-mode gradient of [`rollout_cost`]: one forward rollout, one
+/// derivative assembly from its records, and a backward sweep through
+/// the components' analytic Jacobians.
 /// Writes `∂J/∂z` into `grad` (layout `[cap_share_0..n-1,
 /// cool_duty_0..n-1]`, length `2·horizon`) and returns the cost at `z`.
 ///
 /// Clones the plant's HEES once per call; the MPC's inner loop avoids
-/// even that by routing through a pooled workspace instead (see
+/// even that by routing through its workspace instead (see
 /// [`GradientMode::Adjoint`]). Matches finite differences to ~1e-6
 /// relative error away from the objective's penalty kinks, at a cost
 /// independent of the horizon length.
@@ -717,16 +716,10 @@ pub fn rollout_gradient_adjoint(
     let mut hees = plant.hees.clone();
     let stage = StageConstants::new(plant, loads, dt, config);
     let mut tape = Vec::with_capacity(config.horizon);
-    let cost = crate::adjoint::rollout_cost_taped(
-        plant,
-        &mut hees,
-        loads,
-        &stage,
-        config,
-        z,
-        Some(&mut tape),
-    );
-    crate::adjoint::adjoint_sweep(plant, &stage, config, &tape, grad);
+    let cost = crate::adjoint::rollout(plant, &mut hees, loads, &stage, config, z, &mut tape);
+    let mut derivatives = Vec::with_capacity(config.horizon);
+    crate::adjoint::assemble_derivatives(plant, &stage, &tape, &mut derivatives);
+    crate::adjoint::adjoint_sweep(plant, &stage, config, &tape, &derivatives, grad);
     cost
 }
 
@@ -895,8 +888,8 @@ mod tests {
     }
 
     #[test]
-    fn pooled_rollouts_match_clone_based_rollouts_bitwise() {
-        // The pooled snapshot/restore path must be indistinguishable from
+    fn workspace_rollouts_match_clone_based_rollouts_bitwise() {
+        // The workspace's snapshot/restore path must be indistinguishable from
         // a fresh plant clone per evaluation — including on reuse, when
         // the workspace still carries the previous rollout's end state.
         let config = SystemConfig::default();
@@ -908,16 +901,14 @@ mod tests {
         };
         let loads: Vec<Watts> = (0..6).map(|k| Watts::new(8_000.0 * k as f64)).collect();
         let dt = Seconds::new(1.0);
-        let pool = WorkspacePool::new();
-        let objective = RolloutObjective {
-            plant: &p,
-            loads: &loads,
-            config: &cfg,
-            stage: StageConstants::new(&p, &loads, dt, &cfg),
-            pool: &pool,
-            start: p.hees.snapshot(),
-            sink: &NullSink,
-        };
+        let objective = RolloutObjective::new(
+            &p,
+            &loads,
+            dt,
+            &cfg,
+            RolloutWorkspace::new(&p.hees),
+            &NullSink,
+        );
         let mut z = vec![0.0; 12];
         for (i, zi) in z.iter_mut().enumerate() {
             *zi = if i < 6 {
@@ -927,15 +918,15 @@ mod tests {
             };
         }
         for _ in 0..3 {
-            let pooled = objective.value(&z);
+            let reused = objective.value(&z);
             let cloned = rollout_cost(&p, &loads, dt, &cfg, &z);
-            assert_eq!(pooled.to_bits(), cloned.to_bits());
+            assert_eq!(reused.to_bits(), cloned.to_bits());
         }
-        assert_eq!(objective.pool.rollouts.load(Ordering::Relaxed), 3);
+        assert_eq!(objective.rollouts.get(), 3);
     }
 
     #[test]
-    fn pooled_fd_gradient_matches_clone_based_reference() {
+    fn workspace_fd_gradient_matches_clone_based_reference() {
         let config = SystemConfig::default();
         let mut p = plant(&config);
         p.hees.set_state(Ratio::new(0.8), Ratio::new(0.5));
@@ -949,16 +940,14 @@ mod tests {
             .map(|k| Watts::new(5_000.0 + 9_000.0 * (k % 3) as f64))
             .collect();
         let dt = Seconds::new(1.0);
-        let pool = WorkspacePool::new();
-        let objective = RolloutObjective {
-            plant: &p,
-            loads: &loads,
-            config: &cfg,
-            stage: StageConstants::new(&p, &loads, dt, &cfg),
-            pool: &pool,
-            start: p.hees.snapshot(),
-            sink: &NullSink,
-        };
+        let objective = RolloutObjective::new(
+            &p,
+            &loads,
+            dt,
+            &cfg,
+            RolloutWorkspace::new(&p.hees),
+            &NullSink,
+        );
         let dim = 16;
         let z: Vec<f64> = (0..dim)
             .map(|i| {
@@ -971,7 +960,7 @@ mod tests {
             .collect();
 
         // Reference: plain finite differences over the public clone-based
-        // rollout_cost — the pooled paths must reproduce it bit-for-bit.
+        // rollout_cost — the workspace path must reproduce it bit-for-bit.
         let reference_f =
             otem_solver::FnObjective::new(|zz: &[f64]| rollout_cost(&p, &loads, dt, &cfg, zz));
         let mut reference = vec![0.0; dim];
@@ -982,7 +971,7 @@ mod tests {
         assert_eq!(
             serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "pooled serial gradient deviates from clone-based reference"
+            "workspace serial gradient deviates from clone-based reference"
         );
     }
 
@@ -1021,23 +1010,35 @@ mod tests {
     }
 
     #[test]
-    fn workspace_pool_rebinds_on_plant_change() {
-        // A pooled workspace built against one plant must not survive a
-        // switch to a differently-parameterised plant.
+    fn workspace_is_rebuilt_on_plant_change() {
+        // A workspace built against one plant must not survive a switch
+        // to a differently-parameterised plant; a change of state alone
+        // keeps it.
+        use otem_telemetry::MemorySink;
         let config = SystemConfig::default();
         let p = plant(&config);
-        let pool = WorkspacePool::new();
-        let ws = pool.take(&p.hees, &NullSink);
-        pool.put(ws);
-        pool.rebind(&p.hees);
-        assert_eq!(pool.slots.lock().unwrap().len(), 1, "same plant retained");
+        let mut mpc = Mpc::new(MpcConfig {
+            horizon: 4,
+            ..MpcConfig::default()
+        });
+        let sink = MemorySink::new();
+        let ws = mpc.take_workspace(&p.hees, &sink);
+        mpc.workspace = Some(ws);
+        let mut moved = p.hees.clone();
+        moved.set_state(Ratio::new(0.5), Ratio::new(0.2));
+        let ws = mpc.take_workspace(&moved, &sink);
+        assert_eq!(ws.hees, moved, "the held plant follows the new state");
+        mpc.workspace = Some(ws);
+        assert_eq!(sink.count_kind("pool_miss"), 1);
+        assert_eq!(sink.count_kind("pool_hit"), 1, "same plant retained");
 
         let mut other = HybridHees::ev_default(Farads::new(5_000.0)).unwrap();
         other.set_state(Ratio::new(0.7), Ratio::new(0.7));
-        pool.rebind(&other);
+        let ws = mpc.take_workspace(&other, &sink);
+        assert_eq!(ws.hees, other);
         assert_eq!(
-            pool.slots.lock().unwrap().len(),
-            0,
+            sink.count_kind("pool_miss"),
+            2,
             "different capacitance must evict the stale workspace"
         );
     }
@@ -1068,17 +1069,12 @@ mod tests {
             assert_eq!(plain.cost.to_bits(), observed.cost.to_bits());
             assert_eq!(plain.iterations, observed.iterations);
         }
-        // Every solver iteration and every workspace-pool access left a
-        // trace; after the first gradient fan-out the pool stays warm.
+        // Every solver iteration left a trace, and every solve one
+        // workspace event: built on the first, reused on the second.
         assert!(sink.count_kind("solver_iteration") > 0);
         assert!(sink.count_kind("gradient_eval") > 0);
-        let hits = sink.count_kind("pool_hit");
-        let misses = sink.count_kind("pool_miss");
-        assert_eq!(
-            misses, 1,
-            "single-threaded modes need exactly one workspace"
-        );
-        assert!(hits > misses, "pool should run warm: {hits} hits");
+        assert_eq!(sink.count_kind("pool_miss"), 1);
+        assert_eq!(sink.count_kind("pool_hit"), 1);
     }
 
     #[test]
@@ -1128,44 +1124,6 @@ mod tests {
             sink.count_kind("span_end"),
             "unbalanced span stream"
         );
-    }
-
-    #[test]
-    fn poisoned_pool_recovers_instead_of_cascading() {
-        // A panicking evaluation thread poisons the slots mutex; the pool
-        // must keep working (its invariants are plain Vec contents), not
-        // turn every subsequent solve into a panic.
-        let config = SystemConfig::default();
-        let p = plant(&config);
-        let pool = WorkspacePool::new();
-        let ws = pool.take(&p.hees, &NullSink);
-        pool.put(ws);
-
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = pool.slots.lock().unwrap();
-            panic!("poison the pool");
-        }));
-        assert!(poison.is_err());
-        assert!(pool.slots.lock().is_err(), "mutex should be poisoned");
-
-        // All three entry points still function on the poisoned mutex.
-        pool.rebind(&p.hees);
-        let ws = pool.take(&p.hees, &NullSink);
-        pool.put(ws);
-
-        // And a full solve through the poisoned pool still succeeds.
-        let mut mpc = Mpc::new(MpcConfig {
-            horizon: 4,
-            ..MpcConfig::default()
-        });
-        let _guard_poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = mpc.pool.slots.lock().unwrap();
-            panic!("poison the solver's pool");
-        }));
-        let loads = vec![Watts::new(10_000.0); 4];
-        let d = mpc.solve(&p, &loads, Seconds::new(1.0));
-        assert!(d.cap_bus.is_finite());
-        assert!(d.cost.is_finite());
     }
 
     #[test]
@@ -1322,7 +1280,7 @@ mod tests {
     }
 
     #[test]
-    fn adjoint_mode_runs_through_the_workspace_pool() {
+    fn adjoint_mode_holds_one_workspace_across_solves() {
         use otem_telemetry::MemorySink;
         let config = SystemConfig::default();
         let mut p = plant(&config);
@@ -1338,10 +1296,10 @@ mod tests {
             let d = mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
             assert!(d.cost.is_finite());
         }
-        // Adjoint mode is single-threaded: one workspace, allocated on
-        // first use and then recycled (the tape rides inside it).
+        // One workspace, built on the first solve and reused by the
+        // second (the tape rides inside it).
         assert_eq!(sink.count_kind("pool_miss"), 1);
-        assert!(sink.count_kind("pool_hit") > 0);
+        assert_eq!(sink.count_kind("pool_hit"), 1);
         // Telemetry keeps flowing unchanged through the same spans.
         assert!(sink.count_kind("gradient_eval") > 0);
         assert!(sink.count_kind("solver_iteration") > 0);
@@ -1406,41 +1364,31 @@ mod tests {
         };
         let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-        let pool = WorkspacePool::new();
-        let objective = RolloutObjective {
-            plant: &p,
-            loads: &loads,
-            config: &cfg,
-            stage: StageConstants::new(&p, &loads, dt, &cfg),
-            pool: &pool,
-            start: p.hees.snapshot(),
-            sink: &NullSink,
-        };
+        let mut mpc = Mpc::new(cfg);
+        let ws = mpc.take_workspace(&p.hees, &NullSink);
+        let objective = RolloutObjective::new(&p, &loads, dt, &cfg, ws, &NullSink);
         let mut grad = vec![0.0; 2 * n];
         objective.value(&z);
         // At the evaluated point: the stored tape, no new forward pass.
         objective.gradient(&z, &mut grad);
         assert_eq!(bits(&grad), bits(&reference(&p, &z)));
-        assert_eq!(pool.rollouts.load(Ordering::Relaxed), 1);
+        assert_eq!(objective.rollouts.get(), 1);
         // Anywhere else: a fresh tape.
         objective.gradient(&other, &mut grad);
         assert_eq!(bits(&grad), bits(&reference(&p, &other)));
-        assert_eq!(pool.rollouts.load(Ordering::Relaxed), 2);
+        assert_eq!(objective.rollouts.get(), 2);
+        assert_eq!(objective.workspace.borrow().assemblies, 2);
+        mpc.workspace = Some(objective.workspace.into_inner());
 
-        // A rebind starts a new solve: the same decision vector from a
-        // different start state must not hit the old tape.
+        // A new solve: the same decision vector from a different start
+        // state must not hit the old tape.
         let mut q = p.clone();
         q.hees.set_state(Ratio::new(0.4), Ratio::new(0.3));
-        pool.rebind(&q.hees);
-        let objective = RolloutObjective {
-            plant: &q,
-            stage: StageConstants::new(&q, &loads, dt, &cfg),
-            start: q.hees.snapshot(),
-            ..objective
-        };
+        let ws = mpc.take_workspace(&q.hees, &NullSink);
+        let objective = RolloutObjective::new(&q, &loads, dt, &cfg, ws, &NullSink);
         objective.gradient(&other, &mut grad);
         assert_eq!(bits(&grad), bits(&reference(&q, &other)));
-        assert_eq!(pool.rollouts.load(Ordering::Relaxed), 3);
+        assert_eq!(objective.rollouts.get(), 1);
     }
 
     #[test]
@@ -1557,18 +1505,20 @@ mod tests {
         let mut hees = p.hees.clone();
         let stage = StageConstants::new(&p, &loads, dt, &cfg);
         let mut tape = Vec::new();
-        crate::adjoint::rollout_cost_taped(
+        crate::adjoint::rollout(&p, &mut hees, &loads, &stage, &cfg, &z, &mut tape);
+        let mut derivatives = Vec::new();
+        crate::adjoint::assemble_derivatives(&p, &stage, &tape, &mut derivatives);
+        let mut scratch = CurvatureScratch::default();
+        let mut hess = vec![0.0; m * m];
+        crate::adjoint::tape_curvature(
             &p,
-            &mut hees,
-            &loads,
             &stage,
             &cfg,
-            &z,
-            Some(&mut tape),
+            &tape,
+            &derivatives,
+            &mut scratch,
+            &mut hess,
         );
-        let mut scratch = crate::adjoint::CurvatureScratch::default();
-        let mut hess = vec![0.0; m * m];
-        crate::adjoint::tape_curvature(&p, &stage, &cfg, &tape, &mut scratch, &mut hess);
 
         assert!(hess.iter().all(|v| v.is_finite()));
         let scale = hess.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()));
@@ -1702,5 +1652,105 @@ mod tests {
         let bad = rollout_cost(&p, &loads, Seconds::new(1.0), &cfg, &z);
         let good = rollout_cost(&p, &loads, Seconds::new(1.0), &cfg, &[0.0; 6]);
         assert!(bad > good, "shortfall not penalised: {bad} vs {good}");
+    }
+
+    #[test]
+    #[should_panic(expected = "MpcConfig::horizon must be at least 1 step")]
+    fn zero_horizon_is_rejected_at_construction() {
+        let _ = Mpc::new(MpcConfig {
+            horizon: 0,
+            ..MpcConfig::default()
+        });
+    }
+
+    /// The thermally stressed city-EV rig's plant at its initial state.
+    fn stress_plant(config: &SystemConfig) -> MpcPlant {
+        let battery = otem_battery::BatteryPack::new(config.cell.clone(), config.pack).unwrap();
+        let mut hees = HybridHees::new(
+            battery,
+            otem_ultracap::UltracapParams::paper_bank(config.capacitance),
+            otem_converter::DcDcConverter::battery_side(),
+            otem_converter::DcDcConverter::ultracap_side(),
+        )
+        .unwrap();
+        hees.set_state(config.initial_soc, config.initial_soe);
+        MpcPlant {
+            hees,
+            ..plant(config)
+        }
+    }
+
+    #[test]
+    fn only_differentiated_points_pay_for_a_derivative_assembly() {
+        // Sixty closed-loop stress-rig decisions over US06. Every
+        // gradient assembles derivatives exactly once, from the accepted
+        // trial's records; every rejected line-search trial is a forward
+        // pass that never does.
+        use otem_drivecycle::{standard, Powertrain, StandardCycle, VehicleParams};
+        use otem_hees::HybridCommand;
+        use otem_telemetry::{Event as TEvent, MemorySink};
+        use otem_thermal::CoolerAction;
+        let config = SystemConfig::stress_rig();
+        let trace = Powertrain::new(VehicleParams::compact_ev())
+            .unwrap()
+            .power_trace(&standard(StandardCycle::Us06).unwrap());
+        let dt = Seconds::new(1.0);
+        let mut p = stress_plant(&config);
+        let cfg = MpcConfig::default();
+        let mut mpc = Mpc::new(cfg);
+        let sink = MemorySink::with_capacity(1 << 16);
+        let (mut gradient_evals, mut trials, mut accepted) = (0, 0, 0);
+        for k in 0..60 {
+            let loads = trace.window(k, cfg.horizon);
+            let d = mpc.solve_with(&p, &loads, dt, &sink);
+            let events = sink.events();
+            let searches: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match e {
+                    TEvent::SpanStart {
+                        name: "line_search",
+                        id,
+                        ..
+                    } => Some(*id),
+                    _ => None,
+                })
+                .collect();
+            trials += events
+                .iter()
+                .filter(|e| {
+                    matches!(e, TEvent::SpanStart { name: "rollout", parent, .. }
+                        if searches.contains(parent))
+                })
+                .count() as u64;
+            gradient_evals += sink.count_kind("gradient_eval") as u64;
+            accepted += d.iterations as u64;
+            sink.clear();
+
+            let outlet = p.state.coolant;
+            let coldest = p.plant.coldest_inlet(outlet);
+            let inlet =
+                Kelvin::new(outlet.value() - d.cool_duty * (outlet.value() - coldest.value()));
+            let action = if d.cool_duty > 1e-3 {
+                p.plant.actuate(outlet, inlet)
+            } else {
+                CoolerAction::idle(outlet)
+            };
+            let step = p.hees.step(
+                HybridCommand {
+                    battery_bus: loads[0] + action.total_power() - d.cap_bus,
+                    cap_bus: d.cap_bus,
+                },
+                p.state.battery,
+                dt,
+            );
+            p.state = p
+                .thermal
+                .step_crank_nicolson(p.state, step.battery_heat, action.inlet, dt);
+        }
+        let assemblies = mpc.workspace.as_ref().expect("held workspace").assemblies;
+        let rejected = trials - accepted;
+        assert_eq!(assemblies, gradient_evals);
+        assert!(rejected > 0, "no line-search trial was rejected");
+        assert_eq!(mpc.rollouts() - assemblies, rejected);
     }
 }

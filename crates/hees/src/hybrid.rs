@@ -14,11 +14,12 @@ use serde::{Deserialize, Serialize};
 /// step inputs `[P_bus,bat, P_bus,cap, T, SoC, SoE]` — see the `IN_*`
 /// associated constants for the column order.
 ///
-/// Produced by [`HybridHees::step_with_jacobian`]. Every row
-/// differentiates exactly the branch the forward step executed
-/// (converter direction, envelope clamps, peak-power fallback,
-/// saturation of either coulomb counter), so the adjoint backward sweep
-/// sees the same piecewise function finite differences would.
+/// Assembled by [`HybridHees::step_jacobian`] from a step's
+/// [`HeesStepRecord`]. Every row differentiates exactly the branch the
+/// forward step executed (converter direction, envelope clamps,
+/// peak-power fallback, saturation of either coulomb counter), so the
+/// adjoint backward sweep sees the same piecewise function finite
+/// differences would.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HeesStepJacobian {
     /// Bus power actually delivered.
@@ -48,6 +49,61 @@ impl HeesStepJacobian {
     pub const IN_SOC: usize = 3;
     /// Column index of the pre-step state of energy.
     pub const IN_SOE: usize = 4;
+}
+
+/// The primal record of one [`HybridHees::step_prepared`]: every
+/// operating point the value-only step resolved — the pack curves (their
+/// exponentials already evaluated), the resolved battery and bank draws,
+/// each converter's operating point, the pre-step state of energy and
+/// the post-step states.
+///
+/// [`HybridHees::step_jacobian`] assembles the step's partial
+/// derivatives from the record alone, after the plant has moved on, so a
+/// rollout pays for derivatives only at the points a solver actually
+/// differentiates.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct HeesStepRecord {
+    /// The battery leg, absent when its converter or draw failed.
+    battery: Option<BatteryLegRecord>,
+    /// The ultracapacitor leg, absent when its converter or draw failed.
+    cap: Option<CapLegRecord>,
+}
+
+/// The battery leg of a [`HeesStepRecord`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BatteryLegRecord {
+    /// Commanded bus power.
+    bus: Watts,
+    /// Storage power the converter asked of the pack.
+    storage_power: Watts,
+    /// The pack curves at the pre-step state.
+    curves: PackCurves,
+    /// The resolved draw — the 99.9 % peak fallback when the request
+    /// was infeasible.
+    draw: PowerDraw,
+    /// Post-step state of charge.
+    soc_post: f64,
+}
+
+/// The ultracapacitor leg of a [`HeesStepRecord`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CapLegRecord {
+    /// Commanded bus power.
+    bus: Watts,
+    /// Pre-step state of energy.
+    soe: Ratio,
+    /// Bank voltage at `soe`.
+    voltage: Volts,
+    /// Storage power the converter asked of the bank.
+    storage_power: Watts,
+    /// `storage_power` clamped into the bank's envelope.
+    clamped: Watts,
+    /// Bus power the leg achieved.
+    bus_got: Watts,
+    /// The resolved draw.
+    draw: CapDraw,
+    /// Post-step state of energy.
+    soe_post: f64,
 }
 
 /// The decision-independent inputs of a [`HybridHees`] step at one step
@@ -264,17 +320,18 @@ impl HybridHees {
     /// [`HeesStep::shortfall`] relative to the commanded net.
     pub fn step(&mut self, command: HybridCommand, temperature: Kelvin, dt: Seconds) -> HeesStep {
         let constants = self.step_constants(dt);
-        self.step_prepared(command, temperature, &constants, None)
+        self.step_prepared(
+            command,
+            temperature,
+            &constants,
+            &mut HeesStepRecord::default(),
+        )
     }
 
     /// [`HybridHees::step`] plus the exact partial derivatives of every
-    /// output in the step inputs.
-    ///
-    /// The forward dynamics are the *same code path* as
-    /// [`HybridHees::step`] — results are bit-identical — with pure
-    /// derivative reads layered onto whichever branches execute. One
-    /// call per horizon step is what lets the MPC adjoint replace
-    /// `O(horizon)` finite-difference rollouts per gradient.
+    /// output in the step inputs: the value-only step, then
+    /// [`HybridHees::step_jacobian`] on its record. The forward results
+    /// are bit-identical to [`HybridHees::step`]'s.
     pub fn step_with_jacobian(
         &mut self,
         command: HybridCommand,
@@ -282,9 +339,9 @@ impl HybridHees {
         dt: Seconds,
     ) -> (HeesStep, HeesStepJacobian) {
         let constants = self.step_constants(dt);
-        let mut jac = HeesStepJacobian::default();
-        let step = self.step_prepared(command, temperature, &constants, Some(&mut jac));
-        (step, jac)
+        let mut record = HeesStepRecord::default();
+        let step = self.step_prepared(command, temperature, &constants, &mut record);
+        (step, self.step_jacobian(&record, &constants))
     }
 
     /// The decision-independent constants of a step of length `dt`.
@@ -295,22 +352,21 @@ impl HybridHees {
         }
     }
 
-    /// The single-step implementation behind [`HybridHees::step`] and
-    /// [`HybridHees::step_with_jacobian`], with the per-rollout
-    /// constants evaluated by the caller. When `jac` is provided, the
-    /// executed branch of each leg additionally records its partial
-    /// derivatives; all forward arithmetic is identical either way.
+    /// The single-step implementation behind [`HybridHees::step`], with
+    /// the per-rollout constants evaluated by the caller. Computes values
+    /// only, and overwrites `record` with the operating points
+    /// [`HybridHees::step_jacobian`] needs to differentiate the step
+    /// later.
     ///
     /// Each state-dependent model curve is evaluated once: the battery's
-    /// OCV and resistance (three exponentials, fused with their slopes
-    /// when taping) and the bank's `√SoE`, shared by the draw, the heat
-    /// law, the converter voltage and the partials.
+    /// OCV and resistance (three exponentials) and the bank's `√SoE`,
+    /// shared by the draw, the heat law and the converter voltage.
     pub fn step_prepared(
         &mut self,
         command: HybridCommand,
         temperature: Kelvin,
         constants: &HeesStepConstants,
-        mut jac: Option<&mut HeesStepJacobian>,
+        record: &mut HeesStepRecord,
     ) -> HeesStep {
         debug_assert_eq!(
             constants.leak.to_bits(),
@@ -318,25 +374,15 @@ impl HybridHees {
             "step constants built for a different bank"
         );
         let dt = constants.dt;
-        if let Some(j) = jac.as_deref_mut() {
-            // A leg that errors out leaves its storage untouched: the
-            // state rows default to the identity and are overwritten by
-            // whichever legs actually integrate.
-            *j = HeesStepJacobian::default();
-            j.soc_next[HeesStepJacobian::IN_SOC] = 1.0;
-            j.soe_next[HeesStepJacobian::IN_SOE] = 1.0;
-        }
         let mut converter_loss = Watts::ZERO;
         let mut delivered = Watts::ZERO;
+        record.battery = None;
+        record.cap = None;
 
         // --- Battery leg -------------------------------------------------
         let (bat_internal, bat_heat, bat_c_rate) = {
             let bus = command.battery_bus;
-            let curves = if jac.is_some() {
-                self.battery.curves_with_slopes(temperature)
-            } else {
-                self.battery.curves(temperature)
-            };
+            let curves = self.battery.curves(temperature);
             let v = curves.open_circuit_voltage();
             let storage_request = if bus.value() >= 0.0 {
                 self.battery_converter.input_for_output(bus, v)
@@ -367,19 +413,14 @@ impl HybridHees {
                             } else {
                                 bus
                             };
-                            if let Some(j) = jac.as_deref_mut() {
-                                self.battery_leg_jacobian(j, bus, storage_power, &d, &curves, dt);
-                            }
                             self.battery.integrate(d, dt);
-                            if let Some(j) = jac.as_deref_mut() {
-                                // A saturated coulomb counter is flat in
-                                // every input.
-                                let post = self.battery.soc().value();
-                                let i = d.current.value();
-                                if (post == 0.0 && i > 0.0) || (post == 1.0 && i < 0.0) {
-                                    j.soc_next = [0.0; 5];
-                                }
-                            }
+                            record.battery = Some(BatteryLegRecord {
+                                bus,
+                                storage_power,
+                                curves,
+                                draw: d,
+                                soc_post: self.battery.soc().value(),
+                            });
                             delivered += bus_got;
                             converter_loss += (d.terminal_power - bus_got).abs();
                             (d.internal_power, d.heat, d.c_rate)
@@ -394,11 +435,8 @@ impl HybridHees {
         // --- Ultracapacitor leg ------------------------------------------
         let cap_internal = {
             let bus = command.cap_bus;
-            let (v, dv_dsoe) = if jac.is_some() {
-                self.cap.voltage_and_slope()
-            } else {
-                (self.cap.voltage(), 0.0)
-            };
+            let soe = self.cap.soe();
+            let v = self.cap.voltage();
             let storage_request = if bus.value() >= 0.0 {
                 self.cap_converter.input_for_output(bus, v)
             } else {
@@ -426,25 +464,17 @@ impl HybridHees {
                                     .input_for_output(clamped, v)
                                     .unwrap_or(Watts::ZERO)
                             };
-                            if let Some(j) = jac.as_deref_mut() {
-                                self.cap_leg_jacobian(
-                                    j,
-                                    bus,
-                                    (v, dv_dsoe),
-                                    storage_power,
-                                    clamped,
-                                    bus_got,
-                                    &d,
-                                    constants,
-                                );
-                            }
                             self.cap.integrate_with_leak(d, dt, constants.leak);
-                            if let Some(j) = jac {
-                                let post = self.cap.soe().value();
-                                if post == 0.0 || post == 1.0 {
-                                    j.soe_next = [0.0; 5];
-                                }
-                            }
+                            record.cap = Some(CapLegRecord {
+                                bus,
+                                soe,
+                                voltage: v,
+                                storage_power,
+                                clamped,
+                                bus_got,
+                                draw: d,
+                                soe_post: self.cap.soe().value(),
+                            });
                             delivered += bus_got;
                             converter_loss += (d.terminal_power - bus_got).abs();
                             d.internal_power
@@ -468,28 +498,62 @@ impl HybridHees {
         }
     }
 
-    /// Records the battery leg's partial derivatives for the branch the
-    /// forward pass executed, from the step's curves (built with
-    /// slopes). Must run *before* `integrate` (the draw partials
-    /// differentiate at the pre-step state of charge).
-    fn battery_leg_jacobian(
+    /// The exact partial derivatives of the step `record` describes,
+    /// assembled from the operating points it holds: the pack slopes
+    /// from the recorded curves' exponentials, the bank's voltage slope
+    /// at the recorded pre-step state of energy, and the converter
+    /// partials at the recorded operating points. Reads none of the
+    /// plant's mutable state, so it runs after any number of later
+    /// steps; `constants` must be the ones the step ran with.
+    pub fn step_jacobian(
         &self,
-        j: &mut HeesStepJacobian,
-        bus: Watts,
-        storage_power: Watts,
-        d: &PowerDraw,
-        curves: &PackCurves,
-        dt: Seconds,
-    ) {
+        record: &HeesStepRecord,
+        constants: &HeesStepConstants,
+    ) -> HeesStepJacobian {
+        // A leg that errored out left its storage untouched: the state
+        // rows default to the identity and are overwritten by whichever
+        // legs actually integrated.
+        let mut j = HeesStepJacobian::default();
+        j.soc_next[HeesStepJacobian::IN_SOC] = 1.0;
+        j.soe_next[HeesStepJacobian::IN_SOE] = 1.0;
+        if let Some(leg) = &record.battery {
+            self.battery_leg_jacobian(&mut j, leg, constants.dt);
+            // A saturated coulomb counter is flat in every input.
+            let i = leg.draw.current.value();
+            if (leg.soc_post == 0.0 && i > 0.0) || (leg.soc_post == 1.0 && i < 0.0) {
+                j.soc_next = [0.0; 5];
+            }
+        }
+        if let Some(leg) = &record.cap {
+            self.cap_leg_jacobian(&mut j, leg, constants);
+            if leg.soe_post == 0.0 || leg.soe_post == 1.0 {
+                j.soe_next = [0.0; 5];
+            }
+        }
+        j
+    }
+
+    /// Records the battery leg's partial derivatives for the branch the
+    /// forward pass executed. The draw partials differentiate at the
+    /// pre-step state of charge the recorded curves were built at.
+    fn battery_leg_jacobian(&self, j: &mut HeesStepJacobian, leg: &BatteryLegRecord, dt: Seconds) {
         const PB: usize = HeesStepJacobian::IN_BATTERY_BUS;
         const T: usize = HeesStepJacobian::IN_TEMPERATURE;
         const SOC: usize = HeesStepJacobian::IN_SOC;
+        let BatteryLegRecord {
+            bus,
+            storage_power,
+            curves,
+            draw: d,
+            ..
+        } = leg;
+        let bus = *bus;
         let Some(dp) = self.battery.draw_partials_at(d.terminal_power, curves) else {
             return;
         };
         let v = curves.open_circuit_voltage();
         let dv_dsoc = self.battery.open_circuit_voltage_slope_at(curves);
-        let nominal = d.terminal_power == storage_power;
+        let nominal = d.terminal_power == *storage_power;
         // Sensitivities of the storage power actually drawn, over
         // [∂/∂P_bus, ∂/∂SoC, ∂/∂T].
         let (p_pb, p_soc, p_t) = if nominal {
@@ -507,7 +571,7 @@ impl HybridHees {
                 let (g_bus, g_v) = if bus.value() >= 0.0 {
                     match self
                         .battery_converter
-                        .input_for_output_partials(storage_power, v)
+                        .input_for_output_partials(*storage_power, v)
                     {
                         Some(g) => g,
                         None => return,
@@ -557,7 +621,7 @@ impl HybridHees {
             j.battery_c_rate[PB] = 0.5 * (g_dis - g_chg) * dp.current[0] * dcr_di;
         }
         // SoC⁺ = SoC − I_pack·dt/(parallel·Q_cell); saturation is zeroed
-        // by the caller after integrating.
+        // by the caller.
         let scale = dt.value() * self.battery.soc_per_amp_second();
         j.soc_next[PB] = -scale * current[0];
         j.soc_next[SOC] = 1.0 - scale * current[1];
@@ -576,22 +640,27 @@ impl HybridHees {
     }
 
     /// Records the ultracapacitor leg's partial derivatives for the
-    /// branch the forward pass executed, at the step's bank voltage and
-    /// slope `(v, dV/dSoE)`. Must run *before* `integrate`.
-    #[allow(clippy::too_many_arguments)]
+    /// branch the forward pass executed, at the recorded pre-step bank
+    /// voltage and its slope.
     fn cap_leg_jacobian(
         &self,
         j: &mut HeesStepJacobian,
-        bus: Watts,
-        (v, dv_dsoe): (Volts, f64),
-        storage_power: Watts,
-        clamped: Watts,
-        bus_got: Watts,
-        d: &CapDraw,
+        leg: &CapLegRecord,
         constants: &HeesStepConstants,
     ) {
         const PC: usize = HeesStepJacobian::IN_CAP_BUS;
         const SOE: usize = HeesStepJacobian::IN_SOE;
+        let CapLegRecord {
+            bus,
+            soe,
+            voltage: v,
+            storage_power,
+            clamped,
+            bus_got,
+            draw: d,
+            ..
+        } = *leg;
+        let dv_dsoe = self.cap.voltage_slope(soe);
         let Some(dp) = self.cap.draw_partials_at(d.terminal_power, v, dv_dsoe) else {
             return;
         };
@@ -624,10 +693,10 @@ impl HybridHees {
         } else if storage_power.value() > 0.0 {
             // Discharge pinned to the envelope: follows the limit's own
             // SoE slope, flat in the command.
-            (0.0, self.cap.discharge_limit_slope())
+            (0.0, self.cap.discharge_limit_slope(soe))
         } else {
             // Charge pinned to −max_charge.
-            (0.0, -self.cap.charge_limit_slope())
+            (0.0, -self.cap.charge_limit_slope(soe))
         };
         let internal = [
             dp.internal_power[0] * p_pc,
@@ -636,7 +705,7 @@ impl HybridHees {
         j.cap_internal[PC] = internal[0];
         j.cap_internal[SOE] = internal[1];
         // SoE⁺ = (SoE − P_int·dt/E_cap)·leak; saturation is zeroed by the
-        // caller after integrating.
+        // caller.
         let e_cap = self.cap.params().energy_capacity().value();
         let (dt, leak) = (constants.dt, constants.leak);
         j.soe_next[PC] = -leak * dt.value() / e_cap * internal[0];
@@ -821,9 +890,15 @@ mod tests {
         }
     }
 
-    /// Central differences of every jacobian row at one operating point.
-    fn fd_check(mut make: impl FnMut() -> HybridHees, cmd: HybridCommand, label: &str) {
-        let dt = Seconds::new(1.0);
+    /// Central differences of every jacobian row at one operating point,
+    /// over a step of length `dt`, with bus-power step `h_p` (W).
+    fn fd_check(
+        mut make: impl FnMut() -> HybridHees,
+        cmd: HybridCommand,
+        dt: Seconds,
+        h_p: f64,
+        label: &str,
+    ) {
         let outputs = |h: &mut HybridHees, cmd: HybridCommand, temp: Kelvin| -> [f64; 7] {
             let s = h.step(cmd, temp, dt);
             [
@@ -848,7 +923,6 @@ mod tests {
             ("soe_next", jac.soe_next),
         ];
         // One column at a time: perturb the input, roll a fresh plant.
-        let h_p = 1.0;
         let h_t = 1e-4;
         let h_s = 1e-7;
         for col in 0..5 {
@@ -932,6 +1006,8 @@ mod tests {
                 battery_bus: Watts::new(20_000.0),
                 cap_bus: Watts::new(8_000.0),
             },
+            Seconds::new(1.0),
+            1.0,
             "nominal discharge split",
         );
     }
@@ -948,6 +1024,8 @@ mod tests {
                 battery_bus: Watts::new(10_000.0),
                 cap_bus: Watts::new(-6_000.0),
             },
+            Seconds::new(1.0),
+            1.0,
             "battery-to-cap precharge",
         );
     }
@@ -967,6 +1045,8 @@ mod tests {
                 battery_bus: Watts::new(5_000.0),
                 cap_bus: Watts::new(70_000.0),
             },
+            Seconds::new(1.0),
+            1.0,
             "cap clamped at depletion guard",
         );
     }
@@ -1115,7 +1195,8 @@ mod tests {
                     let a = plain.step(cmd, t, dt);
                     let (b, _) = taped.step_with_jacobian(cmd, t, dt);
                     let constants = prepared.step_constants(dt);
-                    let c = prepared.step_prepared(cmd, t, &constants, None);
+                    let c =
+                        prepared.step_prepared(cmd, t, &constants, &mut HeesStepRecord::default());
                     assert_eq!(
                         step_bits(&a, &plain),
                         want_bits,
@@ -1139,25 +1220,155 @@ mod tests {
 
     #[test]
     fn one_constants_block_serves_a_whole_trajectory() {
-        // A rollout builds the constants once and steps many states with
-        // them; every step must match the self-contained entry points.
+        // A rollout builds the constants once, steps many states with them
+        // and differentiates only afterwards: every step must match the
+        // self-contained entry points, and every Jacobian assembled from
+        // a record after the whole trajectory ran must match the one
+        // taken right after its step.
         let dt = Seconds::new(1.0);
         let mut prepared = hees();
         prepared.set_state(Ratio::new(0.8), Ratio::new(0.5));
         let mut fresh = prepared.clone();
         let constants = prepared.step_constants(dt);
         assert_eq!(constants.dt(), dt);
+        let mut records = Vec::new();
+        let mut jacobians = Vec::new();
         for k in 0..40 {
             let cmd = HybridCommand {
                 battery_bus: Watts::new(15_000.0 + 900.0 * (k % 7) as f64),
                 cap_bus: Watts::new(if k % 3 == 0 { -6_000.0 } else { 9_000.0 }),
             };
             let t = Kelvin::from_celsius(24.0 + 0.3 * k as f64);
-            let mut jac = HeesStepJacobian::default();
-            let a = prepared.step_prepared(cmd, t, &constants, Some(&mut jac));
+            let mut record = HeesStepRecord::default();
+            let a = prepared.step_prepared(cmd, t, &constants, &mut record);
             let (b, jac_fresh) = fresh.step_with_jacobian(cmd, t, dt);
             assert_eq!(step_bits(&a, &prepared), step_bits(&b, &fresh), "step {k}");
-            assert_eq!(jac, jac_fresh, "jacobian at step {k}");
+            records.push(record);
+            jacobians.push(jac_fresh);
         }
+        for (k, (record, want)) in records.iter().zip(&jacobians).enumerate() {
+            assert_eq!(
+                prepared.step_jacobian(record, &constants),
+                *want,
+                "jacobian at step {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn jacobian_matches_finite_differences_battery_peak_fallback() {
+        // A bus command past the pack's `V_oc²/4R` vertex: the draw falls
+        // back to 99.9 % of the SoC/temperature-dependent peak, so the
+        // battery rows follow the peak's own slopes and are flat in the
+        // command.
+        let make = || {
+            let mut h = hees();
+            h.set_state(Ratio::new(0.5), Ratio::new(0.6));
+            h
+        };
+        let base = make();
+        let voc = base.battery().open_circuit_voltage().value();
+        let r = base.battery().internal_resistance(room()).value();
+        let cmd = HybridCommand {
+            battery_bus: Watts::new(1.05 * voc * voc / (4.0 * r)),
+            cap_bus: Watts::new(5_000.0),
+        };
+        let step = make().step(cmd, room(), Seconds::new(1.0));
+        assert!(
+            step.battery_internal.value() > 0.0 && step.shortfall.value() > 0.0,
+            "the peak-power fallback did not run: {step:?}"
+        );
+        fd_check(
+            make,
+            cmd,
+            Seconds::new(1.0),
+            1.0,
+            "battery peak-power fallback",
+        );
+    }
+
+    #[test]
+    fn jacobian_matches_finite_differences_cap_charge_clamped() {
+        // Near full the headroom guard caps the charge below the 90 kW
+        // rating: the charge leg pins at −max_charge_power and follows
+        // the limit's slope in SoE. Half full, the rating itself binds.
+        for (soe, cap_bus) in [(0.995, -20_000.0), (0.5, -95_000.0)] {
+            let make = || {
+                let mut h = hees();
+                h.set_state(Ratio::new(0.7), Ratio::new(soe));
+                h
+            };
+            let cmd = HybridCommand {
+                battery_bus: Watts::new(10_000.0),
+                cap_bus: Watts::new(cap_bus),
+            };
+            let limit = make().cap().max_charge_power().value();
+            let step = make().step(cmd, room(), Seconds::new(1.0));
+            assert!(
+                (step.cap_internal.value() + limit).abs() <= 1e-6 * limit,
+                "charge not clamped at -{limit} W: {step:?}"
+            );
+            fd_check(
+                make,
+                cmd,
+                Seconds::new(1.0),
+                1.0,
+                &format!("cap charge clamped at SoE {soe}"),
+            );
+        }
+    }
+
+    #[test]
+    fn jacobian_matches_finite_differences_saturated_coulomb_counters() {
+        // Each counter runs into its bound within the step: the pack
+        // charging to SoC 1, the bank charging to SoE 1 and discharging
+        // to SoE 0 over 10–20 s steps. A saturated counter is flat in
+        // every input, which finite differences must confirm.
+        let cases = [
+            (0.9999, 0.6, -50_000.0, 2_000.0, 1.0, "SoC to 1"),
+            (0.7, 0.99, 10_000.0, -20_000.0, 10.0, "SoE to 1"),
+            (0.7, 0.1, 10_000.0, 20_000.0, 20.0, "SoE to 0"),
+        ];
+        for (soc, soe, battery_bus, cap_bus, dt, label) in cases {
+            let make = || {
+                let mut h = hees();
+                h.set_state(Ratio::new(soc), Ratio::new(soe));
+                h
+            };
+            let cmd = HybridCommand {
+                battery_bus: Watts::new(battery_bus),
+                cap_bus: Watts::new(cap_bus),
+            };
+            let dt = Seconds::new(dt);
+            let mut stepped = make();
+            let (_, jac) = stepped.step_with_jacobian(cmd, room(), dt);
+            let saturated = if label == "SoC to 1" {
+                stepped.soc().value() == 1.0 && jac.soc_next == [0.0; 5]
+            } else {
+                let post = stepped.soe().value();
+                (post == 0.0 || post == 1.0) && jac.soe_next == [0.0; 5]
+            };
+            assert!(saturated, "{label}: the counter did not saturate");
+            fd_check(make, cmd, dt, 1.0, label);
+        }
+    }
+
+    #[test]
+    fn jacobian_matches_central_differences_at_zero_transfer() {
+        // Both legs idle sit on the converters' |P| kink, where the
+        // Jacobian reports the mean of the one-sided slopes. A central
+        // difference straddling zero measures exactly that mean once the
+        // step is small against the 50 W quiescent-loss ramp.
+        fd_check(
+            || {
+                let mut h = hees();
+                h.set_state(Ratio::new(0.8), Ratio::new(0.5));
+                h
+            },
+            HybridCommand::default(),
+            Seconds::new(1.0),
+            1e-3,
+            "zero transfer",
+        );
     }
 }

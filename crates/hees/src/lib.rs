@@ -32,7 +32,9 @@ mod step;
 
 pub use dual::{DualHees, DualMode};
 pub use error::HeesError;
-pub use hybrid::{HeesSnapshot, HeesStepConstants, HeesStepJacobian, HybridCommand, HybridHees};
+pub use hybrid::{
+    HeesSnapshot, HeesStepConstants, HeesStepJacobian, HeesStepRecord, HybridCommand, HybridHees,
+};
 pub use parallel::ParallelHees;
 pub use semi_active::{ConvertedSide, SemiActiveHees};
 pub use step::HeesStep;

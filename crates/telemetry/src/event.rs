@@ -52,11 +52,13 @@ pub enum Event {
         /// Outer iterations actually performed.
         iterations: u64,
     },
-    /// A rollout workspace was served from the pool (steady state: no
-    /// plant clone, no allocation).
+    /// An MPC solve reused the rollout workspace its controller held
+    /// from the previous solve (steady state: no plant clone, no
+    /// allocation). Once per solve.
     PoolHit,
-    /// The pool was empty and a workspace was built by cloning the
-    /// plant (cold start or a new concurrent worker).
+    /// An MPC solve built its rollout workspace by cloning the plant —
+    /// the controller's first solve, or the plant's parameters changed.
+    /// Once per solve.
     PoolMiss,
     /// The cooling loop switched on or off.
     CoolingToggle {

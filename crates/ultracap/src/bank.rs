@@ -107,7 +107,12 @@ impl UltracapBank {
 
     /// Stored energy right now: `SoE · E_cap`.
     pub fn stored_energy(&self) -> Joules {
-        Joules::new(self.soe * self.params.energy_capacity().value())
+        self.stored_energy_at(self.soe)
+    }
+
+    /// Stored energy at state of energy `soe`.
+    fn stored_energy_at(&self, soe: Ratio) -> Joules {
+        Joules::new(soe * self.params.energy_capacity().value())
     }
 
     /// Open-circuit bank voltage `V_cap = V_r·√(SoE)` (Eq. 8). This is
@@ -117,18 +122,18 @@ impl UltracapBank {
         Volts::new(self.params.rated_voltage.value() * self.soe.value().sqrt())
     }
 
-    /// [`UltracapBank::voltage`] and its slope in the state of energy,
-    /// `dV/dSoE = V_r/(2·√SoE)`, from one square root. The voltage is
-    /// bit-identical to [`UltracapBank::voltage`]. The slope is guarded to
-    /// zero on a fully depleted bank, where the square root is not
-    /// differentiable — the adjoint must stay finite even at the
-    /// saturation boundary.
-    pub fn voltage_and_slope(&self) -> (Volts, f64) {
-        let soe = self.soe.value();
-        let root = soe.sqrt();
-        let rated = self.params.rated_voltage.value();
-        let slope = if soe > 0.0 { rated / (2.0 * root) } else { 0.0 };
-        (Volts::new(rated * root), slope)
+    /// Slope of [`UltracapBank::voltage`] in the state of energy,
+    /// `dV/dSoE = V_r/(2·√SoE)`, at state of energy `soe` — the bank's
+    /// present one or one a rollout recorded. Guarded to zero on a fully
+    /// depleted bank, where the square root is not differentiable — the
+    /// adjoint must stay finite even at the saturation boundary.
+    pub fn voltage_slope(&self, soe: Ratio) -> f64 {
+        let soe = soe.value();
+        if soe > 0.0 {
+            self.params.rated_voltage.value() / (2.0 * soe.sqrt())
+        } else {
+            0.0
+        }
     }
 
     /// Maximum discharge power deliverable right now: limited by the
@@ -230,10 +235,10 @@ impl UltracapBank {
     }
 
     /// Slope of [`UltracapBank::max_discharge_power`] in the state of
-    /// energy: `E_cap` when the depletion guard binds, zero when the
-    /// interface power rating does.
-    pub fn discharge_limit_slope(&self) -> f64 {
-        if self.stored_energy().value() < self.params.max_power.value() {
+    /// energy at state of energy `soe`: `E_cap` when the depletion guard
+    /// binds, zero when the interface power rating does.
+    pub fn discharge_limit_slope(&self, soe: Ratio) -> f64 {
+        if self.stored_energy_at(soe).value() < self.params.max_power.value() {
             self.params.energy_capacity().value()
         } else {
             0.0
@@ -241,10 +246,10 @@ impl UltracapBank {
     }
 
     /// Slope of [`UltracapBank::max_charge_power`] in the state of
-    /// energy: `−E_cap` when the headroom guard binds, zero when the
-    /// interface power rating does.
-    pub fn charge_limit_slope(&self) -> f64 {
-        let headroom = self.params.energy_capacity().value() - self.stored_energy().value();
+    /// energy at state of energy `soe`: `−E_cap` when the headroom guard
+    /// binds, zero when the interface power rating does.
+    pub fn charge_limit_slope(&self, soe: Ratio) -> f64 {
+        let headroom = self.params.energy_capacity().value() - self.stored_energy_at(soe).value();
         if headroom < self.params.max_power.value() {
             -self.params.energy_capacity().value()
         } else {
@@ -259,20 +264,18 @@ impl UltracapBank {
     /// of the zero-resistance model). Returns `None` where the forward
     /// call errors or sits on a non-differentiable boundary.
     pub fn draw_partials(&self, power: Watts) -> Option<CapDrawPartials> {
-        let (v, dv) = self.voltage_and_slope();
-        self.draw_partials_at(power, v, dv)
+        self.draw_partials_at(power, self.voltage(), self.voltage_slope(self.soe))
     }
 
-    /// [`UltracapBank::draw_partials`] at the voltage and slope
-    /// [`UltracapBank::voltage_and_slope`] returned for the present state
-    /// of energy — no square root of its own.
+    /// [`UltracapBank::draw_partials`] at a bank voltage and its
+    /// [`UltracapBank::voltage_slope`] — no square root of its own, and
+    /// independent of the bank's present state of energy.
     pub fn draw_partials_at(
         &self,
         power: Watts,
         voltage: Volts,
         slope: f64,
     ) -> Option<CapDrawPartials> {
-        self.debug_check(voltage);
         let p = power.value();
         let v = voltage.value();
         let dv = slope;
@@ -595,14 +598,14 @@ mod tests {
         // Nearly depleted: discharge is energy-limited, charge power-limited.
         let mut low = bank();
         low.set_soe(Ratio::new(0.5 * max_p / e_cap));
-        assert_eq!(low.discharge_limit_slope(), e_cap);
-        assert_eq!(low.charge_limit_slope(), 0.0);
+        assert_eq!(low.discharge_limit_slope(low.soe()), e_cap);
+        assert_eq!(low.charge_limit_slope(low.soe()), 0.0);
 
         // Nearly full: charge is headroom-limited, discharge power-limited.
         let mut high = bank();
         high.set_soe(Ratio::new(1.0 - 0.5 * max_p / e_cap));
-        assert_eq!(high.discharge_limit_slope(), 0.0);
-        assert_eq!(high.charge_limit_slope(), -e_cap);
+        assert_eq!(high.discharge_limit_slope(high.soe()), 0.0);
+        assert_eq!(high.charge_limit_slope(high.soe()), -e_cap);
 
         // FD check on the energy-limited sides.
         let h = 1e-7;
@@ -616,10 +619,10 @@ mod tests {
         };
         let s = low.soe().value();
         let fd_dis = (at(s + h).0 - at(s - h).0) / (2.0 * h);
-        assert!((low.discharge_limit_slope() - fd_dis).abs() <= 1e-3 * e_cap);
+        assert!((low.discharge_limit_slope(low.soe()) - fd_dis).abs() <= 1e-3 * e_cap);
         let s = high.soe().value();
         let fd_chg = (at(s + h).1 - at(s - h).1) / (2.0 * h);
-        assert!((high.charge_limit_slope() - fd_chg).abs() <= 1e-3 * e_cap);
+        assert!((high.charge_limit_slope(high.soe()) - fd_chg).abs() <= 1e-3 * e_cap);
     }
 
     #[test]
@@ -633,9 +636,8 @@ mod tests {
             c.voltage().value()
         };
         let fd = (at(0.36 + h) - at(0.36 - h)) / (2.0 * h);
-        assert!((b.voltage_and_slope().1 - fd).abs() <= 1e-4 * fd.abs());
-        b.set_soe(Ratio::ZERO);
-        assert_eq!(b.voltage_and_slope(), (Volts::new(0.0), 0.0));
+        assert!((b.voltage_slope(b.soe()) - fd).abs() <= 1e-4 * fd.abs());
+        assert_eq!(b.voltage_slope(Ratio::ZERO), 0.0);
     }
 
     /// The per-call draw as it read before prepared voltages: the bank
@@ -750,8 +752,7 @@ mod tests {
             ] {
                 let mut b = UltracapBank::new(params).unwrap();
                 b.set_soe(Ratio::new(soe));
-                let (v, dv) = b.voltage_and_slope();
-                assert_eq!(v.value().to_bits(), b.voltage().value().to_bits());
+                let (v, dv) = (b.voltage(), b.voltage_slope(b.soe()));
                 let dis = b.max_discharge_power().value();
                 let chg = b.max_charge_power().value();
                 exercised[0] |= soe == 0.0;
