@@ -13,12 +13,7 @@
 //! baseline to compare against.
 //!
 //! Usage:
-//! `cargo run --release -p otem-bench --bin perf_report -- [--gradient adjoint|gauss-newton]`
-//! `--gradient adjoint` runs a quick adjoint-only smoke — used by
-//! `scripts/tier1.sh` — that asserts the per-solve rollout count stays
-//! horizon-independent; `--gradient gauss-newton` runs a second-order
-//! smoke asserting certified convergence in strictly fewer iterations
-//! than first-order descent. No smoke rewrites `BENCH_mpc.json`.
+//! `cargo run --release -p otem-bench --bin perf_report`
 //!
 //! The adjoint differentiates the executed clamp branch exactly instead of
 //! sampling across it, so its decisions are *not* asserted bit-identical
@@ -27,9 +22,12 @@
 
 use otem::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem::SystemConfig;
+use otem_bench::fold_outcomes;
+use otem_fleet::protocol::outcomes_json;
+use otem_fleet::SolveOutcomes;
 use otem_hees::HybridHees;
-use otem_solver::{GradientMode, SolverOutcome};
-use otem_telemetry::{Event, JsonlSink, MetricsRegistry, NullSink, Sink};
+use otem_solver::GradientMode;
+use otem_telemetry::{Event, JsonlSink, MetricsRegistry, Sink};
 use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,64 +56,6 @@ fn plant(config: &SystemConfig) -> MpcPlant {
     }
 }
 
-/// Count of timed solves by solver outcome — the full termination
-/// distribution, recorded per mode per horizon.
-#[derive(Default)]
-struct OutcomeCounts {
-    converged: u64,
-    budget_exhausted: u64,
-    stalled: u64,
-    non_finite: u64,
-    deadline_reached: u64,
-}
-
-impl OutcomeCounts {
-    fn record(&mut self, outcome: SolverOutcome) {
-        match outcome {
-            SolverOutcome::Converged => self.converged += 1,
-            SolverOutcome::BudgetExhausted => self.budget_exhausted += 1,
-            SolverOutcome::Stalled => self.stalled += 1,
-            SolverOutcome::NonFinite => self.non_finite += 1,
-            SolverOutcome::DeadlineReached => self.deadline_reached += 1,
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{ \"converged\": {}, \"budget_exhausted\": {}, \"stalled\": {}, \
-             \"non_finite\": {}, \"deadline_reached\": {} }}",
-            self.converged,
-            self.budget_exhausted,
-            self.stalled,
-            self.non_finite,
-            self.deadline_reached
-        )
-    }
-
-    /// Folds this distribution into `registry` under the same
-    /// `otem_solve_outcome_total{mode,outcome}` family the serving
-    /// layer exports, so BENCH_mpc.json and live scrapes read
-    /// identically.
-    fn fold_into(&self, registry: &MetricsRegistry, mode: GradientMode) {
-        const HELP: &str = "MPC solve outcomes by gradient mode across the timed solves.";
-        for (outcome, n) in [
-            ("converged", self.converged),
-            ("budget_exhausted", self.budget_exhausted),
-            ("stalled", self.stalled),
-            ("non_finite", self.non_finite),
-            ("deadline_reached", self.deadline_reached),
-        ] {
-            registry
-                .counter(
-                    "otem_solve_outcome_total",
-                    HELP,
-                    &[("mode", mode.name()), ("outcome", outcome)],
-                )
-                .add(n);
-        }
-    }
-}
-
 /// Counts [`Event::GradientEval`]s: one per point the solver
 /// differentiated (one derivative assembly in the adjoint-family modes,
 /// one finite-difference stencil in the serial mode).
@@ -140,9 +80,8 @@ struct ModeStats {
     differentiated_per_solve: f64,
     solves_per_sec: f64,
     mean_iterations: f64,
-    outcomes: OutcomeCounts,
-    /// Outcome of the last timed solve (the fully warm-started one).
-    last_outcome: SolverOutcome,
+    /// Timed solves by solver outcome.
+    outcomes: SolveOutcomes,
     /// First decision, checked finite.
     cap_bus: f64,
     cool_duty: f64,
@@ -174,18 +113,16 @@ fn run_mode(
     let mut replay = mpc.clone();
     let rollouts_before = mpc.rollouts();
     let mut latencies_ms = Vec::with_capacity(REPS);
-    let mut outcomes = OutcomeCounts::default();
+    let mut outcomes = SolveOutcomes::default();
     let mut iters_total = 0usize;
-    let mut last_outcome = first.outcome;
     let started = Instant::now();
     for _ in 0..REPS {
         let t0 = Instant::now();
         let d = mpc.solve(p, loads, dt);
         latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         assert!(d.cap_bus.is_finite(), "solve produced a non-finite command");
-        outcomes.record(d.outcome);
+        outcomes.record(d.outcome.name());
         iters_total += d.iterations;
-        last_outcome = d.outcome;
     }
     let elapsed = started.elapsed().as_secs_f64();
     let rollouts = mpc.rollouts() - rollouts_before;
@@ -207,135 +144,19 @@ fn run_mode(
         solves_per_sec: REPS as f64 / elapsed,
         mean_iterations: iters_total as f64 / REPS as f64,
         outcomes,
-        last_outcome,
         cap_bus: first.cap_bus.value(),
         cool_duty: first.cool_duty,
     }
-}
-
-/// Adjoint-only smoke (`--gradient adjoint`): a quick assertion that the
-/// tape gradient's per-solve rollout count is small and does not grow
-/// with the horizon — the property the adjoint exists for. FD needs
-/// `4·horizon` rollouts *per gradient* (≥ 1440/solve at horizon 12 with
-/// the 30-iteration default); the adjoint needs one taped rollout per
-/// gradient, so a generous `8·iterations` ceiling still separates the
-/// two by an order of magnitude.
-fn adjoint_smoke(config: &SystemConfig) {
-    let p = plant(config);
-    let iterations = MpcConfig::default().solver_iterations;
-    let ceiling = (8 * iterations) as f64;
-    println!(
-        "{:<8} {:>12} {:>14} {:>14}",
-        "horizon", "adjoint_ms", "adj_ro/s", "adj_ro/solve"
-    );
-    for horizon in HORIZONS {
-        let loads: Vec<Watts> = (0..horizon)
-            .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
-            .collect();
-        let adj = run_mode(
-            &p,
-            &loads,
-            horizon,
-            GradientMode::Adjoint,
-            iterations,
-            &NullSink,
-        );
-        println!(
-            "{:<8} {:>12.3} {:>14.0} {:>14.1}",
-            horizon, adj.mean_ms, adj.rollouts_per_sec, adj.rollouts_per_solve
-        );
-        assert!(
-            adj.rollouts_per_solve < ceiling,
-            "horizon {horizon}: {} rollouts/solve — adjoint gradient is \
-             paying per-coordinate rollouts (FD would need ≥ {})",
-            adj.rollouts_per_solve,
-            4 * horizon * iterations
-        );
-    }
-    println!("\nadjoint smoke: rollouts/solve horizon-independent, all decisions finite");
-}
-
-/// Gauss-Newton smoke (`--gradient gauss-newton`): under a raised
-/// iteration budget at horizon 12, the tape-curvature mode must reach
-/// *certified* convergence once warm-started, in strictly fewer
-/// iterations than first-order adjoint descent spends on the same
-/// problem — the property the mode exists for.
-fn gauss_newton_smoke(config: &SystemConfig) {
-    let p = plant(config);
-    let horizon = 12;
-    let loads: Vec<Watts> = (0..horizon)
-        .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
-        .collect();
-    let adj = run_mode(
-        &p,
-        &loads,
-        horizon,
-        GradientMode::Adjoint,
-        TOL_BUDGET,
-        &NullSink,
-    );
-    let gn = run_mode(
-        &p,
-        &loads,
-        horizon,
-        GradientMode::GaussNewton,
-        TOL_BUDGET,
-        &NullSink,
-    );
-    println!(
-        "horizon {horizon}: adjoint {:.1} it/solve ({}), gauss-newton {:.1} it/solve ({})",
-        adj.mean_iterations,
-        adj.outcomes.json(),
-        gn.mean_iterations,
-        gn.outcomes.json()
-    );
-    assert_eq!(
-        gn.last_outcome,
-        SolverOutcome::Converged,
-        "warm-started Gauss-Newton must certify convergence"
-    );
-    assert!(
-        gn.mean_iterations < adj.mean_iterations,
-        "Gauss-Newton used {:.1} iterations/solve vs adjoint's {:.1} — \
-         the tape curvature bought nothing",
-        gn.mean_iterations,
-        adj.mean_iterations
-    );
-    println!("\ngauss-newton smoke: converged in fewer iterations than first-order descent");
 }
 
 fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut smoke: Option<&str> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--gradient" {
-            match args.next().as_deref() {
-                Some("adjoint") => smoke = Some("adjoint"),
-                Some("gauss-newton") => smoke = Some("gauss-newton"),
-                Some("fd") | Some("all") => smoke = None,
-                other => {
-                    panic!("--gradient expects adjoint|gauss-newton|fd|all, got {other:?}")
-                }
-            }
-        } else {
-            panic!("unrecognised argument {arg:?}");
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        panic!("perf_report takes no arguments, got {arg:?}");
     }
     let config = SystemConfig::default();
-    match smoke {
-        Some("adjoint") => {
-            adjoint_smoke(&config);
-            return;
-        }
-        Some(_) => {
-            gauss_newton_smoke(&config);
-            return;
-        }
-        None => {}
-    }
     let p = plant(&config);
     std::fs::create_dir_all("results").expect("results dir");
     let sink = JsonlSink::create("results/perf_report_telemetry.jsonl").expect("telemetry file");
@@ -388,14 +209,14 @@ fn main() {
             TOL_BUDGET,
             &sink,
         );
-        serial.outcomes.fold_into(&registry, GradientMode::Serial);
-        adjoint.outcomes.fold_into(&registry, GradientMode::Adjoint);
-        adjoint_tol
-            .outcomes
-            .fold_into(&registry, GradientMode::Adjoint);
-        gauss_newton
-            .outcomes
-            .fold_into(&registry, GradientMode::GaussNewton);
+        for (mode, stats) in [
+            (GradientMode::Serial, &serial),
+            (GradientMode::Adjoint, &adjoint),
+            (GradientMode::Adjoint, &adjoint_tol),
+            (GradientMode::GaussNewton, &gauss_newton),
+        ] {
+            fold_outcomes(&registry, mode.name(), &stats.outcomes);
+        }
         assert!(adjoint.cap_bus.is_finite() && adjoint.cool_duty.is_finite());
         assert!(gauss_newton.cap_bus.is_finite() && gauss_newton.cool_duty.is_finite());
         assert!(
@@ -430,7 +251,7 @@ fn main() {
                 s.differentiated_per_solve,
                 s.solves_per_sec,
                 s.mean_iterations,
-                s.outcomes.json()
+                outcomes_json(&s.outcomes)
             )
         };
         rows.push(format!(

@@ -10,12 +10,12 @@
 #![deny(missing_debug_implementations)]
 
 pub mod plot;
-pub mod spans;
 
 use otem::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem::{Controller, OtemError, SimulationResult, Simulator, SystemConfig};
 use otem_drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
-use otem_telemetry::Sink;
+use otem_fleet::SolveOutcomes;
+use otem_telemetry::{MetricsRegistry, Sink};
 use otem_units::{Farads, Kelvin};
 
 /// The configuration the cycle-sweep experiments (Figs. 8–9) run under:
@@ -149,6 +149,29 @@ pub fn run_with(
 ) -> Result<SimulationResult, OtemError> {
     let mut controller = methodology.controller(config)?;
     Ok(Simulator::new(config).run_with(controller.as_mut(), trace, sink))
+}
+
+/// Folds a solve-outcome tally into `registry` under the
+/// `otem_solve_outcome_total{mode,outcome}` family the fleet server
+/// exports, so the BENCH files' `metrics` blocks and live scrapes read
+/// identically.
+pub fn fold_outcomes(registry: &MetricsRegistry, mode: &str, outcomes: &SolveOutcomes) {
+    const HELP: &str = "MPC solve outcomes by gradient mode across the benchmark's solves.";
+    for (outcome, n) in [
+        ("converged", outcomes.converged),
+        ("budget_exhausted", outcomes.budget_exhausted),
+        ("stalled", outcomes.stalled),
+        ("non_finite", outcomes.non_finite),
+        ("deadline_reached", outcomes.deadline_reached),
+    ] {
+        registry
+            .counter(
+                "otem_solve_outcome_total",
+                HELP,
+                &[("mode", mode), ("outcome", outcome)],
+            )
+            .add(n);
+    }
 }
 
 /// Formats a ratio as a percentage with sign.

@@ -205,8 +205,8 @@ impl VehicleSpec {
 }
 
 /// Count of MPC solves by [`otem_solver` outcome](otem::mpc), summed
-/// over whatever scope holds it (one vehicle, a campaign, a server's
-/// lifetime). Addition is commutative, so campaign-level totals are
+/// over whatever scope holds it (one vehicle, a campaign, a benchmark's
+/// timed solves). Addition is commutative, so campaign-level totals are
 /// identical for every schedule and shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveOutcomes {
@@ -235,15 +235,6 @@ impl SolveOutcomes {
             "deadline_reached" => self.deadline_reached += 1,
             _ => {}
         }
-    }
-
-    /// Adds another tally into this one.
-    pub fn add(&mut self, other: SolveOutcomes) {
-        self.converged += other.converged;
-        self.budget_exhausted += other.budget_exhausted;
-        self.stalled += other.stalled;
-        self.non_finite += other.non_finite;
-        self.deadline_reached += other.deadline_reached;
     }
 
     /// Total solves observed.

@@ -65,20 +65,6 @@ impl OutcomeTally {
         Self::default()
     }
 
-    /// Adds a finished scope's counts (e.g. one campaign's
-    /// [`FleetReport::solve_outcomes`]) into this tally.
-    pub fn add(&self, counts: SolveOutcomes) {
-        self.converged
-            .fetch_add(counts.converged, Ordering::Relaxed);
-        self.budget_exhausted
-            .fetch_add(counts.budget_exhausted, Ordering::Relaxed);
-        self.stalled.fetch_add(counts.stalled, Ordering::Relaxed);
-        self.non_finite
-            .fetch_add(counts.non_finite, Ordering::Relaxed);
-        self.deadline_reached
-            .fetch_add(counts.deadline_reached, Ordering::Relaxed);
-    }
-
     /// The counts observed so far.
     pub fn snapshot(&self) -> SolveOutcomes {
         SolveOutcomes {
@@ -180,12 +166,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Latency histogram shape shared by the engine and the server:
-/// exponential edges from 10 µs to ≈ 84 s.
-pub(crate) fn latency_histogram_ms() -> Histogram {
-    Histogram::exponential(0.01, 2.0, 23)
 }
 
 /// Per-vehicle solver time source for deadline-constrained OTEM
@@ -333,7 +313,8 @@ impl FleetEngine {
         sink: &(dyn Sink + Sync),
         request_id: u64,
     ) -> FleetReport {
-        let latency = latency_histogram_ms();
+        // Exponential edges from 10 µs to ≈ 84 s.
+        let latency = Histogram::exponential(0.01, 2.0, 23);
         let tally = OutcomeTally::new();
         let pair = PairSink {
             tally: &tally,

@@ -312,8 +312,8 @@ impl SimulateRequest {
 }
 
 /// Renders a solve-outcome distribution as one JSON object (no
-/// surrounding whitespace) — embedded in fleet summary lines and the
-/// `/metrics` line.
+/// surrounding whitespace) — embedded in fleet trailers and the BENCH
+/// reports.
 pub fn outcomes_json(o: &SolveOutcomes) -> String {
     format!(
         "{{\"converged\":{},\"budget_exhausted\":{},\"stalled\":{},\

@@ -29,11 +29,11 @@
 //! # Observability
 //!
 //! Every serving-layer counter lives in a [`MetricsRegistry`] and is
-//! exposed on `GET /metrics` as Prometheus v0.0.4 text (the legacy JSON
-//! blob moved to `GET /metrics.json`): request/shed/timeout/panic
-//! totals, in-flight and uptime gauges, `otem_build_info`, per-route
-//! request-latency histograms, MPC solve outcomes by gradient mode, and
-//! trace-cache plus JSONL-drop counters. Each accepted connection mints
+//! exposed on `GET /metrics` as Prometheus v0.0.4 text:
+//! request/shed/timeout/panic totals, in-flight and uptime gauges,
+//! `otem_build_info`, per-route request-latency histograms, MPC solve
+//! outcomes by gradient mode, and trace-cache plus JSONL-drop
+//! counters. Each accepted connection mints
 //! a `request_id` that rides a thread-local
 //! [`otem_telemetry::request_scope`] through the engine's workers, so
 //! spans and flight-recorder entries name the request that caused them.
@@ -50,7 +50,6 @@
 //! |-------|------|----------|
 //! | `GET /healthz` | — | one status line |
 //! | `GET /metrics` | — | Prometheus v0.0.4 text exposition of the registry |
-//! | `GET /metrics.json` | — | request/shed/timeout/panic counters + latency quantiles (one JSON line) |
 //! | `GET /debug/flight` | — | frozen flight-recorder dump if an incident occurred, else the live ring |
 //! | `GET /debug/trace?sample=N` | — | arms 1-in-N span sampling; streams sampled spans |
 //! | `POST /simulate` | [`SimulateRequest`] JSON | JSONL summaries (fleet) or telemetry stream + summary (vehicle) |
@@ -62,7 +61,7 @@
 //! so clients just read lines until EOF.
 
 use crate::campaign::{Campaign, SummaryBuilder, TraceCache, VehicleSpec};
-use crate::engine::{latency_histogram_ms, FleetEngine, OutcomeTally};
+use crate::engine::FleetEngine;
 use crate::protocol::{failure_line, outcomes_json, summary_line, SimulateRequest, Telemetry};
 use crate::queue::{BoundedQueue, PushError};
 use otem::planner::{plan_split, PlannerConfig};
@@ -214,10 +213,6 @@ struct ServerState {
     /// Live shedder threads (see [`shed_connection`]); capped so a shed
     /// storm cannot become a thread-spawn storm.
     shedders: AtomicU64,
-    latency_ms: Histogram,
-    /// MPC solve outcomes across every request served so far (fleet and
-    /// single-vehicle alike) — exported on `/metrics.json`.
-    solves: OutcomeTally,
     shutdown: AtomicBool,
     /// The bound address, set at bind time — lets the `/shutdown`
     /// handler (running on a worker) wake the blocking accept loop with
@@ -472,8 +467,6 @@ impl FleetServer {
                 config,
                 in_flight: AtomicU64::new(0),
                 shedders: AtomicU64::new(0),
-                latency_ms: latency_histogram_ms(),
-                solves: OutcomeTally::new(),
                 shutdown: AtomicBool::new(false),
                 addr: OnceLock::new(),
             }),
@@ -727,7 +720,6 @@ fn serve_job(state: &Arc<ServerState>, job: Job) {
         }
     };
     let elapsed_s = job.accepted.elapsed().as_secs_f64();
-    state.latency_ms.observe(elapsed_s * 1e3);
     state.route_latency(route).observe(elapsed_s);
     state.in_flight.fetch_sub(1, Ordering::Relaxed);
     if let Some(dump) = state.recorder.take_dump() {
@@ -803,7 +795,6 @@ fn route_name(method: &str, path: &str) -> &'static str {
     match (method, path) {
         ("GET", "/healthz") => "/healthz",
         ("GET", "/metrics") => "/metrics",
-        ("GET", "/metrics.json") => "/metrics.json",
         ("GET", "/debug/flight") => "/debug/flight",
         ("GET", "/debug/trace") => "/debug/trace",
         ("POST", "/shutdown") => "/shutdown",
@@ -924,7 +915,6 @@ fn handle_connection(
             stream.flush()?;
             Ok(200)
         }
-        ("GET", "/metrics.json") => respond_line(stream, &metrics_line(state)),
         ("GET", "/debug/flight") => flight_route(state, stream),
         ("GET", "/debug/trace") => trace_route(state, stream, query),
         ("POST", "/shutdown") => {
@@ -1018,32 +1008,9 @@ fn write_entries(stream: &mut TcpStream, entries: &[FlightEntry]) -> io::Result<
     Ok(())
 }
 
-fn metrics_line(state: &ServerState) -> String {
-    format!(
-        "{{\"event\":\"metrics\",\"requests\":{},\"errors\":{},\
-         \"accept_errors\":{},\"shed\":{},\"timeouts\":{},\"panics\":{},\
-         \"vehicle_panics\":{},\"in_flight\":{},\
-         \"latency_ms\":{{\"count\":{},\"p50\":{:.3},\"p95\":{:.3},\"p99\":{:.3}}},\
-         \"solves\":{}}}",
-        state.requests.get(),
-        state.errors.get(),
-        state.accept_errors.get(),
-        state.shed.get(),
-        state.timeouts.get(),
-        state.panics.get(),
-        state.vehicle_panics.get(),
-        state.in_flight.load(Ordering::Relaxed),
-        state.latency_ms.count(),
-        state.latency_ms.quantile(0.50),
-        state.latency_ms.quantile(0.95),
-        state.latency_ms.quantile(0.99),
-        outcomes_json(&state.solves.snapshot()),
-    )
-}
-
 /// Forwards events to a per-request sink while tallying MPC solve
-/// outcomes into the server-lifetime [`OutcomeTally`], the registry's
-/// `(mode, outcome)` family, and the flight recorder. `enabled` defers
+/// outcomes into the registry's `(mode, outcome)` family and feeding
+/// the flight recorder. `enabled` defers
 /// to the inner sink (so streaming telemetry modes keep their derived
 /// events) or to span sampling when `/debug/trace` armed it.
 struct TallySink<'a> {
@@ -1053,7 +1020,6 @@ struct TallySink<'a> {
 
 impl Sink for TallySink<'_> {
     fn record(&self, event: Event) {
-        self.state.solves.record(event);
         self.state.observe(event);
         self.inner.record(event);
     }
@@ -1234,7 +1200,6 @@ fn simulate(
             }
             let ops = OpsSink { state };
             let report = engine.run_with_request(&campaign, &ops, request_id);
-            state.solves.add(report.solve_outcomes);
             state.vehicle_panics.add(report.vehicle_panics());
             let mut stream = stream;
             write_head(&mut stream, 200, "OK")?;

@@ -3,6 +3,7 @@
 //! clean shutdown.
 
 use otem_fleet::{Campaign, FleetEngine, FleetServer, Schedule, ServerConfig, ServerHandle};
+use otem_telemetry::promparse::{validate_exposition, ParsedExposition};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -23,6 +24,15 @@ fn roundtrip(handle: &ServerHandle, method: &str, path: &str, body: &str) -> (St
     (status, lines)
 }
 
+/// Scrapes `/metrics` and validates the Prometheus exposition (every
+/// family typed, histogram buckets cumulative).
+fn scrape(handle: &ServerHandle) -> ParsedExposition {
+    let (status, lines) = roundtrip(handle, "GET", "/metrics", "");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let text = lines.join("\n") + "\n";
+    validate_exposition(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"))
+}
+
 fn spawn_server() -> ServerHandle {
     FleetServer::new(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -41,6 +51,28 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
     let (status, lines) = roundtrip(&handle, "GET", "/healthz", "");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_eq!(lines, ["{\"status\":\"ok\"}"]);
+
+    // A scrape before any incident: the ops counters already exist at
+    // zero, so dashboards see every family from boot, and the in-flight
+    // gauge, refreshed at scrape time, counts the scrape itself.
+    let boot = scrape(&handle);
+    for family in [
+        "otem_requests_shed_total",
+        "otem_request_timeouts_total",
+        "otem_request_panics_total",
+        "otem_vehicle_panics_total",
+    ] {
+        assert_eq!(
+            boot.sample(family, &[]).map(|s| s.value),
+            Some(0.0),
+            "{family} exported at zero from boot"
+        );
+    }
+    assert!(
+        boot.sample("otem_in_flight_requests", &[])
+            .is_some_and(|s| s.value >= 1.0),
+        "the scrape is in flight while the gauge is read"
+    );
 
     // Fleet simulate: one summary line per vehicle plus the fleet
     // trailer, and the trailer's checksum matches an in-process run of
@@ -124,7 +156,7 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
     // A deadline-capped OTEM vehicle: every solve is anytime (a 1 µs
     // budget expires almost immediately on the monotonic clock), yet
     // the vehicle still completes with a summary — and the outcomes
-    // land in the server-lifetime tally asserted on /metrics below.
+    // land in the solve-outcome family asserted on /metrics below.
     let (status, lines) = roundtrip(
         &handle,
         "POST",
@@ -140,64 +172,50 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
         "deadline-capped vehicle still summarises: {lines:?}"
     );
 
-    // The legacy JSON blob moved to /metrics.json and still reflects
-    // the traffic above.
-    let (status, lines) = roundtrip(&handle, "GET", "/metrics.json", "");
-    assert_eq!(status, "HTTP/1.1 200 OK");
-    let metrics = &lines[0];
-    assert!(metrics.starts_with("{\"event\":\"metrics\","), "{metrics}");
-    assert!(
-        metrics.contains("\"p50\":"),
-        "latency quantiles present: {metrics}"
-    );
-    let deadline_reached: u64 = metrics
-        .split("\"deadline_reached\":")
-        .nth(1)
-        .and_then(|rest| {
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        })
-        .expect("solves tally present in metrics");
-    assert!(
-        deadline_reached > 0,
-        "1 µs deadline never tripped: {metrics}"
-    );
     assert!(handle.requests() >= 8);
 
-    // /metrics now serves the Prometheus text exposition: it parses
-    // and validates (every family typed, buckets cumulative), and
-    // covers the serving-layer counters, the per-mode solve outcomes
-    // and the per-route latency histograms.
-    let (status, lines) = roundtrip(&handle, "GET", "/metrics", "");
-    assert_eq!(status, "HTTP/1.1 200 OK");
-    let text = lines.join("\n") + "\n";
-    let parsed = otem_telemetry::promparse::validate_exposition(&text)
-        .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
-    let requests = parsed
-        .sample("otem_requests_total", &[])
-        .expect("otem_requests_total exported")
-        .value;
-    assert!(requests >= 8.0, "request counter covers the traffic above");
-    assert!(
+    // /metrics covers the serving-layer counters, the per-mode solve
+    // outcomes and the per-route latency histograms.
+    let parsed = scrape(&handle);
+    let counter = |name: &str| {
         parsed
-            .families
-            .get("otem_solve_outcome_total")
-            .is_some_and(|f| f.samples.iter().any(
-                |s| s.label("mode").is_some() && s.label("outcome") == Some("deadline_reached")
-            )),
-        "solve outcomes broken out by gradient mode: {text}"
+            .sample(name, &[])
+            .unwrap_or_else(|| panic!("{name} exported"))
+            .value
+    };
+    assert!(
+        counter("otem_requests_total") >= 8.0,
+        "request counter covers the traffic above"
     );
     assert!(
+        counter("otem_request_errors_total") >= 3.0,
+        "two 400s and a 404 counted"
+    );
+    let solves = &parsed
+        .families
+        .get("otem_solve_outcome_total")
+        .expect("solve outcomes exported")
+        .samples;
+    assert!(
+        solves
+            .iter()
+            .all(|s| s.label("mode").is_some() && s.label("outcome").is_some()),
+        "solve outcomes broken out by gradient mode and outcome: {solves:?}"
+    );
+    let deadline_reached: f64 = solves
+        .iter()
+        .filter(|s| s.label("outcome") == Some("deadline_reached"))
+        .map(|s| s.value)
+        .sum();
+    assert!(deadline_reached >= 1.0, "1 µs deadline never tripped");
+    assert!(
         parsed
-            .families
-            .get("otem_request_latency_seconds")
-            .is_some_and(|f| f
-                .samples
-                .iter()
-                .any(|s| s.name.ends_with("_bucket") && s.label("route") == Some("/simulate"))),
-        "per-route latency histogram present: {text}"
+            .sample(
+                "otem_request_latency_seconds_count",
+                &[("route", "/simulate")]
+            )
+            .is_some_and(|s| s.value >= 3.0),
+        "per-route latency histogram covers the /simulate traffic"
     );
     assert!(
         parsed.sample("otem_build_info", &[]).is_none(),
@@ -208,20 +226,13 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
             .samples
             .iter()
             .any(|s| s.value == 1.0
-                && s.label("version").is_some()
-                && s.label("profile").is_some())),
-        "otem_build_info{{version,profile}} == 1: {text}"
+                && s.label("version").is_some_and(|v| !v.is_empty())
+                && s.label("profile").is_some_and(|p| !p.is_empty()))),
+        "otem_build_info{{version,profile}} == 1"
     );
+    assert!(counter("otem_uptime_seconds") > 0.0, "uptime ticks");
     assert!(
-        parsed
-            .sample("otem_uptime_seconds", &[])
-            .is_some_and(|s| s.value >= 0.0),
-        "uptime gauge present"
-    );
-    assert!(
-        parsed
-            .sample("otem_trace_cache_misses_total", &[])
-            .is_some_and(|s| s.value >= 1.0),
+        counter("otem_trace_cache_misses_total") >= 1.0,
         "trace-cache misses surfaced in the registry"
     );
 

@@ -4,7 +4,7 @@
 //!
 //! It exists so the exposition can be verified mechanically instead of
 //! by substring matching: the property suite round-trips rendered
-//! snapshots through it, and the `fleet_bench --obs-smoke` CI gate
+//! snapshots through it, and the fleet server's round-trip test
 //! scrapes a live `/metrics` and runs [`validate_exposition`] over the
 //! bytes on the wire. It is a *validator*, not a general scrape
 //! client: unknown syntax is an error, never skipped.
@@ -292,7 +292,7 @@ pub fn parse_exposition(text: &str) -> Result<ParsedExposition, String> {
 ///   the family's `_count` for the same label set.
 ///
 /// Returns the parsed exposition on success — this is the check the
-/// `fleet_bench --obs-smoke` CI gate runs against a live scrape.
+/// fleet server's round-trip test runs against a live scrape.
 ///
 /// # Errors
 ///

@@ -146,8 +146,8 @@ fn supervised_otem_completes_the_fault_campaign_with_bounded_state() {
     );
 
     // Degraded-time accounting: under this campaign the supervisor's
-    // fallback/probe spans must carry nonzero wall time — the quantity
-    // `trace_report` attributes to the degradation ladder.
+    // fallback/probe spans must carry nonzero wall time — the time a
+    // span profile attributes to the degradation ladder.
     assert!(
         degraded_span_ns(&sink) > 0,
         "the campaign engaged the fallback, so supervisor spans must have duration"

@@ -16,18 +16,30 @@
 //!
 //! Both counters are deterministic; a change that moves either must say
 //! so and re-pin them here.
+//!
+//! Three more tests ride on the same counters:
+//!
+//! * on a warm-started open-loop problem (default system, horizons 12,
+//!   24 and 48) the adjoint's forward passes per solve stay far below
+//!   the `4·horizon` rollouts *per gradient* finite differences need,
+//!   and under a 400-iteration budget Gauss-Newton certifies
+//!   convergence in fewer iterations than first-order descent;
+//! * a traced 20-step OTEM run emits a balanced, properly nested span
+//!   stream whose per-phase counts are pinned.
 
 use otem_repro::battery::BatteryPack;
 use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
-use otem_repro::control::SystemConfig;
+use otem_repro::control::policy::Otem;
+use otem_repro::control::{Simulator, SystemConfig};
 use otem_repro::converter::DcDcConverter;
-use otem_repro::drivecycle::{standard, Powertrain, StandardCycle, VehicleParams};
+use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_repro::hees::{HybridCommand, HybridHees};
-use otem_repro::solver::GradientMode;
-use otem_repro::telemetry::MemorySink;
+use otem_repro::solver::{GradientMode, SolverOutcome};
+use otem_repro::telemetry::{Event, MemorySink};
 use otem_repro::thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
 use otem_repro::ultracap::UltracapParams;
-use otem_repro::units::{Kelvin, Seconds};
+use otem_repro::units::{Kelvin, Ratio, Seconds, Watts};
+use std::collections::BTreeMap;
 
 /// Closed-loop decisions per mode.
 const STEPS: usize = 60;
@@ -166,4 +178,215 @@ fn adjoint_gradients_reuse_the_accepted_trial_tape() {
 #[test]
 fn gauss_newton_gradients_reuse_the_accepted_trial_tape() {
     check(GradientMode::GaussNewton, 10860, 0xd27f_d8bb_0a0d_12b8);
+}
+
+/// Warm-started solves timed per mode and horizon in the open-loop
+/// problem below.
+const REPS: usize = 8;
+
+/// Iteration budget for the iterations-to-tolerance comparison: high
+/// enough that termination is decided by convergence, not the cap.
+const TOL_BUDGET: usize = 400;
+
+/// Work and outcome of `REPS` warm-started solves of one problem.
+struct Solves {
+    rollouts_per_solve: f64,
+    mean_iterations: f64,
+    last_outcome: SolverOutcome,
+}
+
+/// The default system at 80 % SoC / 60 % SoE and 33 °C, facing a
+/// repeating 20–60 kW load ramp over `horizon` steps: one warm-up
+/// solve, then `REPS` solves of the same problem from the warm start.
+fn open_loop(mode: GradientMode, horizon: usize, iterations: usize) -> Solves {
+    let config = SystemConfig::default();
+    let mut hees = HybridHees::ev_default(config.capacitance).expect("hees");
+    hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
+    let plant = MpcPlant {
+        hees,
+        thermal: ThermalModel::new(config.thermal_active).expect("thermal"),
+        plant: CoolingPlant::new(config.plant).expect("cooling plant"),
+        state: ThermalState::uniform(Kelvin::from_celsius(33.0)),
+        aging: config.aging,
+        soc_min: config.soc_min,
+        soe_min: config.soe_min,
+        battery_power_max: config.battery_power_max,
+        cap_power_max: config.cap_power_max,
+    };
+    let loads: Vec<Watts> = (0..horizon)
+        .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
+        .collect();
+    let dt = Seconds::new(1.0);
+    let mut mpc = Mpc::new(MpcConfig {
+        horizon,
+        gradient_mode: mode,
+        solver_iterations: iterations,
+        ..MpcConfig::default()
+    });
+    let mut last_outcome = mpc.solve(&plant, &loads, dt).outcome;
+    let rollouts_before = mpc.rollouts();
+    let mut iterations_total = 0;
+    for _ in 0..REPS {
+        let d = mpc.solve(&plant, &loads, dt);
+        assert!(d.cap_bus.value().is_finite() && d.cool_duty.is_finite());
+        iterations_total += d.iterations;
+        last_outcome = d.outcome;
+    }
+    Solves {
+        rollouts_per_solve: (mpc.rollouts() - rollouts_before) as f64 / REPS as f64,
+        mean_iterations: iterations_total as f64 / REPS as f64,
+        last_outcome,
+    }
+}
+
+#[test]
+fn adjoint_forward_passes_per_solve_stay_horizon_independent() {
+    // Finite differences need `4·horizon` rollouts per gradient (≥ 1440
+    // per solve at horizon 12 with the default budget); the adjoint
+    // needs at most one forward pass per gradient plus the line-search
+    // trials, so `8·iterations` still separates the two by an order of
+    // magnitude.
+    let iterations = MpcConfig::default().solver_iterations;
+    for horizon in [12, 24, 48] {
+        let adjoint = open_loop(GradientMode::Adjoint, horizon, iterations);
+        assert!(
+            adjoint.rollouts_per_solve < (8 * iterations) as f64,
+            "horizon {horizon}: {} rollouts/solve — the adjoint gradient is paying \
+             per-coordinate rollouts (FD would need ≥ {})",
+            adjoint.rollouts_per_solve,
+            4 * horizon * iterations
+        );
+    }
+}
+
+#[test]
+fn gauss_newton_converges_in_fewer_iterations_than_adjoint_descent() {
+    for horizon in [12, 24, 48] {
+        let adjoint = open_loop(GradientMode::Adjoint, horizon, TOL_BUDGET);
+        let gauss_newton = open_loop(GradientMode::GaussNewton, horizon, TOL_BUDGET);
+        if horizon == 12 {
+            assert_eq!(
+                gauss_newton.last_outcome,
+                SolverOutcome::Converged,
+                "warm-started Gauss-Newton must certify convergence"
+            );
+        }
+        assert!(
+            gauss_newton.mean_iterations < adjoint.mean_iterations,
+            "horizon {horizon}: Gauss-Newton used {:.1} iterations/solve vs first-order \
+             adjoint's {:.1} under the same {TOL_BUDGET}-iteration budget",
+            gauss_newton.mean_iterations,
+            adjoint.mean_iterations
+        );
+    }
+}
+
+/// Span counts per phase of the traced run below. Every count is a
+/// solver work counter (one `iteration` span per solver iteration, one
+/// `rollout` per forward pass, one `gradient` per gradient evaluation),
+/// so they are as deterministic as [`Mpc::rollouts`].
+const SPAN_COUNTS: [(&str, usize); 9] = [
+    ("gradient", 591),
+    ("iteration", 572),
+    ("line_search", 572),
+    ("mpc_solve", 20),
+    ("otem_step", 20),
+    ("pool", 20),
+    ("rollout", 1380),
+    ("sim_step", 20),
+    ("warm_start", 20),
+];
+
+/// A span opened on some lane and not yet closed.
+struct OpenSpan {
+    id: u64,
+    name: &'static str,
+    start_ns: u64,
+    child_ns: u64,
+}
+
+#[test]
+fn traced_otem_run_emits_a_balanced_span_stream_with_pinned_counts() {
+    const TRACE_STEPS: usize = 20;
+    let config = SystemConfig::stress_rig();
+    let cycle = standard(StandardCycle::Us06).expect("synthesis");
+    let full = Powertrain::new(VehicleParams::compact_ev())
+        .expect("vehicle")
+        .power_trace(&cycle);
+    let trace = PowerTrace::new(full.dt(), full.samples()[..TRACE_STEPS].to_vec());
+    let mut otem = Otem::new(&config).expect("controller");
+    let sink = MemorySink::new();
+    let result = Simulator::new(&config).run_with(&mut otem, &trace, &sink);
+    assert_eq!(result.records.len(), TRACE_STEPS);
+    let events = sink.events();
+    assert!(
+        events.len() < MemorySink::DEFAULT_CAPACITY,
+        "the ring evicted events; the span stream is incomplete"
+    );
+
+    // Replay the stream per lane: each start must name the lane's
+    // innermost open span as its parent, each end must close that
+    // innermost span, and a span's direct children can never account
+    // for more time than the span itself.
+    let mut open: BTreeMap<u64, Vec<OpenSpan>> = BTreeMap::new();
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    for event in events {
+        match event {
+            Event::SpanStart {
+                id,
+                parent,
+                name,
+                lane,
+                t_ns,
+            } => {
+                let stack = open.entry(lane).or_default();
+                let innermost = stack.last().map_or(0, |s| s.id);
+                assert_eq!(parent, innermost, "span {id} ({name}) misnames its parent");
+                stack.push(OpenSpan {
+                    id,
+                    name,
+                    start_ns: t_ns,
+                    child_ns: 0,
+                });
+            }
+            Event::SpanEnd {
+                id,
+                lane,
+                t_ns,
+                dur_ns,
+                ..
+            } => {
+                let stack = open.entry(lane).or_default();
+                let top = stack
+                    .pop()
+                    .unwrap_or_else(|| panic!("span {id} closed on lane {lane} with none open"));
+                assert_eq!(top.id, id, "lane {lane} closed {id} before {}", top.name);
+                assert!(
+                    t_ns >= top.start_ns,
+                    "span {id} ({}) ends before it starts",
+                    top.name
+                );
+                assert!(
+                    top.child_ns <= dur_ns,
+                    "span {id} ({}) lasted {dur_ns} ns but its children total {} ns",
+                    top.name,
+                    top.child_ns
+                );
+                if let Some(parent) = stack.last_mut() {
+                    parent.child_ns += dur_ns;
+                }
+                *counts.entry(top.name).or_default() += 1;
+            }
+            _ => {}
+        }
+    }
+    for (lane, stack) in &open {
+        assert!(
+            stack.is_empty(),
+            "lane {lane} left {:?} open",
+            stack.iter().map(|s| s.name).collect::<Vec<_>>()
+        );
+    }
+    assert_eq!(counts.into_iter().collect::<Vec<_>>(), SPAN_COUNTS);
+    assert_eq!(SPAN_COUNTS.iter().map(|(_, n)| n).sum::<usize>(), 3215);
 }
