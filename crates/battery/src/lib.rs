@@ -37,16 +37,12 @@
 mod aging;
 mod cell;
 mod error;
-mod estimator;
 mod kernel;
 mod pack;
 mod params;
-mod transient;
 
 pub use aging::{AgingModel, AgingParams};
 pub use cell::{Cell, CellSnapshot};
 pub use error::BatteryError;
-pub use estimator::{EkfConfig, SocEstimator};
 pub use pack::{BatteryPack, DrawPartials, PackConfig, PackCurves, PackSnapshot, PowerDraw};
 pub use params::{CellParams, OcvCurve, ResistanceCurve, SlopeTable};
-pub use transient::{RcPair, TransientCell};

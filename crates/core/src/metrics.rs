@@ -106,35 +106,6 @@ impl SimulationResult {
         let rate = self.capacity_loss / self.duration().value();
         Some(0.20 / rate / 3600.0)
     }
-
-    /// Serialises the per-step records as CSV (`t,load_w,delivered_w,
-    /// battery_internal_w,cap_internal_w,cooling_w,t_battery_c,
-    /// t_coolant_c,soc,soe`) for external plotting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 96 + 128);
-        out.push_str(
-            "t,load_w,delivered_w,battery_internal_w,cap_internal_w,             cooling_w,t_battery_c,t_coolant_c,soc,soe
-",
-        );
-        for (i, r) in self.records.iter().enumerate() {
-            use std::fmt::Write;
-            let _ = writeln!(
-                out,
-                "{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.4},{:.4},{:.6},{:.6}",
-                i as f64 * self.dt.value(),
-                r.load.value(),
-                r.hees.delivered.value(),
-                r.hees.battery_internal.value(),
-                r.hees.cap_internal.value(),
-                r.cooling_power.value(),
-                r.state.battery_temp.to_celsius().value(),
-                r.state.coolant_temp.to_celsius().value(),
-                r.state.soc.value(),
-                r.state.soe.value(),
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -203,16 +174,6 @@ mod tests {
         let hours = r.projected_lifetime_hours().expect("loss accumulated");
         // rate = 1.5e-6 per 3 s → 0.2/rate = 4e5 s ≈ 111.1 h
         assert!((hours - 0.20 / (1.5e-6 / 3.0) / 3600.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_record() {
-        let r = result();
-        let csv = r.to_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + r.records.len());
-        assert!(lines[0].starts_with("t,load_w"));
-        assert!(lines[1].starts_with("0,1000.000"));
     }
 
     #[test]

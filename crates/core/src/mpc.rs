@@ -69,12 +69,6 @@ pub struct MpcConfig {
     /// value of pre-cooling beyond its own window (thermal time
     /// constants far exceed practical horizons).
     pub terminal_tail: f64,
-    /// Move blocking: each of the `horizon` decision blocks spans this
-    /// many control periods, so the window covers `horizon × block_size`
-    /// seconds at the optimisation cost of `horizon` steps. The first
-    /// block's move is applied for one control period and the problem is
-    /// re-solved (standard receding-horizon practice).
-    pub block_size: usize,
     /// How the gradient of the rollout objective is evaluated. The
     /// default is [`GradientMode::Adjoint`]: a hand-derived reverse-mode
     /// sweep over the tape the line search's accepted trial recorded, so
@@ -112,7 +106,6 @@ impl Default for MpcConfig {
             solver_iterations: 30,
             warm_start: true,
             terminal_tail: 600.0,
-            block_size: 1,
             gradient_mode: GradientMode::Adjoint,
             deadline_ns: None,
         }
@@ -329,7 +322,7 @@ impl Mpc {
             self.x0.resize(2 * n, 0.0);
             if self.config.warm_start {
                 if let Some(prev) = &self.previous {
-                    warm_start_shift(&mut self.x0, prev, n, self.config.block_size);
+                    warm_start_shift(&mut self.x0, prev, n);
                 }
             }
         }
@@ -424,31 +417,15 @@ impl Mpc {
 }
 
 /// Warm-starts `x0` from the previous period's plan `prev` (both laid out
-/// as `[cap_share_0..n-1, cool_duty_0..n-1]`).
-///
-/// One *control period* has elapsed since `prev` was planned, but each
-/// decision block spans `block` periods — so the plan must advance by the
-/// fraction `1/block` of a block, not a whole block. A whole-index shift
-/// (the `block == 1` case) would discard `block − 1` periods of
-/// still-valid plan; instead each block is blended with its successor in
-/// proportion to how far the elapsed period has slid the window:
-/// `x0[k] = (1 − 1/block)·prev[k] + (1/block)·prev[k+1]`, with the tail
-/// block repeated.
-fn warm_start_shift(x0: &mut [f64], prev: &[f64], n: usize, block: usize) {
+/// as `[cap_share_0..n-1, cool_duty_0..n-1]`): one control period has
+/// elapsed, so each step takes its successor's value and the tail step
+/// is repeated.
+fn warm_start_shift(x0: &mut [f64], prev: &[f64], n: usize) {
     debug_assert_eq!(x0.len(), 2 * n);
     debug_assert_eq!(prev.len(), 2 * n);
-    let block = block.max(1);
-    if block == 1 {
-        for k in 0..n - 1 {
-            x0[k] = prev[k + 1];
-            x0[n + k] = prev[n + k + 1];
-        }
-    } else {
-        let frac = 1.0 / block as f64;
-        for k in 0..n - 1 {
-            x0[k] = (1.0 - frac) * prev[k] + frac * prev[k + 1];
-            x0[n + k] = (1.0 - frac) * prev[n + k] + frac * prev[n + k + 1];
-        }
+    for k in 0..n - 1 {
+        x0[k] = prev[k + 1];
+        x0[n + k] = prev[n + k + 1];
     }
     x0[n - 1] = prev[n - 1];
     x0[2 * n - 1] = prev[2 * n - 1];
@@ -870,24 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn block_size_extends_the_window() {
-        // With block_size the same decision vector spans a longer window;
-        // sanity: solving still returns finite, bounded commands.
-        let config = SystemConfig::default();
-        let p = plant(&config);
-        let mut mpc = Mpc::new(MpcConfig {
-            horizon: 6,
-            block_size: 5,
-            ..MpcConfig::default()
-        });
-        let loads = vec![Watts::new(20_000.0); 6];
-        let d = mpc.solve(&p, &loads, Seconds::new(5.0));
-        assert!(d.cap_bus.is_finite());
-        assert!((0.0..=1.0).contains(&d.cool_duty));
-        assert!(d.cap_bus.abs() <= p.cap_power_max + Watts::new(1e-6));
-    }
-
-    #[test]
     fn workspace_rollouts_match_clone_based_rollouts_bitwise() {
         // The workspace's snapshot/restore path must be indistinguishable from
         // a fresh plant clone per evaluation — including on reuse, when
@@ -976,37 +935,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_shift_blends_fractionally_under_blocking() {
+    fn warm_start_shift_advances_the_plan_one_period() {
         let n = 4;
         let prev: Vec<f64> = vec![
             0.8, 0.4, -0.6, 0.2, // cap shares
             0.1, 0.9, 0.3, 0.7, // duties
         ];
-        // block_size 1: whole-index shift, tail repeated.
+        // Whole-index shift, tail repeated.
         let mut shifted = vec![0.0; 2 * n];
-        warm_start_shift(&mut shifted, &prev, n, 1);
+        warm_start_shift(&mut shifted, &prev, n);
         assert_eq!(shifted, vec![0.4, -0.6, 0.2, 0.2, 0.9, 0.3, 0.7, 0.7]);
-        // block_size 4: one elapsed period is a quarter block, so the
-        // plan advances by a quarter of the gap to the next block instead
-        // of throwing three still-valid periods away.
-        let mut blended = vec![0.0; 2 * n];
-        warm_start_shift(&mut blended, &prev, n, 4);
-        let expect = |a: f64, b: f64| 0.75 * a + 0.25 * b;
-        for (k, &want) in [
-            expect(0.8, 0.4),
-            expect(0.4, -0.6),
-            expect(-0.6, 0.2),
-            0.2,
-            expect(0.1, 0.9),
-            expect(0.9, 0.3),
-            expect(0.3, 0.7),
-            0.7,
-        ]
-        .iter()
-        .enumerate()
-        {
-            assert!((blended[k] - want).abs() < 1e-15, "k = {k}");
-        }
     }
 
     #[test]
@@ -1685,7 +1623,8 @@ mod tests {
         // Sixty closed-loop stress-rig decisions over US06. Every
         // gradient assembles derivatives exactly once, from the accepted
         // trial's records; every rejected line-search trial is a forward
-        // pass that never does.
+        // pass that never does, and neither is the final accepted trial
+        // of a solve that runs out of budget.
         use otem_drivecycle::{standard, Powertrain, StandardCycle, VehicleParams};
         use otem_hees::HybridCommand;
         use otem_telemetry::{Event as TEvent, MemorySink};
@@ -1699,7 +1638,7 @@ mod tests {
         let cfg = MpcConfig::default();
         let mut mpc = Mpc::new(cfg);
         let sink = MemorySink::with_capacity(1 << 16);
-        let (mut gradient_evals, mut trials, mut accepted) = (0, 0, 0);
+        let (mut gradient_evals, mut trials, mut accepted, mut exhausted) = (0, 0, 0, 0);
         for k in 0..60 {
             let loads = trace.window(k, cfg.horizon);
             let d = mpc.solve_with(&p, &loads, dt, &sink);
@@ -1724,6 +1663,7 @@ mod tests {
                 .count() as u64;
             gradient_evals += sink.count_kind("gradient_eval") as u64;
             accepted += d.iterations as u64;
+            exhausted += u64::from(d.outcome == SolverOutcome::BudgetExhausted);
             sink.clear();
 
             let outlet = p.state.coolant;
@@ -1751,6 +1691,7 @@ mod tests {
         let rejected = trials - accepted;
         assert_eq!(assemblies, gradient_evals);
         assert!(rejected > 0, "no line-search trial was rejected");
-        assert_eq!(mpc.rollouts() - assemblies, rejected);
+        assert!(exhausted > 0, "no solve ran out of budget");
+        assert_eq!(mpc.rollouts() - assemblies, rejected + exhausted);
     }
 }

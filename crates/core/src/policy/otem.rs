@@ -198,23 +198,17 @@ impl Otem {
         sink: &dyn Sink,
     ) -> MpcDecision {
         // Fill the control window with the current request followed by
-        // the forecast. With move blocking, each decision block spans
-        // `block_size` control periods and sees the mean load of its span.
+        // the forecast, padded with zero load past its end.
         let n = self.mpc.config().horizon;
-        let block = self.mpc.config().block_size.max(1);
-        let mut raw = Vec::with_capacity(n * block);
-        raw.push(load);
-        raw.extend(forecast.iter().take(n * block - 1).copied());
-        raw.resize(n * block, Watts::ZERO);
-        let loads: Vec<Watts> = raw
-            .chunks(block)
-            .map(|c| c.iter().copied().sum::<Watts>() / c.len() as f64)
-            .collect();
+        let mut loads = Vec::with_capacity(n);
+        loads.push(load);
+        loads.extend(forecast.iter().take(n - 1).copied());
+        loads.resize(n, Watts::ZERO);
 
-        // Line 14: optimise (over block-sized model steps).
+        // Line 14: optimise.
         let decision = self
             .mpc
-            .solve_with(&self.plant_snapshot(), &loads, dt * block as f64, sink);
+            .solve_with(&self.plant_snapshot(), &loads, dt, sink);
 
         if decision.cap_bus.value().abs() >= 0.995 * self.config.cap_power_max.value() {
             sink.record(Event::UcapSaturated {

@@ -158,53 +158,6 @@ impl DriveCycle {
         idle as f64 / self.speeds.len() as f64
     }
 
-    /// Serialises as two-column CSV (`t_s,speed_mps`) for external
-    /// plotting or interchange with other simulators.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.speeds.len() * 16 + 16);
-        out.push_str(
-            "t_s,speed_mps
-",
-        );
-        for (i, s) in self.speeds.iter().enumerate() {
-            use std::fmt::Write;
-            let _ = writeln!(out, "{i},{:.4}", s.value());
-        }
-        out
-    }
-
-    /// Parses the CSV format written by [`DriveCycle::to_csv`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleError::InvalidTrace`] on malformed rows or invalid
-    /// speed samples.
-    pub fn from_csv(name: impl Into<String>, csv: &str) -> Result<Self, CycleError> {
-        let mut speeds = Vec::new();
-        for (row, line) in csv.lines().enumerate() {
-            if row == 0 && line.starts_with("t_s") {
-                continue; // header
-            }
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let speed_field = line.split(',').nth(1).ok_or(CycleError::InvalidTrace {
-                index: row,
-                reason: "missing speed column",
-            })?;
-            let value: f64 = speed_field
-                .trim()
-                .parse()
-                .map_err(|_| CycleError::InvalidTrace {
-                    index: row,
-                    reason: "unparseable speed",
-                })?;
-            speeds.push(MetersPerSecond::new(value));
-        }
-        Self::from_speeds(name, speeds)
-    }
-
     /// Concatenates `n` repetitions of this cycle (the paper drives US06
     /// five times back-to-back for Figs. 6–7).
     pub fn repeat(&self, n: usize) -> DriveCycle {
@@ -290,45 +243,6 @@ mod tests {
         assert!(DriveCycle::from_speeds("empty", vec![]).is_err());
         assert!(DriveCycle::from_speeds("neg", vec![MetersPerSecond::new(-1.0)]).is_err());
         assert!(DriveCycle::from_speeds("nan", vec![MetersPerSecond::new(f64::NAN)]).is_err());
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let c = ramp();
-        let csv = c.to_csv();
-        assert!(csv.starts_with(
-            "t_s,speed_mps
-"
-        ));
-        let back = DriveCycle::from_csv("test", &csv).expect("parse");
-        assert_eq!(back.len(), c.len());
-        for (a, b) in back.speeds().iter().zip(c.speeds()) {
-            assert!((a.value() - b.value()).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn csv_rejects_garbage() {
-        assert!(DriveCycle::from_csv(
-            "bad",
-            "t_s,speed_mps
-0,not-a-number
-"
-        )
-        .is_err());
-        assert!(DriveCycle::from_csv(
-            "bad",
-            "t_s,speed_mps
-0
-"
-        )
-        .is_err());
-        // Negative speeds still rejected through from_speeds.
-        assert!(DriveCycle::from_csv(
-            "bad", "0,-3.0
-"
-        )
-        .is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   and maximum speed, stop count, acceleration envelope).
 //! * [`Powertrain`] — a backward-facing longitudinal-dynamics model (the
 //!   same approach ADVISOR uses): road load = inertia + aerodynamic drag
-//!   plus rolling resistance and grade, mapped through drivetrain
+//!   plus rolling resistance on a level road, mapped through drivetrain
 //!   efficiency and regenerative-braking recapture to battery-bus power.
 //!
 //! The product is a [`PowerTrace`]: the `P_e` input of the paper's
@@ -34,19 +34,15 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod builder;
 mod cycle;
 mod error;
-mod grade;
 mod spec;
 mod synth;
 mod trace;
 mod vehicle;
 
-pub use builder::CycleBuilder;
 pub use cycle::DriveCycle;
 pub use error::CycleError;
-pub use grade::GradeProfile;
 pub use spec::{CycleSpec, StandardCycle};
 pub use synth::synthesize;
 pub use trace::PowerTrace;

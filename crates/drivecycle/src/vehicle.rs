@@ -142,14 +142,9 @@ impl Powertrain {
         &self.params
     }
 
-    /// Tractive force at the wheels for the given operating point
-    /// (level road unless `grade` ≠ 0, expressed as a slope ratio).
-    pub fn tractive_force(
-        &self,
-        speed: MetersPerSecond,
-        accel: MetersPerSecondSquared,
-        grade: f64,
-    ) -> Newtons {
+    /// Tractive force at the wheels for the given operating point on a
+    /// level road.
+    pub fn tractive_force(&self, speed: MetersPerSecond, accel: MetersPerSecondSquared) -> Newtons {
         let p = &self.params;
         let v = speed.value();
         let inertial = p.mass.value() * accel.value();
@@ -159,21 +154,15 @@ impl Powertrain {
         } else {
             0.0
         };
-        let climb = p.mass.value() * Self::G * grade;
-        Newtons::new(inertial + aero + rolling + climb)
+        Newtons::new(inertial + aero + rolling)
     }
 
     /// Battery-bus power request for the given operating point: positive
     /// when the storage must supply power, negative when regenerative
     /// braking returns power.
-    pub fn power_request(
-        &self,
-        speed: MetersPerSecond,
-        accel: MetersPerSecondSquared,
-        grade: f64,
-    ) -> Watts {
+    pub fn power_request(&self, speed: MetersPerSecond, accel: MetersPerSecondSquared) -> Watts {
         let p = &self.params;
-        let wheel: Watts = self.tractive_force(speed, accel, grade) * speed;
+        let wheel: Watts = self.tractive_force(speed, accel) * speed;
         let traction = if wheel.value() >= 0.0 {
             // Discharging: driveline losses inflate the request.
             wheel / p.drivetrain_efficiency.value()
@@ -187,28 +176,9 @@ impl Powertrain {
     /// Evaluates the whole cycle into a 1 Hz power-request trace on a
     /// level road (the paper's `P_e` input).
     pub fn power_trace(&self, cycle: &DriveCycle) -> PowerTrace {
-        self.power_trace_with_grade(cycle, &crate::grade::GradeProfile::flat())
-    }
-
-    /// Evaluates the cycle over a road-grade profile: the grade is
-    /// looked up by the distance travelled so far, so hills land where
-    /// the route puts them regardless of speed.
-    pub fn power_trace_with_grade(
-        &self,
-        cycle: &DriveCycle,
-        grade: &crate::grade::GradeProfile,
-    ) -> PowerTrace {
         let speeds = cycle.speeds();
-        let mut distance = 0.0;
         let samples = (0..speeds.len())
-            .map(|i| {
-                let g = grade.grade_at(otem_units::Meters::new(distance));
-                let p = self.power_request(speeds[i], cycle.acceleration(i), g);
-                if i + 1 < speeds.len() {
-                    distance += 0.5 * (speeds[i].value() + speeds[i + 1].value());
-                }
-                p
-            })
+            .map(|i| self.power_request(speeds[i], cycle.acceleration(i)))
             .collect();
         PowerTrace::new(DriveCycle::DT, samples)
     }
@@ -229,7 +199,6 @@ mod tests {
         let p = t.power_request(
             MetersPerSecond::from_kmh(120.0),
             MetersPerSecondSquared::ZERO,
-            0.0,
         );
         assert!(
             (10_000.0..40_000.0).contains(&p.value()),
@@ -240,11 +209,7 @@ mod tests {
     #[test]
     fn hard_acceleration_approaches_triple_digit_kilowatts() {
         let t = train();
-        let p = t.power_request(
-            MetersPerSecond::new(25.0),
-            MetersPerSecondSquared::new(2.5),
-            0.0,
-        );
+        let p = t.power_request(MetersPerSecond::new(25.0), MetersPerSecondSquared::new(2.5));
         assert!(p.value() > 80_000.0, "launch power {p:?}");
     }
 
@@ -254,86 +219,31 @@ mod tests {
         let p = t.power_request(
             MetersPerSecond::new(20.0),
             MetersPerSecondSquared::new(-2.0),
-            0.0,
         );
         assert!(p.value() < 0.0, "regen power {p:?}");
         // Regen magnitude is a fraction of what the same accel costs.
-        let drive = t.power_request(
-            MetersPerSecond::new(20.0),
-            MetersPerSecondSquared::new(2.0),
-            0.0,
-        );
+        let drive = t.power_request(MetersPerSecond::new(20.0), MetersPerSecondSquared::new(2.0));
         assert!(p.abs() < drive);
     }
 
     #[test]
     fn standstill_only_draws_accessories() {
         let t = train();
-        let p = t.power_request(MetersPerSecond::ZERO, MetersPerSecondSquared::ZERO, 0.0);
+        let p = t.power_request(MetersPerSecond::ZERO, MetersPerSecondSquared::ZERO);
         assert_eq!(p, t.params().accessory_power);
-    }
-
-    #[test]
-    fn grade_adds_load() {
-        let t = train();
-        let flat = t.power_request(
-            MetersPerSecond::new(20.0),
-            MetersPerSecondSquared::ZERO,
-            0.0,
-        );
-        let hill = t.power_request(
-            MetersPerSecond::new(20.0),
-            MetersPerSecondSquared::ZERO,
-            0.05,
-        );
-        assert!(hill.value() > flat.value() + 15_000.0);
     }
 
     #[test]
     fn aero_grows_quadratically() {
         let t = train();
         let f1 = t
-            .tractive_force(
-                MetersPerSecond::new(10.0),
-                MetersPerSecondSquared::ZERO,
-                0.0,
-            )
+            .tractive_force(MetersPerSecond::new(10.0), MetersPerSecondSquared::ZERO)
             .value();
         let f2 = t
-            .tractive_force(
-                MetersPerSecond::new(20.0),
-                MetersPerSecondSquared::ZERO,
-                0.0,
-            )
+            .tractive_force(MetersPerSecond::new(20.0), MetersPerSecondSquared::ZERO)
             .value();
         let rolling = 0.009 * 2_100.0 * 9.806_65;
         assert!(((f2 - rolling) / (f1 - rolling) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hilly_route_costs_more_than_flat() {
-        use crate::grade::GradeProfile;
-        use crate::spec::StandardCycle;
-        use crate::synth::synthesize;
-        use otem_units::Meters;
-        let t = train();
-        let cycle = synthesize(&StandardCycle::Udds.spec(), 3).unwrap();
-        let flat = t.power_trace(&cycle);
-        let profile = GradeProfile::from_breakpoints(vec![
-            (Meters::new(0.0), Meters::new(0.0)),
-            (Meters::new(6_000.0), Meters::new(180.0)), // 3 % climb
-            (Meters::new(12_000.0), Meters::new(180.0)),
-        ])
-        .unwrap();
-        let hilly = t.power_trace_with_grade(&cycle, &profile);
-        assert!(hilly.energy() > flat.energy());
-        // The extra energy is roughly m·g·h / η at the bus.
-        let extra = hilly.energy().value() - flat.energy().value();
-        let expected = 2_100.0 * 9.806_65 * 180.0 / 0.85;
-        assert!(
-            (extra - expected).abs() / expected < 0.35,
-            "extra {extra} vs m·g·h/η ≈ {expected}"
-        );
     }
 
     #[test]
@@ -342,7 +252,7 @@ mod tests {
         let compact = Powertrain::new(VehicleParams::compact_ev()).unwrap();
         let v = MetersPerSecond::from_kmh(100.0);
         let a = MetersPerSecondSquared::new(1.0);
-        assert!(compact.power_request(v, a, 0.0) < mid.power_request(v, a, 0.0));
+        assert!(compact.power_request(v, a) < mid.power_request(v, a));
     }
 
     #[test]

@@ -60,12 +60,10 @@ proptest! {
         let lo = t.power_request(
             MetersPerSecond::new(v),
             MetersPerSecondSquared::new(a1),
-            0.0,
         );
         let hi = t.power_request(
             MetersPerSecond::new(v),
             MetersPerSecondSquared::new(a1 + da),
-            0.0,
         );
         prop_assert!(hi >= lo);
     }
@@ -79,10 +77,9 @@ proptest! {
         let p = t.power_request(
             MetersPerSecond::new(v),
             MetersPerSecondSquared::new(a),
-            0.0,
         );
         let wheel = t
-            .tractive_force(MetersPerSecond::new(v), MetersPerSecondSquared::new(a), 0.0)
+            .tractive_force(MetersPerSecond::new(v), MetersPerSecondSquared::new(a))
             .value()
             * v;
         if wheel < 0.0 {

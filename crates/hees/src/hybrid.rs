@@ -552,7 +552,6 @@ impl HybridHees {
             return;
         };
         let v = curves.open_circuit_voltage();
-        let dv_dsoc = self.battery.open_circuit_voltage_slope_at(curves);
         let nominal = d.terminal_power == *storage_power;
         // Sensitivities of the storage power actually drawn, over
         // [∂/∂P_bus, ∂/∂SoC, ∂/∂T].
@@ -580,7 +579,7 @@ impl HybridHees {
                     self.battery_converter.output_for_input_partials(bus, v)
                 };
                 // The converter voltage is the OCV, a function of SoC alone.
-                (g_bus, g_v * dv_dsoc, 0.0)
+                (g_bus, g_v * dp.dvoc, 0.0)
             }
         } else {
             // Fallback drew 99.9 % of the SoC/temperature-dependent peak;
@@ -634,7 +633,7 @@ impl HybridHees {
             let (f_p, f_v) = self
                 .battery_converter
                 .output_for_input_partials(d.terminal_power, v);
-            j.delivered[SOC] += f_p * p_soc + f_v * dv_dsoc;
+            j.delivered[SOC] += f_p * p_soc + f_v * dp.dvoc;
             j.delivered[T] += f_p * p_t;
         }
     }

@@ -182,6 +182,11 @@ impl ProjectedGradient {
                 };
                 return Solution::new(x, value, iter, outcome);
             }
+            if iter + 1 == self.max_iterations {
+                // Nothing reads the gradient or BB step of the last
+                // accepted iterate.
+                break;
+            }
 
             gradient(&x, &mut grad);
             if history.len() == self.memory {
@@ -288,6 +293,24 @@ mod tests {
         assert_eq!(sol.outcome, SolverOutcome::BudgetExhausted);
         assert!(!sol.converged());
         assert_eq!(sol.iterations, 3);
+    }
+
+    #[test]
+    fn budget_exhausted_solve_skips_the_unread_final_gradient() {
+        use otem_telemetry::MemorySink;
+        let f = FnObjective::new(|x: &[f64]| {
+            100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2)
+        });
+        let solver = ProjectedGradient {
+            max_iterations: 3,
+            tolerance: 1e-14,
+            ..ProjectedGradient::default()
+        };
+        let sink = MemorySink::new();
+        let sol = solver.minimize_within(&f, &Bounds::unbounded(2), &[-1.2, 1.0], &sink, None);
+        assert_eq!(sol.outcome, SolverOutcome::BudgetExhausted);
+        // The initial gradient plus one per accepted iterate but the last.
+        assert_eq!(sink.count_kind("gradient_eval"), sol.iterations);
     }
 
     #[test]

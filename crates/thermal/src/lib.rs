@@ -48,12 +48,8 @@ mod cooler;
 mod error;
 pub mod kernel;
 mod model;
-mod multi_node;
-mod pump;
 
 pub use cooler::{CoolerAction, CoolingPlant, PlantParams};
 pub use error::ThermalError;
 pub use kernel::CrankNicolsonCoefficients;
 pub use model::{CrankNicolsonJacobian, ThermalModel, ThermalParams, ThermalState};
-pub use multi_node::{MultiNodeModel, MultiNodeState};
-pub use pump::VariableFlowPump;

@@ -24,6 +24,10 @@ cargo test -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A doc link to a deleted or renamed item is an error, not a warning.
+echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Benchmark build gate: perfbench is a workspace of its own, so no step
 # above compiles it; a public-API change that breaks the benchmark must
 # fail here rather than only in the benchmark run.

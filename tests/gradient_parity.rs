@@ -1,7 +1,7 @@
 //! FD-vs-adjoint parity: the hand-derived reverse-mode gradient of the
 //! MPC rollout objective must reproduce finite differences to ≤ 1e-6
-//! relative error across random plant states, horizons, and move-block
-//! sizes — and stay finite on the degenerate corners where finite
+//! relative error across random plant states, horizons, and step
+//! lengths — and stay finite on the degenerate corners where finite
 //! differences themselves become ill-conditioned.
 //!
 //! The FD reference is O(h⁴) Richardson-extrapolated central
@@ -111,19 +111,17 @@ proptest! {
         soe in 0.15..0.9f64,
         celsius in 15.0..41.0f64,
         horizon in 1usize..41,
-        block in prop_oneof![Just(1usize), Just(5usize)],
+        step_s in prop_oneof![Just(1usize), Just(5usize)],
         seed in 0u64..1_000_000,
     ) {
         let config = SystemConfig::default();
         let p = plant(&config, soc, soe, celsius);
         let cfg = MpcConfig {
             horizon,
-            block_size: block,
             ..MpcConfig::default()
         };
-        // Move blocking stretches each decision over `block` control
-        // periods; the rollout sees that as a longer step.
-        let dt = Seconds::new(block as f64);
+        // A 5 s step covers the rollout's long-step path.
+        let dt = Seconds::new(step_s as f64);
         let mut mix = Mix(seed);
         let loads: Vec<Watts> = (0..horizon)
             .map(|_| Watts::new(mix.range(-20_000.0, 70_000.0)))
@@ -143,8 +141,8 @@ proptest! {
         for (i, (a, f)) in adjoint.iter().zip(fd.iter()).enumerate() {
             prop_assert!(
                 (a - f).abs() <= 1e-6 * scale,
-                "coordinate {} (horizon {}, block {}): adjoint {:.9e} vs FD {:.9e}",
-                i, horizon, block, a, f
+                "coordinate {} (horizon {}, dt {} s): adjoint {:.9e} vs FD {:.9e}",
+                i, horizon, step_s, a, f
             );
         }
     }
