@@ -315,4 +315,44 @@ mod tests {
         assert!(p.validate().is_err());
         assert!(AgingParams::default().validate().is_ok());
     }
+
+    /// Pins the exact bits of the stage aging rate and its Arrhenius
+    /// factor at fixed points — nominal, hot and fast, a cold charge, and
+    /// below the 200 K evaluation floor — plus one digest over a grid of
+    /// temperatures and C-rates, so a reassociated or hoisted expression
+    /// fails here, not only in the golden traces.
+    #[test]
+    fn loss_rate_and_arrhenius_are_pinned_bit_for_bit() {
+        let p = AgingParams::millner_like();
+        for (kelvin, c_rate, rate_bits, arrhenius_bits) in [
+            (298.15, 1.0, 0x3e55_cc3f_2639_c78a, 0x3ec9_6ad1_46d7_6ee1),
+            (318.15, 3.5, 0x3e89_94bb_e275_8892, 0x3edc_3fee_8113_b738),
+            (263.15, -0.5, 0x3e1c_ff52_1652_88c7, 0x3ea2_c22c_b690_9aa2),
+            (150.0, 2.0, 0x3dd8_3e75_a4ee_9abe, 0x3e39_7a5b_be2f_086c),
+        ] {
+            let (rate, arrhenius) = p.loss_rate_and_arrhenius(Kelvin::new(kelvin), c_rate);
+            assert_eq!(
+                rate.to_bits(),
+                rate_bits,
+                "rate at {kelvin} K, {c_rate}C: {rate:e}"
+            );
+            assert_eq!(
+                arrhenius.to_bits(),
+                arrhenius_bits,
+                "Arrhenius factor at {kelvin} K: {arrhenius:e}"
+            );
+        }
+        let grid = [250.0, 273.15, 290.0, 298.15, 305.5, 318.15, 333.15]
+            .into_iter()
+            .flat_map(|kelvin| {
+                [-3.0, -0.5, 0.0, 0.3, 0.77, 1.0, 2.5, 5.0]
+                    .into_iter()
+                    .flat_map(move |c| {
+                        let (rate, arrhenius) = p.loss_rate_and_arrhenius(Kelvin::new(kelvin), c);
+                        [rate.to_bits(), arrhenius.to_bits()]
+                    })
+            });
+        let digest = crate::bits_digest(grid);
+        assert_eq!(digest, 0x2802_0fb0_0bdb_8624, "grid digest {digest:#018x}");
+    }
 }

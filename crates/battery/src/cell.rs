@@ -68,11 +68,13 @@ impl Cell {
     }
 
     /// The cell's parameter set.
+    #[inline]
     pub fn params(&self) -> &CellParams {
         &self.params
     }
 
     /// Present state of charge (paper Eq. 1).
+    #[inline]
     pub fn soc(&self) -> Ratio {
         self.soc
     }
@@ -100,6 +102,7 @@ impl Cell {
     }
 
     /// Effective (aged) capacity: rated × (1 − degradation).
+    #[inline]
     pub fn effective_capacity(&self) -> otem_units::AmpHours {
         self.params.capacity * (1.0 - self.degradation)
     }
@@ -139,6 +142,7 @@ impl Cell {
     /// Discharge C-rate implied by the given current (1C = *effective*
     /// capacity in one hour, so aged cells feel the same current as a
     /// higher rate).
+    #[inline]
     pub fn c_rate(&self, current: Amps) -> f64 {
         current.value() / self.effective_capacity().value()
     }
@@ -171,6 +175,7 @@ impl Cell {
     /// Advances the coulomb counter by one time step (Eq. 1):
     /// `SoC ← SoC − ∫ I / C_bat` against the effective capacity,
     /// clamped to `[0, 1]`.
+    #[inline]
     pub fn integrate_current(&mut self, current: Amps, dt: Seconds) {
         let delta = current.value() * dt.value() / self.effective_capacity().to_coulombs().value();
         self.soc = self.soc.saturating_add(-delta);

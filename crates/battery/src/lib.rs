@@ -46,3 +46,12 @@ pub use cell::{Cell, CellSnapshot};
 pub use error::BatteryError;
 pub use pack::{BatteryPack, DrawPartials, PackConfig, PackCurves, PackSnapshot, PowerDraw};
 pub use params::{CellParams, OcvCurve, ResistanceCurve, SlopeTable};
+
+/// FNV-style fold of `f64` bit patterns: one pin for a whole grid of
+/// operating points in the bit-pin tests.
+#[cfg(test)]
+fn bits_digest(bits: impl IntoIterator<Item = u64>) -> u64 {
+    bits.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b).wrapping_mul(0x0100_0000_01b3)
+    })
+}

@@ -53,6 +53,7 @@ impl PackConfig {
     }
 
     /// Total number of cells.
+    #[inline]
     pub const fn cell_count(self) -> u64 {
         self.series as u64 * self.parallel as u64
     }
@@ -192,6 +193,7 @@ pub struct PackCurves {
 impl PackCurves {
     /// Pack open-circuit voltage — bit-identical to
     /// [`BatteryPack::open_circuit_voltage`] at the same state.
+    #[inline]
     pub fn open_circuit_voltage(&self) -> Volts {
         Volts::new(self.voc)
     }
@@ -247,16 +249,19 @@ impl BatteryPack {
     }
 
     /// The pack topology.
+    #[inline]
     pub fn config(&self) -> PackConfig {
         self.config
     }
 
     /// The representative cell.
+    #[inline]
     pub fn cell(&self) -> &Cell {
         &self.cell
     }
 
     /// Pack state of charge (balanced pack ⇒ equals the cell SoC).
+    #[inline]
     pub fn soc(&self) -> Ratio {
         self.cell.soc()
     }
@@ -279,6 +284,7 @@ impl BatteryPack {
     /// Evaluates the cell curves at the present state of charge and
     /// `temperature`: three exponentials, shared by everything one step
     /// asks of the pack, and kept for the slopes its partials need.
+    #[inline]
     pub fn curves(&self, temperature: Kelvin) -> PackCurves {
         let params = self.cell.params();
         let soc = self.cell.soc();
@@ -300,6 +306,7 @@ impl BatteryPack {
 
     /// `(dV_oc,cell/dSoC, ∂R_cell/∂SoC, ∂R_cell/∂T)` at the operating
     /// point of `curves`, from their stored exponentials.
+    #[inline]
     fn cell_slopes(&self, curves: &PackCurves) -> (f64, f64, f64) {
         let params = self.cell.params();
         let dvoc = params
@@ -315,6 +322,7 @@ impl BatteryPack {
 
     /// Pack resistance from prepared curves — the expression of
     /// [`BatteryPack::internal_resistance`].
+    #[inline]
     fn resistance_at(&self, curves: &PackCurves) -> f64 {
         (Ohms::new(curves.r_cell) * self.config.series as f64 / self.config.parallel as f64).value()
     }
@@ -332,6 +340,7 @@ impl BatteryPack {
     }
 
     /// [`BatteryPack::max_discharge_power`] from prepared curves.
+    #[inline]
     pub fn max_discharge_power_at(&self, curves: &PackCurves) -> Watts {
         self.debug_check(curves);
         Watts::new(crate::kernel::peak_power(
@@ -341,6 +350,7 @@ impl BatteryPack {
         )) * self.config.cell_count() as f64
     }
 
+    #[inline]
     fn debug_check(&self, curves: &PackCurves) {
         // Bitwise, so a non-finite state compares equal to itself.
         debug_assert_eq!(
@@ -370,6 +380,7 @@ impl BatteryPack {
     /// # Errors
     ///
     /// As [`BatteryPack::draw_power`].
+    #[inline]
     pub fn draw_power_at(
         &self,
         power: Watts,
@@ -439,6 +450,7 @@ impl BatteryPack {
     /// [`BatteryPack::draw_partials`] at the operating point of prepared
     /// curves — no transcendental of its own, and independent of the
     /// pack's present state of charge.
+    #[inline]
     pub fn draw_partials_at(&self, power: Watts, curves: &PackCurves) -> Option<DrawPartials> {
         let (dvoc_cell, drc_soc, drc_temp) = self.cell_slopes(curves);
         let temperature = curves.temperature;
@@ -498,6 +510,7 @@ impl BatteryPack {
     /// prepared curves — needed when a rollout clamps a request to the
     /// peak-power envelope and the gradient must follow the clamped
     /// branch. Independent of the pack's present state of charge.
+    #[inline]
     pub fn max_discharge_power_partials_at(&self, curves: &PackCurves) -> (f64, f64) {
         let (dvoc, dr_soc, dr_temp) = self.cell_slopes(curves);
         let voc = curves.voc_cell;
@@ -522,6 +535,7 @@ impl BatteryPack {
     /// the constant factor of [`BatteryPack::integrate`]'s coulomb count
     /// (`ΔSoC = −I_pack·dt · soc_per_amp_second`), used by the adjoint to
     /// chain through the integration step.
+    #[inline]
     pub fn soc_per_amp_second(&self) -> f64 {
         1.0 / (self.config.parallel as f64 * self.cell.effective_capacity().to_coulombs().value())
     }
@@ -541,6 +555,7 @@ impl BatteryPack {
 
     /// Applies a resolved operating point for one time step: advances the
     /// coulomb counter (Eq. 1).
+    #[inline]
     pub fn integrate(&mut self, draw: PowerDraw, dt: Seconds) {
         let per_cell = draw.current / self.config.parallel as f64;
         self.cell.integrate_current(per_cell, dt);
@@ -1014,5 +1029,85 @@ mod tests {
             compared > 100,
             "grid exercised only {compared} feasible draws"
         );
+    }
+
+    /// Pins the exact bits of [`BatteryPack::draw_power_at`]'s operating
+    /// point (terminal power, internal power, current, terminal voltage,
+    /// heat, C-rate) at fixed states — a nominal discharge, a warm charge,
+    /// and a cold, depleted high-current discharge — plus one digest over
+    /// a grid of states and requests. A reassociation, hoisted reciprocal
+    /// or fused multiply-add in the quadratic solve or the heat law fails
+    /// here, not only in the golden traces.
+    #[test]
+    fn draw_power_at_is_pinned_bit_for_bit() {
+        let mut p = pack();
+        for (soc, celsius, power, bits) in [
+            (
+                0.8,
+                25.0,
+                50_000.0,
+                [
+                    0x40e8_6a00_0000_0000,
+                    0x40e9_4bd5_df54_20c8,
+                    0x4061_1853_a8cf_c3a2,
+                    0x4076_d9a7_9164_4bd6,
+                    0x4096_1cf8_caf0_67a8,
+                    0x3fe3_13c8_44c1_7771,
+                ],
+            ),
+            (
+                0.5,
+                40.0,
+                -30_000.0,
+                [
+                    0xc0dd_4c00_0000_0000,
+                    0xc0dc_d95b_7eb3_920c,
+                    0xc054_3a20_019f_b076,
+                    0x4077_2ca6_3b02_d4c3,
+                    0x4085_ee66_21f8_ca1a,
+                    0x3fd6_928d_8297_de97,
+                ],
+            ),
+            (
+                0.2,
+                0.0,
+                150_000.0,
+                [
+                    0x4102_4f80_0000_0000,
+                    0x410a_6b20_7557_5448,
+                    0x4082_e993_24f2_f37f,
+                    0x406e_fb4d_bf76_c6f7,
+                    0x40ef_a822_bfcd_24f4,
+                    0x4005_1afa_5bac_b1fd,
+                ],
+            ),
+        ] {
+            p.set_soc(Ratio::new(soc));
+            let curves = p.curves(Kelvin::from_celsius(celsius));
+            let draw = p
+                .draw_power_at(Watts::new(power), &curves)
+                .expect("feasible");
+            assert_eq!(
+                draw_bits(&draw),
+                bits,
+                "soc {soc}, {celsius} °C, {power} W: {draw:?}"
+            );
+        }
+        let mut grid = Vec::new();
+        for soc in [0.1, 0.35, 0.6, 0.85, 1.0] {
+            p.set_soc(Ratio::new(soc));
+            for celsius in [0.0, 25.0, 45.0] {
+                let curves = p.curves(Kelvin::from_celsius(celsius));
+                for power in [-60_000.0, -5_000.0, 1_000.0, 30_000.0, 90_000.0] {
+                    // An infeasible request folds in as NaN.
+                    match p.draw_power_at(Watts::new(power), &curves) {
+                        Ok(d) => grid.extend(draw_bits(&d)),
+                        Err(_) => grid.push(f64::NAN.to_bits()),
+                    }
+                }
+            }
+        }
+        let digest = crate::bits_digest(grid);
+        assert_eq!(digest, 0x97ce_8dda_aafe_1941, "grid digest {digest:#018x}");
     }
 }

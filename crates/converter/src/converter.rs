@@ -148,6 +148,7 @@ impl DcDcConverter {
     /// power. Pass the value `input_for_output` returned (signed); signs
     /// are handled internally. Returns `None` at the saturation boundary
     /// `L_p ≥ 1`, where the inverse map is not differentiable.
+    #[inline]
     pub fn input_for_output_partials(
         &self,
         storage_power: Watts,
@@ -171,6 +172,7 @@ impl DcDcConverter {
     /// The power partial is direction-independent (both magnitudes and
     /// signs flip together); zero transfer maps to the identity slope,
     /// matching the forward early-out.
+    #[inline]
     pub fn output_for_input_partials(&self, bus_in: Watts, storage_voltage: Volts) -> (f64, f64) {
         let p = bus_in.value();
         if p == 0.0 {
@@ -193,6 +195,7 @@ impl DcDcConverter {
     /// reproduce that mean. Falls back to `(1, 1)` — the forward maps'
     /// zero-transfer early-out slope — when the idle loss slope
     /// saturates (`L₀ ≥ 1`, only reachable at extreme voltage sag).
+    #[inline]
     pub fn zero_transfer_gain_limits(&self, storage_voltage: Volts) -> (f64, f64) {
         let v = storage_voltage.value().max(1e-3);
         let l0 = self.quiescent_loss / Self::QUIESCENT_RAMP + self.conduction_coefficient / v;
@@ -212,6 +215,7 @@ impl DcDcConverter {
     /// Returns [`ConverterError::TransferInfeasible`] when no real
     /// solution exists (the converter saturates at this voltage) and
     /// [`ConverterError::InvalidParameter`] for a non-positive voltage.
+    #[inline]
     pub fn input_for_output(
         &self,
         bus_out: Watts,
@@ -278,6 +282,7 @@ impl DcDcConverter {
     ///
     /// Returns [`ConverterError::TransferInfeasible`] when the loss
     /// exceeds the supplied power (nothing would reach the storage).
+    #[inline]
     pub fn output_for_input(
         &self,
         bus_in: Watts,
@@ -574,5 +579,72 @@ mod tests {
         };
         assert!(dc.validate().is_err());
         assert!(DcDcConverter::ultracap_side().validate().is_ok());
+    }
+
+    /// Pins the exact bits both power maps return at fixed operating
+    /// points of each preset: a discharge near saturation (the battery
+    /// preset saturates at ≈ 1.51 MW at 350 V, the ultracapacitor preset
+    /// at ≈ 0.88 MW at 12 V), a transfer inside the 50 W quiescent ramp,
+    /// and a charge — plus one FNV-style digest of the bits over a grid
+    /// of voltages and transfers both ways, so a change that happens to
+    /// round alike at the named points still moves a bit somewhere. Any
+    /// reassociation, hoisted reciprocal or fused multiply-add in the loss
+    /// model or the fixed-point inverse fails here before it reaches the
+    /// golden traces.
+    #[test]
+    fn power_maps_are_pinned_bit_for_bit() {
+        let presets = [
+            (
+                DcDcConverter::battery_side(),
+                350.0,
+                [
+                    (1.35e6, 0x413f_515e_3cc7_139c, 0x412f_d2ba_3f2a_fdba),
+                    (20.0, 0x403d_7c00_af23_2f56, 0x4029_6dae_4c1e_64dc),
+                    (-30_000.0, 0xc0dd_ae37_3f7f_03bd, 0xc0dc_eb74_4b7d_6e64),
+                ],
+                [250.0, 300.0, 350.0, 400.0],
+            ),
+            (
+                DcDcConverter::ultracap_side(),
+                12.0,
+                [
+                    (8.0e5, 0x4132_e59c_7a1a_26bd, 0x4122_be7e_7241_fbc2),
+                    (20.0, 0x4039_4ab7_585d_263e, 0x402f_0741_e4c2_232c),
+                    (-5_000.0, 0xc0b3_d0ba_93f4_56ba, 0xc0b3_4034_3df5_4c52),
+                ],
+                [6.0, 9.0, 12.0, 16.0],
+            ),
+        ];
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        for (dc, v, points, grid_volts) in presets {
+            let v = Volts::new(v);
+            for (bus, input_bits, output_bits) in points {
+                let bus = Watts::new(bus);
+                let input = dc.input_for_output(bus, v).unwrap().value();
+                let output = dc.output_for_input(bus, v).unwrap().value();
+                assert_eq!(
+                    input.to_bits(),
+                    input_bits,
+                    "input_for_output({bus:?}) = {input}"
+                );
+                assert_eq!(
+                    output.to_bits(),
+                    output_bits,
+                    "output_for_input({bus:?}) = {output}"
+                );
+            }
+            for v in grid_volts.map(Volts::new) {
+                for p in [1.0, 20.0, 49.0, 51.0, 730.0, 4_100.0, 26_000.0, 170_000.0] {
+                    for bus in [Watts::new(p), Watts::new(-p)] {
+                        for x in [dc.input_for_output(bus, v), dc.output_for_input(bus, v)] {
+                            // An infeasible transfer folds in as NaN.
+                            let bits = x.map_or(f64::NAN, Watts::value).to_bits();
+                            digest = (digest ^ bits).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0xd27c_db83_36dd_97c1, "grid digest {digest:#018x}");
     }
 }

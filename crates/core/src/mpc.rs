@@ -115,7 +115,9 @@ impl Default for MpcConfig {
 /// Everything the rollout needs to predict the plant over the horizon.
 #[derive(Debug, Clone)]
 pub struct MpcPlant {
-    /// The hybrid architecture (cloned per rollout; cheap).
+    /// The hybrid architecture: cloned once per decision by
+    /// `Otem::plant_snapshot`; each rollout rewinds the solve's working
+    /// copy to it with [`HybridHees::restore`] instead of cloning.
     pub hees: HybridHees,
     /// The actively cooled thermal model.
     pub thermal: ThermalModel,

@@ -108,9 +108,9 @@ struct CapLegRecord {
 
 /// The decision-independent inputs of a [`HybridHees`] step at one step
 /// length: the step length itself and the ultracapacitor's
-/// self-discharge factor `e^{−dt/τ}`. Built once per rollout by
-/// [`HybridHees::step_constants`] and passed to every
-/// [`HybridHees::step_prepared`].
+/// self-discharge factor `e^{−dt/τ}`. Built by
+/// [`HybridHees::step_constants`] — once per solve by the MPC's stage
+/// constants — and passed to every [`HybridHees::step_prepared`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeesStepConstants {
     dt: Seconds,
@@ -119,6 +119,7 @@ pub struct HeesStepConstants {
 
 impl HeesStepConstants {
     /// The step length the constants were built for.
+    #[inline]
     pub fn dt(&self) -> Seconds {
         self.dt
     }
@@ -139,6 +140,7 @@ pub struct HybridCommand {
 
 impl HybridCommand {
     /// Net power the command puts on the bus.
+    #[inline]
     pub fn net(&self) -> Watts {
         self.battery_bus + self.cap_bus
     }
@@ -259,11 +261,13 @@ impl HybridHees {
     }
 
     /// Battery state of charge.
+    #[inline]
     pub fn soc(&self) -> Ratio {
         self.battery.soc()
     }
 
     /// Ultracapacitor state of energy.
+    #[inline]
     pub fn soe(&self) -> Ratio {
         self.cap.soe()
     }
@@ -353,7 +357,7 @@ impl HybridHees {
     }
 
     /// The single-step implementation behind [`HybridHees::step`], with
-    /// the per-rollout constants evaluated by the caller. Computes values
+    /// the step constants evaluated by the caller. Computes values
     /// only, and overwrites `record` with the operating points
     /// [`HybridHees::step_jacobian`] needs to differentiate the step
     /// later.
@@ -361,6 +365,7 @@ impl HybridHees {
     /// Each state-dependent model curve is evaluated once: the battery's
     /// OCV and resistance (three exponentials) and the bank's `√SoE`,
     /// shared by the draw, the heat law and the converter voltage.
+    #[inline]
     pub fn step_prepared(
         &mut self,
         command: HybridCommand,
@@ -505,6 +510,7 @@ impl HybridHees {
     /// partials at the recorded operating points. Reads none of the
     /// plant's mutable state, so it runs after any number of later
     /// steps; `constants` must be the ones the step ran with.
+    #[inline]
     pub fn step_jacobian(
         &self,
         record: &HeesStepRecord,
@@ -536,6 +542,7 @@ impl HybridHees {
     /// Records the battery leg's partial derivatives for the branch the
     /// forward pass executed. The draw partials differentiate at the
     /// pre-step state of charge the recorded curves were built at.
+    #[inline]
     fn battery_leg_jacobian(&self, j: &mut HeesStepJacobian, leg: &BatteryLegRecord, dt: Seconds) {
         const PB: usize = HeesStepJacobian::IN_BATTERY_BUS;
         const T: usize = HeesStepJacobian::IN_TEMPERATURE;
@@ -641,6 +648,7 @@ impl HybridHees {
     /// Records the ultracapacitor leg's partial derivatives for the
     /// branch the forward pass executed, at the recorded pre-step bank
     /// voltage and its slope.
+    #[inline]
     fn cap_leg_jacobian(
         &self,
         j: &mut HeesStepJacobian,

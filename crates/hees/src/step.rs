@@ -34,6 +34,7 @@ pub struct HeesStep {
 impl HeesStep {
     /// Total energy-relevant HEES consumption rate: the paper's
     /// `dE_bat + dE_cap` cost term.
+    #[inline]
     pub fn hees_power(&self) -> Watts {
         self.battery_internal + self.cap_internal
     }

@@ -158,6 +158,7 @@ impl CoolingPlant {
     /// Electric power needed to supply coolant at `inlet` given the loop
     /// returns it at `outlet` (Eq. 16): `P_c = Ċ_c/η_c · (T_o − T_i)`.
     /// Zero when `inlet ≥ outlet` (constraint C2: the cooler only cools).
+    #[inline]
     pub fn power_for_inlet(&self, outlet: Kelvin, inlet: Kelvin) -> Watts {
         let dt = outlet.value() - inlet.value();
         if dt <= 0.0 {
@@ -174,6 +175,7 @@ impl CoolingPlant {
 
     /// Coldest inlet achievable right now given the outlet temperature
     /// and the cooler power limit.
+    #[inline]
     pub fn coldest_inlet(&self, outlet: Kelvin) -> Kelvin {
         // The floor cannot exceed the outlet itself: if the loop already
         // runs colder than `min_inlet`, the best the plant can do is pass
@@ -188,6 +190,7 @@ impl CoolingPlant {
     /// * `1.0` when the cooler is power-limited (`outlet − max_drop`
     ///   wins) or when the pass-through floor binds (`floor = outlet`),
     /// * `0.0` when the fixed `min_inlet` floor binds.
+    #[inline]
     pub fn coldest_inlet_slope(&self, outlet: Kelvin) -> f64 {
         let floor = self.params.min_inlet.value().min(outlet.value());
         if outlet.value() - self.max_drop >= floor {
@@ -202,6 +205,7 @@ impl CoolingPlant {
     /// Realises a requested inlet temperature: clamps it into
     /// `[coldest_inlet, outlet]` and prices the result. The pump runs
     /// whenever the loop is active.
+    #[inline]
     pub fn actuate(&self, outlet: Kelvin, requested_inlet: Kelvin) -> CoolerAction {
         let inlet = Kelvin::new(
             requested_inlet

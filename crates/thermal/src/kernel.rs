@@ -1,8 +1,8 @@
 //! The Crank–Nicolson operator of the coupled battery/coolant two-node
 //! system (Eq. 14–17). The update is split in two: the operator of one
 //! step length ([`CrankNicolsonCoefficients`], built from the
-//! [`NodeConstants`] once per rollout) and the per-state step
-//! ([`CrankNicolsonCoefficients::step`]).
+//! [`NodeConstants`] once per step length — once per solve in the MPC)
+//! and the per-state step ([`CrankNicolsonCoefficients::step`]).
 
 /// The physical constants of the two-node system, pre-extracted from
 /// `ThermalParams` — the input of [`CrankNicolsonCoefficients::new`].
@@ -26,8 +26,8 @@ pub struct NodeConstants {
 /// that depends only on the node constants and `dt` evaluated once: the
 /// system matrix `A`, the left/right-hand operators, the determinant of
 /// the explicit 2×2 inverse, and the ambient forcing `h_a·T_a`. Build it
-/// once per rollout (or per solve) and step any number of states with
-/// [`CrankNicolsonCoefficients::step`].
+/// once per step length (the MPC builds it once per solve) and step any
+/// number of states with [`CrankNicolsonCoefficients::step`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrankNicolsonCoefficients {
     /// Battery lump heat capacity `C_b` (J/K).

@@ -329,6 +329,7 @@ impl CrankNicolsonCoefficients {
     /// [`ThermalModel::step_crank_nicolson`]:
     /// `(I − dt/2·A)·x⁺ = (I + dt/2·A)·x + dt·r`, solved by the explicit
     /// 2×2 inverse.
+    #[inline]
     pub fn step(&self, state: ThermalState, battery_heat: Watts, inlet: Kelvin) -> ThermalState {
         let (xb, xc) = (state.battery.value(), state.coolant.value());
         let [[a11, a12], [a21, a22]] = self.a;

@@ -91,11 +91,13 @@ impl UltracapBank {
     }
 
     /// The bank's parameters.
+    #[inline]
     pub fn params(&self) -> &UltracapParams {
         &self.params
     }
 
     /// Present state of energy (Eq. 9).
+    #[inline]
     pub fn soe(&self) -> Ratio {
         self.soe
     }
@@ -106,11 +108,13 @@ impl UltracapBank {
     }
 
     /// Stored energy right now: `SoE · E_cap`.
+    #[inline]
     pub fn stored_energy(&self) -> Joules {
         self.stored_energy_at(self.soe)
     }
 
     /// Stored energy at state of energy `soe`.
+    #[inline]
     fn stored_energy_at(&self, soe: Ratio) -> Joules {
         Joules::new(soe * self.params.energy_capacity().value())
     }
@@ -118,6 +122,7 @@ impl UltracapBank {
     /// Open-circuit bank voltage `V_cap = V_r·√(SoE)` (Eq. 8). This is
     /// the voltage swing that the DC/DC converter efficiency model keys
     /// off.
+    #[inline]
     pub fn voltage(&self) -> Volts {
         Volts::new(self.params.rated_voltage.value() * self.soe.value().sqrt())
     }
@@ -127,6 +132,7 @@ impl UltracapBank {
     /// present one or one a rollout recorded. Guarded to zero on a fully
     /// depleted bank, where the square root is not differentiable — the
     /// adjoint must stay finite even at the saturation boundary.
+    #[inline]
     pub fn voltage_slope(&self, soe: Ratio) -> f64 {
         let soe = soe.value();
         if soe > 0.0 {
@@ -140,6 +146,7 @@ impl UltracapBank {
     /// interface power rating and by what would drain the bank within one
     /// second (a conservative depletion guard so a draw can always be
     /// integrated at 1 Hz).
+    #[inline]
     pub fn max_discharge_power(&self) -> Watts {
         let depletion_limited = self.stored_energy().value(); // J drainable in 1 s
         Watts::new(self.params.max_power.value().min(depletion_limited))
@@ -147,6 +154,7 @@ impl UltracapBank {
 
     /// Maximum charge power acceptable right now (mirror of
     /// [`Self::max_discharge_power`] against the remaining headroom).
+    #[inline]
     pub fn max_charge_power(&self) -> Watts {
         let headroom = self.params.energy_capacity().value() - self.stored_energy().value();
         Watts::new(self.params.max_power.value().min(headroom))
@@ -170,6 +178,7 @@ impl UltracapBank {
     /// # Errors
     ///
     /// As [`UltracapBank::draw_power`].
+    #[inline]
     pub fn draw_power_at(&self, power: Watts, voltage: Volts) -> Result<CapDraw, UltracapError> {
         self.debug_check(voltage);
         let p = power.value();
@@ -226,6 +235,7 @@ impl UltracapBank {
     /// Prepared voltages are valid only for the state of energy they
     /// were evaluated at (bitwise, so a non-finite state compares equal
     /// to itself).
+    #[inline]
     fn debug_check(&self, voltage: Volts) {
         debug_assert_eq!(
             voltage.value().to_bits(),
@@ -237,6 +247,7 @@ impl UltracapBank {
     /// Slope of [`UltracapBank::max_discharge_power`] in the state of
     /// energy at state of energy `soe`: `E_cap` when the depletion guard
     /// binds, zero when the interface power rating does.
+    #[inline]
     pub fn discharge_limit_slope(&self, soe: Ratio) -> f64 {
         if self.stored_energy_at(soe).value() < self.params.max_power.value() {
             self.params.energy_capacity().value()
@@ -248,6 +259,7 @@ impl UltracapBank {
     /// Slope of [`UltracapBank::max_charge_power`] in the state of
     /// energy at state of energy `soe`: `−E_cap` when the headroom guard
     /// binds, zero when the interface power rating does.
+    #[inline]
     pub fn charge_limit_slope(&self, soe: Ratio) -> f64 {
         let headroom = self.params.energy_capacity().value() - self.stored_energy_at(soe).value();
         if headroom < self.params.max_power.value() {
@@ -270,6 +282,7 @@ impl UltracapBank {
     /// [`UltracapBank::draw_partials`] at a bank voltage and its
     /// [`UltracapBank::voltage_slope`] — no square root of its own, and
     /// independent of the bank's present state of energy.
+    #[inline]
     pub fn draw_partials_at(
         &self,
         power: Watts,
@@ -330,6 +343,7 @@ impl UltracapBank {
 
     /// [`UltracapBank::integrate`] with the step's
     /// [`UltracapBank::leak_factor`] already evaluated.
+    #[inline]
     pub fn integrate_with_leak(&mut self, draw: CapDraw, dt: Seconds, leak: f64) {
         let e_cap = self.params.energy_capacity().value();
         let delta = draw.internal_power.value() * dt.value() / e_cap;

@@ -44,6 +44,7 @@ impl UltracapParams {
     }
 
     /// Energy capacity `E_cap = ½·C·V_r²` (Eq. 6).
+    #[inline]
     pub fn energy_capacity(&self) -> Joules {
         Joules::new(0.5 * self.capacitance.value() * self.rated_voltage.value().powi(2))
     }
