@@ -18,7 +18,6 @@
 //! future change that alters any vehicle's record stream shows up as a
 //! checksum diff in the committed report.
 
-use otem_bench::fold_outcomes;
 use otem_fleet::client::{BackoffPolicy, RetryClient};
 use otem_fleet::protocol::outcomes_json;
 use otem_fleet::{Campaign, FleetEngine, FleetServer, Schedule, ServerConfig, ServerHandle};
@@ -107,10 +106,10 @@ fn bench(args: &Args) {
     if args.full {
         sizes.push(100_000);
     }
-    // Campaign outcomes and loopback latency fold into one registry
-    // snapshot, embedded in the report as the `metrics` object.
+    // Campaign outcomes (the registry is each campaign's sink) and
+    // loopback latency land in one registry snapshot, embedded in the
+    // report as the `metrics` object.
     let registry = otem_telemetry::MetricsRegistry::new();
-    let campaign_mode = otem::mpc::MpcConfig::default().gradient_mode.name();
 
     println!(
         "{:<9} {:>10} {:>9} {:>11} {:>11} {:>9} {:>9} {:>9} {:>9}",
@@ -122,8 +121,7 @@ fn bench(args: &Args) {
         let report = FleetEngine::new(Schedule::WorkStealing {
             shards: args.shards,
         })
-        .run(&campaign);
-        fold_outcomes(&registry, campaign_mode, &report.solve_outcomes);
+        .run_with(&campaign, &registry);
         println!(
             "{:<9} {:>10} {:>9.2} {:>11.1} {:>11.0} {:>9.3} {:>9.3} {:>9.3} {:>9}",
             n,

@@ -22,12 +22,11 @@
 
 use otem::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem::SystemConfig;
-use otem_bench::fold_outcomes;
 use otem_fleet::protocol::outcomes_json;
 use otem_fleet::SolveOutcomes;
 use otem_hees::HybridHees;
 use otem_solver::GradientMode;
-use otem_telemetry::{Event, JsonlSink, MetricsRegistry, Sink};
+use otem_telemetry::{Event, JsonlSink, MetricsRegistry, RegistrySnapshot, Sink, Tee};
 use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,8 +79,8 @@ struct ModeStats {
     differentiated_per_solve: f64,
     solves_per_sec: f64,
     mean_iterations: f64,
-    /// Timed solves by solver outcome.
-    outcomes: SolveOutcomes,
+    /// The replay's registry: the timed solves' outcome counters.
+    metrics: RegistrySnapshot,
     /// First decision, checked finite.
     cap_bus: f64,
     cool_duty: f64,
@@ -108,12 +107,11 @@ fn run_mode(
     // writer cannot pollute the latency numbers.
     let first = mpc.solve_with(p, loads, dt, sink);
     // Solves are deterministic, so an observed replay of the timed
-    // repetitions on a copy counts their gradients without a sink in
-    // the timed loop.
+    // repetitions on a copy counts their gradients and outcomes without
+    // a sink in the timed loop.
     let mut replay = mpc.clone();
     let rollouts_before = mpc.rollouts();
     let mut latencies_ms = Vec::with_capacity(REPS);
-    let mut outcomes = SolveOutcomes::default();
     let mut iters_total = 0usize;
     let started = Instant::now();
     for _ in 0..REPS {
@@ -121,20 +119,21 @@ fn run_mode(
         let d = mpc.solve(p, loads, dt);
         latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         assert!(d.cap_bus.is_finite(), "solve produced a non-finite command");
-        outcomes.record(d.outcome.name());
         iters_total += d.iterations;
     }
     let elapsed = started.elapsed().as_secs_f64();
     let rollouts = mpc.rollouts() - rollouts_before;
     let gradients = GradientCounter::default();
+    let registry = MetricsRegistry::new();
     for _ in 0..REPS {
-        replay.solve_with(p, loads, dt, &gradients);
+        replay.solve_with(p, loads, dt, &Tee(&gradients, &registry));
     }
     assert_eq!(
         replay.rollouts(),
         mpc.rollouts(),
         "the replay diverged from the timed solves"
     );
+    let metrics = registry.snapshot();
     ModeStats {
         mean_ms: latencies_ms.iter().sum::<f64>() / REPS as f64,
         min_ms: latencies_ms.iter().copied().fold(f64::INFINITY, f64::min),
@@ -143,7 +142,7 @@ fn run_mode(
         differentiated_per_solve: gradients.0.load(Ordering::Relaxed) as f64 / REPS as f64,
         solves_per_sec: REPS as f64 / elapsed,
         mean_iterations: iters_total as f64 / REPS as f64,
-        outcomes,
+        metrics,
         cap_bus: first.cap_bus.value(),
         cool_duty: first.cool_duty,
     }
@@ -166,10 +165,10 @@ fn main() {
         "{:<8} {:>11} {:>11} {:>11} {:>8} {:>8} {:>7}",
         "horizon", "serial_ms", "adj_ms", "gn_ms", "adj_it", "gn_it", "adj_x"
     );
-    // Every mode's outcome distribution also folds into one registry
-    // snapshot, embedded in the report as the `metrics` object — the
-    // same family (and JSON shape) the serving layer exports.
-    let registry = MetricsRegistry::new();
+    // Every row's registry merges into one snapshot, embedded in the
+    // report as the `metrics` object — the same family (and JSON shape)
+    // the serving layer exports.
+    let mut metrics = RegistrySnapshot::default();
     let mut rows = Vec::new();
     for horizon in HORIZONS {
         let loads: Vec<Watts> = (0..horizon)
@@ -209,13 +208,8 @@ fn main() {
             TOL_BUDGET,
             &sink,
         );
-        for (mode, stats) in [
-            (GradientMode::Serial, &serial),
-            (GradientMode::Adjoint, &adjoint),
-            (GradientMode::Adjoint, &adjoint_tol),
-            (GradientMode::GaussNewton, &gauss_newton),
-        ] {
-            fold_outcomes(&registry, mode.name(), &stats.outcomes);
+        for stats in [&serial, &adjoint, &adjoint_tol, &gauss_newton] {
+            metrics.merge(&stats.metrics);
         }
         assert!(adjoint.cap_bus.is_finite() && adjoint.cool_duty.is_finite());
         assert!(gauss_newton.cap_bus.is_finite() && gauss_newton.cool_duty.is_finite());
@@ -251,7 +245,7 @@ fn main() {
                 s.differentiated_per_solve,
                 s.solves_per_sec,
                 s.mean_iterations,
-                outcomes_json(&s.outcomes)
+                outcomes_json(&SolveOutcomes::from_snapshot(&s.metrics))
             )
         };
         rows.push(format!(
@@ -293,7 +287,7 @@ fn main() {
         TOL_BUDGET,
         cores,
         rows.join(",\n"),
-        registry.snapshot().render_json()
+        metrics.render_json()
     );
     std::fs::write("BENCH_mpc.json", &json).expect("write BENCH_mpc.json");
     sink.flush();

@@ -14,7 +14,7 @@ use otem::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem::{Controller, OtemError, RunTotals, SimulationResult, StepRecord, SystemConfig};
 use otem_drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_faults::{FaultKind, FaultPlan, FaultedController};
-use otem_telemetry::Counter;
+use otem_telemetry::{Counter, EventCounter, MetricValue, RegistrySnapshot};
 use otem_units::{Farads, Kelvin, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -223,18 +223,27 @@ pub struct SolveOutcomes {
 }
 
 impl SolveOutcomes {
-    /// Bumps the counter matching a [`SolverOutcome name`]
-    /// (`otem_solver::SolverOutcome::name`); unknown names are ignored
-    /// so a newer solver never panics an older tally.
-    pub fn record(&mut self, outcome: &str) {
-        match outcome {
-            "converged" => self.converged += 1,
-            "budget_exhausted" => self.budget_exhausted += 1,
-            "stalled" => self.stalled += 1,
-            "non_finite" => self.non_finite += 1,
-            "deadline_reached" => self.deadline_reached += 1,
-            _ => {}
+    /// Reads a registry snapshot's `otem_solve_outcome_total`, summed
+    /// over `mode`; unknown outcome names are ignored.
+    pub fn from_snapshot(snapshot: &RegistrySnapshot) -> Self {
+        let mut out = Self::default();
+        let family = snapshot.families.get(EventCounter::SOLVE_OUTCOMES.name);
+        for (values, value) in family.iter().flat_map(|f| &f.children) {
+            // Label values are in sorted label-name order: `outcome`
+            // follows `mode`.
+            let (Some(outcome), &MetricValue::Counter(n)) = (values.last(), value) else {
+                continue;
+            };
+            match outcome.as_str() {
+                "converged" => out.converged += n,
+                "budget_exhausted" => out.budget_exhausted += n,
+                "stalled" => out.stalled += n,
+                "non_finite" => out.non_finite += n,
+                "deadline_reached" => out.deadline_reached += n,
+                _ => {}
+            }
         }
+        out
     }
 
     /// Total solves observed.

@@ -6,9 +6,8 @@ use crate::campaign::{
 use crate::pool::{fan_indexed_capped, fan_stealing};
 use otem::mpc::Clock;
 use otem::{OtemError, Simulator};
-use otem_telemetry::{Event, Histogram, Sink};
+use otem_telemetry::{Event, Histogram, MetricsRegistry, NullSink, Sink, Tee};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,22 +41,12 @@ impl Schedule {
     }
 }
 
-/// Lock-free tally of MPC solve outcomes flowing through a sink.
-///
-/// `enabled()` stays `false`: plain events like
-/// [`Event::SolveOutcome`] are emitted unconditionally, so the tally
-/// still sees every solve while call sites skip the *expensive derived*
-/// telemetry (spans, per-iteration traces) exactly as with a
-/// [`otem_telemetry::NullSink`]. Counter increments are commutative, so
-/// campaign totals are schedule- and shard-independent.
+/// Counts MPC solve outcomes: a [`MetricsRegistry`] sink read back as
+/// [`SolveOutcomes`]. Like the registry it is never `enabled()`, and its
+/// increments commute, so campaign totals are schedule- and
+/// shard-independent.
 #[derive(Debug, Default)]
-pub struct OutcomeTally {
-    converged: AtomicU64,
-    budget_exhausted: AtomicU64,
-    stalled: AtomicU64,
-    non_finite: AtomicU64,
-    deadline_reached: AtomicU64,
-}
+pub struct OutcomeTally(MetricsRegistry);
 
 impl OutcomeTally {
     /// An empty tally.
@@ -65,31 +54,15 @@ impl OutcomeTally {
         Self::default()
     }
 
-    /// The counts observed so far.
+    /// The counts observed so far, summed over gradient modes.
     pub fn snapshot(&self) -> SolveOutcomes {
-        SolveOutcomes {
-            converged: self.converged.load(Ordering::Relaxed),
-            budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
-            stalled: self.stalled.load(Ordering::Relaxed),
-            non_finite: self.non_finite.load(Ordering::Relaxed),
-            deadline_reached: self.deadline_reached.load(Ordering::Relaxed),
-        }
+        SolveOutcomes::from_snapshot(&self.0.snapshot())
     }
 }
 
 impl Sink for OutcomeTally {
     fn record(&self, event: Event) {
-        if let Event::SolveOutcome { outcome, .. } = event {
-            match outcome {
-                "converged" => &self.converged,
-                "budget_exhausted" => &self.budget_exhausted,
-                "stalled" => &self.stalled,
-                "non_finite" => &self.non_finite,
-                "deadline_reached" => &self.deadline_reached,
-                _ => return,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-        }
+        self.0.record(event);
     }
 
     fn enabled(&self) -> bool {
@@ -221,11 +194,11 @@ impl FleetEngine {
     ///
     /// Propagates component validation and cycle-synthesis errors.
     pub fn run_vehicle(&self, spec: &VehicleSpec) -> Result<VehicleSummary, OtemError> {
-        self.run_vehicle_with(spec, &OutcomeTally::new())
+        self.run_vehicle_with(spec, &NullSink)
     }
 
     /// [`FleetEngine::run_vehicle`] with an explicit telemetry sink —
-    /// the campaign path passes a shared [`OutcomeTally`] so the report
+    /// the campaign path tees in a shared [`OutcomeTally`] so the report
     /// can carry the fleet-wide solve-outcome distribution.
     ///
     /// # Errors
@@ -290,7 +263,7 @@ impl FleetEngine {
     /// of the fleet completes normally — one poisoned vehicle can no
     /// longer sink the batch.
     pub fn run(&self, campaign: &Campaign) -> FleetReport {
-        self.run_with(campaign, &otem_telemetry::NullSink)
+        self.run_with(campaign, &NullSink)
     }
 
     /// [`FleetEngine::run`] with an external sink that receives the
@@ -316,22 +289,19 @@ impl FleetEngine {
         // Exponential edges from 10 µs to ≈ 84 s.
         let latency = Histogram::exponential(0.01, 2.0, 23);
         let tally = OutcomeTally::new();
-        let pair = PairSink {
-            tally: &tally,
-            outer: sink,
-        };
+        let tee = Tee(sink, &tally);
         let started = Instant::now();
         let job = |_i: usize, spec: &VehicleSpec| {
             // The scope is thread-local, so it must be (re-)entered
             // inside the job closure: pool workers do not inherit the
             // dispatching thread's correlation id.
             let _scope = otem_telemetry::request_scope(request_id);
-            pair.record(Event::VehicleStarted {
+            tee.record(Event::VehicleStarted {
                 request_id,
                 vehicle: spec.id,
             });
             let t0 = Instant::now();
-            let outcome = self.run_vehicle_caught(spec, &pair);
+            let outcome = self.run_vehicle_caught(spec, &tee);
             latency.observe(t0.elapsed().as_secs_f64() * 1e3);
             outcome
         };
@@ -363,36 +333,6 @@ impl FleetEngine {
             latency_ms: latency,
             solve_outcomes: tally.snapshot(),
         }
-    }
-}
-
-/// Forwards every event to the campaign's [`OutcomeTally`] *and* an
-/// external sink; `enabled` follows the external sink so the zero-cost
-/// contract holds when the caller passed a
-/// [`otem_telemetry::NullSink`].
-struct PairSink<'a> {
-    tally: &'a OutcomeTally,
-    outer: &'a (dyn Sink + Sync),
-}
-
-impl std::fmt::Debug for PairSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PairSink").finish_non_exhaustive()
-    }
-}
-
-impl Sink for PairSink<'_> {
-    fn record(&self, event: Event) {
-        self.tally.record(event);
-        self.outer.record(event);
-    }
-
-    fn enabled(&self) -> bool {
-        self.outer.enabled()
-    }
-
-    fn flush(&self) {
-        self.outer.flush();
     }
 }
 

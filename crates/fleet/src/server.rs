@@ -67,8 +67,8 @@ use crate::queue::{BoundedQueue, PushError};
 use otem::planner::{plan_split, PlannerConfig};
 use otem::{OtemError, Simulator};
 use otem_telemetry::{
-    current_request_id, request_scope, ChromeTraceSink, Counter, Event, FlightDump, FlightEntry,
-    FlightRecorder, Gauge, Histogram, JsonlSink, MetricsRegistry, NullSink, Sink,
+    current_request_id, request_scope, ChromeTraceSink, Counter, Event, EventCounter, FlightDump,
+    FlightEntry, FlightRecorder, Gauge, Histogram, JsonlSink, MetricsRegistry, NullSink, Sink, Tee,
 };
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -152,7 +152,6 @@ impl Default for ServerConfig {
 
 /// Help text constants: the registry requires a family's help to be
 /// identical on every lookup, so call sites share these.
-const SOLVE_OUTCOME_HELP: &str = "MPC solve outcomes by gradient mode across every request served.";
 const LATENCY_HELP: &str = "End-to-end request latency (queue wait included) by route.";
 const FLIGHT_DUMPS_HELP: &str = "Flight-recorder dumps frozen, by trigger event.";
 
@@ -166,9 +165,9 @@ struct ServerState {
     /// [`FleetServer::with_sink`].
     sink: Arc<dyn Sink + Send + Sync>,
     /// The unified metric registry behind `/metrics`. Every named
-    /// counter below is a child of one of its families, so the ad-hoc
-    /// accessors, the JSON blob and the Prometheus exposition all read
-    /// the same atomics.
+    /// counter below is a child of one of its families, and
+    /// [`Self::observe`] feeds it every event, so its event table counts
+    /// solve outcomes, sheds, timeouts and contained panics.
     registry: Arc<MetricsRegistry>,
     /// Always-on ring of recent telemetry; freezes on contained panics
     /// and supervisor fallbacks (see [`FlightRecorder`]).
@@ -183,14 +182,6 @@ struct ServerState {
     /// Failed `accept(2)` calls — transport-level, counted apart from
     /// request errors so the two failure modes stay distinguishable.
     accept_errors: Arc<Counter>,
-    /// Connections refused with `503` because the queue was full.
-    shed: Arc<Counter>,
-    /// Requests cut off by a socket deadline (`408`).
-    timeouts: Arc<Counter>,
-    /// Request-handler panics contained by the worker's `catch_unwind`.
-    panics: Arc<Counter>,
-    /// Per-vehicle panics contained inside the fleet engine.
-    vehicle_panics: Arc<Counter>,
     /// Telemetry records dropped by per-request JSONL streaming sinks.
     jsonl_dropped: Arc<Counter>,
     /// `otem_in_flight_requests`, refreshed from `in_flight` at scrape.
@@ -222,25 +213,22 @@ struct ServerState {
 
 impl ServerState {
     /// Feeds one event to the flight recorder (stamping the recording
-    /// thread's correlation id) and folds solve outcomes into the
-    /// per-`(mode, outcome)` registry family.
+    /// thread's correlation id) and to the registry, whose event table
+    /// counts solve outcomes, sheds, timeouts and contained panics.
     fn observe(&self, event: Event) {
         self.recorder.record(event);
-        if let Event::SolveOutcome { outcome, mode, .. } = event {
-            self.registry
-                .counter(
-                    "otem_solve_outcome_total",
-                    SOLVE_OUTCOME_HELP,
-                    &[("mode", mode), ("outcome", outcome)],
-                )
-                .inc();
-        }
+        self.registry.record(event);
     }
 
-    /// An event for both the observational sink and the recorder.
+    /// An event for the observational sink as well as [`Self::observe`].
     fn observe_ops(&self, event: Event) {
         self.sink.record(event);
-        self.recorder.record(event);
+        self.observe(event);
+    }
+
+    /// The count of a label-free family of the registry's event table.
+    fn event_total(&self, family: EventCounter) -> u64 {
+        self.registry.counter(family.name, family.help, &[]).get()
     }
 
     /// The latency-histogram child for a route.
@@ -305,9 +293,6 @@ impl std::fmt::Debug for ServerState {
             .field("config", &self.config)
             .field("requests", &self.requests.get())
             .field("errors", &self.errors.get())
-            .field("shed", &self.shed.get())
-            .field("timeouts", &self.timeouts.get())
-            .field("panics", &self.panics.get())
             .finish_non_exhaustive()
     }
 }
@@ -382,6 +367,7 @@ impl FleetServer {
     /// them.
     pub fn with_sink(config: ServerConfig, sink: Arc<dyn Sink + Send + Sync>) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
+        registry.register_event_counters();
         let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
         registry
             .gauge(
@@ -428,22 +414,6 @@ impl FleetServer {
                      transport error (timeouts counted separately).",
                 ),
                 accept_errors: counter("otem_accept_errors_total", "Failed accept(2) calls."),
-                shed: counter(
-                    "otem_requests_shed_total",
-                    "Connections refused with 503 because the worker queue was full.",
-                ),
-                timeouts: counter(
-                    "otem_request_timeouts_total",
-                    "Requests cut off by a socket deadline (408).",
-                ),
-                panics: counter(
-                    "otem_request_panics_total",
-                    "Request-handler panics contained by catch_unwind.",
-                ),
-                vehicle_panics: counter(
-                    "otem_vehicle_panics_total",
-                    "Per-vehicle panics contained inside fleet campaigns.",
-                ),
                 jsonl_dropped: counter(
                     "otem_jsonl_dropped_records_total",
                     "Telemetry records dropped by per-request JSONL streaming sinks.",
@@ -557,7 +527,6 @@ impl FleetServer {
             match queue.try_push(job) {
                 Ok(()) => {}
                 Err(PushError::Full(job)) => {
-                    state.shed.inc();
                     state.observe_ops(Event::RequestShed {
                         queued: queue.len() as u64,
                         retry_after_ms: RETRY_AFTER_MS,
@@ -622,22 +591,22 @@ impl ServerHandle {
 
     /// Connections refused with `503` because the queue was full.
     pub fn shed(&self) -> u64 {
-        self.state.shed.get()
+        self.state.event_total(EventCounter::REQUESTS_SHED)
     }
 
     /// Requests cut off by a socket deadline.
     pub fn timeouts(&self) -> u64 {
-        self.state.timeouts.get()
+        self.state.event_total(EventCounter::REQUEST_TIMEOUTS)
     }
 
     /// Request-handler panics contained by the pool.
     pub fn panics(&self) -> u64 {
-        self.state.panics.get()
+        self.state.event_total(EventCounter::REQUEST_PANICS)
     }
 
     /// Per-vehicle panics contained inside fleet campaigns.
     pub fn vehicle_panics(&self) -> u64 {
-        self.state.vehicle_panics.get()
+        self.state.event_total(EventCounter::VEHICLE_PANICS)
     }
 
     /// Failed `accept(2)` calls.
@@ -694,7 +663,6 @@ fn serve_job(state: &Arc<ServerState>, job: Job) {
                 err.kind(),
                 io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
             ) {
-                state.timeouts.inc();
                 state.observe_ops(Event::RequestTimeout {
                     after_ms: job.accepted.elapsed().as_secs_f64() * 1e3,
                 });
@@ -709,7 +677,6 @@ fn serve_job(state: &Arc<ServerState>, job: Job) {
             "transport"
         }
         Err(_) => {
-            state.panics.inc();
             // Flowing through the recorder freezes it: the dump is
             // drained below, after the latency bookkeeping.
             state.observe_ops(Event::PanicCaught { context: "request" });
@@ -1008,40 +975,15 @@ fn write_entries(stream: &mut TcpStream, entries: &[FlightEntry]) -> io::Result<
     Ok(())
 }
 
-/// Forwards events to a per-request sink while tallying MPC solve
-/// outcomes into the registry's `(mode, outcome)` family and feeding
-/// the flight recorder. `enabled` defers
-/// to the inner sink (so streaming telemetry modes keep their derived
-/// events) or to span sampling when `/debug/trace` armed it.
-struct TallySink<'a> {
-    state: &'a ServerState,
-    inner: &'a dyn Sink,
-}
-
-impl Sink for TallySink<'_> {
-    fn record(&self, event: Event) {
-        self.state.observe(event);
-        self.inner.record(event);
-    }
-
-    fn enabled(&self) -> bool {
-        self.inner.enabled() || self.state.trace_sampled(current_request_id())
-    }
-
-    fn flush(&self) {
-        self.inner.flush();
-    }
-}
-
-/// The fleet-campaign sink: everything feeds the flight recorder and
-/// the solve-outcome registry family, but only serving-layer events
-/// (contained vehicle panics) reach the observational sink — fleet
-/// campaigns would otherwise stream *per-step* simulation telemetry
-/// into it, thousands of events per request that drown the operational
-/// signal (and evict it from a bounded
-/// [`otem_telemetry::MemorySink`]). `enabled` is `false` (so the
-/// simulator skips building step events entirely) unless span sampling
-/// selected the current request.
+/// The serving layer's simulation sink (fleet campaigns, and teed with
+/// the streaming sink for single vehicles): everything feeds the flight
+/// recorder and the registry, but only serving-layer events (contained
+/// vehicle panics) reach the observational sink — simulations would
+/// otherwise stream *per-step* telemetry into it, thousands of events
+/// per request that drown the operational signal (and evict it from a
+/// bounded [`otem_telemetry::MemorySink`]). `enabled` is `false` (so
+/// the simulator skips building step events entirely) unless span
+/// sampling selected the current request.
 struct OpsSink<'a> {
     state: &'a ServerState,
 }
@@ -1200,7 +1142,6 @@ fn simulate(
             }
             let ops = OpsSink { state };
             let report = engine.run_with_request(&campaign, &ops, request_id);
-            state.vehicle_panics.add(report.vehicle_panics());
             let mut stream = stream;
             write_head(&mut stream, 200, "OK")?;
             // Interleave summaries and failures in id order: both lists
@@ -1276,10 +1217,12 @@ fn simulate_vehicle(
     write_head(&mut stream, 200, "OK")?;
 
     let mut run = |sink: &dyn Sink, builder: &mut SummaryBuilder| {
-        let tallied = TallySink { state, inner: sink };
-        sim.run_each(controller.as_mut(), &trace, &tallied, |_, r| {
-            builder.push(r)
-        })
+        sim.run_each(
+            controller.as_mut(),
+            &trace,
+            &Tee(sink, &OpsSink { state }),
+            |_, r| builder.push(r),
+        )
     };
     let totals = match telemetry {
         Telemetry::None => run(&NullSink, &mut builder),

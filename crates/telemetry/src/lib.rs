@@ -18,8 +18,8 @@
 //!   [`NullSink`] (the default: every record is a no-op, the instrumented
 //!   code path is bit-identical to an uninstrumented run),
 //!   [`MemorySink`] (bounded ring buffer for tests and in-process
-//!   inspection) and [`JsonlSink`] (streaming JSON-lines writer for
-//!   `results/`).
+//!   inspection), [`JsonlSink`] (streaming JSON-lines writer for
+//!   `results/`) and [`Tee`] (fans one stream out to two sinks).
 //! * [`span`] / [`Span`] / [`SpanGuard`] — hierarchical timed spans on
 //!   a monotonic clock: *where the time went* inside an MPC solve,
 //!   nested via a thread-local stack and closed by RAII. Consumed
@@ -35,7 +35,9 @@
 //! * [`MetricsRegistry`] — named counter/gauge/histogram *families*
 //!   with label sets, commutative snapshots, and hand-rolled
 //!   Prometheus text exposition (validated by the parser in
-//!   [`promparse`]).
+//!   [`promparse`]). The registry is also a [`Sink`]: one table maps
+//!   solve outcomes, sheds, timeouts and contained panics to their
+//!   counter families ([`EventCounter`]) — the one event→metrics path.
 //! * [`request_scope`] / [`current_request_id`] — the correlation id
 //!   that joins telemetry back to the serving-layer request that
 //!   caused it.
@@ -87,7 +89,9 @@ pub use context::{current_request_id, request_scope, RequestScope};
 pub use event::{write_json_string, Event};
 pub use flight::{FlightDump, FlightEntry, FlightRecorder};
 pub use metrics::{Counter, Gauge, Histogram};
-pub use registry::{FamilySnapshot, MetricKind, MetricValue, MetricsRegistry, RegistrySnapshot};
+pub use registry::{
+    EventCounter, FamilySnapshot, MetricKind, MetricValue, MetricsRegistry, RegistrySnapshot,
+};
 pub use ring::RingBuffer;
-pub use sink::{ChromeTraceSink, JsonlSink, MemorySink, NullSink, Sink};
+pub use sink::{ChromeTraceSink, JsonlSink, MemorySink, NullSink, Sink, Tee};
 pub use span::{span, Span, SpanGuard};

@@ -11,7 +11,10 @@
 //! behind an `Arc`, so the hot path is exactly what it was before the
 //! registry existed: one relaxed atomic op, no lock, no allocation.
 //! The registry's mutex is touched only at registration/lookup time —
-//! call sites resolve their handle once and cache the `Arc`.
+//! call sites resolve their handle once and cache the `Arc`, and a
+//! lookup of an already-registered child allocates nothing. A registry
+//! is also a [`Sink`] that counts events through one table (see
+//! [`EventCounter`]).
 //!
 //! # Label-order independence
 //!
@@ -32,7 +35,9 @@
 //! fleet total). The bench bins fold merged snapshots into their
 //! BENCH outputs; the server renders them at `/metrics`.
 
+use crate::event::Event;
 use crate::metrics::{Counter, Gauge, Histogram};
+use crate::sink::Sink;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -188,6 +193,29 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         bounds: Option<&[f64]>,
     ) -> Child {
+        // Fast path, allocation-free: an already-registered child of a
+        // matching family, found through borrowed labels sorted on the
+        // stack (families hold a handful of children, so a scan beats
+        // building an owned key). Any mismatch falls through to the
+        // asserting slow path.
+        let mut buf = [("", ""); 4];
+        if let Some(sorted) = buf.get_mut(..labels.len()) {
+            sorted.copy_from_slice(labels);
+            sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            let families = self.families.lock().expect("metrics registry poisoned");
+            let hit = families
+                .get(name)
+                .filter(|f| f.kind == kind && f.help == help)
+                .filter(|f| bounds.is_none_or(|b| f.bounds.as_deref() == Some(b)))
+                .filter(|f| f.label_names.iter().eq(sorted.iter().map(|l| l.0)))
+                .and_then(|f| {
+                    let mut children = f.children.iter();
+                    children.find(|(values, _)| values.iter().eq(sorted.iter().map(|l| l.1)))
+                });
+            if let Some((_, child)) = hit {
+                return child.clone();
+            }
+        }
         assert!(valid_metric_name(name), "invalid metric name {name:?}");
         let (label_names, label_values) = canonical_labels(labels);
         let mut families = self.families.lock().expect("metrics registry poisoned");
@@ -229,6 +257,21 @@ impl MetricsRegistry {
             .clone()
     }
 
+    /// Registers at zero every label-free family of the event table
+    /// (see the [`Sink`] impl), so a scrape shows those families from
+    /// boot, before the first event arrives.
+    pub fn register_event_counters(&self) {
+        use EventCounter as E;
+        for family in [
+            E::REQUESTS_SHED,
+            E::REQUEST_TIMEOUTS,
+            E::REQUEST_PANICS,
+            E::VEHICLE_PANICS,
+        ] {
+            let _ = self.counter(family.name, family.help, &[]);
+        }
+    }
+
     /// Captures every family and child as plain data, suitable for
     /// merging across workers and rendering (Prometheus text or JSON).
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -262,6 +305,72 @@ impl MetricsRegistry {
             );
         }
         RegistrySnapshot { families: out }
+    }
+}
+
+/// One counter family of the event→metrics table in the [`Sink`] impl
+/// for [`MetricsRegistry`]: each name and help text is spelled here and
+/// nowhere else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventCounter {
+    /// Metric name.
+    pub name: &'static str,
+    /// `# HELP` text.
+    pub help: &'static str,
+}
+
+impl EventCounter {
+    /// [`Event::SolveOutcome`], labelled `{mode, outcome}`.
+    pub const SOLVE_OUTCOMES: Self = Self {
+        name: "otem_solve_outcome_total",
+        help: "MPC solve outcomes by gradient mode.",
+    };
+    /// [`Event::RequestShed`].
+    pub const REQUESTS_SHED: Self = Self {
+        name: "otem_requests_shed_total",
+        help: "Connections refused with 503 because the worker queue was full.",
+    };
+    /// [`Event::RequestTimeout`].
+    pub const REQUEST_TIMEOUTS: Self = Self {
+        name: "otem_request_timeouts_total",
+        help: "Requests cut off by a socket deadline (408).",
+    };
+    /// [`Event::PanicCaught`] with `context: "request"`.
+    pub const REQUEST_PANICS: Self = Self {
+        name: "otem_request_panics_total",
+        help: "Request-handler panics contained by catch_unwind.",
+    };
+    /// [`Event::PanicCaught`] with `context: "vehicle"`.
+    pub const VEHICLE_PANICS: Self = Self {
+        name: "otem_vehicle_panics_total",
+        help: "Per-vehicle panics contained inside fleet campaigns.",
+    };
+}
+
+/// The one event→metrics path: each event kind the table names bumps its
+/// [`EventCounter`] family, labelled from the event; other kinds pass.
+/// `enabled()` is `false`, so call sites skip derived telemetry (spans,
+/// per-iteration traces) as with a [`crate::NullSink`].
+impl Sink for MetricsRegistry {
+    #[inline]
+    fn record(&self, event: Event) {
+        let (family, labels): (EventCounter, &[(&str, &str)]) = match event {
+            Event::SolveOutcome { mode, outcome, .. } => (
+                EventCounter::SOLVE_OUTCOMES,
+                &[("mode", mode), ("outcome", outcome)],
+            ),
+            Event::RequestShed { .. } => (EventCounter::REQUESTS_SHED, &[]),
+            Event::RequestTimeout { .. } => (EventCounter::REQUEST_TIMEOUTS, &[]),
+            Event::PanicCaught { context: "request" } => (EventCounter::REQUEST_PANICS, &[]),
+            Event::PanicCaught { context: "vehicle" } => (EventCounter::VEHICLE_PANICS, &[]),
+            _ => return,
+        };
+        self.counter(family.name, family.help, labels).inc();
+    }
+
+    #[inline]
+    fn enabled(&self) -> bool {
+        false
     }
 }
 
@@ -688,6 +797,165 @@ mod tests {
                 sum: 5.5
             }
         );
+    }
+
+    /// Every `Event` kind once through one registry: a tabled kind moves
+    /// exactly its family's child labelled from the event, by 1; any
+    /// other kind leaves the snapshot unchanged.
+    #[test]
+    fn registry_sink_counts_exactly_the_tabled_events() {
+        let every = [
+            Event::SolverIteration {
+                iteration: 0,
+                value: 1.0,
+                residual: 0.1,
+                step: 0.5,
+            },
+            Event::GradientEval { dim: 2 },
+            Event::SolveOutcome {
+                outcome: "stalled",
+                mode: "adjoint",
+                iterations: 3,
+            },
+            Event::SolveOutcome {
+                outcome: "converged",
+                mode: "gauss_newton",
+                iterations: 2,
+            },
+            Event::PoolHit,
+            Event::PoolMiss,
+            Event::CoolingToggle {
+                on: true,
+                battery_temp_k: 300.0,
+            },
+            Event::UcapSaturated {
+                commanded_w: 2.0,
+                limit_w: 1.0,
+            },
+            Event::BoundClamp {
+                index: 0,
+                raw: 1.1,
+                bound: 1.0,
+            },
+            Event::FaultInjected {
+                step: 0,
+                fault: "pump_stuck",
+            },
+            Event::DecisionRejected {
+                step: 0,
+                reason: "non_finite_cost",
+            },
+            Event::FallbackEngaged {
+                step: 0,
+                backoff_steps: 4,
+            },
+            Event::MpcRearmed {
+                step: 4,
+                healthy_steps: 4,
+            },
+            Event::SpanStart {
+                id: 1,
+                parent: 0,
+                name: "mpc_solve",
+                lane: 1,
+                t_ns: 0,
+            },
+            Event::SpanEnd {
+                id: 1,
+                name: "mpc_solve",
+                lane: 1,
+                t_ns: 1,
+                dur_ns: 1,
+            },
+            Event::RequestShed {
+                queued: 3,
+                retry_after_ms: 100,
+            },
+            Event::RequestTimeout { after_ms: 2.5 },
+            Event::PanicCaught { context: "request" },
+            Event::PanicCaught { context: "vehicle" },
+            Event::DrainStarted {
+                in_flight: 0,
+                queued: 0,
+            },
+            Event::RequestStarted {
+                request_id: 1,
+                route: "/simulate",
+            },
+            Event::VehicleStarted {
+                request_id: 1,
+                vehicle: 0,
+            },
+            Event::StepCompleted {
+                step: 0,
+                load_w: 1.0,
+                delivered_w: 1.0,
+                shortfall_w: 0.0,
+                cooling_w: 0.0,
+                battery_temp_k: 300.0,
+                soc: 0.8,
+                soe: 0.6,
+            },
+        ];
+        let reg = MetricsRegistry::new();
+        assert!(!reg.enabled(), "call sites keep their zero-cost path");
+        reg.register_event_counters();
+        assert_eq!(reg.snapshot().families.len(), 4, "ops families at zero");
+        for event in every {
+            // No wildcard: a new variant does not compile until it is
+            // classified here.
+            let expected: Option<(&str, Vec<(&str, &str)>)> = match event {
+                Event::SolveOutcome { mode, outcome, .. } => Some((
+                    "otem_solve_outcome_total",
+                    vec![("mode", mode), ("outcome", outcome)],
+                )),
+                Event::RequestShed { .. } => Some(("otem_requests_shed_total", vec![])),
+                Event::RequestTimeout { .. } => Some(("otem_request_timeouts_total", vec![])),
+                Event::PanicCaught { context } => Some((
+                    if context == "request" {
+                        "otem_request_panics_total"
+                    } else {
+                        "otem_vehicle_panics_total"
+                    },
+                    vec![],
+                )),
+                Event::SolverIteration { .. }
+                | Event::GradientEval { .. }
+                | Event::PoolHit
+                | Event::PoolMiss
+                | Event::CoolingToggle { .. }
+                | Event::UcapSaturated { .. }
+                | Event::BoundClamp { .. }
+                | Event::FaultInjected { .. }
+                | Event::DecisionRejected { .. }
+                | Event::FallbackEngaged { .. }
+                | Event::MpcRearmed { .. }
+                | Event::SpanStart { .. }
+                | Event::SpanEnd { .. }
+                | Event::DrainStarted { .. }
+                | Event::RequestStarted { .. }
+                | Event::VehicleStarted { .. }
+                | Event::StepCompleted { .. } => None,
+            };
+            let before = reg.snapshot();
+            reg.record(event);
+            let after = reg.snapshot();
+            let mut want = before.clone();
+            if let Some((name, labels)) = expected {
+                let one = MetricsRegistry::new();
+                one.counter(name, &after.families[name].help, &labels).inc();
+                want.merge(&one.snapshot());
+            }
+            assert_eq!(after, want, "{event:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different help text")]
+    fn fast_path_mismatches_still_reach_the_asserts() {
+        let reg = MetricsRegistry::new();
+        let _ = reg.counter("m_total", "h", &[("a", "1")]);
+        let _ = reg.counter("m_total", "other", &[("a", "1")]);
     }
 
     #[test]

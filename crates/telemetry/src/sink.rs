@@ -48,6 +48,30 @@ impl Sink for NullSink {
     }
 }
 
+/// Fans every event out to two sinks. `enabled` is `true` when either
+/// sink is, and `flush` flushes both — so pairing an outer sink with a
+/// [`MetricsRegistry`](crate::MetricsRegistry) (never enabled) keeps the
+/// outer sink's zero-cost contract. Generic, so a concrete half is
+/// dispatched statically.
+#[derive(Debug)]
+pub struct Tee<'a, A: ?Sized, B: ?Sized>(pub &'a A, pub &'a B);
+
+impl<A: Sink + ?Sized, B: Sink + ?Sized> Sink for Tee<'_, A, B> {
+    fn record(&self, event: Event) {
+        self.0.record(event);
+        self.1.record(event);
+    }
+
+    fn enabled(&self) -> bool {
+        self.0.enabled() || self.1.enabled()
+    }
+
+    fn flush(&self) {
+        self.0.flush();
+        self.1.flush();
+    }
+}
+
 /// Retains the most recent events in a bounded ring buffer — the sink
 /// for tests and in-process inspection.
 #[derive(Debug)]

@@ -14,8 +14,10 @@
 
 use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::SystemConfig;
+use otem_repro::fleet::SolveOutcomes;
 use otem_repro::hees::HybridHees;
 use otem_repro::solver::GradientMode;
+use otem_repro::telemetry::{MetricsRegistry, NullSink, Sink};
 use otem_repro::thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_repro::units::{Farads, Kelvin, Ratio, Seconds, Watts};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,10 +71,10 @@ fn plant(config: &SystemConfig) -> MpcPlant {
 }
 
 /// Allocations across `SOLVES` fully warm-started solves in `mode` at
-/// `horizon` (a fresh `Mpc` each call; three warm-up solves populate
-/// the workspace pool, the tape and the warm start before counting
-/// begins).
-fn steady_allocs(mode: GradientMode, horizon: usize) -> u64 {
+/// `horizon`, each recorded on `sink` (a fresh `Mpc` each call; three
+/// warm-up solves populate the workspace pool, the tape and the warm
+/// start before counting begins).
+fn steady_allocs(mode: GradientMode, horizon: usize, sink: &dyn Sink) -> u64 {
     let config = SystemConfig::default();
     let p = plant(&config);
     let loads: Vec<Watts> = (0..horizon)
@@ -86,12 +88,12 @@ fn steady_allocs(mode: GradientMode, horizon: usize) -> u64 {
         ..MpcConfig::default()
     });
     for _ in 0..3 {
-        let d = mpc.solve(&p, &loads, dt);
+        let d = mpc.solve_with(&p, &loads, dt, sink);
         assert!(d.cap_bus.value().is_finite(), "warm-up solve diverged");
     }
     let before = allocations();
     for _ in 0..SOLVES {
-        let _ = mpc.solve(&p, &loads, dt);
+        let _ = mpc.solve_with(&p, &loads, dt, sink);
     }
     allocations() - before
 }
@@ -100,14 +102,14 @@ fn steady_allocs(mode: GradientMode, horizon: usize) -> u64 {
 fn mpc_steady_state_allocations_are_horizon_independent() {
     // Throwaway run: fault in lazy process-level initialisation so the
     // measured runs below do identical work.
-    let _ = steady_allocs(GradientMode::Adjoint, 6);
+    let _ = steady_allocs(GradientMode::Adjoint, 6, &NullSink);
 
     for (mode, per_solve_ceiling) in [
         (GradientMode::Adjoint, 6),
         (GradientMode::Serial, 6),
         (GradientMode::GaussNewton, 10),
     ] {
-        let counts = HORIZONS.map(|h| steady_allocs(mode, h));
+        let counts = HORIZONS.map(|h| steady_allocs(mode, h, &NullSink));
         // No per-step or per-rollout allocations: quadrupling the
         // horizon (and with it every rollout's length, and under finite
         // differences the rollouts per gradient) changes nothing.
@@ -122,4 +124,20 @@ fn mpc_steady_state_allocations_are_horizon_independent() {
             counts[0]
         );
     }
+
+    // A registry as the sink counts every solve's outcome without
+    // allocating: the warm-up solves register the child, and each
+    // later lookup finds it through borrowed labels.
+    let registry = MetricsRegistry::new();
+    let counts = HORIZONS.map(|h| steady_allocs(GradientMode::Adjoint, h, &registry));
+    assert!(
+        counts.iter().all(|&c| c <= 6 * SOLVES),
+        "registry sink: {counts:?} allocations over {SOLVES} solves at h = {HORIZONS:?}, \
+         ceiling 6/solve"
+    );
+    assert_eq!(
+        SolveOutcomes::from_snapshot(&registry.snapshot()).total(),
+        HORIZONS.len() as u64 * (3 + SOLVES),
+        "every solve counted"
+    );
 }
