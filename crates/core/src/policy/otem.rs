@@ -36,6 +36,9 @@ pub struct Otem {
     /// Injected fault: additive bias (K) on the battery temperature the
     /// controller reads. The true plant state evolves unbiased.
     sensor_bias_k: f64,
+    /// The control window handed to the MPC, refilled each decision so
+    /// a decision allocates only what its solve does.
+    loads: Vec<Watts>,
 }
 
 impl Otem {
@@ -81,6 +84,7 @@ impl Otem {
             cooling_on: false,
             pump_stuck: false,
             sensor_bias_k: 0.0,
+            loads: Vec::with_capacity(mpc_config.horizon),
         })
     }
 
@@ -200,15 +204,15 @@ impl Otem {
         // Fill the control window with the current request followed by
         // the forecast, padded with zero load past its end.
         let n = self.mpc.config().horizon;
-        let mut loads = Vec::with_capacity(n);
-        loads.push(load);
-        loads.extend(forecast.iter().take(n - 1).copied());
-        loads.resize(n, Watts::ZERO);
+        self.loads.clear();
+        self.loads.push(load);
+        self.loads.extend(forecast.iter().take(n - 1).copied());
+        self.loads.resize(n, Watts::ZERO);
 
         // Line 14: optimise.
         let decision = self
             .mpc
-            .solve_with(&self.plant_snapshot(), &loads, dt, sink);
+            .solve_with(&self.plant_snapshot(), &self.loads, dt, sink);
 
         if decision.cap_bus.value().abs() >= 0.995 * self.config.cap_power_max.value() {
             sink.record(Event::UcapSaturated {

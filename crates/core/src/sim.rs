@@ -113,19 +113,27 @@ impl Simulator {
             aging: AgingModel::new(self.config.aging),
             dt: self.config.dt,
             forecast_len: self.forecast_len,
+            pad: Vec::new(),
             t: 0,
         }
     }
 }
 
 /// The resumable step loop of [`Simulator::run_each`]: holds exactly
-/// the loop state (`t` and the aging integrator), borrowing nothing, so
-/// the caller keeps its controller and trace between steps.
+/// the loop state (`t`, the aging integrator and the buffer that pads
+/// the forecast window past the end of the route), borrowing nothing
+/// between steps, so the caller keeps its controller and trace.
+///
+/// Each step's forecast is borrowed from the trace
+/// ([`PowerTrace::window_in`]); only the last `forecast_len` steps copy
+/// into the padding buffer, whose capacity the cursor reuses. So a step
+/// allocates nothing a controller does not allocate itself.
 #[derive(Debug)]
 pub struct RunCursor {
     aging: AgingModel,
     dt: otem_units::Seconds,
     forecast_len: usize,
+    pad: Vec<otem_units::Watts>,
     t: usize,
 }
 
@@ -151,8 +159,8 @@ impl RunCursor {
         }
         let _step_span = span(sink, "sim_step");
         let load = trace.get(t);
-        let forecast = trace.window(t + 1, self.forecast_len);
-        let record = controller.step_with(load, &forecast, self.dt, sink);
+        let forecast = trace.window_in(t + 1, self.forecast_len, &mut self.pad);
+        let record = controller.step_with(load, forecast, self.dt, sink);
         self.aging.accumulate(
             record.state.battery_temp,
             record.hees.battery_c_rate,
@@ -319,6 +327,40 @@ mod tests {
             ]
         );
         assert_eq!(probe.forecasts[1], vec![Watts::ZERO; 5]);
+    }
+
+    /// Every window the controller receives — borrowed inside the route,
+    /// padded near its end — is `forecast_len` long and bit-equal to
+    /// `trace.window(t + 1, forecast_len)`, across route lengths around
+    /// the default window and windows from empty to longer than any
+    /// route.
+    #[test]
+    fn every_forecast_is_bit_equal_to_the_owned_window() {
+        let config = SystemConfig::default();
+        for steps in [1, 2, 63, 64, 65, 200] {
+            let samples: Vec<Watts> = (0..steps)
+                .map(|k| Watts::new(20_000.0 * (0.37 * k as f64).sin() - 1_500.0))
+                .collect();
+            let trace = PowerTrace::new(Seconds::new(1.0), samples);
+            for forecast_len in [0, 1, 12, 64, 300] {
+                let mut sim = Simulator::new(&config);
+                sim.forecast_len = forecast_len;
+                let mut probe = ForecastProbe::new();
+                sim.run(&mut probe, &trace);
+                assert_eq!(probe.forecasts.len(), steps);
+                for (t, forecast) in probe.forecasts.iter().enumerate() {
+                    let owned = trace.window(t + 1, forecast_len);
+                    assert_eq!(forecast.len(), forecast_len, "{steps} steps, step {t}");
+                    assert!(
+                        forecast
+                            .iter()
+                            .zip(&owned)
+                            .all(|(a, b)| a.value().to_bits() == b.value().to_bits()),
+                        "{steps} steps, forecast_len {forecast_len}, step {t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

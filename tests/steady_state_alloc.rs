@@ -7,13 +7,21 @@
 //! per rollout or per horizon step**. The count is therefore the same at
 //! every horizon, in every gradient mode.
 //!
+//! The closed loop around it adds nothing per step: the simulator
+//! borrows each forecast window from the route and copies only the
+//! zero-padded tail, into a buffer it reuses. So a reactive controller's
+//! run allocates the same count at every route length, and an OTEM run
+//! grows only by what its solves allocate.
+//!
 //! This file holds a single `#[test]` on purpose: the counting global
 //! allocator below is process-wide, and a sibling test running
 //! concurrently would pollute the counts (same discipline as
 //! `tests/telemetry_parity.rs`).
 
 use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
-use otem_repro::control::SystemConfig;
+use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
+use otem_repro::control::{Controller, Simulator, SystemConfig};
+use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_repro::fleet::SolveOutcomes;
 use otem_repro::hees::HybridHees;
 use otem_repro::solver::GradientMode;
@@ -98,6 +106,29 @@ fn steady_allocs(mode: GradientMode, horizon: usize, sink: &dyn Sink) -> u64 {
     allocations() - before
 }
 
+/// Closed-loop route lengths (steps) the run checks compare.
+const ROUTE_STEPS: [usize; 2] = [120, 360];
+
+/// The first `steps` samples of the compact EV's US06 power trace.
+fn us06_route(steps: usize) -> PowerTrace {
+    let trace = Powertrain::new(VehicleParams::compact_ev())
+        .expect("valid vehicle")
+        .power_trace(&standard(StandardCycle::Us06).expect("standard cycle"));
+    assert!(trace.len() >= steps, "US06 is {} samples", trace.len());
+    PowerTrace::new(trace.dt(), trace.window(0, steps))
+}
+
+/// Allocations made by one `Simulator::run_each` of `controller` over
+/// `route` (the controller and route are built before counting starts).
+fn run_allocs(config: &SystemConfig, controller: &mut dyn Controller, route: &PowerTrace) -> u64 {
+    let sim = Simulator::new(config);
+    let before = allocations();
+    let totals = sim.run_each(controller, route, &NullSink, |_, _| {});
+    let count = allocations() - before;
+    assert_eq!(totals.steps, route.len());
+    count
+}
+
 #[test]
 fn mpc_steady_state_allocations_are_horizon_independent() {
     // Throwaway run: fault in lazy process-level initialisation so the
@@ -139,5 +170,42 @@ fn mpc_steady_state_allocations_are_horizon_independent() {
         SolveOutcomes::from_snapshot(&registry.snapshot()).total(),
         HORIZONS.len() as u64 * (3 + SOLVES),
         "every solve counted"
+    );
+
+    // The closed loop allocates nothing per step for a reactive
+    // controller: the forecast window is borrowed from the route, and
+    // only the padded tail is copied into the cursor's one buffer.
+    let config = SystemConfig::default();
+    let routes = ROUTE_STEPS.map(us06_route);
+    type Build = fn(&SystemConfig) -> Box<dyn Controller>;
+    let reactive: [(&str, Build); 3] = [
+        ("Parallel", |c| Box::new(Parallel::new(c).expect("valid"))),
+        ("ActiveCooling", |c| {
+            Box::new(ActiveCooling::new(c).expect("valid"))
+        }),
+        ("Dual", |c| Box::new(Dual::new(c).expect("valid"))),
+    ];
+    for (name, build) in reactive {
+        let counts = routes
+            .each_ref()
+            .map(|route| run_allocs(&config, build(&config).as_mut(), route));
+        assert_eq!(
+            counts[0], counts[1],
+            "{name}: run allocations grow with the route \
+             ({ROUTE_STEPS:?} steps: {counts:?})"
+        );
+    }
+
+    // An OTEM step allocates only what its solve does: the control
+    // window is a buffer the controller keeps.
+    let counts = routes.each_ref().map(|route| {
+        let mut otem = Otem::new(&config).expect("valid");
+        run_allocs(&config, &mut otem, route)
+    });
+    let extra_steps = (ROUTE_STEPS[1] - ROUTE_STEPS[0]) as u64;
+    assert!(
+        counts[1].saturating_sub(counts[0]) <= 6 * extra_steps,
+        "OTEM: {counts:?} allocations over {ROUTE_STEPS:?} steps, \
+         ceiling 6 per extra step"
     );
 }
