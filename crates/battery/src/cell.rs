@@ -31,24 +31,18 @@ use serde::{Deserialize, Serialize};
 pub struct Cell {
     params: CellParams,
     soc: Ratio,
-    /// Cumulative capacity-loss fraction applied via
-    /// [`Cell::apply_degradation`]; shrinks the effective capacity.
-    degradation: f64,
 }
 
-/// Point-in-time copy of a [`Cell`]'s mutable state (state of charge and
-/// cumulative degradation).
+/// Point-in-time copy of a [`Cell`]'s mutable state (its state of
+/// charge).
 ///
 /// A cell's parameters are immutable after construction, so this tiny
 /// `Copy` struct is all that [`Cell::restore`] needs to rewind the cell
 /// exactly — the basis for allocation-free what-if rollouts higher up the
-/// stack. Note that [`Cell::apply_degradation`] is deliberately monotone;
-/// `restore` is the only way to move degradation backwards, and it exists
-/// precisely for speculative evaluation, not for healing a real cell.
+/// stack.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CellSnapshot {
     soc: Ratio,
-    degradation: f64,
 }
 
 impl Cell {
@@ -63,7 +57,6 @@ impl Cell {
         Ok(Self {
             params,
             soc: initial_soc,
-            degradation: 0.0,
         })
     }
 
@@ -84,27 +77,11 @@ impl Cell {
         self.soc = soc;
     }
 
-    /// Applies permanent capacity degradation (a fraction of *rated*
-    /// capacity, e.g. from [`crate::AgingModel`]): the effective capacity
-    /// shrinks, so the same current moves the state of charge faster and
-    /// the same charge throughput stresses the cell harder — the
-    /// feedback loop behind accelerating end-of-life wear.
-    ///
-    /// Total degradation is capped at 95 % to keep the model defined.
-    pub fn apply_degradation(&mut self, loss_fraction: f64) {
-        self.degradation = (self.degradation + loss_fraction.max(0.0)).min(0.95);
-    }
-
-    /// Cumulative degradation applied so far (fraction of rated
-    /// capacity).
-    pub fn degradation(&self) -> f64 {
-        self.degradation
-    }
-
-    /// Effective (aged) capacity: rated × (1 − degradation).
+    /// Effective capacity: the rated capacity (the model carries no
+    /// capacity fade within a run).
     #[inline]
     pub fn effective_capacity(&self) -> otem_units::AmpHours {
-        self.params.capacity * (1.0 - self.degradation)
+        self.params.capacity
     }
 
     /// Open-circuit voltage at the present state of charge (Eq. 2).
@@ -139,9 +116,8 @@ impl Cell {
         ))
     }
 
-    /// Discharge C-rate implied by the given current (1C = *effective*
-    /// capacity in one hour, so aged cells feel the same current as a
-    /// higher rate).
+    /// Discharge C-rate implied by the given current (1C = the effective
+    /// capacity in one hour).
     #[inline]
     pub fn c_rate(&self, current: Amps) -> f64 {
         current.value() / self.effective_capacity().value()
@@ -160,16 +136,12 @@ impl Cell {
 
     /// Captures the cell's mutable state for a later [`Cell::restore`].
     pub fn snapshot(&self) -> CellSnapshot {
-        CellSnapshot {
-            soc: self.soc,
-            degradation: self.degradation,
-        }
+        CellSnapshot { soc: self.soc }
     }
 
     /// Rewinds the cell to a previously captured [`CellSnapshot`].
     pub fn restore(&mut self, snapshot: CellSnapshot) {
         self.soc = snapshot.soc;
-        self.degradation = snapshot.degradation;
     }
 
     /// Advances the coulomb counter by one time step (Eq. 1):
@@ -271,47 +243,15 @@ mod tests {
     }
 
     #[test]
-    fn degradation_shrinks_capacity_and_raises_stress() {
-        let mut c = cell();
-        assert_eq!(c.degradation(), 0.0);
-        c.apply_degradation(0.10);
-        assert!((c.effective_capacity().value() - 3.1 * 0.9).abs() < 1e-12);
-        // The same current is now a higher C-rate.
-        assert!(c.c_rate(Amps::new(3.1)) > 1.0);
-        // And the same discharge empties the cell faster.
-        let mut fresh = cell();
-        fresh.set_soc(Ratio::ONE);
-        c.set_soc(Ratio::ONE);
-        fresh.integrate_current(Amps::new(3.1), Seconds::new(1800.0));
-        c.integrate_current(Amps::new(3.1), Seconds::new(1800.0));
-        assert!(c.soc() < fresh.soc());
-    }
-
-    #[test]
     fn snapshot_restore_round_trips_exactly() {
         let mut c = cell();
         c.set_soc(Ratio::new(0.73));
-        c.apply_degradation(0.04);
         let saved = c.snapshot();
         let reference = c.clone();
         c.integrate_current(Amps::new(3.1), Seconds::new(600.0));
-        c.apply_degradation(0.02);
         assert_ne!(c, reference);
         c.restore(saved);
-        // Bit-exact: restore must undo speculative mutation completely,
-        // including degradation (which apply_degradation alone cannot).
+        // Bit-exact: restore must undo speculative mutation completely.
         assert_eq!(c, reference);
-    }
-
-    #[test]
-    fn degradation_accumulates_and_caps() {
-        let mut c = cell();
-        for _ in 0..30 {
-            c.apply_degradation(0.10);
-        }
-        assert!((c.degradation() - 0.95).abs() < 1e-12, "capped at 95 %");
-        // Negative input is ignored rather than healing the cell.
-        c.apply_degradation(-1.0);
-        assert!((c.degradation() - 0.95).abs() < 1e-12);
     }
 }

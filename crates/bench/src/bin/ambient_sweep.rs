@@ -8,8 +8,9 @@
 //! ```
 
 use otem::SystemConfig;
-use otem_bench::{cycle_trace, fan_indexed, run, Methodology};
+use otem_bench::{cycle_trace, run, Methodology};
 use otem_drivecycle::StandardCycle;
+use otem_fleet::pool::fan_stealing;
 use otem_units::Kelvin;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         .into_iter()
         .flat_map(|celsius| Methodology::ALL.into_iter().map(move |m| (celsius, m)))
         .collect();
-    let rows = fan_indexed(jobs, |_, (celsius, m)| {
+    let rows = fan_stealing(jobs, 0, |_, (celsius, m)| {
         let config = SystemConfig::default().with_ambient(Kelvin::from_celsius(celsius));
         let r = run(m, &config, &trace).expect("run");
         (

@@ -15,9 +15,10 @@
 use otem::mpc::MpcConfig;
 use otem::policy::Otem;
 use otem::{Simulator, SupervisedOtem, SystemConfig};
-use otem_bench::{fan_indexed, stress_config, stress_trace};
+use otem_bench::{stress_config, stress_trace};
 use otem_drivecycle::StandardCycle;
 use otem_faults::{FaultKind, FaultPlan, FaultedController};
+use otem_fleet::pool::fan_stealing;
 use otem_telemetry::MemorySink;
 use std::io::Write as _;
 
@@ -149,7 +150,7 @@ fn main() {
                 .map(move |supervised| (name, plan.clone(), supervised))
         })
         .collect();
-    let outcomes = fan_indexed(jobs, |_, (name, plan, supervised)| {
+    let outcomes = fan_stealing(jobs, 0, |_, (name, plan, supervised)| {
         (name, supervised, run(&config, &trace, plan, supervised))
     });
 

@@ -13,7 +13,7 @@
 //!
 //! Every campaign row records vehicles/sec, steps/sec and the
 //! per-vehicle latency tail (p50/p95/p99) under the work-stealing
-//! scheduler; the smallest campaign also compares serial vs static vs
+//! scheduler; the smallest campaign also compares serial vs
 //! work-stealing wall time, and every row pins the fleet checksum so a
 //! future change that alters any vehicle's record stream shows up as a
 //! checksum diff in the committed report.
@@ -135,23 +135,18 @@ fn bench(args: &Args) {
             report.solve_outcomes.total()
         );
         // Schedule comparison on the smallest campaign only: the point
-        // is the *relative* cost of static chunking vs stealing on a
-        // heterogeneous fleet, which doesn't need the big runs.
+        // is the *relative* cost of the serial reference vs stealing on
+        // a heterogeneous fleet, which doesn't need the big runs.
         let comparison = if i == 0 {
             let serial = FleetEngine::new(Schedule::Serial).run(&campaign);
-            let fixed = FleetEngine::new(Schedule::Static {
-                shards: args.shards,
-            })
-            .run(&campaign);
             assert_eq!(serial.summaries, report.summaries, "steal diverged");
-            assert_eq!(fixed.summaries, report.summaries, "static diverged");
             println!(
-                "          schedules @ {n}: serial {:.2}s, static {:.2}s, steal {:.2}s",
-                serial.wall_s, fixed.wall_s, report.wall_s
+                "          schedules @ {n}: serial {:.2}s, steal {:.2}s",
+                serial.wall_s, report.wall_s
             );
             format!(
-                ",\n      \"schedule_wall_s\": {{ \"serial\": {:.4}, \"static\": {:.4}, \"steal\": {:.4} }}",
-                serial.wall_s, fixed.wall_s, report.wall_s
+                ",\n      \"schedule_wall_s\": {{ \"serial\": {:.4}, \"steal\": {:.4} }}",
+                serial.wall_s, report.wall_s
             )
         } else {
             String::new()

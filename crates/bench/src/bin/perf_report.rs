@@ -1,12 +1,11 @@
 //! Performance trajectory for the MPC hot path: finite-difference
-//! gradients, the reverse-mode adjoint gradient, and Gauss-Newton on the
-//! adjoint tape, across horizon lengths.
+//! gradients and the reverse-mode adjoint gradient, across horizon
+//! lengths.
 //!
 //! Runs warm-started `Mpc::solve` repetitions at horizons {12, 24, 48}
 //! in [`GradientMode::Serial`] and [`GradientMode::Adjoint`] for the
-//! latency table, then re-runs
-//! Adjoint vs [`GradientMode::GaussNewton`] under a raised iteration
-//! budget to measure *iterations to tolerance*, and writes
+//! latency table, then re-runs Adjoint under a raised iteration budget
+//! to measure *iterations to tolerance*, and writes
 //! `BENCH_mpc.json` (per-solve latency, rollouts/second, solves/second,
 //! forward passes and differentiated points per solve, iteration counts,
 //! solver-outcome distributions, speedups) so later changes have a
@@ -56,7 +55,7 @@ fn plant(config: &SystemConfig) -> MpcPlant {
 }
 
 /// Counts [`Event::GradientEval`]s: one per point the solver
-/// differentiated (one derivative assembly in the adjoint-family modes,
+/// differentiated (one derivative assembly in the adjoint mode,
 /// one finite-difference stencil in the serial mode).
 #[derive(Default)]
 struct GradientCounter(AtomicU64);
@@ -162,8 +161,8 @@ fn main() {
 
     let default_iters = MpcConfig::default().solver_iterations;
     println!(
-        "{:<8} {:>11} {:>11} {:>11} {:>8} {:>8} {:>7}",
-        "horizon", "serial_ms", "adj_ms", "gn_ms", "adj_it", "gn_it", "adj_x"
+        "{:<8} {:>11} {:>11} {:>8} {:>7}",
+        "horizon", "serial_ms", "adj_ms", "adj_it", "adj_x"
     );
     // Every row's registry merges into one snapshot, embedded in the
     // report as the `metrics` object — the same family (and JSON shape)
@@ -200,38 +199,15 @@ fn main() {
             TOL_BUDGET,
             &sink,
         );
-        let gauss_newton = run_mode(
-            &p,
-            &loads,
-            horizon,
-            GradientMode::GaussNewton,
-            TOL_BUDGET,
-            &sink,
-        );
-        for stats in [&serial, &adjoint, &adjoint_tol, &gauss_newton] {
+        for stats in [&serial, &adjoint, &adjoint_tol] {
             metrics.merge(&stats.metrics);
         }
         assert!(adjoint.cap_bus.is_finite() && adjoint.cool_duty.is_finite());
-        assert!(gauss_newton.cap_bus.is_finite() && gauss_newton.cool_duty.is_finite());
-        assert!(
-            gauss_newton.mean_iterations < adjoint_tol.mean_iterations,
-            "horizon {horizon}: Gauss-Newton used {:.1} iterations/solve vs \
-             first-order adjoint's {:.1} under the same {TOL_BUDGET}-iteration budget",
-            gauss_newton.mean_iterations,
-            adjoint_tol.mean_iterations
-        );
         let adj_speedup = serial.mean_ms / adjoint.mean_ms;
         let rollout_reduction = serial.rollouts_per_solve / adjoint.rollouts_per_solve;
-        let iteration_reduction = adjoint_tol.mean_iterations / gauss_newton.mean_iterations;
         println!(
-            "{:<8} {:>11.3} {:>11.3} {:>11.3} {:>8.1} {:>8.1} {:>7.2}",
-            horizon,
-            serial.mean_ms,
-            adjoint.mean_ms,
-            gauss_newton.mean_ms,
-            adjoint_tol.mean_iterations,
-            gauss_newton.mean_iterations,
-            adj_speedup
+            "{:<8} {:>11.3} {:>11.3} {:>8.1} {:>7.2}",
+            horizon, serial.mean_ms, adjoint.mean_ms, adjoint_tol.mean_iterations, adj_speedup
         );
         let mode_json = |s: &ModeStats| {
             format!(
@@ -255,20 +231,16 @@ fn main() {
                 "      \"serial\": {},\n",
                 "      \"adjoint\": {},\n",
                 "      \"adjoint_tol_budget\": {},\n",
-                "      \"gauss_newton\": {},\n",
                 "      \"fd_vs_adjoint_speedup\": {:.3},\n",
-                "      \"rollout_reduction\": {:.1},\n",
-                "      \"gn_iteration_reduction\": {:.2}\n",
+                "      \"rollout_reduction\": {:.1}\n",
                 "    }}"
             ),
             horizon,
             mode_json(&serial),
             mode_json(&adjoint),
             mode_json(&adjoint_tol),
-            mode_json(&gauss_newton),
             adj_speedup,
-            rollout_reduction,
-            iteration_reduction
+            rollout_reduction
         ));
     }
 

@@ -10,8 +10,9 @@
 //! cargo run --release -p otem-bench --bin table1_ucap_sweep
 //! ```
 
-use otem_bench::{fan_indexed, run, stress_config_with_capacitance, stress_trace, Methodology};
+use otem_bench::{run, stress_config_with_capacitance, stress_trace, Methodology};
 use otem_drivecycle::StandardCycle;
+use otem_fleet::pool::fan_stealing;
 
 fn main() {
     let sizes = [5_000.0, 10_000.0, 20_000.0, 25_000.0];
@@ -29,7 +30,7 @@ fn main() {
         .iter()
         .position(|&(f, m)| f == 25_000.0 && m == Methodology::Parallel)
         .expect("reference cell in grid");
-    let cells = fan_indexed(jobs, |_, (farads, m)| {
+    let cells = fan_stealing(jobs, 0, |_, (farads, m)| {
         let r = run(m, &stress_config_with_capacitance(farads), &trace).expect("run");
         (r.average_power().value(), r.capacity_loss())
     });

@@ -155,11 +155,6 @@ pub fn pct(x: f64) -> String {
     format!("{:+.1}%", x * 100.0)
 }
 
-// The worker-pool fans moved to `otem_fleet::pool` (PR 6) so the fleet
-// engine and the sweep binaries share one implementation; re-exported
-// here to keep the sweep binaries' call sites unchanged.
-pub use otem_fleet::pool::{fan_indexed, fan_indexed_capped, fan_stealing};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,23 +167,6 @@ mod tests {
             m.controller(&config)
                 .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
         }
-    }
-
-    #[test]
-    fn fan_indexed_preserves_job_order() {
-        let jobs: Vec<usize> = (0..17).collect();
-        let fanned = fan_indexed(jobs, |i, j| {
-            assert_eq!(i, j, "index matches the job's position");
-            3 * j + 1
-        });
-        let serial: Vec<usize> = (0..17).map(|j| 3 * j + 1).collect();
-        assert_eq!(fanned, serial);
-        // Degenerate sizes.
-        assert_eq!(fan_indexed(vec![5usize], |_, j| j * j), vec![25]);
-        assert_eq!(
-            fan_indexed(Vec::<usize>::new(), |_, j| j),
-            Vec::<usize>::new()
-        );
     }
 
     #[test]

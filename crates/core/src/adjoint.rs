@@ -84,15 +84,13 @@
 //! in the operation order of their fused value-and-partials entry
 //! points, so a gradient assembled after the fact is bit-identical to one
 //! taken during the forward pass. The MPC workspace
-//! remembers the decision vector its records belong to. The solvers only
-//! ask for a gradient at the trial their line search has just accepted —
+//! remembers the decision vector its records belong to. The solver only
+//! asks for a gradient at the trial their line search has just accepted —
 //! the last point evaluated — so a gradient assembles the stored records
 //! and sweeps them instead of running a second, identical forward pass;
-//! a gradient at any other point records afresh first. The adjoint mode
-//! assembles once per gradient for [`adjoint_sweep`]; Gauss-Newton
-//! assembles once per iteration and feeds both [`adjoint_sweep`] and
-//! [`tape_curvature`]. A rejected trial pays for its values and nothing
-//! else. The memo lives for one solve only: the start state, forecast
+//! a gradient at any other point records afresh first. Each gradient
+//! assembles once for [`adjoint_sweep`]. A rejected trial pays for its
+//! values and nothing else. The memo lives for one solve only: the start state, forecast
 //! and step change between solves while the decision vector can repeat
 //! (an all-zero cold start), so the workspace forgets it at the start of
 //! every solve.
@@ -100,7 +98,7 @@
 use crate::mpc::{MpcConfig, MpcPlant};
 use otem_hees::{HeesStepConstants, HeesStepJacobian, HeesStepRecord, HybridCommand, HybridHees};
 use otem_thermal::{CrankNicolsonCoefficients, CrankNicolsonJacobian, ThermalState};
-use otem_units::{Kelvin, Seconds, Watts, GAS_CONSTANT};
+use otem_units::{Kelvin, Seconds, Watts};
 
 /// Everything about a rollout stage that depends on neither the decision
 /// vector nor the step index: built once per solve by the MPC (once per
@@ -510,259 +508,5 @@ pub(crate) fn adjoint_sweep(
             + g_inlet * d_inlet_d_tc;
         l_s = a[HeesStepJacobian::IN_SOC];
         l_e = a[HeesStepJacobian::IN_SOE];
-    }
-}
-
-/// Scratch buffers for [`tape_curvature`] — the sensitivity matrix and
-/// residual rows, reused across solves so the forward sweep is
-/// allocation-free at steady state.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct CurvatureScratch {
-    /// `∂T_b/∂z` of the current step's post-state, one entry per column.
-    s_tb: Vec<f64>,
-    /// `∂T_c/∂z`.
-    s_tc: Vec<f64>,
-    /// `∂SoC/∂z`.
-    s_soc: Vec<f64>,
-    /// `∂SoE/∂z`.
-    s_soe: Vec<f64>,
-    /// Gradient row of the shortfall residual `net − delivered`.
-    row_sf: Vec<f64>,
-    /// Gradient row of the bus-power residual `|P_bat| − P_max`.
-    row_p: Vec<f64>,
-    /// Gradient row of the stage aging loss `ℓ(T_b, c)`.
-    row_aging: Vec<f64>,
-}
-
-impl CurvatureScratch {
-    fn reset(&mut self, m: usize) {
-        for v in [
-            &mut self.s_tb,
-            &mut self.s_tc,
-            &mut self.s_soc,
-            &mut self.s_soe,
-            &mut self.row_sf,
-            &mut self.row_p,
-            &mut self.row_aging,
-        ] {
-            v.clear();
-            v.resize(m, 0.0);
-        }
-    }
-}
-
-/// Generalized Gauss-Newton curvature of the rollout objective from the
-/// *same* tape and assembled derivatives the gradient sweep consumes —
-/// no new model derivatives.
-///
-/// Every constraint penalty in the objective is a genuine weighted
-/// square `p·relu(r)²`, so its Gauss-Newton block is the exact
-/// positive-semidefinite outer product `2p·∇r∇rᵀ` of the residual
-/// gradient at the executed branch. The residual gradients come from a
-/// *forward* sensitivity recursion over the tape: the per-step HEES and
-/// Crank–Nicolson Jacobians push `∂(T_b, T_c, SoC, SoE)/∂z` from step
-/// to step using exactly the chain factors [`adjoint_sweep`] applies
-/// backwards, so gradient and curvature describe the same linearised
-/// rollout.
-///
-/// The `w1`/`w3` economic terms are outer-linear in the model outputs
-/// and contribute no Gauss-Newton curvature. The `w2` aging loss is the
-/// separable Arrhenius/power-law product `ℓ(T, c) = g(T)·h(c)`, whose
-/// *exact* outer Hessian over `(T, c)` follows from the first partials
-/// and the public coefficients alone:
-///
-/// ```text
-/// ∂²ℓ/∂T²  = (ℓ_T²/ℓ)·(1 − 2RT/l₂)     ∂²ℓ/∂T∂c = ℓ_T·ℓ_c/ℓ
-/// ∂²ℓ/∂c²  = (ℓ_c²/ℓ)·(l₃−1)/l₃
-/// ```
-///
-/// The product is not jointly convex (the 2×2 is indefinite), so the
-/// negative eigenvalue is clipped to zero and the dominant eigenpair
-/// becomes a rank-one update in decision space — the nearest PSD
-/// curvature with the correct relative scale between the temperature
-/// and C-rate directions. Where neither a penalty nor the aging term
-/// carries curvature the matrix is zero and the Gauss-Newton solver's
-/// damping floor degrades it to a spectral gradient step.
-///
-/// Writes the row-major `2n × 2n` matrix into `hess` (zeroed first).
-/// `O(n²)` propagation plus rank-one updates for active residuals only.
-pub(crate) fn tape_curvature(
-    plant: &MpcPlant,
-    stage: &StageConstants,
-    config: &MpcConfig,
-    tape: &[StageRecord],
-    derivatives: &[StageDerivatives],
-    scratch: &mut CurvatureScratch,
-    hess: &mut [f64],
-) {
-    let n = tape.len();
-    debug_assert_eq!(derivatives.len(), n);
-    let m = 2 * n;
-    debug_assert_eq!(hess.len(), m * m);
-    hess.fill(0.0);
-    if n == 0 {
-        return;
-    }
-    let dtv = stage.dt().value();
-    let jt = &stage.cn_jacobian;
-    let flow_over_eff = plant.plant.flow_over_efficiency();
-    let pump = plant.plant.params().pump_power.value();
-    let cap_max = plant.cap_power_max.value();
-    scratch.reset(m);
-
-    for (k, (t, d)) in tape.iter().zip(derivatives).enumerate() {
-        let j = &d.jac;
-        let active = if t.cooler_active { 1.0 } else { 0.0 };
-        let d_ce_d_duty = active * flow_over_eff * t.delta + pump;
-        let d_ce_d_tc = active * flow_over_eff * t.duty * (1.0 - d.dcoldest);
-        let d_inlet_d_duty = -t.delta;
-        let d_inlet_d_tc = 1.0 - t.duty * (1.0 - d.dcoldest);
-        let p_sign = t.battery_bus.signum();
-        let aging = aging_eigenpair(plant, config, t, d);
-
-        for col in 0..m {
-            let d_cap = if col == k { cap_max } else { 0.0 };
-            let d_duty = if col == n + k { d.duty_gain } else { 0.0 };
-            let s_tb = scratch.s_tb[col];
-            let s_tc = scratch.s_tc[col];
-
-            // The actuation chain, mirroring the backward sweep's
-            // factors in forward direction.
-            let d_ce = d_ce_d_duty * d_duty + d_ce_d_tc * s_tc;
-            let d_inlet = d_inlet_d_duty * d_duty + d_inlet_d_tc * s_tc;
-            let d_pb = d_ce - d_cap;
-
-            let mut v = [0.0; 5];
-            v[HeesStepJacobian::IN_BATTERY_BUS] = d_pb;
-            v[HeesStepJacobian::IN_CAP_BUS] = d_cap;
-            v[HeesStepJacobian::IN_TEMPERATURE] = s_tb;
-            v[HeesStepJacobian::IN_SOC] = scratch.s_soc[col];
-            v[HeesStepJacobian::IN_SOE] = scratch.s_soe[col];
-            let dot = |row: &[f64; 5]| row.iter().zip(&v).map(|(a, b)| a * b).sum::<f64>();
-            let d_heat = dot(&j.battery_heat);
-            let d_delivered = dot(&j.delivered);
-
-            scratch.s_soc[col] = dot(&j.soc_next);
-            scratch.s_soe[col] = dot(&j.soe_next);
-            scratch.s_tb[col] = jt.d_battery[0] * s_tb
-                + jt.d_battery[1] * s_tc
-                + jt.d_battery_heat[0] * d_heat
-                + jt.d_inlet[0] * d_inlet;
-            scratch.s_tc[col] = jt.d_coolant[0] * s_tb
-                + jt.d_coolant[1] * s_tc
-                + jt.d_battery_heat[1] * d_heat
-                + jt.d_inlet[1] * d_inlet;
-            scratch.row_sf[col] = d_ce - d_delivered;
-            scratch.row_p[col] = p_sign * d_pb;
-            if let Some((e_t, e_c, _)) = aging {
-                scratch.row_aging[col] = e_t * scratch.s_tb[col] + e_c * dot(&j.battery_c_rate);
-            }
-        }
-
-        if let Some((_, _, lam)) = aging {
-            rank_one(hess, &scratch.row_aging, config.w2 * dtv * lam);
-        }
-
-        // Rank-one Gauss-Newton blocks for the penalties whose branch is
-        // active at this step (matching the relu convention of the cost
-        // and the backward sweep: strictly positive residual).
-        let over_t = (t.battery_post - config.temp_soft.value()).max(0.0);
-        if over_t > 0.0 {
-            let mut w = 2.0 * config.temp_penalty;
-            if k == n - 1 && config.terminal_tail > 0.0 {
-                // The terminal soft-ceiling penalty shares the stage
-                // residual at the last step; its weight simply adds.
-                w += 2.0 * config.temp_penalty * (config.terminal_tail / dtv.max(1e-9));
-            }
-            rank_one(hess, &scratch.s_tb, w);
-        }
-        let soc_short = (plant.soc_min.value() - t.soc_post).max(0.0);
-        if soc_short > 0.0 {
-            rank_one(hess, &scratch.s_soc, 2.0 * config.state_penalty);
-        }
-        let soe_short = (plant.soe_min.value() - t.soe_post).max(0.0);
-        if soe_short > 0.0 {
-            rank_one(hess, &scratch.s_soe, 2.0 * config.state_penalty);
-        }
-        if t.shortfall > 0.0 {
-            rank_one(hess, &scratch.row_sf, 2.0 * config.shortfall_penalty);
-        }
-        let over_p = (t.battery_bus.abs() - plant.battery_power_max.value()).max(0.0);
-        if over_p > 0.0 {
-            rank_one(hess, &scratch.row_p, 2.0 * config.power_penalty);
-        }
-    }
-
-    // Terminal aging tail: a function of the final battery temperature
-    // alone (its nominal C-rate is a constant of the forecast), so its
-    // exact temperature curvature rides on the final sensitivity row.
-    if config.w2 > 0.0 && config.terminal_tail > 0.0 {
-        let c_load = stage.terminal_c_rate;
-        let tb_n = tape[n - 1].battery_post;
-        let (loss, d_temp, _) = plant
-            .aging
-            .loss_rate_and_partials(Kelvin::new(tb_n), c_load);
-        if loss > 1e-30 {
-            let t_val = tb_n.max(200.0);
-            let a = (1.0 - 2.0 * GAS_CONSTANT * t_val / plant.aging.l2).max(0.0);
-            let w = config.w2 * config.terminal_tail * a * d_temp * d_temp / loss;
-            rank_one(hess, &scratch.s_tb, w);
-        }
-    }
-}
-
-/// The PSD-projected outer Hessian of the stage aging loss over
-/// `(T_b, c)`: clips the (always-present, the product is not jointly
-/// convex) negative eigenvalue and returns the dominant eigenpair as
-/// `(e_T, e_c, λ₊)`, or `None` when the term carries no curvature
-/// (`w₂ = 0`, zero loss, or a degenerate eigenvector).
-fn aging_eigenpair(
-    plant: &MpcPlant,
-    config: &MpcConfig,
-    t: &StageRecord,
-    d: &StageDerivatives,
-) -> Option<(f64, f64, f64)> {
-    if config.w2 <= 0.0 {
-        return None;
-    }
-    let (loss, d_t, d_c) = (t.loss_rate, d.d_loss_t, d.d_loss_c);
-    if loss <= 1e-30 {
-        return None;
-    }
-    let t_val = t.battery_post.max(200.0);
-    let p = (d_t * d_t / loss) * (1.0 - 2.0 * GAS_CONSTANT * t_val / plant.aging.l2).max(0.0);
-    let q = d_t * d_c / loss;
-    let r = (d_c * d_c / loss) * (plant.aging.l3 - 1.0).max(0.0) / plant.aging.l3;
-    let disc = ((p - r) * (p - r) + 4.0 * q * q).sqrt();
-    let lam = 0.5 * (p + r + disc);
-    if lam.is_nan() || lam <= 0.0 {
-        return None;
-    }
-    // The better-conditioned of the two eigenvector formulas.
-    let (e_t, e_c) = if (lam - r).abs() >= (lam - p).abs() {
-        (lam - r, q)
-    } else {
-        (q, lam - p)
-    };
-    let norm = e_t.hypot(e_c);
-    if norm.is_nan() || norm <= 0.0 {
-        return None;
-    }
-    Some((e_t / norm, e_c / norm, lam))
-}
-
-/// `hess += w · row ⊗ row`, skipping zero entries (residual rows are
-/// sparse early in the horizon: only already-seen decisions have
-/// non-zero sensitivity).
-fn rank_one(hess: &mut [f64], row: &[f64], w: f64) {
-    let m = row.len();
-    for i in 0..m {
-        let wi = w * row[i];
-        if wi == 0.0 {
-            continue;
-        }
-        for col in 0..m {
-            hess[i * m + col] += wi * row[col];
-        }
     }
 }

@@ -22,12 +22,12 @@
 //! warm-started from the previous period's shifted solution (standard
 //! receding-horizon practice).
 
-use crate::adjoint::{CurvatureScratch, StageConstants, StageDerivatives, StageRecord};
+use crate::adjoint::{StageConstants, StageDerivatives, StageRecord};
 use otem_battery::AgingParams;
 use otem_hees::{HeesSnapshot, HybridHees};
 use otem_solver::{
-    Bounds, CurvatureObjective, Deadline, GaussNewton, GradientMode, NumericalGradient, Objective,
-    ProjectedGradient, Solution, SolverOutcome,
+    Bounds, Deadline, GradientMode, NumericalGradient, Objective, ProjectedGradient, Solution,
+    SolverOutcome,
 };
 pub use otem_solver::{Clock, MonotonicClock, VirtualClock};
 use otem_telemetry::{span, Event, NullSink, Sink};
@@ -62,8 +62,6 @@ pub struct MpcConfig {
     pub power_penalty: f64,
     /// Inner solver iteration budget per control period.
     pub solver_iterations: usize,
-    /// Whether to warm-start from the shifted previous solution.
-    pub warm_start: bool,
     /// Terminal-cost tail (s): the end-of-horizon battery temperature is
     /// priced as if it persisted this long, so the controller sees the
     /// value of pre-cooling beyond its own window (thermal time
@@ -76,11 +74,7 @@ pub struct MpcConfig {
     /// (see `adjoint` module), matching FD to ~1e-6 relative error away
     /// from penalty kinks. [`GradientMode::Serial`] is plain central
     /// finite differences (`4·horizon` rollouts per gradient), kept as
-    /// the test oracle. [`GradientMode::GaussNewton`]
-    /// additionally assembles a Gauss-Newton curvature matrix from the
-    /// *same* tape and solves with a projected Levenberg–Marquardt step;
-    /// it is not the default because it certifies points ~1.3–1.4× the
-    /// clairvoyant DP energy on the energy-only rig (DESIGN.md §12).
+    /// the test oracle.
     pub gradient_mode: GradientMode,
     /// Optional per-solve compute budget in nanoseconds (the *anytime*
     /// contract): the inner solver polls its [`Clock`] once per outer
@@ -104,7 +98,6 @@ impl Default for MpcConfig {
             shortfall_penalty: 1.0e-2,
             power_penalty: 1.0e-3,
             solver_iterations: 30,
-            warm_start: true,
             terminal_tail: 600.0,
             gradient_mode: GradientMode::Adjoint,
             deadline_ns: None,
@@ -282,7 +275,7 @@ impl Mpc {
     /// MPC's unit of work: the forward passes that simulate the whole
     /// horizon, one per objective evaluation plus one per gradient that
     /// could not reuse the last evaluation's tape (every finite-
-    /// difference stencil point; in the adjoint-family modes only a
+    /// difference stencil point; in the adjoint mode only a
     /// gradient asked for away from the last evaluated point).
     /// Benchmarks divide this by wall time to report rollouts/second.
     pub fn rollouts(&self) -> u64 {
@@ -322,10 +315,8 @@ impl Mpc {
             let _warm_span = span(sink, "warm_start");
             self.x0.clear();
             self.x0.resize(2 * n, 0.0);
-            if self.config.warm_start {
-                if let Some(prev) = &self.previous {
-                    warm_start_shift(&mut self.x0, prev, n);
-                }
+            if let Some(prev) = &self.previous {
+                warm_start_shift(&mut self.x0, prev, n);
             }
         }
 
@@ -346,22 +337,7 @@ impl Mpc {
             value,
             iterations,
             outcome,
-        } = if self.config.gradient_mode == GradientMode::GaussNewton {
-            let gauss_newton = GaussNewton {
-                max_iterations: solver.max_iterations,
-                tolerance: solver.tolerance,
-                ..GaussNewton::default()
-            };
-            gauss_newton.minimize_within(
-                &objective,
-                &self.bounds,
-                &self.x0,
-                sink,
-                deadline.as_ref(),
-            )
-        } else {
-            solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref())
-        };
+        } = solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref());
         self.rollouts += objective.rollouts.get();
         self.workspace = Some(objective.workspace.into_inner());
         sink.record(Event::SolveOutcome {
@@ -453,8 +429,6 @@ struct RolloutWorkspace {
     taped_at: Vec<f64>,
     /// Derivatives assembled from `tape` for the last gradient.
     derivatives: Vec<StageDerivatives>,
-    /// Forward-sensitivity buffers for the Gauss-Newton curvature sweep.
-    curvature: CurvatureScratch,
     /// Derivative assemblies run through this workspace.
     assemblies: u64,
 }
@@ -467,7 +441,6 @@ impl RolloutWorkspace {
             tape: Vec::new(),
             taped_at: Vec::new(),
             derivatives: Vec::new(),
-            curvature: CurvatureScratch::default(),
             assemblies: 0,
         }
     }
@@ -606,46 +579,9 @@ impl Objective for RolloutObjective<'_> {
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
         match self.config.gradient_mode {
-            GradientMode::Adjoint | GradientMode::GaussNewton => self.gradient_adjoint(x, grad),
+            GradientMode::Adjoint => self.gradient_adjoint(x, grad),
             GradientMode::Serial => self.gradient_fd(x, grad),
         }
-    }
-}
-
-impl CurvatureObjective for RolloutObjective<'_> {
-    /// One derivative assembly at `x` (from the accepted trial's records
-    /// when possible, see [`RolloutObjective::differentiate`]), then
-    /// *two* consumers of it: the backward sweep for the gradient and the
-    /// forward sensitivity sweep for the Gauss-Newton curvature.
-    fn gradient_and_curvature(&self, x: &[f64], grad: &mut [f64], hess: &mut [f64]) {
-        assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
-        assert_eq!(hess.len(), x.len() * x.len(), "curvature buffer mismatch");
-        let _rollout_span = span(self.sink, "rollout");
-        let ws = &mut *self.workspace.borrow_mut();
-        self.differentiate(ws, x);
-        let RolloutWorkspace {
-            tape,
-            derivatives,
-            curvature,
-            ..
-        } = ws;
-        crate::adjoint::adjoint_sweep(
-            self.plant,
-            &self.stage,
-            self.config,
-            tape,
-            derivatives,
-            grad,
-        );
-        crate::adjoint::tape_curvature(
-            self.plant,
-            &self.stage,
-            self.config,
-            tape,
-            derivatives,
-            curvature,
-            hess,
-        );
     }
 }
 
@@ -1247,7 +1183,7 @@ mod tests {
 
     #[test]
     fn cold_started_solves_never_reuse_a_previous_solves_tape() {
-        // With warm starts off every solve begins at the same all-zero
+        // A reset before every solve starts each one at the same all-zero
         // x0, so a tape memo that outlived its solve would hand the
         // second plant the first plant's gradient. Each decision must
         // match a fresh controller's bit for bit.
@@ -1256,30 +1192,22 @@ mod tests {
             .map(|k| Watts::new(10_000.0 + 8_000.0 * k as f64))
             .collect();
         let dt = Seconds::new(1.0);
-        for mode in [GradientMode::Adjoint, GradientMode::GaussNewton] {
-            let cfg = MpcConfig {
-                horizon: 6,
-                warm_start: false,
-                gradient_mode: mode,
-                ..MpcConfig::default()
-            };
-            let mut reused = Mpc::new(cfg);
-            for (celsius, soc) in [(30.0, 0.8), (39.0, 0.4), (30.0, 0.8)] {
-                let mut p = plant(&config);
-                p.hees.set_state(Ratio::new(soc), Ratio::new(0.5));
-                p.state = ThermalState::uniform(Kelvin::from_celsius(celsius));
-                let a = reused.solve(&p, &loads, dt);
-                let b = Mpc::new(cfg).solve(&p, &loads, dt);
-                assert_eq!(a.cap_bus.value().to_bits(), b.cap_bus.value().to_bits());
-                assert_eq!(a.cool_duty.to_bits(), b.cool_duty.to_bits());
-                assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-                assert_eq!(
-                    a.iterations,
-                    b.iterations,
-                    "{} at {celsius} °C",
-                    mode.name()
-                );
-            }
+        let cfg = MpcConfig {
+            horizon: 6,
+            ..MpcConfig::default()
+        };
+        let mut reused = Mpc::new(cfg);
+        for (celsius, soc) in [(30.0, 0.8), (39.0, 0.4), (30.0, 0.8)] {
+            let mut p = plant(&config);
+            p.hees.set_state(Ratio::new(soc), Ratio::new(0.5));
+            p.state = ThermalState::uniform(Kelvin::from_celsius(celsius));
+            reused.reset();
+            let a = reused.solve(&p, &loads, dt);
+            let b = Mpc::new(cfg).solve(&p, &loads, dt);
+            assert_eq!(a.cap_bus.value().to_bits(), b.cap_bus.value().to_bits());
+            assert_eq!(a.cool_duty.to_bits(), b.cool_duty.to_bits());
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+            assert_eq!(a.iterations, b.iterations, "at {celsius} °C");
         }
     }
 
@@ -1329,173 +1257,6 @@ mod tests {
         objective.gradient(&other, &mut grad);
         assert_eq!(bits(&grad), bits(&reference(&q, &other)));
         assert_eq!(objective.rollouts.get(), 1);
-    }
-
-    #[test]
-    fn gauss_newton_mode_converges_where_first_order_exhausts_its_budget() {
-        // Nominal regime (33 °C, mixed traction load): the aging term
-        // dominates the objective and its eigen-clipped curvature rides
-        // the tape, so the second-order mode certifies convergence in a
-        // fraction of the first-order iteration spend. Measured on this
-        // rig: Gauss-Newton converges in ~60–70 iterations per solve
-        // while spectral projected descent burns the full 400-iteration
-        // budget without reaching tolerance.
-        let config = SystemConfig::default();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(33.0));
-        let loads: Vec<Watts> = (0..12)
-            .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
-            .collect();
-        let mut adj = Mpc::new(MpcConfig {
-            horizon: 12,
-            solver_iterations: 400,
-            gradient_mode: GradientMode::Adjoint,
-            ..MpcConfig::default()
-        });
-        let mut gn = Mpc::new(MpcConfig {
-            horizon: 12,
-            solver_iterations: 400,
-            gradient_mode: GradientMode::GaussNewton,
-            ..MpcConfig::default()
-        });
-        let (mut adj_iters, mut gn_iters) = (0usize, 0usize);
-        let mut last = None;
-        for _ in 0..4 {
-            let a = adj.solve(&p, &loads, Seconds::new(1.0));
-            let b = gn.solve(&p, &loads, Seconds::new(1.0));
-            assert!(a.cap_bus.is_finite() && b.cap_bus.is_finite());
-            assert!((0.0..=1.0).contains(&b.cool_duty), "{b:?}");
-            adj_iters += a.iterations;
-            gn_iters += b.iterations;
-            last = Some(b.outcome);
-        }
-        assert_eq!(last, Some(SolverOutcome::Converged));
-        assert!(
-            gn_iters < adj_iters,
-            "Gauss-Newton spent {gn_iters} iterations, adjoint {adj_iters}"
-        );
-    }
-
-    #[test]
-    fn gauss_newton_mode_stays_usable_on_the_hot_rig() {
-        // Thermally saturated rig (39 °C, soft ceiling active): the
-        // relu-penalty `r·∇²r` Newton term missing from the tape is
-        // large here, so no iteration advantage is claimed — but every
-        // solve must stay finite, in-bounds, and usable, with warm
-        // starts carrying across solves.
-        let config = SystemConfig::stress_rig();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(39.0));
-        let loads: Vec<Watts> = (0..12)
-            .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
-            .collect();
-        let mut gn = Mpc::new(MpcConfig {
-            horizon: 12,
-            solver_iterations: 400,
-            gradient_mode: GradientMode::GaussNewton,
-            ..MpcConfig::default()
-        });
-        let mut prev_cost = f64::INFINITY;
-        for _ in 0..4 {
-            let b = gn.solve(&p, &loads, Seconds::new(1.0));
-            assert!(b.cap_bus.is_finite(), "{b:?}");
-            assert!((0.0..=1.0).contains(&b.cool_duty), "{b:?}");
-            assert!(b.outcome.is_usable(), "{b:?}");
-            // Warm-started repeats of the identical problem never
-            // regress the achieved cost by more than float noise.
-            assert!(b.cost <= prev_cost * (1.0 + 1e-9), "{b:?}");
-            prev_cost = b.cost;
-        }
-    }
-
-    #[test]
-    fn tape_curvature_is_symmetric_psd_and_matches_fd_on_penalties() {
-        // Penalty-only objective just above the soft ceiling: the
-        // Gauss-Newton matrix of `p·relu(r)²` terms is `Σ 2p·∇r∇rᵀ`,
-        // which drops the `r·∇²r` Newton term. That dropped term scales
-        // linearly with the residual, so in the small-residual regime
-        // (ceiling barely exceeded, gentle heating) the second
-        // difference of the exact cost must land within the loose band;
-        // far above the ceiling the truncation dominates by design.
-        let config = SystemConfig::stress_rig();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(38.01));
-        let n = 6;
-        let cfg = MpcConfig {
-            horizon: n,
-            w1: 0.0,
-            w2: 0.0,
-            w3: 0.0,
-            terminal_tail: 0.0,
-            ..MpcConfig::default()
-        };
-        let loads = vec![Watts::new(20_000.0); n];
-        let dt = Seconds::new(1.0);
-        let z: Vec<f64> = (0..2 * n)
-            .map(|i| {
-                if i < n {
-                    0.06 * i as f64 - 0.18
-                } else {
-                    0.02 * (i - n) as f64 + 0.05
-                }
-            })
-            .collect();
-        let m = 2 * n;
-
-        let mut hees = p.hees.clone();
-        let stage = StageConstants::new(&p, &loads, dt, &cfg);
-        let mut tape = Vec::new();
-        crate::adjoint::rollout(&p, &mut hees, &loads, &stage, &cfg, &z, &mut tape);
-        let mut derivatives = Vec::new();
-        crate::adjoint::assemble_derivatives(&p, &stage, &tape, &mut derivatives);
-        let mut scratch = CurvatureScratch::default();
-        let mut hess = vec![0.0; m * m];
-        crate::adjoint::tape_curvature(
-            &p,
-            &stage,
-            &cfg,
-            &tape,
-            &derivatives,
-            &mut scratch,
-            &mut hess,
-        );
-
-        assert!(hess.iter().all(|v| v.is_finite()));
-        let scale = hess.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()));
-        assert!(scale > 0.0, "stressed rig must activate some penalty");
-        for i in 0..m {
-            assert!(hess[i * m + i] >= 0.0, "negative diagonal at {i}");
-            for j in 0..m {
-                assert!(
-                    (hess[i * m + j] - hess[j * m + i]).abs() <= 1e-9 * scale,
-                    "asymmetry at ({i}, {j})"
-                );
-            }
-        }
-
-        // Directional curvature against second differences of the exact
-        // penalty-only cost. The Gauss-Newton matrix drops the
-        // `r·∇²r` term, so agree loosely but decisively.
-        let f = |zz: &[f64]| rollout_cost(&p, &loads, dt, &cfg, zz);
-        let d: Vec<f64> = (0..m).map(|i| ((i % 3) as f64 - 1.0) * 0.5).collect();
-        let h = 1e-5;
-        let (mut zp, mut zm) = (z.clone(), z.clone());
-        for i in 0..m {
-            zp[i] += h * d[i];
-            zm[i] -= h * d[i];
-        }
-        let fd_curv = (f(&zp) - 2.0 * f(&z) + f(&zm)) / (h * h);
-        let gn_curv: f64 = (0..m)
-            .map(|i| d[i] * (0..m).map(|j| hess[i * m + j] * d[j]).sum::<f64>())
-            .sum();
-        assert!(
-            gn_curv > 0.0 && fd_curv > 0.0,
-            "expected positive curvature: GN {gn_curv:.3e} FD {fd_curv:.3e}"
-        );
-        assert!(
-            (gn_curv - fd_curv).abs() <= 0.5 * fd_curv.abs(),
-            "curvature mismatch: GN {gn_curv:.3e} vs FD {fd_curv:.3e}"
-        );
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! lifetime weighting) costs in energy terms.
 //!
 //! The bound is checked for the production gradient mode and for the
-//! central finite-difference oracle. Gauss-Newton is not held to it: on
-//! this rig it ends ~1.3–1.4× the DP energy (DESIGN.md §12).
+//! central finite-difference oracle.
 
 use otem::mpc::MpcConfig;
 use otem::planner::{plan_split, PlannerConfig};

@@ -3,7 +3,7 @@
 use crate::campaign::{
     Campaign, SolveOutcomes, SummaryBuilder, TraceCache, VehicleSpec, VehicleSummary,
 };
-use crate::pool::{fan_indexed_capped, fan_stealing};
+use crate::pool::fan_stealing;
 use otem::mpc::Clock;
 use otem::{OtemError, Simulator};
 use otem_telemetry::{Event, Histogram, MetricsRegistry, NullSink, Sink, Tee};
@@ -16,12 +16,6 @@ use std::time::Instant;
 pub enum Schedule {
     /// One worker, in campaign order — the reference path.
     Serial,
-    /// Static contiguous chunking across `shards` workers
-    /// ([`fan_indexed_capped`]).
-    Static {
-        /// Worker count (clamped to the campaign size).
-        shards: usize,
-    },
     /// Work-stealing atomic-cursor queue across `shards` workers
     /// ([`fan_stealing`]) — the default for heterogeneous fleets.
     WorkStealing {
@@ -35,7 +29,6 @@ impl Schedule {
     pub fn wire_name(self) -> &'static str {
         match self {
             Self::Serial => "serial",
-            Self::Static { .. } => "static",
             Self::WorkStealing { .. } => "steal",
         }
     }
@@ -312,7 +305,6 @@ impl FleetEngine {
                 .enumerate()
                 .map(|(i, s)| job(i, s))
                 .collect(),
-            Schedule::Static { shards } => fan_indexed_capped(specs, shards, job),
             Schedule::WorkStealing { shards } => fan_stealing(specs, shards, job),
         };
         let wall_s = started.elapsed().as_secs_f64();

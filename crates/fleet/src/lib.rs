@@ -14,7 +14,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`campaign`] | [`VehicleSpec`] / [`Campaign`]: deterministic heterogeneous fleets |
-//! | [`pool`] | generic fans: statically chunked and work-stealing worker pools |
+//! | [`pool`] | the generic work-stealing fan over scoped worker threads |
 //! | [`engine`] | [`FleetEngine`]: batched campaign execution + per-vehicle panic containment |
 //! | [`queue`] | [`BoundedQueue`]: the std-only bounded MPMC hand-off behind the server |
 //! | [`protocol`] | minimal JSON field extraction + JSONL response rendering |
@@ -26,9 +26,9 @@
 //! Every vehicle in a campaign is an *independent* closed-loop
 //! simulation, so the engine's result for vehicle `i` is bit-identical
 //! to running [`otem::Simulator`] on that vehicle alone — regardless of
-//! shard count or whether the static or work-stealing scheduler
+//! shard count or whether the serial or work-stealing schedule
 //! dispatched it. `tests/determinism.rs` pins this across shard counts
-//! {1, 4, 16} and both schedulers.
+//! {1, 4, 16} and both schedules.
 //!
 //! # Quickstart
 //!

@@ -1,30 +1,17 @@
-//! Generic worker-pool fans over independent jobs.
+//! A generic worker-pool fan over independent jobs.
 //!
-//! Two scheduling disciplines, one contract: results come back **in job
-//! order** and are bit-identical to the serial map, because every job is
-//! independent and each worker writes only the slots of the jobs it
-//! claimed.
+//! [`fan_stealing`] is a work-stealing job queue: one atomic cursor over
+//! the shared job slice, each worker claiming the next un-started job.
+//! Results come back **in job order** and are bit-identical to the
+//! serial map, because every job is independent and each worker writes
+//! only the slots of the jobs it claimed. Per-job overhead is one
+//! `fetch_add` plus one uncontended mutex lock, which heterogeneous
+//! fleet campaigns repay many times over in tail latency.
 //!
-//! * [`fan_indexed`] / [`fan_indexed_capped`] — static contiguous
-//!   chunking, one chunk per worker. Lowest overhead; load-imbalanced
-//!   when job costs are heterogeneous (a worker stuck with the long
-//!   jobs idles everyone else).
-//! * [`fan_stealing`] — a work-stealing job queue: one atomic cursor
-//!   over the shared job slice, each worker claiming the next
-//!   un-started job. Per-job overhead is one `fetch_add` plus one
-//!   uncontended mutex lock, which heterogeneous fleet campaigns repay
-//!   many times over in tail latency.
-//!
-//! Plain [`std::thread::scope`] throughout — no runtime dependency.
+//! Plain [`std::thread::scope`] — no runtime dependency.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
 
 /// The worker width a fan call resolves a `threads` argument to, before
 /// job-count clamping: `0` means "one worker per available core" (so a
@@ -33,84 +20,22 @@ fn default_threads() -> usize {
 /// width next to their timings.
 pub fn resolve_workers(threads: usize) -> usize {
     if threads == 0 {
-        default_threads()
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
         threads
     }
-}
-
-/// Fans independent jobs across scoped worker threads and returns the
-/// results **in job order**, using one thread per available core.
-///
-/// See [`fan_indexed_capped`] for the width-capped variant the fleet
-/// server uses to pin shard width and avoid oversubscription when many
-/// requests fan out concurrently.
-pub fn fan_indexed<T, R, F>(jobs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    fan_indexed_capped(jobs, default_threads(), f)
-}
-
-/// [`fan_indexed`] with an explicit worker-count cap.
-///
-/// Spawns `min(threads, jobs)` workers (at least one; serial when one).
-/// Each worker owns a contiguous chunk of jobs and writes into the
-/// matching chunk of the result vector, so the output ordering is
-/// deterministic regardless of thread interleaving — the sweep binaries
-/// rely on that to keep their tables and JSONL streams stable across
-/// machines.
-pub fn fan_indexed_capped<T, R, F>(jobs: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = jobs.len();
-    let threads = resolve_workers(threads).clamp(1, n.max(1));
-    if threads <= 1 {
-        return jobs.into_iter().enumerate().map(|(i, j)| f(i, j)).collect();
-    }
-    let mut slots: Vec<Option<T>> = jobs.into_iter().map(Some).collect();
-    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (idx, (job_chunk, result_chunk)) in slots
-            .chunks_mut(chunk)
-            .zip(results.chunks_mut(chunk))
-            .enumerate()
-        {
-            let f = &f;
-            scope.spawn(move || {
-                for (offset, (job, slot)) in job_chunk
-                    .iter_mut()
-                    .zip(result_chunk.iter_mut())
-                    .enumerate()
-                {
-                    let job = job.take().expect("each job is run exactly once");
-                    *slot = Some(f(idx * chunk + offset, job));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every worker fills its chunk"))
-        .collect()
 }
 
 /// Work-stealing fan: `min(threads, jobs)` workers race an atomic
 /// cursor over the shared job slice, each claiming the next un-started
 /// job until the queue drains. Results come back **in job order**,
 /// identical to the serial map — scheduling order only changes *when* a
-/// job runs, never its input or its result slot.
-///
-/// Prefer this over [`fan_indexed_capped`] when job costs are
+/// job runs, never its input or its result slot. Job costs may be
 /// heterogeneous (fleet campaigns mix 60-step reactive vehicles with
-/// 360-step MPC vehicles — static chunking leaves the fast workers
-/// idle while one shard grinds through the expensive tail).
+/// 360-step MPC vehicles): a worker that finishes early claims the next
+/// job instead of idling while another grinds through the expensive
+/// tail. The sweep binaries rely on the job-order results to keep their
+/// tables stable across machines.
 pub fn fan_stealing<T, R, F>(jobs: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -189,20 +114,17 @@ mod tests {
             assert_eq!(i, j, "index matches the job's position");
             3 * j + 1
         };
-        assert_eq!(fan_indexed(jobs.clone(), f), serial);
-        assert_eq!(fan_indexed_capped(jobs.clone(), 4, f), serial);
+        assert_eq!(fan_stealing(jobs.clone(), 0, f), serial);
         assert_eq!(fan_stealing(jobs, 4, f), serial);
     }
 
     #[test]
     fn degenerate_sizes_work() {
-        for fan in [
-            fan_indexed_capped as fn(Vec<usize>, usize, fn(usize, usize) -> usize) -> Vec<usize>,
-            fan_stealing,
-        ] {
-            assert_eq!(fan(vec![5], 8, |_, j| j * j), vec![25]);
-            assert_eq!(fan(Vec::new(), 8, |_, j| j), Vec::<usize>::new());
-        }
+        assert_eq!(fan_stealing(vec![5], 8, |_, j| j * j), vec![25]);
+        assert_eq!(
+            fan_stealing(Vec::<usize>::new(), 8, |_, j| j),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]

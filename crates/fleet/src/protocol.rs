@@ -159,7 +159,7 @@ pub enum SimulateRequest {
         seed: u64,
         /// Requested worker count (`0` → server default).
         shards: usize,
-        /// `"steal"` (default), `"static"`, or `"serial"`.
+        /// `"steal"` (default) or `"serial"`.
         schedule: &'static str,
         /// Per-solve wall-clock deadline (µs) applied to every OTEM
         /// vehicle in the campaign; `0` (default) means no deadline.
@@ -205,7 +205,6 @@ impl SimulateRequest {
             }
             let schedule = match json_str(body, "schedule")? {
                 None | Some("steal") => "steal",
-                Some("static") => "static",
                 Some("serial") => "serial",
                 Some(other) => return Err(format!("unknown schedule {other:?}")),
             };
@@ -302,7 +301,6 @@ impl SimulateRequest {
                 };
                 match *schedule {
                     "serial" => Schedule::Serial,
-                    "static" => Schedule::Static { shards: width },
                     _ => Schedule::WorkStealing { shards: width },
                 }
             }
@@ -381,11 +379,11 @@ mod tests {
     #[test]
     fn fleet_body_honours_explicit_fields() {
         let r = SimulateRequest::parse(
-            "{\"vehicles\":8,\"seed\":7,\"shards\":2,\"schedule\":\"static\",\
+            "{\"vehicles\":8,\"seed\":7,\"shards\":2,\"schedule\":\"steal\",\
              \"mpc_deadline_us\":250}",
         )
         .expect("parses");
-        assert_eq!(r.schedule(16), Schedule::Static { shards: 2 });
+        assert_eq!(r.schedule(16), Schedule::WorkStealing { shards: 2 });
         match r {
             SimulateRequest::Fleet {
                 vehicles,
@@ -443,6 +441,7 @@ mod tests {
         assert!(SimulateRequest::parse("{\"steps\":0}").is_err());
         assert!(SimulateRequest::parse("{\"ambient_c\":95}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"schedule\":\"chaos\"}").is_err());
+        assert!(SimulateRequest::parse("{\"vehicles\":4,\"schedule\":\"static\"}").is_err());
         assert!(SimulateRequest::parse("{\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"poison_id\":4}").is_err());
@@ -563,10 +562,10 @@ mod tests {
     fn requested_shards_are_clamped_to_the_configured_width() {
         let r = SimulateRequest::parse("{\"vehicles\":1000,\"shards\":1000}").expect("parses");
         assert_eq!(r.schedule(4), Schedule::WorkStealing { shards: 4 });
-        let r = SimulateRequest::parse("{\"vehicles\":1000,\"shards\":3,\"schedule\":\"static\"}")
+        let r = SimulateRequest::parse("{\"vehicles\":1000,\"shards\":3,\"schedule\":\"steal\"}")
             .expect("parses");
-        assert_eq!(r.schedule(8), Schedule::Static { shards: 3 });
-        assert_eq!(r.schedule(2), Schedule::Static { shards: 2 });
+        assert_eq!(r.schedule(8), Schedule::WorkStealing { shards: 3 });
+        assert_eq!(r.schedule(2), Schedule::WorkStealing { shards: 2 });
         let auto = crate::pool::resolve_workers(0);
         let r = SimulateRequest::parse("{\"vehicles\":10,\"shards\":100000}").expect("parses");
         assert_eq!(r.schedule(0), Schedule::WorkStealing { shards: auto });

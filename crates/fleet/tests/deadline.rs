@@ -48,7 +48,6 @@ fn deadline_runs_are_bit_identical_across_schedules() {
 
     for schedule in [
         Schedule::Serial,
-        Schedule::Static { shards: 4 },
         Schedule::WorkStealing { shards: 4 },
         Schedule::WorkStealing { shards: 16 },
     ] {

@@ -49,7 +49,6 @@ fn every_schedule_matches_the_single_vehicle_reference() {
 
     let mut schedules = vec![Schedule::Serial];
     for shards in [1usize, 4, 16] {
-        schedules.push(Schedule::Static { shards });
         schedules.push(Schedule::WorkStealing { shards });
     }
     for schedule in schedules {
@@ -75,7 +74,7 @@ fn a_smaller_campaign_is_a_bitwise_prefix_of_a_larger_one() {
     // without invalidating earlier vehicles' results.
     let small =
         FleetEngine::new(Schedule::WorkStealing { shards: 4 }).run(&Campaign::synthetic(6, SEED));
-    let large =
-        FleetEngine::new(Schedule::Static { shards: 3 }).run(&Campaign::synthetic(VEHICLES, SEED));
+    let large = FleetEngine::new(Schedule::WorkStealing { shards: 3 })
+        .run(&Campaign::synthetic(VEHICLES, SEED));
     assert_eq!(small.summaries[..], large.summaries[..6]);
 }

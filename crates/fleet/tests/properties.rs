@@ -1,9 +1,8 @@
-//! Property tests for the worker-pool fans: for *any* job count and
+//! Property tests for the work-stealing fan: for *any* job count and
 //! thread cap — including counts that don't divide evenly and caps
-//! wider than the queue — both fans return exactly the serial map, in
-//! order.
+//! wider than the queue — it returns exactly the serial map, in order.
 
-use otem_fleet::pool::{fan_indexed_capped, fan_stealing};
+use otem_fleet::pool::fan_stealing;
 use proptest::prelude::*;
 
 /// A job function with a non-trivial index dependency, so any
@@ -16,15 +15,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn capped_fan_matches_the_serial_map(
-        jobs in prop::collection::vec(0u64..1_000_000, 0..120),
-        threads in 1usize..12,
-    ) {
-        let serial: Vec<u64> = jobs.iter().enumerate().map(|(i, &j)| work(i, j)).collect();
-        prop_assert_eq!(fan_indexed_capped(jobs, threads, work), serial);
-    }
-
-    #[test]
     fn stealing_fan_matches_the_serial_map(
         jobs in prop::collection::vec(0u64..1_000_000, 0..120),
         threads in 1usize..12,
@@ -34,24 +24,18 @@ proptest! {
     }
 
     #[test]
-    fn both_fans_run_every_job_exactly_once(
+    fn stealing_fan_runs_every_job_exactly_once(
         n in 0usize..150,
         threads in 1usize..12,
     ) {
-        for fan in [
-            fan_indexed_capped
-                as fn(Vec<usize>, usize, fn(usize, usize) -> (usize, usize)) -> Vec<(usize, usize)>,
-            fan_stealing,
-        ] {
-            // Both fans hand each claimed job to exactly one worker (the
-            // take() in their job slots panics otherwise), so covering
-            // all n ordered slots certifies exactly-once execution.
-            let out = fan((0..n).collect(), threads, |i, j| (i, j));
-            prop_assert_eq!(out.len(), n);
-            for (k, (i, j)) in out.into_iter().enumerate() {
-                prop_assert_eq!(i, k);
-                prop_assert_eq!(j, k);
-            }
+        // The fan hands each claimed job to exactly one worker (the
+        // take() in its job slots panics otherwise), so covering all n
+        // ordered slots certifies exactly-once execution.
+        let out = fan_stealing((0..n).collect(), threads, |i, j| (i, j));
+        prop_assert_eq!(out.len(), n);
+        for (k, (i, j)) in out.into_iter().enumerate() {
+            prop_assert_eq!(i, k);
+            prop_assert_eq!(j, k);
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Real-time MPC treats per-step compute budget as a first-class
 //! constraint: a solve that overruns its slot is worse than a slightly
-//! less converged iterate delivered on time. The solvers here therefore
-//! accept an optional [`Deadline`] and return
+//! less converged iterate delivered on time. The solver here therefore
+//! accepts an optional [`Deadline`] and returns
 //! [`SolverOutcome::DeadlineReached`](crate::SolverOutcome::DeadlineReached)
 //! with the best feasible iterate when it expires.
 //!

@@ -15,15 +15,6 @@ pub enum GradientMode {
     /// dimension — `O(1)` objective evaluations per gradient instead of
     /// the `O(n)` finite differences need.
     Adjoint,
-    /// Second-order mode: the adjoint gradient plus a Gauss-Newton
-    /// curvature matrix assembled from the same tape, consumed by the
-    /// [`GaussNewton`](crate::GaussNewton) projected Levenberg–Marquardt
-    /// solver instead of the first-order spectral method.
-    ///
-    /// As a plain *gradient* mode (for objectives or solvers that only
-    /// ask for `∇f`) it is equivalent to [`GradientMode::Adjoint`]: the
-    /// gradient half of the pair is the same backward sweep.
-    GaussNewton,
 }
 
 impl GradientMode {
@@ -34,7 +25,6 @@ impl GradientMode {
         match self {
             GradientMode::Serial => "serial",
             GradientMode::Adjoint => "adjoint",
-            GradientMode::GaussNewton => "gauss_newton",
         }
     }
 }

@@ -39,12 +39,6 @@ impl SolverOutcome {
             Self::DeadlineReached => "deadline_reached",
         }
     }
-
-    /// Whether the returned point is a usable minimiser candidate — every
-    /// outcome except [`SolverOutcome::NonFinite`].
-    pub fn is_usable(self) -> bool {
-        !matches!(self, Self::NonFinite)
-    }
 }
 
 /// The result of a minimisation run.
@@ -98,15 +92,6 @@ mod tests {
         assert_eq!(SolverOutcome::Stalled.name(), "stalled");
         assert_eq!(SolverOutcome::NonFinite.name(), "non_finite");
         assert_eq!(SolverOutcome::DeadlineReached.name(), "deadline_reached");
-    }
-
-    #[test]
-    fn only_non_finite_is_unusable() {
-        assert!(SolverOutcome::Converged.is_usable());
-        assert!(SolverOutcome::BudgetExhausted.is_usable());
-        assert!(SolverOutcome::Stalled.is_usable());
-        assert!(SolverOutcome::DeadlineReached.is_usable());
-        assert!(!SolverOutcome::NonFinite.is_usable());
     }
 
     #[test]

@@ -13,10 +13,9 @@ use std::fmt::Write as _;
 /// conventions of the component crates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
-    /// One outer iteration of a solver ([`ProjectedGradient`] /
-    /// `GaussNewton`): current objective value, convergence residual
-    /// (projected-gradient infinity norm) and the step length (the
-    /// Levenberg–Marquardt damping for Gauss-Newton) about to be tried.
+    /// One outer iteration of the solver ([`ProjectedGradient`]):
+    /// current objective value, convergence residual (projected-gradient
+    /// infinity norm) and the step length about to be tried.
     ///
     /// [`ProjectedGradient`]: https://docs.rs/otem-solver
     SolverIteration {
@@ -30,7 +29,7 @@ pub enum Event {
         step: f64,
     },
     /// One full gradient evaluation: a backward sweep over the tape of
-    /// the last taped rollout in the adjoint modes (plus one taped
+    /// the last taped rollout in the adjoint mode (plus one taped
     /// rollout when that tape is stale), `2·dim` plant rollouts under
     /// finite differences.
     GradientEval {
@@ -46,7 +45,7 @@ pub enum Event {
         /// Stable snake_case outcome name (`SolverOutcome::name()`).
         outcome: &'static str,
         /// Stable snake_case gradient-mode name (`GradientMode::
-        /// name()`: `serial` / `adjoint` / `gauss_newton`) — the `mode` label of the
+        /// name()`: `serial` / `adjoint`) — the `mode` label of the
         /// `otem_solve_outcome_total` metric family.
         mode: &'static str,
         /// Outer iterations actually performed.

@@ -819,7 +819,7 @@ mod tests {
             },
             Event::SolveOutcome {
                 outcome: "converged",
-                mode: "gauss_newton",
+                mode: "serial",
                 iterations: 2,
             },
             Event::PoolHit,

@@ -306,85 +306,6 @@ fn adjoint_gradient_agrees_with_the_fd_golden_physically() {
     );
 }
 
-fn gauss_newton_otem() -> Otem {
-    use otem_repro::control::mpc::MpcConfig;
-    use otem_repro::solver::GradientMode;
-
-    let config = SystemConfig::stress_rig();
-    Otem::with_mpc(
-        &config,
-        MpcConfig {
-            gradient_mode: GradientMode::GaussNewton,
-            ..MpcConfig::default()
-        },
-    )
-    .expect("valid")
-}
-
-/// The tape-curvature mode's own closed-loop pin: Gauss-Newton on the
-/// adjoint tape drives the same rig and its trace is frozen against
-/// `tests/golden/otem_gauss_newton.csv` with the full golden tolerances,
-/// so drift in the damped-normal-equations path, the active-set
-/// reduction, or the trust-region control fails here exactly like a
-/// solver change fails `golden_otem`.
-#[test]
-fn golden_otem_gauss_newton() {
-    check("otem_gauss_newton", &mut gauss_newton_otem());
-}
-
-/// Cross-mode contract for the second-order path: Gauss-Newton takes
-/// different *iterates* than projected first-order descent (curvature
-/// steps, Armijo acceptance, trust-region damping), so its trajectory is
-/// free to split from the FD golden at every solve — and on this
-/// penalty-saturated hot rig it splits further than the adjoint mode
-/// does, because the Gauss-Newton model truncates the relu-penalty
-/// Hessian term (`r·∇²r`) that dominates the true curvature here. The
-/// bounds are therefore wider than `adjoint_gradient_agrees_…`'s, set at
-/// ≈ 2× the measured full-route maxima (0.57 °C, 3.5e-3 SoC, 4.6e-2
-/// SoE, 5.1e-3 relative energy): same thermal envelope within 1 °C,
-/// states within 7e-3 / 1e-1, cumulative delivered energy within 1.5 %.
-/// Bit-level identity for the mode lives in `golden_otem_gauss_newton`.
-#[test]
-fn gauss_newton_agrees_with_the_fd_golden_physically() {
-    let result = run(&mut gauss_newton_otem());
-    let rows = rows_of(&result);
-    assert_eq!(rows.len(), STEPS, "route truncated for gauss-newton otem");
-
-    let path = golden_path("otem_fd");
-    let text = std::fs::read_to_string(&path).expect("otem_fd golden present");
-    let expected = decode(&text, &path);
-    let mut energy_got = 0.0;
-    let mut energy_want = 0.0;
-    for (got, want) in rows.iter().zip(&expected) {
-        let t = got.step;
-        assert!(
-            (got.t_battery_c - want.t_battery_c).abs() <= 1.0,
-            "gauss-newton otem step {t}: T_b {} vs FD golden {}",
-            got.t_battery_c,
-            want.t_battery_c
-        );
-        assert!(
-            (got.soc - want.soc).abs() <= 7e-3,
-            "gauss-newton otem step {t}: SoC {} vs FD golden {}",
-            got.soc,
-            want.soc
-        );
-        assert!(
-            (got.soe - want.soe).abs() <= 1e-1,
-            "gauss-newton otem step {t}: SoE {} vs FD golden {}",
-            got.soe,
-            want.soe
-        );
-        energy_got += got.delivered_w;
-        energy_want += want.delivered_w;
-    }
-    let rel = (energy_got - energy_want).abs() / energy_want.abs().max(1.0);
-    assert!(
-        rel <= 1.5e-2,
-        "delivered energy drift {rel:.3e} ({energy_got:.4e} vs {energy_want:.4e} W·s)"
-    );
-}
-
 /// The supervisor's zero-cost contract: on the nominal rig it must be
 /// invisible — bit-identical records to unsupervised OTEM (same golden
 /// trace, no new CSV) and a silent degradation ladder. This is checked

@@ -135,11 +135,7 @@ fn mpc_steady_state_allocations_are_horizon_independent() {
     // measured runs below do identical work.
     let _ = steady_allocs(GradientMode::Adjoint, 6, &NullSink);
 
-    for (mode, per_solve_ceiling) in [
-        (GradientMode::Adjoint, 6),
-        (GradientMode::Serial, 6),
-        (GradientMode::GaussNewton, 10),
-    ] {
+    for (mode, per_solve_ceiling) in [(GradientMode::Adjoint, 6), (GradientMode::Serial, 6)] {
         let counts = HORIZONS.map(|h| steady_allocs(mode, h, &NullSink));
         // No per-step or per-rollout allocations: quadrupling the
         // horizon (and with it every rollout's length, and under finite

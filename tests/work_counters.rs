@@ -2,8 +2,8 @@
 //!
 //! A fixed closed-loop decision sequence on the thermally stressed
 //! city-EV rig (`SystemConfig::stress_rig`, compact EV over US06) is
-//! solved in [`GradientMode::Adjoint`] and [`GradientMode::GaussNewton`].
-//! Two things are pinned per mode:
+//! solved in [`GradientMode::Adjoint`], the production gradient path.
+//! Two things are pinned:
 //!
 //! * the decisions themselves, as an FNV-1a hash over the bits of every
 //!   returned `cap_bus`, `cool_duty`, `cost` and iteration count, so any
@@ -17,13 +17,11 @@
 //! Both counters are deterministic; a change that moves either must say
 //! so and re-pin them here.
 //!
-//! Three more tests ride on the same counters:
+//! Two more tests ride on the same counters:
 //!
 //! * on a warm-started open-loop problem (default system, horizons 12,
 //!   24 and 48) the adjoint's forward passes per solve stay far below
-//!   the `4·horizon` rollouts *per gradient* finite differences need,
-//!   and under a 400-iteration budget Gauss-Newton certifies
-//!   convergence in fewer iterations than first-order descent;
+//!   the `4·horizon` rollouts *per gradient* finite differences need;
 //! * a traced 20-step OTEM run emits a balanced, properly nested span
 //!   stream whose per-phase counts are pinned.
 
@@ -34,7 +32,7 @@ use otem_repro::control::{Simulator, SystemConfig};
 use otem_repro::converter::DcDcConverter;
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_repro::hees::{HybridCommand, HybridHees};
-use otem_repro::solver::{GradientMode, SolverOutcome};
+use otem_repro::solver::GradientMode;
 use otem_repro::telemetry::{Event, MemorySink};
 use otem_repro::thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
 use otem_repro::ultracap::UltracapParams;
@@ -175,30 +173,14 @@ fn adjoint_gradients_reuse_the_accepted_trial_tape() {
     check(GradientMode::Adjoint, 4153, 0xb89a_0ad9_3df1_6bdf);
 }
 
-#[test]
-fn gauss_newton_gradients_reuse_the_accepted_trial_tape() {
-    check(GradientMode::GaussNewton, 10860, 0xd27f_d8bb_0a0d_12b8);
-}
-
-/// Warm-started solves timed per mode and horizon in the open-loop
-/// problem below.
+/// Warm-started solves per horizon in the open-loop problem below.
 const REPS: usize = 8;
 
-/// Iteration budget for the iterations-to-tolerance comparison: high
-/// enough that termination is decided by convergence, not the cap.
-const TOL_BUDGET: usize = 400;
-
-/// Work and outcome of `REPS` warm-started solves of one problem.
-struct Solves {
-    rollouts_per_solve: f64,
-    mean_iterations: f64,
-    last_outcome: SolverOutcome,
-}
-
-/// The default system at 80 % SoC / 60 % SoE and 33 °C, facing a
-/// repeating 20–60 kW load ramp over `horizon` steps: one warm-up
-/// solve, then `REPS` solves of the same problem from the warm start.
-fn open_loop(mode: GradientMode, horizon: usize, iterations: usize) -> Solves {
+/// Adjoint forward passes per solve on the default system at 80 % SoC /
+/// 60 % SoE and 33 °C, facing a repeating 20–60 kW load ramp over
+/// `horizon` steps: one warm-up solve, then `REPS` solves of the same
+/// problem from the warm start.
+fn open_loop_rollouts_per_solve(horizon: usize) -> f64 {
     let config = SystemConfig::default();
     let mut hees = HybridHees::ev_default(config.capacitance).expect("hees");
     hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
@@ -219,24 +201,16 @@ fn open_loop(mode: GradientMode, horizon: usize, iterations: usize) -> Solves {
     let dt = Seconds::new(1.0);
     let mut mpc = Mpc::new(MpcConfig {
         horizon,
-        gradient_mode: mode,
-        solver_iterations: iterations,
+        gradient_mode: GradientMode::Adjoint,
         ..MpcConfig::default()
     });
-    let mut last_outcome = mpc.solve(&plant, &loads, dt).outcome;
+    mpc.solve(&plant, &loads, dt);
     let rollouts_before = mpc.rollouts();
-    let mut iterations_total = 0;
     for _ in 0..REPS {
         let d = mpc.solve(&plant, &loads, dt);
         assert!(d.cap_bus.value().is_finite() && d.cool_duty.is_finite());
-        iterations_total += d.iterations;
-        last_outcome = d.outcome;
     }
-    Solves {
-        rollouts_per_solve: (mpc.rollouts() - rollouts_before) as f64 / REPS as f64,
-        mean_iterations: iterations_total as f64 / REPS as f64,
-        last_outcome,
-    }
+    (mpc.rollouts() - rollouts_before) as f64 / REPS as f64
 }
 
 #[test]
@@ -248,35 +222,13 @@ fn adjoint_forward_passes_per_solve_stay_horizon_independent() {
     // magnitude.
     let iterations = MpcConfig::default().solver_iterations;
     for horizon in [12, 24, 48] {
-        let adjoint = open_loop(GradientMode::Adjoint, horizon, iterations);
+        let rollouts_per_solve = open_loop_rollouts_per_solve(horizon);
         assert!(
-            adjoint.rollouts_per_solve < (8 * iterations) as f64,
+            rollouts_per_solve < (8 * iterations) as f64,
             "horizon {horizon}: {} rollouts/solve — the adjoint gradient is paying \
              per-coordinate rollouts (FD would need ≥ {})",
-            adjoint.rollouts_per_solve,
+            rollouts_per_solve,
             4 * horizon * iterations
-        );
-    }
-}
-
-#[test]
-fn gauss_newton_converges_in_fewer_iterations_than_adjoint_descent() {
-    for horizon in [12, 24, 48] {
-        let adjoint = open_loop(GradientMode::Adjoint, horizon, TOL_BUDGET);
-        let gauss_newton = open_loop(GradientMode::GaussNewton, horizon, TOL_BUDGET);
-        if horizon == 12 {
-            assert_eq!(
-                gauss_newton.last_outcome,
-                SolverOutcome::Converged,
-                "warm-started Gauss-Newton must certify convergence"
-            );
-        }
-        assert!(
-            gauss_newton.mean_iterations < adjoint.mean_iterations,
-            "horizon {horizon}: Gauss-Newton used {:.1} iterations/solve vs first-order \
-             adjoint's {:.1} under the same {TOL_BUDGET}-iteration budget",
-            gauss_newton.mean_iterations,
-            adjoint.mean_iterations
         );
     }
 }
