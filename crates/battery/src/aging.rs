@@ -10,7 +10,7 @@
 //! makes high-rate discharge superlinearly damaging.
 
 use crate::error::BatteryError;
-use otem_units::{Kelvin, Ratio, Seconds, GAS_CONSTANT};
+use otem_units::{Kelvin, Seconds, GAS_CONSTANT};
 use serde::{Deserialize, Serialize};
 
 /// Coefficients of the capacity-loss rate law (paper Eq. 5).
@@ -178,26 +178,9 @@ impl AgingModel {
         self.cumulative_loss
     }
 
-    /// Remaining usable capacity as a fraction of rated.
-    pub fn remaining_capacity(&self) -> Ratio {
-        Ratio::new(1.0 - self.cumulative_loss)
-    }
-
     /// Simulated time integrated so far.
     pub fn elapsed(&self) -> Seconds {
         self.elapsed
-    }
-
-    /// Extrapolated battery lifetime: at the average loss rate observed so
-    /// far, how long until the 20 % end-of-life budget is exhausted?
-    ///
-    /// Returns `None` until any loss has accumulated.
-    pub fn projected_lifetime(&self) -> Option<Seconds> {
-        if self.cumulative_loss <= 0.0 || self.elapsed.value() <= 0.0 {
-            return None;
-        }
-        let rate = self.cumulative_loss / self.elapsed.value();
-        Some(Seconds::new(Self::END_OF_LIFE_LOSS / rate))
     }
 }
 
@@ -253,24 +236,18 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_tracks_loss_and_lifetime() {
+    fn accumulator_tracks_loss_and_elapsed_time() {
         let mut aging = AgingModel::new(AgingParams::default());
-        assert_eq!(aging.projected_lifetime(), None);
-        assert_eq!(aging.remaining_capacity(), Ratio::ONE);
+        assert_eq!(aging.cumulative_loss(), 0.0);
 
         let step = Seconds::new(60.0);
         let mut total = 0.0;
         for _ in 0..60 {
             total += aging.accumulate(t(35.0), 1.2, step);
         }
+        assert!(total > 0.0);
         assert!((aging.cumulative_loss() - total).abs() < 1e-15);
-        assert!(aging.remaining_capacity() < Ratio::ONE);
         assert_eq!(aging.elapsed(), Seconds::new(3600.0));
-
-        let life = aging.projected_lifetime().expect("loss accumulated");
-        // Constant conditions: lifetime = EOL budget / constant rate.
-        let expected = AgingModel::END_OF_LIFE_LOSS / (total / 3600.0);
-        assert!((life.value() - expected).abs() / expected < 1e-9);
     }
 
     #[test]

@@ -44,7 +44,9 @@ mod params;
 pub use aging::{AgingModel, AgingParams};
 pub use cell::{Cell, CellSnapshot};
 pub use error::BatteryError;
-pub use pack::{BatteryPack, DrawPartials, PackConfig, PackCurves, PackSnapshot, PowerDraw};
+pub use pack::{
+    BatteryPack, DrawPartials, PackConfig, PackCurves, PackSnapshot, PowerDraw, PEAK_DRAW_MARGIN,
+};
 pub use params::{CellParams, OcvCurve, ResistanceCurve, SlopeTable};
 
 /// FNV-style fold of `f64` bit patterns: one pin for a whole grid of

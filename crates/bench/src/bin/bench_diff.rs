@@ -11,9 +11,9 @@
 //!
 //! | kind | keys | effect |
 //! |------|------|--------|
-//! | deterministic | `rollouts_per_solve`, `differentiated_per_solve`, `mean_iterations`, `outcomes`, `total_steps`, `solve_outcomes`, `fleet_checksum` | must be present in both reports and equal; any difference fails the run |
+//! | deterministic | `rollouts_per_solve`, `differentiated_per_solve`, `mean_iterations`, `outcomes`, `total_steps`, `solve_outcomes`, `fleet_checksum`, `rollout_reduction`, and every sample of a `"kind":"counter"` family in a `metrics` registry snapshot | must be present in both reports and equal; any difference fails the run |
 //! | wall time | `mean_ms`, `min_ms`, `*_per_sec`, `*latency_ms`, `*wall_s` | delta printed, never fails |
-//! | other | everything else | ignored |
+//! | other | everything else, including histogram and gauge families | ignored |
 //!
 //! Exits 0 when every deterministic field matches, 1 when one differs,
 //! and 2 on a usage, read or parse error.
@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 /// Keys whose value (or whole subtree) is a function of the code and the
 /// seed alone, never of the machine.
-const DETERMINISTIC: [&str; 7] = [
+const DETERMINISTIC: [&str; 8] = [
     "rollouts_per_solve",
     "differentiated_per_solve",
     "mean_iterations",
@@ -30,6 +30,7 @@ const DETERMINISTIC: [&str; 7] = [
     "total_steps",
     "solve_outcomes",
     "fleet_checksum",
+    "rollout_reduction",
 ];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +45,25 @@ fn key(segment: &str) -> &str {
     segment.split('[').next().unwrap_or(segment)
 }
 
-fn kind_of(path: &[String]) -> Kind {
-    if path.iter().any(|k| DETERMINISTIC.contains(&key(k))) {
+/// The `metrics` snapshot's families of kind `counter`, as the paths of
+/// their family objects (`metrics.otem_solve_outcome_total`).
+fn counter_families(leaves: &[Leaf]) -> Vec<&[String]> {
+    leaves
+        .iter()
+        .filter(|(path, value)| {
+            value == "counter"
+                && path.len() >= 3
+                && path[path.len() - 1] == "kind"
+                && path[path.len() - 3] == "metrics"
+        })
+        .map(|(path, _)| &path[..path.len() - 1])
+        .collect()
+}
+
+fn kind_of(path: &[String], counters: &[&[String]]) -> Kind {
+    if path.iter().any(|k| DETERMINISTIC.contains(&key(k)))
+        || counters.iter().any(|family| path.starts_with(family))
+    {
         return Kind::Deterministic;
     }
     let wall = |k: &str| {
@@ -218,6 +236,9 @@ fn diff(fresh: &str, committed: &str) -> Result<Diff, String> {
             .find(|(p, _)| p == path)
             .map(|(_, v)| v.clone())
     };
+    let mut counters = counter_families(&committed);
+    counters.extend(counter_families(&fresh));
+    let kind_of = |path: &[String]| kind_of(path, &counters);
     let mut out = Diff {
         lines: Vec::new(),
         mismatches: 0,
@@ -303,11 +324,18 @@ mod tests {
           "adjoint": { "mean_ms": 0.2500, "min_ms": 0.2400, "rollouts_per_sec": 170000,
                        "rollouts_per_solve": 43.2, "mean_iterations": 30.0,
                        "outcomes": {"converged":0,"budget_exhausted":8} },
-          "fd_vs_adjoint_speedup": 17.4 }
+          "fd_vs_adjoint_speedup": 17.4, "rollout_reduction": 34.3 }
       ],
       "campaigns": [ { "total_steps": 212180, "wall_s": 2.0,
                        "latency_ms": { "p50": 0.0636, "p99": 79.5 },
-                       "fleet_checksum": "0ce5e133455f34dc" } ]
+                       "fleet_checksum": "0ce5e133455f34dc" } ],
+      "metrics": {
+        "otem_client_request_latency_seconds": {"kind":"histogram","samples":[
+          {"labels":{"route":"/simulate"},"bounds":[0.01,0.02],"counts":[3,21,0],"sum":0.57,"count":24}]},
+        "otem_solve_outcome_total": {"kind":"counter","samples":[
+          {"labels":{"mode":"adjoint","outcome":"stalled"},"value":37},
+          {"labels":{"mode":"serial","outcome":"budget_exhausted"},"value":24}]}
+      }
     }"#;
 
     #[test]
@@ -363,6 +391,9 @@ mod tests {
             ("\"budget_exhausted\":8", "\"budget_exhausted\":7"),
             ("\"total_steps\": 212180", "\"total_steps\": 212181"),
             ("0ce5e133455f34dc", "63d6c3b45d60299b"),
+            ("\"rollout_reduction\": 34.3", "\"rollout_reduction\": 34.4"),
+            // A counter sample in the registry snapshot that moves.
+            ("\"value\":37", "\"value\":38"),
             // A deterministic field that disappears also fails.
             ("\"converged\":0,", ""),
         ] {
@@ -375,5 +406,26 @@ mod tests {
         // Numeric equality, not text: `30` equals `30.0`.
         let fresh = COMMITTED.replace("\"mean_iterations\": 30.0", "\"mean_iterations\": 30");
         assert_eq!(diff(&fresh, COMMITTED).expect("parse").mismatches, 0);
+    }
+
+    #[test]
+    fn a_dropped_counter_sample_fails() {
+        let dropped = ",\n          {\"labels\":{\"mode\":\"serial\",\"outcome\":\"budget_exhausted\"},\"value\":24}";
+        let fresh = COMMITTED.replace(dropped, "");
+        assert_ne!(fresh, COMMITTED, "the sample must occur in the fixture");
+        let d = diff(&fresh, COMMITTED).expect("both parse");
+        assert!(d.mismatches > 0);
+        assert!(d.lines.iter().any(|l| l
+            == "DIFFERS  metrics.otem_solve_outcome_total.samples[1].value: committed 24, fresh <missing>"));
+    }
+
+    #[test]
+    fn histogram_samples_stay_ungated() {
+        let fresh = COMMITTED
+            .replace("\"counts\":[3,21,0]", "\"counts\":[4,20,0]")
+            .replace("\"sum\":0.57", "\"sum\":0.61");
+        assert_ne!(fresh, COMMITTED);
+        let d = diff(&fresh, COMMITTED).expect("both parse");
+        assert_eq!(d.mismatches, 0, "{:#?}", d.lines);
     }
 }

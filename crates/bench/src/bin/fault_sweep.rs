@@ -86,7 +86,7 @@ fn run(
     let sim = Simulator::new(config);
 
     let (result, rejected, fallbacks, rearms) = if supervised {
-        let mut harness = FaultedController::new(SupervisedOtem::with_defaults(otem), plan);
+        let mut harness = FaultedController::new(SupervisedOtem::new(otem), plan);
         let result = sim.run_with(&mut harness, trace, &sink);
         let sup = harness.into_inner();
         (result, sup.rejected(), sup.fallbacks(), sup.rearms())

@@ -25,12 +25,6 @@ pub fn paper_config() -> SystemConfig {
     SystemConfig::default().with_ambient(Kelvin::from_celsius(35.0))
 }
 
-/// [`paper_config`] with a different ultracapacitor size (Table I,
-/// Fig. 1 sweeps).
-pub fn paper_config_with_capacitance(farads: f64) -> SystemConfig {
-    SystemConfig::with_capacitance(Farads::new(farads)).with_ambient(Kelvin::from_celsius(30.0))
-}
-
 /// The thermally stressed rig of the paper's Figs. 1, 6, 7 and Table I:
 /// city-EV pack + compact vehicle at 30 °C ambient (see
 /// `SystemConfig::stress_rig`).
@@ -148,11 +142,6 @@ pub fn run_with(
 ) -> Result<SimulationResult, OtemError> {
     let mut controller = methodology.controller(config)?;
     Ok(Simulator::new(config).run_with(controller.as_mut(), trace, sink))
-}
-
-/// Formats a ratio as a percentage with sign.
-pub fn pct(x: f64) -> String {
-    format!("{:+.1}%", x * 100.0)
 }
 
 #[cfg(test)]

@@ -48,16 +48,6 @@ impl DcDcConverter {
         }
     }
 
-    /// An idealised lossless converter (baselines that ignore conversion
-    /// losses, and tests).
-    pub const fn lossless() -> Self {
-        Self {
-            quiescent_loss: 0.0,
-            conduction_coefficient: 0.0,
-            ohmic_coefficient: 0.0,
-        }
-    }
-
     /// Validates coefficient ranges.
     ///
     /// # Errors
@@ -350,16 +340,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lossless_converter_is_identity() {
-        let dc = DcDcConverter::lossless();
-        let p = Watts::new(12_345.0);
-        let v = Volts::new(12.0);
-        assert_eq!(dc.input_for_output(p, v).unwrap(), p);
-        assert_eq!(dc.output_for_input(p, v).unwrap(), p);
-        assert_eq!(dc.efficiency(p, v).unwrap(), 1.0);
-    }
-
-    #[test]
     fn zero_transfer_gain_limits_match_one_sided_differences() {
         let v = Volts::new(350.0);
         for dc in [
@@ -376,10 +356,12 @@ mod tests {
             assert!(g_chg < 1.0 && g_dis > 1.0);
         }
         // Lossless: no kink, both limits are the identity.
-        assert_eq!(
-            DcDcConverter::lossless().zero_transfer_gain_limits(v),
-            (1.0, 1.0)
-        );
+        let lossless = DcDcConverter {
+            quiescent_loss: 0.0,
+            conduction_coefficient: 0.0,
+            ohmic_coefficient: 0.0,
+        };
+        assert_eq!(lossless.zero_transfer_gain_limits(v), (1.0, 1.0));
     }
 
     #[test]

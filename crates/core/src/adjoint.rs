@@ -100,6 +100,27 @@ use otem_hees::{HeesStepConstants, HeesStepJacobian, HeesStepRecord, HybridComma
 use otem_thermal::{CrankNicolsonCoefficients, CrankNicolsonJacobian, ThermalState};
 use otem_units::{Kelvin, Seconds, Watts};
 
+// Eq. 19 weights and the C1/C4–C6 penalties. Only `w2` (lifetime
+// against energy) is a studied trade-off and stays an [`MpcConfig`]
+// field; the rest have one value and are read only by the stage cost,
+// the terminal tail and the backward sweep below.
+
+/// `w1`: weight on cooling energy `P_c·Δt` (per joule).
+const W1: f64 = 1.0;
+/// `w3`: weight on HEES energy `dE_bat + dE_cap` (per joule).
+const W3: f64 = 1.0;
+/// Soft ceiling for the battery temperature (K): 38 °C, a margin below
+/// the hard C1 limit.
+const TEMP_SOFT: f64 = Kelvin::from_celsius(38.0).value();
+/// Penalty weight per K² of soft-ceiling violation per step.
+const TEMP_PENALTY: f64 = 5.0e5;
+/// Penalty weight per unit² of SoC/SoE bound violation per step.
+const STATE_PENALTY: f64 = 1.0e10;
+/// Penalty weight per W² of unserved load per step.
+const SHORTFALL_PENALTY: f64 = 1.0e-2;
+/// Penalty weight per W² of battery bus-power limit violation.
+const POWER_PENALTY: f64 = 1.0e-3;
+
 /// Everything about a rollout stage that depends on neither the decision
 /// vector nor the step index: built once per solve by the MPC (once per
 /// call by the standalone entry points) and shared by every forward
@@ -289,25 +310,25 @@ fn rollout_stage(
     state = stage.cn.step(state, step.battery_heat, action.inlet);
 
     // --- Eq. 19 terms ---------------------------------------------
-    *cost += config.w1 * cooling_electric.value() * dtv;
+    *cost += W1 * cooling_electric.value() * dtv;
     let (loss_rate, arrhenius) = plant
         .aging
         .loss_rate_and_arrhenius(state.battery, step.battery_c_rate);
     *cost += config.w2 * (loss_rate * dtv);
-    *cost += config.w3 * step.hees_power().value() * dtv;
+    *cost += W3 * step.hees_power().value() * dtv;
 
     // --- Constraint penalties ---------------------------------------
-    let over_t = (state.battery.value() - config.temp_soft.value()).max(0.0);
-    *cost += config.temp_penalty * over_t * over_t;
+    let over_t = (state.battery.value() - TEMP_SOFT).max(0.0);
+    *cost += TEMP_PENALTY * over_t * over_t;
 
     let soc_short = (plant.soc_min.value() - hees.soc().value()).max(0.0);
     let soe_short = (plant.soe_min.value() - hees.soe().value()).max(0.0);
-    *cost += config.state_penalty * (soc_short * soc_short + soe_short * soe_short);
+    *cost += STATE_PENALTY * (soc_short * soc_short + soe_short * soe_short);
 
-    *cost += config.shortfall_penalty * step.shortfall.value().powi(2);
+    *cost += SHORTFALL_PENALTY * step.shortfall.value().powi(2);
 
     let over_p = (battery_bus.value().abs() - plant.battery_power_max.value()).max(0.0);
-    *cost += config.power_penalty * over_p * over_p;
+    *cost += POWER_PENALTY * over_p * over_p;
 
     record.battery_post = state.battery.value();
     record.c_rate = step.battery_c_rate;
@@ -343,11 +364,9 @@ fn rollout_terminal(
     if config.terminal_tail > 0.0 {
         let c_load = stage.terminal_c_rate;
         *cost += config.w2 * plant.aging.loss_rate(state.battery, c_load) * config.terminal_tail;
-        let over_t = (state.battery.value() - config.temp_soft.value()).max(0.0);
-        *cost += config.temp_penalty
-            * over_t
-            * over_t
-            * (config.terminal_tail / stage.dt().value().max(1e-9));
+        let over_t = (state.battery.value() - TEMP_SOFT).max(0.0);
+        *cost +=
+            TEMP_PENALTY * over_t * over_t * (config.terminal_tail / stage.dt().value().max(1e-9));
     }
 }
 
@@ -437,8 +456,8 @@ pub(crate) fn adjoint_sweep(
             .aging
             .loss_rate_and_partials(Kelvin::new(tb_n), c_load);
         l_tb += config.w2 * d_temp * config.terminal_tail;
-        let over_t = (tb_n - config.temp_soft.value()).max(0.0);
-        l_tb += 2.0 * config.temp_penalty * over_t * (config.terminal_tail / dtv.max(1e-9));
+        let over_t = (tb_n - TEMP_SOFT).max(0.0);
+        l_tb += 2.0 * TEMP_PENALTY * over_t * (config.terminal_tail / dtv.max(1e-9));
     }
 
     for k in (0..n).rev() {
@@ -447,20 +466,20 @@ pub(crate) fn adjoint_sweep(
 
         // Total adjoints of the post-step state: the incoming λ plus the
         // stage cost's own dependence on it (aging and soft penalties).
-        let over_t = (t.battery_post - config.temp_soft.value()).max(0.0);
-        let g_tb = l_tb + config.w2 * dtv * d.d_loss_t + 2.0 * config.temp_penalty * over_t;
+        let over_t = (t.battery_post - TEMP_SOFT).max(0.0);
+        let g_tb = l_tb + config.w2 * dtv * d.d_loss_t + 2.0 * TEMP_PENALTY * over_t;
         let g_tc = l_tc;
         let soc_short = (plant.soc_min.value() - t.soc_post).max(0.0);
         let soe_short = (plant.soe_min.value() - t.soe_post).max(0.0);
-        let g_s = l_s - 2.0 * config.state_penalty * soc_short;
-        let g_e = l_e - 2.0 * config.state_penalty * soe_short;
+        let g_s = l_s - 2.0 * STATE_PENALTY * soc_short;
+        let g_e = l_e - 2.0 * STATE_PENALTY * soe_short;
 
         // Adjoints of the HEES step outputs. The shortfall penalty sees
         // `sf = relu(net − delivered)`; the thermal Jacobian routes the
         // battery heat and the achieved inlet into both temperatures.
-        let l_delivered = -2.0 * config.shortfall_penalty * t.shortfall;
-        let l_net = 2.0 * config.shortfall_penalty * t.shortfall;
-        let l_internal = config.w3 * dtv;
+        let l_delivered = -2.0 * SHORTFALL_PENALTY * t.shortfall;
+        let l_net = 2.0 * SHORTFALL_PENALTY * t.shortfall;
+        let l_internal = W3 * dtv;
         let l_crate = config.w2 * dtv * d.d_loss_c;
         let l_heat = g_tb * jt.d_battery_heat[0] + g_tc * jt.d_battery_heat[1];
         let g_inlet = g_tb * jt.d_inlet[0] + g_tc * jt.d_inlet[1];
@@ -479,7 +498,7 @@ pub(crate) fn adjoint_sweep(
         let over_p = (t.battery_bus.abs() - plant.battery_power_max.value()).max(0.0);
         let a_pb = a[HeesStepJacobian::IN_BATTERY_BUS]
             + l_net
-            + 2.0 * config.power_penalty * over_p * t.battery_bus.signum();
+            + 2.0 * POWER_PENALTY * over_p * t.battery_bus.signum();
         let a_pc = a[HeesStepJacobian::IN_CAP_BUS] + l_net;
 
         // Decision gradients. The bus balance `P_bat = load + CE − P_cap`
@@ -488,7 +507,7 @@ pub(crate) fn adjoint_sweep(
         // (w1 term and the bus balance) and the achieved inlet.
         grad[k] = cap_max * (a_pc - a_pb);
 
-        let a_ce = config.w1 * dtv + a_pb;
+        let a_ce = W1 * dtv + a_pb;
         let active = if t.cooler_active { 1.0 } else { 0.0 };
         let d_ce_d_duty = active * flow_over_eff * t.delta + pump;
         let d_inlet_d_duty = -t.delta;

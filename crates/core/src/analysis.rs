@@ -9,7 +9,7 @@
 //! already below the soft ceiling, ahead of such a request.
 
 use crate::metrics::SimulationResult;
-use otem_units::{Joules, Kelvin, Seconds, Watts};
+use otem_units::{Joules, Watts};
 use serde::{Deserialize, Serialize};
 
 /// Thresholds for classifying TEB events.
@@ -112,17 +112,6 @@ pub struct EnergyBreakdown {
     pub shortfall: Joules,
 }
 
-impl EnergyBreakdown {
-    /// Losses as a fraction of delivered energy.
-    pub fn loss_fraction(&self) -> f64 {
-        let delivered = self.delivered.value();
-        if delivered <= 0.0 {
-            return 0.0;
-        }
-        (self.battery_loss.value() + self.converter_loss.value()) / delivered
-    }
-}
-
 /// Integrates the per-step records into an [`EnergyBreakdown`].
 pub fn energy_breakdown(result: &SimulationResult) -> EnergyBreakdown {
     let dt = result.dt;
@@ -139,45 +128,12 @@ pub fn energy_breakdown(result: &SimulationResult) -> EnergyBreakdown {
     b
 }
 
-/// Thermal compliance summary against a limit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThermalReport {
-    /// The limit applied.
-    pub limit: Kelvin,
-    /// Hottest battery temperature reached.
-    pub peak: Kelvin,
-    /// Time spent above the limit.
-    pub time_above: Seconds,
-    /// Longest contiguous violation.
-    pub longest_violation: Seconds,
-}
-
-/// Summarises thermal compliance over a run.
-pub fn thermal_report(result: &SimulationResult, limit: Kelvin) -> ThermalReport {
-    let mut longest = 0usize;
-    let mut current = 0usize;
-    for rec in &result.records {
-        if rec.state.battery_temp > limit {
-            current += 1;
-            longest = longest.max(current);
-        } else {
-            current = 0;
-        }
-    }
-    ThermalReport {
-        limit,
-        peak: result.peak_battery_temp(),
-        time_above: result.time_above(limit),
-        longest_violation: result.dt * longest as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::{StepRecord, SystemState};
     use otem_hees::HeesStep;
-    use otem_units::Ratio;
+    use otem_units::{Kelvin, Ratio, Seconds};
 
     fn rec(load: f64, cap_internal: f64, cooling: f64, temp_c: f64) -> StepRecord {
         StepRecord {
@@ -256,19 +212,5 @@ mod tests {
         assert_eq!(b.battery_loss, Joules::new(2_000.0));
         assert_eq!(b.converter_loss, Joules::new(1_000.0));
         assert_eq!(b.cooling, Joules::new(5_000.0));
-        assert!((b.loss_fraction() - 3_000.0 / 95_000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn thermal_report_tracks_longest_violation() {
-        let limit = Kelvin::from_celsius(40.0);
-        let mut records = vec![rec(1.0, 0.0, 0.0, 35.0); 3];
-        records.extend(vec![rec(1.0, 0.0, 0.0, 42.0); 4]); // 4 s violation
-        records.push(rec(1.0, 0.0, 0.0, 39.0));
-        records.extend(vec![rec(1.0, 0.0, 0.0, 41.0); 2]); // 2 s violation
-        let report = thermal_report(&result(records), limit);
-        assert_eq!(report.time_above, Seconds::new(6.0));
-        assert_eq!(report.longest_violation, Seconds::new(4.0));
-        assert_eq!(report.peak, Kelvin::from_celsius(42.0));
     }
 }

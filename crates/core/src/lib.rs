@@ -62,4 +62,4 @@ pub use controller::{Controller, PlantFault, StepRecord, SystemState};
 pub use error::OtemError;
 pub use metrics::SimulationResult;
 pub use sim::{RunCursor, RunTotals, Simulator};
-pub use supervisor::{SupervisedOtem, SupervisorConfig};
+pub use supervisor::SupervisedOtem;

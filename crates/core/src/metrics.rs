@@ -93,19 +93,6 @@ impl SimulationResult {
     pub fn soe_series(&self) -> Vec<f64> {
         self.records.iter().map(|r| r.state.soe.value()).collect()
     }
-
-    /// Battery-lifetime projection: driving hours until the 20 %
-    /// end-of-life budget is exhausted, extrapolating this route's loss
-    /// rate (the paper's BLT metric).
-    ///
-    /// Returns `None` for an empty route or zero accumulated loss.
-    pub fn projected_lifetime_hours(&self) -> Option<f64> {
-        if self.capacity_loss <= 0.0 || self.records.is_empty() {
-            return None;
-        }
-        let rate = self.capacity_loss / self.duration().value();
-        Some(0.20 / rate / 3600.0)
-    }
 }
 
 #[cfg(test)]
@@ -169,14 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_projection_extrapolates_route_rate() {
-        let r = result();
-        let hours = r.projected_lifetime_hours().expect("loss accumulated");
-        // rate = 1.5e-6 per 3 s → 0.2/rate = 4e5 s ≈ 111.1 h
-        assert!((hours - 0.20 / (1.5e-6 / 3.0) / 3600.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_result_is_well_defined() {
         let r = SimulationResult {
             methodology: "empty",
@@ -186,6 +165,5 @@ mod tests {
         };
         assert_eq!(r.average_power(), Watts::ZERO);
         assert_eq!(r.energy(), Joules::ZERO);
-        assert_eq!(r.projected_lifetime_hours(), None);
     }
 }

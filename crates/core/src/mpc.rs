@@ -32,34 +32,22 @@ use otem_solver::{
 pub use otem_solver::{Clock, MonotonicClock, VirtualClock};
 use otem_telemetry::{span, Event, NullSink, Sink};
 use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
-use otem_units::{Kelvin, Ratio, Seconds, Watts};
+use otem_units::{Ratio, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-/// Tuning of the OTEM optimisation (Eq. 19 weights, horizon, penalties).
+/// Tuning of the OTEM optimisation: the horizon, the studied Eq. 19
+/// trade-off weight and the solve budget. The other weights and the
+/// constraint penalties are constants of the stage cost (`adjoint`
+/// module).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MpcConfig {
     /// Control window length `N` (steps of `dt`).
     pub horizon: usize,
-    /// `w1`: weight on cooling energy `P_c·Δt` (per joule).
-    pub w1: f64,
     /// `w2`: weight on battery capacity loss `Q_loss` (joule-equivalents
     /// per unit loss fraction — prices battery wear against energy).
     pub w2: f64,
-    /// `w3`: weight on HEES energy `dE_bat + dE_cap` (per joule).
-    pub w3: f64,
-    /// Soft ceiling for the battery temperature (a margin below the hard
-    /// C1 limit).
-    pub temp_soft: Kelvin,
-    /// Penalty weight per K² of soft-ceiling violation per step.
-    pub temp_penalty: f64,
-    /// Penalty weight per unit² of SoC/SoE bound violation per step.
-    pub state_penalty: f64,
-    /// Penalty weight per W² of unserved load per step.
-    pub shortfall_penalty: f64,
-    /// Penalty weight per W² of battery bus-power limit violation.
-    pub power_penalty: f64,
     /// Inner solver iteration budget per control period.
     pub solver_iterations: usize,
     /// Terminal-cost tail (s): the end-of-horizon battery temperature is
@@ -89,14 +77,7 @@ impl Default for MpcConfig {
     fn default() -> Self {
         Self {
             horizon: 12,
-            w1: 1.0,
             w2: 8.0e12,
-            w3: 1.0,
-            temp_soft: Kelvin::from_celsius(38.0),
-            temp_penalty: 5.0e5,
-            state_penalty: 1.0e10,
-            shortfall_penalty: 1.0e-2,
-            power_penalty: 1.0e-3,
             solver_iterations: 30,
             terminal_tail: 600.0,
             gradient_mode: GradientMode::Adjoint,
@@ -642,7 +623,7 @@ pub fn rollout_gradient_adjoint(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use otem_units::Farads;
+    use otem_units::{Farads, Kelvin};
 
     fn plant(config: &SystemConfig) -> MpcPlant {
         let mut hees = HybridHees::ev_default(Farads::new(25_000.0)).unwrap();

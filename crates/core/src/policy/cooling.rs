@@ -10,10 +10,15 @@ use otem_telemetry::{span, Event, NullSink, Sink};
 use otem_thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 
+/// Thermostat switch-on battery temperature.
+const ON_THRESHOLD: Kelvin = Kelvin::from_celsius(30.0);
+/// Thermostat switch-off battery temperature.
+const OFF_THRESHOLD: Kelvin = Kelvin::from_celsius(28.0);
+
 /// Battery as the sole storage; a bang-bang thermostat drives the
-/// cooling loop at full authority above `on_threshold` and shuts it off
-/// below `off_threshold`. The cooling load is served from the bus (i.e.
-/// by the battery itself).
+/// cooling loop at full authority above `ON_THRESHOLD` (30 °C) and shuts
+/// it off below `OFF_THRESHOLD` (28 °C). The cooling load is served from
+/// the bus (i.e. by the battery itself).
 #[derive(Debug, Clone)]
 pub struct ActiveCooling {
     battery: BatteryPack,
@@ -21,15 +26,10 @@ pub struct ActiveCooling {
     plant: CoolingPlant,
     state: ThermalState,
     cooling_on: bool,
-    /// Thermostat switch-on temperature.
-    pub on_threshold: Kelvin,
-    /// Thermostat switch-off temperature.
-    pub off_threshold: Kelvin,
 }
 
 impl ActiveCooling {
-    /// Builds the baseline from the shared system configuration with the
-    /// default 30 °C / 28 °C thermostat band.
+    /// Builds the baseline from the shared system configuration.
     ///
     /// # Errors
     ///
@@ -44,8 +44,6 @@ impl ActiveCooling {
             plant: CoolingPlant::new(config.plant)?,
             state: ThermalState::uniform(config.ambient),
             cooling_on: false,
-            on_threshold: Kelvin::from_celsius(30.0),
-            off_threshold: Kelvin::from_celsius(28.0),
         })
     }
 }
@@ -69,9 +67,9 @@ impl Controller for ActiveCooling {
         let _step_span = span(sink, "cooling_step");
         // Thermostat with hysteresis.
         let was_on = self.cooling_on;
-        if self.state.battery >= self.on_threshold {
+        if self.state.battery >= ON_THRESHOLD {
             self.cooling_on = true;
-        } else if self.state.battery <= self.off_threshold {
+        } else if self.state.battery <= OFF_THRESHOLD {
             self.cooling_on = false;
         }
         if self.cooling_on != was_on {
@@ -93,11 +91,7 @@ impl Controller for ActiveCooling {
         let total = load + action.total_power();
         let draw = self
             .battery
-            .draw_power(total, self.state.battery)
-            .or_else(|_| {
-                let peak = self.battery.max_discharge_power(self.state.battery) * 0.999;
-                self.battery.draw_power(peak.min(total), self.state.battery)
-            })
+            .draw_clamped_at(total, &self.battery.curves(self.state.battery))
             .unwrap_or(otem_battery::PowerDraw::IDLE);
         self.battery.integrate(draw, dt);
 

@@ -10,6 +10,19 @@ use otem_telemetry::{span, Event, NullSink, Sink};
 use otem_thermal::{ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 
+// The [16] switching band. The supervisor's rule-based fallback drives
+// the OTEM plant with the same band.
+
+/// Battery temperature at which the load is redirected to the
+/// ultracapacitor.
+pub(crate) const HOT_THRESHOLD: Kelvin = Kelvin::from_celsius(33.0);
+/// Battery temperature below which the battery takes the load back.
+pub(crate) const COOL_THRESHOLD: Kelvin = Kelvin::from_celsius(31.0);
+/// Power used to recharge the bank from the battery while cool.
+pub(crate) const RECHARGE_POWER: Watts = Watts::new(6_000.0);
+/// Bank level above which recharging stops.
+pub(crate) const RECHARGE_TARGET: Ratio = Ratio::from_percent(95.0);
+
 /// Switch to the ultracapacitor when the battery crosses a temperature
 /// threshold; switch back (and recharge the bank from the battery) once
 /// it has cooled. No active cooling system exists in this baseline.
@@ -19,15 +32,6 @@ pub struct Dual {
     thermal: ThermalModel,
     state: ThermalState,
     using_cap: bool,
-    /// Temperature at which the load is redirected to the
-    /// ultracapacitor.
-    pub hot_threshold: Kelvin,
-    /// Temperature below which the battery takes the load back.
-    pub cool_threshold: Kelvin,
-    /// Power used to recharge the bank from the battery while cool.
-    pub recharge_power: Watts,
-    /// Bank level above which recharging stops.
-    pub recharge_target: Ratio,
 }
 
 impl Dual {
@@ -48,10 +52,6 @@ impl Dual {
             thermal: ThermalModel::new(config.thermal_passive)?,
             state: ThermalState::uniform(config.ambient),
             using_cap: false,
-            hot_threshold: Kelvin::from_celsius(33.0),
-            cool_threshold: Kelvin::from_celsius(31.0),
-            recharge_power: Watts::new(6_000.0),
-            recharge_target: Ratio::from_percent(95.0),
         })
     }
 }
@@ -74,9 +74,9 @@ impl Controller for Dual {
     ) -> StepRecord {
         let _step_span = span(sink, "dual_step");
         // Threshold rule with hysteresis (the [16] policy).
-        if self.state.battery >= self.hot_threshold {
+        if self.state.battery >= HOT_THRESHOLD {
             self.using_cap = true;
-        } else if self.state.battery <= self.cool_threshold {
+        } else if self.state.battery <= COOL_THRESHOLD {
             self.using_cap = false;
         }
 
@@ -97,8 +97,8 @@ impl Controller for Dual {
 
         let mode = if self.using_cap && self.hees.cap_can_serve(load) {
             DualMode::Ultracap
-        } else if !self.using_cap && self.hees.soe() < self.recharge_target && load.value() >= 0.0 {
-            DualMode::BatteryRecharging(self.recharge_power.value())
+        } else if !self.using_cap && self.hees.soe() < RECHARGE_TARGET && load.value() >= 0.0 {
+            DualMode::BatteryRecharging(RECHARGE_POWER.value())
         } else {
             DualMode::Battery
         };

@@ -1,7 +1,7 @@
 //! The four methodologies the paper evaluates (Section IV-B).
 
 mod cooling;
-mod dual;
+pub(crate) mod dual;
 mod otem;
 mod parallel;
 

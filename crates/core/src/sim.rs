@@ -9,6 +9,10 @@ use otem_drivecycle::PowerTrace;
 use otem_telemetry::{span, Event, NullSink, Sink};
 use serde::{Deserialize, Serialize};
 
+/// How many future samples the controller gets to see each step
+/// (Algorithm 1 lines 11–12 fill the control window from `P̂_e`).
+const FORECAST_LEN: usize = 64;
+
 /// Scalar outcome of a streamed run (see [`Simulator::run_each`]):
 /// what the closed loop accumulated without retaining per-step records.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -26,9 +30,6 @@ pub struct RunTotals {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Simulator {
     config: SystemConfig,
-    /// How many future samples the controller gets to see each step
-    /// (Algorithm 1 lines 11–12 fill the control window from `P̂_e`).
-    pub forecast_len: usize,
 }
 
 impl Simulator {
@@ -36,7 +37,6 @@ impl Simulator {
     pub fn new(config: &SystemConfig) -> Self {
         Self {
             config: config.clone(),
-            forecast_len: 64,
         }
     }
 
@@ -112,7 +112,6 @@ impl Simulator {
         RunCursor {
             aging: AgingModel::new(self.config.aging),
             dt: self.config.dt,
-            forecast_len: self.forecast_len,
             pad: Vec::new(),
             t: 0,
         }
@@ -125,14 +124,13 @@ impl Simulator {
 /// between steps, so the caller keeps its controller and trace.
 ///
 /// Each step's forecast is borrowed from the trace
-/// ([`PowerTrace::window_in`]); only the last `forecast_len` steps copy
+/// ([`PowerTrace::window_in`]); only the last `FORECAST_LEN` steps copy
 /// into the padding buffer, whose capacity the cursor reuses. So a step
 /// allocates nothing a controller does not allocate itself.
 #[derive(Debug)]
 pub struct RunCursor {
     aging: AgingModel,
     dt: otem_units::Seconds,
-    forecast_len: usize,
     pad: Vec<otem_units::Watts>,
     t: usize,
 }
@@ -159,7 +157,7 @@ impl RunCursor {
         }
         let _step_span = span(sink, "sim_step");
         let load = trace.get(t);
-        let forecast = trace.window_in(t + 1, self.forecast_len, &mut self.pad);
+        let forecast = trace.window_in(t + 1, FORECAST_LEN, &mut self.pad);
         let record = controller.step_with(load, forecast, self.dt, sink);
         self.aging.accumulate(
             record.state.battery_temp,
@@ -221,7 +219,7 @@ mod tests {
     }
 
     /// Records every forecast window the simulator hands to the
-    /// controller, so the `trace.window(t + 1, forecast_len)` semantics
+    /// controller, so the `trace.window(t + 1, FORECAST_LEN)` semantics
     /// can be pinned explicitly.
     struct ForecastProbe {
         forecasts: Vec<Vec<Watts>>,
@@ -268,39 +266,38 @@ mod tests {
     }
 
     /// Pins the forecast-window contract at the end of the route: the
-    /// controller at step `t` sees `trace.window(t + 1, forecast_len)`,
-    /// which is always exactly `forecast_len` long and **zero-padded**
+    /// controller at step `t` sees `trace.window(t + 1, FORECAST_LEN)`,
+    /// which is always exactly `FORECAST_LEN` long and **zero-padded**
     /// (not shrunk) past the last sample — so the final step's window
     /// contains no real samples at all.
     #[test]
     fn forecast_window_is_zero_padded_at_the_end_of_the_trace() {
         let config = SystemConfig::default();
-        let samples: Vec<Watts> = (1..=6).map(|k| Watts::new(1_000.0 * k as f64)).collect();
+        let n = FORECAST_LEN;
+        let samples: Vec<Watts> = (1..=n + 2)
+            .map(|k| Watts::new(1_000.0 * k as f64))
+            .collect();
         let trace = PowerTrace::new(Seconds::new(1.0), samples.clone());
-        let mut sim = Simulator::new(&config);
-        sim.forecast_len = 4;
         let mut probe = ForecastProbe::new();
-        sim.run(&mut probe, &trace);
+        Simulator::new(&config).run(&mut probe, &trace);
 
-        assert_eq!(probe.forecasts.len(), 6);
-        // Every window has exactly forecast_len entries, shrinking never.
+        assert_eq!(probe.forecasts.len(), n + 2);
+        // Every window has exactly FORECAST_LEN entries, shrinking never.
         for (t, forecast) in probe.forecasts.iter().enumerate() {
-            assert_eq!(forecast.len(), 4, "window length at step {t}");
+            assert_eq!(forecast.len(), n, "window length at step {t}");
         }
-        // Step 0 sees samples 1..=4 (forecast[0] is the *next* load).
-        assert_eq!(probe.forecasts[0], samples[1..5].to_vec());
-        // Step 3 straddles the end: two real samples, then zeros.
-        assert_eq!(
-            probe.forecasts[3],
-            vec![samples[4], samples[5], Watts::ZERO, Watts::ZERO]
-        );
-        // Step 4 sees the last sample then zeros; step 5 (the final
+        // Step 0 sees samples 1..=n (forecast[0] is the *next* load).
+        assert_eq!(probe.forecasts[0], samples[1..=n].to_vec());
+        // Step n - 1 straddles the end: two real samples, then zeros.
+        let mut straddle = vec![samples[n], samples[n + 1]];
+        straddle.resize(n, Watts::ZERO);
+        assert_eq!(probe.forecasts[n - 1], straddle);
+        // Step n sees the last sample then zeros; step n + 1 (the final
         // step) sees a window of pure padding.
-        assert_eq!(
-            probe.forecasts[4],
-            vec![samples[5], Watts::ZERO, Watts::ZERO, Watts::ZERO]
-        );
-        assert_eq!(probe.forecasts[5], vec![Watts::ZERO; 4]);
+        let mut last = vec![samples[n + 1]];
+        last.resize(n, Watts::ZERO);
+        assert_eq!(probe.forecasts[n], last);
+        assert_eq!(probe.forecasts[n + 1], vec![Watts::ZERO; n]);
     }
 
     /// A forecast window longer than the whole route is all padding
@@ -312,28 +309,18 @@ mod tests {
             Seconds::new(1.0),
             vec![Watts::new(500.0), Watts::new(700.0)],
         );
-        let mut sim = Simulator::new(&config);
-        sim.forecast_len = 5;
         let mut probe = ForecastProbe::new();
-        sim.run(&mut probe, &trace);
-        assert_eq!(
-            probe.forecasts[0],
-            vec![
-                Watts::new(700.0),
-                Watts::ZERO,
-                Watts::ZERO,
-                Watts::ZERO,
-                Watts::ZERO
-            ]
-        );
-        assert_eq!(probe.forecasts[1], vec![Watts::ZERO; 5]);
+        Simulator::new(&config).run(&mut probe, &trace);
+        let mut first = vec![Watts::new(700.0)];
+        first.resize(FORECAST_LEN, Watts::ZERO);
+        assert_eq!(probe.forecasts[0], first);
+        assert_eq!(probe.forecasts[1], vec![Watts::ZERO; FORECAST_LEN]);
     }
 
     /// Every window the controller receives — borrowed inside the route,
-    /// padded near its end — is `forecast_len` long and bit-equal to
-    /// `trace.window(t + 1, forecast_len)`, across route lengths around
-    /// the default window and windows from empty to longer than any
-    /// route.
+    /// padded near its end — is `FORECAST_LEN` long and bit-equal to
+    /// `trace.window(t + 1, FORECAST_LEN)`, across route lengths from
+    /// shorter than the window to longer than it.
     #[test]
     fn every_forecast_is_bit_equal_to_the_owned_window() {
         let config = SystemConfig::default();
@@ -342,23 +329,19 @@ mod tests {
                 .map(|k| Watts::new(20_000.0 * (0.37 * k as f64).sin() - 1_500.0))
                 .collect();
             let trace = PowerTrace::new(Seconds::new(1.0), samples);
-            for forecast_len in [0, 1, 12, 64, 300] {
-                let mut sim = Simulator::new(&config);
-                sim.forecast_len = forecast_len;
-                let mut probe = ForecastProbe::new();
-                sim.run(&mut probe, &trace);
-                assert_eq!(probe.forecasts.len(), steps);
-                for (t, forecast) in probe.forecasts.iter().enumerate() {
-                    let owned = trace.window(t + 1, forecast_len);
-                    assert_eq!(forecast.len(), forecast_len, "{steps} steps, step {t}");
-                    assert!(
-                        forecast
-                            .iter()
-                            .zip(&owned)
-                            .all(|(a, b)| a.value().to_bits() == b.value().to_bits()),
-                        "{steps} steps, forecast_len {forecast_len}, step {t}"
-                    );
-                }
+            let mut probe = ForecastProbe::new();
+            Simulator::new(&config).run(&mut probe, &trace);
+            assert_eq!(probe.forecasts.len(), steps);
+            for (t, forecast) in probe.forecasts.iter().enumerate() {
+                let owned = trace.window(t + 1, FORECAST_LEN);
+                assert_eq!(forecast.len(), FORECAST_LEN, "{steps} steps, step {t}");
+                assert!(
+                    forecast
+                        .iter()
+                        .zip(&owned)
+                        .all(|(a, b)| a.value().to_bits() == b.value().to_bits()),
+                    "{steps} steps, step {t}"
+                );
             }
         }
     }

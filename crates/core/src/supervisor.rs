@@ -19,13 +19,14 @@
 //!    post-step [`SystemState`] (finite, physical temperatures, SoC/SoE
 //!    in `[0, 1]`) after it did.
 //! 2. **Reject & fall back**: a failed check disengages the MPC and
-//!    routes the same plant through a Dual-style thermostatic rule
-//!    (33 °C / 31 °C cooling hysteresis, slow bank recharge) via
-//!    [`Otem::apply_with`] — physically identical steps, dumber numbers.
+//!    routes the same plant through a thermostatic rule on the Dual
+//!    baseline's band (33 °C / 31 °C cooling hysteresis, slow bank
+//!    recharge) via [`Otem::apply_with`] — physically identical steps,
+//!    dumber numbers.
 //! 3. **Re-arm with backoff**: after a cooldown the supervisor probes
-//!    the MPC each period without applying its output; `rearm_after`
+//!    the MPC each period without applying its output; `REARM_AFTER`
 //!    consecutive healthy probes re-engage it. Every new rejection
-//!    doubles the cooldown up to `max_backoff`.
+//!    doubles the cooldown up to `MAX_BACKOFF`.
 //!
 //! On a healthy trajectory the supervisor is exact: it calls
 //! [`Otem::plan_with`] then [`Otem::apply_with`], which is definitionally
@@ -38,53 +39,25 @@
 use crate::controller::{Controller, PlantFault, StepRecord, SystemState};
 use crate::error::OtemError;
 use crate::mpc::MpcDecision;
+use crate::policy::dual::{COOL_THRESHOLD, HOT_THRESHOLD, RECHARGE_POWER, RECHARGE_TARGET};
 use crate::policy::Otem;
 use otem_solver::SolverOutcome;
 use otem_telemetry::{span, Event, NullSink, Sink};
-use otem_units::{Kelvin, Ratio, Seconds, Watts};
-use serde::{Deserialize, Serialize};
+use otem_units::{Kelvin, Seconds, Watts};
 
-/// Tuning of the degradation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SupervisorConfig {
-    /// Hard ceiling on a *plausible* battery temperature: anything above
-    /// is a broken model or runaway plant, not weather.
-    pub temp_hard_max: Kelvin,
-    /// Hard floor on a plausible battery temperature.
-    pub temp_hard_min: Kelvin,
-    /// Consecutive healthy MPC probes required to re-arm after a
-    /// fallback episode.
-    pub rearm_after: u64,
-    /// Cooldown (steps of pure fallback, no probing) after the first
-    /// rejection; doubles per episode.
-    pub initial_backoff: u64,
-    /// Ceiling on the cooldown growth.
-    pub max_backoff: u64,
-    /// Fallback thermostat: engage full cooling at/above this.
-    pub fallback_on: Kelvin,
-    /// Fallback thermostat: release cooling at/below this.
-    pub fallback_off: Kelvin,
-    /// Fallback bank-recharge power while below the target.
-    pub recharge_power: Watts,
-    /// Fallback bank level above which recharging stops.
-    pub recharge_target: Ratio,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            temp_hard_max: Kelvin::from_celsius(60.0),
-            temp_hard_min: Kelvin::from_celsius(-30.0),
-            rearm_after: 5,
-            initial_backoff: 4,
-            max_backoff: 64,
-            fallback_on: Kelvin::from_celsius(33.0),
-            fallback_off: Kelvin::from_celsius(31.0),
-            recharge_power: Watts::new(6_000.0),
-            recharge_target: Ratio::from_percent(95.0),
-        }
-    }
-}
+/// Hard ceiling on a *plausible* battery temperature: anything above is
+/// a broken model or runaway plant, not weather.
+pub const TEMP_HARD_MAX: Kelvin = Kelvin::from_celsius(60.0);
+/// Hard floor on a plausible battery temperature.
+const TEMP_HARD_MIN: Kelvin = Kelvin::from_celsius(-30.0);
+/// Consecutive healthy MPC probes required to re-arm after a fallback
+/// episode.
+const REARM_AFTER: u64 = 5;
+/// Cooldown (steps of pure fallback, no probing) after the first
+/// rejection; doubles per episode.
+const INITIAL_BACKOFF: u64 = 4;
+/// Ceiling on the cooldown growth.
+const MAX_BACKOFF: u64 = 64;
 
 /// Slack on the `[0, 1]` SoC/SoE checks and the unit-interval duty
 /// check: the integrators legitimately overshoot by rounding error.
@@ -152,7 +125,7 @@ pub fn validate_decision(decision: &MpcDecision, cap_power_max: Watts) -> Result
 ///
 /// [`OtemError::NonFinite`] / [`OtemError::Solver`] naming the failed
 /// quantity or bound.
-pub fn validate_state(state: &SystemState, config: &SupervisorConfig) -> Result<(), OtemError> {
+pub fn validate_state(state: &SystemState) -> Result<(), OtemError> {
     if !state.battery_temp.value().is_finite() {
         return Err(OtemError::NonFinite {
             quantity: "battery_temp",
@@ -169,7 +142,7 @@ pub fn validate_state(state: &SystemState, config: &SupervisorConfig) -> Result<
     if !state.soe.value().is_finite() {
         return Err(OtemError::NonFinite { quantity: "soe" });
     }
-    if state.battery_temp > config.temp_hard_max || state.battery_temp < config.temp_hard_min {
+    if state.battery_temp > TEMP_HARD_MAX || state.battery_temp < TEMP_HARD_MIN {
         return Err(OtemError::Solver {
             reason: "battery_temp_out_of_bounds",
         });
@@ -204,7 +177,6 @@ fn reject_reason(error: &OtemError) -> &'static str {
 #[derive(Debug, Clone)]
 pub struct SupervisedOtem {
     inner: Otem,
-    config: SupervisorConfig,
     step: u64,
     armed: bool,
     /// Remaining pure-fallback steps before probing resumes.
@@ -219,26 +191,20 @@ pub struct SupervisedOtem {
 }
 
 impl SupervisedOtem {
-    /// Wraps an OTEM controller with the given ladder tuning.
-    pub fn new(inner: Otem, config: SupervisorConfig) -> Self {
+    /// Wraps an OTEM controller in the degradation ladder.
+    pub fn new(inner: Otem) -> Self {
         Self {
             inner,
-            config,
             step: 0,
             armed: true,
             cooldown: 0,
-            backoff: config.initial_backoff.max(1),
+            backoff: INITIAL_BACKOFF,
             healthy_streak: 0,
             fallback_cooling: false,
             rejected: 0,
             fallbacks: 0,
             rearms: 0,
         }
-    }
-
-    /// Wraps with the default ladder tuning.
-    pub fn with_defaults(inner: Otem) -> Self {
-        Self::new(inner, SupervisorConfig::default())
     }
 
     /// Whether the MPC currently drives the plant (vs the fallback).
@@ -261,11 +227,6 @@ impl SupervisedOtem {
         self.rearms
     }
 
-    /// The ladder tuning in use.
-    pub fn supervisor_config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
     /// The wrapped controller.
     pub fn inner(&self) -> &Otem {
         &self.inner
@@ -280,7 +241,7 @@ impl SupervisedOtem {
             step,
             backoff_steps: self.backoff,
         });
-        self.backoff = (self.backoff * 2).min(self.config.max_backoff.max(1));
+        self.backoff = (self.backoff * 2).min(MAX_BACKOFF);
         // Whatever the MPC planned before failing was planned under
         // fault; do not let it warm-start the re-armed solves.
         self.inner.reset_mpc();
@@ -295,22 +256,23 @@ impl SupervisedOtem {
         self.engage_fallback(step, sink);
     }
 
-    /// The Dual-style thermostatic command on the wrapped plant:
-    /// hysteretic full cooling, slow bank recharge while below target.
+    /// The thermostatic command on the wrapped plant, on the Dual
+    /// baseline's band: hysteretic full cooling, slow bank recharge while
+    /// below target.
     fn fallback_step(&mut self, load: Watts, dt: Seconds, sink: &dyn Sink) -> StepRecord {
         // Degraded-time accounting: every period the rule-based fallback
         // drives the plant is wrapped in this span, so fault campaigns
         // can report *time spent degraded* straight from the trace.
         let _fallback_span = span(sink, "supervisor_fallback");
         let measured = self.inner.state();
-        if measured.battery_temp >= self.config.fallback_on {
+        if measured.battery_temp >= HOT_THRESHOLD {
             self.fallback_cooling = true;
-        } else if measured.battery_temp <= self.config.fallback_off {
+        } else if measured.battery_temp <= COOL_THRESHOLD {
             self.fallback_cooling = false;
         }
         let duty = if self.fallback_cooling { 1.0 } else { 0.0 };
-        let cap_bus = if measured.soe < self.config.recharge_target && load.value() >= 0.0 {
-            Watts::new(-self.config.recharge_power.value())
+        let cap_bus = if measured.soe < RECHARGE_TARGET && load.value() >= 0.0 {
+            Watts::new(-RECHARGE_POWER.value())
         } else {
             Watts::ZERO
         };
@@ -320,7 +282,7 @@ impl SupervisedOtem {
     /// Post-step state check; a violation engages the fallback for the
     /// *next* steps (the physics of this one already happened).
     fn check_state(&mut self, record: StepRecord, step: u64, sink: &dyn Sink) -> StepRecord {
-        if let Err(e) = validate_state(&record.state, &self.config) {
+        if let Err(e) = validate_state(&record.state) {
             if self.armed {
                 self.reject(&e, step, sink);
             }
@@ -367,7 +329,7 @@ impl Controller for SupervisedOtem {
 
         // Disarmed: serve the cooldown, then probe the MPC each period
         // (its output is validated but discarded) until it has been
-        // healthy `rearm_after` periods in a row.
+        // healthy `REARM_AFTER` periods in a row.
         if self.cooldown > 0 {
             self.cooldown -= 1;
             return self.fallback_step(load, dt, sink);
@@ -380,7 +342,7 @@ impl Controller for SupervisedOtem {
         match validate_decision(&decision, cap_limit) {
             Ok(()) => {
                 self.healthy_streak += 1;
-                if self.healthy_streak >= self.config.rearm_after {
+                if self.healthy_streak >= REARM_AFTER {
                     self.armed = true;
                     self.rearms += 1;
                     sink.record(Event::MpcRearmed {
@@ -388,7 +350,7 @@ impl Controller for SupervisedOtem {
                         healthy_steps: self.healthy_streak,
                     });
                     self.healthy_streak = 0;
-                    self.backoff = self.config.initial_backoff.max(1);
+                    self.backoff = INITIAL_BACKOFF;
                     // The probe that closed the streak is healthy: apply
                     // it — the MPC is driving again from this period.
                     let record =
@@ -420,6 +382,7 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::mpc::MpcConfig;
     use otem_telemetry::MemorySink;
+    use otem_units::Ratio;
 
     fn otem() -> Otem {
         Otem::with_mpc(
@@ -535,21 +498,20 @@ mod tests {
 
     #[test]
     fn state_validation_guards_physics() {
-        let config = SupervisorConfig::default();
         let good = SystemState {
             battery_temp: Kelvin::from_celsius(30.0),
             coolant_temp: Kelvin::from_celsius(28.0),
             soe: Ratio::new(0.5),
             soc: Ratio::new(0.9),
         };
-        assert!(validate_state(&good, &config).is_ok());
+        assert!(validate_state(&good).is_ok());
 
         let hot = SystemState {
             battery_temp: Kelvin::from_celsius(80.0),
             ..good
         };
         assert_eq!(
-            reject_reason(&validate_state(&hot, &config).unwrap_err()),
+            reject_reason(&validate_state(&hot).unwrap_err()),
             "battery_temp_out_of_bounds"
         );
         let nan = SystemState {
@@ -557,34 +519,23 @@ mod tests {
             ..good
         };
         assert_eq!(
-            reject_reason(&validate_state(&nan, &config).unwrap_err()),
+            reject_reason(&validate_state(&nan).unwrap_err()),
             "battery_temp"
         );
         // SoC/SoE cannot leave [0, 1] through the `Ratio` type (its
         // constructor clamps, NaN becomes zero) — the validator's checks
         // on them are defence in depth against a future representation
         // change, not a reachable state today.
-        assert!(validate_state(
-            &SystemState {
-                soc: Ratio::new(-0.2),
-                ..good
-            },
-            &config
-        )
+        assert!(validate_state(&SystemState {
+            soc: Ratio::new(-0.2),
+            ..good
+        })
         .is_ok());
     }
 
     #[test]
     fn starved_solver_triggers_fallback_and_rearm_with_backoff() {
-        let mut sup = SupervisedOtem::new(
-            otem(),
-            SupervisorConfig {
-                rearm_after: 2,
-                initial_backoff: 2,
-                max_backoff: 8,
-                ..SupervisorConfig::default()
-            },
-        );
+        let mut sup = SupervisedOtem::new(otem());
         let sink = MemorySink::new();
         let forecast = vec![Watts::new(15_000.0); 4];
         let dt = Seconds::new(1.0);
@@ -603,16 +554,17 @@ mod tests {
         assert_eq!(sink.count_kind("decision_rejected"), 1);
         assert_eq!(sink.count_kind("fallback_engaged"), 1);
 
-        // Cooldown (2 steps) then a failed probe doubles the backoff.
-        for _ in 0..3 {
+        // Cooldown, then a failed probe doubles the backoff.
+        for _ in 0..INITIAL_BACKOFF + 1 {
             let r = sup.step_with(Watts::new(15_000.0), &forecast, dt, &sink);
             assert!(r.state.soc.value().is_finite());
         }
         assert!(sup.fallbacks() >= 2, "failed probe starts a new episode");
 
-        // Heal the solver; after the cooldown, two healthy probes re-arm.
+        // Heal the solver; after the doubled cooldown, `REARM_AFTER`
+        // healthy probes re-arm.
         assert!(sup.inject(PlantFault::SolverIterationCap(None)));
-        for _ in 0..12 {
+        for _ in 0..2 * (2 * INITIAL_BACKOFF + REARM_AFTER) {
             let _ = sup.step_with(Watts::new(15_000.0), &forecast, dt, &sink);
             if sup.is_armed() {
                 break;
@@ -630,15 +582,7 @@ mod tests {
         // compute-platform signature. The supervisor must walk the exact
         // rejection → fallback → re-arm ladder it uses for starvation,
         // with the `solver_deadline` reason on the rejection events.
-        let mut sup = SupervisedOtem::new(
-            otem(),
-            SupervisorConfig {
-                rearm_after: 2,
-                initial_backoff: 2,
-                max_backoff: 8,
-                ..SupervisorConfig::default()
-            },
-        );
+        let mut sup = SupervisedOtem::new(otem());
         let sink = MemorySink::new();
         let forecast = vec![Watts::new(15_000.0); 4];
         let dt = Seconds::new(1.0);
@@ -655,7 +599,7 @@ mod tests {
 
         // Restore compute headroom; the MPC proves healthy and re-arms.
         assert!(sup.inject(PlantFault::SolverDeadlineNs(None)));
-        for _ in 0..12 {
+        for _ in 0..2 * (INITIAL_BACKOFF + REARM_AFTER) {
             let _ = sup.step_with(Watts::new(15_000.0), &forecast, dt, &sink);
             if sup.is_armed() {
                 break;
@@ -668,7 +612,7 @@ mod tests {
 
     #[test]
     fn healthy_run_never_touches_the_ladder() {
-        let mut sup = SupervisedOtem::with_defaults(otem());
+        let mut sup = SupervisedOtem::new(otem());
         let sink = MemorySink::new();
         let forecast = vec![Watts::new(20_000.0); 4];
         for _ in 0..5 {

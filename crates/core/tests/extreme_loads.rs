@@ -110,7 +110,7 @@ proptest! {
     #[test]
     fn supervised_otem_survives_megawatt_spikes(loads in extreme_loads()) {
         let config = SystemConfig::default();
-        let mut sup = SupervisedOtem::with_defaults(
+        let mut sup = SupervisedOtem::new(
             Otem::with_mpc(&config, tiny_mpc()).unwrap(),
         );
         let dt = Seconds::new(1.0);

@@ -119,9 +119,7 @@ impl VehicleSpec {
         let mpc_horizon = rng.gen_range(6usize..=12);
         // Budget sized for the default adjoint gradient (one taped
         // rollout per gradient, ~2.5 rollouts per iteration with the
-        // line search): 16–32 iterations cost far less than the 8–16
-        // central-FD iterations (4·horizon rollouts per gradient) this
-        // range replaced. Last draw, so no field above depends on it.
+        // line search). Last draw, so no field above depends on it.
         let mpc_iterations = rng.gen_range(16usize..=32);
         Self {
             id,

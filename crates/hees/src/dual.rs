@@ -149,11 +149,9 @@ impl DualHees {
         dt: Seconds,
     ) -> HeesStep {
         let total = load + recharge;
-        let feasible = self.battery.draw_power(total, temperature).or_else(|_| {
-            // Clamp to the peak the pack can deliver right now.
-            let peak = self.battery.max_discharge_power(temperature) * 0.999;
-            self.battery.draw_power(peak.min(total), temperature)
-        });
+        let feasible = self
+            .battery
+            .draw_clamped_at(total, &self.battery.curves(temperature));
         let draw = match feasible {
             Ok(d) => d,
             Err(_) => {

@@ -3,7 +3,9 @@
 
 use crate::error::HeesError;
 use crate::step::HeesStep;
-use otem_battery::{BatteryPack, CellParams, PackConfig, PackCurves, PackSnapshot, PowerDraw};
+use otem_battery::{
+    BatteryPack, CellParams, PackConfig, PackCurves, PackSnapshot, PowerDraw, PEAK_DRAW_MARGIN,
+};
 use otem_converter::DcDcConverter;
 use otem_ultracap::{CapDraw, UltracapBank, UltracapParams};
 use otem_units::{Farads, Kelvin, Ratio, Seconds, Volts, Watts};
@@ -294,31 +296,6 @@ impl HybridHees {
         self.cap.set_soe(snapshot.soe);
     }
 
-    /// Largest bus-side power the battery path can deliver right now.
-    pub fn battery_bus_limit(&self, temperature: Kelvin) -> Watts {
-        let storage_peak = self.battery.max_discharge_power(temperature);
-        // Conversion shrinks what arrives on the bus; approximate with
-        // the efficiency at the peak.
-        let v = self.battery.open_circuit_voltage();
-        match self.battery_converter.efficiency(storage_peak, v) {
-            Ok(eta) => storage_peak * eta,
-            Err(_) => Watts::ZERO,
-        }
-    }
-
-    /// Largest bus-side power the ultracapacitor path can deliver right
-    /// now.
-    pub fn cap_bus_limit(&self) -> Watts {
-        let storage_peak = self.cap.max_discharge_power();
-        match self
-            .cap_converter
-            .efficiency(storage_peak, self.cap.voltage())
-        {
-            Ok(eta) => storage_peak * eta,
-            Err(_) => Watts::ZERO,
-        }
-    }
-
     /// Executes one control period. Each leg clamps independently to its
     /// feasibility envelope; the clamped remainder shows up as
     /// [`HeesStep::shortfall`] relative to the commanded net.
@@ -396,14 +373,7 @@ impl HybridHees {
             };
             match storage_request {
                 Ok(storage_power) => {
-                    let draw = self
-                        .battery
-                        .draw_power_at(storage_power, &curves)
-                        .or_else(|_| {
-                            let peak = self.battery.max_discharge_power_at(&curves) * 0.999;
-                            self.battery.draw_power_at(peak.min(storage_power), &curves)
-                        });
-                    match draw {
+                    match self.battery.draw_clamped_at(storage_power, &curves) {
                         Ok(d) => {
                             // Bus power actually achieved on this leg (a
                             // pure function of the resolved draw — safe
@@ -589,10 +559,10 @@ impl HybridHees {
                 (g_bus, g_v * dp.dvoc, 0.0)
             }
         } else {
-            // Fallback drew 99.9 % of the SoC/temperature-dependent peak;
-            // the bus command no longer reaches the pack.
+            // Fallback drew PEAK_DRAW_MARGIN of the SoC/temperature-
+            // dependent peak; the bus command no longer reaches the pack.
             let (dpk_soc, dpk_t) = self.battery.max_discharge_power_partials_at(curves);
-            (0.0, 0.999 * dpk_soc, 0.999 * dpk_t)
+            (0.0, PEAK_DRAW_MARGIN * dpk_soc, PEAK_DRAW_MARGIN * dpk_t)
         };
         let chain = |row: [f64; 3]| -> [f64; 3] {
             [
@@ -1056,16 +1026,6 @@ mod tests {
             1.0,
             "cap clamped at depletion guard",
         );
-    }
-
-    #[test]
-    fn bus_limits_are_positive_and_ordered() {
-        let h = hees();
-        assert!(h.battery_bus_limit(room()).value() > 100_000.0);
-        assert!(h.cap_bus_limit().value() > 10_000.0);
-        let mut depleted = hees();
-        depleted.set_state(Ratio::ONE, Ratio::new(0.01));
-        assert!(depleted.cap_bus_limit() < h.cap_bus_limit());
     }
 
     /// The forward step as it read before prepared curves: every

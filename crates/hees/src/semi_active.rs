@@ -231,10 +231,9 @@ impl SemiActiveHees {
         temperature: Kelvin,
         dt: Seconds,
     ) -> (Watts, Watts, f64, Watts) {
-        let draw = self.battery.draw_power(power, temperature).or_else(|_| {
-            let peak = self.battery.max_discharge_power(temperature) * 0.999;
-            self.battery.draw_power(peak.min(power), temperature)
-        });
+        let draw = self
+            .battery
+            .draw_clamped_at(power, &self.battery.curves(temperature));
         match draw {
             Ok(d) => {
                 self.battery.integrate(d, dt);

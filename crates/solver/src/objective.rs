@@ -4,11 +4,10 @@ use serde::{Deserialize, Serialize};
 
 /// How the MPC evaluates the gradient of its rollout objective — the
 /// `mode` label on solve-outcome telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GradientMode {
     /// Central finite differences, one coordinate at a time (`2·n`
     /// objective evaluations per gradient) — the test oracle.
-    #[default]
     Serial,
     /// Reverse-mode (adjoint) analytic gradient: one taped forward
     /// rollout plus one backward sweep, independent of the decision

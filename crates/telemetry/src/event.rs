@@ -396,14 +396,6 @@ impl Event {
         }
         out.push('}');
     }
-
-    /// The event as one JSON line (convenience over
-    /// [`Event::write_json`]).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        self.write_json(&mut s);
-        s
-    }
 }
 
 /// Writes `,"name":value` with non-finite values encoded as `null`.
@@ -448,6 +440,12 @@ pub fn write_json_string(out: &mut String, s: &str) {
 mod tests {
     use super::*;
 
+    fn json(e: &Event) -> String {
+        let mut out = String::new();
+        e.write_json(&mut out);
+        out
+    }
+
     #[test]
     fn kinds_are_stable() {
         assert_eq!(Event::PoolHit.kind(), "pool_hit");
@@ -477,11 +475,11 @@ mod tests {
             step: 0.5,
         };
         assert_eq!(
-            e.to_json(),
+            json(&e),
             "{\"event\":\"solver_iteration\",\"iteration\":3,\"value\":12.5,\
              \"residual\":0.001,\"step\":0.5}"
         );
-        assert_eq!(Event::PoolHit.to_json(), "{\"event\":\"pool_hit\"}");
+        assert_eq!(json(&Event::PoolHit), "{\"event\":\"pool_hit\"}");
     }
 
     #[test]
@@ -493,7 +491,7 @@ mod tests {
         };
         assert_eq!(e.kind(), "solve_outcome");
         assert_eq!(
-            e.to_json(),
+            json(&e),
             "{\"event\":\"solve_outcome\",\"outcome\":\"deadline_reached\",\
              \"mode\":\"adjoint\",\"iterations\":7}"
         );
@@ -507,7 +505,7 @@ mod tests {
         };
         assert_eq!(e.kind(), "request_started");
         assert_eq!(
-            e.to_json(),
+            json(&e),
             "{\"event\":\"request_started\",\"request_id\":12,\"route\":\"/simulate\"}"
         );
         let e = Event::VehicleStarted {
@@ -516,7 +514,7 @@ mod tests {
         };
         assert_eq!(e.kind(), "vehicle_started");
         assert_eq!(
-            e.to_json(),
+            json(&e),
             "{\"event\":\"vehicle_started\",\"request_id\":12,\"vehicle\":4}"
         );
     }
@@ -524,13 +522,13 @@ mod tests {
     #[test]
     fn non_finite_floats_encode_as_null() {
         let e = Event::GradientEval { dim: 4 };
-        assert_eq!(e.to_json(), "{\"event\":\"gradient_eval\",\"dim\":4}");
+        assert_eq!(json(&e), "{\"event\":\"gradient_eval\",\"dim\":4}");
         let bad = Event::CoolingToggle {
             on: true,
             battery_temp_k: f64::NAN,
         };
         assert_eq!(
-            bad.to_json(),
+            json(&bad),
             "{\"event\":\"cooling_toggle\",\"on\":true,\"battery_temp_k\":null}"
         );
     }
@@ -538,35 +536,31 @@ mod tests {
     #[test]
     fn degradation_events_encode_kind_and_fields() {
         assert_eq!(
-            Event::FaultInjected {
+            json(&Event::FaultInjected {
                 step: 42,
                 fault: "forecast_nan",
-            }
-            .to_json(),
+            }),
             "{\"event\":\"fault_injected\",\"step\":42,\"fault\":\"forecast_nan\"}"
         );
         assert_eq!(
-            Event::DecisionRejected {
+            json(&Event::DecisionRejected {
                 step: 43,
                 reason: "non_finite_cost",
-            }
-            .to_json(),
+            }),
             "{\"event\":\"decision_rejected\",\"step\":43,\"reason\":\"non_finite_cost\"}"
         );
         assert_eq!(
-            Event::FallbackEngaged {
+            json(&Event::FallbackEngaged {
                 step: 43,
                 backoff_steps: 5,
-            }
-            .to_json(),
+            }),
             "{\"event\":\"fallback_engaged\",\"step\":43,\"backoff_steps\":5}"
         );
         assert_eq!(
-            Event::MpcRearmed {
+            json(&Event::MpcRearmed {
                 step: 48,
                 healthy_steps: 5,
-            }
-            .to_json(),
+            }),
             "{\"event\":\"mpc_rearmed\",\"step\":48,\"healthy_steps\":5}"
         );
         assert_eq!(
@@ -606,27 +600,25 @@ mod tests {
     #[test]
     fn serving_layer_events_encode_kind_and_fields() {
         assert_eq!(
-            Event::RequestShed {
+            json(&Event::RequestShed {
                 queued: 64,
                 retry_after_ms: 100,
-            }
-            .to_json(),
+            }),
             "{\"event\":\"request_shed\",\"queued\":64,\"retry_after_ms\":100}"
         );
         assert_eq!(
-            Event::RequestTimeout { after_ms: 250.5 }.to_json(),
+            json(&Event::RequestTimeout { after_ms: 250.5 }),
             "{\"event\":\"request_timeout\",\"after_ms\":250.5}"
         );
         assert_eq!(
-            Event::PanicCaught { context: "vehicle" }.to_json(),
+            json(&Event::PanicCaught { context: "vehicle" }),
             "{\"event\":\"panic_caught\",\"context\":\"vehicle\"}"
         );
         assert_eq!(
-            Event::DrainStarted {
+            json(&Event::DrainStarted {
                 in_flight: 3,
                 queued: 2,
-            }
-            .to_json(),
+            }),
             "{\"event\":\"drain_started\",\"in_flight\":3,\"queued\":2}"
         );
         assert_eq!(
@@ -666,7 +658,7 @@ mod tests {
         };
         assert_eq!(start.kind(), "span_start");
         assert_eq!(
-            start.to_json(),
+            json(&start),
             "{\"event\":\"span_start\",\"id\":7,\"parent\":3,\
              \"name\":\"mpc_solve\",\"lane\":2,\"t_ns\":1500}"
         );
@@ -679,7 +671,7 @@ mod tests {
         };
         assert_eq!(end.kind(), "span_end");
         assert_eq!(
-            end.to_json(),
+            json(&end),
             "{\"event\":\"span_end\",\"id\":7,\"name\":\"mpc_solve\",\
              \"lane\":2,\"t_ns\":2500,\"dur_ns\":1000}"
         );
@@ -692,7 +684,7 @@ mod tests {
             reason: "quote \" back \\ slash",
         };
         assert_eq!(
-            e.to_json(),
+            json(&e),
             "{\"event\":\"decision_rejected\",\"step\":1,\
              \"reason\":\"quote \\\" back \\\\ slash\"}"
         );
@@ -701,7 +693,7 @@ mod tests {
             fault: "tab\there\nnewline\u{1}ctl",
         };
         assert_eq!(
-            e.to_json(),
+            json(&e),
             "{\"event\":\"fault_injected\",\"step\":2,\
              \"fault\":\"tab\\there\\nnewline\\u0001ctl\"}"
         );
@@ -732,7 +724,7 @@ mod tests {
             soc: 0.93,
             soe: 0.41,
         };
-        let json = e.to_json();
+        let line = json(&e);
         for key in [
             "\"step\":7",
             "\"load_w\":20000",
@@ -743,7 +735,7 @@ mod tests {
             "\"soc\":0.93",
             "\"soe\":0.41",
         ] {
-            assert!(json.contains(key), "{json} missing {key}");
+            assert!(line.contains(key), "{line} missing {key}");
         }
     }
 }

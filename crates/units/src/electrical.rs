@@ -61,14 +61,6 @@ impl AmpHours {
     }
 }
 
-impl Coulombs {
-    /// Converts to ampere-hours.
-    #[inline]
-    pub fn to_amp_hours(self) -> AmpHours {
-        AmpHours::from_coulombs(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,9 +87,9 @@ mod tests {
     fn charge_conversions() {
         let q = AmpHours::new(3.1);
         assert_eq!(q.to_coulombs(), Coulombs::new(11_160.0));
-        assert_eq!(q.to_coulombs().to_amp_hours(), q);
+        assert_eq!(AmpHours::from_coulombs(q.to_coulombs()), q);
         let c: Coulombs = Amps::new(2.0) * Seconds::new(1800.0);
-        assert_eq!(c.to_amp_hours(), AmpHours::new(1.0));
+        assert_eq!(AmpHours::from_coulombs(c), AmpHours::new(1.0));
     }
 
     #[test]

@@ -21,14 +21,6 @@ quantity! {
 
 dimension_mul!(commute Watts * Seconds = Joules);
 
-impl Watts {
-    /// Converts to kilowatts.
-    #[inline]
-    pub fn to_kilowatts(self) -> Kilowatts {
-        Kilowatts::new(self.value() / 1000.0)
-    }
-}
-
 impl Kilowatts {
     /// Converts to watts.
     #[inline]
@@ -50,12 +42,6 @@ impl Joules {
     pub fn to_watt_hours(self) -> f64 {
         self.value() / 3600.0
     }
-
-    /// Builds from watt-hours.
-    #[inline]
-    pub fn from_watt_hours(wh: f64) -> Self {
-        Self::new(wh * 3600.0)
-    }
 }
 
 #[cfg(test)]
@@ -72,14 +58,11 @@ mod tests {
 
     #[test]
     fn kilowatt_round_trip() {
-        let p = Watts::new(75_000.0);
-        assert_eq!(p.to_kilowatts(), Kilowatts::new(75.0));
-        assert_eq!(Watts::from(p.to_kilowatts()), p);
+        assert_eq!(Watts::from(Kilowatts::new(75.0)), Watts::new(75_000.0));
     }
 
     #[test]
     fn watt_hours() {
         assert_eq!(Joules::new(7200.0).to_watt_hours(), 2.0);
-        assert_eq!(Joules::from_watt_hours(1.0), Joules::new(3600.0));
     }
 }

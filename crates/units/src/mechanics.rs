@@ -51,18 +51,6 @@ impl MetersPerSecond {
     pub fn to_kmh(self) -> f64 {
         self.value() * 3.6
     }
-
-    /// Builds from miles per hour (EPA cycles are specified in mph).
-    #[inline]
-    pub fn from_mph(mph: f64) -> Self {
-        Self::new(mph * 0.447_04)
-    }
-
-    /// Converts to miles per hour.
-    #[inline]
-    pub fn to_mph(self) -> f64 {
-        self.value() / 0.447_04
-    }
 }
 
 #[cfg(test)]
@@ -91,8 +79,5 @@ mod tests {
     fn speed_conversions() {
         assert!((MetersPerSecond::from_kmh(36.0).value() - 10.0).abs() < 1e-12);
         assert!((MetersPerSecond::new(10.0).to_kmh() - 36.0).abs() < 1e-12);
-        let sixty = MetersPerSecond::from_mph(60.0);
-        assert!((sixty.to_mph() - 60.0).abs() < 1e-12);
-        assert!((sixty.value() - 26.8224).abs() < 1e-9);
     }
 }

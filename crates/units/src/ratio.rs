@@ -37,7 +37,7 @@ impl Ratio {
 
     /// Builds a ratio, clamping the input into `[0, 1]`. NaN becomes 0.
     #[inline]
-    pub fn new(value: f64) -> Self {
+    pub const fn new(value: f64) -> Self {
         if value.is_nan() {
             Self(0.0)
         } else {
@@ -47,7 +47,7 @@ impl Ratio {
 
     /// Builds from a percentage (`85.0` → `0.85`), clamping to `[0, 1]`.
     #[inline]
-    pub fn from_percent(percent: f64) -> Self {
+    pub const fn from_percent(percent: f64) -> Self {
         Self::new(percent / 100.0)
     }
 
@@ -67,14 +67,6 @@ impl Ratio {
     #[inline]
     pub fn saturating_add(self, delta: f64) -> Self {
         Self::new(self.0 + delta)
-    }
-
-    /// Linear interpolation between `self` and `other` at parameter `t`
-    /// (itself clamped to `[0, 1]`).
-    #[inline]
-    pub fn lerp(self, other: Self, t: f64) -> Self {
-        let t = t.clamp(0.0, 1.0);
-        Self::new(self.0 + (other.0 - self.0) * t)
     }
 }
 
@@ -153,17 +145,6 @@ mod tests {
         let dc = Ratio::new(0.95);
         let motor = Ratio::new(0.9);
         assert!(((dc * motor).value() - 0.855).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Ratio::new(0.2);
-        let b = Ratio::new(0.8);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert!((a.lerp(b, 0.5).value() - 0.5).abs() < 1e-12);
-        // t outside [0,1] clamps
-        assert_eq!(a.lerp(b, 5.0), b);
     }
 
     #[test]

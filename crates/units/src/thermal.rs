@@ -53,7 +53,7 @@ impl Kelvin {
 
     /// Builds from degrees Celsius.
     #[inline]
-    pub fn from_celsius(celsius: f64) -> Self {
+    pub const fn from_celsius(celsius: f64) -> Self {
         Self::new(celsius - Self::ABSOLUTE_ZERO_CELSIUS)
     }
 

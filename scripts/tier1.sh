@@ -30,8 +30,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Benchmark build gate: perfbench is a workspace of its own, so no step
 # above compiles it; a public-API change that breaks the benchmark must
-# fail here rather than only in the benchmark run.
-echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# fail here rather than only in the benchmark run. `--locked` makes a
+# dependency change in any crate the benchmark builds fail here instead
+# of silently rewriting perfbench/Cargo.lock.
+echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "tier-1: all green"

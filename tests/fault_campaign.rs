@@ -9,8 +9,8 @@
 
 use otem_repro::control::mpc::MpcConfig;
 use otem_repro::control::policy::Otem;
-use otem_repro::control::supervisor::{validate_decision, validate_state};
-use otem_repro::control::{Simulator, SupervisedOtem, SupervisorConfig, SystemConfig};
+use otem_repro::control::supervisor::{validate_decision, validate_state, TEMP_HARD_MAX};
+use otem_repro::control::{Simulator, SupervisedOtem, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_repro::faults::{FaultKind, FaultPlan, FaultedController};
 use otem_repro::solver::SolverOutcome;
@@ -87,11 +87,7 @@ fn unsupervised_mpc_produces_rejectable_decisions_under_corrupted_forecast() {
 #[test]
 fn supervised_otem_completes_the_fault_campaign_with_bounded_state() {
     let config = SystemConfig::stress_rig();
-    let supervisor_config = SupervisorConfig::default();
-    let supervised = SupervisedOtem::new(
-        Otem::with_mpc(&config, campaign_mpc()).expect("valid"),
-        supervisor_config,
-    );
+    let supervised = SupervisedOtem::new(Otem::with_mpc(&config, campaign_mpc()).expect("valid"));
     let mut harness = FaultedController::new(supervised, campaign_plan());
 
     let sink = MemorySink::new();
@@ -102,14 +98,14 @@ fn supervised_otem_completes_the_fault_campaign_with_bounded_state() {
     assert_eq!(result.records.len(), STEPS);
     for (step, rec) in result.records.iter().enumerate() {
         assert!(
-            validate_state(&rec.state, &supervisor_config).is_ok(),
+            validate_state(&rec.state).is_ok(),
             "step {step}: state left the validated envelope: {:?}",
             rec.state
         );
         assert!(rec.hees.delivered.is_finite(), "step {step}");
         assert!(rec.cooling_power.is_finite(), "step {step}");
         assert!(
-            rec.state.battery_temp < supervisor_config.temp_hard_max,
+            rec.state.battery_temp < TEMP_HARD_MAX,
             "step {step}: battery temperature ran away"
         );
     }
@@ -179,7 +175,7 @@ fn degraded_span_ns(sink: &MemorySink) -> u64 {
 fn nominal_supervised_run_accumulates_zero_degraded_time() {
     let config = SystemConfig::stress_rig();
     let mut supervised =
-        SupervisedOtem::with_defaults(Otem::with_mpc(&config, campaign_mpc()).expect("valid"));
+        SupervisedOtem::new(Otem::with_mpc(&config, campaign_mpc()).expect("valid"));
     let trace = PowerTrace::new(Seconds::new(1.0), rig_trace().window(0, 30));
 
     let sink = MemorySink::new();
@@ -214,7 +210,7 @@ fn fault_campaign_is_deterministic() {
     let mut runs = Vec::new();
     for _ in 0..2 {
         let supervised =
-            SupervisedOtem::with_defaults(Otem::with_mpc(&config, campaign_mpc()).expect("valid"));
+            SupervisedOtem::new(Otem::with_mpc(&config, campaign_mpc()).expect("valid"));
         let mut harness = FaultedController::new(supervised, campaign_plan());
         runs.push(Simulator::new(&config).run(&mut harness, &trace));
     }

@@ -1,6 +1,6 @@
 //! Pins the fleet engine's campaign checksum to a fixed value.
 //!
-//! The schedule-determinism tests only prove that serial, static and
+//! The schedule-determinism tests only prove that serial and
 //! work-stealing runs agree with *each other*, so a change to the plant
 //! step that moved every vehicle's record stream would still pass them.
 //! This test pins the absolute XOR-folded per-vehicle checksum of a

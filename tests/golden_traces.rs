@@ -17,9 +17,11 @@
 //! git diff tests/golden/
 //! ```
 
+use otem_repro::control::mpc::MpcConfig;
 use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem_repro::control::{Controller, SimulationResult, Simulator, SupervisedOtem, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
+use otem_repro::solver::GradientMode;
 use otem_repro::units::Seconds;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -196,39 +198,18 @@ fn golden_dual() {
     check("dual", &mut c);
 }
 
-/// Production OTEM (`MpcConfig::default()`, the adjoint gradient).
+/// Production OTEM (`MpcConfig::default()`, the adjoint gradient). The
+/// default mode is asserted, so the reverse-mode sweep stays frozen
+/// against `tests/golden/otem.csv` even if the default moves.
 #[test]
 fn golden_otem() {
+    assert_eq!(MpcConfig::default().gradient_mode, GradientMode::Adjoint);
     let config = SystemConfig::stress_rig();
     let mut c = Otem::new(&config).expect("valid");
     check("otem", &mut c);
 }
 
-/// The adjoint gradient's own closed-loop pin: the mode is named
-/// explicitly, so the reverse-mode sweep stays frozen against
-/// `tests/golden/otem.csv` even if the production default moves to
-/// another gradient mode.
-#[test]
-fn golden_otem_adjoint() {
-    use otem_repro::control::mpc::MpcConfig;
-    use otem_repro::solver::GradientMode;
-
-    let config = SystemConfig::stress_rig();
-    let mut c = Otem::with_mpc(
-        &config,
-        MpcConfig {
-            gradient_mode: GradientMode::Adjoint,
-            ..MpcConfig::default()
-        },
-    )
-    .expect("valid");
-    check("otem", &mut c);
-}
-
 fn fd_otem() -> Otem {
-    use otem_repro::control::mpc::MpcConfig;
-    use otem_repro::solver::GradientMode;
-
     let config = SystemConfig::stress_rig();
     Otem::with_mpc(
         &config,
@@ -321,7 +302,7 @@ fn golden_otem_supervised_is_bit_identical_on_nominal_route() {
     let mut plain = Otem::new(&config).expect("valid");
     let baseline = Simulator::new(&config).run(&mut plain, &trace);
 
-    let mut supervised = SupervisedOtem::with_defaults(Otem::new(&config).expect("valid"));
+    let mut supervised = SupervisedOtem::new(Otem::new(&config).expect("valid"));
     let sink = MemorySink::new();
     let result = Simulator::new(&config).run_with(&mut supervised, &trace, &sink);
 
