@@ -142,7 +142,6 @@ impl Default for AgingParams {
 pub struct AgingModel {
     params: AgingParams,
     cumulative_loss: f64,
-    elapsed: Seconds,
 }
 
 impl AgingModel {
@@ -155,7 +154,6 @@ impl AgingModel {
         Self {
             params,
             cumulative_loss: 0.0,
-            elapsed: Seconds::ZERO,
         }
     }
 
@@ -169,18 +167,12 @@ impl AgingModel {
     pub fn accumulate(&mut self, temperature: Kelvin, c_rate: f64, dt: Seconds) -> f64 {
         let delta = self.params.loss_rate(temperature, c_rate) * dt.value();
         self.cumulative_loss += delta;
-        self.elapsed += dt;
         delta
     }
 
     /// Total capacity-loss fraction so far.
     pub fn cumulative_loss(&self) -> f64 {
         self.cumulative_loss
-    }
-
-    /// Simulated time integrated so far.
-    pub fn elapsed(&self) -> Seconds {
-        self.elapsed
     }
 }
 
@@ -247,7 +239,9 @@ mod tests {
         }
         assert!(total > 0.0);
         assert!((aging.cumulative_loss() - total).abs() < 1e-15);
-        assert_eq!(aging.elapsed(), Seconds::new(3600.0));
+        // Constant conditions: the loss is the rate times the elapsed hour.
+        let hour = aging.params().loss_rate(t(35.0), 1.2) * 3600.0;
+        assert!((total - hour).abs() < 1e-12 * hour, "{total} vs {hour}");
     }
 
     #[test]

@@ -19,12 +19,11 @@
 //! to FD; its correctness contract lives in `tests/gradient_parity.rs`
 //! and `tests/golden_traces.rs`.
 
-use otem::mpc::{Mpc, MpcConfig, MpcPlant};
+use otem::mpc::{GradientMode, Mpc, MpcConfig, MpcPlant};
 use otem::SystemConfig;
 use otem_fleet::protocol::outcomes_json;
 use otem_fleet::SolveOutcomes;
 use otem_hees::HybridHees;
-use otem_solver::GradientMode;
 use otem_telemetry::{Event, JsonlSink, MetricsRegistry, RegistrySnapshot, Sink, Tee};
 use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};

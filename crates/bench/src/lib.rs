@@ -2,18 +2,19 @@
 //! tables and figures.
 //!
 //! Each binary in `src/bin/` reproduces one exhibit (see DESIGN.md §4);
-//! this library holds the common pieces: building controllers by
-//! methodology name, running them over standard cycles, and formatting
-//! the result tables.
+//! this library holds the common pieces: the standard configurations
+//! and traces, and running a [`Methodology`] (the fleet's methodology
+//! table) over them.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod plot;
 
-use otem::policy::{ActiveCooling, Dual, Otem, Parallel};
-use otem::{Controller, OtemError, SimulationResult, Simulator, SystemConfig};
+use otem::mpc::MpcConfig;
+use otem::{OtemError, SimulationResult, Simulator, SystemConfig};
 use otem_drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
+pub use otem_fleet::Methodology;
 use otem_telemetry::Sink;
 use otem_units::{Farads, Kelvin};
 
@@ -52,53 +53,6 @@ pub fn stress_trace(cycle: StandardCycle, repeats: usize) -> Result<PowerTrace, 
     Ok(train.power_trace(&c))
 }
 
-/// The four methodologies of the paper's comparison (Section IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Methodology {
-    /// Parallel architecture, no management \[15\].
-    Parallel,
-    /// Battery-only with thermostatic active cooling \[25\].
-    ActiveCooling,
-    /// Dual architecture with temperature-threshold switching \[16\].
-    Dual,
-    /// The paper's contribution.
-    Otem,
-}
-
-impl Methodology {
-    /// All methodologies in the paper's reporting order.
-    pub const ALL: [Methodology; 4] = [
-        Methodology::Parallel,
-        Methodology::ActiveCooling,
-        Methodology::Dual,
-        Methodology::Otem,
-    ];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Parallel => "Parallel",
-            Self::ActiveCooling => "ActiveCooling",
-            Self::Dual => "Dual",
-            Self::Otem => "OTEM",
-        }
-    }
-
-    /// Builds the controller for this methodology.
-    ///
-    /// # Errors
-    ///
-    /// Propagates component validation errors.
-    pub fn controller(self, config: &SystemConfig) -> Result<Box<dyn Controller>, OtemError> {
-        Ok(match self {
-            Self::Parallel => Box::new(Parallel::new(config)?),
-            Self::ActiveCooling => Box::new(ActiveCooling::new(config)?),
-            Self::Dual => Box::new(Dual::new(config)?),
-            Self::Otem => Box::new(Otem::new(config)?),
-        })
-    }
-}
-
 /// Builds the power-request trace for a standard cycle with the default
 /// vehicle, repeated `repeats` times.
 ///
@@ -121,7 +75,7 @@ pub fn run(
     config: &SystemConfig,
     trace: &PowerTrace,
 ) -> Result<SimulationResult, OtemError> {
-    let mut controller = methodology.controller(config)?;
+    let mut controller = methodology.controller(config, MpcConfig::default(), None)?;
     Ok(Simulator::new(config).run(controller.as_mut(), trace))
 }
 
@@ -140,7 +94,7 @@ pub fn run_with(
     trace: &PowerTrace,
     sink: &dyn Sink,
 ) -> Result<SimulationResult, OtemError> {
-    let mut controller = methodology.controller(config)?;
+    let mut controller = methodology.controller(config, MpcConfig::default(), None)?;
     Ok(Simulator::new(config).run_with(controller.as_mut(), trace, sink))
 }
 
@@ -153,7 +107,7 @@ mod tests {
     fn all_methodologies_build() {
         let config = SystemConfig::default();
         for m in Methodology::ALL {
-            m.controller(&config)
+            m.controller(&config, MpcConfig::default(), None)
                 .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
         }
     }

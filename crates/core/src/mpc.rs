@@ -26,8 +26,7 @@ use crate::adjoint::{StageConstants, StageDerivatives, StageRecord};
 use otem_battery::AgingParams;
 use otem_hees::{HeesSnapshot, HybridHees};
 use otem_solver::{
-    Bounds, Deadline, GradientMode, NumericalGradient, Objective, ProjectedGradient, Solution,
-    SolverOutcome,
+    Bounds, Deadline, NumericalGradient, Objective, ProjectedGradient, Solution, SolverOutcome,
 };
 pub use otem_solver::{Clock, MonotonicClock, VirtualClock};
 use otem_telemetry::{span, Event, NullSink, Sink};
@@ -36,6 +35,32 @@ use otem_units::{Ratio, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
+
+/// How the MPC evaluates the gradient of its rollout objective — the
+/// `mode` label on solve-outcome telemetry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum GradientMode {
+    /// Central finite differences, one coordinate at a time (`2·n`
+    /// objective evaluations per gradient) — the test oracle.
+    Serial,
+    /// Reverse-mode (adjoint) analytic gradient: one taped forward
+    /// rollout plus one backward sweep, independent of the decision
+    /// dimension — `O(1)` objective evaluations per gradient instead of
+    /// the `O(n)` finite differences need.
+    Adjoint,
+}
+
+impl GradientMode {
+    /// Stable snake_case mode name — the `mode` label on solve-outcome
+    /// telemetry and the `otem_solve_outcome_total{mode,outcome}`
+    /// metric family.
+    pub const fn name(&self) -> &'static str {
+        match self {
+            GradientMode::Serial => "serial",
+            GradientMode::Adjoint => "adjoint",
+        }
+    }
+}
 
 /// Tuning of the OTEM optimisation: the horizon, the studied Eq. 19
 /// trade-off weight and the solve budget. The other weights and the
@@ -127,14 +152,6 @@ pub struct MpcDecision {
     pub outcome: SolverOutcome,
 }
 
-impl MpcDecision {
-    /// Whether the solver met tolerance (legacy convenience over
-    /// [`MpcDecision::outcome`]).
-    pub fn converged(&self) -> bool {
-        self.outcome == SolverOutcome::Converged
-    }
-}
-
 /// The receding-horizon optimiser (Algorithm 1 lines 13–14).
 #[derive(Debug, Clone)]
 pub struct Mpc {
@@ -182,7 +199,6 @@ impl Mpc {
         let solver = ProjectedGradient {
             max_iterations: config.solver_iterations,
             tolerance: 1e-5,
-            ..ProjectedGradient::default()
         };
         let n = config.horizon;
         let mut lower = vec![-1.0; n];
@@ -219,11 +235,6 @@ impl Mpc {
     /// degradation mode the supervisor must detect.
     pub fn set_iteration_cap(&mut self, cap: Option<usize>) {
         self.iteration_cap = cap;
-    }
-
-    /// The currently active iteration cap, if any.
-    pub fn iteration_cap(&self) -> Option<usize> {
-        self.iteration_cap
     }
 
     /// Tightens the per-solve deadline below the configured
@@ -839,10 +850,10 @@ mod tests {
 
         // Reference: plain finite differences over the public clone-based
         // rollout_cost — the workspace path must reproduce it bit-for-bit.
-        let reference_f =
-            otem_solver::FnObjective::new(|zz: &[f64]| rollout_cost(&p, &loads, dt, &cfg, zz));
         let mut reference = vec![0.0; dim];
-        NumericalGradient::central(&reference_f, &z, &mut reference);
+        NumericalGradient::central_with(&mut z.clone(), &mut reference, |zz| {
+            rollout_cost(&p, &loads, dt, &cfg, zz)
+        });
 
         let mut serial = vec![0.0; dim];
         objective.gradient(&z, &mut serial);
@@ -994,11 +1005,9 @@ mod tests {
             ..MpcConfig::default()
         });
         mpc.set_iteration_cap(Some(0));
-        assert_eq!(mpc.iteration_cap(), Some(0));
         let starved = mpc.solve(&p, &loads, Seconds::new(1.0));
         assert_eq!(starved.iterations, 0);
         assert_eq!(starved.outcome, SolverOutcome::BudgetExhausted);
-        assert!(!starved.converged());
 
         // Lifting the cap restores the configured budget.
         mpc.set_iteration_cap(None);

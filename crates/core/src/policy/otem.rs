@@ -6,12 +6,9 @@ use crate::config::SystemConfig;
 use crate::controller::{Controller, PlantFault, StepRecord, SystemState};
 use crate::error::OtemError;
 use crate::mpc::{Mpc, MpcConfig, MpcDecision, MpcPlant};
-use otem_battery::BatteryPack;
-use otem_converter::DcDcConverter;
 use otem_hees::{HybridCommand, HybridHees};
 use otem_telemetry::{span, Event, NullSink, Sink};
 use otem_thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
-use otem_ultracap::UltracapParams;
 use otem_units::{Kelvin, Seconds, Watts};
 
 /// The OTEM controller: hybrid (DC-bus) HEES + active cooling, jointly
@@ -66,16 +63,8 @@ impl Otem {
                 constraint: "≥ 1 step",
             });
         }
-        let battery = BatteryPack::new(config.cell.clone(), config.pack)?;
-        let mut hees = HybridHees::new(
-            battery,
-            UltracapParams::paper_bank(config.capacitance),
-            DcDcConverter::battery_side(),
-            DcDcConverter::ultracap_side(),
-        )?;
-        hees.set_state(config.initial_soc, config.initial_soe);
         Ok(Self {
-            hees,
+            hees: config.hybrid_plant()?,
             thermal: ThermalModel::new(config.thermal_active)?,
             plant: CoolingPlant::new(config.plant)?,
             state: ThermalState::uniform(config.ambient),
@@ -86,11 +75,6 @@ impl Otem {
             sensor_bias_k: 0.0,
             loads: Vec::with_capacity(mpc_config.horizon),
         })
-    }
-
-    /// The MPC tuning in use.
-    pub fn mpc_config(&self) -> &MpcConfig {
-        self.mpc.config()
     }
 
     /// The system configuration this controller was built from (the

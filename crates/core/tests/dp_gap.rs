@@ -7,14 +7,15 @@
 //! lifetime weighting) costs in energy terms.
 //!
 //! The bound is checked for the production gradient mode and for the
-//! central finite-difference oracle.
+//! central finite-difference oracle, on the default configuration and
+//! on the stress rig. Both land slightly *below* the plan (see the
+//! `planner` module doc), inside the 0.93× lower bound.
 
-use otem::mpc::MpcConfig;
+use otem::mpc::{GradientMode, MpcConfig};
 use otem::planner::{plan_split, PlannerConfig};
 use otem::policy::Otem;
 use otem::{Simulator, SystemConfig};
 use otem_drivecycle::PowerTrace;
-use otem_solver::GradientMode;
 use otem_units::{Seconds, Watts};
 
 fn pulsed_trace() -> PowerTrace {
@@ -27,14 +28,17 @@ fn pulsed_trace() -> PowerTrace {
     PowerTrace::new(Seconds::new(1.0), samples)
 }
 
-/// Runs energy-only OTEM under `gradient_mode` and asserts its HEES
-/// energy lands between 0.93× and 1.25× of the clairvoyant DP plan.
-fn assert_within_reach_of_the_clairvoyant_bound(gradient_mode: GradientMode) {
-    let config = SystemConfig::default();
+/// Runs energy-only OTEM under `gradient_mode` on `config` and asserts
+/// its HEES energy lands between 0.93× and 1.25× of the clairvoyant DP
+/// plan.
+fn assert_within_reach_of_the_clairvoyant_bound(
+    config: &SystemConfig,
+    gradient_mode: GradientMode,
+) {
     let trace = pulsed_trace();
 
     let plan = plan_split(
-        &config,
+        config,
         &trace,
         &PlannerConfig {
             soe_levels: 21,
@@ -51,9 +55,14 @@ fn assert_within_reach_of_the_clairvoyant_bound(gradient_mode: GradientMode) {
         gradient_mode,
         ..MpcConfig::default()
     };
-    let mut otem = Otem::with_mpc(&config, mpc).expect("controller");
-    let r = Simulator::new(&config).run(&mut otem, &trace);
+    let mut otem = Otem::with_mpc(config, mpc).expect("controller");
+    let r = Simulator::new(config).run(&mut otem, &trace);
     let otem_energy = r.energy().value();
+    println!(
+        "{gradient_mode:?}, {}p pack: OTEM/DP energy {:.4}",
+        config.pack.parallel,
+        otem_energy / plan.energy.value()
+    );
 
     assert!(plan.energy.value() > 0.0);
     // OTEM cannot beat the clairvoyant plan by more than grid noise…
@@ -72,10 +81,14 @@ fn assert_within_reach_of_the_clairvoyant_bound(gradient_mode: GradientMode) {
 
 #[test]
 fn otem_energy_is_within_reach_of_the_clairvoyant_bound() {
-    assert_within_reach_of_the_clairvoyant_bound(MpcConfig::default().gradient_mode);
+    for config in [SystemConfig::default(), SystemConfig::stress_rig()] {
+        assert_within_reach_of_the_clairvoyant_bound(&config, MpcConfig::default().gradient_mode);
+    }
 }
 
 #[test]
 fn fd_oracle_energy_is_within_reach_of_the_clairvoyant_bound() {
-    assert_within_reach_of_the_clairvoyant_bound(GradientMode::Serial);
+    for config in [SystemConfig::default(), SystemConfig::stress_rig()] {
+        assert_within_reach_of_the_clairvoyant_bound(&config, GradientMode::Serial);
+    }
 }

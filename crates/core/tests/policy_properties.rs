@@ -89,8 +89,7 @@ proptest! {
         )
         .unwrap();
 
-        let mut plant = otem_hees::HybridHees::ev_default(config.capacitance).unwrap();
-        plant.set_state(config.initial_soc, config.initial_soe);
+        let mut plant = config.hybrid_plant().unwrap();
         let mut battery_only = 0.0;
         for t in 0..trace.len() {
             let step = plant.step(

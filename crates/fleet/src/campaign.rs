@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The management methodologies a fleet vehicle may run (the paper's
-/// Section IV-B comparison set).
+/// Section IV-B comparison set) — also the exhibits' methodology table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Methodology {
     /// Hard-wired parallel architecture, no management.
@@ -36,6 +36,24 @@ pub enum Methodology {
 }
 
 impl Methodology {
+    /// All methodologies in the paper's reporting order.
+    pub const ALL: [Methodology; 4] = [
+        Methodology::Parallel,
+        Methodology::ActiveCooling,
+        Methodology::Dual,
+        Methodology::Otem,
+    ];
+
+    /// Display name (the exhibits' table labels).
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Parallel => "Parallel",
+            Self::ActiveCooling => "ActiveCooling",
+            Self::Dual => "Dual",
+            Self::Otem => "OTEM",
+        }
+    }
+
     /// Lower-case wire name (used by the serving layer's JSON).
     pub fn wire_name(self) -> &'static str {
         match self {
@@ -54,6 +72,33 @@ impl Methodology {
             "dual" => Self::Dual,
             "otem" => Self::Otem,
             _ => return None,
+        })
+    }
+
+    /// Builds this methodology's controller. `mpc` tunes an OTEM
+    /// controller and `clock`, when given, replaces its solver's
+    /// monotonic time source; the reactive baselines ignore both.
+    ///
+    /// # Errors
+    ///
+    /// Propagates component validation errors.
+    pub fn controller(
+        self,
+        config: &SystemConfig,
+        mpc: MpcConfig,
+        clock: Option<Arc<dyn Clock>>,
+    ) -> Result<Box<dyn Controller>, OtemError> {
+        Ok(match self {
+            Self::Parallel => Box::new(Parallel::new(config)?),
+            Self::ActiveCooling => Box::new(ActiveCooling::new(config)?),
+            Self::Dual => Box::new(Dual::new(config)?),
+            Self::Otem => {
+                let mut otem = Otem::with_mpc(config, mpc)?;
+                if let Some(clock) = clock {
+                    otem.set_solver_clock(clock);
+                }
+                Box::new(otem)
+            }
         })
     }
 }
@@ -169,27 +214,14 @@ impl VehicleSpec {
         config: &SystemConfig,
         clock: Option<Arc<dyn Clock>>,
     ) -> Result<Box<dyn Controller>, OtemError> {
-        let inner: Box<dyn Controller> = match self.methodology {
-            Methodology::Parallel => Box::new(Parallel::new(config)?),
-            Methodology::ActiveCooling => Box::new(ActiveCooling::new(config)?),
-            Methodology::Dual => Box::new(Dual::new(config)?),
-            Methodology::Otem => {
-                let mut otem = Otem::with_mpc(
-                    config,
-                    MpcConfig {
-                        horizon: self.mpc_horizon,
-                        solver_iterations: self.mpc_iterations,
-                        deadline_ns: (self.mpc_deadline_us > 0)
-                            .then(|| self.mpc_deadline_us.saturating_mul(1_000)),
-                        ..MpcConfig::default()
-                    },
-                )?;
-                if let Some(clock) = clock {
-                    otem.set_solver_clock(clock);
-                }
-                Box::new(otem)
-            }
+        let mpc = MpcConfig {
+            horizon: self.mpc_horizon,
+            solver_iterations: self.mpc_iterations,
+            deadline_ns: (self.mpc_deadline_us > 0)
+                .then(|| self.mpc_deadline_us.saturating_mul(1_000)),
+            ..MpcConfig::default()
         };
+        let inner = self.methodology.controller(config, mpc, clock)?;
         Ok(match self.poison_step {
             // The decorator only exists on poisoned vehicles, so the
             // nominal path stays byte-identical to the pre-hook code.
@@ -618,12 +650,7 @@ mod tests {
 
     #[test]
     fn methodology_wire_names_round_trip() {
-        for m in [
-            Methodology::Parallel,
-            Methodology::ActiveCooling,
-            Methodology::Dual,
-            Methodology::Otem,
-        ] {
+        for m in Methodology::ALL {
             assert_eq!(Methodology::from_wire(m.wire_name()), Some(m));
         }
         assert_eq!(Methodology::from_wire("nope"), None);

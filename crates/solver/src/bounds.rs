@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use otem_solver::Bounds;
-/// let b = Bounds::uniform(3, -1.0, 1.0);
+/// let b = Bounds::new(vec![-1.0; 3], vec![1.0; 3]);
 /// let mut x = vec![-5.0, 0.2, 9.0];
 /// b.project(&mut x);
 /// assert_eq!(x, vec![-1.0, 0.2, 1.0]);
@@ -30,16 +30,6 @@ impl Bounds {
             assert!(lo <= hi, "bounds inverted at coordinate {i}: {lo} > {hi}");
         }
         Self { lower, upper }
-    }
-
-    /// The same `[lo, hi]` interval for every coordinate.
-    pub fn uniform(n: usize, lo: f64, hi: f64) -> Self {
-        Self::new(vec![lo; n], vec![hi; n])
-    }
-
-    /// Unbounded box (±∞) of dimension `n`.
-    pub fn unbounded(n: usize) -> Self {
-        Self::new(vec![f64::NEG_INFINITY; n], vec![f64::INFINITY; n])
     }
 
     /// Problem dimension.
@@ -68,13 +58,6 @@ impl Bounds {
             x[i] = x[i].clamp(self.lower[i], self.upper[i]);
         }
     }
-
-    /// `true` when `x` lies inside the box (within `tol`).
-    pub fn contains(&self, x: &[f64], tol: f64) -> bool {
-        x.iter()
-            .zip(self.lower.iter().zip(&self.upper))
-            .all(|(&xi, (&lo, &hi))| xi >= lo - tol && xi <= hi + tol)
-    }
 }
 
 #[cfg(test)]
@@ -90,12 +73,11 @@ mod tests {
         let before = x.clone();
         b.project(&mut x);
         assert_eq!(x, before);
-        assert!(b.contains(&x, 0.0));
     }
 
     #[test]
     fn unbounded_box_is_identity() {
-        let b = Bounds::unbounded(2);
+        let b = Bounds::new(vec![f64::NEG_INFINITY; 2], vec![f64::INFINITY; 2]);
         let mut x = vec![1e300, -1e300];
         b.project(&mut x);
         assert_eq!(x, vec![1e300, -1e300]);

@@ -8,8 +8,10 @@
 //! * [`ProjectedGradient`] — Barzilai–Borwein spectral gradient descent
 //!   projected onto box constraints (the workhorse for the MPC's
 //!   single-shooting transcription),
-//! * [`NumericalGradient`] — central finite differences for objectives
-//!   without analytic gradients (the MPC's test oracle),
+//! * [`Objective`] — the value-and-gradient contract the solver
+//!   minimises (the MPC's rollout objective implements it),
+//! * [`NumericalGradient`] — central finite differences, the kernel of
+//!   the MPC's finite-difference test oracle,
 //! * [`Clock`] / [`Deadline`] — pluggable time sources for *anytime*
 //!   solves: [`MonotonicClock`] in production, [`VirtualClock`] in tests
 //!   (deadline behaviour becomes bit-reproducible).
@@ -17,12 +19,26 @@
 //! # Examples
 //!
 //! ```
-//! use otem_solver::{Bounds, FnObjective, ProjectedGradient};
+//! use otem_solver::{Bounds, Objective, ProjectedGradient};
+//! use otem_telemetry::NullSink;
 //!
-//! // minimise (x-3)² + (y+1)² subject to x,y ∈ [0, 2]
-//! let objective = FnObjective::new(|x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2));
-//! let bounds = Bounds::uniform(2, 0.0, 2.0);
-//! let solution = ProjectedGradient::default().minimize(&objective, &bounds, &[1.0, 1.0]);
+//! /// (x-3)² + (y+1)² with its analytic gradient.
+//! struct Bowl;
+//!
+//! impl Objective for Bowl {
+//!     fn value(&self, x: &[f64]) -> f64 {
+//!         (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2)
+//!     }
+//!     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+//!         grad[0] = 2.0 * (x[0] - 3.0);
+//!         grad[1] = 2.0 * (x[1] + 1.0);
+//!     }
+//! }
+//!
+//! // minimise over the box x, y ∈ [0, 2], with no telemetry and no deadline
+//! let bounds = Bounds::new(vec![0.0; 2], vec![2.0; 2]);
+//! let solution =
+//!     ProjectedGradient::default().minimize_within(&Bowl, &bounds, &[1.0, 1.0], &NullSink, None);
 //! assert!((solution.x[0] - 2.0).abs() < 1e-6);
 //! assert!(solution.x[1].abs() < 1e-6);
 //! ```
@@ -38,6 +54,6 @@ mod solution;
 
 pub use bounds::Bounds;
 pub use clock::{Clock, Deadline, MonotonicClock, VirtualClock};
-pub use objective::{FnObjective, FnObjectiveWithGrad, GradientMode, NumericalGradient, Objective};
+pub use objective::{NumericalGradient, Objective};
 pub use projected::ProjectedGradient;
 pub use solution::{Solution, SolverOutcome};

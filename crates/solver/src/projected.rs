@@ -6,8 +6,17 @@ use crate::bounds::Bounds;
 use crate::clock::Deadline;
 use crate::objective::Objective;
 use crate::solution::{Solution, SolverOutcome};
-use otem_telemetry::{span, Event, NullSink, Sink};
+use otem_telemetry::{span, Event, Sink};
 use serde::{Deserialize, Serialize};
+
+/// Armijo sufficient-decrease parameter.
+const ARMIJO: f64 = 1e-4;
+/// History window for the non-monotone line search.
+const MEMORY: usize = 8;
+/// Lower safeguard on the BB step length.
+const STEP_MIN: f64 = 1e-12;
+/// Upper safeguard on the BB step length.
+const STEP_MAX: f64 = 1e10;
 
 /// Projected spectral (Barzilai–Borwein) gradient method with a
 /// non-monotone Armijo safeguard (Birgin–Martínez–Raydan SPG).
@@ -21,14 +30,6 @@ pub struct ProjectedGradient {
     pub max_iterations: usize,
     /// Convergence tolerance on the projected-gradient infinity norm.
     pub tolerance: f64,
-    /// Armijo sufficient-decrease parameter.
-    pub armijo: f64,
-    /// History window for the non-monotone line search.
-    pub memory: usize,
-    /// Safeguards on the BB step length.
-    pub step_min: f64,
-    /// Upper safeguard on the BB step length.
-    pub step_max: f64,
 }
 
 impl Default for ProjectedGradient {
@@ -36,27 +37,14 @@ impl Default for ProjectedGradient {
         Self {
             max_iterations: 400,
             tolerance: 1e-8,
-            armijo: 1e-4,
-            memory: 8,
-            step_min: 1e-12,
-            step_max: 1e10,
         }
     }
 }
 
 impl ProjectedGradient {
     /// Minimises `f` over the box from the starting point `x0`
-    /// (projected into the box first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0.len() != bounds.len()`.
-    pub fn minimize<F: Objective + ?Sized>(&self, f: &F, bounds: &Bounds, x0: &[f64]) -> Solution {
-        self.minimize_within(f, bounds, x0, &NullSink, None)
-    }
-
-    /// The full entry point: [`ProjectedGradient::minimize`] with
-    /// telemetry and an optional [`Deadline`]. Emits one
+    /// (projected into the box first), with telemetry and an optional
+    /// [`Deadline`]. Emits one
     /// [`Event::SolverIteration`] per outer iteration and one
     /// [`Event::GradientEval`] per gradient evaluation into `sink`
     /// (observation only — the iterates are bit-identical for any sink).
@@ -104,7 +92,7 @@ impl ProjectedGradient {
             return Solution::new(x, value, 0, SolverOutcome::NonFinite);
         }
 
-        let mut history = std::collections::VecDeque::with_capacity(self.memory);
+        let mut history = std::collections::VecDeque::with_capacity(MEMORY);
         history.push_back(value);
 
         let mut step = 1.0 / grad.iter().map(|g| g.abs()).fold(1e-12, f64::max);
@@ -145,7 +133,7 @@ impl ProjectedGradient {
             // Trial point along the projected BB direction with
             // non-monotone backtracking.
             let f_ref = history.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let mut alpha = step.clamp(self.step_min, self.step_max);
+            let mut alpha = step.clamp(STEP_MIN, STEP_MAX);
             let mut accepted = false;
             let line_search = span(sink, "line_search");
             for _ in 0..40 {
@@ -155,7 +143,7 @@ impl ProjectedGradient {
                 bounds.project(&mut trial);
                 let decrease: f64 = (0..n).map(|i| grad[i] * (x[i] - trial[i])).sum();
                 let f_trial = f.value(&trial);
-                if f_trial <= f_ref - self.armijo * decrease.max(0.0) {
+                if f_trial <= f_ref - ARMIJO * decrease.max(0.0) {
                     x_prev.copy_from_slice(&x);
                     grad_prev.copy_from_slice(&grad);
                     x.copy_from_slice(&trial);
@@ -164,7 +152,7 @@ impl ProjectedGradient {
                     break;
                 }
                 alpha *= 0.5;
-                if alpha < self.step_min {
+                if alpha < STEP_MIN {
                     break;
                 }
             }
@@ -189,7 +177,7 @@ impl ProjectedGradient {
             }
 
             gradient(&x, &mut grad);
-            if history.len() == self.memory {
+            if history.len() == MEMORY {
                 history.pop_front();
             }
             history.push_back(value);
@@ -204,9 +192,9 @@ impl ProjectedGradient {
                 sts += s * s;
             }
             step = if sty > 1e-300 {
-                (sts / sty).clamp(self.step_min, self.step_max)
+                (sts / sty).clamp(STEP_MIN, STEP_MAX)
             } else {
-                (step * 2.0).clamp(self.step_min, self.step_max)
+                (step * 2.0).clamp(STEP_MIN, STEP_MAX)
             };
         }
         Solution::new(
@@ -221,13 +209,55 @@ impl ProjectedGradient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FnObjective;
+    use crate::clock::VirtualClock;
+    use crate::objective::NumericalGradient;
+    use otem_telemetry::{MemorySink, NullSink};
+    use proptest::prelude::*;
+
+    /// A closure objective differenced by central finite differences.
+    struct Fd<F>(F);
+
+    impl<F: Fn(&[f64]) -> f64> Objective for Fd<F> {
+        fn value(&self, x: &[f64]) -> f64 {
+            (self.0)(x)
+        }
+        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+            NumericalGradient::central_with(&mut x.to_vec(), grad, &self.0);
+        }
+    }
+
+    fn rosenbrock() -> Fd<impl Fn(&[f64]) -> f64> {
+        Fd(|x: &[f64]| 100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2))
+    }
+
+    fn uniform(n: usize, lo: f64, hi: f64) -> Bounds {
+        Bounds::new(vec![lo; n], vec![hi; n])
+    }
+
+    fn unbounded(n: usize) -> Bounds {
+        uniform(n, f64::NEG_INFINITY, f64::INFINITY)
+    }
+
+    /// A solve with no telemetry and no deadline.
+    fn minimize(
+        solver: &ProjectedGradient,
+        f: &impl Objective,
+        bounds: &Bounds,
+        x0: &[f64],
+    ) -> Solution {
+        solver.minimize_within(f, bounds, x0, &NullSink, None)
+    }
 
     #[test]
     fn unconstrained_quadratic() {
-        let f = FnObjective::new(|x: &[f64]| (x[0] - 1.0).powi(2) + 10.0 * (x[1] + 2.0).powi(2));
-        let sol = ProjectedGradient::default().minimize(&f, &Bounds::unbounded(2), &[5.0, 5.0]);
-        assert!(sol.converged(), "{sol:?}");
+        let f = Fd(|x: &[f64]| (x[0] - 1.0).powi(2) + 10.0 * (x[1] + 2.0).powi(2));
+        let sol = minimize(
+            &ProjectedGradient::default(),
+            &f,
+            &unbounded(2),
+            &[5.0, 5.0],
+        );
+        assert_eq!(sol.outcome, SolverOutcome::Converged, "{sol:?}");
         assert!((sol.x[0] - 1.0).abs() < 1e-5);
         assert!((sol.x[1] + 2.0).abs() < 1e-5);
     }
@@ -235,22 +265,23 @@ mod tests {
     #[test]
     fn active_box_constraint() {
         // Minimum at x = 3 but box caps at 2.
-        let f = FnObjective::new(|x: &[f64]| (x[0] - 3.0).powi(2));
-        let sol = ProjectedGradient::default().minimize(&f, &Bounds::uniform(1, -1.0, 2.0), &[0.0]);
+        let f = Fd(|x: &[f64]| (x[0] - 3.0).powi(2));
+        let sol = minimize(
+            &ProjectedGradient::default(),
+            &f,
+            &uniform(1, -1.0, 2.0),
+            &[0.0],
+        );
         assert!((sol.x[0] - 2.0).abs() < 1e-8, "{sol:?}");
     }
 
     #[test]
     fn rosenbrock_2d() {
-        let f = FnObjective::new(|x: &[f64]| {
-            100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2)
-        });
         let solver = ProjectedGradient {
             max_iterations: 5000,
             tolerance: 1e-10,
-            ..ProjectedGradient::default()
         };
-        let sol = solver.minimize(&f, &Bounds::unbounded(2), &[-1.2, 1.0]);
+        let sol = minimize(&solver, &rosenbrock(), &unbounded(2), &[-1.2, 1.0]);
         assert!((sol.x[0] - 1.0).abs() < 1e-4, "{sol:?}");
         assert!((sol.x[1] - 1.0).abs() < 1e-4, "{sol:?}");
     }
@@ -258,14 +289,18 @@ mod tests {
     #[test]
     fn high_dimensional_convex() {
         let n = 50;
-        let f = FnObjective::new(move |x: &[f64]| {
+        let f = Fd(|x: &[f64]| {
             x.iter()
                 .enumerate()
                 .map(|(i, &v)| (i as f64 + 1.0) * (v - 0.5).powi(2))
                 .sum()
         });
-        let sol =
-            ProjectedGradient::default().minimize(&f, &Bounds::uniform(n, 0.0, 1.0), &vec![0.0; n]);
+        let sol = minimize(
+            &ProjectedGradient::default(),
+            &f,
+            &uniform(n, 0.0, 1.0),
+            &vec![0.0; n],
+        );
         for (i, v) in sol.x.iter().enumerate() {
             assert!((v - 0.5).abs() < 1e-4, "coordinate {i} = {v}");
         }
@@ -273,41 +308,35 @@ mod tests {
 
     #[test]
     fn starts_outside_box_are_projected() {
-        let f = FnObjective::new(|x: &[f64]| x[0] * x[0]);
-        let sol =
-            ProjectedGradient::default().minimize(&f, &Bounds::uniform(1, -1.0, 1.0), &[50.0]);
+        let f = Fd(|x: &[f64]| x[0] * x[0]);
+        let sol = minimize(
+            &ProjectedGradient::default(),
+            &f,
+            &uniform(1, -1.0, 1.0),
+            &[50.0],
+        );
         assert!(sol.x[0].abs() < 1e-8);
     }
 
     #[test]
     fn budget_exhaustion_reports_not_converged() {
-        let f = FnObjective::new(|x: &[f64]| {
-            100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2)
-        });
         let solver = ProjectedGradient {
             max_iterations: 3,
             tolerance: 1e-14,
-            ..ProjectedGradient::default()
         };
-        let sol = solver.minimize(&f, &Bounds::unbounded(2), &[-1.2, 1.0]);
+        let sol = minimize(&solver, &rosenbrock(), &unbounded(2), &[-1.2, 1.0]);
         assert_eq!(sol.outcome, SolverOutcome::BudgetExhausted);
-        assert!(!sol.converged());
         assert_eq!(sol.iterations, 3);
     }
 
     #[test]
     fn budget_exhausted_solve_skips_the_unread_final_gradient() {
-        use otem_telemetry::MemorySink;
-        let f = FnObjective::new(|x: &[f64]| {
-            100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2)
-        });
         let solver = ProjectedGradient {
             max_iterations: 3,
             tolerance: 1e-14,
-            ..ProjectedGradient::default()
         };
         let sink = MemorySink::new();
-        let sol = solver.minimize_within(&f, &Bounds::unbounded(2), &[-1.2, 1.0], &sink, None);
+        let sol = solver.minimize_within(&rosenbrock(), &unbounded(2), &[-1.2, 1.0], &sink, None);
         assert_eq!(sol.outcome, SolverOutcome::BudgetExhausted);
         // The initial gradient plus one per accepted iterate but the last.
         assert_eq!(sink.count_kind("gradient_eval"), sol.iterations);
@@ -317,21 +346,25 @@ mod tests {
     fn zero_iteration_budget_reports_starved_not_full_budget() {
         // A starved solve must report the iterations actually performed
         // (zero), not the configured budget.
-        let f = FnObjective::new(|x: &[f64]| (x[0] - 1.0).powi(2));
+        let f = Fd(|x: &[f64]| (x[0] - 1.0).powi(2));
         let solver = ProjectedGradient {
             max_iterations: 0,
             ..ProjectedGradient::default()
         };
-        let sol = solver.minimize(&f, &Bounds::unbounded(1), &[5.0]);
+        let sol = minimize(&solver, &f, &unbounded(1), &[5.0]);
         assert_eq!(sol.iterations, 0);
         assert_eq!(sol.outcome, SolverOutcome::BudgetExhausted);
     }
 
     #[test]
     fn non_finite_objective_is_surfaced_structurally() {
-        let f = FnObjective::new(|_: &[f64]| f64::NAN);
-        let sol =
-            ProjectedGradient::default().minimize(&f, &Bounds::uniform(2, -1.0, 1.0), &[0.5, 0.5]);
+        let f = Fd(|_: &[f64]| f64::NAN);
+        let sol = minimize(
+            &ProjectedGradient::default(),
+            &f,
+            &uniform(2, -1.0, 1.0),
+            &[0.5, 0.5],
+        );
         assert_eq!(sol.outcome, SolverOutcome::NonFinite);
         assert_eq!(sol.iterations, 0);
         assert!(sol.value.is_nan());
@@ -341,31 +374,42 @@ mod tests {
 
     #[test]
     fn non_finite_gradient_is_surfaced_structurally() {
-        use crate::objective::FnObjectiveWithGrad;
-        let f = FnObjectiveWithGrad::new(
-            |x: &[f64]| x[0] * x[0],
-            |_: &[f64], g: &mut [f64]| g.fill(f64::INFINITY),
+        struct InfiniteSlope;
+        impl Objective for InfiniteSlope {
+            fn value(&self, x: &[f64]) -> f64 {
+                x[0] * x[0]
+            }
+            fn gradient(&self, _: &[f64], grad: &mut [f64]) {
+                grad.fill(f64::INFINITY);
+            }
+        }
+        let sol = minimize(
+            &ProjectedGradient::default(),
+            &InfiniteSlope,
+            &uniform(1, -1.0, 1.0),
+            &[0.5],
         );
-        let sol = ProjectedGradient::default().minimize(&f, &Bounds::uniform(1, -1.0, 1.0), &[0.5]);
         assert_eq!(sol.outcome, SolverOutcome::NonFinite);
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn dimension_mismatch_panics() {
-        let f = FnObjective::new(|x: &[f64]| x[0]);
-        ProjectedGradient::default().minimize(&f, &Bounds::uniform(2, 0.0, 1.0), &[0.0]);
+        let f = Fd(|x: &[f64]| x[0]);
+        minimize(
+            &ProjectedGradient::default(),
+            &f,
+            &uniform(2, 0.0, 1.0),
+            &[0.0],
+        );
     }
 
     #[test]
     fn observed_solve_is_bit_identical_and_traces_every_iteration() {
-        use otem_telemetry::MemorySink;
-        let f = FnObjective::new(|x: &[f64]| {
-            100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2)
-        });
-        let bounds = Bounds::uniform(2, -2.0, 2.0);
+        let f = rosenbrock();
+        let bounds = uniform(2, -2.0, 2.0);
         let x0 = [-1.2, 1.0];
-        let plain = ProjectedGradient::default().minimize(&f, &bounds, &x0);
+        let plain = minimize(&ProjectedGradient::default(), &f, &bounds, &x0);
 
         let sink = MemorySink::new();
         let observed = ProjectedGradient::default().minimize_within(&f, &bounds, &x0, &sink, None);
@@ -384,17 +428,16 @@ mod tests {
 
     #[test]
     fn zero_budget_deadline_returns_projected_warm_start() {
-        use crate::clock::{Deadline, VirtualClock};
         // Interior optimum (x = 1), so the projected warm start x = 2 is
         // *not* a stationary point and a zero budget really does truncate.
-        let f = FnObjective::new(|x: &[f64]| (x[0] - 1.0).powi(2));
+        let f = Fd(|x: &[f64]| (x[0] - 1.0).powi(2));
         let clock = VirtualClock::new();
         let deadline = Deadline::after(&clock, 0);
         let sol = ProjectedGradient::default().minimize_within(
             &f,
-            &Bounds::uniform(1, -1.0, 2.0),
+            &uniform(1, -1.0, 2.0),
             &[5.0],
-            &otem_telemetry::NullSink,
+            &NullSink,
             Some(&deadline),
         );
         assert_eq!(sol.outcome, SolverOutcome::DeadlineReached);
@@ -406,13 +449,10 @@ mod tests {
 
     #[test]
     fn virtual_deadline_truncates_the_iterate_stream_deterministically() {
-        use crate::clock::{Deadline, VirtualClock};
-        let f = FnObjective::new(|x: &[f64]| {
-            100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2)
-        });
-        let bounds = Bounds::uniform(2, -2.0, 2.0);
+        let f = rosenbrock();
+        let bounds = uniform(2, -2.0, 2.0);
         let x0 = [-1.2, 1.0];
-        let unbounded = ProjectedGradient::default().minimize(&f, &bounds, &x0);
+        let unbounded = minimize(&ProjectedGradient::default(), &f, &bounds, &x0);
         assert!(unbounded.iterations > 10, "rig must need many iterations");
 
         // One tick per clock read: `after` consumes the first read, and
@@ -425,7 +465,7 @@ mod tests {
                 &f,
                 &bounds,
                 &x0,
-                &otem_telemetry::NullSink,
+                &NullSink,
                 Some(&deadline),
             )
         };
@@ -443,20 +483,57 @@ mod tests {
 
     #[test]
     fn convergence_beats_the_deadline_on_the_boundary_iteration() {
-        use crate::clock::{Deadline, VirtualClock};
         // Converges at iteration 2 (two accepted BB steps); a budget of
         // 3 ticks expires exactly there, but the convergence check runs
         // first and must win.
-        let f = FnObjective::new(|x: &[f64]| (x[0] - 1.0).powi(2));
+        let f = Fd(|x: &[f64]| (x[0] - 1.0).powi(2));
         let clock = VirtualClock::with_tick(1);
         let deadline = Deadline::after(&clock, 3);
         let sol = ProjectedGradient::default().minimize_within(
             &f,
-            &Bounds::unbounded(1),
+            &unbounded(1),
             &[5.0],
-            &otem_telemetry::NullSink,
+            &NullSink,
             Some(&deadline),
         );
         assert_eq!(sol.outcome, SolverOutcome::Converged, "{sol:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn projected_gradient_solves_random_diagonal_qp(
+            center in prop::collection::vec(-5.0..5.0f64, 2..10),
+            scales in prop::collection::vec(0.1..50.0f64, 10),
+            lo in -2.0..0.0f64,
+            hi in 0.5..3.0f64,
+        ) {
+            let n = center.len();
+            let f = Fd(|x: &[f64]| {
+                x.iter()
+                    .zip(center.iter().zip(&scales))
+                    .map(|(&xi, (&ci, &si))| si * (xi - ci).powi(2))
+                    .sum()
+            });
+            let sol = minimize(&ProjectedGradient::default(), &f, &uniform(n, lo, hi), &vec![0.0; n]);
+            // Optimum of a separable QP over a box is the clamped center.
+            for (i, (xi, ci)) in sol.x.iter().zip(&center).enumerate() {
+                let expect = ci.clamp(lo, hi);
+                prop_assert!(
+                    (xi - expect).abs() < 1e-4,
+                    "x[{i}] = {xi} expected {expect}"
+                );
+            }
+        }
+
+        #[test]
+        fn solution_never_leaves_the_box(
+            start in prop::collection::vec(-10.0..10.0f64, 4),
+        ) {
+            let f = Fd(|x: &[f64]| x.iter().map(|v| (v - 7.0).powi(2)).sum());
+            let sol = minimize(&ProjectedGradient::default(), &f, &uniform(4, -1.0, 1.0), &start);
+            prop_assert!(sol.x.iter().all(|v| (-1.0..=1.0).contains(v)), "{:?}", sol.x);
+        }
     }
 }

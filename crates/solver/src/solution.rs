@@ -64,12 +64,6 @@ impl Solution {
             outcome,
         }
     }
-
-    /// Whether the convergence tolerance was met (the legacy boolean
-    /// view of [`Solution::outcome`]).
-    pub fn converged(&self) -> bool {
-        self.outcome == SolverOutcome::Converged
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +76,7 @@ mod tests {
         assert_eq!(s.x, vec![1.0]);
         assert_eq!(s.value, 0.5);
         assert_eq!(s.iterations, 10);
-        assert!(s.converged());
+        assert_eq!(s.outcome, SolverOutcome::Converged);
     }
 
     #[test]
@@ -92,17 +86,5 @@ mod tests {
         assert_eq!(SolverOutcome::Stalled.name(), "stalled");
         assert_eq!(SolverOutcome::NonFinite.name(), "non_finite");
         assert_eq!(SolverOutcome::DeadlineReached.name(), "deadline_reached");
-    }
-
-    #[test]
-    fn non_converged_outcomes_report_false() {
-        for outcome in [
-            SolverOutcome::BudgetExhausted,
-            SolverOutcome::Stalled,
-            SolverOutcome::NonFinite,
-            SolverOutcome::DeadlineReached,
-        ] {
-            assert!(!Solution::new(vec![], 0.0, 0, outcome).converged());
-        }
     }
 }

@@ -44,9 +44,10 @@ pub enum Event {
     SolveOutcome {
         /// Stable snake_case outcome name (`SolverOutcome::name()`).
         outcome: &'static str,
-        /// Stable snake_case gradient-mode name (`GradientMode::
-        /// name()`: `serial` / `adjoint`) — the `mode` label of the
-        /// `otem_solve_outcome_total` metric family.
+        /// Stable snake_case gradient-mode name
+        /// (`otem::mpc::GradientMode::name()`: `serial` / `adjoint`) —
+        /// the `mode` label of the `otem_solve_outcome_total` metric
+        /// family.
         mode: &'static str,
         /// Outer iterations actually performed.
         iterations: u64,

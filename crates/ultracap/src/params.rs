@@ -113,7 +113,7 @@ mod tests {
         let e = p.energy_capacity();
         assert_eq!(e.value(), 0.5 * 25_000.0 * 16.0 * 16.0);
         // ≈ 889 Wh
-        assert!((e.to_watt_hours() - 888.9).abs() < 1.0);
+        assert!((e.value() / 3600.0 - 888.9).abs() < 1.0);
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl AmpHours {
     pub fn to_coulombs(self) -> Coulombs {
         Coulombs::new(self.value() * 3600.0)
     }
-
-    /// Builds from coulombs.
-    #[inline]
-    pub fn from_coulombs(c: Coulombs) -> Self {
-        Self::new(c.value() / 3600.0)
-    }
 }
 
 #[cfg(test)]
@@ -87,9 +81,8 @@ mod tests {
     fn charge_conversions() {
         let q = AmpHours::new(3.1);
         assert_eq!(q.to_coulombs(), Coulombs::new(11_160.0));
-        assert_eq!(AmpHours::from_coulombs(q.to_coulombs()), q);
         let c: Coulombs = Amps::new(2.0) * Seconds::new(1800.0);
-        assert_eq!(AmpHours::from_coulombs(c), AmpHours::new(1.0));
+        assert_eq!(c, AmpHours::new(1.0).to_coulombs());
     }
 
     #[test]

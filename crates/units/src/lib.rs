@@ -37,7 +37,7 @@ mod ratio;
 mod thermal;
 
 pub use electrical::{AmpHours, Amps, Coulombs, Farads, Ohms, Volts};
-pub use energy::{Joules, Kilowatts, Watts};
+pub use energy::{Joules, Watts};
 pub use mechanics::{Kilograms, Meters, MetersPerSecond, MetersPerSecondSquared, Newtons, Seconds};
 pub use ratio::Ratio;
 pub use thermal::{Celsius, HeatCapacity, Kelvin, KelvinPerSecond, ThermalConductance};

@@ -17,11 +17,10 @@
 //! git diff tests/golden/
 //! ```
 
-use otem_repro::control::mpc::MpcConfig;
+use otem_repro::control::mpc::{GradientMode, MpcConfig};
 use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem_repro::control::{Controller, SimulationResult, Simulator, SupervisedOtem, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
-use otem_repro::solver::GradientMode;
 use otem_repro::units::Seconds;
 use std::fmt::Write as _;
 use std::path::PathBuf;

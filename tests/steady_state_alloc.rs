@@ -18,13 +18,12 @@
 //! concurrently would pollute the counts (same discipline as
 //! `tests/telemetry_parity.rs`).
 
-use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
+use otem_repro::control::mpc::{GradientMode, Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem_repro::control::{Controller, Simulator, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_repro::fleet::SolveOutcomes;
 use otem_repro::hees::HybridHees;
-use otem_repro::solver::GradientMode;
 use otem_repro::telemetry::{MetricsRegistry, NullSink, Sink};
 use otem_repro::thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_repro::units::{Farads, Kelvin, Ratio, Seconds, Watts};

@@ -26,13 +26,12 @@
 //!   stream whose per-phase counts are pinned.
 
 use otem_repro::battery::BatteryPack;
-use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
+use otem_repro::control::mpc::{GradientMode, Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::policy::Otem;
 use otem_repro::control::{Simulator, SystemConfig};
 use otem_repro::converter::DcDcConverter;
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_repro::hees::{HybridCommand, HybridHees};
-use otem_repro::solver::GradientMode;
 use otem_repro::telemetry::{Event, MemorySink};
 use otem_repro::thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
 use otem_repro::ultracap::UltracapParams;
