@@ -11,7 +11,7 @@
 //!
 //! | kind | keys | effect |
 //! |------|------|--------|
-//! | deterministic | `rollouts_per_solve`, `differentiated_per_solve`, `mean_iterations`, `outcomes`, `total_steps`, `solve_outcomes`, `fleet_checksum`, `rollout_reduction`, and every sample of a `"kind":"counter"` family in a `metrics` registry snapshot | must be present in both reports and equal; any difference fails the run |
+//! | deterministic | `rollouts_per_solve`, `differentiated_per_solve`, `mean_iterations`, `outcomes`, `total_steps`, `solve_outcomes`, `fleet_checksum`, and every sample of a `"kind":"counter"` family in a `metrics` registry snapshot | must be present in both reports and equal; any difference fails the run |
 //! | wall time | `mean_ms`, `min_ms`, `*_per_sec`, `*latency_ms`, `*wall_s` | delta printed, never fails |
 //! | other | everything else, including histogram and gauge families | ignored |
 //!
@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 /// Keys whose value (or whole subtree) is a function of the code and the
 /// seed alone, never of the machine.
-const DETERMINISTIC: [&str; 8] = [
+const DETERMINISTIC: [&str; 7] = [
     "rollouts_per_solve",
     "differentiated_per_solve",
     "mean_iterations",
@@ -30,7 +30,6 @@ const DETERMINISTIC: [&str; 8] = [
     "total_steps",
     "solve_outcomes",
     "fleet_checksum",
-    "rollout_reduction",
 ];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,13 +317,13 @@ mod tests {
     use super::*;
 
     const COMMITTED: &str = r#"{
-      "bench": "mpc_solve_gradient_modes",
+      "bench": "mpc_solve_horizons",
+      "cpu_cores": 2,
       "results": [
         { "horizon": 12,
           "adjoint": { "mean_ms": 0.2500, "min_ms": 0.2400, "rollouts_per_sec": 170000,
                        "rollouts_per_solve": 43.2, "mean_iterations": 30.0,
-                       "outcomes": {"converged":0,"budget_exhausted":8} },
-          "fd_vs_adjoint_speedup": 17.4, "rollout_reduction": 34.3 }
+                       "outcomes": {"converged":0,"budget_exhausted":8} } }
       ],
       "campaigns": [ { "total_steps": 212180, "wall_s": 2.0,
                        "latency_ms": { "p50": 0.0636, "p99": 79.5 },
@@ -334,7 +333,7 @@ mod tests {
           {"labels":{"route":"/simulate"},"bounds":[0.01,0.02],"counts":[3,21,0],"sum":0.57,"count":24}]},
         "otem_solve_outcome_total": {"kind":"counter","samples":[
           {"labels":{"mode":"adjoint","outcome":"stalled"},"value":37},
-          {"labels":{"mode":"serial","outcome":"budget_exhausted"},"value":24}]}
+          {"labels":{"mode":"adjoint","outcome":"budget_exhausted"},"value":24}]}
       }
     }"#;
 
@@ -365,7 +364,7 @@ mod tests {
         let fresh = COMMITTED
             .replace("\"mean_ms\": 0.2500", "\"mean_ms\": 0.2000")
             .replace("\"wall_s\": 2.0", "\"wall_s\": 1.5")
-            .replace("17.4", "21.0");
+            .replace("\"cpu_cores\": 2", "\"cpu_cores\": 4");
         let d = diff(&fresh, COMMITTED).expect("both parse");
         assert_eq!(d.mismatches, 0, "{:#?}", d.lines);
         assert!(d
@@ -377,7 +376,7 @@ mod tests {
             .iter()
             .any(|l| l == "wall     campaigns[0].wall_s: 2.0 -> 1.5 (-25.0 %)"));
         // Neither deterministic nor wall time: not reported.
-        assert!(!d.lines.iter().any(|l| l.contains("speedup")));
+        assert!(!d.lines.iter().any(|l| l.contains("cpu_cores")));
     }
 
     #[test]
@@ -391,7 +390,6 @@ mod tests {
             ("\"budget_exhausted\":8", "\"budget_exhausted\":7"),
             ("\"total_steps\": 212180", "\"total_steps\": 212181"),
             ("0ce5e133455f34dc", "63d6c3b45d60299b"),
-            ("\"rollout_reduction\": 34.3", "\"rollout_reduction\": 34.4"),
             // A counter sample in the registry snapshot that moves.
             ("\"value\":37", "\"value\":38"),
             // A deterministic field that disappears also fails.
@@ -410,7 +408,7 @@ mod tests {
 
     #[test]
     fn a_dropped_counter_sample_fails() {
-        let dropped = ",\n          {\"labels\":{\"mode\":\"serial\",\"outcome\":\"budget_exhausted\"},\"value\":24}";
+        let dropped = ",\n          {\"labels\":{\"mode\":\"adjoint\",\"outcome\":\"budget_exhausted\"},\"value\":24}";
         let fresh = COMMITTED.replace(dropped, "");
         assert_ne!(fresh, COMMITTED, "the sample must occur in the fixture");
         let d = diff(&fresh, COMMITTED).expect("both parse");

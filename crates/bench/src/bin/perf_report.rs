@@ -1,29 +1,24 @@
-//! Performance trajectory for the MPC hot path: finite-difference
-//! gradients and the reverse-mode adjoint gradient, across horizon
-//! lengths.
+//! Performance trajectory for the MPC hot path (the reverse-mode
+//! adjoint gradient) across horizon lengths.
 //!
 //! Runs warm-started `Mpc::solve` repetitions at horizons {12, 24, 48}
-//! in [`GradientMode::Serial`] and [`GradientMode::Adjoint`] for the
-//! latency table, then re-runs Adjoint under a raised iteration budget
-//! to measure *iterations to tolerance*, and writes
-//! `BENCH_mpc.json` (per-solve latency, rollouts/second, solves/second,
-//! forward passes and differentiated points per solve, iteration counts,
-//! solver-outcome distributions, speedups) so later changes have a
-//! baseline to compare against.
+//! under the default iteration budget for the latency table, then
+//! re-runs them under a raised budget to measure *iterations to
+//! tolerance*, and writes `BENCH_mpc.json` (per-solve latency,
+//! rollouts/second, solves/second, forward passes and differentiated
+//! points per solve, iteration counts, solver-outcome distributions) so
+//! later changes have a baseline to compare against.
 //!
 //! Usage:
 //! `cargo run --release -p otem-bench --bin perf_report`
 //!
-//! The adjoint differentiates the executed clamp branch exactly instead of
-//! sampling across it, so its decisions are *not* asserted bit-identical
-//! to FD; its correctness contract lives in `tests/gradient_parity.rs`
-//! and `tests/golden_traces.rs`.
+//! The gradient's correctness contract lives in
+//! `tests/gradient_parity.rs` and `tests/golden_traces.rs`.
 
-use otem::mpc::{GradientMode, Mpc, MpcConfig, MpcPlant};
+use otem::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem::SystemConfig;
 use otem_fleet::protocol::outcomes_json;
 use otem_fleet::SolveOutcomes;
-use otem_hees::HybridHees;
 use otem_telemetry::{Event, JsonlSink, MetricsRegistry, RegistrySnapshot, Sink, Tee};
 use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
@@ -38,7 +33,7 @@ const REPS: usize = 8;
 const TOL_BUDGET: usize = 400;
 
 fn plant(config: &SystemConfig) -> MpcPlant {
-    let mut hees = HybridHees::ev_default(config.capacitance).unwrap();
+    let mut hees = config.hybrid_plant().unwrap();
     hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
     MpcPlant {
         hees,
@@ -54,8 +49,7 @@ fn plant(config: &SystemConfig) -> MpcPlant {
 }
 
 /// Counts [`Event::GradientEval`]s: one per point the solver
-/// differentiated (one derivative assembly in the adjoint mode,
-/// one finite-difference stencil in the serial mode).
+/// differentiated (one derivative assembly each).
 #[derive(Default)]
 struct GradientCounter(AtomicU64);
 
@@ -67,7 +61,7 @@ impl Sink for GradientCounter {
     }
 }
 
-struct ModeStats {
+struct SolveStats {
     mean_ms: f64,
     min_ms: f64,
     rollouts_per_sec: f64,
@@ -84,17 +78,15 @@ struct ModeStats {
     cool_duty: f64,
 }
 
-fn run_mode(
+fn run_solves(
     p: &MpcPlant,
     loads: &[Watts],
     horizon: usize,
-    mode: GradientMode,
     iterations: usize,
     sink: &dyn Sink,
-) -> ModeStats {
+) -> SolveStats {
     let mut mpc = Mpc::new(MpcConfig {
         horizon,
-        gradient_mode: mode,
         solver_iterations: iterations,
         ..MpcConfig::default()
     });
@@ -132,7 +124,7 @@ fn run_mode(
         "the replay diverged from the timed solves"
     );
     let metrics = registry.snapshot();
-    ModeStats {
+    SolveStats {
         mean_ms: latencies_ms.iter().sum::<f64>() / REPS as f64,
         min_ms: latencies_ms.iter().copied().fold(f64::INFINITY, f64::min),
         rollouts_per_sec: rollouts as f64 / elapsed,
@@ -159,10 +151,7 @@ fn main() {
     let sink = JsonlSink::create("results/perf_report_telemetry.jsonl").expect("telemetry file");
 
     let default_iters = MpcConfig::default().solver_iterations;
-    println!(
-        "{:<8} {:>11} {:>11} {:>8} {:>7}",
-        "horizon", "serial_ms", "adj_ms", "adj_it", "adj_x"
-    );
+    println!("{:<8} {:>11} {:>8}", "horizon", "adj_ms", "adj_it");
     // Every row's registry merges into one snapshot, embedded in the
     // report as the `metrics` object — the same family (and JSON shape)
     // the serving layer exports.
@@ -172,43 +161,19 @@ fn main() {
         let loads: Vec<Watts> = (0..horizon)
             .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
             .collect();
-        let serial = run_mode(
-            &p,
-            &loads,
-            horizon,
-            GradientMode::Serial,
-            default_iters,
-            &sink,
-        );
-        let adjoint = run_mode(
-            &p,
-            &loads,
-            horizon,
-            GradientMode::Adjoint,
-            default_iters,
-            &sink,
-        );
+        let adjoint = run_solves(&p, &loads, horizon, default_iters, &sink);
         // Iterations-to-tolerance: same problem, raised budget, so the
         // iteration count — not the cap — decides termination.
-        let adjoint_tol = run_mode(
-            &p,
-            &loads,
-            horizon,
-            GradientMode::Adjoint,
-            TOL_BUDGET,
-            &sink,
-        );
-        for stats in [&serial, &adjoint, &adjoint_tol] {
+        let adjoint_tol = run_solves(&p, &loads, horizon, TOL_BUDGET, &sink);
+        for stats in [&adjoint, &adjoint_tol] {
             metrics.merge(&stats.metrics);
         }
         assert!(adjoint.cap_bus.is_finite() && adjoint.cool_duty.is_finite());
-        let adj_speedup = serial.mean_ms / adjoint.mean_ms;
-        let rollout_reduction = serial.rollouts_per_solve / adjoint.rollouts_per_solve;
         println!(
-            "{:<8} {:>11.3} {:>11.3} {:>8.1} {:>7.2}",
-            horizon, serial.mean_ms, adjoint.mean_ms, adjoint_tol.mean_iterations, adj_speedup
+            "{:<8} {:>11.3} {:>8.1}",
+            horizon, adjoint.mean_ms, adjoint_tol.mean_iterations
         );
-        let mode_json = |s: &ModeStats| {
+        let stats_json = |s: &SolveStats| {
             format!(
                 "{{ \"mean_ms\": {:.4}, \"min_ms\": {:.4}, \"rollouts_per_sec\": {:.0}, \
                  \"rollouts_per_solve\": {:.1}, \"differentiated_per_solve\": {:.1}, \
@@ -227,26 +192,20 @@ fn main() {
             concat!(
                 "    {{\n",
                 "      \"horizon\": {},\n",
-                "      \"serial\": {},\n",
                 "      \"adjoint\": {},\n",
-                "      \"adjoint_tol_budget\": {},\n",
-                "      \"fd_vs_adjoint_speedup\": {:.3},\n",
-                "      \"rollout_reduction\": {:.1}\n",
+                "      \"adjoint_tol_budget\": {}\n",
                 "    }}"
             ),
             horizon,
-            mode_json(&serial),
-            mode_json(&adjoint),
-            mode_json(&adjoint_tol),
-            adj_speedup,
-            rollout_reduction
+            stats_json(&adjoint),
+            stats_json(&adjoint_tol)
         ));
     }
 
     let json = format!(
         concat!(
             "{{\n",
-            "  \"bench\": \"mpc_solve_gradient_modes\",\n",
+            "  \"bench\": \"mpc_solve_horizons\",\n",
             "  \"solves_per_mode\": {},\n",
             "  \"tol_budget\": {},\n",
             "  \"cpu_cores\": {},\n",

@@ -38,10 +38,10 @@
 //! the conventions a central finite difference implies: half the
 //! one-sided slope where the duty clamp flattens one leg of the stencil,
 //! and the mean of the one-sided slopes across the converter's
-//! zero-transfer kink (see [`otem_hees::HybridHees::step_with_jacobian`]).
+//! zero-transfer kink (see [`otem_hees::HybridHees::step_jacobian`]).
 //! Matching the finite-difference oracle's subgradient conventions
-//! keeps the production adjoint mode on the same closed-loop physics
-//! as the FD golden trace (`tests/golden/otem_fd.csv`).
+//! keeps the adjoint on the same closed-loop physics as the frozen FD
+//! golden trace (`tests/golden/otem_fd.csv`).
 //!
 //! There is one rollout implementation, [`rollout`], and it computes
 //! values only: [`crate::mpc::rollout_cost`] and every MPC objective
@@ -70,7 +70,7 @@
 //! # Tape reuse
 //!
 //! The tape is split in two. Every rollout — accepted or rejected
-//! line-search trial, finite-difference stencil point — writes the
+//! line-search trial alike — writes the
 //! *primal* record of each stage: the pack curves with their
 //! exponentials already evaluated, the resolved battery and bank draws,
 //! the converter operating points and the pre-step state of energy

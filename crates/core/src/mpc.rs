@@ -25,9 +25,7 @@
 use crate::adjoint::{StageConstants, StageDerivatives, StageRecord};
 use otem_battery::AgingParams;
 use otem_hees::{HeesSnapshot, HybridHees};
-use otem_solver::{
-    Bounds, Deadline, NumericalGradient, Objective, ProjectedGradient, Solution, SolverOutcome,
-};
+use otem_solver::{Bounds, Deadline, Objective, ProjectedGradient, Solution, SolverOutcome};
 pub use otem_solver::{Clock, MonotonicClock, VirtualClock};
 use otem_telemetry::{span, Event, NullSink, Sink};
 use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
@@ -35,32 +33,6 @@ use otem_units::{Ratio, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
-
-/// How the MPC evaluates the gradient of its rollout objective — the
-/// `mode` label on solve-outcome telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GradientMode {
-    /// Central finite differences, one coordinate at a time (`2·n`
-    /// objective evaluations per gradient) — the test oracle.
-    Serial,
-    /// Reverse-mode (adjoint) analytic gradient: one taped forward
-    /// rollout plus one backward sweep, independent of the decision
-    /// dimension — `O(1)` objective evaluations per gradient instead of
-    /// the `O(n)` finite differences need.
-    Adjoint,
-}
-
-impl GradientMode {
-    /// Stable snake_case mode name — the `mode` label on solve-outcome
-    /// telemetry and the `otem_solve_outcome_total{mode,outcome}`
-    /// metric family.
-    pub const fn name(&self) -> &'static str {
-        match self {
-            GradientMode::Serial => "serial",
-            GradientMode::Adjoint => "adjoint",
-        }
-    }
-}
 
 /// Tuning of the OTEM optimisation: the horizon, the studied Eq. 19
 /// trade-off weight and the solve budget. The other weights and the
@@ -80,15 +52,6 @@ pub struct MpcConfig {
     /// value of pre-cooling beyond its own window (thermal time
     /// constants far exceed practical horizons).
     pub terminal_tail: f64,
-    /// How the gradient of the rollout objective is evaluated. The
-    /// default is [`GradientMode::Adjoint`]: a hand-derived reverse-mode
-    /// sweep over the tape the line search's accepted trial recorded, so
-    /// a gradient costs no rollout of its own regardless of the horizon
-    /// (see `adjoint` module), matching FD to ~1e-6 relative error away
-    /// from penalty kinks. [`GradientMode::Serial`] is plain central
-    /// finite differences (`4·horizon` rollouts per gradient), kept as
-    /// the test oracle.
-    pub gradient_mode: GradientMode,
     /// Optional per-solve compute budget in nanoseconds (the *anytime*
     /// contract): the inner solver polls its [`Clock`] once per outer
     /// iteration and, when the budget expires, returns the best iterate
@@ -105,7 +68,6 @@ impl Default for MpcConfig {
             w2: 8.0e12,
             solver_iterations: 30,
             terminal_tail: 600.0,
-            gradient_mode: GradientMode::Adjoint,
             deadline_ns: None,
         }
     }
@@ -265,10 +227,9 @@ impl Mpc {
 
     /// Total plant rollouts performed by [`Mpc::solve`] so far — the
     /// MPC's unit of work: the forward passes that simulate the whole
-    /// horizon, one per objective evaluation plus one per gradient that
-    /// could not reuse the last evaluation's tape (every finite-
-    /// difference stencil point; in the adjoint mode only a
-    /// gradient asked for away from the last evaluated point).
+    /// horizon, one per objective evaluation plus one per gradient asked
+    /// for away from the last evaluated point (which cannot reuse that
+    /// evaluation's tape).
     /// Benchmarks divide this by wall time to report rollouts/second.
     pub fn rollouts(&self) -> u64 {
         self.rollouts
@@ -334,7 +295,9 @@ impl Mpc {
         self.workspace = Some(objective.workspace.into_inner());
         sink.record(Event::SolveOutcome {
             outcome: outcome.name(),
-            mode: self.config.gradient_mode.name(),
+            // The one gradient path; the label keeps the metric family's
+            // `mode` dimension stable.
+            mode: "adjoint",
             iterations: iterations as u64,
         });
 
@@ -404,12 +367,10 @@ fn warm_start_shift(x0: &mut [f64], prev: &[f64], n: usize) {
 /// Everything a solve evaluates through: a long-lived plant model that
 /// is rewound with [`HybridHees::restore`] before every rollout (instead
 /// of deep-cloning the plant per evaluation), the tape and the
-/// derivative buffers, and a perturbation buffer for finite
-/// differences. Once warm, a solve touches no allocator.
+/// derivative buffers. Once warm, a solve touches no allocator.
 #[derive(Clone)]
 struct RolloutWorkspace {
     hees: HybridHees,
-    xp: Vec<f64>,
     /// Primal stage records, rewritten by every forward pass.
     tape: Vec<StageRecord>,
     /// The decision vector `tape` was recorded at, or empty when the
@@ -429,7 +390,6 @@ impl RolloutWorkspace {
     fn new(source: &HybridHees) -> Self {
         Self {
             hees: source.clone(),
-            xp: Vec::new(),
             tape: Vec::new(),
             taped_at: Vec::new(),
             derivatives: Vec::new(),
@@ -504,19 +464,6 @@ impl<'a> RolloutObjective<'a> {
         )
     }
 
-    /// Central finite differences through the workspace (the
-    /// [`GradientMode::Serial`] test oracle): no plant clone and no
-    /// perturbation-point allocation once warm.
-    fn gradient_fd(&self, x: &[f64], grad: &mut [f64]) {
-        let _rollout_span = span(self.sink, "rollout");
-        let ws = &mut *self.workspace.borrow_mut();
-        let mut xp = std::mem::take(&mut ws.xp);
-        xp.clear();
-        xp.extend_from_slice(x);
-        NumericalGradient::central_with(&mut xp, grad, |z| self.forward(ws, z));
-        ws.xp = xp;
-    }
-
     /// Leaves the workspace's derivatives assembled at `x`, from the
     /// stored tape when the last forward pass was at a bit-equal point —
     /// the line search's accepted trial, in every iteration — otherwise
@@ -539,24 +486,6 @@ impl<'a> RolloutObjective<'a> {
         );
         ws.assemblies += 1;
     }
-
-    /// Reverse-mode gradient: one derivative assembly and an
-    /// allocation-free backward sweep — the whole gradient for at most
-    /// the price of a single rollout, independent of the horizon length,
-    /// and for none when `x` is the point the objective last evaluated.
-    fn gradient_adjoint(&self, x: &[f64], grad: &mut [f64]) {
-        let _rollout_span = span(self.sink, "rollout");
-        let ws = &mut *self.workspace.borrow_mut();
-        self.differentiate(ws, x);
-        crate::adjoint::adjoint_sweep(
-            self.plant,
-            &self.stage,
-            self.config,
-            &ws.tape,
-            &ws.derivatives,
-            grad,
-        );
-    }
 }
 
 impl Objective for RolloutObjective<'_> {
@@ -568,12 +497,23 @@ impl Objective for RolloutObjective<'_> {
         self.forward(&mut self.workspace.borrow_mut(), z)
     }
 
+    /// Reverse-mode gradient: one derivative assembly and an
+    /// allocation-free backward sweep — the whole gradient for at most
+    /// the price of a single rollout, independent of the horizon length,
+    /// and for none when `x` is the point the objective last evaluated.
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
-        match self.config.gradient_mode {
-            GradientMode::Adjoint => self.gradient_adjoint(x, grad),
-            GradientMode::Serial => self.gradient_fd(x, grad),
-        }
+        let _rollout_span = span(self.sink, "rollout");
+        let ws = &mut *self.workspace.borrow_mut();
+        self.differentiate(ws, x);
+        crate::adjoint::adjoint_sweep(
+            self.plant,
+            &self.stage,
+            self.config,
+            &ws.tape,
+            &ws.derivatives,
+            grad,
+        );
     }
 }
 
@@ -609,7 +549,7 @@ pub fn rollout_cost(
 ///
 /// Clones the plant's HEES once per call; the MPC's inner loop avoids
 /// even that by routing through its workspace instead (see
-/// [`GradientMode::Adjoint`]). Matches finite differences to ~1e-6
+/// [`Mpc::solve`]). Matches finite differences to ~1e-6
 /// relative error away from the objective's penalty kinks, at a cost
 /// independent of the horizon length.
 pub fn rollout_gradient_adjoint(
@@ -815,56 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_fd_gradient_matches_clone_based_reference() {
-        let config = SystemConfig::default();
-        let mut p = plant(&config);
-        p.hees.set_state(Ratio::new(0.8), Ratio::new(0.5));
-        p.state = ThermalState::uniform(Kelvin::from_celsius(33.0));
-        let cfg = MpcConfig {
-            horizon: 8,
-            gradient_mode: GradientMode::Serial,
-            ..MpcConfig::default()
-        };
-        let loads: Vec<Watts> = (0..8)
-            .map(|k| Watts::new(5_000.0 + 9_000.0 * (k % 3) as f64))
-            .collect();
-        let dt = Seconds::new(1.0);
-        let objective = RolloutObjective::new(
-            &p,
-            &loads,
-            dt,
-            &cfg,
-            RolloutWorkspace::new(&p.hees),
-            &NullSink,
-        );
-        let dim = 16;
-        let z: Vec<f64> = (0..dim)
-            .map(|i| {
-                if i < 8 {
-                    0.05 * i as f64 - 0.15
-                } else {
-                    0.1 * (i - 8) as f64
-                }
-            })
-            .collect();
-
-        // Reference: plain finite differences over the public clone-based
-        // rollout_cost — the workspace path must reproduce it bit-for-bit.
-        let mut reference = vec![0.0; dim];
-        NumericalGradient::central_with(&mut z.clone(), &mut reference, |zz| {
-            rollout_cost(&p, &loads, dt, &cfg, zz)
-        });
-
-        let mut serial = vec![0.0; dim];
-        objective.gradient(&z, &mut serial);
-        assert_eq!(
-            serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "workspace serial gradient deviates from clone-based reference"
-        );
-    }
-
-    #[test]
     fn warm_start_shift_advances_the_plan_one_period() {
         let n = 4;
         let prev: Vec<f64> = vec![
@@ -1016,136 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn adjoint_gradient_matches_finite_differences() {
-        // The backward sweep must reproduce central differences to
-        // roundoff at interior points of every penalty branch. Exercise
-        // warm/hot thermal states, part-empty stores, and a load profile
-        // that drives both legs.
-        let config = SystemConfig::default();
-        for (celsius, soc, soe) in [(33.0, 0.8, 0.5), (39.0, 0.9, 0.25), (25.0, 0.35, 0.85)] {
-            let mut p = plant(&config);
-            p.hees.set_state(Ratio::new(soc), Ratio::new(soe));
-            p.state = ThermalState::uniform(Kelvin::from_celsius(celsius));
-            let n = 8;
-            let cfg = MpcConfig {
-                horizon: n,
-                ..MpcConfig::default()
-            };
-            let loads: Vec<Watts> = (0..n)
-                .map(|k| Watts::new(4_000.0 + 11_000.0 * (k % 3) as f64))
-                .collect();
-            let dt = Seconds::new(1.0);
-            // Interior points only: z[k] = 0 sits exactly on the
-            // converter's no-load-loss ramp kink, where central FD
-            // averages two one-sided slopes and neither is the adjoint's.
-            let z: Vec<f64> = (0..2 * n)
-                .map(|i| {
-                    if i < n {
-                        0.07 * i as f64 - 0.215
-                    } else {
-                        0.09 * (i - n) as f64 + 0.05
-                    }
-                })
-                .collect();
-
-            let mut adjoint = vec![0.0; 2 * n];
-            let cost = rollout_gradient_adjoint(&p, &loads, dt, &cfg, &z, &mut adjoint);
-            assert_eq!(
-                cost.to_bits(),
-                rollout_cost(&p, &loads, dt, &cfg, &z).to_bits(),
-                "taped forward pass must be bit-identical to the objective"
-            );
-
-            // Richardson-extrapolated central differences: the w2 aging
-            // term's Arrhenius curvature makes plain FD at h ≈ 6e-6 carry
-            // ~1e-6 relative truncation error of its own, which would
-            // drown the comparison. O(h⁴) extrapolation pins the true
-            // derivative well below the 1e-6 assertion.
-            let fd = richardson_gradient(&z, |zz| rollout_cost(&p, &loads, dt, &cfg, zz));
-
-            let scale = fd.iter().fold(1.0_f64, |m, g| m.max(g.abs()));
-            for (i, (a, f)) in adjoint.iter().zip(fd.iter()).enumerate() {
-                assert!(
-                    (a - f).abs() <= 1e-6 * scale,
-                    "coordinate {i} at {celsius} °C: adjoint {a:.9e} vs FD {f:.9e}"
-                );
-            }
-        }
-    }
-
-    /// O(h⁴) Richardson-extrapolated central differences — the reference
-    /// the adjoint is pinned against in tests.
-    fn richardson_gradient(z: &[f64], mut f: impl FnMut(&[f64]) -> f64) -> Vec<f64> {
-        let h = 1e-4;
-        let mut zp = z.to_vec();
-        let mut grad = vec![0.0; z.len()];
-        for (i, g) in grad.iter_mut().enumerate() {
-            let orig = zp[i];
-            let mut central = |step: f64| {
-                zp[i] = orig + step;
-                let fp = f(&zp);
-                zp[i] = orig - step;
-                let fm = f(&zp);
-                zp[i] = orig;
-                (fp - fm) / (2.0 * step)
-            };
-            let coarse = central(h);
-            let fine = central(h / 2.0);
-            *g = (4.0 * fine - coarse) / 3.0;
-        }
-        grad
-    }
-
-    #[test]
-    fn adjoint_solve_slashes_rollouts_per_solve() {
-        // The whole point: an FD gradient costs 4·horizon rollouts, the
-        // adjoint one. Over identical solve sequences the rollout meter
-        // must drop by at least 10×.
-        let config = SystemConfig::default();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(36.0));
-        let loads: Vec<Watts> = (0..12)
-            .map(|k| Watts::new(if k >= 6 { 60_000.0 } else { 5_000.0 }))
-            .collect();
-        let mut fd_mpc = Mpc::new(MpcConfig {
-            horizon: 12,
-            gradient_mode: GradientMode::Serial,
-            ..MpcConfig::default()
-        });
-        let mut adj_mpc = Mpc::new(MpcConfig {
-            horizon: 12,
-            gradient_mode: GradientMode::Adjoint,
-            ..MpcConfig::default()
-        });
-        for _ in 0..3 {
-            let a = fd_mpc.solve(&p, &loads, Seconds::new(1.0));
-            let b = adj_mpc.solve(&p, &loads, Seconds::new(1.0));
-            assert!(a.cap_bus.is_finite() && b.cap_bus.is_finite());
-        }
-        let fd = fd_mpc.rollouts() as f64;
-        let adj = adj_mpc.rollouts() as f64;
-        assert!(
-            fd >= 10.0 * adj,
-            "expected ≥10× fewer rollouts: FD {fd} vs adjoint {adj}"
-        );
-        // And the adjoint solve must land on a comparable optimum: both
-        // controllers see the same plant, so the first moves should
-        // agree to solver tolerance.
-        let a = fd_mpc.solve(&p, &loads, Seconds::new(1.0));
-        let b = adj_mpc.solve(&p, &loads, Seconds::new(1.0));
-        assert!(
-            (a.cool_duty - b.cool_duty).abs() < 0.15
-                && (a.cap_bus.value() - b.cap_bus.value()).abs()
-                    < 0.05 * p.cap_power_max.value().max(1.0),
-            "adjoint optimum diverged: FD ({:?}, {}) vs adjoint ({:?}, {})",
-            a.cap_bus,
-            a.cool_duty,
-            b.cap_bus,
-            b.cool_duty
-        );
-    }
-
-    #[test]
     fn adjoint_mode_holds_one_workspace_across_solves() {
         use otem_telemetry::MemorySink;
         let config = SystemConfig::default();
@@ -1154,7 +914,6 @@ mod tests {
         let loads = vec![Watts::new(30_000.0); 6];
         let mut mpc = Mpc::new(MpcConfig {
             horizon: 6,
-            gradient_mode: GradientMode::Adjoint,
             ..MpcConfig::default()
         });
         let sink = MemorySink::new();
@@ -1258,7 +1017,6 @@ mod tests {
         let loads = vec![Watts::new(40_000.0); 6];
         let mut mpc = Mpc::new(MpcConfig {
             horizon: 6,
-            gradient_mode: GradientMode::Adjoint,
             ..MpcConfig::default()
         });
         mpc.set_clock(Arc::new(VirtualClock::new()));
@@ -1289,7 +1047,6 @@ mod tests {
         let run = || {
             let mut mpc = Mpc::new(MpcConfig {
                 horizon: 6,
-                gradient_mode: GradientMode::Adjoint,
                 deadline_ns: Some(3),
                 ..MpcConfig::default()
             });
@@ -1315,7 +1072,6 @@ mod tests {
         let loads = vec![Watts::new(20_000.0); 6];
         let mut mpc = Mpc::new(MpcConfig {
             horizon: 6,
-            gradient_mode: GradientMode::Adjoint,
             ..MpcConfig::default()
         });
         let sink = MemorySink::new();
@@ -1356,17 +1112,8 @@ mod tests {
 
     /// The thermally stressed city-EV rig's plant at its initial state.
     fn stress_plant(config: &SystemConfig) -> MpcPlant {
-        let battery = otem_battery::BatteryPack::new(config.cell.clone(), config.pack).unwrap();
-        let mut hees = HybridHees::new(
-            battery,
-            otem_ultracap::UltracapParams::paper_bank(config.capacitance),
-            otem_converter::DcDcConverter::battery_side(),
-            otem_converter::DcDcConverter::ultracap_side(),
-        )
-        .unwrap();
-        hees.set_state(config.initial_soc, config.initial_soe);
         MpcPlant {
-            hees,
+            hees: config.hybrid_plant().unwrap(),
             ..plant(config)
         }
     }

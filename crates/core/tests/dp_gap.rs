@@ -6,12 +6,11 @@
 //! between them bounds what the missing future knowledge (and the
 //! lifetime weighting) costs in energy terms.
 //!
-//! The bound is checked for the production gradient mode and for the
-//! central finite-difference oracle, on the default configuration and
-//! on the stress rig. Both land slightly *below* the plan (see the
-//! `planner` module doc), inside the 0.93× lower bound.
+//! The bound is checked on the default configuration and on the stress
+//! rig. Both land slightly *below* the plan (see the `planner` module
+//! doc), inside the 0.93× lower bound.
 
-use otem::mpc::{GradientMode, MpcConfig};
+use otem::mpc::MpcConfig;
 use otem::planner::{plan_split, PlannerConfig};
 use otem::policy::Otem;
 use otem::{Simulator, SystemConfig};
@@ -28,13 +27,9 @@ fn pulsed_trace() -> PowerTrace {
     PowerTrace::new(Seconds::new(1.0), samples)
 }
 
-/// Runs energy-only OTEM under `gradient_mode` on `config` and asserts
-/// its HEES energy lands between 0.93× and 1.25× of the clairvoyant DP
-/// plan.
-fn assert_within_reach_of_the_clairvoyant_bound(
-    config: &SystemConfig,
-    gradient_mode: GradientMode,
-) {
+/// Runs energy-only OTEM on `config` and asserts its HEES energy lands
+/// between 0.93× and 1.25× of the clairvoyant DP plan.
+fn assert_within_reach_of_the_clairvoyant_bound(config: &SystemConfig) {
     let trace = pulsed_trace();
 
     let plan = plan_split(
@@ -52,14 +47,13 @@ fn assert_within_reach_of_the_clairvoyant_bound(
         horizon: 8,
         solver_iterations: 15,
         w2: 0.0,
-        gradient_mode,
         ..MpcConfig::default()
     };
     let mut otem = Otem::with_mpc(config, mpc).expect("controller");
     let r = Simulator::new(config).run(&mut otem, &trace);
     let otem_energy = r.energy().value();
     println!(
-        "{gradient_mode:?}, {}p pack: OTEM/DP energy {:.4}",
+        "{}p pack: OTEM/DP energy {:.4}",
         config.pack.parallel,
         otem_energy / plan.energy.value()
     );
@@ -68,13 +62,13 @@ fn assert_within_reach_of_the_clairvoyant_bound(
     // OTEM cannot beat the clairvoyant plan by more than grid noise…
     assert!(
         otem_energy > plan.energy.value() * 0.93,
-        "{gradient_mode:?}: OTEM {otem_energy:.0} J implausibly beat the DP bound {:.0} J",
+        "OTEM {otem_energy:.0} J implausibly beat the DP bound {:.0} J",
         plan.energy.value()
     );
     // …and a healthy controller lands within ~25 % of it.
     assert!(
         otem_energy < plan.energy.value() * 1.25,
-        "{gradient_mode:?}: OTEM {otem_energy:.0} J vs clairvoyant {:.0} J — gap too large",
+        "OTEM {otem_energy:.0} J vs clairvoyant {:.0} J — gap too large",
         plan.energy.value()
     );
 }
@@ -82,13 +76,6 @@ fn assert_within_reach_of_the_clairvoyant_bound(
 #[test]
 fn otem_energy_is_within_reach_of_the_clairvoyant_bound() {
     for config in [SystemConfig::default(), SystemConfig::stress_rig()] {
-        assert_within_reach_of_the_clairvoyant_bound(&config, MpcConfig::default().gradient_mode);
-    }
-}
-
-#[test]
-fn fd_oracle_energy_is_within_reach_of_the_clairvoyant_bound() {
-    for config in [SystemConfig::default(), SystemConfig::stress_rig()] {
-        assert_within_reach_of_the_clairvoyant_bound(&config, GradientMode::Serial);
+        assert_within_reach_of_the_clairvoyant_bound(&config);
     }
 }

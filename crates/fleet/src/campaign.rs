@@ -576,15 +576,13 @@ mod tests {
         assert!(otem > 0 && otem < 60, "≈10 % OTEM, got {otem}/200");
     }
 
-    /// Fleet OTEM vehicles pin no gradient mode of their own: each
-    /// solve runs under `MpcConfig::default().gradient_mode`, so the
-    /// single-car and fleet defaults cannot drift apart.
+    /// Fleet OTEM vehicles solve with the adjoint gradient and report
+    /// it as the `mode` label of every solve outcome.
     #[test]
-    fn synthesized_otem_vehicles_solve_with_the_default_gradient_mode() {
+    fn synthesized_otem_vehicles_report_the_adjoint_mode() {
         use otem_telemetry::{Event, MemorySink};
         use otem_units::Watts;
 
-        let want = MpcConfig::default().gradient_mode.name();
         let otem: Vec<VehicleSpec> = Campaign::synthetic(200, 1)
             .vehicles
             .into_iter()
@@ -607,7 +605,7 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            assert_eq!(modes, [want], "vehicle {}", spec.id);
+            assert_eq!(modes, ["adjoint"], "vehicle {}", spec.id);
         }
     }
 

@@ -47,7 +47,7 @@ impl OutcomeTally {
         Self::default()
     }
 
-    /// The counts observed so far, summed over gradient modes.
+    /// The counts observed so far, summed over the `mode` label.
     pub fn snapshot(&self) -> SolveOutcomes {
         SolveOutcomes::from_snapshot(&self.0.snapshot())
     }

@@ -32,7 +32,7 @@
 //! exposed on `GET /metrics` as Prometheus v0.0.4 text:
 //! request/shed/timeout/panic totals, in-flight and uptime gauges,
 //! `otem_build_info`, per-route request-latency histograms, MPC solve
-//! outcomes by gradient mode, and trace-cache plus JSONL-drop
+//! outcomes by `mode` label, and trace-cache plus JSONL-drop
 //! counters. Each accepted connection mints
 //! a `request_id` that rides a thread-local
 //! [`otem_telemetry::request_scope`] through the engine's workers, so

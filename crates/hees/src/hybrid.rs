@@ -309,22 +309,6 @@ impl HybridHees {
         )
     }
 
-    /// [`HybridHees::step`] plus the exact partial derivatives of every
-    /// output in the step inputs: the value-only step, then
-    /// [`HybridHees::step_jacobian`] on its record. The forward results
-    /// are bit-identical to [`HybridHees::step`]'s.
-    pub fn step_with_jacobian(
-        &mut self,
-        command: HybridCommand,
-        temperature: Kelvin,
-        dt: Seconds,
-    ) -> (HeesStep, HeesStepJacobian) {
-        let constants = self.step_constants(dt);
-        let mut record = HeesStepRecord::default();
-        let step = self.step_prepared(command, temperature, &constants, &mut record);
-        (step, self.step_jacobian(&record, &constants))
-    }
-
     /// The decision-independent constants of a step of length `dt`.
     pub fn step_constants(&self, dt: Seconds) -> HeesStepConstants {
         HeesStepConstants {
@@ -537,9 +521,9 @@ impl HybridHees {
                 // Exactly zero transfer sits on the converter's |P| kink,
                 // where a central finite difference measures the *mean*
                 // of the two one-sided slopes. The adjoint adopts that
-                // subgradient convention so both MPC gradient modes walk
-                // the same solve path (the golden traces were blessed
-                // with central differences). The voltage chain vanishes
+                // subgradient convention so the MPC walks the solve path
+                // central differences did (the frozen FD golden trace
+                // was blessed with them). The voltage chain vanishes
                 // in the limit from either side.
                 let (g_dis, g_chg) = self.battery_converter.zero_transfer_gain_limits(v);
                 (0.5 * (g_dis + g_chg), 0.0, 0.0)
@@ -843,6 +827,22 @@ mod tests {
         assert_eq!(h, reference);
     }
 
+    /// [`HybridHees::step`] plus the exact partial derivatives of every
+    /// output in the step inputs, through the path the MPC's adjoint
+    /// runs: the step constants, the value-only prepared step, then
+    /// [`HybridHees::step_jacobian`] on its record.
+    fn step_with_jacobian(
+        h: &mut HybridHees,
+        command: HybridCommand,
+        temperature: Kelvin,
+        dt: Seconds,
+    ) -> (HeesStep, HeesStepJacobian) {
+        let constants = h.step_constants(dt);
+        let mut record = HeesStepRecord::default();
+        let step = h.step_prepared(command, temperature, &constants, &mut record);
+        (step, h.step_jacobian(&record, &constants))
+    }
+
     #[test]
     fn step_with_jacobian_forward_results_are_bit_identical() {
         let commands = [
@@ -861,7 +861,7 @@ mod tests {
                 cap_bus: Watts::new(pc),
             };
             let a = plain.step(cmd, room(), Seconds::new(1.0));
-            let (b, _) = traced.step_with_jacobian(cmd, room(), Seconds::new(1.0));
+            let (b, _) = step_with_jacobian(&mut traced, cmd, room(), Seconds::new(1.0));
             assert_eq!(a, b, "forward results diverged for ({pb}, {pc})");
             assert_eq!(plain, traced, "post-step states diverged");
         }
@@ -889,7 +889,7 @@ mod tests {
             ]
         };
         let mut base = make();
-        let (_, jac) = base.step_with_jacobian(cmd, room(), dt);
+        let (_, jac) = step_with_jacobian(&mut base, cmd, room(), dt);
         let rows: [(&str, [f64; 5]); 7] = [
             ("delivered", jac.delivered),
             ("battery_internal", jac.battery_internal),
@@ -1160,7 +1160,7 @@ mod tests {
                     let want = per_call_step(&mut reference, cmd, t, dt);
                     let want_bits = step_bits(&want, &reference);
                     let a = plain.step(cmd, t, dt);
-                    let (b, _) = taped.step_with_jacobian(cmd, t, dt);
+                    let (b, _) = step_with_jacobian(&mut taped, cmd, t, dt);
                     let constants = prepared.step_constants(dt);
                     let c =
                         prepared.step_prepared(cmd, t, &constants, &mut HeesStepRecord::default());
@@ -1208,7 +1208,7 @@ mod tests {
             let t = Kelvin::from_celsius(24.0 + 0.3 * k as f64);
             let mut record = HeesStepRecord::default();
             let a = prepared.step_prepared(cmd, t, &constants, &mut record);
-            let (b, jac_fresh) = fresh.step_with_jacobian(cmd, t, dt);
+            let (b, jac_fresh) = step_with_jacobian(&mut fresh, cmd, t, dt);
             assert_eq!(step_bits(&a, &prepared), step_bits(&b, &fresh), "step {k}");
             records.push(record);
             jacobians.push(jac_fresh);
@@ -1308,7 +1308,7 @@ mod tests {
             };
             let dt = Seconds::new(dt);
             let mut stepped = make();
-            let (_, jac) = stepped.step_with_jacobian(cmd, room(), dt);
+            let (_, jac) = step_with_jacobian(&mut stepped, cmd, room(), dt);
             let saturated = if label == "SoC to 1" {
                 stepped.soc().value() == 1.0 && jac.soc_next == [0.0; 5]
             } else {

@@ -10,8 +10,6 @@
 //!   single-shooting transcription),
 //! * [`Objective`] — the value-and-gradient contract the solver
 //!   minimises (the MPC's rollout objective implements it),
-//! * [`NumericalGradient`] — central finite differences, the kernel of
-//!   the MPC's finite-difference test oracle,
 //! * [`Clock`] / [`Deadline`] — pluggable time sources for *anytime*
 //!   solves: [`MonotonicClock`] in production, [`VirtualClock`] in tests
 //!   (deadline behaviour becomes bit-reproducible).
@@ -37,8 +35,11 @@
 //!
 //! // minimise over the box x, y ∈ [0, 2], with no telemetry and no deadline
 //! let bounds = Bounds::new(vec![0.0; 2], vec![2.0; 2]);
-//! let solution =
-//!     ProjectedGradient::default().minimize_within(&Bowl, &bounds, &[1.0, 1.0], &NullSink, None);
+//! let solver = ProjectedGradient {
+//!     max_iterations: 100,
+//!     tolerance: 1e-8,
+//! };
+//! let solution = solver.minimize_within(&Bowl, &bounds, &[1.0, 1.0], &NullSink, None);
 //! assert!((solution.x[0] - 2.0).abs() < 1e-6);
 //! assert!(solution.x[1].abs() < 1e-6);
 //! ```
@@ -54,6 +55,6 @@ mod solution;
 
 pub use bounds::Bounds;
 pub use clock::{Clock, Deadline, MonotonicClock, VirtualClock};
-pub use objective::{NumericalGradient, Objective};
+pub use objective::Objective;
 pub use projected::ProjectedGradient;
 pub use solution::{Solution, SolverOutcome};

@@ -1,20 +1,21 @@
-//! The objective-function abstraction and finite-difference gradients.
+//! The objective-function abstraction, and the finite-difference
+//! gradient the solver's tests difference their objectives with.
 
 /// A differentiable objective function `f: Rⁿ → R`.
 pub trait Objective {
     /// Evaluates the objective at `x`.
     fn value(&self, x: &[f64]) -> f64;
 
-    /// Writes `∇f(x)` into `grad`. An objective without an analytic
-    /// gradient can difference itself with
-    /// [`NumericalGradient::central_with`].
+    /// Writes `∇f(x)` into `grad`.
     fn gradient(&self, x: &[f64], grad: &mut [f64]);
 }
 
-/// Central finite-difference gradient helper.
-#[derive(Debug, Clone, Copy)]
-pub struct NumericalGradient;
+/// Central finite-difference gradient helper for test objectives
+/// without an analytic gradient.
+#[cfg(test)]
+pub(crate) struct NumericalGradient;
 
+#[cfg(test)]
 impl NumericalGradient {
     /// Relative step size for central differences (∛ε scaled).
     pub const REL_STEP: f64 = 6.055_454_452_393_343e-6; // cbrt(f64::EPSILON)
@@ -25,10 +26,6 @@ impl NumericalGradient {
     /// `xp` is a scratch copy of the evaluation point; it is perturbed
     /// one coordinate at a time and restored exactly, so after the call
     /// it again equals the input point bit-for-bit.
-    ///
-    /// `eval` is `FnMut` so callers can route evaluations through
-    /// mutable scratch state (e.g. a reusable plant model) without
-    /// interior mutability.
     ///
     /// # Panics
     ///

@@ -32,15 +32,6 @@ pub struct ProjectedGradient {
     pub tolerance: f64,
 }
 
-impl Default for ProjectedGradient {
-    fn default() -> Self {
-        Self {
-            max_iterations: 400,
-            tolerance: 1e-8,
-        }
-    }
-}
-
 impl ProjectedGradient {
     /// Minimises `f` over the box from the starting point `x0`
     /// (projected into the box first), with telemetry and an optional
@@ -226,6 +217,15 @@ mod tests {
         }
     }
 
+    /// A solver with budget and tolerance to spare for these small
+    /// problems.
+    fn tight() -> ProjectedGradient {
+        ProjectedGradient {
+            max_iterations: 400,
+            tolerance: 1e-8,
+        }
+    }
+
     fn rosenbrock() -> Fd<impl Fn(&[f64]) -> f64> {
         Fd(|x: &[f64]| 100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2))
     }
@@ -251,12 +251,7 @@ mod tests {
     #[test]
     fn unconstrained_quadratic() {
         let f = Fd(|x: &[f64]| (x[0] - 1.0).powi(2) + 10.0 * (x[1] + 2.0).powi(2));
-        let sol = minimize(
-            &ProjectedGradient::default(),
-            &f,
-            &unbounded(2),
-            &[5.0, 5.0],
-        );
+        let sol = minimize(&tight(), &f, &unbounded(2), &[5.0, 5.0]);
         assert_eq!(sol.outcome, SolverOutcome::Converged, "{sol:?}");
         assert!((sol.x[0] - 1.0).abs() < 1e-5);
         assert!((sol.x[1] + 2.0).abs() < 1e-5);
@@ -266,12 +261,7 @@ mod tests {
     fn active_box_constraint() {
         // Minimum at x = 3 but box caps at 2.
         let f = Fd(|x: &[f64]| (x[0] - 3.0).powi(2));
-        let sol = minimize(
-            &ProjectedGradient::default(),
-            &f,
-            &uniform(1, -1.0, 2.0),
-            &[0.0],
-        );
+        let sol = minimize(&tight(), &f, &uniform(1, -1.0, 2.0), &[0.0]);
         assert!((sol.x[0] - 2.0).abs() < 1e-8, "{sol:?}");
     }
 
@@ -295,12 +285,7 @@ mod tests {
                 .map(|(i, &v)| (i as f64 + 1.0) * (v - 0.5).powi(2))
                 .sum()
         });
-        let sol = minimize(
-            &ProjectedGradient::default(),
-            &f,
-            &uniform(n, 0.0, 1.0),
-            &vec![0.0; n],
-        );
+        let sol = minimize(&tight(), &f, &uniform(n, 0.0, 1.0), &vec![0.0; n]);
         for (i, v) in sol.x.iter().enumerate() {
             assert!((v - 0.5).abs() < 1e-4, "coordinate {i} = {v}");
         }
@@ -309,12 +294,7 @@ mod tests {
     #[test]
     fn starts_outside_box_are_projected() {
         let f = Fd(|x: &[f64]| x[0] * x[0]);
-        let sol = minimize(
-            &ProjectedGradient::default(),
-            &f,
-            &uniform(1, -1.0, 1.0),
-            &[50.0],
-        );
+        let sol = minimize(&tight(), &f, &uniform(1, -1.0, 1.0), &[50.0]);
         assert!(sol.x[0].abs() < 1e-8);
     }
 
@@ -349,7 +329,7 @@ mod tests {
         let f = Fd(|x: &[f64]| (x[0] - 1.0).powi(2));
         let solver = ProjectedGradient {
             max_iterations: 0,
-            ..ProjectedGradient::default()
+            ..tight()
         };
         let sol = minimize(&solver, &f, &unbounded(1), &[5.0]);
         assert_eq!(sol.iterations, 0);
@@ -359,12 +339,7 @@ mod tests {
     #[test]
     fn non_finite_objective_is_surfaced_structurally() {
         let f = Fd(|_: &[f64]| f64::NAN);
-        let sol = minimize(
-            &ProjectedGradient::default(),
-            &f,
-            &uniform(2, -1.0, 1.0),
-            &[0.5, 0.5],
-        );
+        let sol = minimize(&tight(), &f, &uniform(2, -1.0, 1.0), &[0.5, 0.5]);
         assert_eq!(sol.outcome, SolverOutcome::NonFinite);
         assert_eq!(sol.iterations, 0);
         assert!(sol.value.is_nan());
@@ -383,12 +358,7 @@ mod tests {
                 grad.fill(f64::INFINITY);
             }
         }
-        let sol = minimize(
-            &ProjectedGradient::default(),
-            &InfiniteSlope,
-            &uniform(1, -1.0, 1.0),
-            &[0.5],
-        );
+        let sol = minimize(&tight(), &InfiniteSlope, &uniform(1, -1.0, 1.0), &[0.5]);
         assert_eq!(sol.outcome, SolverOutcome::NonFinite);
     }
 
@@ -396,12 +366,7 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn dimension_mismatch_panics() {
         let f = Fd(|x: &[f64]| x[0]);
-        minimize(
-            &ProjectedGradient::default(),
-            &f,
-            &uniform(2, 0.0, 1.0),
-            &[0.0],
-        );
+        minimize(&tight(), &f, &uniform(2, 0.0, 1.0), &[0.0]);
     }
 
     #[test]
@@ -409,10 +374,10 @@ mod tests {
         let f = rosenbrock();
         let bounds = uniform(2, -2.0, 2.0);
         let x0 = [-1.2, 1.0];
-        let plain = minimize(&ProjectedGradient::default(), &f, &bounds, &x0);
+        let plain = minimize(&tight(), &f, &bounds, &x0);
 
         let sink = MemorySink::new();
-        let observed = ProjectedGradient::default().minimize_within(&f, &bounds, &x0, &sink, None);
+        let observed = tight().minimize_within(&f, &bounds, &x0, &sink, None);
         assert_eq!(observed.iterations, plain.iterations);
         assert_eq!(observed.value.to_bits(), plain.value.to_bits());
         assert_eq!(
@@ -433,7 +398,7 @@ mod tests {
         let f = Fd(|x: &[f64]| (x[0] - 1.0).powi(2));
         let clock = VirtualClock::new();
         let deadline = Deadline::after(&clock, 0);
-        let sol = ProjectedGradient::default().minimize_within(
+        let sol = tight().minimize_within(
             &f,
             &uniform(1, -1.0, 2.0),
             &[5.0],
@@ -452,7 +417,7 @@ mod tests {
         let f = rosenbrock();
         let bounds = uniform(2, -2.0, 2.0);
         let x0 = [-1.2, 1.0];
-        let unbounded = minimize(&ProjectedGradient::default(), &f, &bounds, &x0);
+        let unbounded = minimize(&tight(), &f, &bounds, &x0);
         assert!(unbounded.iterations > 10, "rig must need many iterations");
 
         // One tick per clock read: `after` consumes the first read, and
@@ -461,13 +426,7 @@ mod tests {
         let run = || {
             let clock = VirtualClock::with_tick(1);
             let deadline = Deadline::after(&clock, 5);
-            ProjectedGradient::default().minimize_within(
-                &f,
-                &bounds,
-                &x0,
-                &NullSink,
-                Some(&deadline),
-            )
+            tight().minimize_within(&f, &bounds, &x0, &NullSink, Some(&deadline))
         };
         let a = run();
         assert_eq!(a.outcome, SolverOutcome::DeadlineReached);
@@ -489,13 +448,7 @@ mod tests {
         let f = Fd(|x: &[f64]| (x[0] - 1.0).powi(2));
         let clock = VirtualClock::with_tick(1);
         let deadline = Deadline::after(&clock, 3);
-        let sol = ProjectedGradient::default().minimize_within(
-            &f,
-            &unbounded(1),
-            &[5.0],
-            &NullSink,
-            Some(&deadline),
-        );
+        let sol = tight().minimize_within(&f, &unbounded(1), &[5.0], &NullSink, Some(&deadline));
         assert_eq!(sol.outcome, SolverOutcome::Converged, "{sol:?}");
     }
 
@@ -516,7 +469,7 @@ mod tests {
                     .map(|(&xi, (&ci, &si))| si * (xi - ci).powi(2))
                     .sum()
             });
-            let sol = minimize(&ProjectedGradient::default(), &f, &uniform(n, lo, hi), &vec![0.0; n]);
+            let sol = minimize(&tight(), &f, &uniform(n, lo, hi), &vec![0.0; n]);
             // Optimum of a separable QP over a box is the clamped center.
             for (i, (xi, ci)) in sol.x.iter().zip(&center).enumerate() {
                 let expect = ci.clamp(lo, hi);
@@ -532,7 +485,7 @@ mod tests {
             start in prop::collection::vec(-10.0..10.0f64, 4),
         ) {
             let f = Fd(|x: &[f64]| x.iter().map(|v| (v - 7.0).powi(2)).sum());
-            let sol = minimize(&ProjectedGradient::default(), &f, &uniform(4, -1.0, 1.0), &start);
+            let sol = minimize(&tight(), &f, &uniform(4, -1.0, 1.0), &start);
             prop_assert!(sol.x.iter().all(|v| (-1.0..=1.0).contains(v)), "{:?}", sol.x);
         }
     }

@@ -44,10 +44,9 @@ pub enum Event {
     SolveOutcome {
         /// Stable snake_case outcome name (`SolverOutcome::name()`).
         outcome: &'static str,
-        /// Stable snake_case gradient-mode name
-        /// (`otem::mpc::GradientMode::name()`: `serial` / `adjoint`) —
-        /// the `mode` label of the `otem_solve_outcome_total` metric
-        /// family.
+        /// The gradient path that ran, always `adjoint` (the MPC has one)
+        /// — the `mode` label of the `otem_solve_outcome_total` metric
+        /// family, kept so the family's label set stays stable.
         mode: &'static str,
         /// Outer iterations actually performed.
         iterations: u64,

@@ -2,10 +2,9 @@
 //!
 //! Once warm, a solve allocates only a fixed handful of per-solve
 //! vectors (the solver's iterate, gradient and line-search buffers, the
-//! returned plan): the pooled rollout workspace, its tape and the
-//! finite-difference scratch point are reused, so **nothing allocates
-//! per rollout or per horizon step**. The count is therefore the same at
-//! every horizon, in every gradient mode.
+//! returned plan): the pooled rollout workspace and its tape are
+//! reused, so **nothing allocates per rollout or per horizon step**. The
+//! count is therefore the same at every horizon.
 //!
 //! The closed loop around it adds nothing per step: the simulator
 //! borrows each forecast window from the route and copies only the
@@ -18,7 +17,7 @@
 //! concurrently would pollute the counts (same discipline as
 //! `tests/telemetry_parity.rs`).
 
-use otem_repro::control::mpc::{GradientMode, Mpc, MpcConfig, MpcPlant};
+use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem_repro::control::{Controller, Simulator, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
@@ -77,11 +76,10 @@ fn plant(config: &SystemConfig) -> MpcPlant {
     }
 }
 
-/// Allocations across `SOLVES` fully warm-started solves in `mode` at
-/// `horizon`, each recorded on `sink` (a fresh `Mpc` each call; three
+/// Allocations across `SOLVES` fully warm-started solves at `horizon`, each recorded on `sink` (a fresh `Mpc` each call; three
 /// warm-up solves populate the workspace pool, the tape and the warm
 /// start before counting begins).
-fn steady_allocs(mode: GradientMode, horizon: usize, sink: &dyn Sink) -> u64 {
+fn steady_allocs(horizon: usize, sink: &dyn Sink) -> u64 {
     let config = SystemConfig::default();
     let p = plant(&config);
     let loads: Vec<Watts> = (0..horizon)
@@ -90,7 +88,6 @@ fn steady_allocs(mode: GradientMode, horizon: usize, sink: &dyn Sink) -> u64 {
     let dt = Seconds::new(1.0);
     let mut mpc = Mpc::new(MpcConfig {
         horizon,
-        gradient_mode: mode,
         solver_iterations: 12,
         ..MpcConfig::default()
     });
@@ -132,30 +129,26 @@ fn run_allocs(config: &SystemConfig, controller: &mut dyn Controller, route: &Po
 fn mpc_steady_state_allocations_are_horizon_independent() {
     // Throwaway run: fault in lazy process-level initialisation so the
     // measured runs below do identical work.
-    let _ = steady_allocs(GradientMode::Adjoint, 6, &NullSink);
+    let _ = steady_allocs(6, &NullSink);
 
-    for (mode, per_solve_ceiling) in [(GradientMode::Adjoint, 6), (GradientMode::Serial, 6)] {
-        let counts = HORIZONS.map(|h| steady_allocs(mode, h, &NullSink));
-        // No per-step or per-rollout allocations: quadrupling the
-        // horizon (and with it every rollout's length, and under finite
-        // differences the rollouts per gradient) changes nothing.
-        assert!(
-            counts.iter().all(|&c| c == counts[0]),
-            "{mode:?}: steady-state allocations scale with the horizon \
-             (h = {HORIZONS:?}: {counts:?})"
-        );
-        assert!(
-            counts[0] <= per_solve_ceiling * SOLVES,
-            "{mode:?}: {} allocations over {SOLVES} solves, ceiling {per_solve_ceiling}/solve",
-            counts[0]
-        );
-    }
+    let counts = HORIZONS.map(|h| steady_allocs(h, &NullSink));
+    // No per-step or per-rollout allocations: quadrupling the horizon
+    // (and with it every rollout's length) changes nothing.
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "steady-state allocations scale with the horizon (h = {HORIZONS:?}: {counts:?})"
+    );
+    assert!(
+        counts[0] <= 6 * SOLVES,
+        "{} allocations over {SOLVES} solves, ceiling 6/solve",
+        counts[0]
+    );
 
     // A registry as the sink counts every solve's outcome without
     // allocating: the warm-up solves register the child, and each
     // later lookup finds it through borrowed labels.
     let registry = MetricsRegistry::new();
-    let counts = HORIZONS.map(|h| steady_allocs(GradientMode::Adjoint, h, &registry));
+    let counts = HORIZONS.map(|h| steady_allocs(h, &registry));
     assert!(
         counts.iter().all(|&c| c <= 6 * SOLVES),
         "registry sink: {counts:?} allocations over {SOLVES} solves at h = {HORIZONS:?}, \

@@ -13,7 +13,7 @@
 //! allocator below is process-wide, and a sibling test running
 //! concurrently would pollute the counts.
 
-use otem_repro::control::mpc::{GradientMode, MpcConfig};
+use otem_repro::control::mpc::MpcConfig;
 use otem_repro::control::policy::Otem;
 use otem_repro::control::{Simulator, SystemConfig};
 use otem_repro::drivecycle::PowerTrace;
@@ -136,20 +136,18 @@ fn null_sink_is_bit_identical_and_allocation_free() {
     assert!(plain_allocs > 0, "counting allocator not engaged");
 
     // 3. Steady-state solver work is allocation-free: with the workspace
-    // pool warm (second run on the same controller) and the adjoint tape
-    // gradient (no per-gradient thread spawns, unlike the parallel-FD
-    // fan), quadrupling the per-solve iteration budget — each iteration
-    // doing a gradient, projections, and up to 40 backtracking trials —
-    // must not change the run's allocation count at all. Anything the
-    // solver loop heap-allocated per iteration would scale with the
-    // budget and break the equality.
+    // pool warm (second run on the same controller), quadrupling the
+    // per-solve iteration budget — each iteration doing a gradient,
+    // projections, and up to 40 backtracking trials — must not change
+    // the run's allocation count at all. Anything the solver loop
+    // heap-allocated per iteration would scale with the budget and
+    // break the equality.
     let budget_allocs = |iterations: usize| {
         let mut otem = Otem::with_mpc(
             &config,
             MpcConfig {
                 horizon: 4,
                 solver_iterations: iterations,
-                gradient_mode: GradientMode::Adjoint,
                 ..MpcConfig::default()
             },
         )

@@ -1,9 +1,8 @@
-//! Exact work-counter gate for the production MPC gradient paths.
+//! Exact work-counter gate for the MPC's adjoint gradient path.
 //!
 //! A fixed closed-loop decision sequence on the thermally stressed
 //! city-EV rig (`SystemConfig::stress_rig`, compact EV over US06) is
-//! solved in [`GradientMode::Adjoint`], the production gradient path.
-//! Two things are pinned:
+//! solved by the default MPC. Two things are pinned:
 //!
 //! * the decisions themselves, as an FNV-1a hash over the bits of every
 //!   returned `cap_bus`, `cool_duty`, `cost` and iteration count, so any
@@ -25,23 +24,20 @@
 //! * a traced 20-step OTEM run emits a balanced, properly nested span
 //!   stream whose per-phase counts are pinned.
 
-use otem_repro::battery::BatteryPack;
-use otem_repro::control::mpc::{GradientMode, Mpc, MpcConfig, MpcPlant};
+use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::policy::Otem;
 use otem_repro::control::{Simulator, SystemConfig};
-use otem_repro::converter::DcDcConverter;
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
-use otem_repro::hees::{HybridCommand, HybridHees};
+use otem_repro::hees::HybridCommand;
 use otem_repro::telemetry::{Event, MemorySink};
 use otem_repro::thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
-use otem_repro::ultracap::UltracapParams;
 use otem_repro::units::{Kelvin, Ratio, Seconds, Watts};
 use std::collections::BTreeMap;
 
-/// Closed-loop decisions per mode.
+/// Closed-loop decisions in the pinned sequence.
 const STEPS: usize = 60;
 
-/// The work and decision fingerprint of one mode's decision sequence.
+/// The work and decision fingerprint of the decision sequence.
 struct Run {
     rollouts: u64,
     gradient_evals: u64,
@@ -58,7 +54,7 @@ fn fnv1a(hash: &mut u64, bits: u64) {
 /// Runs `STEPS` receding-horizon decisions, applying each first move to
 /// the plant exactly as the OTEM controller does (cooling gated on below
 /// a 1e-3 duty, the battery covering load plus cooling minus the bank).
-fn run(mode: GradientMode) -> Run {
+fn run() -> Run {
     let config = SystemConfig::stress_rig();
     let cycle = standard(StandardCycle::Us06).expect("synthesis");
     let trace = Powertrain::new(VehicleParams::compact_ev())
@@ -66,23 +62,12 @@ fn run(mode: GradientMode) -> Run {
         .power_trace(&cycle);
     let dt = Seconds::new(1.0);
 
-    let battery = BatteryPack::new(config.cell.clone(), config.pack).expect("pack");
-    let mut hees = HybridHees::new(
-        battery,
-        UltracapParams::paper_bank(config.capacitance),
-        DcDcConverter::battery_side(),
-        DcDcConverter::ultracap_side(),
-    )
-    .expect("hees");
-    hees.set_state(config.initial_soc, config.initial_soe);
+    let mut hees = config.hybrid_plant().expect("hees");
     let thermal = ThermalModel::new(config.thermal_active).expect("thermal");
     let cooling = CoolingPlant::new(config.plant).expect("cooling plant");
     let mut state = ThermalState::uniform(config.ambient);
 
-    let mpc_config = MpcConfig {
-        gradient_mode: mode,
-        ..MpcConfig::default()
-    };
+    let mpc_config = MpcConfig::default();
     let mut mpc = Mpc::new(mpc_config);
     let sink = MemorySink::with_capacity(1 << 16);
     let mut gradient_evals = 0;
@@ -140,36 +125,25 @@ fn run(mode: GradientMode) -> Run {
     }
 }
 
-/// Asserts the pinned decision hash and that every gradient reused the
-/// accepted trial's tape: `baseline_rollouts` is the count with one
-/// taped forward pass per gradient on top of the line-search trials.
-fn check(mode: GradientMode, baseline_rollouts: u64, decision_hash: u64) {
-    let r = run(mode);
+/// The pinned decision hash, and every gradient reused the accepted
+/// trial's tape: 4153 is the count with one taped forward pass per
+/// gradient on top of the line-search trials.
+#[test]
+fn adjoint_gradients_reuse_the_accepted_trial_tape() {
+    let r = run();
     assert_eq!(
-        r.decision_hash,
-        decision_hash,
-        "{} decisions drifted: hash {:#018x}",
-        mode.name(),
+        r.decision_hash, 0xb89a_0ad9_3df1_6bdf,
+        "decisions drifted: hash {:#018x}",
         r.decision_hash
     );
-    assert!(
-        r.gradient_evals > STEPS as u64,
-        "{} ran no gradients",
-        mode.name()
-    );
+    assert!(r.gradient_evals > STEPS as u64, "ran no gradients");
     assert_eq!(
         r.rollouts,
-        baseline_rollouts - r.gradient_evals,
-        "{}: {} rollouts for {} gradient evaluations",
-        mode.name(),
+        4153 - r.gradient_evals,
+        "{} rollouts for {} gradient evaluations",
         r.rollouts,
         r.gradient_evals
     );
-}
-
-#[test]
-fn adjoint_gradients_reuse_the_accepted_trial_tape() {
-    check(GradientMode::Adjoint, 4153, 0xb89a_0ad9_3df1_6bdf);
 }
 
 /// Warm-started solves per horizon in the open-loop problem below.
@@ -181,7 +155,7 @@ const REPS: usize = 8;
 /// problem from the warm start.
 fn open_loop_rollouts_per_solve(horizon: usize) -> f64 {
     let config = SystemConfig::default();
-    let mut hees = HybridHees::ev_default(config.capacitance).expect("hees");
+    let mut hees = config.hybrid_plant().expect("hees");
     hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
     let plant = MpcPlant {
         hees,
@@ -200,7 +174,6 @@ fn open_loop_rollouts_per_solve(horizon: usize) -> f64 {
     let dt = Seconds::new(1.0);
     let mut mpc = Mpc::new(MpcConfig {
         horizon,
-        gradient_mode: GradientMode::Adjoint,
         ..MpcConfig::default()
     });
     mpc.solve(&plant, &loads, dt);
