@@ -44,10 +44,14 @@ fn main() {
     );
     let mut otem_ratios = Vec::new();
     let mut dual_ratios = Vec::new();
+    // Cycles where another methodology lost less than OTEM: (cycle,
+    // rival, rival's ratio, OTEM's ratio).
+    let mut beaten = Vec::new();
     for cycle in StandardCycle::ALL {
         let trace = cycle_trace(cycle, repeats(cycle)).expect("trace");
         let base = run_cycle(Methodology::Parallel, cycle, &trace);
         let mut row = format!("{:<7} {:>10.1}", cycle.spec().name, 100.0);
+        let mut best = (Methodology::Parallel, 100.0);
         for m in [
             Methodology::ActiveCooling,
             Methodology::Dual,
@@ -56,9 +60,17 @@ fn main() {
             let r = run_cycle(m, cycle, &trace);
             let ratio = r.capacity_loss() / base.capacity_loss() * 100.0;
             match m {
-                Methodology::Otem => otem_ratios.push(ratio),
+                Methodology::Otem => {
+                    otem_ratios.push(ratio);
+                    if best.1 < ratio {
+                        beaten.push((cycle.spec().name, best.0.name(), best.1, ratio));
+                    }
+                }
                 Methodology::Dual => dual_ratios.push(ratio),
                 _ => {}
+            }
+            if ratio < best.1 {
+                best = (m, ratio);
             }
             let width = if m == Methodology::ActiveCooling {
                 14
@@ -76,6 +88,12 @@ fn main() {
         otem_avg
     );
     println!("Dual average capacity loss vs Parallel : {dual_avg:.1}");
-    println!("Shape check: OTEM is the best (or tied-best) methodology on every cycle,");
-    println!("and the only one that also holds the battery inside its thermal limits.");
+    println!(
+        "Shape check: OTEM has the lowest loss on {} of {} cycles.",
+        StandardCycle::ALL.len() - beaten.len(),
+        StandardCycle::ALL.len()
+    );
+    for (cycle, rival, rival_ratio, otem_ratio) in beaten {
+        println!("  not on {cycle}: {rival} {rival_ratio:.1} vs OTEM {otem_ratio:.1}");
+    }
 }

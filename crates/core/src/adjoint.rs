@@ -40,8 +40,8 @@
 //! and the mean of the one-sided slopes across the converter's
 //! zero-transfer kink (see [`otem_hees::HybridHees::step_jacobian`]).
 //! Matching the finite-difference oracle's subgradient conventions
-//! keeps the adjoint on the same closed-loop physics as the frozen FD
-//! golden trace (`tests/golden/otem_fd.csv`).
+//! keeps an adjoint solve on the first move an FD-driven solve takes
+//! (`tests/gradient_parity.rs`).
 //!
 //! There is one rollout implementation, [`rollout`], and it computes
 //! values only: [`crate::mpc::rollout_cost`] and every MPC objective

@@ -20,7 +20,11 @@
 //! state constraints C1/C4/C5/C6 become smooth quadratic penalties. The
 //! box-constrained NLP is solved with [`otem_solver::ProjectedGradient`],
 //! warm-started from the previous period's shifted solution (standard
-//! receding-horizon practice).
+//! receding-horizon practice). The box is partitioned into the two
+//! decision blocks, so the solver keeps one step length for the cap
+//! shares and one for the cooler duties: their curvatures differ by
+//! four orders of magnitude, and one shared step would be set by the
+//! stiff cap block.
 
 use crate::adjoint::{StageConstants, StageDerivatives, StageRecord};
 use otem_battery::AgingParams;
@@ -66,7 +70,7 @@ impl Default for MpcConfig {
         Self {
             horizon: 12,
             w2: 8.0e12,
-            solver_iterations: 30,
+            solver_iterations: 20,
             terminal_tail: 600.0,
             deadline_ns: None,
         }
@@ -135,8 +139,9 @@ pub struct Mpc {
     /// (making deadline behaviour bit-reproducible).
     clock: Arc<dyn Clock>,
     // Cached per-solve buffers: the problem dimension is fixed by the
-    // config, so bounds and the warm-start vector are built once and
-    // reused across every control period.
+    // config, so the box (with its two-block partition) and the
+    // warm-start vector are built once and reused across every control
+    // period.
     bounds: Bounds,
     x0: Vec<f64>,
     /// The rollout workspace, built on the first solve and held across
@@ -174,7 +179,7 @@ impl Mpc {
             iteration_cap: None,
             deadline_cap: None,
             clock: Arc::new(MonotonicClock::new()),
-            bounds: Bounds::new(lower, upper),
+            bounds: Bounds::new(lower, upper).partitioned_at(&[n]),
             x0: vec![0.0; 2 * n],
             workspace: None,
             rollouts: 0,
@@ -577,7 +582,7 @@ mod tests {
     use otem_units::{Farads, Kelvin};
 
     fn plant(config: &SystemConfig) -> MpcPlant {
-        let mut hees = HybridHees::ev_default(Farads::new(25_000.0)).unwrap();
+        let mut hees = config.hybrid_plant().unwrap();
         hees.set_state(config.initial_soc, Ratio::new(0.6));
         MpcPlant {
             hees,

@@ -1,8 +1,16 @@
-//! Box constraints and projection.
+//! Box constraints, projection and the block partition of the
+//! coordinates.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// Per-coordinate box constraints `lower ≤ x ≤ upper`.
+/// Per-coordinate box constraints `lower ≤ x ≤ upper`, with the
+/// coordinates split into contiguous blocks.
+///
+/// A block is a group of coordinates that share one scale, such as one
+/// physical actuator over a horizon. [`crate::ProjectedGradient`] keeps
+/// one step length per block. [`Bounds::new`] makes one block of every
+/// coordinate; [`Bounds::partitioned_at`] splits it.
 ///
 /// ```
 /// use otem_solver::Bounds;
@@ -10,11 +18,17 @@ use serde::{Deserialize, Serialize};
 /// let mut x = vec![-5.0, 0.2, 9.0];
 /// b.project(&mut x);
 /// assert_eq!(x, vec![-1.0, 0.2, 1.0]);
+///
+/// // One block for the first coordinate, one for the other two.
+/// let b = b.partitioned_at(&[1]);
+/// assert_eq!(b.len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Bounds {
     lower: Vec<f64>,
     upper: Vec<f64>,
+    /// Block boundaries: `0`, the interior split points, then `len()`.
+    fences: Vec<usize>,
 }
 
 impl Bounds {
@@ -29,7 +43,38 @@ impl Bounds {
         for (i, (lo, hi)) in lower.iter().zip(&upper).enumerate() {
             assert!(lo <= hi, "bounds inverted at coordinate {i}: {lo} > {hi}");
         }
-        Self { lower, upper }
+        let fences = vec![0, lower.len()];
+        Self {
+            lower,
+            upper,
+            fences,
+        }
+    }
+
+    /// Splits the coordinates into contiguous blocks that begin at
+    /// `0` and at each of `splits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `splits` is strictly ascending and every split lies
+    /// strictly inside `0..len()` (no empty block).
+    pub fn partitioned_at(mut self, splits: &[usize]) -> Self {
+        let mut fences = Vec::with_capacity(splits.len() + 2);
+        fences.push(0);
+        fences.extend_from_slice(splits);
+        fences.push(self.len());
+        assert!(
+            fences.windows(2).all(|w| w[0] < w[1]),
+            "block splits {splits:?} must ascend strictly inside 0..{}",
+            self.len()
+        );
+        self.fences = fences;
+        self
+    }
+
+    /// The coordinate blocks, in order; together they cover `0..len()`.
+    pub(crate) fn blocks(&self) -> impl ExactSizeIterator<Item = Range<usize>> + '_ {
+        self.fences.windows(2).map(|w| w[0]..w[1])
     }
 
     /// Problem dimension.
@@ -81,6 +126,26 @@ mod tests {
         let mut x = vec![1e300, -1e300];
         b.project(&mut x);
         assert_eq!(x, vec![1e300, -1e300]);
+    }
+
+    #[test]
+    fn one_block_until_partitioned() {
+        let b = Bounds::new(vec![0.0; 5], vec![1.0; 5]);
+        assert_eq!(b.blocks().collect::<Vec<_>>(), vec![0..5]);
+        let b = b.partitioned_at(&[2, 4]);
+        assert_eq!(b.blocks().collect::<Vec<_>>(), vec![0..2, 2..4, 4..5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must ascend strictly")]
+    fn empty_block_panics() {
+        let _ = Bounds::new(vec![0.0; 4], vec![1.0; 4]).partitioned_at(&[2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must ascend strictly")]
+    fn split_past_the_end_panics() {
+        let _ = Bounds::new(vec![0.0; 4], vec![1.0; 4]).partitioned_at(&[4]);
     }
 
     #[test]

@@ -19,7 +19,16 @@ const STEP_MIN: f64 = 1e-12;
 const STEP_MAX: f64 = 1e10;
 
 /// Projected spectral (Barzilai–Borwein) gradient method with a
-/// non-monotone Armijo safeguard (Birgin–Martínez–Raydan SPG).
+/// non-monotone Armijo safeguard (Birgin–Martínez–Raydan SPG), scaled
+/// per block of the box's partition ([`Bounds::partitioned_at`]).
+///
+/// Each block keeps its own BB1 step `sᵀs/sᵀy`, taken over that block's
+/// coordinates alone, so a block whose curvature is orders of magnitude
+/// below its neighbour's is not held to the stiff block's step. The
+/// trial point is `P(x − α·D·g)`, with `D` the block steps and `α`
+/// halved from 1 by the line search: scaled gradient projection
+/// (Bonettini, Zanella & Zanni, 2009) with a block-diagonal scaling. On
+/// a one-block box this is plain SPG, iterate for iterate.
 ///
 /// Robust on the moderately ill-conditioned, smooth, box-constrained
 /// problems the MPC transcription produces, with no linear algebra
@@ -36,7 +45,8 @@ impl ProjectedGradient {
     /// Minimises `f` over the box from the starting point `x0`
     /// (projected into the box first), with telemetry and an optional
     /// [`Deadline`]. Emits one
-    /// [`Event::SolverIteration`] per outer iteration and one
+    /// [`Event::SolverIteration`] per outer iteration (its `step` is the
+    /// first block's step length) and one
     /// [`Event::GradientEval`] per gradient evaluation into `sink`
     /// (observation only — the iterates are bit-identical for any sink).
     ///
@@ -83,10 +93,16 @@ impl ProjectedGradient {
             return Solution::new(x, value, 0, SolverOutcome::NonFinite);
         }
 
-        let mut history = std::collections::VecDeque::with_capacity(MEMORY);
-        history.push_back(value);
+        // The last `MEMORY` accepted values, as a ring. Seeding every
+        // slot with the start value gives the same maximum as a window
+        // that grows from one entry.
+        let mut history = [value; MEMORY];
 
-        let mut step = 1.0 / grad.iter().map(|g| g.abs()).fold(1e-12, f64::max);
+        // One BB step per block, seeded with `1/max|g|` over the block.
+        let mut steps: Vec<f64> = bounds
+            .blocks()
+            .map(|block| 1.0 / grad[block].iter().map(|g| g.abs()).fold(1e-12, f64::max))
+            .collect();
         let mut x_prev = x.clone();
         let mut grad_prev = grad.clone();
         // Line-search trial point, allocated once for the whole solve —
@@ -106,7 +122,7 @@ impl ProjectedGradient {
                 iteration: iter as u64,
                 value,
                 residual: pg_norm,
-                step,
+                step: steps[0],
             });
             if pg_norm < self.tolerance {
                 return Solution::new(x, value, iter, SolverOutcome::Converged);
@@ -121,15 +137,22 @@ impl ProjectedGradient {
                 return Solution::new(x, value, iter, SolverOutcome::DeadlineReached);
             }
 
-            // Trial point along the projected BB direction with
-            // non-monotone backtracking.
+            // Trial point along the projected, block-scaled BB direction
+            // with non-monotone backtracking on `alpha`.
             let f_ref = history.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let mut alpha = step.clamp(STEP_MIN, STEP_MAX);
+            let longest = steps
+                .iter()
+                .fold(0.0, |m: f64, s| m.max(s.clamp(STEP_MIN, STEP_MAX)));
+            let mut alpha = 1.0;
             let mut accepted = false;
             let line_search = span(sink, "line_search");
             for _ in 0..40 {
-                for i in 0..n {
-                    trial[i] = x[i] - alpha * grad[i];
+                for (block, step) in bounds.blocks().zip(&steps) {
+                    // `alpha` is a power of two, so this product is exact.
+                    let scaled = alpha * step.clamp(STEP_MIN, STEP_MAX);
+                    for i in block {
+                        trial[i] = x[i] - scaled * grad[i];
+                    }
                 }
                 bounds.project(&mut trial);
                 let decrease: f64 = (0..n).map(|i| grad[i] * (x[i] - trial[i])).sum();
@@ -143,7 +166,7 @@ impl ProjectedGradient {
                     break;
                 }
                 alpha *= 0.5;
-                if alpha < STEP_MIN {
+                if alpha * longest < STEP_MIN {
                     break;
                 }
             }
@@ -162,31 +185,32 @@ impl ProjectedGradient {
                 return Solution::new(x, value, iter, outcome);
             }
             if iter + 1 == self.max_iterations {
-                // Nothing reads the gradient or BB step of the last
+                // Nothing reads the gradient or BB steps of the last
                 // accepted iterate.
                 break;
             }
 
             gradient(&x, &mut grad);
-            if history.len() == MEMORY {
-                history.pop_front();
-            }
-            history.push_back(value);
+            // The `iter + 1`-th value after the start's overwrites the
+            // oldest slot.
+            history[(iter + 1) % MEMORY] = value;
 
-            // BB1 step from the last displacement pair.
-            let mut sty = 0.0;
-            let mut sts = 0.0;
-            for i in 0..n {
-                let s = x[i] - x_prev[i];
-                let y = grad[i] - grad_prev[i];
-                sty += s * y;
-                sts += s * s;
+            // BB1 step per block from the last displacement pair.
+            for (block, step) in bounds.blocks().zip(steps.iter_mut()) {
+                let mut sty = 0.0;
+                let mut sts = 0.0;
+                for i in block {
+                    let s = x[i] - x_prev[i];
+                    let y = grad[i] - grad_prev[i];
+                    sty += s * y;
+                    sts += s * s;
+                }
+                *step = if sty > 1e-300 {
+                    (sts / sty).clamp(STEP_MIN, STEP_MAX)
+                } else {
+                    (*step * 2.0).clamp(STEP_MIN, STEP_MAX)
+                };
             }
-            step = if sty > 1e-300 {
-                (sts / sty).clamp(STEP_MIN, STEP_MAX)
-            } else {
-                (step * 2.0).clamp(STEP_MIN, STEP_MAX)
-            };
         }
         Solution::new(
             x,
@@ -450,6 +474,142 @@ mod tests {
         let deadline = Deadline::after(&clock, 3);
         let sol = tight().minimize_within(&f, &unbounded(1), &[5.0], &NullSink, Some(&deadline));
         assert_eq!(sol.outcome, SolverOutcome::Converged, "{sol:?}");
+    }
+
+    /// FNV-1a over the bits of every coordinate.
+    fn bits_hash(x: &[f64]) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in x.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// A one-block box, whether built unpartitioned or partitioned at no
+    /// split, takes the iterates of the unscaled SPG this solver was
+    /// before it learned block steps. The pins were recorded with that
+    /// solver.
+    #[test]
+    fn one_block_partition_reproduces_the_unscaled_iterates() {
+        let boxed = uniform(2, -2.0, 2.0);
+        for bounds in [boxed.clone(), boxed.partitioned_at(&[])] {
+            let sol = minimize(&tight(), &rosenbrock(), &bounds, &[-1.2, 1.0]);
+            assert_eq!(sol.iterations, 57);
+            assert_eq!(sol.value.to_bits(), 0x3c90_d275_7fb2_1339);
+            assert_eq!(
+                sol.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                [0x3fef_ffff_fbe6_05d5, 0x3fef_ffff_f7cb_ee0b]
+            );
+        }
+
+        let n = 50;
+        let f = Fd(|x: &[f64]| {
+            x.iter()
+                .enumerate()
+                .map(|(i, &v)| (i as f64 + 1.0) * (v - 0.5).powi(2))
+                .sum()
+        });
+        let boxed = uniform(n, 0.0, 1.0);
+        for bounds in [boxed.clone(), boxed.partitioned_at(&[])] {
+            let sol = minimize(&tight(), &f, &bounds, &vec![0.0; n]);
+            assert_eq!(sol.iterations, 83);
+            assert_eq!(sol.value.to_bits(), 0x3c4d_c976_ad4c_da40);
+            assert_eq!(bits_hash(&sol.x), 0x23f8_6493_52c8_6080);
+        }
+    }
+
+    /// `½·Σ cᵢ(xᵢ − tᵢ)²` with its analytic gradient.
+    struct DiagonalQp {
+        curvature: Vec<f64>,
+        target: Vec<f64>,
+    }
+
+    impl Objective for DiagonalQp {
+        fn value(&self, x: &[f64]) -> f64 {
+            x.iter()
+                .zip(&self.curvature)
+                .zip(&self.target)
+                .map(|((x, c), t)| 0.5 * c * (x - t).powi(2))
+                .sum()
+        }
+        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+            for (i, g) in grad.iter_mut().enumerate() {
+                *g = self.curvature[i] * (x[i] - self.target[i]);
+            }
+        }
+    }
+
+    /// Coordinates per block of [`two_scale_qp`].
+    const BLOCK: usize = 6;
+
+    /// Two blocks shaped like the MPC's: shares in [−1, 1] with
+    /// curvatures 3e4 × [1, 3.5], then duties in [0, 1] with curvatures
+    /// [1, 3.5]. 3e4 is the median ratio of the MPC's two block BB
+    /// steps on the stress rig.
+    fn two_scale_qp() -> (DiagonalQp, Bounds) {
+        let spread = |k: usize| 1.0 + 0.5 * k as f64;
+        let curvature = (0..BLOCK)
+            .map(|k| 3e4 * spread(k))
+            .chain((0..BLOCK).map(spread))
+            .collect();
+        let target = (0..BLOCK)
+            .map(|k| 0.3 - 0.1 * k as f64)
+            .chain((0..BLOCK).map(|k| 0.1 + 0.15 * k as f64))
+            .collect();
+        let mut lower = vec![-1.0; BLOCK];
+        lower.extend([0.0; BLOCK]);
+        let bounds = Bounds::new(lower, vec![1.0; 2 * BLOCK]);
+        (DiagonalQp { curvature, target }, bounds)
+    }
+
+    #[test]
+    fn block_steps_converge_where_one_shared_step_crawls() {
+        let (f, bounds) = two_scale_qp();
+        let solver = ProjectedGradient {
+            max_iterations: 40,
+            ..tight()
+        };
+        let x0 = [0.0; 2 * BLOCK];
+
+        let two = minimize(&solver, &f, &bounds.clone().partitioned_at(&[BLOCK]), &x0);
+        assert_eq!(two.outcome, SolverOutcome::Converged, "{two:?}");
+        assert!(two.iterations <= 25, "{two:?}");
+        for (i, (x, t)) in two.x.iter().zip(&f.target).enumerate() {
+            assert!((x - t).abs() < 1e-8, "x[{i}] = {x}, target {t}");
+        }
+
+        // One step for both blocks follows the stiff one, and the soft
+        // block barely moves within the same budget.
+        let one = minimize(&solver, &f, &bounds, &x0);
+        assert_eq!(one.outcome, SolverOutcome::BudgetExhausted, "{one:?}");
+        assert_eq!(one.iterations, 40);
+    }
+
+    #[test]
+    fn iteration_events_report_the_first_blocks_step() {
+        let (f, bounds) = two_scale_qp();
+        let bounds = bounds.partitioned_at(&[BLOCK]);
+        let x0 = [0.0; 2 * BLOCK];
+        let sink = MemorySink::new();
+        let sol = tight().minimize_within(&f, &bounds, &x0, &sink, None);
+
+        let mut grad = [0.0; 2 * BLOCK];
+        f.gradient(&x0, &mut grad);
+        let max_abs = |g: &[f64]| g.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+        let first = 1.0 / max_abs(&grad[..BLOCK]);
+        assert_ne!(first, 1.0 / max_abs(&grad[BLOCK..]), "blocks must differ");
+
+        let steps: Vec<f64> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::SolverIteration { step, .. } => Some(step),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steps.len(), sol.iterations + 1);
+        assert_eq!(steps[0], first);
     }
 
     proptest! {

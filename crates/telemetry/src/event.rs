@@ -15,7 +15,8 @@ use std::fmt::Write as _;
 pub enum Event {
     /// One outer iteration of the solver ([`ProjectedGradient`]):
     /// current objective value, convergence residual (projected-gradient
-    /// infinity norm) and the step length about to be tried.
+    /// infinity norm) and the step length about to be tried (on a box
+    /// split into blocks, the first block's).
     ///
     /// [`ProjectedGradient`]: https://docs.rs/otem-solver
     SolverIteration {
@@ -25,7 +26,8 @@ pub enum Event {
         value: f64,
         /// Convergence residual (infinity norm the solver converges on).
         residual: f64,
-        /// Step length entering this iteration's line search.
+        /// Step length entering this iteration's line search: the first
+        /// block's, when each block of the box keeps its own.
         step: f64,
     },
     /// One full gradient evaluation: a backward sweep over the tape of

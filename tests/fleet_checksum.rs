@@ -10,9 +10,9 @@
 
 use otem_repro::fleet::{Campaign, FleetEngine, Schedule};
 
-/// `fleet_checksum()` of `Campaign::synthetic(64, 42)`, measured before
-/// the single-evaluation plant step landed (which changed no bits).
-const PINNED: u64 = 0x92af_54a1_e3ff_db9b;
+/// `fleet_checksum()` of `Campaign::synthetic(64, 42)`, re-pinned when
+/// the MPC's solver took one step length per decision block.
+const PINNED: u64 = 0x7d3c_4bf4_2910_6da6;
 
 #[test]
 fn synthetic_campaign_checksum_is_pinned() {

@@ -17,13 +17,7 @@
 //! git diff tests/golden/
 //! ```
 //!
-//! One file is not a golden of a live controller: `otem_fd.csv` is the
-//! route OTEM drove when the MPC could still take central finite-
-//! difference gradients, recorded before that path was deleted. Nothing
-//! regenerates it and `OTEM_BLESS` leaves it alone; it is the frozen
-//! yardstick the adjoint's physical-agreement test below compares
-//! against.
-
+use otem_repro::control::mpc::MpcConfig;
 use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem_repro::control::{Controller, SimulationResult, Simulator, SupervisedOtem, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
@@ -211,50 +205,48 @@ fn golden_otem() {
     check("otem", &mut c);
 }
 
-/// Cross-mode contract: the adjoint must land on the *same physical
-/// behaviour* the finite-difference gradient drove (the frozen
-/// `otem_fd.csv`). Bit-level trajectory identity
-/// is not achievable — the solver stops on an iteration budget, warm
-/// starts carry each solve's endpoint into the next, and wherever an
-/// evaluation sits within a finite-difference step of a clamp branch the
-/// FD stencil straddles branches while the adjoint differentiates the
-/// executed one, so the iterate paths are free to split at kinks. (At
-/// smooth points the gradients agree to ≤ 1e-6 — see
-/// `tests/gradient_parity.rs` — and the adjoint adopts central-
-/// difference subgradient conventions *on* the kink set.) What must
-/// hold is physical agreement over the whole route: battery temperature
-/// within 0.2 °C, states of charge/energy within 5e-4 / 5e-3, and
-/// cumulative delivered energy within 0.5 %. Measured slack is ≥ 3× on
-/// every bound.
+/// Solve-quality contract: the production controller, which stops on
+/// its iteration budget, must land on the *same physical behaviour* as
+/// the same controller given a 400-iteration budget, a solve run close
+/// to convergence. Bit-level trajectory identity is not the point — warm
+/// starts carry each solve's endpoint into the next, so any truncation
+/// shows up along the whole route. What must hold is physical agreement
+/// over the route: battery temperature within 0.2 °C, states of
+/// charge/energy within 5e-4 / 5e-3, and cumulative delivered energy
+/// within 0.5 %. A budget that stops short of a solved plan (the
+/// unscaled step at 30 iterations drifts 0.23 °C and 0.53 % from its own
+/// 400-iteration run) fails here.
 #[test]
-fn adjoint_gradient_agrees_with_the_fd_golden_physically() {
+fn default_otem_agrees_with_a_solved_reference_physically() {
     let config = SystemConfig::stress_rig();
-    let result = run(&mut Otem::new(&config).expect("valid"));
-    let rows = rows_of(&result);
-    assert_eq!(rows.len(), STEPS, "route truncated for adjoint otem");
+    let rows = rows_of(&run(&mut Otem::new(&config).expect("valid")));
+    let solved = MpcConfig {
+        solver_iterations: 400,
+        ..MpcConfig::default()
+    };
+    let reference = rows_of(&run(&mut Otem::with_mpc(&config, solved).expect("valid")));
+    assert_eq!(rows.len(), STEPS, "route truncated for default otem");
+    assert_eq!(reference.len(), STEPS, "route truncated for solved otem");
 
-    let path = golden_path("otem_fd");
-    let text = std::fs::read_to_string(&path).expect("otem_fd golden present");
-    let expected = decode(&text, &path);
     let mut energy_got = 0.0;
     let mut energy_want = 0.0;
-    for (got, want) in rows.iter().zip(&expected) {
+    for (got, want) in rows.iter().zip(&reference) {
         let t = got.step;
         assert!(
             (got.t_battery_c - want.t_battery_c).abs() <= 0.2,
-            "adjoint otem step {t}: T_b {} vs FD golden {}",
+            "otem step {t}: T_b {} vs solved {}",
             got.t_battery_c,
             want.t_battery_c
         );
         assert!(
             (got.soc - want.soc).abs() <= 5e-4,
-            "adjoint otem step {t}: SoC {} vs FD golden {}",
+            "otem step {t}: SoC {} vs solved {}",
             got.soc,
             want.soc
         );
         assert!(
             (got.soe - want.soe).abs() <= 5e-3,
-            "adjoint otem step {t}: SoE {} vs FD golden {}",
+            "otem step {t}: SoE {} vs solved {}",
             got.soe,
             want.soe
         );

@@ -18,15 +18,14 @@
 
 use otem_repro::control::mpc::{rollout_cost, rollout_gradient_adjoint, Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::SystemConfig;
-use otem_repro::hees::HybridHees;
 use otem_repro::solver::{Bounds, Objective, ProjectedGradient};
 use otem_repro::telemetry::NullSink;
 use otem_repro::thermal::{CoolingPlant, ThermalModel, ThermalState};
-use otem_repro::units::{Farads, Kelvin, Ratio, Seconds, Watts};
+use otem_repro::units::{Kelvin, Ratio, Seconds, Watts};
 use proptest::prelude::*;
 
 fn plant(config: &SystemConfig, soc: f64, soe: f64, celsius: f64) -> MpcPlant {
-    let mut hees = HybridHees::ev_default(Farads::new(25_000.0)).expect("valid preset");
+    let mut hees = config.hybrid_plant().expect("valid plant");
     hees.set_state(Ratio::new(soc), Ratio::new(soe));
     MpcPlant {
         hees,
@@ -256,10 +255,12 @@ impl<F: Fn(&[f64]) -> f64> Objective for CentralFd<F> {
 }
 
 /// Solve-level agreement: the same projected-gradient solver, budget
-/// and box as `Mpc::solve`, started from zeros but driven by finite
-/// differences, lands on the adjoint solve's first move — cooler duty
-/// within 0.15 and bank power within 5 % of the C7 limit — on a warm
-/// battery facing a 60 kW pulse halfway through the window.
+/// and box (with its two step blocks) as `Mpc::solve`, started from
+/// zeros but driven by finite differences, lands on the adjoint solve's
+/// first move — cooler duty within 0.15 and bank power within 5 % of
+/// the C7 limit — on a warm battery facing a 60 kW pulse halfway
+/// through the window. Both sides take one step rule; only the gradient
+/// differs.
 #[test]
 fn fd_driven_solve_agrees_with_the_adjoint_first_move() {
     let config = SystemConfig::default();
@@ -276,9 +277,11 @@ fn fd_driven_solve_agrees_with_the_adjoint_first_move() {
 
     let adjoint = Mpc::new(cfg).solve(&p, &loads, dt);
 
+    // `Mpc::new`'s box: cap shares in [-1, 1], then duties in [0, 1],
+    // one step block each.
     let mut lower = vec![-1.0; n];
     lower.extend(vec![0.0; n]);
-    let bounds = Bounds::new(lower, vec![1.0; 2 * n]);
+    let bounds = Bounds::new(lower, vec![1.0; 2 * n]).partitioned_at(&[n]);
     let solver = ProjectedGradient {
         max_iterations: cfg.solver_iterations,
         tolerance: 1e-5,

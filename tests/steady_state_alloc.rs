@@ -22,10 +22,9 @@ use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem_repro::control::{Controller, Simulator, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_repro::fleet::SolveOutcomes;
-use otem_repro::hees::HybridHees;
 use otem_repro::telemetry::{MetricsRegistry, NullSink, Sink};
 use otem_repro::thermal::{CoolingPlant, ThermalModel, ThermalState};
-use otem_repro::units::{Farads, Kelvin, Ratio, Seconds, Watts};
+use otem_repro::units::{Kelvin, Ratio, Seconds, Watts};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,7 +60,7 @@ const SOLVES: u64 = 8;
 const HORIZONS: [usize; 3] = [6, 12, 24];
 
 fn plant(config: &SystemConfig) -> MpcPlant {
-    let mut hees = HybridHees::ev_default(Farads::new(25_000.0)).expect("valid preset");
+    let mut hees = config.hybrid_plant().expect("valid plant");
     hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
     MpcPlant {
         hees,
