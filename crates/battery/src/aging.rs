@@ -78,33 +78,20 @@ impl AgingParams {
     /// direction.
     #[inline]
     pub fn loss_rate(&self, temperature: Kelvin, c_rate: f64) -> f64 {
-        self.loss_rate_and_arrhenius(temperature, c_rate).0
-    }
-
-    /// [`AgingParams::loss_rate`] together with its Arrhenius factor
-    /// `e^(−l2/(R·T))`, so [`AgingParams::loss_rate_partials`] can price
-    /// the partials later without evaluating it again. The rate is
-    /// [`AgingParams::loss_rate`]'s, bit for bit.
-    #[inline]
-    pub fn loss_rate_and_arrhenius(&self, temperature: Kelvin, c_rate: f64) -> (f64, f64) {
         let t = temperature.value().max(200.0);
         let arrhenius = (-self.l2 / (GAS_CONSTANT * t)).exp();
-        (self.l1 * arrhenius * c_rate.abs().powf(self.l3), arrhenius)
+        self.l1 * arrhenius * c_rate.abs().powf(self.l3)
     }
 
     /// `(∂rate/∂T, ∂rate/∂|c|·sign(c))` at one operating point, from the
-    /// rate and Arrhenius factor [`AgingParams::loss_rate_and_arrhenius`]
-    /// returned there. Below the 200 K evaluation floor the temperature
-    /// partial is zero (clamp active); at zero C-rate the stress partial
-    /// is zero (the `|c|^(l3−1)` factor vanishes for `l3 > 1`).
+    /// `rate` [`AgingParams::loss_rate`] returned there: the stress
+    /// partial is `l3·rate/c`, since `∂|c|^l3/∂c = l3·|c|^l3/c`, and the
+    /// temperature partial is `rate·l2/(R·T²)`. Below the 200 K
+    /// evaluation floor the temperature partial is zero (clamp active);
+    /// at zero C-rate the stress partial is zero (the `|c|^(l3−1)`
+    /// factor vanishes for `l3 > 1`).
     #[inline]
-    pub fn loss_rate_partials(
-        &self,
-        temperature: Kelvin,
-        c_rate: f64,
-        rate: f64,
-        arrhenius: f64,
-    ) -> (f64, f64) {
+    pub fn loss_rate_partials(&self, temperature: Kelvin, c_rate: f64, rate: f64) -> (f64, f64) {
         let t = temperature.value().max(200.0);
         let d_temp = if temperature.value() > 200.0 {
             rate * self.l2 / (GAS_CONSTANT * t * t)
@@ -114,18 +101,18 @@ impl AgingParams {
         let d_c = if c_rate == 0.0 {
             0.0
         } else {
-            self.l1 * arrhenius * self.l3 * c_rate.abs().powf(self.l3 - 1.0) * c_rate.signum()
+            self.l3 * rate / c_rate
         };
         (d_temp, d_c)
     }
 
     /// [`AgingParams::loss_rate`] together with its partial derivatives:
-    /// `(rate, ∂rate/∂T, ∂rate/∂|c|·sign(c))`, sharing one Arrhenius
-    /// exponential. The rate is bit-identical to the plain path.
+    /// `(rate, ∂rate/∂T, ∂rate/∂|c|·sign(c))`. The rate is the plain
+    /// path's, bit for bit.
     #[inline]
     pub fn loss_rate_and_partials(&self, temperature: Kelvin, c_rate: f64) -> (f64, f64, f64) {
-        let (rate, arrhenius) = self.loss_rate_and_arrhenius(temperature, c_rate);
-        let (d_temp, d_c) = self.loss_rate_partials(temperature, c_rate, rate, arrhenius);
+        let rate = self.loss_rate(temperature, c_rate);
+        let (d_temp, d_c) = self.loss_rate_partials(temperature, c_rate, rate);
         (rate, d_temp, d_c)
     }
 }
@@ -247,7 +234,20 @@ mod tests {
     #[test]
     fn loss_rate_partials_match_finite_differences() {
         let p = AgingParams::default();
-        for (celsius, c_rate) in [(10.0, 0.4), (25.0, 1.0), (45.0, 2.5), (35.0, -1.5)] {
+        // The stress partial is `l3·rate/c`: check it at small C-rates,
+        // where it divides two small numbers, and at both signs.
+        for (celsius, c_rate) in [
+            (10.0, 0.4),
+            (25.0, 1.0),
+            (45.0, 2.5),
+            (35.0, -1.5),
+            (0.0, 1e-3),
+            (0.0, -1e-3),
+            (25.0, 0.3),
+            (25.0, -0.3),
+            (45.0, 4.0),
+            (45.0, -4.0),
+        ] {
             let temp = t(celsius);
             let (rate, d_temp, d_c) = p.loss_rate_and_partials(temp, c_rate);
             assert_eq!(
@@ -291,17 +291,21 @@ mod tests {
     /// factor at fixed points — nominal, hot and fast, a cold charge, and
     /// below the 200 K evaluation floor — plus one digest over a grid of
     /// temperatures and C-rates, so a reassociated or hoisted expression
-    /// fails here, not only in the golden traces.
+    /// fails here, not only in the golden traces. The Arrhenius factor is
+    /// read as the rate at unit `l1` and unit C-rate, where
+    /// `1·e^(−l2/(R·T))·1^l3` is the factor itself, bit for bit.
     #[test]
     fn loss_rate_and_arrhenius_are_pinned_bit_for_bit() {
         let p = AgingParams::millner_like();
+        let unit = AgingParams { l1: 1.0, ..p };
         for (kelvin, c_rate, rate_bits, arrhenius_bits) in [
             (298.15, 1.0, 0x3e55_cc3f_2639_c78a, 0x3ec9_6ad1_46d7_6ee1),
             (318.15, 3.5, 0x3e89_94bb_e275_8892, 0x3edc_3fee_8113_b738),
             (263.15, -0.5, 0x3e1c_ff52_1652_88c7, 0x3ea2_c22c_b690_9aa2),
             (150.0, 2.0, 0x3dd8_3e75_a4ee_9abe, 0x3e39_7a5b_be2f_086c),
         ] {
-            let (rate, arrhenius) = p.loss_rate_and_arrhenius(Kelvin::new(kelvin), c_rate);
+            let rate = p.loss_rate(Kelvin::new(kelvin), c_rate);
+            let arrhenius = unit.loss_rate(Kelvin::new(kelvin), 1.0);
             assert_eq!(
                 rate.to_bits(),
                 rate_bits,
@@ -319,7 +323,8 @@ mod tests {
                 [-3.0, -0.5, 0.0, 0.3, 0.77, 1.0, 2.5, 5.0]
                     .into_iter()
                     .flat_map(move |c| {
-                        let (rate, arrhenius) = p.loss_rate_and_arrhenius(Kelvin::new(kelvin), c);
+                        let rate = p.loss_rate(Kelvin::new(kelvin), c);
+                        let arrhenius = unit.loss_rate(Kelvin::new(kelvin), 1.0);
                         [rate.to_bits(), arrhenius.to_bits()]
                     })
             });

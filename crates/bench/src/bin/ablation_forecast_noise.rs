@@ -55,6 +55,13 @@ fn main() {
 
     println!("# Ablation — forecast corruption, US06 x2");
     println!(
+        "{}",
+        otem_bench::config_header(
+            otem_bench::PAPER_CONFIG,
+            Some(&otem::mpc::MpcConfig::default())
+        )
+    );
+    println!(
         "{:>14} {:>12} {:>10} {:>10}",
         "forecast", "Q_loss", "avgP (kW)", "short(MJ)"
     );

@@ -18,6 +18,16 @@ fn main() {
 
     println!("# Ablation — MPC horizon length, US06 x2");
     println!(
+        "{}",
+        otem_bench::config_header(
+            &format!(
+                "{}, horizon swept per row from the default",
+                otem_bench::PAPER_CONFIG
+            ),
+            Some(&MpcConfig::default())
+        )
+    );
+    println!(
         "{:>9} {:>12} {:>10} {:>10} {:>10}",
         "N (s)", "Q_loss", "avgP (kW)", "short(MJ)", "time (s)"
     );

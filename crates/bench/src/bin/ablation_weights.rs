@@ -18,6 +18,16 @@ fn main() {
 
     println!("# Ablation — lifetime weight w2, US06 x2");
     println!(
+        "{}",
+        otem_bench::config_header(
+            &format!(
+                "{}, w2 swept per row from the default",
+                otem_bench::PAPER_CONFIG
+            ),
+            Some(&MpcConfig::default())
+        )
+    );
+    println!(
         "{:>10} {:>12} {:>10} {:>10} {:>10}",
         "w2", "Q_loss", "avgP (kW)", "cool (MJ)", "Tpeak(°C)"
     );

@@ -17,6 +17,13 @@ fn main() {
     let trace = cycle_trace(StandardCycle::Us06, 3).expect("trace");
     println!("# Ambient-temperature sweep, US06 x3");
     println!(
+        "{}",
+        otem_bench::config_header(
+            "SystemConfig::default (midsize EV, 25,000 F), ambient per row",
+            Some(&otem::mpc::MpcConfig::default())
+        )
+    );
+    println!(
         "{:>9} {:>14} {:>12} {:>10} {:>10} {:>10}",
         "T_amb", "methodology", "Q_loss", "avgP (kW)", "cool (MJ)", "Tpeak(°C)"
     );

@@ -97,6 +97,13 @@ fn main() {
 
     println!("# Architecture design space, US06 x3 (city-EV rig)");
     println!(
+        "{}",
+        otem_bench::config_header(
+            otem_bench::STRESS_CONFIG,
+            Some(&otem::mpc::MpcConfig::default())
+        )
+    );
+    println!(
         "{:<34} {:>12} {:>10} {:>10} {:>10}",
         "architecture / controller", "Q_loss", "avgP (kW)", "Tpeak(°C)", "unserved"
     );

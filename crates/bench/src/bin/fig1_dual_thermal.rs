@@ -29,6 +29,13 @@ fn main() {
     }
 
     println!("# Fig. 1 — battery temperature, dual architecture, US06 x1 (city-EV rig)");
+    println!(
+        "{}",
+        otem_bench::config_header(
+            "stress_config() (SystemConfig::stress_rig: city-EV pack, compact EV, 30 °C ambient), bank size per column",
+            None
+        )
+    );
     print!("{:>7}", "t(s)");
     for &(farads, _) in &series {
         print!(" {:>9}", format!("{:.0}F", farads));

@@ -30,6 +30,13 @@ fn main() {
         .collect();
 
     println!("# Fig. 6 — battery temperature by methodology, US06 x3 (city-EV rig), 25,000 F (°C)");
+    println!(
+        "{}",
+        otem_bench::config_header(
+            otem_bench::STRESS_CONFIG,
+            Some(&otem::mpc::MpcConfig::default())
+        )
+    );
     print!("{:>7}", "t(s)");
     for r in &results {
         print!(" {:>14}", r.methodology);

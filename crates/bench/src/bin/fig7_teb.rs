@@ -20,6 +20,13 @@ fn main() {
 
     println!("# Fig. 7 — OTEM TEB preparation, US06 x3 (city-EV rig), 25,000 F");
     println!(
+        "{}",
+        otem_bench::config_header(
+            otem_bench::STRESS_CONFIG,
+            Some(&otem::mpc::MpcConfig::default())
+        )
+    );
+    println!(
         "{:>7} {:>10} {:>9} {:>8} {:>11} {:>10}",
         "t(s)", "P_e (kW)", "T_b(°C)", "SoE(%)", "cap (kW)", "cool (kW)"
     );

@@ -39,6 +39,13 @@ fn main() {
     };
     println!("# Fig. 8 — capacity loss relative to Parallel (= 100)");
     println!(
+        "{}",
+        otem_bench::config_header(
+            otem_bench::PAPER_CONFIG,
+            Some(&otem::mpc::MpcConfig::default())
+        )
+    );
+    println!(
         "{:<7} {:>10} {:>14} {:>8} {:>8}",
         "cycle", "Parallel", "ActiveCooling", "Dual", "OTEM"
     );

@@ -24,6 +24,13 @@ fn main() {
     let config = paper_config();
     println!("# Fig. 9 — average power consumption (kW), including cooling");
     println!(
+        "{}",
+        otem_bench::config_header(
+            otem_bench::PAPER_CONFIG,
+            Some(&otem::mpc::MpcConfig::default())
+        )
+    );
+    println!(
         "{:<7} {:>10} {:>14} {:>8} {:>8}",
         "cycle", "Parallel", "ActiveCooling", "Dual", "OTEM"
     );

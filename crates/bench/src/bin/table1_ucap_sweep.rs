@@ -38,6 +38,13 @@ fn main() {
 
     println!("# Table I — ultracapacitor size sweep, US06 x3 (city-EV rig)");
     println!(
+        "{}",
+        otem_bench::config_header(
+            "stress_config() (SystemConfig::stress_rig: city-EV pack, compact EV, 30 °C ambient), bank size per row",
+            Some(&otem::mpc::MpcConfig::default())
+        )
+    );
+    println!(
         "{:>9} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9}",
         "", "avg power (W)", "", "", "capacity loss (%)", "", ""
     );

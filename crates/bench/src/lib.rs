@@ -65,6 +65,28 @@ pub fn cycle_trace(cycle: StandardCycle, repeats: usize) -> Result<PowerTrace, O
     Ok(train.power_trace(&c))
 }
 
+/// [`paper_config`] as the exhibit headers ([`config_header`]) name it,
+/// with the vehicle its cycle traces ([`cycle_trace`]) use.
+pub const PAPER_CONFIG: &str =
+    "paper_config() (SystemConfig::default at 35 °C ambient, midsize EV, 25,000 F)";
+
+/// [`stress_config`] as the exhibit headers ([`config_header`]) name it,
+/// with the vehicle its traces ([`stress_trace`]) use.
+pub const STRESS_CONFIG: &str =
+    "stress_config() (SystemConfig::stress_rig: city-EV pack, compact EV, 30 °C ambient, 25,000 F)";
+
+/// The `# config:` line an exhibit prints under its title, so that its
+/// `results/*.txt` capture names what produced it: `system` describes
+/// the plant configuration (and what the exhibit sweeps), and `mpc` is
+/// the OTEM tuning, printed in full, or `None` when no controller in the
+/// exhibit runs the MPC.
+pub fn config_header(system: &str, mpc: Option<&MpcConfig>) -> String {
+    match mpc {
+        Some(mpc) => format!("# config: {system}; {mpc:?}"),
+        None => format!("# config: {system}; no MPC"),
+    }
+}
+
 /// Runs one methodology over one trace under the given configuration.
 ///
 /// # Errors

@@ -75,8 +75,9 @@
 //! exponentials already evaluated, the resolved battery and bank draws,
 //! the converter operating points and the pre-step state of energy
 //! ([`otem_hees::HeesStepRecord`]), the post-step state, the aging rate
-//! with its Arrhenius factor, and the cooler branch. Nothing in that
-//! pass computes a derivative.
+//! and the cooler branch. Nothing in that pass computes a derivative; the
+//! aging partials are priced from the recorded rate alone (its stress
+//! partial is `l3·rate/c`), so the tape carries no Arrhenius factor.
 //!
 //! The *derivatives* — the HEES step Jacobian, the aging partials and
 //! the cooler's branch slope — are assembled from the records by
@@ -172,10 +173,9 @@ pub(crate) struct StageRecord {
     battery_post: f64,
     /// The step's per-cell C-rate — the aging stress input.
     c_rate: f64,
-    /// Stage aging rate `ℓ(T_b, c)` — the one the stage cost summed — and
-    /// its Arrhenius factor, which the aging partials reuse.
+    /// Stage aging rate `ℓ(T_b, c)` — the one the stage cost summed,
+    /// from which the aging partials are priced.
     loss_rate: f64,
-    arrhenius: f64,
     /// Unserved load (W); its penalty is active iff positive.
     shortfall: f64,
     /// Post-step state of charge.
@@ -311,9 +311,7 @@ fn rollout_stage(
 
     // --- Eq. 19 terms ---------------------------------------------
     *cost += W1 * cooling_electric.value() * dtv;
-    let (loss_rate, arrhenius) = plant
-        .aging
-        .loss_rate_and_arrhenius(state.battery, step.battery_c_rate);
+    let loss_rate = plant.aging.loss_rate(state.battery, step.battery_c_rate);
     *cost += config.w2 * (loss_rate * dtv);
     *cost += W3 * step.hees_power().value() * dtv;
 
@@ -333,7 +331,6 @@ fn rollout_stage(
     record.battery_post = state.battery.value();
     record.c_rate = step.battery_c_rate;
     record.loss_rate = loss_rate;
-    record.arrhenius = arrhenius;
     record.shortfall = step.shortfall.value();
     record.soc_post = hees.soc().value();
     record.soe_post = hees.soe().value();
@@ -385,10 +382,10 @@ fn terminal_c_rate(plant: &MpcPlant, loads: &[Watts], n: usize) -> f64 {
 /// Assembles every stage's derivatives from its primal record into
 /// `derivatives` (cleared first, capacity reused): the HEES step
 /// Jacobian ([`HybridHees::step_jacobian`]), the aging partials
-/// ([`otem_battery::AgingParams::loss_rate_partials`], reusing the
-/// recorded rate and Arrhenius factor), the cooler's branch slope and
-/// the duty-clamp chain factor. The one derivative pass of a gradient;
-/// both sweeps read its output.
+/// ([`otem_battery::AgingParams::loss_rate_partials`], priced from the
+/// recorded rate), the cooler's branch slope and the duty-clamp chain
+/// factor. The one derivative pass of a gradient; both sweeps read its
+/// output.
 pub(crate) fn assemble_derivatives(
     plant: &MpcPlant,
     stage: &StageConstants,
@@ -397,12 +394,10 @@ pub(crate) fn assemble_derivatives(
 ) {
     derivatives.clear();
     derivatives.extend(tape.iter().map(|t| {
-        let (d_loss_t, d_loss_c) = plant.aging.loss_rate_partials(
-            Kelvin::new(t.battery_post),
-            t.c_rate,
-            t.loss_rate,
-            t.arrhenius,
-        );
+        let (d_loss_t, d_loss_c) =
+            plant
+                .aging
+                .loss_rate_partials(Kelvin::new(t.battery_post), t.c_rate, t.loss_rate);
         StageDerivatives {
             jac: plant.hees.step_jacobian(&t.hees, &stage.hees),
             d_loss_t,

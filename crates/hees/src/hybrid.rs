@@ -959,8 +959,10 @@ mod tests {
             for (row_idx, (name, analytic)) in rows.iter().enumerate() {
                 let fd = (up[row_idx] - down[row_idx]) / (2.0 * step);
                 let scale = analytic[col].abs().max(fd.abs());
-                // The converter fixed point converges to 1e-9 relative
-                // tolerance; the FD baseline inherits that noise.
+                // The converter inverse is exact to a few ulp; the bar
+                // is set by the central difference's roundoff where a
+                // slope is small against its row's value (the peak-power
+                // fallback's C-rate-by-SoC slope, off by 1.6e-4 relative).
                 let tol = 1e-3 * scale.max(1e-6);
                 assert!(
                     (analytic[col] - fd).abs() <= tol,
