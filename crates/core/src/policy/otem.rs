@@ -90,6 +90,11 @@ impl Otem {
         self.mpc.reset();
     }
 
+    /// Plant rollouts the MPC has run so far ([`Mpc::rollouts`]).
+    pub fn rollouts(&self) -> u64 {
+        self.mpc.rollouts()
+    }
+
     /// Replaces the MPC solver's deadline time source. Production keeps
     /// the default monotonic clock; test harnesses inject a
     /// [`crate::mpc::VirtualClock`] so deadline-triggered paths are

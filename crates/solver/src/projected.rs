@@ -11,6 +11,9 @@ use serde::{Deserialize, Serialize};
 
 /// Armijo sufficient-decrease parameter.
 const ARMIJO: f64 = 1e-4;
+/// SPG2's σ₁: a rejected trial shrinks `alpha` at most to this share of
+/// itself (and at least to half).
+const SIGMA1: f64 = 0.25;
 /// History window for the non-monotone line search.
 const MEMORY: usize = 8;
 /// Lower safeguard on the BB step length.
@@ -26,9 +29,17 @@ const STEP_MAX: f64 = 1e10;
 /// coordinates alone, so a block whose curvature is orders of magnitude
 /// below its neighbour's is not held to the stiff block's step. The
 /// trial point is `P(x − α·D·g)`, with `D` the block steps and `α`
-/// halved from 1 by the line search: scaled gradient projection
-/// (Bonettini, Zanella & Zanni, 2009) with a block-diagonal scaling. On
-/// a one-block box this is plain SPG, iterate for iterate.
+/// starting at 1: scaled gradient projection (Bonettini, Zanella &
+/// Zanni, 2009) with a block-diagonal scaling. On a one-block box this
+/// is plain SPG, iterate for iterate.
+///
+/// A rejected trial backtracks by SPG2's safeguarded quadratic
+/// interpolation (Birgin, Martínez & Raydan, 2000; Nocedal & Wright
+/// §3.5): with `d = max(gᵀ(x − trial), 0)`, the next `α` minimises the
+/// quadratic through `f(x)`, slope `−d/α` at the start and `f(trial)`,
+/// `α_q = d·α / (2·(f(trial) − f(x) + d))`, clamped to `[σ₁·α, ½·α]`
+/// with `σ₁ = ¼`. A non-finite trial value, or a model without a
+/// minimiser, halves `α`.
 ///
 /// Robust on the moderately ill-conditioned, smooth, box-constrained
 /// problems the MPC transcription produces, with no linear algebra
@@ -148,16 +159,18 @@ impl ProjectedGradient {
             let line_search = span(sink, "line_search");
             for _ in 0..40 {
                 for (block, step) in bounds.blocks().zip(&steps) {
-                    // `alpha` is a power of two, so this product is exact.
                     let scaled = alpha * step.clamp(STEP_MIN, STEP_MAX);
                     for i in block {
                         trial[i] = x[i] - scaled * grad[i];
                     }
                 }
                 bounds.project(&mut trial);
-                let decrease: f64 = (0..n).map(|i| grad[i] * (x[i] - trial[i])).sum();
+                let decrease = (0..n)
+                    .map(|i| grad[i] * (x[i] - trial[i]))
+                    .sum::<f64>()
+                    .max(0.0);
                 let f_trial = f.value(&trial);
-                if f_trial <= f_ref - ARMIJO * decrease.max(0.0) {
+                if f_trial <= f_ref - ARMIJO * decrease {
                     x_prev.copy_from_slice(&x);
                     grad_prev.copy_from_slice(&grad);
                     x.copy_from_slice(&trial);
@@ -165,7 +178,7 @@ impl ProjectedGradient {
                     accepted = true;
                     break;
                 }
-                alpha *= 0.5;
+                alpha = backtrack(alpha, value, f_trial, decrease);
                 if alpha * longest < STEP_MIN {
                     break;
                 }
@@ -218,6 +231,19 @@ impl ProjectedGradient {
             self.max_iterations,
             SolverOutcome::BudgetExhausted,
         )
+    }
+}
+
+/// The `alpha` after a trial at `alpha` was rejected: the safeguarded
+/// minimiser of the quadratic through `value` at 0, slope `−decrease/alpha`
+/// there and `f_trial` at `alpha`, kept within `[σ₁·alpha, ½·alpha]`;
+/// `½·alpha` when `f_trial` is not finite or the quadratic is not convex.
+fn backtrack(alpha: f64, value: f64, f_trial: f64, decrease: f64) -> f64 {
+    let curvature = f_trial - value + decrease;
+    if f_trial.is_finite() && curvature > 0.0 {
+        (decrease * alpha / (2.0 * curvature)).clamp(SIGMA1 * alpha, 0.5 * alpha)
+    } else {
+        0.5 * alpha
     }
 }
 
@@ -476,6 +502,86 @@ mod tests {
         assert_eq!(sol.outcome, SolverOutcome::Converged, "{sol:?}");
     }
 
+    /// `½·(x − target)²` in one dimension, recording every point it is
+    /// valued at, optionally `NaN` beyond `nan_above`.
+    struct Recorded {
+        target: f64,
+        nan_above: f64,
+        valued_at: std::cell::RefCell<Vec<f64>>,
+    }
+
+    impl Recorded {
+        fn new(target: f64) -> Self {
+            Recorded {
+                target,
+                nan_above: f64::INFINITY,
+                valued_at: Default::default(),
+            }
+        }
+
+        /// The points valued after the start, in order.
+        fn trials(&self) -> Vec<f64> {
+            self.valued_at.borrow()[1..].to_vec()
+        }
+    }
+
+    impl Objective for Recorded {
+        fn value(&self, x: &[f64]) -> f64 {
+            self.valued_at.borrow_mut().push(x[0]);
+            if x[0] > self.nan_above {
+                f64::NAN
+            } else {
+                0.5 * (x[0] - self.target).powi(2)
+            }
+        }
+        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+            grad[0] = x[0] - self.target;
+        }
+    }
+
+    /// From 0, the `1/|g|` seed step moves the one coordinate to 1, past
+    /// the minimiser at `target`, so each trial of the first line search
+    /// lies at its `α`.
+    fn overshoot(f: &Recorded) -> Solution {
+        minimize(&tight(), f, &unbounded(1), &[0.0])
+    }
+
+    #[test]
+    fn first_backtrack_lands_on_the_line_minimiser_of_a_quadratic() {
+        // The quadratic model is exact on a quadratic, so the interpolated
+        // `α` is the minimiser 0.375 itself (halving would try 0.5), and
+        // the next iteration finds a zero gradient there.
+        let f = Recorded::new(0.375);
+        let sol = overshoot(&f);
+        let trials = f.trials();
+        assert_eq!(trials.len(), 2, "{trials:?}");
+        assert_eq!(trials[0], 1.0);
+        assert!((trials[1] - 0.375).abs() < 1e-15, "{trials:?}");
+        assert_eq!(sol.outcome, SolverOutcome::Converged, "{sol:?}");
+        assert_eq!(sol.iterations, 1);
+    }
+
+    #[test]
+    fn a_model_minimiser_below_the_safeguard_is_clamped_to_it() {
+        // The model minimiser is α = 0.1, below σ₁·α = 0.25.
+        let f = Recorded::new(0.1);
+        overshoot(&f);
+        assert_eq!(&f.trials()[..2], [1.0, SIGMA1]);
+    }
+
+    #[test]
+    fn a_non_finite_trial_halves_alpha() {
+        // The model through a finite trial would step to 0.375; the NaN
+        // there leaves halving.
+        let f = Recorded {
+            nan_above: 0.9,
+            ..Recorded::new(0.375)
+        };
+        let sol = overshoot(&f);
+        assert_eq!(&f.trials()[..2], [1.0, 0.5]);
+        assert!(sol.value.is_finite(), "{sol:?}");
+    }
+
     /// FNV-1a over the bits of every coordinate.
     fn bits_hash(x: &[f64]) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -487,19 +593,18 @@ mod tests {
     }
 
     /// A one-block box, whether built unpartitioned or partitioned at no
-    /// split, takes the iterates of the unscaled SPG this solver was
-    /// before it learned block steps. The pins were recorded with that
-    /// solver.
+    /// split, takes the same iterates: those of plain, unscaled SPG with
+    /// the interpolating backtrack, pinned bit for bit.
     #[test]
     fn one_block_partition_reproduces_the_unscaled_iterates() {
         let boxed = uniform(2, -2.0, 2.0);
         for bounds in [boxed.clone(), boxed.partitioned_at(&[])] {
             let sol = minimize(&tight(), &rosenbrock(), &bounds, &[-1.2, 1.0]);
-            assert_eq!(sol.iterations, 57);
-            assert_eq!(sol.value.to_bits(), 0x3c90_d275_7fb2_1339);
+            assert_eq!(sol.iterations, 74);
+            assert_eq!(sol.value.to_bits(), 0x3c8f_7fce_4bb2_68e8);
             assert_eq!(
                 sol.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                [0x3fef_ffff_fbe6_05d5, 0x3fef_ffff_f7cb_ee0b]
+                [0x3fef_ffff_fc08_0b34, 0x3fef_ffff_f810_0f99]
             );
         }
 
@@ -513,9 +618,9 @@ mod tests {
         let boxed = uniform(n, 0.0, 1.0);
         for bounds in [boxed.clone(), boxed.partitioned_at(&[])] {
             let sol = minimize(&tight(), &f, &bounds, &vec![0.0; n]);
-            assert_eq!(sol.iterations, 83);
-            assert_eq!(sol.value.to_bits(), 0x3c4d_c976_ad4c_da40);
-            assert_eq!(bits_hash(&sol.x), 0x23f8_6493_52c8_6080);
+            assert_eq!(sol.iterations, 93);
+            assert_eq!(sol.value.to_bits(), 0x3c62_5120_7ab4_24e0);
+            assert_eq!(bits_hash(&sol.x), 0x2ad2_60e2_ea20_04dc);
         }
     }
 

@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Regenerates every committed exhibit, `results/<bin>.txt`, from the
+# `otem-bench` binary of the same name (stdout only; the fig6/fig8 bins
+# also rewrite their ignored `results/*.jsonl` streams).
+#   ./scripts/exhibits.sh
+#
+# Every exhibit is deterministic, so a second run on the same commit
+# leaves `git status --porcelain results/` empty; a diff after a change
+# is that change's effect on the exhibits.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BINS=(
+    ablation_forecast_noise
+    ablation_horizon
+    ablation_weights
+    ambient_sweep
+    architecture_space
+    fig1_dual_thermal
+    fig6_temperature
+    fig7_teb
+    fig8_lifetime
+    fig9_power
+    table1_ucap_sweep
+)
+
+echo "==> cargo build --release -p otem-bench --bins"
+cargo build --release -p otem-bench --bins
+
+target_dir="${CARGO_TARGET_DIR:-target}"
+for bin in "${BINS[@]}"; do
+    echo "==> ${bin} > results/${bin}.txt"
+    "${target_dir}/release/${bin}" > "results/${bin}.txt"
+done
