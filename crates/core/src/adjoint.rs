@@ -46,11 +46,11 @@
 //! There is one rollout implementation, [`rollout`], and it computes
 //! values only: [`crate::mpc::rollout_cost`] and every MPC objective
 //! evaluation run it, and it writes a primal [`StageRecord`] per step
-//! whatever the caller goes on to do. The derivatives are assembled from
-//! those records by [`assemble_derivatives`], only at the points a
-//! solver differentiates (see "Tape reuse" below), so the sweeps evaluate
-//! no model curve of their own and the forward arithmetic cannot depend
-//! on whether a gradient follows.
+//! whatever the caller goes on to do. The derivatives are built from
+//! those records by [`adjoint_sweep`] itself, only at the points a solver
+//! differentiates (see "Tape reuse" below), so the sweep evaluates no
+//! model curve of its own and the forward arithmetic cannot depend on
+//! whether a gradient follows.
 //!
 //! # Stage constants
 //!
@@ -80,17 +80,18 @@
 //! partial is `l3·rate/c`), so the tape carries no Arrhenius factor.
 //!
 //! The *derivatives* — the HEES step Jacobian, the aging partials and
-//! the cooler's branch slope — are assembled from the records by
-//! [`assemble_derivatives`] with the component crates' partial formulas,
-//! in the operation order of their fused value-and-partials entry
-//! points, so a gradient assembled after the fact is bit-identical to one
-//! taken during the forward pass. The MPC workspace
+//! the cooler's branch slope — are built from each stage's record by the
+//! backward sweep when it reaches that stage, with the component crates'
+//! partial formulas in the operation order of their fused
+//! value-and-partials entry points, so a gradient built after the fact is
+//! bit-identical to one taken during the forward pass. No derivative is
+//! written to memory only to be read back: the sweep is the gradient's
+//! one derivative pass. The MPC workspace
 //! remembers the decision vector its records belong to. The solver only
 //! asks for a gradient at the trial their line search has just accepted —
-//! the last point evaluated — so a gradient assembles the stored records
-//! and sweeps them instead of running a second, identical forward pass;
-//! a gradient at any other point records afresh first. Each gradient
-//! assembles once for [`adjoint_sweep`]. A rejected trial pays for its
+//! the last point evaluated — so a gradient sweeps the stored records
+//! instead of running a second, identical forward pass; a gradient at
+//! any other point records afresh first. A rejected trial pays for its
 //! values and nothing else. The memo lives for one solve only: the start state, forecast
 //! and step change between solves while the decision vector can repeat
 //! (an all-zero cold start), so the workspace forgets it at the start of
@@ -162,7 +163,7 @@ impl StageConstants {
 
 /// One horizon step's primal record, written by every rollout: the
 /// values the step computed, and the operating points
-/// [`assemble_derivatives`] needs to differentiate the branch that
+/// [`adjoint_sweep`] needs to differentiate the branch that
 /// actually executed. No derivative is computed to fill it.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StageRecord {
@@ -198,10 +199,10 @@ pub(crate) struct StageRecord {
     cooler_active: bool,
 }
 
-/// One horizon step's derivatives, assembled from its [`StageRecord`]
-/// by [`assemble_derivatives`] and read by both sweeps.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StageDerivatives {
+/// One horizon step's derivatives, built from its [`StageRecord`] by
+/// [`StageDerivatives::of`] when the backward sweep reaches the stage.
+#[derive(Debug, Clone, Copy)]
+struct StageDerivatives {
     /// Exact partials of the HEES power split at the executed branch.
     jac: HeesStepJacobian,
     /// The aging partials `∂ℓ/∂T_b`, `∂ℓ/∂c` at the post-step
@@ -216,6 +217,34 @@ pub(crate) struct StageDerivatives {
     /// difference has one leg flattened by the clamp, halving the
     /// one-sided slope), `0` beyond the clamp.
     duty_gain: f64,
+}
+
+impl StageDerivatives {
+    /// The stage's derivatives from its primal record: the HEES step
+    /// Jacobian ([`HybridHees::step_jacobian`]), the aging partials
+    /// ([`otem_battery::AgingParams::loss_rate_partials`], priced from
+    /// the recorded rate), the cooler's branch slope and the duty-clamp
+    /// chain factor.
+    #[inline]
+    fn of(plant: &MpcPlant, stage: &StageConstants, t: &StageRecord) -> Self {
+        let (d_loss_t, d_loss_c) =
+            plant
+                .aging
+                .loss_rate_partials(Kelvin::new(t.battery_post), t.c_rate, t.loss_rate);
+        Self {
+            jac: plant.hees.step_jacobian(&t.hees, &stage.hees),
+            d_loss_t,
+            d_loss_c,
+            dcoldest: plant.plant.coldest_inlet_slope(Kelvin::new(t.outlet)),
+            duty_gain: if t.z_duty == 0.0 || t.z_duty == 1.0 {
+                0.5
+            } else if (0.0..=1.0).contains(&t.z_duty) {
+                1.0
+            } else {
+                0.0
+            },
+        }
+    }
 }
 
 /// Simulates the horizon under the candidate controls `z` and returns
@@ -379,56 +408,20 @@ fn terminal_c_rate(plant: &MpcPlant, loads: &[Watts], n: usize) -> f64 {
     (cell_current / pack.cell().effective_capacity().value()).max(0.2)
 }
 
-/// Assembles every stage's derivatives from its primal record into
-/// `derivatives` (cleared first, capacity reused): the HEES step
-/// Jacobian ([`HybridHees::step_jacobian`]), the aging partials
-/// ([`otem_battery::AgingParams::loss_rate_partials`], priced from the
-/// recorded rate), the cooler's branch slope and the duty-clamp chain
-/// factor. The one derivative pass of a gradient; both sweeps read its
-/// output.
-pub(crate) fn assemble_derivatives(
-    plant: &MpcPlant,
-    stage: &StageConstants,
-    tape: &[StageRecord],
-    derivatives: &mut Vec<StageDerivatives>,
-) {
-    derivatives.clear();
-    derivatives.extend(tape.iter().map(|t| {
-        let (d_loss_t, d_loss_c) =
-            plant
-                .aging
-                .loss_rate_partials(Kelvin::new(t.battery_post), t.c_rate, t.loss_rate);
-        StageDerivatives {
-            jac: plant.hees.step_jacobian(&t.hees, &stage.hees),
-            d_loss_t,
-            d_loss_c,
-            dcoldest: plant.plant.coldest_inlet_slope(Kelvin::new(t.outlet)),
-            duty_gain: if t.z_duty == 0.0 || t.z_duty == 1.0 {
-                0.5
-            } else if (0.0..=1.0).contains(&t.z_duty) {
-                1.0
-            } else {
-                0.0
-            },
-        }
-    }));
-}
-
-/// Backward sweep over a recorded tape and its assembled derivatives:
-/// chain-rules every stage cost and the terminal tail back through the
-/// thermal, HEES, and cooling-plant Jacobians, writing `∂J/∂z` into
-/// `grad` (layout `[cap_share_0..n-1, cool_duty_0..n-1]`). One pass, no
-/// rollouts.
+/// Backward sweep over a recorded tape: builds each stage's derivatives
+/// from its record as the loop reaches it and chain-rules every stage
+/// cost and the terminal tail back through the thermal, HEES, and
+/// cooling-plant Jacobians, writing `∂J/∂z` into `grad` (layout
+/// `[cap_share_0..n-1, cool_duty_0..n-1]`). The one derivative pass of a
+/// gradient: no rollouts, and no derivative array.
 pub(crate) fn adjoint_sweep(
     plant: &MpcPlant,
     stage: &StageConstants,
     config: &MpcConfig,
     tape: &[StageRecord],
-    derivatives: &[StageDerivatives],
     grad: &mut [f64],
 ) {
     let n = tape.len();
-    debug_assert_eq!(derivatives.len(), n);
     debug_assert_eq!(n, config.horizon);
     debug_assert_eq!(grad.len(), 2 * n);
     if n == 0 {
@@ -456,7 +449,8 @@ pub(crate) fn adjoint_sweep(
     }
 
     for k in (0..n).rev() {
-        let (t, d) = (&tape[k], &derivatives[k]);
+        let t = &tape[k];
+        let d = StageDerivatives::of(plant, stage, t);
         let j = &d.jac;
 
         // Total adjoints of the post-step state: the incoming λ plus the

@@ -26,7 +26,7 @@
 //! four orders of magnitude, and one shared step would be set by the
 //! stiff cap block.
 
-use crate::adjoint::{StageConstants, StageDerivatives, StageRecord};
+use crate::adjoint::{StageConstants, StageRecord};
 use otem_battery::AgingParams;
 use otem_hees::{HeesSnapshot, HybridHees};
 use otem_solver::{Bounds, Deadline, Objective, ProjectedGradient, Solution, SolverOutcome};
@@ -371,8 +371,8 @@ fn warm_start_shift(x0: &mut [f64], prev: &[f64], n: usize) {
 
 /// Everything a solve evaluates through: a long-lived plant model that
 /// is rewound with [`HybridHees::restore`] before every rollout (instead
-/// of deep-cloning the plant per evaluation), the tape and the
-/// derivative buffers. Once warm, a solve touches no allocator.
+/// of deep-cloning the plant per evaluation) and the tape. Once warm, a
+/// solve touches no allocator.
 #[derive(Clone)]
 struct RolloutWorkspace {
     hees: HybridHees,
@@ -380,15 +380,13 @@ struct RolloutWorkspace {
     tape: Vec<StageRecord>,
     /// The decision vector `tape` was recorded at, or empty when the
     /// tape describes no point of the current solve. A gradient asked
-    /// for at a bit-equal point assembles the stored records instead of
+    /// for at a bit-equal point sweeps the stored records instead of
     /// running a forward pass. Cleared at the start of every solve: the
     /// start state, forecast and step change between solves while the
     /// decision vector can repeat.
     taped_at: Vec<f64>,
-    /// Derivatives assembled from `tape` for the last gradient.
-    derivatives: Vec<StageDerivatives>,
-    /// Derivative assemblies run through this workspace.
-    assemblies: u64,
+    /// Backward sweeps (gradients) run through this workspace.
+    sweeps: u64,
 }
 
 impl RolloutWorkspace {
@@ -397,8 +395,7 @@ impl RolloutWorkspace {
             hees: source.clone(),
             tape: Vec::new(),
             taped_at: Vec::new(),
-            derivatives: Vec::new(),
-            assemblies: 0,
+            sweeps: 0,
         }
     }
 }
@@ -407,7 +404,7 @@ impl std::fmt::Debug for RolloutWorkspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RolloutWorkspace")
             .field("tape_len", &self.tape.len())
-            .field("assemblies", &self.assemblies)
+            .field("sweeps", &self.sweeps)
             .finish_non_exhaustive()
     }
 }
@@ -469,11 +466,10 @@ impl<'a> RolloutObjective<'a> {
         )
     }
 
-    /// Leaves the workspace's derivatives assembled at `x`, from the
-    /// stored tape when the last forward pass was at a bit-equal point —
-    /// the line search's accepted trial, in every iteration — otherwise
-    /// from a fresh one.
-    fn differentiate(&self, ws: &mut RolloutWorkspace, x: &[f64]) {
+    /// Leaves the workspace's tape recorded at `x`: the stored one when
+    /// the last forward pass was at a bit-equal point — the line search's
+    /// accepted trial, in every iteration — otherwise a fresh one.
+    fn tape_at(&self, ws: &mut RolloutWorkspace, x: &[f64]) {
         let reusable = ws.taped_at.len() == x.len()
             && ws
                 .taped_at
@@ -483,13 +479,6 @@ impl<'a> RolloutObjective<'a> {
         if !reusable {
             self.forward(ws, x);
         }
-        crate::adjoint::assemble_derivatives(
-            self.plant,
-            &self.stage,
-            &ws.tape,
-            &mut ws.derivatives,
-        );
-        ws.assemblies += 1;
     }
 }
 
@@ -502,23 +491,18 @@ impl Objective for RolloutObjective<'_> {
         self.forward(&mut self.workspace.borrow_mut(), z)
     }
 
-    /// Reverse-mode gradient: one derivative assembly and an
-    /// allocation-free backward sweep — the whole gradient for at most
-    /// the price of a single rollout, independent of the horizon length,
-    /// and for none when `x` is the point the objective last evaluated.
+    /// Reverse-mode gradient: one allocation-free backward sweep that
+    /// builds each stage's derivatives as it goes — the whole gradient
+    /// for at most the price of a single rollout, independent of the
+    /// horizon length, and for none when `x` is the point the objective
+    /// last evaluated.
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
         let _rollout_span = span(self.sink, "rollout");
         let ws = &mut *self.workspace.borrow_mut();
-        self.differentiate(ws, x);
-        crate::adjoint::adjoint_sweep(
-            self.plant,
-            &self.stage,
-            self.config,
-            &ws.tape,
-            &ws.derivatives,
-            grad,
-        );
+        self.tape_at(ws, x);
+        ws.sweeps += 1;
+        crate::adjoint::adjoint_sweep(self.plant, &self.stage, self.config, &ws.tape, grad);
     }
 }
 
@@ -546,9 +530,9 @@ pub fn rollout_cost(
     crate::adjoint::rollout(plant, &mut hees, loads, &stage, config, z, &mut tape)
 }
 
-/// Reverse-mode gradient of [`rollout_cost`]: one forward rollout, one
-/// derivative assembly from its records, and a backward sweep through
-/// the components' analytic Jacobians.
+/// Reverse-mode gradient of [`rollout_cost`]: one forward rollout and a
+/// backward sweep that chain-rules its records through the components'
+/// analytic Jacobians.
 /// Writes `∂J/∂z` into `grad` (layout `[cap_share_0..n-1,
 /// cool_duty_0..n-1]`, length `2·horizon`) and returns the cost at `z`.
 ///
@@ -569,9 +553,7 @@ pub fn rollout_gradient_adjoint(
     let stage = StageConstants::new(plant, loads, dt, config);
     let mut tape = Vec::with_capacity(config.horizon);
     let cost = crate::adjoint::rollout(plant, &mut hees, loads, &stage, config, z, &mut tape);
-    let mut derivatives = Vec::with_capacity(config.horizon);
-    crate::adjoint::assemble_derivatives(plant, &stage, &tape, &mut derivatives);
-    crate::adjoint::adjoint_sweep(plant, &stage, config, &tape, &derivatives, grad);
+    crate::adjoint::adjoint_sweep(plant, &stage, config, &tape, grad);
     cost
 }
 
@@ -999,7 +981,7 @@ mod tests {
         objective.gradient(&other, &mut grad);
         assert_eq!(bits(&grad), bits(&reference(&p, &other)));
         assert_eq!(objective.rollouts.get(), 2);
-        assert_eq!(objective.workspace.borrow().assemblies, 2);
+        assert_eq!(objective.workspace.borrow().sweeps, 2);
         mpc.workspace = Some(objective.workspace.into_inner());
 
         // A new solve: the same decision vector from a different start
@@ -1126,10 +1108,10 @@ mod tests {
     #[test]
     fn only_differentiated_points_pay_for_a_derivative_assembly() {
         // Sixty closed-loop stress-rig decisions over US06. Every
-        // gradient assembles derivatives exactly once, from the accepted
-        // trial's records; every rejected line-search trial is a forward
-        // pass that never does, and neither is the final accepted trial
-        // of a solve that runs out of budget.
+        // gradient sweeps exactly once, over the accepted trial's
+        // records; every rejected line-search trial is a forward pass
+        // that is never swept, and neither is the final accepted trial of
+        // a solve that runs out of budget.
         use otem_drivecycle::{standard, Powertrain, StandardCycle, VehicleParams};
         use otem_hees::HybridCommand;
         use otem_telemetry::{Event as TEvent, MemorySink};
@@ -1192,11 +1174,11 @@ mod tests {
                 .thermal
                 .step_crank_nicolson(p.state, step.battery_heat, action.inlet, dt);
         }
-        let assemblies = mpc.workspace.as_ref().expect("held workspace").assemblies;
+        let sweeps = mpc.workspace.as_ref().expect("held workspace").sweeps;
         let rejected = trials - accepted;
-        assert_eq!(assemblies, gradient_evals);
+        assert_eq!(sweeps, gradient_evals);
         assert!(rejected > 0, "no line-search trial was rejected");
         assert!(exhausted > 0, "no solve ran out of budget");
-        assert_eq!(mpc.rollouts() - assemblies, rejected + exhausted);
+        assert_eq!(mpc.rollouts() - sweeps, rejected + exhausted);
     }
 }

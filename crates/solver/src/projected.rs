@@ -157,23 +157,28 @@ impl ProjectedGradient {
             let mut alpha = 1.0;
             let mut accepted = false;
             let line_search = span(sink, "line_search");
+            let (lower, upper) = (bounds.lower(), bounds.upper());
             for _ in 0..40 {
+                // Build, project and price the trial in one pass, in index
+                // order: the blocks tile `0..n` in order.
+                let mut decrease = -0.0;
                 for (block, step) in bounds.blocks().zip(&steps) {
                     let scaled = alpha * step.clamp(STEP_MIN, STEP_MAX);
                     for i in block {
-                        trial[i] = x[i] - scaled * grad[i];
+                        let t = (x[i] - scaled * grad[i]).clamp(lower[i], upper[i]);
+                        trial[i] = t;
+                        decrease += grad[i] * (x[i] - t);
                     }
                 }
-                bounds.project(&mut trial);
-                let decrease = (0..n)
-                    .map(|i| grad[i] * (x[i] - trial[i]))
-                    .sum::<f64>()
-                    .max(0.0);
+                let decrease = f64::max(decrease, 0.0);
                 let f_trial = f.value(&trial);
                 if f_trial <= f_ref - ARMIJO * decrease {
-                    x_prev.copy_from_slice(&x);
-                    grad_prev.copy_from_slice(&grad);
-                    x.copy_from_slice(&trial);
+                    // Rotate the buffers: `x_prev` takes `x`, `x` takes the
+                    // trial, and the trial buffer is rewritten before it is
+                    // read again. The next gradient overwrites `grad`.
+                    std::mem::swap(&mut x_prev, &mut x);
+                    std::mem::swap(&mut x, &mut trial);
+                    std::mem::swap(&mut grad_prev, &mut grad);
                     value = f_trial;
                     accepted = true;
                     break;
