@@ -76,11 +76,17 @@ impl AgingParams {
     /// Charging (negative C-rate) stresses the cell too; the model uses
     /// the magnitude, matching the paper's use of `I_bat` drawn in either
     /// direction.
+    ///
+    /// Both factors are priced by one exponential,
+    /// `l1·exp(l3·ln|c| − l2/(R·T))`, instead of `exp(…)·|c|^l3` (whose
+    /// `powf` is a logarithm and an exponential of its own). At `c = 0`
+    /// the exponent is `−∞` and the rate exactly 0; at `|c| = 1` the
+    /// logarithm is exactly 0, so the rate is `l1` times the Arrhenius
+    /// factor, bit for bit.
     #[inline]
     pub fn loss_rate(&self, temperature: Kelvin, c_rate: f64) -> f64 {
         let t = temperature.value().max(200.0);
-        let arrhenius = (-self.l2 / (GAS_CONSTANT * t)).exp();
-        self.l1 * arrhenius * c_rate.abs().powf(self.l3)
+        self.l1 * (self.l3 * c_rate.abs().ln() - self.l2 / (GAS_CONSTANT * t)).exp()
     }
 
     /// `(∂rate/∂T, ∂rate/∂|c|·sign(c))` at one operating point, from the
@@ -277,6 +283,42 @@ mod tests {
         assert_eq!(d_c0, 0.0);
     }
 
+    /// The single-exponential rate against the two-factor form it
+    /// replaced, `l1·exp(−l2/(R·T))·|c|^l3`, over a dense (T, c) grid:
+    /// both signs, zero, tiny and large C-rates, and temperatures down
+    /// through the 200 K evaluation floor. Each form rounds its exponents
+    /// differently, and `exp` turns an absolute error `δ` in its argument
+    /// into a relative error `δ`, so the bound scales with the size of
+    /// the two exponent parts, `s = 1 + |l3·ln|c|| + l2/(R·T)`:
+    /// `RATE_ULP_PER_UNIT·s` ulp. Measured worst: 0.98·s; in plain ulp,
+    /// 33 at the smallest C-rates (1e-10 C, where `s` is about 40).
+    #[test]
+    fn single_exponential_rate_matches_the_two_factor_form() {
+        const RATE_ULP_PER_UNIT: f64 = 2.0;
+        let p = AgingParams::millner_like();
+        for i in 0..=220 {
+            let kelvin = 150.0 + f64::from(i);
+            let t = f64::max(kelvin, 200.0);
+            let arrhenius = (-p.l2 / (GAS_CONSTANT * t)).exp();
+            let magnitudes = (-40..=16).map(|e| 10f64.powf(f64::from(e) / 4.0));
+            for c in magnitudes.flat_map(|m| [m, -m]).chain([0.0, 1.0, -1.0]) {
+                let rate = p.loss_rate(Kelvin::new(kelvin), c);
+                let reference = p.l1 * arrhenius * c.abs().powf(p.l3);
+                if c == 0.0 {
+                    assert_eq!(rate.to_bits(), 0.0f64.to_bits(), "idle at {kelvin} K");
+                    continue;
+                }
+                let scale = 1.0 + (p.l3 * c.abs().ln()).abs() + p.l2 / (GAS_CONSTANT * t);
+                let ulps = (rate - reference).abs() / (f64::EPSILON * reference);
+
+                assert!(
+                    ulps <= RATE_ULP_PER_UNIT * scale,
+                    "{kelvin} K, {c}C: {rate:e} vs {reference:e} ({ulps} ulp, scale {scale})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn sublinear_stress_exponent_rejected() {
         let p = AgingParams {
@@ -293,16 +335,16 @@ mod tests {
     /// temperatures and C-rates, so a reassociated or hoisted expression
     /// fails here, not only in the golden traces. The Arrhenius factor is
     /// read as the rate at unit `l1` and unit C-rate, where
-    /// `1·e^(−l2/(R·T))·1^l3` is the factor itself, bit for bit.
+    /// `1·exp(l3·ln 1 − l2/(R·T))` is the factor itself, bit for bit.
     #[test]
     fn loss_rate_and_arrhenius_are_pinned_bit_for_bit() {
         let p = AgingParams::millner_like();
         let unit = AgingParams { l1: 1.0, ..p };
         for (kelvin, c_rate, rate_bits, arrhenius_bits) in [
             (298.15, 1.0, 0x3e55_cc3f_2639_c78a, 0x3ec9_6ad1_46d7_6ee1),
-            (318.15, 3.5, 0x3e89_94bb_e275_8892, 0x3edc_3fee_8113_b738),
-            (263.15, -0.5, 0x3e1c_ff52_1652_88c7, 0x3ea2_c22c_b690_9aa2),
-            (150.0, 2.0, 0x3dd8_3e75_a4ee_9abe, 0x3e39_7a5b_be2f_086c),
+            (318.15, 3.5, 0x3e89_94bb_e275_8895, 0x3edc_3fee_8113_b738),
+            (263.15, -0.5, 0x3e1c_ff52_1652_88c8, 0x3ea2_c22c_b690_9aa2),
+            (150.0, 2.0, 0x3dd8_3e75_a4ee_9ac9, 0x3e39_7a5b_be2f_086c),
         ] {
             let rate = p.loss_rate(Kelvin::new(kelvin), c_rate);
             let arrhenius = unit.loss_rate(Kelvin::new(kelvin), 1.0);
@@ -329,6 +371,6 @@ mod tests {
                     })
             });
         let digest = crate::bits_digest(grid);
-        assert_eq!(digest, 0x2802_0fb0_0bdb_8624, "grid digest {digest:#018x}");
+        assert_eq!(digest, 0x948c_b405_1a6b_f52e, "grid digest {digest:#018x}");
     }
 }

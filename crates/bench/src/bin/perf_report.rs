@@ -49,7 +49,7 @@ fn plant(config: &SystemConfig) -> MpcPlant {
 }
 
 /// Counts [`Event::GradientEval`]s: one per point the solver
-/// differentiated (one derivative assembly each).
+/// differentiated (one backward sweep each).
 #[derive(Default)]
 struct GradientCounter(AtomicU64);
 

@@ -56,7 +56,8 @@
 //!
 //! Whatever a stage needs that depends on neither the decisions nor the
 //! step index — the step length, the bank's leak factor, the
-//! Crank–Nicolson operator and its Jacobian, the terminal tail's C-rate —
+//! Crank–Nicolson step (an affine map whose coefficients are its own
+//! Jacobian), the terminal tail's C-rate —
 //! lives in one `Copy` [`StageConstants`] block, built once per solve by
 //! the MPC (once per call by the standalone entry points) and read by
 //! every stage, the terminal cost and both sweeps. Within a stage each
@@ -99,7 +100,7 @@
 
 use crate::mpc::{MpcConfig, MpcPlant};
 use otem_hees::{HeesStepConstants, HeesStepJacobian, HeesStepRecord, HybridCommand, HybridHees};
-use otem_thermal::{CrankNicolsonCoefficients, CrankNicolsonJacobian, ThermalState};
+use otem_thermal::{CrankNicolsonCoefficients, ThermalState};
 use otem_units::{Kelvin, Seconds, Watts};
 
 // Eq. 19 weights and the C1/C4–C6 penalties. Only `w2` (lifetime
@@ -135,10 +136,9 @@ pub(crate) struct StageConstants {
     /// HEES step constants: the control period and the bank's leak
     /// factor over it.
     hees: HeesStepConstants,
-    /// The Crank–Nicolson operator at `dt`.
+    /// The Crank–Nicolson step at `dt`: an affine map whose linear part
+    /// is also its Jacobian, constant as the two-node model is linear.
     cn: CrankNicolsonCoefficients,
-    /// Its Jacobian — constant, as the two-node model is linear.
-    cn_jacobian: CrankNicolsonJacobian,
     /// The terminal tail's nominal per-cell C-rate, a constant of the
     /// forecast and the start state.
     terminal_c_rate: f64,
@@ -146,11 +146,9 @@ pub(crate) struct StageConstants {
 
 impl StageConstants {
     pub(crate) fn new(plant: &MpcPlant, loads: &[Watts], dt: Seconds, config: &MpcConfig) -> Self {
-        let cn = plant.thermal.crank_nicolson_coefficients(dt);
         Self {
             hees: plant.hees.step_constants(dt),
-            cn,
-            cn_jacobian: cn.jacobian(),
+            cn: plant.thermal.crank_nicolson_coefficients(dt),
             terminal_c_rate: terminal_c_rate(plant, loads, config.horizon),
         }
     }
@@ -428,7 +426,7 @@ pub(crate) fn adjoint_sweep(
         return;
     }
     let dtv = stage.dt().value();
-    let jt = &stage.cn_jacobian;
+    let jt = stage.cn.jacobian();
     let flow_over_eff = plant.plant.flow_over_efficiency();
     let pump = plant.plant.params().pump_power.value();
     let cap_max = plant.cap_power_max.value();

@@ -51,5 +51,5 @@ mod model;
 
 pub use cooler::{CoolerAction, CoolingPlant, PlantParams};
 pub use error::ThermalError;
-pub use kernel::CrankNicolsonCoefficients;
-pub use model::{CrankNicolsonJacobian, ThermalModel, ThermalParams, ThermalState};
+pub use kernel::{CrankNicolsonCoefficients, CrankNicolsonJacobian};
+pub use model::{ThermalModel, ThermalParams, ThermalState};

@@ -167,30 +167,6 @@ impl ThermalState {
     }
 }
 
-/// Exact sensitivities of one Crank–Nicolson step. Because the two-node
-/// model is linear in its state and inputs, these depend only on the
-/// parameters and the step length — constants reused across a whole MPC
-/// horizon by the adjoint backward sweep.
-///
-/// Produced by [`CrankNicolsonCoefficients::jacobian`]. Row arrays are
-/// ordered `[∂·/∂T_b, ∂·/∂T_c]` (state rows) or `[∂T_b⁺/∂u, ∂T_c⁺/∂u]`
-/// (input rows).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrankNicolsonJacobian {
-    /// `[∂T_b⁺/∂T_b, ∂T_b⁺/∂T_c]` — next battery temperature in the
-    /// prior state.
-    pub d_battery: [f64; 2],
-    /// `[∂T_c⁺/∂T_b, ∂T_c⁺/∂T_c]` — next coolant temperature in the
-    /// prior state.
-    pub d_coolant: [f64; 2],
-    /// `[∂T_b⁺/∂Q, ∂T_c⁺/∂Q]` — both next temperatures in the battery
-    /// heat input.
-    pub d_battery_heat: [f64; 2],
-    /// `[∂T_b⁺/∂T_in, ∂T_c⁺/∂T_in]` — both next temperatures in the
-    /// coolant inlet temperature.
-    pub d_inlet: [f64; 2],
-}
-
 /// The thermal model: derivative evaluation plus two integrators.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThermalModel {
@@ -254,7 +230,9 @@ impl ThermalModel {
 
     /// One Crank–Nicolson (trapezoidal) step — the implicit average the
     /// paper writes in Eq. 17. The two-node system is linear in the
-    /// temperatures, so the step solves a 2×2 linear system exactly.
+    /// temperatures, so the step is an affine map whose coefficients come
+    /// from solving the 2×2 implicit system once per step length
+    /// ([`CrankNicolsonCoefficients`]).
     ///
     /// Unconditionally stable: safe at the 1 s control period even though
     /// the coolant node's time constant is only a few seconds.
@@ -319,54 +297,6 @@ impl ThermalModel {
         ThermalState {
             battery: Kelvin::new(tb),
             coolant: Kelvin::new(tc),
-        }
-    }
-}
-
-impl CrankNicolsonCoefficients {
-    /// One Crank–Nicolson step of `dx/dt = A·x + r` with
-    /// `x = [T_b, T_c]` under these coefficients — the body of
-    /// [`ThermalModel::step_crank_nicolson`]:
-    /// `(I − dt/2·A)·x⁺ = (I + dt/2·A)·x + dt·r`, solved by the explicit
-    /// 2×2 inverse.
-    #[inline]
-    pub fn step(&self, state: ThermalState, battery_heat: Watts, inlet: Kelvin) -> ThermalState {
-        let (xb, xc) = (state.battery.value(), state.coolant.value());
-        let [[a11, a12], [a21, a22]] = self.a;
-        let [[m11, m12], [m21, m22]] = self.m;
-        let r1 = (battery_heat.value() + self.ambient_forcing) / self.cb;
-        let r2 = self.f * inlet.value() / self.cc;
-        let b1 = xb + self.k * (a11 * xb + a12 * xc) + self.dt * r1;
-        let b2 = xc + self.k * (a21 * xb + a22 * xc) + self.dt * r2;
-        ThermalState {
-            battery: Kelvin::new((b1 * m22 - b2 * m12) / self.det),
-            coolant: Kelvin::new((b2 * m11 - b1 * m21) / self.det),
-        }
-    }
-
-    /// The exact Jacobian of [`CrankNicolsonCoefficients::step`]. The
-    /// two-node system is linear, so these sensitivities are constants of
-    /// the step length — the MPC computes them once per solve and reuses
-    /// them at every step of the adjoint backward sweep.
-    pub fn jacobian(&self) -> CrankNicolsonJacobian {
-        let [[a11, a12], [a21, a22]] = self.a;
-        let [[m11, m12], [m21, m22]] = self.m;
-        let (k, dtv, det) = (self.k, self.dt, self.det);
-        let (cb, cc, f) = (self.cb, self.cc, self.f);
-        // x⁺ = M⁻¹·((I + k·A)·x + dt·r): differentiate the solved linear
-        // map in the prior state, the heat source (enters r1) and the
-        // inlet temperature (enters r2).
-        CrankNicolsonJacobian {
-            d_battery: [
-                ((1.0 + k * a11) * m22 - k * a21 * m12) / det,
-                (k * a12 * m22 - (1.0 + k * a22) * m12) / det,
-            ],
-            d_coolant: [
-                (k * a21 * m11 - (1.0 + k * a11) * m21) / det,
-                ((1.0 + k * a22) * m11 - k * a12 * m21) / det,
-            ],
-            d_battery_heat: [(dtv / cb) * m22 / det, -(dtv / cb) * m21 / det],
-            d_inlet: [-(dtv * f / cc) * m12 / det, (dtv * f / cc) * m11 / det],
         }
     }
 }

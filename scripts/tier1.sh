@@ -2,9 +2,10 @@
 # Tier-1 gate: everything must pass before a change lands.
 #   ./scripts/tier1.sh
 #
-# Every correctness assertion lives in a test that `cargo test` runs:
-# the root manifest's `default-members` makes a bare `cargo test` cover
-# the facade package and every member crate. No step writes a tracked
+# Every correctness assertion lives in a test that `cargo test` runs
+# (the root manifest's `default-members` makes a bare `cargo test` cover
+# the facade package and every member crate), plus the benchmark's own
+# output checks, run once each at the end. No step writes a tracked
 # file, so on a clean checkout `git status --porcelain` stays empty.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,5 +36,25 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # of silently rewriting perfbench/Cargo.lock.
 echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
+# Benchmark smoke run: one short run of each workload, untraced and (for
+# mpc_loop) traced. perfbench's last line is its JSON report, whose
+# `correct` field is the conjunction of its output checks (checksums,
+# traced-equals-untraced streams, every vehicle timed), so a broken
+# output check fails here rather than only in a full benchmark run.
+for workload in "mpc_loop --trace 0" "mpc_loop --trace 1" "fleet_mix --trace 0"; do
+    echo "==> perfbench --workload ${workload} --seconds 1"
+    # The workload string is split on purpose. perfbench exits non-zero
+    # when a check fails; the case below reports that from its last line.
+    last=$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml \
+        -- --workload ${workload} --seconds 1 | tail -n 1) || true
+    case "$last" in
+        *'"correct":true'*) ;;
+        *)
+            echo "perfbench --workload ${workload}: output check failed: ${last}" >&2
+            exit 1
+            ;;
+    esac
+done
 
 echo "tier-1: all green"
