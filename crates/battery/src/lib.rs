@@ -47,7 +47,7 @@ pub use error::BatteryError;
 pub use pack::{
     BatteryPack, DrawPartials, PackConfig, PackCurves, PackSnapshot, PowerDraw, PEAK_DRAW_MARGIN,
 };
-pub use params::{CellParams, OcvCurve, ResistanceCurve, SlopeTable};
+pub use params::{CellParams, OcvCurve, ResistanceCurve};
 
 /// FNV-style fold of `f64` bit patterns: one pin for a whole grid of
 /// operating points in the bit-pin tests.

@@ -140,7 +140,7 @@ impl PowerDraw {
 /// Partial derivatives of a resolved [`PowerDraw`], row per output,
 /// columns over the inputs `[∂/∂power, ∂/∂soc, ∂/∂temperature]`.
 ///
-/// Produced by [`BatteryPack::draw_partials`] for the adjoint gradient's
+/// Produced by [`BatteryPack::draw_partials_at`] for the adjoint gradient's
 /// backward sweep; every entry differentiates exactly the branch
 /// [`BatteryPack::draw_power`] executes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,9 +172,8 @@ pub struct DrawPartials {
 /// them without a transcendental of their own — and, being pure in the
 /// curves, can run long after the pack's state has moved on. The plain
 /// entry points ([`BatteryPack::draw_power`],
-/// [`BatteryPack::draw_partials`], [`BatteryPack::max_discharge_power`])
-/// evaluate the curves and delegate, so both paths run the same
-/// arithmetic.
+/// [`BatteryPack::max_discharge_power`]) evaluate the curves and
+/// delegate, so both paths run the same arithmetic.
 ///
 /// The forward consumers are valid only while the pack's state of charge
 /// is the one the curves were built at (checked in debug builds).
@@ -469,13 +468,10 @@ impl BatteryPack {
     /// chained through the fused OCV / resistance slopes. Returns `None`
     /// when the request is infeasible or sits on the `D = 0` peak-power
     /// boundary, where the square root is not differentiable.
-    pub fn draw_partials(&self, power: Watts, temperature: Kelvin) -> Option<DrawPartials> {
-        self.draw_partials_at(power, &self.curves(temperature))
-    }
-
-    /// [`BatteryPack::draw_partials`] at the operating point of prepared
-    /// curves — no transcendental of its own, and independent of the
-    /// pack's present state of charge.
+    ///
+    /// Priced at the operating point of prepared curves — no
+    /// transcendental of its own, and independent of the pack's present
+    /// state of charge.
     #[inline]
     pub fn draw_partials_at(&self, power: Watts, curves: &PackCurves) -> Option<DrawPartials> {
         let (dvoc_cell, drc_soc, drc_temp) = self.cell_slopes(curves);
@@ -769,7 +765,9 @@ mod tests {
             p.set_soc(Ratio::new(soc));
             let temp = Kelvin::from_celsius(celsius);
             let power = Watts::new(power_w);
-            let partials = p.draw_partials(power, temp).expect("feasible point");
+            let partials = p
+                .draw_partials_at(power, &p.curves(temp))
+                .expect("feasible point");
 
             let h_p = 1.0; // W
             let h_s = 1e-7;
@@ -825,7 +823,9 @@ mod tests {
     #[test]
     fn draw_partials_none_at_infeasible_requests() {
         let p = pack();
-        assert!(p.draw_partials(Watts::new(1.0e9), room()).is_none());
+        assert!(p
+            .draw_partials_at(Watts::new(1.0e9), &p.curves(room()))
+            .is_none());
     }
 
     #[test]

@@ -179,80 +179,6 @@ impl Default for ResistanceCurve {
     }
 }
 
-/// A sampled one-dimensional curve with every segment's interpolation
-/// slope precomputed at construction: knot `i` stores `(x, y, dy/dx)`
-/// where `dy/dx` is the slope of the segment starting at that knot.
-///
-/// A lookup is then one fused multiply `y + dy/dx·(q − x)` instead of
-/// re-deriving `(y₁ − y₀)/(x₁ − x₀)` on every call — the form both the
-/// forward rollout and the adjoint backward pass want, since the adjoint
-/// needs exactly the segment slope the forward interpolation used.
-/// Tabulated `V_oc(SoC)` / `R(SoC, T)` curves (e.g. from datasheet
-/// points rather than the analytic fits) plug into the same discipline
-/// the analytic paths get from [`OcvCurve::slope_from_exponential`] /
-/// [`ResistanceCurve::slopes_from_exponentials`]: the slope is read from
-/// what the value evaluation already computed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SlopeTable {
-    /// First knot abscissa.
-    x0: f64,
-    /// Uniform knot spacing.
-    step: f64,
-    /// `(x, y, dy/dx)` per knot; the last knot's slope repeats the one
-    /// before it so clamped lookups past the end stay well-defined.
-    knots: Vec<(f64, f64, f64)>,
-}
-
-impl SlopeTable {
-    /// Tabulates `f` on `segments + 1` uniform knots over `[lo, hi]`,
-    /// precomputing each segment's slope. Panics on a degenerate range
-    /// or zero segments.
-    pub fn from_fn(lo: f64, hi: f64, segments: usize, f: impl Fn(f64) -> f64) -> Self {
-        assert!(segments > 0, "SlopeTable needs at least one segment");
-        assert!(hi > lo, "SlopeTable range must be non-empty");
-        let step = (hi - lo) / segments as f64;
-        let xs: Vec<f64> = (0..=segments).map(|i| lo + step * i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
-        let knots = (0..=segments)
-            .map(|i| {
-                let j = i.min(segments - 1); // last knot repeats prior slope
-                let slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]);
-                (xs[i], ys[i], slope)
-            })
-            .collect();
-        Self {
-            x0: lo,
-            step,
-            knots,
-        }
-    }
-
-    /// Interpolated value at `q` (clamped to the tabulated range): one
-    /// fused multiply off the precomputed knot.
-    #[inline]
-    pub fn eval(&self, q: f64) -> f64 {
-        let (x, y, slope) = self.knot_for(q);
-        y + slope * (q - x)
-    }
-
-    /// Interpolated value and the active segment's slope — the pair the
-    /// adjoint backward pass consumes.
-    #[inline]
-    pub fn eval_with_slope(&self, q: f64) -> (f64, f64) {
-        let (x, y, slope) = self.knot_for(q);
-        (y + slope * (q - x), slope)
-    }
-
-    #[inline]
-    fn knot_for(&self, q: f64) -> (f64, f64, f64) {
-        let segments = self.knots.len() - 1;
-        let idx = ((q - self.x0) / self.step)
-            .floor()
-            .clamp(0.0, (segments - 1) as f64) as usize;
-        self.knots[idx]
-    }
-}
-
 /// Full parameter set for one Li-ion cell: electrical fits (Eq. 2–3),
 /// thermal constants (Eq. 4 and the lumped heat capacity of Eq. 14) and
 /// aging coefficients (Eq. 5).
@@ -494,57 +420,5 @@ mod tests {
         let (_, e, factor) = r.resistance_and_exponentials(Ratio::HALF, Kelvin::new(150.0));
         let (_, d_temp) = r.slopes_from_exponentials(Kelvin::new(150.0), e, factor);
         assert_eq!(d_temp, 0.0, "clamped Arrhenius floor must kill ∂R/∂T");
-    }
-
-    #[test]
-    fn slope_table_lookup_is_bit_identical_to_rederived_interpolation() {
-        let ocv = OcvCurve::default();
-        let segments = 64;
-        let table = SlopeTable::from_fn(0.0, 1.0, segments, |s| ocv.voltage(Ratio::new(s)).value());
-
-        // The "old path": re-derive the segment slope on every lookup.
-        let step = 1.0 / segments as f64;
-        let old_path = |q: f64| {
-            let idx = ((q / step).floor().clamp(0.0, (segments - 1) as f64)) as usize;
-            let x0 = step * idx as f64;
-            let x1 = step * (idx + 1) as f64;
-            let y0 = ocv.voltage(Ratio::new(x0)).value();
-            let y1 = ocv.voltage(Ratio::new(x1)).value();
-            y0 + (y1 - y0) / (x1 - x0) * (q - x0)
-        };
-
-        for i in 0..=1000 {
-            let q = i as f64 / 1000.0;
-            assert_eq!(
-                table.eval(q).to_bits(),
-                old_path(q).to_bits(),
-                "fused lookup diverged from slope re-derivation at {q}"
-            );
-            let (value, slope) = table.eval_with_slope(q);
-            assert_eq!(value.to_bits(), table.eval(q).to_bits());
-            assert!(slope.is_finite());
-        }
-        // Clamped lookups stay well-defined past both ends.
-        assert!(table.eval(-0.5).is_finite());
-        assert!(table.eval(1.5).is_finite());
-    }
-
-    #[test]
-    fn slope_table_tracks_the_analytic_curve() {
-        let ocv = OcvCurve::default();
-        let table = SlopeTable::from_fn(0.0, 1.0, 256, |s| ocv.voltage(Ratio::new(s)).value());
-        for i in 0..=500 {
-            let q = i as f64 / 500.0;
-            let exact = ocv.voltage(Ratio::new(q)).value();
-            // The exponential knee at low SoC has the strongest
-            // curvature; first-order extrapolation within a segment is a
-            // few mV off there and sub-0.2 mV over the usable range.
-            let tol = if q < 0.08 { 5e-3 } else { 2e-4 };
-            assert!(
-                (table.eval(q) - exact).abs() < tol,
-                "table {} vs analytic {exact} at SoC {q}",
-                table.eval(q)
-            );
-        }
     }
 }

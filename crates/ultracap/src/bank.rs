@@ -40,7 +40,7 @@ impl CapDraw {
 /// Partial derivatives of a resolved [`CapDraw`], row per output,
 /// columns over the inputs `[∂/∂power, ∂/∂SoE]`.
 ///
-/// Produced by [`UltracapBank::draw_partials`] for the adjoint
+/// Produced by [`UltracapBank::draw_partials_at`] for the adjoint
 /// gradient's backward sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapDrawPartials {
@@ -275,13 +275,10 @@ impl UltracapBank {
     /// forward call executes (including the depleted-bank voltage floor
     /// of the zero-resistance model). Returns `None` where the forward
     /// call errors or sits on a non-differentiable boundary.
-    pub fn draw_partials(&self, power: Watts) -> Option<CapDrawPartials> {
-        self.draw_partials_at(power, self.voltage(), self.voltage_slope(self.soe))
-    }
-
-    /// [`UltracapBank::draw_partials`] at a bank voltage and its
-    /// [`UltracapBank::voltage_slope`] — no square root of its own, and
-    /// independent of the bank's present state of energy.
+    ///
+    /// Priced at a bank voltage and its [`UltracapBank::voltage_slope`] —
+    /// no square root of its own, and independent of the bank's present
+    /// state of energy.
     #[inline]
     pub fn draw_partials_at(
         &self,
@@ -540,7 +537,9 @@ mod tests {
         for (soe, p) in [(0.6, 12_000.0), (0.6, -9_000.0), (0.2, 4_000.0)] {
             let mut b = bank();
             b.set_soe(Ratio::new(soe));
-            let partials = b.draw_partials(Watts::new(p)).expect("differentiable");
+            let partials = b
+                .draw_partials_at(Watts::new(p), b.voltage(), b.voltage_slope(b.soe()))
+                .expect("differentiable");
             let (fd_ip, fd_i) = fd_columns(&b, p);
             assert_close(partials.internal_power[0], fd_ip[0], "∂internal/∂p");
             assert_close(partials.internal_power[1], fd_ip[1], "∂internal/∂soe");
@@ -557,7 +556,9 @@ mod tests {
         let mut b = bank();
         b.set_soe(Ratio::new(1.0e-3));
         let p = -1_000.0;
-        let partials = b.draw_partials(Watts::new(p)).expect("differentiable");
+        let partials = b
+            .draw_partials_at(Watts::new(p), b.voltage(), b.voltage_slope(b.soe()))
+            .expect("differentiable");
         let floor = 0.05 * b.params().rated_voltage.value();
         let v = b.voltage().value();
         assert!(v < floor, "test must exercise the floor branch");
@@ -578,7 +579,9 @@ mod tests {
         for (soe, p) in [(0.8, 10_000.0), (0.5, -15_000.0)] {
             let mut b = UltracapBank::new(params).unwrap();
             b.set_soe(Ratio::new(soe));
-            let partials = b.draw_partials(Watts::new(p)).expect("differentiable");
+            let partials = b
+                .draw_partials_at(Watts::new(p), b.voltage(), b.voltage_slope(b.soe()))
+                .expect("differentiable");
             let (fd_ip, fd_i) = fd_columns(&b, p);
             assert_close(partials.internal_power[0], fd_ip[0], "∂internal/∂p");
             assert_close(partials.internal_power[1], fd_ip[1], "∂internal/∂soe");
@@ -591,7 +594,9 @@ mod tests {
     fn draw_partials_none_on_infeasible_branches() {
         let mut b = bank();
         b.set_soe(Ratio::ZERO);
-        assert!(b.draw_partials(Watts::new(1_000.0)).is_none());
+        assert!(b
+            .draw_partials_at(Watts::new(1_000.0), b.voltage(), b.voltage_slope(b.soe()))
+            .is_none());
         let params = UltracapParams {
             series_resistance: 0.1,
             ..UltracapParams::default()
@@ -601,7 +606,9 @@ mod tests {
         // Past the quadratic's vertex the forward solve errors too.
         let v = r.voltage().value();
         let over = v * v / (4.0 * 0.1) * 1.5;
-        assert!(r.draw_partials(Watts::new(over)).is_none());
+        assert!(r
+            .draw_partials_at(Watts::new(over), r.voltage(), r.voltage_slope(r.soe()))
+            .is_none());
     }
 
     #[test]
