@@ -12,13 +12,18 @@
 //!    US06 ×5 under `paper_config()`. "Loss" is its capacity loss as a
 //!    percentage of Parallel's on the same route (Fig. 8); "cost" is the
 //!    realized Eq. 19 cost `w1·cooling + w2·Q_loss + w3·HEES energy`
-//!    with the default weights, and no end-state term.
+//!    with the default weights, and no end-state term
+//!    ([`realized_cost`]). "Floor cost" is the same cost realized by the
+//!    whole-route plan ([`plan_route`]) of the same route, and "regret"
+//!    is how far the closed loop's cost lies above it. The floor is a
+//!    best-known plan, not a bound, so the regret is a lower bound.
 //!
 //! ```sh
 //! cargo run --release -p otem-bench --bin plan_gap
 //! ```
 
 use otem::mpc::MpcConfig;
+use otem::planner::{plan_route, realized_cost};
 use otem::policy::Otem;
 use otem::{Controller, SystemConfig};
 use otem_bench::{cycle_trace, paper_config, run, stress_trace, Methodology};
@@ -120,20 +125,24 @@ fn main() {
         "\n# Closed loop — default OTEM, {}",
         otem_bench::PAPER_CONFIG
     );
-    println!("{:<7} {:>10} {:>12}", "route", "loss (%)", "cost");
+    println!(
+        "{:<7} {:>10} {:>12} {:>12} {:>11}",
+        "route", "loss (%)", "cost", "floor cost", "regret (%)"
+    );
     let config = paper_config();
-    let w2 = MpcConfig::default().w2;
     for cycle in [StandardCycle::Nycc, StandardCycle::Us06] {
         let trace = cycle_trace(cycle, 5).expect("trace");
         let parallel = run(Methodology::Parallel, &config, &trace).expect("run");
         let otem = run(Methodology::Otem, &config, &trace).expect("run");
-        let cost =
-            otem.cooling_energy().value() + w2 * otem.capacity_loss() + otem.energy().value();
+        let cost = realized_cost(&otem);
+        let floor = realized_cost(&plan_route(&config, &trace).expect("plan").replay);
         println!(
-            "{:<7} {:>10.2} {:>12.4e}",
+            "{:<7} {:>10.2} {:>12.4e} {:>12.4e} {:>11.2}",
             format!("{} x5", cycle.spec().name),
             otem.capacity_loss() / parallel.capacity_loss() * 100.0,
-            cost
+            cost,
+            floor,
+            (cost / floor - 1.0) * 100.0
         );
     }
 }

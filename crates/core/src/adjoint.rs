@@ -109,9 +109,9 @@ use otem_units::{Kelvin, Seconds, Watts};
 // the terminal tail and the backward sweep below.
 
 /// `w1`: weight on cooling energy `P_c·Δt` (per joule).
-const W1: f64 = 1.0;
+pub(crate) const W1: f64 = 1.0;
 /// `w3`: weight on HEES energy `dE_bat + dE_cap` (per joule).
-const W3: f64 = 1.0;
+pub(crate) const W3: f64 = 1.0;
 /// Soft ceiling for the battery temperature (K): 38 °C, a margin below
 /// the hard C1 limit.
 const TEMP_SOFT: f64 = Kelvin::from_celsius(38.0).value();

@@ -91,7 +91,8 @@ impl SystemConfig {
     /// The hybrid (DC-bus) plant this configuration describes: its cell
     /// and pack, the paper's bank at [`SystemConfig::capacitance`], both
     /// DC-DC converters, at the initial SoC and SoE. OTEM drives this
-    /// plant and the clairvoyant planner prices it.
+    /// plant, and the whole-route plan (`planner::plan_route`) is priced
+    /// and replayed on it.
     ///
     /// # Errors
     ///

@@ -278,26 +278,12 @@ impl Mpc {
             }
         }
 
-        let workspace = {
-            let _pool_span = span(sink, "pool");
-            self.take_workspace(&plant.hees, sink)
-        };
-        let objective = RolloutObjective::new(plant, loads, dt, &self.config, workspace, sink);
-        let mut solver = self.solver;
-        if let Some(cap) = self.iteration_cap {
-            solver.max_iterations = solver.max_iterations.min(cap);
-        }
-        let deadline = self
-            .deadline_ns()
-            .map(|budget| Deadline::after(self.clock.as_ref(), budget));
         let Solution {
             x,
             value,
             iterations,
             outcome,
-        } = solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref());
-        self.rollouts += objective.rollouts.get();
-        self.workspace = Some(objective.workspace.into_inner());
+        } = self.minimize(plant, loads, dt, sink);
         sink.record(Event::SolveOutcome {
             outcome: outcome.name(),
             // The one gradient path; the label keeps the metric family's
@@ -330,6 +316,51 @@ impl Mpc {
         };
         self.previous = Some(x);
         decision
+    }
+
+    /// Solves the window from the caller's start `x0` (laid out as
+    /// `[cap_share_0..n-1, cool_duty_0..n-1]`) instead of the shifted
+    /// previous plan, leaving the warm-start memory untouched: the solve
+    /// behind every decision, for a caller that already holds a plan
+    /// (the route planner's whole-trace window).
+    pub(crate) fn solve_from(
+        &mut self,
+        plant: &MpcPlant,
+        loads: &[Watts],
+        dt: Seconds,
+        x0: &[f64],
+    ) -> Solution {
+        self.x0.clear();
+        self.x0.extend_from_slice(x0);
+        self.minimize(plant, loads, dt, &NullSink)
+    }
+
+    /// Runs the solver from `self.x0` on the box, within the runtime
+    /// iteration cap and deadline, through the held workspace.
+    fn minimize(
+        &mut self,
+        plant: &MpcPlant,
+        loads: &[Watts],
+        dt: Seconds,
+        sink: &dyn Sink,
+    ) -> Solution {
+        let workspace = {
+            let _pool_span = span(sink, "pool");
+            self.take_workspace(&plant.hees, sink)
+        };
+        let objective = RolloutObjective::new(plant, loads, dt, &self.config, workspace, sink);
+        let mut solver = self.solver;
+        if let Some(cap) = self.iteration_cap {
+            solver.max_iterations = solver.max_iterations.min(cap);
+        }
+        let deadline = self
+            .deadline_ns()
+            .map(|budget| Deadline::after(self.clock.as_ref(), budget));
+        let solution =
+            solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref());
+        self.rollouts += objective.rollouts.get();
+        self.workspace = Some(objective.workspace.into_inner());
+        solution
     }
 
     /// The solve's workspace: the one held from the last solve when it

@@ -1,203 +1,233 @@
-//! Clairvoyant charge-allocation planner: dynamic programming over the
-//! whole route (the offline formulation of Xie et al.'s HEES charge
-//! allocation \[14\]).
+//! Whole-route planning: the MPC's own objective, minimised over an
+//! entire known trace as one window.
 //!
-//! Given the *entire* power-request trace up front, the planner computes
-//! the battery/ultracapacitor split that minimises total HEES energy
-//! (battery chemical + bank + conversion losses) by DP over a
-//! (time × state-of-energy) grid on the configuration's own hybrid plant
-//! ([`SystemConfig::hybrid_plant`], the plant OTEM drives). It ignores
-//! thermal dynamics — it is an *energy* bound, not a lifetime
-//! controller — and it is not causal.
+//! [`plan_route`] is the offline counterpart of the receding-horizon
+//! controller, in the manner of Mousaei's whole-cycle optimisation of a
+//! battery electro-thermal model and Lokur & Murgovski's thermal
+//! management as optimal control over a whole drive. It plans the same
+//! decisions the MPC takes (cap share and cooler duty per step) on the
+//! same prediction model, cost and box, with the whole trace as the
+//! window and no terminal tail. It is not causal: it is the reference a
+//! closed-loop controller is measured against.
 //!
-//! Its role in this workspace is as a **benchmark**: the receding-horizon
-//! OTEM only sees a short forecast window; comparing its HEES energy to
-//! the clairvoyant optimum measures what the missing future knowledge
-//! costs (see the `dp_gap` integration test and the `clairvoyant_gap`
-//! example).
+//! It is a *best-known* plan, not a bound. The problem is nonconvex and
+//! the solve stops on a fixed budget, so a better plan may exist, and
+//! the regret of a controller measured against this plan is a lower
+//! bound on its true regret.
 //!
-//! The bound is approximate, not strict. Energy-only OTEM (w2 = 0,
-//! horizon 8, 15 iterations) lands *below* the plan on `dp_gap`'s pulsed
-//! trace: OTEM/DP energy 0.9987 on the default configuration and 0.9889
-//! on the stress rig (adjoint gradient, 21 SoE levels × 9 actions). The
-//! likely reasons are the DP's simplifications below — every transition
-//! is costed at a fixed SoC of 0.8 and at ambient temperature, on a
-//! coarse grid.
+//! The warm start is part of the design. From an all-zero start the same
+//! budget ends *worse* than the closed loop it should floor: on NYCC
+//! (`SystemConfig::default()`, 600 steps) it reads 2.058e6 against the
+//! closed loop's realized 1.726e6, where the warm-started plan reads
+//! 1.550e6.
 
+use crate::adjoint::{W1, W3};
 use crate::config::SystemConfig;
+use crate::controller::{Controller, StepRecord, SystemState};
 use crate::error::OtemError;
+use crate::metrics::SimulationResult;
+use crate::mpc::{Mpc, MpcConfig};
+use crate::policy::Otem;
+use crate::sim::Simulator;
 use otem_drivecycle::PowerTrace;
-use otem_hees::HybridCommand;
-use otem_units::{Joules, Ratio, Watts};
-use serde::{Deserialize, Serialize};
+use otem_solver::{Solution, SolverOutcome};
+use otem_telemetry::NullSink;
+use otem_units::{Seconds, Watts};
+use std::iter::Zip;
+use std::slice::Iter;
 
-/// DP discretisation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PlannerConfig {
-    /// Number of state-of-energy grid points.
-    pub soe_levels: usize,
-    /// Candidate ultracapacitor bus powers per step, spanning
-    /// ±`cap_power_max` (odd count keeps zero in the set).
-    pub actions: usize,
-}
+/// Solver iterations of the whole-route solve.
+const ROUTE_ITERATIONS: usize = 2_000;
 
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        Self {
-            soe_levels: 41,
-            actions: 11,
-        }
-    }
-}
-
-/// The planner's output: per-step ultracapacitor bus-power commands and
-/// the achieved total.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Plan {
-    /// Commanded bank bus power per step (positive = bank serves).
+/// A whole-route plan and what the plant realizes under it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoutePlan {
+    /// Commanded bank bus power per step (positive = the bank serves).
     pub cap_bus: Vec<Watts>,
-    /// Predicted total HEES energy under the plan.
-    pub energy: Joules,
+    /// Cooler duty per step, in `[0, 1]`.
+    pub cool_duty: Vec<f64>,
+    /// The MPC objective at the plan: Eq. 19 plus the constraint
+    /// penalties over the whole trace, with no terminal tail.
+    pub cost: f64,
+    /// How the route solve ended.
+    pub outcome: SolverOutcome,
+    /// Solver iterations the route solve consumed.
+    pub iterations: usize,
+    /// The plan replayed open loop through [`Otem::apply_with`] under
+    /// [`Simulator`].
+    pub replay: SimulationResult,
 }
 
-/// Computes the clairvoyant optimal split for a trace.
+/// Plans the whole of `trace` for `config`'s OTEM plant.
 ///
-/// The battery runs at the configured ambient temperature throughout
-/// (the planner bounds *energy*, not lifetime). SoC is not a DP state:
-/// the backward pass costs every transition from the grid's SoE at a
-/// fixed battery SoC of 0.8. The forward pass then replays the winning
-/// policy through the configuration's plant from its initial SoC and
-/// SoE, so [`Plan::energy`] is that plant's exact energy under
-/// [`Plan::cap_bus`].
+/// 1. Warm start: the default closed loop ([`Otem::new`], each step
+///    [`Otem::plan_with`] then [`Otem::apply_with`]) drives the trace,
+///    and its applied moves (cap share `cap_bus / cap_power_max`, duty)
+///    are the start.
+/// 2. Solve: [`MpcConfig::default`] with the trace as its horizon and no
+///    terminal tail, solved from that start on the MPC's box within a
+///    budget of 2,000 iterations.
+/// 3. Replay: the plan drives a fresh plant under [`Simulator`].
+///
+/// An empty trace is an empty plan.
 ///
 /// # Errors
 ///
-/// Propagates component construction errors from the configuration.
-pub fn plan_split(
+/// Propagates configuration and component validation errors.
+pub fn plan_route(config: &SystemConfig, trace: &PowerTrace) -> Result<RoutePlan, OtemError> {
+    let fresh = Otem::new(config)?;
+    let n = trace.len();
+    if n == 0 {
+        return Ok(RoutePlan {
+            cap_bus: Vec::new(),
+            cool_duty: Vec::new(),
+            cost: 0.0,
+            outcome: SolverOutcome::Converged,
+            iterations: 0,
+            replay: replay(&fresh, config, trace, &[], &[]),
+        });
+    }
+    let dt = config.dt;
+    let cap_max = config.cap_power_max.value();
+
+    let mut closed = fresh.clone();
+    let window = MpcConfig::default().horizon - 1;
+    let mut x0 = vec![0.0; 2 * n];
+    for t in 0..n {
+        let load = trace.get(t);
+        let decision = closed.plan_with(load, &trace.window(t + 1, window), dt, &NullSink);
+        closed.apply_with(load, decision.cap_bus, decision.cool_duty, dt, &NullSink);
+        x0[t] = decision.cap_bus.value() / cap_max;
+        x0[n + t] = decision.cool_duty;
+    }
+
+    let mut mpc = Mpc::new(MpcConfig {
+        horizon: n,
+        terminal_tail: 0.0,
+        solver_iterations: ROUTE_ITERATIONS,
+        ..MpcConfig::default()
+    });
+    let Solution {
+        x,
+        value,
+        iterations,
+        outcome,
+    } = mpc.solve_from(&fresh.plant_snapshot(), trace.samples(), dt, &x0);
+    let cap_bus: Vec<Watts> = x[..n].iter().map(|&u| Watts::new(u * cap_max)).collect();
+    let cool_duty = x[n..].to_vec();
+    let replay = replay(&fresh, config, trace, &cap_bus, &cool_duty);
+    Ok(RoutePlan {
+        cap_bus,
+        cool_duty,
+        cost: value,
+        outcome,
+        iterations,
+        replay,
+    })
+}
+
+/// The realized Eq. 19 cost of a run, `w1·cooling + w2·Q_loss + w3·HEES
+/// energy` at the default weights: what [`RoutePlan::cost`] prices, less
+/// its constraint penalties, with no end-state term.
+pub fn realized_cost(result: &SimulationResult) -> f64 {
+    W1 * result.cooling_energy().value()
+        + MpcConfig::default().w2 * result.capacity_loss()
+        + W3 * result.energy().value()
+}
+
+/// Drives a copy of `fresh` through `trace` under [`Simulator`], applying
+/// the planned moves in place of the MPC's.
+fn replay(
+    fresh: &Otem,
     config: &SystemConfig,
     trace: &PowerTrace,
-    planner: &PlannerConfig,
-) -> Result<Plan, OtemError> {
-    let n = trace.len();
-    let levels = planner.soe_levels.max(2);
-    let actions = planner.actions.max(3);
-    let dt = trace.dt();
-
-    // Reference plant for step-cost evaluation (cloned per transition).
-    let base = config.hybrid_plant()?;
-
-    let soe_of = |level: usize| -> f64 {
-        config.soe_min.value() + (1.0 - config.soe_min.value()) * level as f64 / (levels - 1) as f64
+    cap_bus: &[Watts],
+    cool_duty: &[f64],
+) -> SimulationResult {
+    let mut plan = Replay {
+        otem: fresh.clone(),
+        moves: cap_bus.iter().zip(cool_duty),
     };
-    let level_of = |soe: f64| -> usize {
-        let t = (soe - config.soe_min.value()) / (1.0 - config.soe_min.value());
-        ((t * (levels - 1) as f64).round() as isize).clamp(0, levels as isize - 1) as usize
-    };
-    let action_power = |a: usize| -> Watts {
-        let frac = 2.0 * a as f64 / (actions - 1) as f64 - 1.0;
-        config.cap_power_max * frac
-    };
+    Simulator::new(config).run(&mut plan, trace)
+}
 
-    // Backward DP: value[level] = minimal cost-to-go from step t.
-    const INF: f64 = f64::INFINITY;
-    let mut value = vec![0.0f64; levels];
-    let mut policy = vec![vec![0u16; levels]; n];
+/// The OTEM plant with a fixed plan in place of its MPC.
+struct Replay<'a> {
+    otem: Otem,
+    moves: Zip<Iter<'a, Watts>, Iter<'a, f64>>,
+}
 
-    for t in (0..n).rev() {
-        let load = trace.get(t);
-        let mut next_value = vec![INF; levels];
-        for level in 0..levels {
-            let soe = soe_of(level);
-            let mut best = INF;
-            let mut best_a = 0u16;
-            for a in 0..actions {
-                let cap_bus = action_power(a);
-                let mut plant = base.clone();
-                plant.set_state(Ratio::new(0.8), Ratio::new(soe));
-                let step = plant.step(
-                    HybridCommand {
-                        battery_bus: load - cap_bus,
-                        cap_bus,
-                    },
-                    config.ambient,
-                    dt,
-                );
-                // Infeasible splits (shortfall) are forbidden transitions.
-                if step.shortfall.value() > 1.0 {
-                    continue;
-                }
-                let next_level = level_of(plant.soe().value());
-                // Signed cost: regeneration absorbed into either storage
-                // reduces net consumption, matching the simulator's
-                // energy metric.
-                let cost = step.hees_power().value() * dt.value();
-                let total = cost + value[next_level];
-                if total < best {
-                    best = total;
-                    best_a = a as u16;
-                }
-            }
-            next_value[level] = best;
-            policy[t][level] = best_a;
-        }
-        value = next_value;
+impl Controller for Replay<'_> {
+    fn name(&self) -> &'static str {
+        "OTEM route plan"
     }
 
-    // Forward pass: follow the winning policy with the real plant.
-    let mut plant = base;
-    let mut cap_bus = Vec::with_capacity(n);
-    let mut energy = 0.0;
-    for (t, row) in policy.iter().enumerate() {
-        let level = level_of(plant.soe().value());
-        let a = row[level] as usize;
-        let command = action_power(a);
-        let step = plant.step(
-            HybridCommand {
-                battery_bus: trace.get(t) - command,
-                cap_bus: command,
-            },
-            config.ambient,
-            dt,
-        );
-        energy += step.hees_power().value() * dt.value();
-        cap_bus.push(command);
+    fn step(&mut self, load: Watts, _forecast: &[Watts], dt: Seconds) -> StepRecord {
+        let (&cap_bus, &cool_duty) = self.moves.next().expect("one planned move per step");
+        self.otem
+            .apply_with(load, cap_bus, cool_duty, dt, &NullSink)
     }
 
-    Ok(Plan {
-        cap_bus,
-        energy: Joules::new(energy),
-    })
+    fn state(&self) -> SystemState {
+        self.otem.state()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otem_units::Seconds;
 
-    fn small_planner() -> PlannerConfig {
-        PlannerConfig {
-            soe_levels: 15,
-            actions: 7,
-        }
-    }
+    /// Relative bound on `|realized / planned − 1|`. The plan prices the
+    /// pump at `pump_power · duty` while the plant runs it whole above
+    /// duty 1e-3, and the penalties are priced but never realized. The
+    /// worst case measured on the default configuration is 9.7e-4 (flat
+    /// 20 kW × 30 from the bank's floor); the stress-rig case in
+    /// `plan_energy_is_the_configured_plant_replaying_the_plan` breaks it.
+    const REPLAY_TOLERANCE: f64 = 2e-3;
 
     fn flat_trace(watts: f64, n: usize) -> PowerTrace {
         PowerTrace::new(Seconds::new(1.0), vec![Watts::new(watts); n])
     }
 
+    fn pulsed_trace(dt: Seconds, pattern: &[(f64, usize)], laps: usize) -> PowerTrace {
+        let lap = pattern
+            .iter()
+            .flat_map(|&(watts, n)| std::iter::repeat_n(Watts::new(watts), n));
+        PowerTrace::new(dt, lap.collect::<Vec<_>>().repeat(laps))
+    }
+
+    fn assert_replay_realizes_the_plan(plan: &RoutePlan) {
+        let ratio = realized_cost(&plan.replay) / plan.cost;
+        assert!(
+            (ratio - 1.0).abs() <= REPLAY_TOLERANCE,
+            "realized / planned {ratio:.6}"
+        );
+    }
+
     #[test]
     fn plan_covers_every_step() {
         let config = SystemConfig::default();
-        let trace = flat_trace(15_000.0, 40);
-        let plan = plan_split(&config, &trace, &small_planner()).unwrap();
+        let plan = plan_route(&config, &flat_trace(15_000.0, 40)).unwrap();
         assert_eq!(plan.cap_bus.len(), 40);
-        assert!(plan.energy.value() > 0.0);
+        assert_eq!(plan.cool_duty.len(), 40);
+        assert_eq!(plan.replay.records.len(), 40);
+        assert!(plan.cost > 0.0);
+        assert!(plan.iterations > 0);
+    }
+
+    #[test]
+    fn empty_trace_is_an_empty_plan() {
+        let config = SystemConfig::default();
+        let plan = plan_route(&config, &flat_trace(0.0, 0)).unwrap();
+        assert!(plan.cap_bus.is_empty() && plan.cool_duty.is_empty());
+        assert!(plan.replay.records.is_empty());
+        assert_eq!((plan.cost, plan.iterations), (0.0, 0));
     }
 
     #[test]
     fn steady_load_prefers_the_battery() {
         // A flat load gains nothing from cycling energy through the
-        // bank's converter: the optimal plan leaves the bank untouched.
+        // bank's converter: the plan leaves the bank all but untouched.
         // The bank starts at its floor, so any use would be cycling (a
         // full bank is worth draining on the compact pack: splitting
         // the load cuts its I²R loss).
@@ -205,86 +235,60 @@ mod tests {
             initial_soe: SystemConfig::default().soe_min,
             ..SystemConfig::default()
         };
-        let trace = flat_trace(20_000.0, 30);
-        let plan = plan_split(&config, &trace, &small_planner()).unwrap();
-        let cap_energy: f64 = plan.cap_bus.iter().map(|p| p.value().abs()).sum::<f64>();
-        // Near-zero bank activity (grid noise allowed).
+        let plan = plan_route(&config, &flat_trace(20_000.0, 30)).unwrap();
+        let cap_energy: f64 = plan.cap_bus.iter().map(|p| p.value().abs()).sum();
+        // Measured 6,961 W·steps.
         assert!(
             cap_energy < 0.1 * 20_000.0 * 30.0,
             "bank used {cap_energy} W·steps on a flat load"
         );
+        assert_replay_realizes_the_plan(&plan);
     }
 
     #[test]
     fn plan_beats_battery_only_on_pulsed_load() {
-        // Pulses: shaving them with the bank reduces I²R losses enough
-        // to beat battery-only despite conversion losses.
+        // Pulses: shaving them with the bank cuts the battery's I²R loss
+        // and wear by more than the conversion costs.
         let config = SystemConfig::default();
-        let mut samples = Vec::new();
-        for _ in 0..6 {
-            samples.extend(vec![Watts::new(2_000.0); 5]);
-            samples.extend(vec![Watts::new(90_000.0); 3]);
-        }
-        let trace = PowerTrace::new(Seconds::new(1.0), samples);
-        let plan = plan_split(&config, &trace, &small_planner()).unwrap();
-
-        // Battery-only comparison on the same plant.
-        let mut plant = config.hybrid_plant().unwrap();
-        let mut battery_only = 0.0;
-        for t in 0..trace.len() {
-            let step = plant.step(
-                HybridCommand {
-                    battery_bus: trace.get(t),
-                    cap_bus: Watts::ZERO,
-                },
-                config.ambient,
-                Seconds::new(1.0),
-            );
-            battery_only += step.hees_power().value().max(0.0);
-        }
-        assert!(
-            plan.energy.value() < battery_only,
-            "plan {:.0} J should beat battery-only {battery_only:.0} J",
-            plan.energy.value()
+        let trace = pulsed_trace(config.dt, &[(2_000.0, 5), (90_000.0, 3)], 6);
+        let plan = plan_route(&config, &trace).unwrap();
+        let idle = vec![0.0; trace.len()];
+        let battery_only = replay(
+            &Otem::new(&config).unwrap(),
+            &config,
+            &trace,
+            &vec![Watts::ZERO; trace.len()],
+            &idle,
         );
+        let (planned, alone) = (realized_cost(&plan.replay), realized_cost(&battery_only));
+        assert!(
+            planned < alone,
+            "plan {planned:.6e} should beat battery-only {alone:.6e}"
+        );
+        assert_replay_realizes_the_plan(&plan);
     }
 
     #[test]
     fn plan_energy_is_the_configured_plant_replaying_the_plan() {
-        // The stress rig's 96s×16p pack: a planner pricing any other
-        // plant cannot reproduce its energy bit-for-bit.
+        // The stress rig's 96s×16p pack: the replay is exactly the OTEM
+        // plant driven by the plan. Its realized cost is not within the
+        // replay tolerance here (1.0453 × planned): the plan runs the pump
+        // at duty ≈ 0.51 on every step and has the bank carry the whole
+        // priced bus load, so the battery's only draw is the half of the
+        // pump the relaxation leaves unpriced (≈ 0.007 C), and the
+        // sublinear stress law prices that draw at 49× the wear planned
+        // for the near-idle battery.
         let config = SystemConfig::stress_rig();
-        let mut samples = Vec::new();
-        for _ in 0..4 {
-            samples.extend(vec![Watts::new(4_000.0); 6]);
-            samples.extend(vec![Watts::new(60_000.0); 3]);
-            samples.extend(vec![Watts::new(-20_000.0); 2]);
-        }
-        let trace = PowerTrace::new(config.dt, samples);
-        let plan = plan_split(&config, &trace, &small_planner()).unwrap();
+        let trace = pulsed_trace(config.dt, &[(4_000.0, 6), (60_000.0, 3), (-20_000.0, 2)], 4);
+        let plan = plan_route(&config, &trace).unwrap();
 
-        let mut plant = config.hybrid_plant().unwrap();
+        let mut otem = Otem::new(&config).unwrap();
         let mut energy = 0.0;
-        for (t, &cap_bus) in plan.cap_bus.iter().enumerate() {
-            let step = plant.step(
-                HybridCommand {
-                    battery_bus: trace.get(t) - cap_bus,
-                    cap_bus,
-                },
-                config.ambient,
-                config.dt,
-            );
-            energy += step.hees_power().value() * config.dt.value();
+        for (t, (&cap_bus, &duty)) in plan.cap_bus.iter().zip(&plan.cool_duty).enumerate() {
+            let record = otem.apply_with(trace.get(t), cap_bus, duty, config.dt, &NullSink);
+            assert_eq!(record, plan.replay.records[t], "step {t}");
+            energy += (record.total_power() * config.dt).value();
         }
-        assert_eq!(energy.to_bits(), plan.energy.value().to_bits());
-    }
-
-    #[test]
-    fn empty_trace_is_an_empty_plan() {
-        let config = SystemConfig::default();
-        let trace = PowerTrace::new(Seconds::new(1.0), vec![]);
-        let plan = plan_split(&config, &trace, &small_planner()).unwrap();
-        assert!(plan.cap_bus.is_empty());
-        assert_eq!(plan.energy, Joules::ZERO);
+        assert_eq!(energy.to_bits(), plan.replay.energy().value().to_bits());
     }
 }

@@ -114,7 +114,7 @@ impl Otem {
         state
     }
 
-    fn plant_snapshot(&self) -> MpcPlant {
+    pub(crate) fn plant_snapshot(&self) -> MpcPlant {
         MpcPlant {
             hees: self.hees.clone(),
             thermal: self.thermal,

@@ -19,7 +19,6 @@
 //! | [`queue`] | [`BoundedQueue`]: the std-only bounded MPMC hand-off behind the server |
 //! | [`protocol`] | minimal JSON field extraction + JSONL response rendering |
 //! | [`server`] | [`FleetServer`]: the hardened `simulate`/`plan` serving layer (worker pool, load shedding, socket deadlines, graceful drain) |
-//! | [`client`] | [`RetryClient`]: blocking client with decorrelated-jitter backoff |
 //!
 //! # Determinism contract
 //!
@@ -47,7 +46,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod campaign;
-pub mod client;
 pub mod engine;
 pub mod pool;
 pub mod protocol;
@@ -57,7 +55,6 @@ pub mod server;
 pub use campaign::{
     Campaign, Methodology, SolveOutcomes, SummaryBuilder, TraceCache, VehicleSpec, VehicleSummary,
 };
-pub use client::{BackoffPolicy, Response, RetryClient};
 pub use engine::{ClockFactory, FleetEngine, FleetReport, OutcomeTally, Schedule, VehicleFailure};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{FleetServer, ServerConfig, ServerHandle};

@@ -53,7 +53,7 @@
 //! | `GET /debug/flight` | — | frozen flight-recorder dump if an incident occurred, else the live ring |
 //! | `GET /debug/trace?sample=N` | — | arms 1-in-N span sampling; streams sampled spans |
 //! | `POST /simulate` | [`SimulateRequest`] JSON | JSONL summaries (fleet) or telemetry stream + summary (vehicle) |
-//! | `POST /plan` | single-vehicle JSON | clairvoyant DP split, one line per step |
+//! | `POST /plan` | single-vehicle JSON | whole-route plan ([`otem::planner::plan_route`]): cap power and cooler duty per step, then cost and solver outcome |
 //! | `POST /shutdown` | — | ack line, then the server drains and exits |
 //!
 //! Responses are `application/x-ndjson` (`/metrics` is
@@ -64,7 +64,7 @@ use crate::campaign::{Campaign, SummaryBuilder, TraceCache, VehicleSpec};
 use crate::engine::FleetEngine;
 use crate::protocol::{failure_line, outcomes_json, summary_line, SimulateRequest, Telemetry};
 use crate::queue::{BoundedQueue, PushError};
-use otem::planner::{plan_split, PlannerConfig};
+use otem::planner::plan_route;
 use otem::{OtemError, Simulator};
 use otem_telemetry::{
     current_request_id, request_scope, ChromeTraceSink, Counter, Event, EventCounter, FlightDump,
@@ -78,9 +78,12 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Upper bound on `/plan` route length: the clairvoyant DP is
-/// `O(steps × soe_levels × actions)` plant evaluations, so unbounded
-/// requests could pin a worker for minutes.
+/// Upper bound on `/plan` route length: the route solve runs up to 2,000
+/// iterations over every step, so an unbounded request could pin a
+/// worker for minutes. At the cap the worst case measured in release is
+/// 1.7 s per request (LA92, midsize EV, 39 °C, 1,000 F; the slowest of
+/// 54 bodies over every cycle, both vehicles and three ambient/bank
+/// corners, on a 2-vCPU VM).
 const PLAN_STEP_CAP: usize = 2_000;
 
 /// Largest accepted request body (requests are small JSON objects; a
@@ -1248,14 +1251,16 @@ fn simulate_vehicle(
     Ok(200)
 }
 
-/// The clairvoyant DP benchmark as a service: one line per step with the
-/// planned ultracapacitor bus power, then the plan total.
+/// The whole-route plan ([`plan_route`]) as a service: one line per step
+/// with the planned ultracapacitor bus power and cooler duty, then the
+/// trailer with the replay's HEES energy, the planned cost, and how the
+/// route solve ended.
 fn plan(state: &ServerState, stream: TcpStream, spec: &VehicleSpec) -> io::Result<u16> {
     if spec.steps > PLAN_STEP_CAP {
         return respond_error(
             stream,
             400,
-            &format!("/plan \"steps\" capped at {PLAN_STEP_CAP} (DP cost is per-step)"),
+            &format!("/plan \"steps\" capped at {PLAN_STEP_CAP} (the route solve is per-step)"),
         );
     }
     let config = spec.config();
@@ -1263,22 +1268,25 @@ fn plan(state: &ServerState, stream: TcpStream, spec: &VehicleSpec) -> io::Resul
         Ok(t) => t,
         Err(err) => return respond_otem_error(stream, &err),
     };
-    match plan_split(&config, &trace, &PlannerConfig::default()) {
+    match plan_route(&config, &trace) {
         Ok(p) => {
             let mut stream = stream;
             write_head(&mut stream, 200, "OK")?;
-            for (t, cap_bus) in p.cap_bus.iter().enumerate() {
+            for (t, (cap_bus, cool_duty)) in p.cap_bus.iter().zip(&p.cool_duty).enumerate() {
                 writeln!(
                     stream,
-                    "{{\"event\":\"plan_step\",\"t\":{t},\"cap_bus_w\":{:.3}}}",
+                    "{{\"event\":\"plan_step\",\"t\":{t},\"cap_bus_w\":{:.3},\"cool_duty\":{cool_duty:.6}}}",
                     cap_bus.value()
                 )?;
             }
             writeln!(
                 stream,
-                "{{\"event\":\"plan\",\"steps\":{},\"energy_j\":{:.6}}}",
+                "{{\"event\":\"plan\",\"steps\":{},\"energy_j\":{:.6},\"cost\":{:e},\"outcome\":\"{}\",\"iterations\":{}}}",
                 p.cap_bus.len(),
-                p.energy.value()
+                p.replay.energy().value(),
+                p.cost,
+                p.outcome.name(),
+                p.iterations
             )?;
             stream.flush()?;
             Ok(200)

@@ -11,7 +11,9 @@
 //! timeouts, one-deep queues), never on host speed: the assertions are
 //! about *which* response each client draws, not how fast.
 
-use otem_fleet::client::{request, request_with_timeout, BackoffPolicy, RetryClient};
+mod client;
+
+use client::{request, request_with_timeout, splitmix64, BackoffPolicy, RetryClient};
 use otem_fleet::{FleetServer, ServerConfig, ServerHandle};
 use otem_telemetry::MemorySink;
 use std::io::{Read, Write};
@@ -20,14 +22,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const SEED: u64 = 0xc4a05;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn config(workers: usize, queue_depth: usize, read_timeout_ms: u64) -> ServerConfig {
     ServerConfig {

@@ -2,7 +2,11 @@
 //! `TcpStream` HTTP/1.1 requests, close-delimited `x-ndjson` responses,
 //! clean shutdown.
 
-use otem_fleet::{Campaign, FleetEngine, FleetServer, Schedule, ServerConfig, ServerHandle};
+use otem::planner::plan_route;
+use otem_fleet::protocol::{json_f64, SimulateRequest};
+use otem_fleet::{
+    Campaign, FleetEngine, FleetServer, Schedule, ServerConfig, ServerHandle, TraceCache,
+};
 use otem_telemetry::promparse::{validate_exposition, ParsedExposition};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -129,17 +133,36 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
         "summary line terminates the stream"
     );
 
-    // Clairvoyant plan: one line per step plus the plan trailer.
-    let (status, lines) = roundtrip(
-        &handle,
-        "POST",
-        "/plan",
-        "{\"cycle\":\"nycc\",\"steps\":25}",
-    );
+    // Whole-route plan: one line per step plus the plan trailer, whose
+    // cost is the library's plan of the same vehicle, bit for bit.
+    let body = "{\"cycle\":\"nycc\",\"steps\":25}";
+    let (status, lines) = roundtrip(&handle, "POST", "/plan", body);
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_eq!(lines.len(), 26, "25 plan steps + trailer: {lines:?}");
-    assert!(lines[0].starts_with("{\"event\":\"plan_step\",\"t\":0,"));
-    assert!(lines[25].starts_with("{\"event\":\"plan\",\"steps\":25,"));
+    for (t, line) in lines[..25].iter().enumerate() {
+        assert!(
+            line.starts_with(&format!(
+                "{{\"event\":\"plan_step\",\"t\":{t},\"cap_bus_w\":"
+            )),
+            "{line}"
+        );
+        let duty = json_f64(line, "cool_duty").expect("cool_duty");
+        assert!((0.0..=1.0).contains(&duty), "{line}");
+    }
+    let trailer = &lines[25];
+    assert!(trailer.starts_with("{\"event\":\"plan\",\"steps\":25,\"energy_j\":"));
+    let Ok(SimulateRequest::Vehicle { spec, .. }) = SimulateRequest::parse(body) else {
+        panic!("a single-vehicle body");
+    };
+    let trace = TraceCache::new().trace_for(&spec).expect("trace");
+    let expected = plan_route(&spec.config(), &trace).expect("plan");
+    let cost = json_f64(trailer, "cost").expect("cost");
+    assert_eq!(cost.to_bits(), expected.cost.to_bits(), "{trailer}");
+    assert!(trailer.contains(&format!(
+        "\"outcome\":\"{}\",\"iterations\":{}}}",
+        expected.outcome.name(),
+        expected.iterations
+    )));
 
     // Bad requests are 400s, unknown routes 404s — and neither kills
     // the server.
