@@ -13,17 +13,15 @@
 //! cargo run --release -p otem-bench --bin architecture_space
 //! ```
 
-use otem::SystemConfig;
-use otem_battery::AgingModel;
+use otem::{Controller, SimulationResult, Simulator, StepRecord, SystemConfig, SystemState};
 use otem_bench::{run, stress_config, stress_trace, Methodology};
 use otem_drivecycle::StandardCycle;
-use otem_hees::SemiActiveHees;
+use otem_hees::{ConvertedSide, SemiActiveHees};
 use otem_thermal::{ThermalModel, ThermalState};
 use otem_units::{Ratio, Seconds, Watts};
 
-/// Runs a semi-active architecture under its natural heuristic and
-/// returns (capacity loss, average power kW, peak temp °C, shortfall
-/// fraction of route energy).
+/// A semi-active architecture under its natural heuristic, on the
+/// passive pack:
 ///
 /// * cap-converted: the bank shaves load above the battery's comfort
 ///   threshold (while it has charge), soaks regen, and recharges gently
@@ -31,36 +29,37 @@ use otem_units::{Ratio, Seconds, Watts};
 /// * battery-converted: the battery (behind its converter) carries a
 ///   smoothed base load; the direct bank absorbs every transient by
 ///   circuit role.
-fn run_semi_active(
-    mut hees: SemiActiveHees,
-    config: &SystemConfig,
-    trace: &otem_drivecycle::PowerTrace,
-) -> (f64, f64, f64, f64) {
-    hees.set_state(config.initial_soc, config.initial_soe);
-    let thermal = ThermalModel::new(config.thermal_passive).expect("thermal");
-    let mut state = ThermalState::uniform(config.ambient);
-    let mut aging = AgingModel::new(config.aging);
-    let comfort = Watts::new(18_000.0);
-    let recharge = Watts::new(-6_000.0);
-    let dt = Seconds::new(1.0);
-    let mut energy = 0.0;
-    let mut shortfall = 0.0;
-    let mut load_energy = 0.0;
-    let mut peak_temp = state.battery;
-    let cap_converted = hees.side() == otem_hees::ConvertedSide::Ultracap;
-    // Smoothed base load for the battery-converted wiring.
-    let mut base = 0.0;
+struct PeakShaving {
+    hees: SemiActiveHees,
+    thermal: ThermalModel,
+    state: ThermalState,
+    /// Smoothed base load for the battery-converted wiring (W).
+    base: f64,
+}
 
-    for t in 0..trace.len() {
-        let load = trace.get(t);
-        let bank_has_charge = hees.soe() > Ratio::from_percent(24.0);
-        let converted = if cap_converted {
+impl PeakShaving {
+    fn new(mut hees: SemiActiveHees, config: &SystemConfig) -> Self {
+        hees.set_state(config.initial_soc, config.initial_soe);
+        Self {
+            hees,
+            thermal: ThermalModel::new(config.thermal_passive).expect("thermal"),
+            state: ThermalState::uniform(config.ambient),
+            base: 0.0,
+        }
+    }
+
+    /// The bus power the converted storage is commanded to serve.
+    fn converted_share(&mut self, load: Watts) -> Watts {
+        let comfort = Watts::new(18_000.0);
+        let recharge = Watts::new(-6_000.0);
+        let bank_has_charge = self.hees.soe() > Ratio::from_percent(24.0);
+        if self.hees.side() == ConvertedSide::Ultracap {
             // Converted storage = the bank.
             if load > comfort && bank_has_charge {
                 load - comfort
             } else if load.value() < 0.0 {
                 load // all regen into the bank
-            } else if hees.soe() < Ratio::from_percent(85.0) && load < comfort {
+            } else if self.hees.soe() < Ratio::from_percent(85.0) && load < comfort {
                 recharge
             } else {
                 Watts::ZERO
@@ -68,27 +67,62 @@ fn run_semi_active(
         } else {
             // Converted storage = the battery: carry a slow-filtered,
             // non-negative base load; the direct bank takes transients.
-            base += 0.05 * (load.value().max(0.0) - base);
-            let mut share = Watts::new(base);
+            self.base += 0.05 * (load.value().max(0.0) - self.base);
+            let share = Watts::new(self.base);
             if !bank_has_charge && load > share {
-                share = load; // bank empty: battery must carry everything
+                load // bank empty: battery must carry everything
+            } else {
+                share
             }
-            share
-        };
-        let step = hees.step(load, converted, state.battery, dt);
-        state = thermal.step_crank_nicolson(state, step.battery_heat, state.coolant, dt);
-        peak_temp = peak_temp.max(state.battery);
-        aging.accumulate(state.battery, step.battery_c_rate, dt);
-        energy += step.hees_power().value() * dt.value();
-        shortfall += step.shortfall.value().max(0.0) * dt.value();
-        load_energy += load.value().max(0.0) * dt.value();
+        }
     }
-    (
-        aging.cumulative_loss(),
-        energy / trace.duration().value(),
-        peak_temp.to_celsius().value(),
-        shortfall / load_energy.max(1.0),
-    )
+}
+
+impl Controller for PeakShaving {
+    fn name(&self) -> &'static str {
+        "semi-active peak shaving"
+    }
+
+    fn step(&mut self, load: Watts, _forecast: &[Watts], dt: Seconds) -> StepRecord {
+        let converted = self.converted_share(load);
+        let hees = self.hees.step(load, converted, self.state.battery, dt);
+        self.state =
+            self.thermal
+                .step_crank_nicolson(self.state, hees.battery_heat, self.state.coolant, dt);
+        StepRecord {
+            load,
+            hees,
+            cooling_power: Watts::ZERO,
+            state: self.state(),
+        }
+    }
+
+    fn state(&self) -> SystemState {
+        SystemState {
+            battery_temp: self.state.battery,
+            coolant_temp: self.state.coolant,
+            soe: self.hees.soe(),
+            soc: self.hees.soc(),
+        }
+    }
+}
+
+/// Prints one table row. `unserved` is the shortfall as a share of the
+/// energy the route's positive load requests.
+fn row(label: &str, result: &SimulationResult) {
+    let requested: f64 = result
+        .records
+        .iter()
+        .map(|r| r.load.value().max(0.0) * result.dt.value())
+        .sum();
+    println!(
+        "{:<34} {:>12.4e} {:>10.2} {:>10.1} {:>9.1}%",
+        label,
+        result.capacity_loss(),
+        result.average_power().value() / 1000.0,
+        result.peak_battery_temp().to_celsius().value(),
+        result.shortfall_energy().value() / requested.max(1.0) * 100.0
+    );
 }
 
 fn main() {
@@ -108,52 +142,23 @@ fn main() {
         "architecture / controller", "Q_loss", "avgP (kW)", "Tpeak(°C)", "unserved"
     );
 
-    let parallel = run(Methodology::Parallel, &config, &trace).expect("run");
-    println!(
-        "{:<34} {:>12.4e} {:>10.2} {:>10.1} {:>9.1}%",
+    let sim = Simulator::new(&config);
+    let semi_active = |hees: SemiActiveHees| sim.run(&mut PeakShaving::new(hees, &config), &trace);
+    row(
         "passive parallel (no converter)",
-        parallel.capacity_loss(),
-        parallel.average_power().value() / 1000.0,
-        parallel.peak_battery_temp().to_celsius().value(),
-        parallel.shortfall_energy().value() / parallel.energy().value().max(1.0) * 100.0
+        &run(Methodology::Parallel, &config, &trace).expect("run"),
     );
-
-    let (loss, avg, tp, unserved) = run_semi_active(
-        SemiActiveHees::cap_converted(config.capacitance).expect("arch"),
-        &config,
-        &trace,
-    );
-    println!(
-        "{:<34} {:>12.4e} {:>10.2} {:>10.1} {:>9.1}%",
+    row(
         "semi-active, cap converted",
-        loss,
-        avg / 1000.0,
-        tp,
-        unserved * 100.0
+        &semi_active(SemiActiveHees::cap_converted(config.capacitance).expect("arch")),
     );
-
-    let (loss, avg, tp, unserved) = run_semi_active(
-        SemiActiveHees::battery_converted(config.capacitance).expect("arch"),
-        &config,
-        &trace,
-    );
-    println!(
-        "{:<34} {:>12.4e} {:>10.2} {:>10.1} {:>9.1}%",
+    row(
         "semi-active, battery converted",
-        loss,
-        avg / 1000.0,
-        tp,
-        unserved * 100.0
+        &semi_active(SemiActiveHees::battery_converted(config.capacitance).expect("arch")),
     );
-
-    let otem = run(Methodology::Otem, &config, &trace).expect("run");
-    println!(
-        "{:<34} {:>12.4e} {:>10.2} {:>10.1} {:>9.1}%",
+    row(
         "fully active hybrid + OTEM",
-        otem.capacity_loss(),
-        otem.average_power().value() / 1000.0,
-        otem.peak_battery_temp().to_celsius().value(),
-        otem.shortfall_energy().value() / otem.energy().value().max(1.0) * 100.0
+        &run(Methodology::Otem, &config, &trace).expect("run"),
     );
 
     println!("\nReading (measured, and worth being honest about): a well-tuned");

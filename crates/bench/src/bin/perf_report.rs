@@ -23,7 +23,7 @@ use otem::SystemConfig;
 use otem_fleet::protocol::outcomes_json;
 use otem_fleet::SolveOutcomes;
 use otem_telemetry::{Event, MetricsRegistry, RegistrySnapshot, Sink, Tee};
-use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
+use otem_thermal::ThermalState;
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,19 +35,10 @@ const REPS: usize = 8;
 const TOL_BUDGET: usize = 400;
 
 fn plant(config: &SystemConfig) -> MpcPlant {
-    let mut hees = config.hybrid_plant().unwrap();
-    hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
-    MpcPlant {
-        hees,
-        thermal: ThermalModel::new(config.thermal_active).unwrap(),
-        plant: CoolingPlant::new(config.plant).unwrap(),
-        state: ThermalState::uniform(Kelvin::from_celsius(33.0)),
-        aging: config.aging,
-        soc_min: config.soc_min,
-        soe_min: config.soe_min,
-        battery_power_max: config.battery_power_max,
-        cap_power_max: config.cap_power_max,
-    }
+    let mut p = MpcPlant::new(config).unwrap();
+    p.hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
+    p.state = ThermalState::uniform(Kelvin::from_celsius(33.0));
+    p
 }
 
 /// Counts [`Event::GradientEval`]s: one per point the solver

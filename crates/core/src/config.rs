@@ -1,11 +1,8 @@
 //! System-wide configuration shared by every controller.
 
 use crate::error::OtemError;
-use otem_battery::{AgingParams, BatteryPack, CellParams, PackConfig};
-use otem_converter::DcDcConverter;
-use otem_hees::HybridHees;
+use otem_battery::{AgingParams, CellParams, PackConfig};
 use otem_thermal::{PlantParams, ThermalParams};
-use otem_ultracap::UltracapParams;
 use otem_units::{Farads, Kelvin, Ratio, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 
@@ -86,27 +83,6 @@ impl SystemConfig {
         self.thermal_active = self.thermal_active.with_ambient(ambient);
         self.thermal_passive = self.thermal_passive.with_ambient(ambient);
         self
-    }
-
-    /// The hybrid (DC-bus) plant this configuration describes: its cell
-    /// and pack, the paper's bank at [`SystemConfig::capacitance`], both
-    /// DC-DC converters, at the initial SoC and SoE. OTEM drives this
-    /// plant, and the whole-route plan (`planner::plan_route`) is priced
-    /// and replayed on it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates component validation errors.
-    pub fn hybrid_plant(&self) -> Result<HybridHees, OtemError> {
-        let battery = BatteryPack::new(self.cell.clone(), self.pack)?;
-        let mut hees = HybridHees::new(
-            battery,
-            UltracapParams::paper_bank(self.capacitance),
-            DcDcConverter::battery_side(),
-            DcDcConverter::ultracap_side(),
-        )?;
-        hees.set_state(self.initial_soc, self.initial_soe);
-        Ok(hees)
     }
 
     /// Validates cross-field consistency.

@@ -27,13 +27,18 @@
 //! stiff cap block.
 
 use crate::adjoint::{StageConstants, StageRecord};
-use otem_battery::AgingParams;
-use otem_hees::{HeesSnapshot, HybridHees};
+use crate::config::SystemConfig;
+use crate::controller::{StepRecord, SystemState};
+use crate::error::OtemError;
+use otem_battery::{AgingParams, BatteryPack};
+use otem_converter::DcDcConverter;
+use otem_hees::{HeesSnapshot, HybridCommand, HybridHees};
 use otem_solver::{Bounds, Deadline, Objective, ProjectedGradient, Solution, SolverOutcome};
 pub use otem_solver::{Clock, MonotonicClock, VirtualClock};
 use otem_telemetry::{span, Event, NullSink, Sink};
-use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
-use otem_units::{Ratio, Seconds, Watts};
+use otem_thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
+use otem_ultracap::UltracapParams;
+use otem_units::{Kelvin, Ratio, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -77,7 +82,11 @@ impl Default for MpcConfig {
     }
 }
 
-/// Everything the rollout needs to predict the plant over the horizon.
+/// The OTEM plant: the hybrid architecture, the actively cooled pack and
+/// its cooling loop, with the constraint bounds the objective prices.
+/// [`crate::policy::Otem`] drives one; the MPC predicts a copy of it
+/// (Algorithm 1 lines 11–14) and [`MpcPlant::apply`] steps it (lines
+/// 15–16).
 #[derive(Debug, Clone)]
 pub struct MpcPlant {
     /// The hybrid architecture: cloned once per decision by
@@ -100,6 +109,94 @@ pub struct MpcPlant {
     pub battery_power_max: Watts,
     /// C7 ultracapacitor bus-power limit.
     pub cap_power_max: Watts,
+}
+
+impl MpcPlant {
+    /// The plant `config` describes at its initial state: its cell and
+    /// pack, the paper's bank at [`SystemConfig::capacitance`] behind both
+    /// DC-DC converters at the initial SoC and SoE, the actively cooled
+    /// thermal model at ambient, and the cooling plant.
+    ///
+    /// # Errors
+    ///
+    /// Propagates component validation errors.
+    pub fn new(config: &SystemConfig) -> Result<Self, OtemError> {
+        let battery = BatteryPack::new(config.cell.clone(), config.pack)?;
+        let mut hees = HybridHees::new(
+            battery,
+            UltracapParams::paper_bank(config.capacitance),
+            DcDcConverter::battery_side(),
+            DcDcConverter::ultracap_side(),
+        )?;
+        hees.set_state(config.initial_soc, config.initial_soe);
+        Ok(Self {
+            hees,
+            thermal: ThermalModel::new(config.thermal_active)?,
+            plant: CoolingPlant::new(config.plant)?,
+            state: ThermalState::uniform(config.ambient),
+            aging: config.aging,
+            soc_min: config.soc_min,
+            soe_min: config.soe_min,
+            battery_power_max: config.battery_power_max,
+            cap_power_max: config.cap_power_max,
+        })
+    }
+
+    /// Whether a commanded duty runs the cooling loop: above duty 1e-3
+    /// the pump runs at full power, below it the loop idles.
+    pub(crate) fn cooling_runs(cool_duty: f64) -> bool {
+        cool_duty > 1e-3
+    }
+
+    /// Applies one period's move to the plant: the duty sets the inlet
+    /// between the outlet and the coldest inlet the cooler reaches, the
+    /// battery covers the load plus the cooling power minus the bank's
+    /// `cap_bus`, and the pack steps by Crank–Nicolson.
+    pub fn apply(
+        &mut self,
+        load: Watts,
+        cap_bus: Watts,
+        cool_duty: f64,
+        dt: Seconds,
+    ) -> StepRecord {
+        let outlet = self.state.coolant;
+        let action = if Self::cooling_runs(cool_duty) {
+            let coldest = self.plant.coldest_inlet(outlet);
+            let inlet = Kelvin::new(
+                outlet.value() - cool_duty.clamp(0.0, 1.0) * (outlet.value() - coldest.value()),
+            );
+            self.plant.actuate(outlet, inlet)
+        } else {
+            CoolerAction::idle(outlet)
+        };
+        let hees = self.hees.step(
+            HybridCommand {
+                battery_bus: load + action.total_power() - cap_bus,
+                cap_bus,
+            },
+            self.state.battery,
+            dt,
+        );
+        self.state =
+            self.thermal
+                .step_crank_nicolson(self.state, hees.battery_heat, action.inlet, dt);
+        StepRecord {
+            load,
+            hees,
+            cooling_power: action.total_power(),
+            state: self.system_state(),
+        }
+    }
+
+    /// The paper's state vector `[T_b, T_c, SoE, SoC]` of this plant.
+    pub(crate) fn system_state(&self) -> SystemState {
+        SystemState {
+            battery_temp: self.state.battery,
+            coolant_temp: self.state.coolant,
+            soe: self.hees.soe(),
+            soc: self.hees.soc(),
+        }
+    }
 }
 
 /// One period's optimised control move.
@@ -592,22 +689,12 @@ pub fn rollout_gradient_adjoint(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use otem_units::{Farads, Kelvin};
+    use otem_units::Farads;
 
     fn plant(config: &SystemConfig) -> MpcPlant {
-        let mut hees = config.hybrid_plant().unwrap();
-        hees.set_state(config.initial_soc, Ratio::new(0.6));
-        MpcPlant {
-            hees,
-            thermal: ThermalModel::new(config.thermal_active).unwrap(),
-            plant: CoolingPlant::new(config.plant).unwrap(),
-            state: ThermalState::uniform(config.ambient),
-            aging: config.aging,
-            soc_min: config.soc_min,
-            soe_min: config.soe_min,
-            battery_power_max: config.battery_power_max,
-            cap_power_max: config.cap_power_max,
-        }
+        let mut p = MpcPlant::new(config).unwrap();
+        p.hees.set_state(config.initial_soc, Ratio::new(0.6));
+        p
     }
 
     #[test]
@@ -1128,14 +1215,6 @@ mod tests {
         });
     }
 
-    /// The thermally stressed city-EV rig's plant at its initial state.
-    fn stress_plant(config: &SystemConfig) -> MpcPlant {
-        MpcPlant {
-            hees: config.hybrid_plant().unwrap(),
-            ..plant(config)
-        }
-    }
-
     #[test]
     fn only_differentiated_points_pay_for_a_derivative_assembly() {
         // Sixty closed-loop stress-rig decisions over US06. Every
@@ -1144,15 +1223,13 @@ mod tests {
         // that is never swept, and neither is the final accepted trial of
         // a solve that runs out of budget.
         use otem_drivecycle::{standard, Powertrain, StandardCycle, VehicleParams};
-        use otem_hees::HybridCommand;
         use otem_telemetry::{Event as TEvent, MemorySink};
-        use otem_thermal::CoolerAction;
         let config = SystemConfig::stress_rig();
         let trace = Powertrain::new(VehicleParams::compact_ev())
             .unwrap()
             .power_trace(&standard(StandardCycle::Us06).unwrap());
         let dt = Seconds::new(1.0);
-        let mut p = stress_plant(&config);
+        let mut p = MpcPlant::new(&config).unwrap();
         let cfg = MpcConfig::default();
         let mut mpc = Mpc::new(cfg);
         let sink = MemorySink::with_capacity(1 << 16);
@@ -1184,26 +1261,7 @@ mod tests {
             exhausted += u64::from(d.outcome == SolverOutcome::BudgetExhausted);
             sink.clear();
 
-            let outlet = p.state.coolant;
-            let coldest = p.plant.coldest_inlet(outlet);
-            let inlet =
-                Kelvin::new(outlet.value() - d.cool_duty * (outlet.value() - coldest.value()));
-            let action = if d.cool_duty > 1e-3 {
-                p.plant.actuate(outlet, inlet)
-            } else {
-                CoolerAction::idle(outlet)
-            };
-            let step = p.hees.step(
-                HybridCommand {
-                    battery_bus: loads[0] + action.total_power() - d.cap_bus,
-                    cap_bus: d.cap_bus,
-                },
-                p.state.battery,
-                dt,
-            );
-            p.state = p
-                .thermal
-                .step_crank_nicolson(p.state, step.battery_heat, action.inlet, dt);
+            p.apply(loads[0], d.cap_bus, d.cool_duty, dt);
         }
         let sweeps = mpc.workspace.as_ref().expect("held workspace").sweeps;
         let rejected = trials - accepted;

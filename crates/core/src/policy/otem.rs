@@ -6,9 +6,7 @@ use crate::config::SystemConfig;
 use crate::controller::{Controller, PlantFault, StepRecord, SystemState};
 use crate::error::OtemError;
 use crate::mpc::{Mpc, MpcConfig, MpcDecision, MpcPlant};
-use otem_hees::{HybridCommand, HybridHees};
 use otem_telemetry::{span, Event, NullSink, Sink};
-use otem_thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Seconds, Watts};
 
 /// The OTEM controller: hybrid (DC-bus) HEES + active cooling, jointly
@@ -17,10 +15,8 @@ use otem_units::{Kelvin, Seconds, Watts};
 /// pre-cooling the battery ahead of predicted demand.
 #[derive(Debug, Clone)]
 pub struct Otem {
-    hees: HybridHees,
-    thermal: ThermalModel,
-    plant: CoolingPlant,
-    state: ThermalState,
+    /// The plant the MPC predicts and each period's move is applied to.
+    plant: MpcPlant,
     mpc: Mpc,
     config: SystemConfig,
     /// Whether the cooling loop ran last period — tracked solely so the
@@ -64,10 +60,7 @@ impl Otem {
             });
         }
         Ok(Self {
-            hees: config.hybrid_plant()?,
-            thermal: ThermalModel::new(config.thermal_active)?,
-            plant: CoolingPlant::new(config.plant)?,
-            state: ThermalState::uniform(config.ambient),
+            plant: MpcPlant::new(config)?,
             mpc: Mpc::new(mpc_config),
             config: config.clone(),
             cooling_on: false,
@@ -103,29 +96,16 @@ impl Otem {
         self.mpc.set_clock(clock);
     }
 
-    /// The thermal state as the controller's sensors report it —
-    /// identical to the true state unless a [`PlantFault::SensorBias`]
-    /// is active.
-    fn measured_thermal(&self) -> ThermalState {
-        let mut state = self.state;
-        if self.sensor_bias_k != 0.0 {
-            state.battery = Kelvin::new(state.battery.value() + self.sensor_bias_k);
-        }
-        state
-    }
-
+    /// The plant as the MPC sees it: a copy carrying the battery
+    /// temperature the controller's sensors report — the true one unless
+    /// a [`PlantFault::SensorBias`] is active.
     pub(crate) fn plant_snapshot(&self) -> MpcPlant {
-        MpcPlant {
-            hees: self.hees.clone(),
-            thermal: self.thermal,
-            plant: self.plant,
-            state: self.measured_thermal(),
-            aging: self.config.aging,
-            soc_min: self.config.soc_min,
-            soe_min: self.config.soe_min,
-            battery_power_max: self.config.battery_power_max,
-            cap_power_max: self.config.cap_power_max,
+        let mut plant = self.plant.clone();
+        if self.sensor_bias_k != 0.0 {
+            let battery = &mut plant.state.battery;
+            *battery = Kelvin::new(battery.value() + self.sensor_bias_k);
         }
+        plant
     }
 }
 
@@ -151,7 +131,7 @@ impl Controller for Otem {
     }
 
     fn state(&self) -> SystemState {
-        self.snapshot()
+        self.plant.system_state()
     }
 
     fn inject(&mut self, fault: PlantFault) -> bool {
@@ -213,11 +193,12 @@ impl Otem {
     }
 
     /// Algorithm 1 lines 15–16: apply one period's command (`cap_bus`,
-    /// `cool_duty`) to the real plant and record what happened. The
-    /// command need not come from the MPC — the supervisor routes its
-    /// rule-based fallback through the same path, so fallback steps are
-    /// physically identical to MPC steps in every respect but the source
-    /// of the numbers.
+    /// `cool_duty`) to the real plant ([`MpcPlant::apply`]) and record
+    /// what happened. The command need not come from the MPC — the
+    /// supervisor routes its rule-based fallback through the same path,
+    /// so fallback steps are physically identical to MPC steps in every
+    /// respect but the source of the numbers. A stuck pump is a loop
+    /// commanded idle: the plant steps at duty 0.
     pub fn apply_with(
         &mut self,
         load: Watts,
@@ -226,59 +207,23 @@ impl Otem {
         dt: Seconds,
         sink: &dyn Sink,
     ) -> StepRecord {
-        let outlet = self.state.coolant;
-        let coldest = self.plant.coldest_inlet(outlet);
-        let inlet = Kelvin::new(
-            outlet.value() - cool_duty.clamp(0.0, 1.0) * (outlet.value() - coldest.value()),
-        );
-        let cooling_active = cool_duty > 1e-3 && !self.pump_stuck;
+        let cool_duty = if self.pump_stuck { 0.0 } else { cool_duty };
+        let cooling_active = MpcPlant::cooling_runs(cool_duty);
         if cooling_active != self.cooling_on {
             self.cooling_on = cooling_active;
             sink.record(Event::CoolingToggle {
                 on: cooling_active,
-                battery_temp_k: self.state.battery.value(),
+                battery_temp_k: self.plant.state.battery.value(),
             });
         }
-        let action = if cooling_active {
-            self.plant.actuate(outlet, inlet)
-        } else {
-            CoolerAction::idle(outlet)
-        };
-
-        let battery_bus = load + action.total_power() - cap_bus;
-        let hees_step = self.hees.step(
-            HybridCommand {
-                battery_bus,
-                cap_bus,
-            },
-            self.state.battery,
-            dt,
-        );
-        self.state =
-            self.thermal
-                .step_crank_nicolson(self.state, hees_step.battery_heat, action.inlet, dt);
-
-        StepRecord {
-            load,
-            hees: hees_step,
-            cooling_power: action.total_power(),
-            state: self.snapshot(),
-        }
-    }
-
-    fn snapshot(&self) -> SystemState {
-        SystemState {
-            battery_temp: self.state.battery,
-            coolant_temp: self.state.coolant,
-            soe: self.hees.soe(),
-            soc: self.hees.soc(),
-        }
+        self.plant.apply(load, cap_bus, cool_duty, dt)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otem_thermal::ThermalState;
 
     fn short_mpc() -> MpcConfig {
         MpcConfig {
@@ -326,7 +271,7 @@ mod tests {
     fn hot_pack_gets_managed() {
         let config = SystemConfig::default();
         let mut otem = Otem::with_mpc(&config, short_mpc()).expect("valid");
-        otem.state = ThermalState::uniform(Kelvin::from_celsius(39.0));
+        otem.plant.state = ThermalState::uniform(Kelvin::from_celsius(39.0));
         let forecast = vec![Watts::new(50_000.0); 6];
         let mut cooled_or_offloaded = false;
         for _ in 0..30 {
@@ -340,10 +285,33 @@ mod tests {
     }
 
     #[test]
+    fn a_stuck_pump_steps_as_duty_zero() {
+        // A stuck pump ignores the commanded duty: duty 0.8 on it must
+        // step bit for bit as duty 0 on a healthy clone.
+        let config = SystemConfig::stress_rig();
+        let mut stuck = Otem::with_mpc(&config, short_mpc()).expect("valid");
+        stuck.plant.state = ThermalState::uniform(Kelvin::from_celsius(38.0));
+        let mut healthy = stuck.clone();
+        let mut cooled = stuck.clone();
+        assert!(stuck.inject(PlantFault::PumpStuck(true)));
+        let dt = Seconds::new(1.0);
+        for k in 0..30 {
+            let load = Watts::new(if k % 3 == 0 { 60_000.0 } else { 8_000.0 });
+            let cap_bus = Watts::new(2_000.0);
+            let a = stuck.apply_with(load, cap_bus, 0.8, dt, &NullSink);
+            let b = healthy.apply_with(load, cap_bus, 0.0, dt, &NullSink);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "step {k}");
+            let c = cooled.apply_with(load, cap_bus, 0.8, dt, &NullSink);
+            assert!(c.cooling_power > Watts::ZERO, "a healthy pump ran no loop");
+        }
+    }
+
+    #[test]
     fn regen_is_absorbed() {
         let config = SystemConfig::default();
         let mut otem = Otem::with_mpc(&config, short_mpc()).expect("valid");
-        otem.hees
+        otem.plant
+            .hees
             .set_state(otem_units::Ratio::new(0.8), otem_units::Ratio::new(0.5));
         let forecast = vec![Watts::new(-30_000.0); 6];
         let before_soc = otem.state().soc;

@@ -13,7 +13,6 @@ use otem::policy::Otem;
 use otem::{Controller, Simulator, StepRecord, SystemConfig, SystemState};
 use otem_drivecycle::{standard, Powertrain, StandardCycle, VehicleParams};
 use otem_telemetry::{NullSink, Sink};
-use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Seconds, Watts};
 
 /// The default closed loop, recording each applied move.
@@ -70,17 +69,7 @@ fn route_plan_floors_the_default_closed_loop_on_one_lap() {
         warm[t] = d.cap_bus.value() / config.cap_power_max.value();
         warm[n + t] = d.cool_duty;
     }
-    let start = MpcPlant {
-        hees: config.hybrid_plant().expect("plant"),
-        thermal: ThermalModel::new(config.thermal_active).expect("thermal"),
-        plant: CoolingPlant::new(config.plant).expect("cooling"),
-        state: ThermalState::uniform(config.ambient),
-        aging: config.aging,
-        soc_min: config.soc_min,
-        soe_min: config.soe_min,
-        battery_power_max: config.battery_power_max,
-        cap_power_max: config.cap_power_max,
-    };
+    let start = MpcPlant::new(&config).expect("plant");
     let route = MpcConfig {
         horizon: n,
         terminal_tail: 0.0,

@@ -14,7 +14,8 @@ use std::time::Instant;
 /// How a campaign's vehicles are dispatched across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// One worker, in campaign order — the reference path.
+    /// One worker, in campaign order, on the calling thread — the
+    /// reference path ([`fan_stealing`] at one worker).
     Serial,
     /// Work-stealing atomic-cursor queue across `shards` workers
     /// ([`fan_stealing`]) — the default for heterogeneous fleets.
@@ -299,14 +300,12 @@ impl FleetEngine {
             outcome
         };
         let specs: Vec<&VehicleSpec> = campaign.vehicles.iter().collect();
-        let outcomes: Vec<Result<VehicleSummary, VehicleFailure>> = match self.schedule {
-            Schedule::Serial => specs
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| job(i, s))
-                .collect(),
-            Schedule::WorkStealing { shards } => fan_stealing(specs, shards, job),
+        let shards = match self.schedule {
+            Schedule::Serial => 1,
+            Schedule::WorkStealing { shards } => shards,
         };
+        let outcomes: Vec<Result<VehicleSummary, VehicleFailure>> =
+            fan_stealing(specs, shards, job);
         let wall_s = started.elapsed().as_secs_f64();
         let mut summaries = Vec::with_capacity(outcomes.len());
         let mut failures = Vec::new();

@@ -24,12 +24,6 @@ fn ends_value(rest: &str) -> bool {
         .is_none_or(|c| c == ',' || c == '}' || c.is_whitespace())
 }
 
-/// Extracts an unsigned integer field (`"key":123`); `None` when the
-/// field is absent or not a plain unsigned integer (see [`json_uint`]).
-pub fn json_u64(body: &str, key: &str) -> Option<u64> {
-    json_uint(body, key).ok().flatten()
-}
-
 /// Extracts an unsigned integer field strictly: `Ok(None)` when absent,
 /// `Err` when present but not a plain run of ASCII digits that fits a
 /// `u64` and ends the value (`1e3`, `-5`, `1.0`, `"7"`, `null` and

@@ -11,7 +11,7 @@
 //! `retry_after_ms` hint respected as a floor. The jitter stream is
 //! seeded, so a harness replay issues byte-identical schedules.
 
-use otem_fleet::protocol::json_u64;
+use otem_fleet::protocol::json_uint;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -31,7 +31,7 @@ impl Response {
     pub fn retry_after_ms(&self) -> Option<u64> {
         self.lines
             .first()
-            .and_then(|l| json_u64(l, "retry_after_ms"))
+            .and_then(|l| json_uint(l, "retry_after_ms").ok().flatten())
     }
 }
 

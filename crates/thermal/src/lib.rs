@@ -13,8 +13,7 @@
 //!   proportion to the temperature drop.
 //! * **Pump**: fixed flow rate ⇒ constant power while running.
 //! * **Discretisation** (Eq. 17): Crank–Nicolson on the coupled linear
-//!   two-node system (exactly the trapezoidal form the paper writes), with
-//!   a forward-Euler alternative for the discretisation ablation.
+//!   two-node system (exactly the trapezoidal form the paper writes).
 //!
 //! Architectures *without* active cooling (the Parallel \[15\] and Dual
 //! \[16\] baselines) are modelled by zero coolant flow and a small passive

@@ -213,21 +213,6 @@ impl ThermalModel {
         )
     }
 
-    /// One forward-Euler step (the discretisation ablation baseline).
-    pub fn step_euler(
-        &self,
-        state: ThermalState,
-        battery_heat: Watts,
-        inlet: Kelvin,
-        dt: Seconds,
-    ) -> ThermalState {
-        let (db, dc) = self.derivatives(state, battery_heat, inlet);
-        ThermalState {
-            battery: state.battery + db * dt,
-            coolant: state.coolant + dc * dt,
-        }
-    }
-
     /// One Crank–Nicolson (trapezoidal) step — the implicit average the
     /// paper writes in Eq. 17. The two-node system is linear in the
     /// temperatures, so the step is an affine map whose coefficients come
@@ -363,29 +348,27 @@ mod tests {
     }
 
     #[test]
-    fn crank_nicolson_and_euler_agree_for_small_steps() {
+    fn crank_nicolson_step_is_the_trapezoidal_average() {
+        // Eq. 17: the step's increment is dt times the mean of the ODE's
+        // right-hand side at its two ends.
         let m = model();
         let q = Watts::new(4_000.0);
         let inlet = c(10.0);
-        let mut cn = ThermalState::uniform(c(30.0));
-        let mut eu = cn;
-        let dt = Seconds::new(0.05);
-        for _ in 0..12_000 {
-            cn = m.step_crank_nicolson(cn, q, inlet, dt);
-            eu = m.step_euler(eu, q, inlet, dt);
-        }
-        assert!(
-            (cn.battery.value() - eu.battery.value()).abs() < 0.02,
-            "CN {:?} vs Euler {:?}",
-            cn.battery,
-            eu.battery
-        );
+        let dt = Seconds::new(1.0);
+        let s0 = ThermalState::uniform(c(30.0));
+        let s1 = m.step_crank_nicolson(s0, q, inlet, dt);
+        let (db0, dc0) = m.derivatives(s0, q, inlet);
+        let (db1, dc1) = m.derivatives(s1, q, inlet);
+        let battery = 0.5 * (db0.value() + db1.value()) * dt.value();
+        let coolant = 0.5 * (dc0.value() + dc1.value()) * dt.value();
+        assert!(((s1.battery - s0.battery).value() - battery).abs() < 1e-9);
+        assert!(((s1.coolant - s0.coolant).value() - coolant).abs() < 1e-9);
     }
 
     #[test]
     fn crank_nicolson_stable_at_large_steps() {
-        // Coolant time constant ≈ 4 s; Euler at dt = 10 s would ring or
-        // blow up, CN must stay bounded and sane.
+        // Coolant time constant ≈ 4 s; an explicit step at dt = 10 s
+        // would ring or blow up, CN must stay bounded and sane.
         let m = model();
         let mut s = ThermalState::uniform(c(30.0));
         for _ in 0..500 {

@@ -76,19 +76,23 @@ proptest! {
     }
 
     #[test]
-    fn euler_and_cn_converge_together(
+    fn crank_nicolson_is_the_trapezoidal_rule(
         t0 in 290.0..320.0f64,
         q in 0.0..4_000.0f64,
+        inlet in 280.0..310.0f64,
+        dt in 0.05..10.0f64,
     ) {
-        // At a fine step both integrators approximate the same ODE.
+        // Every step solves Eq. 17: its increment is dt times the mean of
+        // the ODE's right-hand side at the step's two ends.
         let m = model();
-        let mut cn = ThermalState::uniform(Kelvin::new(t0));
-        let mut eu = cn;
-        let dt = Seconds::new(0.05);
-        for _ in 0..2_000 {
-            cn = m.step_crank_nicolson(cn, Watts::new(q), Kelvin::new(293.15), dt);
-            eu = m.step_euler(eu, Watts::new(q), Kelvin::new(293.15), dt);
-        }
-        prop_assert!((cn.battery.value() - eu.battery.value()).abs() < 0.05);
+        let (q, inlet) = (Watts::new(q), Kelvin::new(inlet));
+        let s0 = ThermalState::uniform(Kelvin::new(t0));
+        let s1 = m.step_crank_nicolson(s0, q, inlet, Seconds::new(dt));
+        let (db0, dc0) = m.derivatives(s0, q, inlet);
+        let (db1, dc1) = m.derivatives(s1, q, inlet);
+        let battery = 0.5 * (db0.value() + db1.value()) * dt;
+        let coolant = 0.5 * (dc0.value() + dc1.value()) * dt;
+        prop_assert!(((s1.battery - s0.battery).value() - battery).abs() < 1e-9);
+        prop_assert!(((s1.coolant - s0.coolant).value() - coolant).abs() < 1e-9);
     }
 }

@@ -20,24 +20,15 @@ use otem_repro::control::mpc::{rollout_cost, rollout_gradient_adjoint, Mpc, MpcC
 use otem_repro::control::SystemConfig;
 use otem_repro::solver::{Bounds, Objective, ProjectedGradient};
 use otem_repro::telemetry::NullSink;
-use otem_repro::thermal::{CoolingPlant, ThermalModel, ThermalState};
+use otem_repro::thermal::ThermalState;
 use otem_repro::units::{Kelvin, Ratio, Seconds, Watts};
 use proptest::prelude::*;
 
 fn plant(config: &SystemConfig, soc: f64, soe: f64, celsius: f64) -> MpcPlant {
-    let mut hees = config.hybrid_plant().expect("valid plant");
-    hees.set_state(Ratio::new(soc), Ratio::new(soe));
-    MpcPlant {
-        hees,
-        thermal: ThermalModel::new(config.thermal_active).expect("valid thermal"),
-        plant: CoolingPlant::new(config.plant).expect("valid plant"),
-        state: ThermalState::uniform(Kelvin::from_celsius(celsius)),
-        aging: config.aging,
-        soc_min: config.soc_min,
-        soe_min: config.soe_min,
-        battery_power_max: config.battery_power_max,
-        cap_power_max: config.cap_power_max,
-    }
+    let mut p = MpcPlant::new(config).expect("valid plant");
+    p.hees.set_state(Ratio::new(soc), Ratio::new(soe));
+    p.state = ThermalState::uniform(Kelvin::from_celsius(celsius));
+    p
 }
 
 /// Deterministic splitmix64 — fills load forecasts and decision vectors

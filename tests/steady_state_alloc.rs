@@ -12,67 +12,29 @@
 //! run allocates the same count at every route length, and an OTEM run
 //! grows only by what its solves allocate.
 //!
-//! This file holds a single `#[test]` on purpose: the counting global
-//! allocator below is process-wide, and a sibling test running
-//! concurrently would pollute the counts (same discipline as
-//! `tests/telemetry_parity.rs`).
+//! Allocations are counted per thread (`alloc_counter`), so only the
+//! measuring thread's own work enters a count.
 
+mod alloc_counter;
+
+use alloc_counter::allocations;
 use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem_repro::control::{Controller, Simulator, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_repro::fleet::SolveOutcomes;
 use otem_repro::telemetry::{MetricsRegistry, NullSink, Sink};
-use otem_repro::thermal::{CoolingPlant, ThermalModel, ThermalState};
+use otem_repro::thermal::ThermalState;
 use otem_repro::units::{Kelvin, Ratio, Seconds, Watts};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every allocation (and reallocation) made by the process.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 const SOLVES: u64 = 8;
 const HORIZONS: [usize; 3] = [6, 12, 24];
 
 fn plant(config: &SystemConfig) -> MpcPlant {
-    let mut hees = config.hybrid_plant().expect("valid plant");
-    hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
-    MpcPlant {
-        hees,
-        thermal: ThermalModel::new(config.thermal_active).expect("valid thermal"),
-        plant: CoolingPlant::new(config.plant).expect("valid plant"),
-        state: ThermalState::uniform(Kelvin::from_celsius(33.0)),
-        aging: config.aging,
-        soc_min: config.soc_min,
-        soe_min: config.soe_min,
-        battery_power_max: config.battery_power_max,
-        cap_power_max: config.cap_power_max,
-    }
+    let mut p = MpcPlant::new(config).expect("valid plant");
+    p.hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
+    p.state = ThermalState::uniform(Kelvin::from_celsius(33.0));
+    p
 }
 
 /// Allocations across `SOLVES` fully warm-started solves at `horizon`, each recorded on `sink` (a fresh `Mpc` each call; three

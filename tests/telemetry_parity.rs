@@ -9,46 +9,18 @@
 //!    uninstrumented path: event emission is `Copy`-only and the no-op
 //!    sink never buffers.
 //!
-//! This file holds a single `#[test]` on purpose: the counting global
-//! allocator below is process-wide, and a sibling test running
-//! concurrently would pollute the counts.
+//! Allocations are counted per thread (`alloc_counter`), so only the
+//! measuring thread's own work enters a count.
 
+mod alloc_counter;
+
+use alloc_counter::allocations;
 use otem_repro::control::mpc::MpcConfig;
 use otem_repro::control::policy::Otem;
 use otem_repro::control::{Simulator, SystemConfig};
 use otem_repro::drivecycle::PowerTrace;
 use otem_repro::telemetry::{MemorySink, NullSink};
 use otem_repro::units::{Seconds, Watts};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every allocation (and reallocation) made by the process.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// A short mixed drive/regen pattern — enough steps to warm the MPC's
 /// workspace pool and exercise cooling, saturation, and solver events.

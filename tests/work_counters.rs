@@ -31,9 +31,8 @@ use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::policy::Otem;
 use otem_repro::control::{Simulator, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
-use otem_repro::hees::HybridCommand;
 use otem_repro::telemetry::{Event, MemorySink};
-use otem_repro::thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
+use otem_repro::thermal::ThermalState;
 use otem_repro::units::{Kelvin, Ratio, Seconds, Watts};
 use std::collections::BTreeMap;
 
@@ -55,8 +54,8 @@ fn fnv1a(hash: &mut u64, bits: u64) {
 }
 
 /// Runs `STEPS` receding-horizon decisions, applying each first move to
-/// the plant exactly as the OTEM controller does (cooling gated on below
-/// a 1e-3 duty, the battery covering load plus cooling minus the bank).
+/// the plant with [`MpcPlant::apply`], the step the OTEM controller
+/// applies.
 fn run() -> Run {
     let config = SystemConfig::stress_rig();
     let cycle = standard(StandardCycle::Us06).expect("synthesis");
@@ -65,10 +64,7 @@ fn run() -> Run {
         .power_trace(&cycle);
     let dt = Seconds::new(1.0);
 
-    let mut hees = config.hybrid_plant().expect("hees");
-    let thermal = ThermalModel::new(config.thermal_active).expect("thermal");
-    let cooling = CoolingPlant::new(config.plant).expect("cooling plant");
-    let mut state = ThermalState::uniform(config.ambient);
+    let mut plant = MpcPlant::new(&config).expect("plant");
 
     let mpc_config = MpcConfig::default();
     let mut mpc = Mpc::new(mpc_config);
@@ -78,17 +74,6 @@ fn run() -> Run {
 
     for k in 0..STEPS {
         let loads = trace.window(k, mpc_config.horizon);
-        let plant = MpcPlant {
-            hees: hees.clone(),
-            thermal,
-            plant: cooling,
-            state,
-            aging: config.aging,
-            soc_min: config.soc_min,
-            soe_min: config.soe_min,
-            battery_power_max: config.battery_power_max,
-            cap_power_max: config.cap_power_max,
-        };
         let d = mpc.solve_with(&plant, &loads, dt, &sink);
         gradient_evals += sink.count_kind("gradient_eval") as u64;
         sink.clear();
@@ -101,25 +86,7 @@ fn run() -> Run {
             fnv1a(&mut decision_hash, bits);
         }
 
-        let outlet = state.coolant;
-        let coldest = cooling.coldest_inlet(outlet);
-        let inlet = Kelvin::new(
-            outlet.value() - d.cool_duty.clamp(0.0, 1.0) * (outlet.value() - coldest.value()),
-        );
-        let action = if d.cool_duty > 1e-3 {
-            cooling.actuate(outlet, inlet)
-        } else {
-            CoolerAction::idle(outlet)
-        };
-        let step = hees.step(
-            HybridCommand {
-                battery_bus: loads[0] + action.total_power() - d.cap_bus,
-                cap_bus: d.cap_bus,
-            },
-            state.battery,
-            dt,
-        );
-        state = thermal.step_crank_nicolson(state, step.battery_heat, action.inlet, dt);
+        plant.apply(loads[0], d.cap_bus, d.cool_duty, dt);
     }
     Run {
         rollouts: mpc.rollouts(),
@@ -165,19 +132,9 @@ const REPS: usize = 8;
 /// problem from the warm start.
 fn open_loop_rollouts_per_solve(horizon: usize) -> f64 {
     let config = SystemConfig::default();
-    let mut hees = config.hybrid_plant().expect("hees");
-    hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
-    let plant = MpcPlant {
-        hees,
-        thermal: ThermalModel::new(config.thermal_active).expect("thermal"),
-        plant: CoolingPlant::new(config.plant).expect("cooling plant"),
-        state: ThermalState::uniform(Kelvin::from_celsius(33.0)),
-        aging: config.aging,
-        soc_min: config.soc_min,
-        soe_min: config.soe_min,
-        battery_power_max: config.battery_power_max,
-        cap_power_max: config.cap_power_max,
-    };
+    let mut plant = MpcPlant::new(&config).expect("plant");
+    plant.hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
+    plant.state = ThermalState::uniform(Kelvin::from_celsius(33.0));
     let loads: Vec<Watts> = (0..horizon)
         .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
         .collect();
