@@ -111,16 +111,6 @@ impl AgingParams {
         };
         (d_temp, d_c)
     }
-
-    /// [`AgingParams::loss_rate`] together with its partial derivatives:
-    /// `(rate, ∂rate/∂T, ∂rate/∂|c|·sign(c))`. The rate is the plain
-    /// path's, bit for bit.
-    #[inline]
-    pub fn loss_rate_and_partials(&self, temperature: Kelvin, c_rate: f64) -> (f64, f64, f64) {
-        let rate = self.loss_rate(temperature, c_rate);
-        let (d_temp, d_c) = self.loss_rate_partials(temperature, c_rate, rate);
-        (rate, d_temp, d_c)
-    }
 }
 
 impl Default for AgingParams {
@@ -255,12 +245,8 @@ mod tests {
             (45.0, -4.0),
         ] {
             let temp = t(celsius);
-            let (rate, d_temp, d_c) = p.loss_rate_and_partials(temp, c_rate);
-            assert_eq!(
-                rate.to_bits(),
-                p.loss_rate(temp, c_rate).to_bits(),
-                "fused rate diverged"
-            );
+            let rate = p.loss_rate(temp, c_rate);
+            let (d_temp, d_c) = p.loss_rate_partials(temp, c_rate, rate);
             let h = 1e-5;
             let fd_t = (p.loss_rate(Kelvin::new(temp.value() + h), c_rate)
                 - p.loss_rate(Kelvin::new(temp.value() - h), c_rate))
@@ -276,9 +262,11 @@ mod tests {
             );
         }
         // Degenerate points stay finite and zero where the model is flat.
-        let (_, d_cold, _) = p.loss_rate_and_partials(Kelvin::new(150.0), 1.0);
+        let cold = Kelvin::new(150.0);
+        let (d_cold, _) = p.loss_rate_partials(cold, 1.0, p.loss_rate(cold, 1.0));
         assert_eq!(d_cold, 0.0);
-        let (rate0, _, d_c0) = p.loss_rate_and_partials(t(25.0), 0.0);
+        let rate0 = p.loss_rate(t(25.0), 0.0);
+        let (_, d_c0) = p.loss_rate_partials(t(25.0), 0.0, rate0);
         assert_eq!(rate0, 0.0);
         assert_eq!(d_c0, 0.0);
     }

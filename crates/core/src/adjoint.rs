@@ -4,10 +4,9 @@
 //! differences over `2·horizon` coordinates). The adjoint method gets
 //! the same gradient from **one** rollout: a forward pass records, per
 //! horizon step, the operating point of the executed branch of every
-//! component model (the *tape*), the exact Jacobians of those branches
-//! are assembled from it, and a backward sweep chain-rules the stage
-//! costs and the terminal TEB penalty through them back to the decision
-//! vector.
+//! component model (the *tape*), and a backward sweep chain-rules the
+//! stage costs and the terminal TEB penalty through the exact partials
+//! of those branches back to the decision vector.
 //!
 //! # Derivation sketch
 //!
@@ -23,11 +22,13 @@
 //! ∂J/∂(u_k, d_k) = (∂s_{k+1}/∂(u_k, d_k))ᵀ λ_{k+1} + ∂ℓ_k/∂(u_k, d_k),
 //! ```
 //!
-//! where every factor is assembled from the analytic per-branch partials
-//! the component crates expose: [`otem_hees::HeesStepJacobian`] for the
-//! power split, [`otem_thermal::CrankNicolsonJacobian`] for the thermal
-//! update, [`otem_battery::AgingParams::loss_rate_and_partials`] for the
-//! wear term, and the cooling-plant slopes for the actuation chain. The
+//! where every factor comes from the analytic per-branch partials the
+//! component crates expose: [`otem_hees::HybridHees::step_pullback`]
+//! maps the adjoints of the power split's outputs straight onto its
+//! inputs (the transposed step Jacobian applied to a vector, with no
+//! matrix in between), [`otem_thermal::CrankNicolsonJacobian`] serves
+//! the thermal update, [`otem_battery::AgingParams::loss_rate_partials`]
+//! the wear term, and the cooling-plant slopes the actuation chain. The
 //! objective is piecewise-smooth (`relu²` penalties, per-branch clamps);
 //! the sweep differentiates exactly the branch the forward pass
 //! executed, so away from the measure-zero kink set the result matches
@@ -38,7 +39,7 @@
 //! the conventions a central finite difference implies: half the
 //! one-sided slope where the duty clamp flattens one leg of the stencil,
 //! and the mean of the one-sided slopes across the converter's
-//! zero-transfer kink (see [`otem_hees::HybridHees::step_jacobian`]).
+//! zero-transfer kink (see [`otem_hees::HybridHees::step_pullback`]).
 //! Matching the finite-difference oracle's subgradient conventions
 //! keeps an adjoint solve on the first move an FD-driven solve takes
 //! (`tests/gradient_parity.rs`).
@@ -80,26 +81,27 @@
 //! aging partials are priced from the recorded rate alone (its stress
 //! partial is `l3·rate/c`), so the tape carries no Arrhenius factor.
 //!
-//! The *derivatives* — the HEES step Jacobian, the aging partials and
-//! the cooler's branch slope — are built from each stage's record by the
-//! backward sweep when it reaches that stage, with the component crates'
-//! partial formulas in the operation order of their fused
-//! value-and-partials entry points, so a gradient built after the fact is
-//! bit-identical to one taken during the forward pass. No derivative is
-//! written to memory only to be read back: the sweep is the gradient's
-//! one derivative pass. The MPC workspace
-//! remembers the decision vector its records belong to. The solver only
-//! asks for a gradient at the trial their line search has just accepted —
-//! the last point evaluated — so a gradient sweeps the stored records
-//! instead of running a second, identical forward pass; a gradient at
-//! any other point records afresh first. A rejected trial pays for its
-//! values and nothing else. The memo lives for one solve only: the start state, forecast
-//! and step change between solves while the decision vector can repeat
-//! (an all-zero cold start), so the workspace forgets it at the start of
-//! every solve.
+//! The *derivatives* — the HEES pullback, the aging partials and the
+//! cooler's branch slope — are evaluated from each stage's record by the
+//! backward sweep when it reaches that stage and consumed on the spot:
+//! the HEES pullback takes the six output adjoints (delivered, internal
+//! power, heat, C-rate, SoC⁺, SoE⁺) and returns the five input adjoints
+//! (both bus commands, temperature, SoC, SoE), each leg filling only the
+//! inputs it reads. No derivative is written to memory only to be read
+//! back: the sweep is the gradient's one derivative pass.
+//!
+//! The MPC workspace remembers the decision vector its records belong
+//! to. The solver only asks for a gradient at the trial their line
+//! search has just accepted — the last point evaluated — so a gradient
+//! sweeps the stored records instead of running a second, identical
+//! forward pass; a gradient at any other point records afresh first. A
+//! rejected trial pays for its values and nothing else. The memo lives
+//! for one solve only: the start state, forecast and step change between
+//! solves while the decision vector can repeat (an all-zero cold start),
+//! so the workspace forgets it at the start of every solve.
 
 use crate::mpc::{MpcConfig, MpcPlant};
-use otem_hees::{HeesStepConstants, HeesStepJacobian, HeesStepRecord, HybridCommand, HybridHees};
+use otem_hees::{HeesOutputAdjoints, HeesStepConstants, HeesStepRecord, HybridCommand, HybridHees};
 use otem_thermal::{CrankNicolsonCoefficients, ThermalState};
 use otem_units::{Kelvin, Seconds, Watts};
 
@@ -195,54 +197,6 @@ pub(crate) struct StageRecord {
     /// positive duty (`duty = 0`, `Δ > 0`): the branch a one-sided duty
     /// perturbation executes, which is what the duty gradient prices.
     cooler_active: bool,
-}
-
-/// One horizon step's derivatives, built from its [`StageRecord`] by
-/// [`StageDerivatives::of`] when the backward sweep reaches the stage.
-#[derive(Debug, Clone, Copy)]
-struct StageDerivatives {
-    /// Exact partials of the HEES power split at the executed branch.
-    jac: HeesStepJacobian,
-    /// The aging partials `∂ℓ/∂T_b`, `∂ℓ/∂c` at the post-step
-    /// temperature and the step's C-rate.
-    d_loss_t: f64,
-    d_loss_c: f64,
-    /// `∂coldest/∂T_o` at the outlet — branch indicator of the plant.
-    dcoldest: f64,
-    /// Chain factor of the duty clamp, matched to the central-difference
-    /// subgradient convention the golden traces were blessed with: `1`
-    /// strictly inside `(0, 1)`, `½` exactly *on* a bound (a central
-    /// difference has one leg flattened by the clamp, halving the
-    /// one-sided slope), `0` beyond the clamp.
-    duty_gain: f64,
-}
-
-impl StageDerivatives {
-    /// The stage's derivatives from its primal record: the HEES step
-    /// Jacobian ([`HybridHees::step_jacobian`]), the aging partials
-    /// ([`otem_battery::AgingParams::loss_rate_partials`], priced from
-    /// the recorded rate), the cooler's branch slope and the duty-clamp
-    /// chain factor.
-    #[inline]
-    fn of(plant: &MpcPlant, stage: &StageConstants, t: &StageRecord) -> Self {
-        let (d_loss_t, d_loss_c) =
-            plant
-                .aging
-                .loss_rate_partials(Kelvin::new(t.battery_post), t.c_rate, t.loss_rate);
-        Self {
-            jac: plant.hees.step_jacobian(&t.hees, &stage.hees),
-            d_loss_t,
-            d_loss_c,
-            dcoldest: plant.plant.coldest_inlet_slope(Kelvin::new(t.outlet)),
-            duty_gain: if t.z_duty == 0.0 || t.z_duty == 1.0 {
-                0.5
-            } else if (0.0..=1.0).contains(&t.z_duty) {
-                1.0
-            } else {
-                0.0
-            },
-        }
-    }
 }
 
 /// Simulates the horizon under the candidate controls `z` and returns
@@ -406,12 +360,12 @@ fn terminal_c_rate(plant: &MpcPlant, loads: &[Watts], n: usize) -> f64 {
     (cell_current / pack.cell().effective_capacity().value()).max(0.2)
 }
 
-/// Backward sweep over a recorded tape: builds each stage's derivatives
+/// Backward sweep over a recorded tape: evaluates each stage's partials
 /// from its record as the loop reaches it and chain-rules every stage
-/// cost and the terminal tail back through the thermal, HEES, and
-/// cooling-plant Jacobians, writing `∂J/∂z` into `grad` (layout
-/// `[cap_share_0..n-1, cool_duty_0..n-1]`). The one derivative pass of a
-/// gradient: no rollouts, and no derivative array.
+/// cost and the terminal tail back through the thermal map, the HEES
+/// pullback and the cooling-plant slopes, writing `∂J/∂z` into `grad`
+/// (layout `[cap_share_0..n-1, cool_duty_0..n-1]`). The one derivative
+/// pass of a gradient: no rollouts, and no derivative matrix.
 pub(crate) fn adjoint_sweep(
     plant: &MpcPlant,
     stage: &StageConstants,
@@ -438,9 +392,10 @@ pub(crate) fn adjoint_sweep(
     if config.terminal_tail > 0.0 {
         let c_load = stage.terminal_c_rate;
         let tb_n = tape[n - 1].battery_post;
-        let (_, d_temp, _) = plant
+        let rate = plant.aging.loss_rate(Kelvin::new(tb_n), c_load);
+        let (d_temp, _) = plant
             .aging
-            .loss_rate_and_partials(Kelvin::new(tb_n), c_load);
+            .loss_rate_partials(Kelvin::new(tb_n), c_load, rate);
         l_tb += config.w2 * d_temp * config.terminal_tail;
         let over_t = (tb_n - TEMP_SOFT).max(0.0);
         l_tb += 2.0 * TEMP_PENALTY * over_t * (config.terminal_tail / dtv.max(1e-9));
@@ -448,71 +403,163 @@ pub(crate) fn adjoint_sweep(
 
     for k in (0..n).rev() {
         let t = &tape[k];
-        let d = StageDerivatives::of(plant, stage, t);
-        let j = &d.jac;
+        // The aging partials, priced from the recorded rate.
+        let (d_loss_t, d_loss_c) =
+            plant
+                .aging
+                .loss_rate_partials(Kelvin::new(t.battery_post), t.c_rate, t.loss_rate);
 
         // Total adjoints of the post-step state: the incoming λ plus the
         // stage cost's own dependence on it (aging and soft penalties).
         let over_t = (t.battery_post - TEMP_SOFT).max(0.0);
-        let g_tb = l_tb + config.w2 * dtv * d.d_loss_t + 2.0 * TEMP_PENALTY * over_t;
+        let g_tb = l_tb + config.w2 * dtv * d_loss_t + 2.0 * TEMP_PENALTY * over_t;
         let g_tc = l_tc;
         let soc_short = (plant.soc_min.value() - t.soc_post).max(0.0);
         let soe_short = (plant.soe_min.value() - t.soe_post).max(0.0);
-        let g_s = l_s - 2.0 * STATE_PENALTY * soc_short;
-        let g_e = l_e - 2.0 * STATE_PENALTY * soe_short;
 
-        // Adjoints of the HEES step outputs. The shortfall penalty sees
-        // `sf = relu(net − delivered)`; the thermal Jacobian routes the
-        // battery heat and the achieved inlet into both temperatures.
-        let l_delivered = -2.0 * SHORTFALL_PENALTY * t.shortfall;
+        // Adjoints of the HEES step outputs, pulled back onto its inputs.
+        // The shortfall penalty sees `sf = relu(net − delivered)`; the
+        // thermal Jacobian routes the battery heat and the achieved inlet
+        // into both temperatures.
         let l_net = 2.0 * SHORTFALL_PENALTY * t.shortfall;
-        let l_internal = W3 * dtv;
-        let l_crate = config.w2 * dtv * d.d_loss_c;
-        let l_heat = g_tb * jt.d_battery_heat[0] + g_tc * jt.d_battery_heat[1];
         let g_inlet = g_tb * jt.d_inlet[0] + g_tc * jt.d_inlet[1];
-
-        // Pull the output adjoints through the HEES Jacobian onto its
-        // five input columns [P_bat, P_cap, T_pre, SoC_pre, SoE_pre].
-        let mut a = [0.0; 5];
-        for (col, acc) in a.iter_mut().enumerate() {
-            *acc = l_delivered * j.delivered[col]
-                + l_internal * (j.battery_internal[col] + j.cap_internal[col])
-                + l_heat * j.battery_heat[col]
-                + l_crate * j.battery_c_rate[col]
-                + g_s * j.soc_next[col]
-                + g_e * j.soe_next[col];
-        }
+        let a = plant.hees.step_pullback(
+            &t.hees,
+            &stage.hees,
+            &HeesOutputAdjoints {
+                delivered: -2.0 * SHORTFALL_PENALTY * t.shortfall,
+                internal: W3 * dtv,
+                heat: g_tb * jt.d_battery_heat[0] + g_tc * jt.d_battery_heat[1],
+                c_rate: config.w2 * dtv * d_loss_c,
+                soc_next: l_s - 2.0 * STATE_PENALTY * soc_short,
+                soe_next: l_e - 2.0 * STATE_PENALTY * soe_short,
+            },
+        );
         let over_p = (t.battery_bus.abs() - plant.battery_power_max.value()).max(0.0);
-        let a_pb = a[HeesStepJacobian::IN_BATTERY_BUS]
-            + l_net
-            + 2.0 * POWER_PENALTY * over_p * t.battery_bus.signum();
-        let a_pc = a[HeesStepJacobian::IN_CAP_BUS] + l_net;
+        let a_pb = a.battery_bus + l_net + 2.0 * POWER_PENALTY * over_p * t.battery_bus.signum();
+        let a_pc = a.cap_bus + l_net;
 
         // Decision gradients. The bus balance `P_bat = load + CE − P_cap`
         // makes the cap share push the two legs in opposite directions;
         // the duty reaches the cost through the cooling-electric power
-        // (w1 term and the bus balance) and the achieved inlet.
+        // (w1 term and the bus balance) and the achieved inlet. The duty
+        // clamp's chain factor follows the central-difference subgradient
+        // convention the golden traces were blessed with: `1` strictly
+        // inside `(0, 1)`, `½` exactly *on* a bound (a central difference
+        // has one leg flattened by the clamp, halving the one-sided
+        // slope), `0` beyond the clamp.
         grad[k] = cap_max * (a_pc - a_pb);
 
         let a_ce = W1 * dtv + a_pb;
         let active = if t.cooler_active { 1.0 } else { 0.0 };
         let d_ce_d_duty = active * flow_over_eff * t.delta + pump;
         let d_inlet_d_duty = -t.delta;
-        grad[n + k] = d.duty_gain * (a_ce * d_ce_d_duty + g_inlet * d_inlet_d_duty);
+        let duty_gain = if t.z_duty == 0.0 || t.z_duty == 1.0 {
+            0.5
+        } else if (0.0..=1.0).contains(&t.z_duty) {
+            1.0
+        } else {
+            0.0
+        };
+        grad[n + k] = duty_gain * (a_ce * d_ce_d_duty + g_inlet * d_inlet_d_duty);
 
         // Chain to the pre-step state. The coolant temperature feeds the
         // thermal map directly *and* the actuation chain (outlet →
-        // coldest → Δ → inlet, cooling power); the HEES step saw the
-        // pre-step battery temperature and states of charge/energy.
-        let d_inlet_d_tc = 1.0 - t.duty * (1.0 - d.dcoldest);
-        let d_ce_d_tc = active * flow_over_eff * t.duty * (1.0 - d.dcoldest);
-        l_tb =
-            g_tb * jt.d_battery[0] + g_tc * jt.d_coolant[0] + a[HeesStepJacobian::IN_TEMPERATURE];
+        // coldest → Δ → inlet, cooling power), whose branch slope is
+        // `∂coldest/∂T_o` at the outlet; the HEES step saw the pre-step
+        // battery temperature and states of charge/energy.
+        let dcoldest = plant.plant.coldest_inlet_slope(Kelvin::new(t.outlet));
+        let d_inlet_d_tc = 1.0 - t.duty * (1.0 - dcoldest);
+        let d_ce_d_tc = active * flow_over_eff * t.duty * (1.0 - dcoldest);
+        l_tb = g_tb * jt.d_battery[0] + g_tc * jt.d_coolant[0] + a.temperature;
         l_tc = g_tb * jt.d_battery[1]
             + g_tc * jt.d_coolant[1]
             + a_ce * d_ce_d_tc
             + g_inlet * d_inlet_d_tc;
-        l_s = a[HeesStepJacobian::IN_SOC];
-        l_e = a[HeesStepJacobian::IN_SOE];
+        l_s = a.soc;
+        l_e = a.soe;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SystemConfig;
+    use otem_units::Ratio;
+
+    /// The post-step `[SoC, SoE, T_b]` a horizon-1 rollout predicts for
+    /// one move, read from its stage record.
+    fn predicted(plant: &MpcPlant, load: Watts, z_cap: f64, duty: f64) -> [f64; 3] {
+        let config = MpcConfig {
+            horizon: 1,
+            ..MpcConfig::default()
+        };
+        let loads = [load];
+        let dt = Seconds::new(1.0);
+        let stage = StageConstants::new(plant, &loads, dt, &config);
+        let mut hees = plant.hees.clone();
+        let mut tape = Vec::new();
+        rollout(
+            plant,
+            &mut hees,
+            &loads,
+            &stage,
+            &config,
+            &[z_cap, duty],
+            &mut tape,
+        );
+        [tape[0].soc_post, tape[0].soe_post, tape[0].battery_post]
+    }
+
+    /// The post-step `[SoC, SoE, T_b]` of the same move applied to the
+    /// plant.
+    fn applied(plant: &MpcPlant, load: Watts, z_cap: f64, duty: f64) -> [f64; 3] {
+        let mut plant = plant.clone();
+        let cap_bus = Watts::new(z_cap * plant.cap_power_max.value());
+        let s = plant.apply(load, cap_bus, duty, Seconds::new(1.0)).state;
+        [s.soc.value(), s.soe.value(), s.battery_temp.value()]
+    }
+
+    #[test]
+    fn the_plan_predicts_the_applied_step_but_for_the_unpriced_pump() {
+        let mut plant = MpcPlant::new(&SystemConfig::stress_rig()).unwrap();
+        plant.hees.set_state(Ratio::new(0.8), Ratio::new(0.6));
+        plant.state = ThermalState {
+            battery: Kelvin::from_celsius(37.0),
+            coolant: Kelvin::from_celsius(33.0),
+        };
+        let pump = plant.plant.params().pump_power;
+        for (load, z_cap) in [(20_000.0, 0.1), (45_000.0, 0.4), (-15_000.0, -0.2)] {
+            let load = Watts::new(load);
+            // At either end of the duty range the rollout's proportional
+            // pump price is the plant's on/off pump: one step, bit for bit.
+            for duty in [0.0, 1.0] {
+                let bits = |s: [f64; 3]| s.map(f64::to_bits);
+                assert_eq!(
+                    bits(predicted(&plant, load, z_cap, duty)),
+                    bits(applied(&plant, load, z_cap, duty)),
+                    "{load:?} {z_cap} at duty {duty}"
+                );
+            }
+            // Inside the range (and above the plant's 1e-3 pump gate) the
+            // plant runs the whole pump while the rollout prices
+            // `pump·duty`: the applied step is the prediction at the load
+            // plus the unpriced share. The two battery bus powers sum the
+            // same watts in a different order, a few ulp of the largest
+            // term apart, which moves each state by at most an ulp of its
+            // own (1 ulp measured over 94,392 moves), so the bound is
+            // 2·ε relative.
+            for duty in [0.25, 0.5, 0.9] {
+                let unpriced = pump * (1.0 - duty);
+                let want = predicted(&plant, load + unpriced, z_cap, duty);
+                let got = applied(&plant, load, z_cap, duty);
+                for (name, (g, w)) in ["SoC", "SoE", "T_b"].iter().zip(got.iter().zip(want)) {
+                    assert!(
+                        (g - w).abs() <= 2.0 * f64::EPSILON * w.abs(),
+                        "{load:?} {z_cap} at duty {duty}: {name} applied {g} vs predicted {w}"
+                    );
+                }
+            }
+        }
     }
 }

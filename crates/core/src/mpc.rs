@@ -660,7 +660,7 @@ pub fn rollout_cost(
 
 /// Reverse-mode gradient of [`rollout_cost`]: one forward rollout and a
 /// backward sweep that chain-rules its records through the components'
-/// analytic Jacobians.
+/// analytic partials.
 /// Writes `∂J/∂z` into `grad` (layout `[cap_share_0..n-1,
 /// cool_duty_0..n-1]`, length `2·horizon`) and returns the cost at `z`.
 ///

@@ -11,46 +11,39 @@ use otem_ultracap::{CapDraw, UltracapBank, UltracapParams};
 use otem_units::{Farads, Kelvin, Ratio, Seconds, Volts, Watts};
 use serde::{Deserialize, Serialize};
 
-/// Exact partial derivatives of one [`HybridHees::step`]: one row per
-/// step output (plus the two post-step storage states), columns over the
-/// step inputs `[P_bus,bat, P_bus,cap, T, SoC, SoE]` — see the `IN_*`
-/// associated constants for the column order.
-///
-/// Assembled by [`HybridHees::step_jacobian`] from a step's
-/// [`HeesStepRecord`]. Every row differentiates exactly the branch the
-/// forward step executed (converter direction, envelope clamps,
-/// peak-power fallback, saturation of either coulomb counter), so the
-/// adjoint backward sweep sees the same piecewise function finite
-/// differences would.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HeesStepJacobian {
+/// Adjoints of the outputs of one [`HybridHees::step`]: the sensitivity
+/// of a downstream cost to each output the step feeds it. The input of
+/// [`HybridHees::step_pullback`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HeesOutputAdjoints {
     /// Bus power actually delivered.
-    pub delivered: [f64; 5],
-    /// Battery chemical power (`V_oc·I`).
-    pub battery_internal: [f64; 5],
-    /// Ultracapacitor store power (`V_cap·I_cap`).
-    pub cap_internal: [f64; 5],
+    pub delivered: f64,
+    /// Internal power of both storages, [`HeesStep::hees_power`].
+    pub internal: f64,
     /// Battery heat generation.
-    pub battery_heat: [f64; 5],
+    pub heat: f64,
     /// Battery C-rate magnitude.
-    pub battery_c_rate: [f64; 5],
+    pub c_rate: f64,
     /// Post-step battery state of charge.
-    pub soc_next: [f64; 5],
+    pub soc_next: f64,
     /// Post-step ultracapacitor state of energy.
-    pub soe_next: [f64; 5],
+    pub soe_next: f64,
 }
 
-impl HeesStepJacobian {
-    /// Column index of the battery bus-power command.
-    pub const IN_BATTERY_BUS: usize = 0;
-    /// Column index of the ultracapacitor bus-power command.
-    pub const IN_CAP_BUS: usize = 1;
-    /// Column index of the battery temperature input.
-    pub const IN_TEMPERATURE: usize = 2;
-    /// Column index of the pre-step state of charge.
-    pub const IN_SOC: usize = 3;
-    /// Column index of the pre-step state of energy.
-    pub const IN_SOE: usize = 4;
+/// Adjoints of the inputs of one [`HybridHees::step`], returned by
+/// [`HybridHees::step_pullback`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HeesInputAdjoints {
+    /// Battery bus-power command.
+    pub battery_bus: f64,
+    /// Ultracapacitor bus-power command.
+    pub cap_bus: f64,
+    /// Battery temperature.
+    pub temperature: f64,
+    /// Pre-step battery state of charge.
+    pub soc: f64,
+    /// Pre-step ultracapacitor state of energy.
+    pub soe: f64,
 }
 
 /// The primal record of one [`HybridHees::step_prepared`]: every
@@ -59,10 +52,9 @@ impl HeesStepJacobian {
 /// each converter's operating point, the pre-step state of energy and
 /// the post-step states.
 ///
-/// [`HybridHees::step_jacobian`] assembles the step's partial
-/// derivatives from the record alone, after the plant has moved on, so a
-/// rollout pays for derivatives only at the points a solver actually
-/// differentiates.
+/// [`HybridHees::step_pullback`] differentiates the step from the record
+/// alone, after the plant has moved on, so a rollout pays for
+/// derivatives only at the points a solver actually differentiates.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HeesStepRecord {
     /// The battery leg, absent when its converter or draw failed.
@@ -320,7 +312,7 @@ impl HybridHees {
     /// The single-step implementation behind [`HybridHees::step`], with
     /// the step constants evaluated by the caller. Computes values
     /// only, and overwrites `record` with the operating points
-    /// [`HybridHees::step_jacobian`] needs to differentiate the step
+    /// [`HybridHees::step_pullback`] needs to differentiate the step
     /// later.
     ///
     /// Each state-dependent model curve is evaluated once: the battery's
@@ -457,63 +449,77 @@ impl HybridHees {
         }
     }
 
-    /// The exact partial derivatives of the step `record` describes,
-    /// assembled from the operating points it holds: the pack slopes
-    /// from the recorded curves' exponentials, the bank's voltage slope
-    /// at the recorded pre-step state of energy, and the converter
-    /// partials at the recorded operating points. Reads none of the
-    /// plant's mutable state, so it runs after any number of later
-    /// steps; `constants` must be the ones the step ran with.
+    /// Pulls the adjoints of the step's outputs back onto its inputs,
+    /// `ᾱ = Jᵀ·λ̄` for the step `record` describes, differentiating the
+    /// operating points it holds: the pack slopes from the recorded
+    /// curves' exponentials, the bank's voltage slope at the recorded
+    /// pre-step state of energy, and the converter partials at the
+    /// recorded operating points. Every term is the exact partial of the
+    /// branch the forward step executed (converter direction, envelope
+    /// clamps, peak-power fallback, saturation of either coulomb
+    /// counter), so the pullback sees the same piecewise function finite
+    /// differences would.
+    ///
+    /// The battery leg fills the battery-bus, temperature and SoC
+    /// adjoints and the bank leg the bank-bus and SoE adjoints: neither
+    /// leg reads the other's command or state. Reads none of the plant's
+    /// mutable state, so it runs after any number of later steps;
+    /// `constants` must be the ones the step ran with.
     #[inline]
-    pub fn step_jacobian(
+    pub fn step_pullback(
         &self,
         record: &HeesStepRecord,
         constants: &HeesStepConstants,
-    ) -> HeesStepJacobian {
-        // A leg that errored out left its storage untouched: the state
-        // rows default to the identity and are overwritten by whichever
-        // legs actually integrated.
-        let mut j = HeesStepJacobian::default();
-        j.soc_next[HeesStepJacobian::IN_SOC] = 1.0;
-        j.soe_next[HeesStepJacobian::IN_SOE] = 1.0;
-        if let Some(leg) = &record.battery {
-            self.battery_leg_jacobian(&mut j, leg, constants.dt);
-            // A saturated coulomb counter is flat in every input.
-            let i = leg.draw.current.value();
-            if (leg.soc_post == 0.0 && i > 0.0) || (leg.soc_post == 1.0 && i < 0.0) {
-                j.soc_next = [0.0; 5];
-            }
+        out: &HeesOutputAdjoints,
+    ) -> HeesInputAdjoints {
+        // A leg that errored out left its storage untouched: its state
+        // passes its adjoint straight through.
+        let [battery_bus, soc, temperature] = match &record.battery {
+            Some(leg) => self.battery_leg_pullback(leg, constants.dt, out),
+            None => [0.0, out.soc_next, 0.0],
+        };
+        let [cap_bus, soe] = match &record.cap {
+            Some(leg) => self.cap_leg_pullback(leg, constants, out),
+            None => [0.0, out.soe_next],
+        };
+        HeesInputAdjoints {
+            battery_bus,
+            cap_bus,
+            temperature,
+            soc,
+            soe,
         }
-        if let Some(leg) = &record.cap {
-            self.cap_leg_jacobian(&mut j, leg, constants);
-            if leg.soe_post == 0.0 || leg.soe_post == 1.0 {
-                j.soe_next = [0.0; 5];
-            }
-        }
-        j
     }
 
-    /// Records the battery leg's partial derivatives for the branch the
-    /// forward pass executed. The draw partials differentiate at the
-    /// pre-step state of charge the recorded curves were built at.
+    /// The battery leg's input adjoints over `[P_bus, SoC, T]` for the
+    /// branch the forward pass executed. The draw partials differentiate
+    /// at the pre-step state of charge the recorded curves were built at.
     #[inline]
-    fn battery_leg_jacobian(&self, j: &mut HeesStepJacobian, leg: &BatteryLegRecord, dt: Seconds) {
-        const PB: usize = HeesStepJacobian::IN_BATTERY_BUS;
-        const T: usize = HeesStepJacobian::IN_TEMPERATURE;
-        const SOC: usize = HeesStepJacobian::IN_SOC;
+    fn battery_leg_pullback(
+        &self,
+        leg: &BatteryLegRecord,
+        dt: Seconds,
+        out: &HeesOutputAdjoints,
+    ) -> [f64; 3] {
         let BatteryLegRecord {
             bus,
             storage_power,
-            curves,
+            ref curves,
             draw: d,
-            ..
-        } = leg;
-        let bus = *bus;
+            soc_post,
+        } = *leg;
+        // A saturated coulomb counter is flat in every input.
+        let i = d.current.value();
+        let l_soc = if (soc_post == 0.0 && i > 0.0) || (soc_post == 1.0 && i < 0.0) {
+            0.0
+        } else {
+            out.soc_next
+        };
         let Some(dp) = self.battery.draw_partials_at(d.terminal_power, curves) else {
-            return;
+            return [0.0, l_soc, 0.0];
         };
         let v = curves.open_circuit_voltage();
-        let nominal = d.terminal_power == *storage_power;
+        let nominal = d.terminal_power == storage_power;
         // Sensitivities of the storage power actually drawn, over
         // [∂/∂P_bus, ∂/∂SoC, ∂/∂T].
         let (p_pb, p_soc, p_t) = if nominal {
@@ -531,10 +537,10 @@ impl HybridHees {
                 let (g_bus, g_v) = if bus.value() >= 0.0 {
                     match self
                         .battery_converter
-                        .input_for_output_partials(*storage_power, v)
+                        .input_for_output_partials(storage_power, v)
                     {
                         Some(g) => g,
-                        None => return,
+                        None => return [0.0, l_soc, 0.0],
                     }
                 } else {
                     self.battery_converter.output_for_input_partials(bus, v)
@@ -557,17 +563,8 @@ impl HybridHees {
         };
         let internal = chain(dp.internal_power);
         let heat = chain(dp.heat);
-        let c_rate = chain(dp.c_rate);
+        let mut c_rate = chain(dp.c_rate);
         let current = chain(dp.current);
-        j.battery_internal[PB] = internal[0];
-        j.battery_internal[SOC] = internal[1];
-        j.battery_internal[T] = internal[2];
-        j.battery_heat[PB] = heat[0];
-        j.battery_heat[SOC] = heat[1];
-        j.battery_heat[T] = heat[2];
-        j.battery_c_rate[PB] = c_rate[0];
-        j.battery_c_rate[SOC] = c_rate[1];
-        j.battery_c_rate[T] = c_rate[2];
         if nominal && bus.value() == 0.0 {
             // The C-rate magnitude has its own kink at zero current: the
             // one-sided row slopes ±∂I/∂P cancel in the mean (the pack
@@ -578,39 +575,44 @@ impl HybridHees {
             let dcr_di = 1.0
                 / (self.battery.config().parallel as f64
                     * self.battery.cell().effective_capacity().value());
-            j.battery_c_rate[PB] = 0.5 * (g_dis - g_chg) * dp.current[0] * dcr_di;
+            c_rate[0] = 0.5 * (g_dis - g_chg) * dp.current[0] * dcr_di;
         }
-        // SoC⁺ = SoC − I_pack·dt/(parallel·Q_cell); saturation is zeroed
-        // by the caller.
+        // SoC⁺ = SoC − I_pack·dt/(parallel·Q_cell).
         let scale = dt.value() * self.battery.soc_per_amp_second();
-        j.soc_next[PB] = -scale * current[0];
-        j.soc_next[SOC] = 1.0 - scale * current[1];
-        j.soc_next[T] = -scale * current[2];
-        if nominal || bus.value() < 0.0 {
+        let soc_next = [
+            -scale * current[0],
+            1.0 - scale * current[1],
+            -scale * current[2],
+        ];
+        let delivered = if nominal || bus.value() < 0.0 {
             // The commanded bus power was met exactly.
-            j.delivered[PB] += 1.0;
+            [1.0, 0.0, 0.0]
         } else {
             // Clamped discharge: delivered = forward-map of the peak draw.
             let (f_p, f_v) = self
                 .battery_converter
                 .output_for_input_partials(d.terminal_power, v);
-            j.delivered[SOC] += f_p * p_soc + f_v * dp.dvoc;
-            j.delivered[T] += f_p * p_t;
-        }
+            [0.0, f_p * p_soc + f_v * dp.dvoc, f_p * p_t]
+        };
+        std::array::from_fn(|c| {
+            out.delivered * delivered[c]
+                + out.internal * internal[c]
+                + out.heat * heat[c]
+                + out.c_rate * c_rate[c]
+                + l_soc * soc_next[c]
+        })
     }
 
-    /// Records the ultracapacitor leg's partial derivatives for the
-    /// branch the forward pass executed, at the recorded pre-step bank
-    /// voltage and its slope.
+    /// The ultracapacitor leg's input adjoints over `[P_bus, SoE]` for
+    /// the branch the forward pass executed, at the recorded pre-step
+    /// bank voltage and its slope.
     #[inline]
-    fn cap_leg_jacobian(
+    fn cap_leg_pullback(
         &self,
-        j: &mut HeesStepJacobian,
         leg: &CapLegRecord,
         constants: &HeesStepConstants,
-    ) {
-        const PC: usize = HeesStepJacobian::IN_CAP_BUS;
-        const SOE: usize = HeesStepJacobian::IN_SOE;
+        out: &HeesOutputAdjoints,
+    ) -> [f64; 2] {
         let CapLegRecord {
             bus,
             soe,
@@ -619,11 +621,17 @@ impl HybridHees {
             clamped,
             bus_got,
             draw: d,
-            ..
+            soe_post,
         } = *leg;
+        // A saturated state of energy is flat in every input.
+        let l_soe = if soe_post == 0.0 || soe_post == 1.0 {
+            0.0
+        } else {
+            out.soe_next
+        };
         let dv_dsoe = self.cap.voltage_slope(soe);
         let Some(dp) = self.cap.draw_partials_at(d.terminal_power, v, dv_dsoe) else {
-            return;
+            return [0.0, l_soe];
         };
         let nominal = clamped == storage_power;
         // Sensitivities of the clamped storage power, over
@@ -644,7 +652,7 @@ impl HybridHees {
                         .input_for_output_partials(storage_power, v)
                     {
                         Some(g) => g,
-                        None => return,
+                        None => return [0.0, l_soe],
                     }
                 } else {
                     self.cap_converter.output_for_input_partials(bus, v)
@@ -663,27 +671,31 @@ impl HybridHees {
             dp.internal_power[0] * p_pc,
             dp.internal_power[1] + dp.internal_power[0] * p_soe,
         ];
-        j.cap_internal[PC] = internal[0];
-        j.cap_internal[SOE] = internal[1];
-        // SoE⁺ = (SoE − P_int·dt/E_cap)·leak; saturation is zeroed by the
-        // caller.
+        // SoE⁺ = (SoE − P_int·dt/E_cap)·leak.
         let e_cap = self.cap.params().energy_capacity().value();
         let (dt, leak) = (constants.dt, constants.leak);
-        j.soe_next[PC] = -leak * dt.value() / e_cap * internal[0];
-        j.soe_next[SOE] = leak * (1.0 - dt.value() / e_cap * internal[1]);
-        if nominal {
-            j.delivered[PC] += 1.0;
+        let soe_next = [
+            -leak * dt.value() / e_cap * internal[0],
+            leak * (1.0 - dt.value() / e_cap * internal[1]),
+        ];
+        let delivered = if nominal {
+            [1.0, 0.0]
         } else if bus.value() >= 0.0 {
             // Clamped discharge: delivered = forward-map of the envelope
             // limit.
             let (f_p, f_v) = self.cap_converter.output_for_input_partials(clamped, v);
-            j.delivered[SOE] += f_p * p_soe + f_v * dv_dsoe;
+            [0.0, f_p * p_soe + f_v * dv_dsoe]
         } else if let Some((g2_p, g2_v)) = self.cap_converter.input_for_output_partials(bus_got, v)
         {
             // Clamped charge: delivered = inverse-map of the envelope
             // limit (how much bus power the clamped charge absorbs).
-            j.delivered[SOE] += g2_p * p_soe + g2_v * dv_dsoe;
-        }
+            [0.0, g2_p * p_soe + g2_v * dv_dsoe]
+        } else {
+            [0.0; 2]
+        };
+        std::array::from_fn(|c| {
+            out.delivered * delivered[c] + out.internal * internal[c] + l_soe * soe_next[c]
+        })
     }
 }
 
@@ -827,20 +839,52 @@ mod tests {
         assert_eq!(h, reference);
     }
 
+    /// Column indices of the step inputs in a [`jacobian`] row.
+    const IN_BATTERY_BUS: usize = 0;
+    const IN_CAP_BUS: usize = 1;
+    const IN_TEMPERATURE: usize = 2;
+    const IN_SOC: usize = 3;
+    const SOC_NEXT: usize = 4;
+    const SOE_NEXT: usize = 5;
+
+    /// The exact partial derivatives of the step `record` describes: one
+    /// row per [`HeesOutputAdjoints`] field, in field order, over the
+    /// inputs `[P_bus,bat, P_bus,cap, T, SoC, SoE]`. Row `r` is the
+    /// pullback of output `r`'s unit adjoint.
+    fn jacobian(
+        h: &HybridHees,
+        record: &HeesStepRecord,
+        constants: &HeesStepConstants,
+    ) -> [[f64; 5]; 6] {
+        std::array::from_fn(|r| {
+            let unit = |i: usize| if i == r { 1.0 } else { 0.0 };
+            let out = HeesOutputAdjoints {
+                delivered: unit(0),
+                internal: unit(1),
+                heat: unit(2),
+                c_rate: unit(3),
+                soc_next: unit(SOC_NEXT),
+                soe_next: unit(SOE_NEXT),
+            };
+            let a = h.step_pullback(record, constants, &out);
+            [a.battery_bus, a.cap_bus, a.temperature, a.soc, a.soe]
+        })
+    }
+
     /// [`HybridHees::step`] plus the exact partial derivatives of every
     /// output in the step inputs, through the path the MPC's adjoint
     /// runs: the step constants, the value-only prepared step, then
-    /// [`HybridHees::step_jacobian`] on its record.
+    /// [`HybridHees::step_pullback`] on its record.
     fn step_with_jacobian(
         h: &mut HybridHees,
         command: HybridCommand,
         temperature: Kelvin,
         dt: Seconds,
-    ) -> (HeesStep, HeesStepJacobian) {
+    ) -> (HeesStep, [[f64; 5]; 6]) {
         let constants = h.step_constants(dt);
         let mut record = HeesStepRecord::default();
         let step = h.step_prepared(command, temperature, &constants, &mut record);
-        (step, h.step_jacobian(&record, &constants))
+        (step, jacobian(h, &record, &constants))
     }
 
     #[test]
@@ -867,7 +911,7 @@ mod tests {
         }
     }
 
-    /// Central differences of every jacobian row at one operating point,
+    /// Central differences of every Jacobian row at one operating point,
     /// over a step of length `dt`, with bus-power step `h_p` (W).
     fn fd_check(
         mut make: impl FnMut() -> HybridHees,
@@ -876,12 +920,11 @@ mod tests {
         h_p: f64,
         label: &str,
     ) {
-        let outputs = |h: &mut HybridHees, cmd: HybridCommand, temp: Kelvin| -> [f64; 7] {
+        let outputs = |h: &mut HybridHees, cmd: HybridCommand, temp: Kelvin| -> [f64; 6] {
             let s = h.step(cmd, temp, dt);
             [
                 s.delivered.value(),
-                s.battery_internal.value(),
-                s.cap_internal.value(),
+                s.hees_power().value(),
                 s.battery_heat.value(),
                 s.battery_c_rate,
                 h.soc().value(),
@@ -890,14 +933,13 @@ mod tests {
         };
         let mut base = make();
         let (_, jac) = step_with_jacobian(&mut base, cmd, room(), dt);
-        let rows: [(&str, [f64; 5]); 7] = [
-            ("delivered", jac.delivered),
-            ("battery_internal", jac.battery_internal),
-            ("cap_internal", jac.cap_internal),
-            ("battery_heat", jac.battery_heat),
-            ("battery_c_rate", jac.battery_c_rate),
-            ("soc_next", jac.soc_next),
-            ("soe_next", jac.soe_next),
+        let names = [
+            "delivered",
+            "internal",
+            "heat",
+            "c_rate",
+            "soc_next",
+            "soe_next",
         ];
         // One column at a time: perturb the input, roll a fresh plant.
         let h_t = 1e-4;
@@ -906,7 +948,7 @@ mod tests {
             let mut plus = make();
             let mut minus = make();
             let (cmd_p, cmd_m, t_p, t_m) = match col {
-                HeesStepJacobian::IN_BATTERY_BUS => (
+                IN_BATTERY_BUS => (
                     HybridCommand {
                         battery_bus: cmd.battery_bus + Watts::new(h_p),
                         ..cmd
@@ -918,7 +960,7 @@ mod tests {
                     room(),
                     room(),
                 ),
-                HeesStepJacobian::IN_CAP_BUS => (
+                IN_CAP_BUS => (
                     HybridCommand {
                         cap_bus: cmd.cap_bus + Watts::new(h_p),
                         ..cmd
@@ -930,13 +972,13 @@ mod tests {
                     room(),
                     room(),
                 ),
-                HeesStepJacobian::IN_TEMPERATURE => (
+                IN_TEMPERATURE => (
                     cmd,
                     cmd,
                     Kelvin::new(room().value() + h_t),
                     Kelvin::new(room().value() - h_t),
                 ),
-                HeesStepJacobian::IN_SOC => {
+                IN_SOC => {
                     let soc = plus.soc().value();
                     plus.set_state(Ratio::new(soc + h_s), plus.soe());
                     minus.set_state(Ratio::new(soc - h_s), minus.soe());
@@ -950,13 +992,13 @@ mod tests {
                 }
             };
             let step = match col {
-                HeesStepJacobian::IN_BATTERY_BUS | HeesStepJacobian::IN_CAP_BUS => h_p,
-                HeesStepJacobian::IN_TEMPERATURE => h_t,
+                IN_BATTERY_BUS | IN_CAP_BUS => h_p,
+                IN_TEMPERATURE => h_t,
                 _ => h_s,
             };
             let up = outputs(&mut plus, cmd_p, t_p);
             let down = outputs(&mut minus, cmd_m, t_m);
-            for (row_idx, (name, analytic)) in rows.iter().enumerate() {
+            for (row_idx, (name, analytic)) in names.iter().zip(&jac).enumerate() {
                 let fd = (up[row_idx] - down[row_idx]) / (2.0 * step);
                 let scale = analytic[col].abs().max(fd.abs());
                 // The converter inverse is exact to a few ulp; the bar
@@ -1217,7 +1259,7 @@ mod tests {
         }
         for (k, (record, want)) in records.iter().zip(&jacobians).enumerate() {
             assert_eq!(
-                prepared.step_jacobian(record, &constants),
+                jacobian(&prepared, record, &constants),
                 *want,
                 "jacobian at step {k}"
             );
@@ -1312,10 +1354,10 @@ mod tests {
             let mut stepped = make();
             let (_, jac) = step_with_jacobian(&mut stepped, cmd, room(), dt);
             let saturated = if label == "SoC to 1" {
-                stepped.soc().value() == 1.0 && jac.soc_next == [0.0; 5]
+                stepped.soc().value() == 1.0 && jac[SOC_NEXT] == [0.0; 5]
             } else {
                 let post = stepped.soe().value();
-                (post == 0.0 || post == 1.0) && jac.soe_next == [0.0; 5]
+                (post == 0.0 || post == 1.0) && jac[SOE_NEXT] == [0.0; 5]
             };
             assert!(saturated, "{label}: the counter did not saturate");
             fd_check(make, cmd, dt, 1.0, label);

@@ -19,6 +19,17 @@
 //! request into per-storage operating points, applies them, and returns
 //! a [`HeesStep`] record with the energy bookkeeping the controllers and
 //! the aging model need.
+//!
+//! [`HybridHees`] also differentiates its step for OTEM's adjoint
+//! gradient. [`HybridHees::step_prepared`] writes a [`HeesStepRecord`]
+//! of the operating points the step resolved, and
+//! [`HybridHees::step_pullback`] later maps the adjoints of the step's
+//! outputs ([`HeesOutputAdjoints`]) onto its inputs
+//! ([`HeesInputAdjoints`]): the transposed step Jacobian applied to one
+//! vector, leg by leg, with the battery leg filling the battery-bus,
+//! temperature and SoC adjoints and the bank leg the bank-bus and SoE
+//! adjoints. Each term is the exact partial of the branch the step
+//! executed.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -33,7 +44,8 @@ mod step;
 pub use dual::{DualHees, DualMode};
 pub use error::HeesError;
 pub use hybrid::{
-    HeesSnapshot, HeesStepConstants, HeesStepJacobian, HeesStepRecord, HybridCommand, HybridHees,
+    HeesInputAdjoints, HeesOutputAdjoints, HeesSnapshot, HeesStepConstants, HeesStepRecord,
+    HybridCommand, HybridHees,
 };
 pub use parallel::ParallelHees;
 pub use semi_active::{ConvertedSide, SemiActiveHees};

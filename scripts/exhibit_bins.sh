@@ -1,0 +1,17 @@
+# The `otem-bench` binaries whose stdout is committed as
+# `results/<bin>.txt`. Sourced by `scripts/exhibits.sh`, which rewrites
+# the exhibits, and by `scripts/tier1.sh`, which fails unless they
+# reproduce byte for byte.
+EXHIBIT_BINS=(
+    ablation_forecast_noise
+    ablation_horizon
+    ablation_weights
+    ambient_sweep
+    architecture_space
+    fig1_dual_thermal
+    fig6_temperature
+    fig7_teb
+    fig8_lifetime
+    fig9_power
+    table1_ucap_sweep
+)

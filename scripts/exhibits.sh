@@ -11,25 +11,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BINS=(
-    ablation_forecast_noise
-    ablation_horizon
-    ablation_weights
-    ambient_sweep
-    architecture_space
-    fig1_dual_thermal
-    fig6_temperature
-    fig7_teb
-    fig8_lifetime
-    fig9_power
-    table1_ucap_sweep
-)
+source scripts/exhibit_bins.sh
 
 echo "==> cargo build --release -p otem-bench --bins"
 cargo build --release -p otem-bench --bins
 
 target_dir="${CARGO_TARGET_DIR:-target}"
-for bin in "${BINS[@]}"; do
+for bin in "${EXHIBIT_BINS[@]}"; do
     echo "==> ${bin} > results/${bin}.txt"
     "${target_dir}/release/${bin}" > "results/${bin}.txt"
 done

@@ -5,8 +5,9 @@
 # Every correctness assertion lives in a test that `cargo test` runs
 # (the root manifest's `default-members` makes a bare `cargo test` cover
 # the facade package and every member crate), plus the benchmark's own
-# output checks, run once each at the end. No step writes a tracked
-# file, so on a clean checkout `git status --porcelain` stays empty.
+# output checks, run once each at the end, and the committed exhibits,
+# which must reproduce. No step writes a tracked file, so on a clean
+# checkout `git status --porcelain` stays empty.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,33 @@ cargo clippy --workspace --all-targets -- -D warnings
 # A doc link to a deleted or renamed item is an error, not a warning.
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# Exhibit gate: every committed `results/<bin>.txt` and the work record
+# `BENCH_mpc.json` must reproduce byte for byte (all are deterministic;
+# `scripts/exhibits.sh` rewrites them after a change that moves them).
+# The fresh outputs go to a temporary directory, never over the tracked
+# files; the fig6/fig8 bins also rewrite their ignored `results/*.jsonl`.
+source scripts/exhibit_bins.sh
+echo "==> cargo build --release -p otem-bench --bins"
+cargo build --release -p otem-bench --bins
+target_dir="${CARGO_TARGET_DIR:-target}"
+fresh=$(mktemp -d)
+trap 'rm -rf "$fresh"' EXIT
+stale=()
+for bin in "${EXHIBIT_BINS[@]}" perf_report; do
+    committed="results/${bin}.txt"
+    [[ "$bin" == perf_report ]] && committed=BENCH_mpc.json
+    echo "==> ${bin} vs ${committed}"
+    "${target_dir}/release/${bin}" > "${fresh}/${bin}"
+    if ! cmp -s "${fresh}/${bin}" "$committed"; then
+        diff -u "$committed" "${fresh}/${bin}" | head -n 20 >&2 || true
+        stale+=("$committed")
+    fi
+done
+if ((${#stale[@]})); then
+    echo "exhibits no longer reproduce (rerun ./scripts/exhibits.sh and explain the change): ${stale[*]}" >&2
+    exit 1
+fi
 
 # Benchmark build gate: perfbench is a workspace of its own, so no step
 # above compiles it; a public-API change that breaks the benchmark must
