@@ -10,6 +10,7 @@ use otem::policy::Otem;
 use otem::{Controller, Simulator, StepRecord, SystemState};
 use otem_bench::{cycle_trace, paper_config};
 use otem_drivecycle::StandardCycle;
+use otem_telemetry::Sink;
 use otem_units::{Seconds, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,7 +29,13 @@ impl Controller for NoisyForecast {
         "OTEM(noisy)"
     }
 
-    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord {
+    fn step_with(
+        &mut self,
+        load: Watts,
+        forecast: &[Watts],
+        dt: Seconds,
+        sink: &dyn Sink,
+    ) -> StepRecord {
         let corrupted: Vec<Watts> = if self.zero {
             vec![Watts::ZERO; forecast.len()]
         } else {
@@ -40,7 +47,7 @@ impl Controller for NoisyForecast {
                 })
                 .collect()
         };
-        self.inner.step(load, &corrupted, dt)
+        self.inner.step_with(load, &corrupted, dt, sink)
     }
 
     fn state(&self) -> SystemState {

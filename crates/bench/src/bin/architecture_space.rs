@@ -17,6 +17,7 @@ use otem::{Controller, SimulationResult, Simulator, StepRecord, SystemConfig, Sy
 use otem_bench::{run, stress_config, stress_trace, Methodology};
 use otem_drivecycle::StandardCycle;
 use otem_hees::{ConvertedSide, SemiActiveHees};
+use otem_telemetry::Sink;
 use otem_thermal::{ThermalModel, ThermalState};
 use otem_units::{Ratio, Seconds, Watts};
 
@@ -83,7 +84,13 @@ impl Controller for PeakShaving {
         "semi-active peak shaving"
     }
 
-    fn step(&mut self, load: Watts, _forecast: &[Watts], dt: Seconds) -> StepRecord {
+    fn step_with(
+        &mut self,
+        load: Watts,
+        _forecast: &[Watts],
+        dt: Seconds,
+        _sink: &dyn Sink,
+    ) -> StepRecord {
         let converted = self.converted_share(load);
         let hees = self.hees.step(load, converted, self.state.battery, dt);
         self.state =

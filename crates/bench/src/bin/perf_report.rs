@@ -71,7 +71,7 @@ fn run_solves(p: &MpcPlant, loads: &[Watts], horizon: usize, iterations: usize) 
         ..MpcConfig::default()
     });
     let dt = Seconds::new(1.0);
-    // Warm-up solve: builds the rollout workspace and the warm start, so
+    // Warm-up solve: sizes the rollout buffers and sets the warm start, so
     // the counted repetitions are the steady state.
     mpc.solve(p, loads, dt);
     let rollouts_before = mpc.rollouts();

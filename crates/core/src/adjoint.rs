@@ -90,15 +90,15 @@
 //! inputs it reads. No derivative is written to memory only to be read
 //! back: the sweep is the gradient's one derivative pass.
 //!
-//! The MPC workspace remembers the decision vector its records belong
-//! to. The solver only asks for a gradient at the trial their line
+//! The MPC's rollout buffers remember the decision vector their records
+//! belong to. The solver only asks for a gradient at the trial their line
 //! search has just accepted — the last point evaluated — so a gradient
 //! sweeps the stored records instead of running a second, identical
 //! forward pass; a gradient at any other point records afresh first. A
 //! rejected trial pays for its values and nothing else. The memo lives
 //! for one solve only: the start state, forecast and step change between
 //! solves while the decision vector can repeat (an all-zero cold start),
-//! so the workspace forgets it at the start of every solve.
+//! so each solve's objective forgets it when it is built.
 
 use crate::mpc::{MpcConfig, MpcPlant};
 use otem_hees::{HeesOutputAdjoints, HeesStepConstants, HeesStepRecord, HybridCommand, HybridHees};

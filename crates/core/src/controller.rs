@@ -2,7 +2,7 @@
 //! per-step record the simulator collects.
 
 use otem_hees::HeesStep;
-use otem_telemetry::Sink;
+use otem_telemetry::{NullSink, Sink};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 
@@ -79,26 +79,24 @@ pub trait Controller {
     fn name(&self) -> &'static str;
 
     /// Executes one control period: serve `load`, given the forecast of
-    /// upcoming requests (`forecast[0]` is the *next* period's load).
-    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord;
-
-    /// [`Controller::step`] with telemetry: controllers that emit
-    /// structured events (cooling toggles, ultracapacitor saturation,
-    /// solver traces) override this and route `step` through it with a
-    /// [`otem_telemetry::NullSink`].
+    /// upcoming requests (`forecast[0]` is the *next* period's load),
+    /// recording what the period did on `sink` (cooling toggles,
+    /// ultracapacitor saturation, solver traces). A controller that
+    /// wraps another passes the sink on.
     ///
     /// The sink is strictly observational — for any sink this must
-    /// return exactly what [`Controller::step`] returns. The default
-    /// ignores the sink.
+    /// return exactly what [`Controller::step`] returns.
     fn step_with(
         &mut self,
         load: Watts,
         forecast: &[Watts],
         dt: Seconds,
         sink: &dyn Sink,
-    ) -> StepRecord {
-        let _ = sink;
-        self.step(load, forecast, dt)
+    ) -> StepRecord;
+
+    /// [`Controller::step_with`] without telemetry (a [`NullSink`]).
+    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord {
+        self.step_with(load, forecast, dt, &NullSink)
     }
 
     /// Current state vector.
@@ -122,10 +120,6 @@ pub trait Controller {
 impl Controller for Box<dyn Controller> {
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-
-    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord {
-        (**self).step(load, forecast, dt)
     }
 
     fn step_with(

@@ -241,9 +241,9 @@ pub struct Mpc {
     // period.
     bounds: Bounds,
     x0: Vec<f64>,
-    /// The rollout workspace, built on the first solve and held across
-    /// solves; a solve owns it outright while it runs.
-    workspace: Option<RolloutWorkspace>,
+    /// The rollout buffers, held across solves; a solve owns them
+    /// outright while it runs.
+    buffers: RolloutBuffers,
     /// Forward passes run by every solve so far.
     rollouts: u64,
 }
@@ -278,7 +278,7 @@ impl Mpc {
             clock: Arc::new(MonotonicClock::new()),
             bounds: Bounds::new(lower, upper).partitioned_at(&[n]),
             x0: vec![0.0; 2 * n],
-            workspace: None,
+            buffers: RolloutBuffers::default(),
             rollouts: 0,
         }
     }
@@ -346,11 +346,11 @@ impl Mpc {
 
     /// [`Mpc::solve`] with telemetry: the solve streams
     /// [`Event::SolverIteration`] / [`Event::GradientEval`] from the
-    /// inner solver, one [`Event::PoolHit`] or [`Event::PoolMiss`] for
-    /// the rollout workspace it runs on, and [`Event::BoundClamp`] when the
-    /// applied first move sits pinned on a box bound (saturated
-    /// ultracapacitor share at ±1, cooler duty at its ceiling — the
-    /// always-active idle duty floor is deliberately not reported).
+    /// inner solver, one [`Event::SolveOutcome`] at its end, and
+    /// [`Event::BoundClamp`] when the applied first move sits pinned on
+    /// a box bound (saturated ultracapacitor share at ±1, cooler duty at
+    /// its ceiling — the always-active idle duty floor is deliberately
+    /// not reported).
     ///
     /// Observation only: for any sink the returned [`MpcDecision`] is
     /// bit-identical to [`Mpc::solve`]'s.
@@ -433,7 +433,7 @@ impl Mpc {
     }
 
     /// Runs the solver from `self.x0` on the box, within the runtime
-    /// iteration cap and deadline, through the held workspace.
+    /// iteration cap and deadline, through the held buffers.
     fn minimize(
         &mut self,
         plant: &MpcPlant,
@@ -441,11 +441,8 @@ impl Mpc {
         dt: Seconds,
         sink: &dyn Sink,
     ) -> Solution {
-        let workspace = {
-            let _pool_span = span(sink, "pool");
-            self.take_workspace(&plant.hees, sink)
-        };
-        let objective = RolloutObjective::new(plant, loads, dt, &self.config, workspace, sink);
+        let buffers = std::mem::take(&mut self.buffers);
+        let objective = RolloutObjective::new(plant, loads, dt, &self.config, buffers, sink);
         let mut solver = self.solver;
         if let Some(cap) = self.iteration_cap {
             solver.max_iterations = solver.max_iterations.min(cap);
@@ -456,29 +453,8 @@ impl Mpc {
         let solution =
             solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref());
         self.rollouts += objective.rollouts.get();
-        self.workspace = Some(objective.workspace.into_inner());
+        self.buffers = objective.buffers.into_inner();
         solution
-    }
-
-    /// The solve's workspace: the one held from the last solve when it
-    /// was built for this plant, otherwise a fresh one (the only time a
-    /// plant clone happens). After syncing state, any surviving
-    /// difference between the held plant and `source` means the caller
-    /// switched to a differently-parameterised plant, and reusing the
-    /// workspace would silently roll out the wrong model. `sink` learns
-    /// which way it went.
-    fn take_workspace(&mut self, source: &HybridHees, sink: &dyn Sink) -> RolloutWorkspace {
-        if let Some(mut ws) = self.workspace.take() {
-            ws.hees.restore(source.snapshot());
-            if ws.hees == *source {
-                // The records describe the previous solve's problem.
-                ws.taped_at.clear();
-                sink.record(Event::PoolHit);
-                return ws;
-            }
-        }
-        sink.record(Event::PoolMiss);
-        RolloutWorkspace::new(source)
     }
 }
 
@@ -497,126 +473,114 @@ fn warm_start_shift(x0: &mut [f64], prev: &[f64], n: usize) {
     x0[2 * n - 1] = prev[2 * n - 1];
 }
 
-/// Everything a solve evaluates through: a long-lived plant model that
-/// is rewound with [`HybridHees::restore`] before every rollout (instead
-/// of deep-cloning the plant per evaluation) and the tape. Once warm, a
-/// solve touches no allocator.
-#[derive(Clone)]
-struct RolloutWorkspace {
-    hees: HybridHees,
+/// The buffers an objective evaluates through, reused from one solve
+/// to the next: once warm, a solve touches no allocator.
+#[derive(Debug, Clone, Default)]
+struct RolloutBuffers {
     /// Primal stage records, rewritten by every forward pass.
     tape: Vec<StageRecord>,
     /// The decision vector `tape` was recorded at, or empty when the
-    /// tape describes no point of the current solve. A gradient asked
-    /// for at a bit-equal point sweeps the stored records instead of
-    /// running a forward pass. Cleared at the start of every solve: the
-    /// start state, forecast and step change between solves while the
-    /// decision vector can repeat.
+    /// tape describes no point of the current objective. A gradient
+    /// asked for at a bit-equal point sweeps the stored records instead
+    /// of running a forward pass. Cleared by [`RolloutObjective::new`]:
+    /// the start state, forecast and step change between objectives
+    /// while the decision vector can repeat.
     taped_at: Vec<f64>,
-    /// Backward sweeps (gradients) run through this workspace.
+    /// Backward sweeps (gradients) run through these buffers.
     sweeps: u64,
 }
 
-impl RolloutWorkspace {
-    fn new(source: &HybridHees) -> Self {
-        Self {
-            hees: source.clone(),
-            tape: Vec::new(),
-            taped_at: Vec::new(),
-            sweeps: 0,
-        }
-    }
-}
-
-impl std::fmt::Debug for RolloutWorkspace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RolloutWorkspace")
-            .field("tape_len", &self.tape.len())
-            .field("sweeps", &self.sweeps)
-            .finish_non_exhaustive()
-    }
-}
-
+/// One window's problem: the Eq. 19 cost of a decision vector and its
+/// adjoint gradient, both evaluated by rolling out a working copy of the
+/// plant's HEES.
 struct RolloutObjective<'a> {
     plant: &'a MpcPlant,
     loads: &'a [Watts],
     config: &'a MpcConfig,
-    /// The solve's decision-independent stage constants, shared by every
-    /// rollout and sweep.
+    /// The window's decision-independent stage constants, shared by
+    /// every rollout and sweep.
     stage: StageConstants,
-    /// The solve's workspace; one evaluation runs at a time.
-    workspace: RefCell<RolloutWorkspace>,
+    /// The working copy of the plant's HEES, rewound to `start` with
+    /// [`HybridHees::restore`] before every rollout instead of cloned
+    /// per evaluation.
+    hees: RefCell<HybridHees>,
+    /// The plant's HEES state when the objective was built.
+    start: HeesSnapshot,
+    /// The tape and its memo; one evaluation runs at a time.
+    buffers: RefCell<RolloutBuffers>,
     /// Forward passes run through this objective.
     rollouts: Cell<u64>,
-    /// The plant's state when the solve began; every rollout starts by
-    /// rewinding its workspace here, exactly like a fresh clone would.
-    start: HeesSnapshot,
     /// Telemetry sink for the `rollout` spans.
     sink: &'a dyn Sink,
 }
 
 impl<'a> RolloutObjective<'a> {
+    /// The problem of rolling out `plant` under `loads`, evaluated
+    /// through `buffers`: a new problem, so no tape they hold is reused.
     fn new(
         plant: &'a MpcPlant,
         loads: &'a [Watts],
         dt: Seconds,
         config: &'a MpcConfig,
-        workspace: RolloutWorkspace,
+        mut buffers: RolloutBuffers,
         sink: &'a dyn Sink,
     ) -> Self {
+        buffers.taped_at.clear();
         Self {
             plant,
             loads,
             config,
             stage: StageConstants::new(plant, loads, dt, config),
-            workspace: RefCell::new(workspace),
-            rollouts: Cell::new(0),
+            hees: RefCell::new(plant.hees.clone()),
             start: plant.hees.snapshot(),
+            buffers: RefCell::new(buffers),
+            rollouts: Cell::new(0),
             sink,
         }
     }
 
-    /// One forward pass through the workspace: rewind, simulate, score,
-    /// and record `z` as the point the workspace's tape belongs to.
-    fn forward(&self, ws: &mut RolloutWorkspace, z: &[f64]) -> f64 {
-        ws.hees.restore(self.start);
+    /// One forward pass: rewind, simulate, score, and record `z` as the
+    /// point the tape belongs to.
+    fn forward(&self, buffers: &mut RolloutBuffers, z: &[f64]) -> f64 {
+        let hees = &mut *self.hees.borrow_mut();
+        hees.restore(self.start);
         self.rollouts.set(self.rollouts.get() + 1);
-        ws.taped_at.clear();
-        ws.taped_at.extend_from_slice(z);
+        buffers.taped_at.clear();
+        buffers.taped_at.extend_from_slice(z);
         crate::adjoint::rollout(
             self.plant,
-            &mut ws.hees,
+            hees,
             self.loads,
             &self.stage,
             self.config,
             z,
-            &mut ws.tape,
+            &mut buffers.tape,
         )
     }
 
-    /// Leaves the workspace's tape recorded at `x`: the stored one when
-    /// the last forward pass was at a bit-equal point — the line search's
+    /// Leaves the tape recorded at `x`: the stored one when the last
+    /// forward pass was at a bit-equal point — the line search's
     /// accepted trial, in every iteration — otherwise a fresh one.
-    fn tape_at(&self, ws: &mut RolloutWorkspace, x: &[f64]) {
-        let reusable = ws.taped_at.len() == x.len()
-            && ws
+    fn tape_at(&self, buffers: &mut RolloutBuffers, x: &[f64]) {
+        let reusable = buffers.taped_at.len() == x.len()
+            && buffers
                 .taped_at
                 .iter()
                 .zip(x)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
         if !reusable {
-            self.forward(ws, x);
+            self.forward(buffers, x);
         }
     }
 }
 
 impl Objective for RolloutObjective<'_> {
-    /// A value-only forward pass; its primal records stay in the
-    /// workspace, so a gradient at the line search's accepted trial needs
-    /// no second forward pass.
+    /// A value-only forward pass; its primal records stay on the tape,
+    /// so a gradient at the line search's accepted trial needs no second
+    /// forward pass.
     fn value(&self, z: &[f64]) -> f64 {
         let _rollout_span = span(self.sink, "rollout");
-        self.forward(&mut self.workspace.borrow_mut(), z)
+        self.forward(&mut self.buffers.borrow_mut(), z)
     }
 
     /// Reverse-mode gradient: one allocation-free backward sweep that
@@ -627,24 +591,21 @@ impl Objective for RolloutObjective<'_> {
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
         let _rollout_span = span(self.sink, "rollout");
-        let ws = &mut *self.workspace.borrow_mut();
-        self.tape_at(ws, x);
-        ws.sweeps += 1;
-        crate::adjoint::adjoint_sweep(self.plant, &self.stage, self.config, &ws.tape, grad);
+        let buffers = &mut *self.buffers.borrow_mut();
+        self.tape_at(buffers, x);
+        buffers.sweeps += 1;
+        crate::adjoint::adjoint_sweep(self.plant, &self.stage, self.config, &buffers.tape, grad);
     }
 }
 
 /// Simulates the horizon under the candidate controls and returns the
 /// Eq. 19 cost plus constraint penalties.
 ///
-/// Clones the plant's HEES, builds the stage constants and allocates a
-/// tape once per call; the MPC's inner loop avoids all three by routing
-/// through its workspace and the solve's constants instead (see
-/// [`Mpc::solve`]).
-///
-/// The implementation lives in the crate-private `adjoint` module, so the
-/// adjoint's forward pass and the plain objective are the same code —
-/// bit-identical by construction.
+/// Evaluates the objective an [`Mpc::solve`] minimises, built for this
+/// one call: it copies the plant's HEES, builds the stage constants and
+/// allocates a tape, which a solve does once for all its evaluations.
+/// The cost, the adjoint's forward pass and every solve are the same
+/// code — bit-identical by construction.
 pub fn rollout_cost(
     plant: &MpcPlant,
     loads: &[Watts],
@@ -652,10 +613,7 @@ pub fn rollout_cost(
     config: &MpcConfig,
     z: &[f64],
 ) -> f64 {
-    let mut hees = plant.hees.clone();
-    let stage = StageConstants::new(plant, loads, dt, config);
-    let mut tape = Vec::with_capacity(config.horizon);
-    crate::adjoint::rollout(plant, &mut hees, loads, &stage, config, z, &mut tape)
+    RolloutObjective::new(plant, loads, dt, config, Default::default(), &NullSink).value(z)
 }
 
 /// Reverse-mode gradient of [`rollout_cost`]: one forward rollout and a
@@ -664,11 +622,11 @@ pub fn rollout_cost(
 /// Writes `∂J/∂z` into `grad` (layout `[cap_share_0..n-1,
 /// cool_duty_0..n-1]`, length `2·horizon`) and returns the cost at `z`.
 ///
-/// Clones the plant's HEES once per call; the MPC's inner loop avoids
-/// even that by routing through its workspace instead (see
-/// [`Mpc::solve`]). Matches finite differences to ~1e-6
-/// relative error away from the objective's penalty kinks, at a cost
-/// independent of the horizon length.
+/// Evaluates through the same objective as [`rollout_cost`]: the sweep
+/// runs over the tape of the forward pass that returned the cost.
+/// Matches finite differences to ~1e-6 relative error away from the
+/// objective's penalty kinks, at a cost independent of the horizon
+/// length.
 pub fn rollout_gradient_adjoint(
     plant: &MpcPlant,
     loads: &[Watts],
@@ -677,11 +635,9 @@ pub fn rollout_gradient_adjoint(
     z: &[f64],
     grad: &mut [f64],
 ) -> f64 {
-    let mut hees = plant.hees.clone();
-    let stage = StageConstants::new(plant, loads, dt, config);
-    let mut tape = Vec::with_capacity(config.horizon);
-    let cost = crate::adjoint::rollout(plant, &mut hees, loads, &stage, config, z, &mut tape);
-    crate::adjoint::adjoint_sweep(plant, &stage, config, &tape, grad);
+    let objective = RolloutObjective::new(plant, loads, dt, config, Default::default(), &NullSink);
+    let cost = objective.value(z);
+    objective.gradient(z, grad);
     cost
 }
 
@@ -823,9 +779,10 @@ mod tests {
 
     #[test]
     fn workspace_rollouts_match_clone_based_rollouts_bitwise() {
-        // The workspace's snapshot/restore path must be indistinguishable from
-        // a fresh plant clone per evaluation — including on reuse, when
-        // the workspace still carries the previous rollout's end state.
+        // The objective's snapshot/restore path must be indistinguishable
+        // from a fresh plant clone per evaluation — including on reuse,
+        // when its working copy still carries the previous rollout's end
+        // state.
         let config = SystemConfig::default();
         let mut p = plant(&config);
         p.hees.set_state(Ratio::new(0.9), Ratio::new(0.45));
@@ -835,14 +792,13 @@ mod tests {
         };
         let loads: Vec<Watts> = (0..6).map(|k| Watts::new(8_000.0 * k as f64)).collect();
         let dt = Seconds::new(1.0);
-        let objective = RolloutObjective::new(
-            &p,
-            &loads,
-            dt,
-            &cfg,
-            RolloutWorkspace::new(&p.hees),
-            &NullSink,
-        );
+        let objective =
+            RolloutObjective::new(&p, &loads, dt, &cfg, RolloutBuffers::default(), &NullSink);
+        let stage = StageConstants::new(&p, &loads, dt, &cfg);
+        let cloned = |z: &[f64]| {
+            let mut hees = p.hees.clone();
+            crate::adjoint::rollout(&p, &mut hees, &loads, &stage, &cfg, z, &mut Vec::new())
+        };
         let mut z = vec![0.0; 12];
         for (i, zi) in z.iter_mut().enumerate() {
             *zi = if i < 6 {
@@ -853,8 +809,7 @@ mod tests {
         }
         for _ in 0..3 {
             let reused = objective.value(&z);
-            let cloned = rollout_cost(&p, &loads, dt, &cfg, &z);
-            assert_eq!(reused.to_bits(), cloned.to_bits());
+            assert_eq!(reused.to_bits(), cloned(&z).to_bits());
         }
         assert_eq!(objective.rollouts.get(), 3);
     }
@@ -874,40 +829,38 @@ mod tests {
 
     #[test]
     fn workspace_is_rebuilt_on_plant_change() {
-        // A workspace built against one plant must not survive a switch
-        // to a differently-parameterised plant; a change of state alone
-        // keeps it.
-        use otem_telemetry::MemorySink;
+        // Solving for one plant and then, from a cold start, for a
+        // differently-parameterised one must roll out the second plant:
+        // each decision matches a fresh controller's bit for bit.
         let config = SystemConfig::default();
         let p = plant(&config);
-        let mut mpc = Mpc::new(MpcConfig {
+        let mut other = MpcPlant::new(&SystemConfig {
+            capacitance: Farads::new(5_000.0),
+            ..config.clone()
+        })
+        .unwrap();
+        other.hees.set_state(Ratio::new(0.7), Ratio::new(0.7));
+        assert_ne!(other.hees, p.hees);
+        let loads: Vec<Watts> = (0..4).map(|k| Watts::new(12_000.0 * k as f64)).collect();
+        let dt = Seconds::new(1.0);
+        let cfg = MpcConfig {
             horizon: 4,
             ..MpcConfig::default()
-        });
-        let sink = MemorySink::new();
-        let ws = mpc.take_workspace(&p.hees, &sink);
-        mpc.workspace = Some(ws);
-        let mut moved = p.hees.clone();
-        moved.set_state(Ratio::new(0.5), Ratio::new(0.2));
-        let ws = mpc.take_workspace(&moved, &sink);
-        assert_eq!(ws.hees, moved, "the held plant follows the new state");
-        mpc.workspace = Some(ws);
-        assert_eq!(sink.count_kind("pool_miss"), 1);
-        assert_eq!(sink.count_kind("pool_hit"), 1, "same plant retained");
-
-        let mut other = HybridHees::ev_default(Farads::new(5_000.0)).unwrap();
-        other.set_state(Ratio::new(0.7), Ratio::new(0.7));
-        let ws = mpc.take_workspace(&other, &sink);
-        assert_eq!(ws.hees, other);
-        assert_eq!(
-            sink.count_kind("pool_miss"),
-            2,
-            "different capacitance must evict the stale workspace"
-        );
+        };
+        let mut reused = Mpc::new(cfg);
+        for q in [&p, &other] {
+            reused.reset();
+            let a = reused.solve(q, &loads, dt);
+            let b = Mpc::new(cfg).solve(q, &loads, dt);
+            assert_eq!(a.cap_bus.value().to_bits(), b.cap_bus.value().to_bits());
+            assert_eq!(a.cool_duty.to_bits(), b.cool_duty.to_bits());
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+            assert_eq!(a.iterations, b.iterations);
+        }
     }
 
     #[test]
-    fn observed_solve_is_bit_identical_and_traces_pool_traffic() {
+    fn observed_solve_is_bit_identical_and_traces_solver_traffic() {
         use otem_telemetry::MemorySink;
         let config = SystemConfig::default();
         let mut p = plant(&config);
@@ -933,11 +886,10 @@ mod tests {
             assert_eq!(plain.iterations, observed.iterations);
         }
         // Every solver iteration left a trace, and every solve one
-        // workspace event: built on the first, reused on the second.
+        // outcome.
         assert!(sink.count_kind("solver_iteration") > 0);
         assert!(sink.count_kind("gradient_eval") > 0);
-        assert_eq!(sink.count_kind("pool_miss"), 1);
-        assert_eq!(sink.count_kind("pool_hit"), 1);
+        assert_eq!(sink.count_kind("solve_outcome"), 2);
     }
 
     #[test]
@@ -968,13 +920,11 @@ mod tests {
             .find(|(name, ..)| *name == "mpc_solve")
             .expect("mpc_solve span");
         assert_eq!(solve_parent, 0, "mpc_solve is the root here");
-        for phase in ["warm_start", "pool"] {
-            let (_, _, parent) = *starts
-                .iter()
-                .find(|(name, ..)| *name == phase)
-                .unwrap_or_else(|| panic!("missing {phase} span"));
-            assert_eq!(parent, solve_id, "{phase} must nest under mpc_solve");
-        }
+        let (_, _, parent) = *starts
+            .iter()
+            .find(|(name, ..)| *name == "warm_start")
+            .expect("warm_start span");
+        assert_eq!(parent, solve_id, "warm_start must nest under mpc_solve");
         for phase in ["iteration", "gradient", "line_search", "rollout"] {
             assert!(
                 starts.iter().any(|(name, ..)| *name == phase),
@@ -1011,7 +961,7 @@ mod tests {
     }
 
     #[test]
-    fn adjoint_mode_holds_one_workspace_across_solves() {
+    fn one_set_of_buffers_serves_every_solve() {
         use otem_telemetry::MemorySink;
         let config = SystemConfig::default();
         let mut p = plant(&config);
@@ -1026,10 +976,10 @@ mod tests {
             let d = mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
             assert!(d.cost.is_finite());
         }
-        // One workspace, built on the first solve and reused by the
-        // second (the tape rides inside it).
-        assert_eq!(sink.count_kind("pool_miss"), 1);
-        assert_eq!(sink.count_kind("pool_hit"), 1);
+        // One set of buffers, held from the first solve into the second:
+        // it swept every gradient of both.
+        assert_eq!(mpc.buffers.sweeps, sink.count_kind("gradient_eval") as u64);
+        assert_eq!(mpc.buffers.tape.len(), 6);
         // Telemetry keeps flowing unchanged through the same spans.
         assert!(sink.count_kind("gradient_eval") > 0);
         assert!(sink.count_kind("solver_iteration") > 0);
@@ -1086,9 +1036,8 @@ mod tests {
         };
         let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-        let mut mpc = Mpc::new(cfg);
-        let ws = mpc.take_workspace(&p.hees, &NullSink);
-        let objective = RolloutObjective::new(&p, &loads, dt, &cfg, ws, &NullSink);
+        let objective =
+            RolloutObjective::new(&p, &loads, dt, &cfg, RolloutBuffers::default(), &NullSink);
         let mut grad = vec![0.0; 2 * n];
         objective.value(&z);
         // At the evaluated point: the stored tape, no new forward pass.
@@ -1099,15 +1048,14 @@ mod tests {
         objective.gradient(&other, &mut grad);
         assert_eq!(bits(&grad), bits(&reference(&p, &other)));
         assert_eq!(objective.rollouts.get(), 2);
-        assert_eq!(objective.workspace.borrow().sweeps, 2);
-        mpc.workspace = Some(objective.workspace.into_inner());
+        assert_eq!(objective.buffers.borrow().sweeps, 2);
 
-        // A new solve: the same decision vector from a different start
-        // state must not hit the old tape.
+        // A new objective on the first one's buffers: the same decision
+        // vector from a different start state must not hit the old tape.
         let mut q = p.clone();
         q.hees.set_state(Ratio::new(0.4), Ratio::new(0.3));
-        let ws = mpc.take_workspace(&q.hees, &NullSink);
-        let objective = RolloutObjective::new(&q, &loads, dt, &cfg, ws, &NullSink);
+        let buffers = objective.buffers.into_inner();
+        let objective = RolloutObjective::new(&q, &loads, dt, &cfg, buffers, &NullSink);
         objective.gradient(&other, &mut grad);
         assert_eq!(bits(&grad), bits(&reference(&q, &other)));
         assert_eq!(objective.rollouts.get(), 1);
@@ -1263,7 +1211,7 @@ mod tests {
 
             p.apply(loads[0], d.cap_bus, d.cool_duty, dt);
         }
-        let sweeps = mpc.workspace.as_ref().expect("held workspace").sweeps;
+        let sweeps = mpc.buffers.sweeps;
         let rejected = trials - accepted;
         assert_eq!(sweeps, gradient_evals);
         assert!(rejected > 0, "no line-search trial was rejected");

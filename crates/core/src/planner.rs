@@ -31,7 +31,7 @@ use crate::policy::Otem;
 use crate::sim::Simulator;
 use otem_drivecycle::PowerTrace;
 use otem_solver::{Solution, SolverOutcome};
-use otem_telemetry::NullSink;
+use otem_telemetry::{NullSink, Sink};
 use otem_units::{Seconds, Watts};
 use std::iter::Zip;
 use std::slice::Iter;
@@ -162,10 +162,15 @@ impl Controller for Replay<'_> {
         "OTEM route plan"
     }
 
-    fn step(&mut self, load: Watts, _forecast: &[Watts], dt: Seconds) -> StepRecord {
+    fn step_with(
+        &mut self,
+        load: Watts,
+        _forecast: &[Watts],
+        dt: Seconds,
+        sink: &dyn Sink,
+    ) -> StepRecord {
         let (&cap_bus, &cool_duty) = self.moves.next().expect("one planned move per step");
-        self.otem
-            .apply_with(load, cap_bus, cool_duty, dt, &NullSink)
+        self.otem.apply_with(load, cap_bus, cool_duty, dt, sink)
     }
 
     fn state(&self) -> SystemState {

@@ -6,7 +6,7 @@ use crate::controller::{Controller, StepRecord, SystemState};
 use crate::error::OtemError;
 use otem_battery::BatteryPack;
 use otem_hees::HeesStep;
-use otem_telemetry::{span, Event, NullSink, Sink};
+use otem_telemetry::{span, Event, Sink};
 use otem_thermal::{CoolerAction, CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 
@@ -51,10 +51,6 @@ impl ActiveCooling {
 impl Controller for ActiveCooling {
     fn name(&self) -> &'static str {
         "ActiveCooling"
-    }
-
-    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord {
-        self.step_with(load, forecast, dt, &NullSink)
     }
 
     fn step_with(

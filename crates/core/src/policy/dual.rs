@@ -6,7 +6,7 @@ use crate::controller::{Controller, StepRecord, SystemState};
 use crate::error::OtemError;
 use otem_battery::BatteryPack;
 use otem_hees::{pack_domain_bank, DualHees, DualMode};
-use otem_telemetry::{span, Event, NullSink, Sink};
+use otem_telemetry::{span, Event, Sink};
 use otem_thermal::{ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 
@@ -59,10 +59,6 @@ impl Dual {
 impl Controller for Dual {
     fn name(&self) -> &'static str {
         "Dual"
-    }
-
-    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord {
-        self.step_with(load, forecast, dt, &NullSink)
     }
 
     fn step_with(

@@ -6,7 +6,7 @@ use crate::config::SystemConfig;
 use crate::controller::{Controller, PlantFault, StepRecord, SystemState};
 use crate::error::OtemError;
 use crate::mpc::{Mpc, MpcConfig, MpcDecision, MpcPlant};
-use otem_telemetry::{span, Event, NullSink, Sink};
+use otem_telemetry::{span, Event, Sink};
 use otem_units::{Kelvin, Seconds, Watts};
 
 /// The OTEM controller: hybrid (DC-bus) HEES + active cooling, jointly
@@ -114,10 +114,6 @@ impl Controller for Otem {
         "OTEM"
     }
 
-    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord {
-        self.step_with(load, forecast, dt, &NullSink)
-    }
-
     fn step_with(
         &mut self,
         load: Watts,
@@ -223,6 +219,7 @@ impl Otem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otem_telemetry::NullSink;
     use otem_thermal::ThermalState;
 
     fn short_mpc() -> MpcConfig {

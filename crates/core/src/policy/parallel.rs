@@ -44,7 +44,14 @@ impl Controller for Parallel {
         "Parallel"
     }
 
-    fn step(&mut self, load: Watts, _forecast: &[Watts], dt: Seconds) -> StepRecord {
+    fn step_with(
+        &mut self,
+        load: Watts,
+        _forecast: &[Watts],
+        dt: Seconds,
+        sink: &dyn Sink,
+    ) -> StepRecord {
+        let _step_span = span(sink, "parallel_step");
         let hees_step = self.hees.step(load, self.state.battery, dt);
         // Passive pack: no inlet flow; the coolant node just tracks the
         // battery through the (zero-flow) exchange.
@@ -60,17 +67,6 @@ impl Controller for Parallel {
             cooling_power: Watts::ZERO,
             state: self.state_snapshot(),
         }
-    }
-
-    fn step_with(
-        &mut self,
-        load: Watts,
-        forecast: &[Watts],
-        dt: Seconds,
-        sink: &dyn Sink,
-    ) -> StepRecord {
-        let _step_span = span(sink, "parallel_step");
-        self.step(load, forecast, dt)
     }
 
     fn state(&self) -> SystemState {

@@ -245,11 +245,12 @@ mod tests {
             "ForecastProbe"
         }
 
-        fn step(
+        fn step_with(
             &mut self,
             load: Watts,
             forecast: &[Watts],
             _dt: Seconds,
+            _sink: &dyn Sink,
         ) -> crate::controller::StepRecord {
             self.forecasts.push(forecast.to_vec());
             crate::controller::StepRecord {

@@ -42,7 +42,7 @@ use crate::mpc::MpcDecision;
 use crate::policy::dual::{COOL_THRESHOLD, HOT_THRESHOLD, RECHARGE_POWER, RECHARGE_TARGET};
 use crate::policy::Otem;
 use otem_solver::SolverOutcome;
-use otem_telemetry::{span, Event, NullSink, Sink};
+use otem_telemetry::{span, Event, Sink};
 use otem_units::{Kelvin, Seconds, Watts};
 
 /// Hard ceiling on a *plausible* battery temperature: anything above is
@@ -294,10 +294,6 @@ impl SupervisedOtem {
 impl Controller for SupervisedOtem {
     fn name(&self) -> &'static str {
         "OTEM+Supervisor"
-    }
-
-    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord {
-        self.step_with(load, forecast, dt, &NullSink)
     }
 
     fn step_with(

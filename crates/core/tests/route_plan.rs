@@ -12,7 +12,7 @@ use otem::planner::{plan_route, realized_cost};
 use otem::policy::Otem;
 use otem::{Controller, Simulator, StepRecord, SystemConfig, SystemState};
 use otem_drivecycle::{standard, Powertrain, StandardCycle, VehicleParams};
-use otem_telemetry::{NullSink, Sink};
+use otem_telemetry::Sink;
 use otem_units::{Seconds, Watts};
 
 /// The default closed loop, recording each applied move.
@@ -24,10 +24,6 @@ struct Recorded {
 impl Controller for Recorded {
     fn name(&self) -> &'static str {
         "OTEM"
-    }
-
-    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord {
-        self.step_with(load, forecast, dt, &NullSink)
     }
 
     fn step_with(

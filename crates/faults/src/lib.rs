@@ -25,7 +25,7 @@
 #![deny(missing_debug_implementations)]
 
 use otem::{Controller, PlantFault, StepRecord, SystemState};
-use otem_telemetry::{Event, NullSink, Sink};
+use otem_telemetry::{Event, Sink};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -374,10 +374,6 @@ impl<C: Controller> Controller for FaultedController<C> {
         self.inner.name()
     }
 
-    fn step(&mut self, load: Watts, forecast: &[Watts], dt: Seconds) -> StepRecord {
-        self.step_with(load, forecast, dt, &NullSink)
-    }
-
     fn step_with(
         &mut self,
         load: Watts,
@@ -452,7 +448,13 @@ mod tests {
             "probe"
         }
 
-        fn step(&mut self, load: Watts, forecast: &[Watts], _dt: Seconds) -> StepRecord {
+        fn step_with(
+            &mut self,
+            load: Watts,
+            forecast: &[Watts],
+            _dt: Seconds,
+            _sink: &dyn Sink,
+        ) -> StepRecord {
             self.loads.push(load.value());
             self.forecasts
                 .push(forecast.iter().map(|w| w.value()).collect());

@@ -53,14 +53,6 @@ pub enum Event {
         /// Outer iterations actually performed.
         iterations: u64,
     },
-    /// An MPC solve reused the rollout workspace its controller held
-    /// from the previous solve (steady state: no plant clone, no
-    /// allocation). Once per solve.
-    PoolHit,
-    /// An MPC solve built its rollout workspace by cloning the plant —
-    /// the controller's first solve, or the plant's parameters changed.
-    /// Once per solve.
-    PoolMiss,
     /// The cooling loop switched on or off.
     CoolingToggle {
         /// `true` when the loop switched on.
@@ -239,8 +231,6 @@ impl Event {
             Event::SolverIteration { .. } => "solver_iteration",
             Event::GradientEval { .. } => "gradient_eval",
             Event::SolveOutcome { .. } => "solve_outcome",
-            Event::PoolHit => "pool_hit",
-            Event::PoolMiss => "pool_miss",
             Event::CoolingToggle { .. } => "cooling_toggle",
             Event::UcapSaturated { .. } => "ucap_saturated",
             Event::BoundClamp { .. } => "bound_clamp",
@@ -289,7 +279,6 @@ impl Event {
                 str_field(out, "mode", mode);
                 let _ = write!(out, ",\"iterations\":{iterations}");
             }
-            Event::PoolHit | Event::PoolMiss => {}
             Event::CoolingToggle { on, battery_temp_k } => {
                 let _ = write!(out, ",\"on\":{on}");
                 field(out, "battery_temp_k", battery_temp_k);
@@ -450,8 +439,11 @@ mod tests {
 
     #[test]
     fn kinds_are_stable() {
-        assert_eq!(Event::PoolHit.kind(), "pool_hit");
-        assert_eq!(Event::PoolMiss.kind(), "pool_miss");
+        assert_eq!(Event::GradientEval { dim: 2 }.kind(), "gradient_eval");
+        assert_eq!(
+            Event::PanicCaught { context: "vehicle" }.kind(),
+            "panic_caught"
+        );
         assert_eq!(
             Event::StepCompleted {
                 step: 0,
@@ -481,7 +473,10 @@ mod tests {
             "{\"event\":\"solver_iteration\",\"iteration\":3,\"value\":12.5,\
              \"residual\":0.001,\"step\":0.5}"
         );
-        assert_eq!(json(&Event::PoolHit), "{\"event\":\"pool_hit\"}");
+        assert_eq!(
+            json(&Event::GradientEval { dim: 2 }),
+            "{\"event\":\"gradient_eval\",\"dim\":2}"
+        );
     }
 
     #[test]

@@ -209,25 +209,32 @@ mod tests {
     use super::*;
     use crate::context::request_scope;
 
+    /// Two non-trigger events of different kinds.
+    const FILLER: Event = Event::GradientEval { dim: 2 };
+    const OTHER: Event = Event::MpcRearmed {
+        step: 1,
+        healthy_steps: 2,
+    };
+
     #[test]
     fn records_stamp_the_active_request_id() {
         let recorder = FlightRecorder::with_shape(2, 16);
         {
             let _scope = request_scope(42);
-            recorder.record(Event::PoolHit);
+            recorder.record(FILLER);
         }
-        recorder.record(Event::PoolMiss);
+        recorder.record(OTHER);
         let entries = recorder.live_entries();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].request_id, 42);
-        assert_eq!(entries[0].event, Event::PoolHit);
+        assert_eq!(entries[0].event, FILLER);
         assert_eq!(entries[1].request_id, 0, "scope closed");
     }
 
     #[test]
     fn panic_caught_freezes_and_first_trigger_wins() {
         let recorder = FlightRecorder::with_shape(1, 16);
-        recorder.record(Event::PoolHit);
+        recorder.record(FILLER);
         assert!(!recorder.has_dump());
         recorder.record(Event::PanicCaught { context: "vehicle" });
         assert!(recorder.has_dump());
@@ -259,7 +266,7 @@ mod tests {
     fn ring_retention_is_bounded_per_shard() {
         let recorder = FlightRecorder::with_shape(1, 4);
         for _ in 0..10 {
-            recorder.record(Event::PoolHit);
+            recorder.record(FILLER);
         }
         assert_eq!(recorder.live_entries().len(), 4);
     }
@@ -287,7 +294,7 @@ mod tests {
     #[test]
     fn manual_freeze_uses_the_manual_trigger() {
         let recorder = FlightRecorder::new();
-        recorder.record(Event::PoolHit);
+        recorder.record(FILLER);
         assert!(recorder.freeze("manual"));
         assert!(!recorder.freeze("manual"), "already frozen");
         assert_eq!(recorder.take_dump().map(|d| d.trigger), Some("manual"));

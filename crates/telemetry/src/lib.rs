@@ -11,7 +11,7 @@
 //! # Pieces
 //!
 //! * [`Event`] — the typed event taxonomy: solver iterations, gradient
-//!   evaluations, workspace-pool hits/misses, cooling toggles,
+//!   evaluations, solve outcomes, cooling toggles,
 //!   ultracapacitor saturation, bound clamps, and completed simulation
 //!   steps. Every variant is `Copy` so emission never allocates.
 //! * [`Sink`] — where events go. Implementations:
@@ -61,7 +61,7 @@
 //! use otem_telemetry::{Event, MemorySink, Sink};
 //!
 //! let sink = MemorySink::with_capacity(16);
-//! sink.record(Event::PoolMiss);
+//! sink.record(Event::GradientEval { dim: 24 });
 //! sink.record(Event::SolverIteration {
 //!     iteration: 0,
 //!     value: 12.5,

@@ -822,8 +822,6 @@ mod tests {
                 mode: "serial",
                 iterations: 2,
             },
-            Event::PoolHit,
-            Event::PoolMiss,
             Event::CoolingToggle {
                 on: true,
                 battery_temp_k: 300.0,
@@ -921,8 +919,6 @@ mod tests {
                 )),
                 Event::SolverIteration { .. }
                 | Event::GradientEval { .. }
-                | Event::PoolHit
-                | Event::PoolMiss
                 | Event::CoolingToggle { .. }
                 | Event::UcapSaturated { .. }
                 | Event::BoundClamp { .. }

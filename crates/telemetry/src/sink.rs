@@ -267,8 +267,8 @@ impl<W: Write + Send> Drop for JsonlSink<W> {
 ///   (fractional `ts`).
 /// * Every other event becomes a thread-scoped instant record
 ///   (`ph:"i"`, `s:"t"`) stamped at record time, with the event's own
-///   JSONL object embedded under `args`, so cooling toggles, pool
-///   misses and fault injections show up as markers on the timeline.
+///   JSONL object embedded under `args`, so cooling toggles, bound
+///   clamps and fault injections show up as markers on the timeline.
 ///
 /// [`ChromeTraceSink::finish`] writes the closing `]`. Both Chrome and
 /// Perfetto tolerate a missing terminator (the format spec makes the
@@ -390,23 +390,30 @@ impl<W: Write + Send> Sink for ChromeTraceSink<W> {
 mod tests {
     use super::*;
 
+    /// Two events of different kinds, used where any event will do.
+    const FILLER: Event = Event::GradientEval { dim: 2 };
+    const OTHER: Event = Event::MpcRearmed {
+        step: 1,
+        healthy_steps: 2,
+    };
+
     #[test]
     fn null_sink_discards() {
         let sink = NullSink;
-        sink.record(Event::PoolHit);
+        sink.record(FILLER);
         assert!(!sink.enabled());
     }
 
     #[test]
     fn memory_sink_retains_in_order_up_to_capacity() {
         let sink = MemorySink::with_capacity(2);
-        sink.record(Event::PoolMiss);
-        sink.record(Event::PoolHit);
-        sink.record(Event::PoolHit);
+        sink.record(OTHER);
+        sink.record(FILLER);
+        sink.record(FILLER);
         assert_eq!(sink.len(), 2);
-        assert_eq!(sink.events(), vec![Event::PoolHit, Event::PoolHit]);
-        assert_eq!(sink.count_kind("pool_hit"), 2);
-        assert_eq!(sink.count_kind("pool_miss"), 0);
+        assert_eq!(sink.events(), vec![FILLER, FILLER]);
+        assert_eq!(sink.count_kind("gradient_eval"), 2);
+        assert_eq!(sink.count_kind("mpc_rearmed"), 0);
         sink.clear();
         assert!(sink.is_empty());
     }
@@ -414,13 +421,16 @@ mod tests {
     #[test]
     fn jsonl_sink_writes_one_line_per_event() {
         let sink = JsonlSink::new(Vec::new());
-        sink.record(Event::PoolHit);
-        sink.record(Event::GradientEval { dim: 2 });
+        sink.record(OTHER);
+        sink.record(FILLER);
         let bytes = sink.into_inner();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<_> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "{\"event\":\"pool_hit\"}");
+        assert_eq!(
+            lines[0],
+            "{\"event\":\"mpc_rearmed\",\"step\":1,\"healthy_steps\":2}"
+        );
         assert!(lines[1].starts_with("{\"event\":\"gradient_eval\""));
     }
 
@@ -456,8 +466,8 @@ mod tests {
             flushed: flushed.clone(),
         });
         assert_eq!(sink.dropped_records(), 0);
-        sink.record(Event::PoolHit);
-        sink.record(Event::PoolMiss);
+        sink.record(FILLER);
+        sink.record(OTHER);
         assert_eq!(sink.dropped_records(), 2, "both writes failed");
     }
 
@@ -468,7 +478,7 @@ mod tests {
             fail_writes: false,
             flushed: flushed.clone(),
         });
-        sink.record(Event::PoolHit);
+        sink.record(FILLER);
         assert!(!flushed.load(std::sync::atomic::Ordering::Relaxed));
         drop(sink);
         assert!(
@@ -484,7 +494,7 @@ mod tests {
             fail_writes: false,
             flushed: flushed.clone(),
         });
-        sink.record(Event::PoolHit);
+        sink.record(FILLER);
         let _writer = sink.into_inner();
         assert!(
             flushed.load(std::sync::atomic::Ordering::Relaxed),
@@ -502,7 +512,7 @@ mod tests {
             lane: 3,
             t_ns: 1_500,
         });
-        sink.record(Event::PoolMiss);
+        sink.record(OTHER);
         sink.record(Event::SpanEnd {
             id: 1,
             name: "mpc_solve",
@@ -522,11 +532,11 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("\"name\":\"pool_miss\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\""),
+            text.contains("\"name\":\"mpc_rearmed\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\""),
             "{text}"
         );
         assert!(
-            text.contains("\"args\":{\"event\":\"pool_miss\"}"),
+            text.contains("\"args\":{\"event\":\"mpc_rearmed\",\"step\":1,\"healthy_steps\":2}"),
             "{text}"
         );
     }
@@ -547,7 +557,7 @@ mod tests {
             Box::new(ChromeTraceSink::new(Vec::new())),
         ];
         for sink in &sinks {
-            sink.record(Event::PoolHit);
+            sink.record(FILLER);
             sink.flush();
         }
     }

@@ -2,8 +2,9 @@
 //!
 //! Once warm, a solve allocates only a fixed handful of per-solve
 //! vectors (the solver's iterate, gradient and line-search buffers, the
-//! returned plan): the pooled rollout workspace and its tape are
-//! reused, so **nothing allocates per rollout or per horizon step**. The
+//! returned plan): the MPC's rollout buffers (the tape and its memo)
+//! are reused, and the plant copy each solve rolls out owns no heap
+//! data, so **nothing allocates per rollout or per horizon step**. The
 //! count is therefore the same at every horizon.
 //!
 //! The closed loop around it adds nothing per step: the simulator
@@ -38,7 +39,7 @@ fn plant(config: &SystemConfig) -> MpcPlant {
 }
 
 /// Allocations across `SOLVES` fully warm-started solves at `horizon`, each recorded on `sink` (a fresh `Mpc` each call; three
-/// warm-up solves populate the workspace pool, the tape and the warm
+/// warm-up solves populate the tape and the warm
 /// start before counting begins).
 fn steady_allocs(horizon: usize, sink: &dyn Sink) -> u64 {
     let config = SystemConfig::default();

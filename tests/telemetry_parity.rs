@@ -23,7 +23,7 @@ use otem_repro::telemetry::{MemorySink, NullSink};
 use otem_repro::units::{Seconds, Watts};
 
 /// A short mixed drive/regen pattern — enough steps to warm the MPC's
-/// workspace pool and exercise cooling, saturation, and solver events.
+/// rollout buffers and exercise cooling, saturation, and solver events.
 fn trace() -> PowerTrace {
     let samples: Vec<Watts> = (0..40)
         .map(|k| match k % 8 {
@@ -38,7 +38,7 @@ fn trace() -> PowerTrace {
 
 fn controller(config: &SystemConfig) -> Otem {
     // A small horizon keeps the debug-build MPC affordable while still
-    // running the full solve / pool / telemetry machinery every step.
+    // running the full solve / telemetry machinery every step.
     Otem::with_mpc(
         config,
         MpcConfig {
@@ -83,7 +83,7 @@ fn null_sink_is_bit_identical_and_allocation_free() {
     assert_eq!(memory_sink.count_kind("step_completed"), trace.len());
     assert!(memory_sink.count_kind("solver_iteration") > 0);
     assert!(memory_sink.count_kind("gradient_eval") > 0);
-    assert!(memory_sink.count_kind("pool_hit") > 0);
+    assert!(memory_sink.count_kind("solve_outcome") > 0);
 
     // …including the hierarchical spans, balanced start-for-end. Every
     // step opens at least sim_step → otem_step → mpc_solve.
@@ -107,8 +107,8 @@ fn null_sink_is_bit_identical_and_allocation_free() {
     );
     assert!(plain_allocs > 0, "counting allocator not engaged");
 
-    // 3. Steady-state solver work is allocation-free: with the workspace
-    // pool warm (second run on the same controller), quadrupling the
+    // 3. Steady-state solver work is allocation-free: with the rollout
+    // buffers warm (second run on the same controller), quadrupling the
     // per-solve iteration budget — each iteration doing a gradient,
     // projections, and up to 40 backtracking trials — must not change
     // the run's allocation count at all. Anything the solver loop
@@ -124,7 +124,7 @@ fn null_sink_is_bit_identical_and_allocation_free() {
             },
         )
         .expect("valid");
-        let _ = sim.run(&mut otem, &trace); // warm the pool + tape
+        let _ = sim.run(&mut otem, &trace); // warm the tape
         let before = allocations();
         let _ = sim.run(&mut otem, &trace);
         allocations() - before

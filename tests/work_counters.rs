@@ -176,13 +176,12 @@ fn adjoint_forward_passes_per_solve_stay_horizon_independent() {
 /// solver work counter (one `iteration` span per solver iteration, one
 /// `rollout` per forward pass, one `gradient` per gradient evaluation),
 /// so they are as deterministic as [`Mpc::rollouts`].
-const SPAN_COUNTS: [(&str, usize); 9] = [
+const SPAN_COUNTS: [(&str, usize); 8] = [
     ("gradient", 385),
     ("iteration", 385),
     ("line_search", 385),
     ("mpc_solve", 20),
     ("otem_step", 20),
-    ("pool", 20),
     ("rollout", 958),
     ("sim_step", 20),
     ("warm_start", 20),
@@ -279,5 +278,5 @@ fn traced_otem_run_emits_a_balanced_span_stream_with_pinned_counts() {
         );
     }
     assert_eq!(counts.into_iter().collect::<Vec<_>>(), SPAN_COUNTS);
-    assert_eq!(SPAN_COUNTS.iter().map(|(_, n)| n).sum::<usize>(), 2213);
+    assert_eq!(SPAN_COUNTS.iter().map(|(_, n)| n).sum::<usize>(), 2193);
 }
