@@ -9,8 +9,6 @@
 //! ```sh
 //! cargo run --release -p otem-bench --bin fault_sweep
 //! ```
-//!
-//! Machine-readable results stream to `results/fault_sweep.jsonl`.
 
 use otem::mpc::MpcConfig;
 use otem::policy::Otem;
@@ -19,8 +17,6 @@ use otem_bench::{stress_config, stress_trace};
 use otem_drivecycle::StandardCycle;
 use otem_faults::{FaultKind, FaultPlan, FaultedController};
 use otem_fleet::pool::fan_stealing;
-use otem_telemetry::MemorySink;
-use std::io::Write as _;
 
 const SEED: u64 = 0xFA_017;
 
@@ -69,7 +65,7 @@ struct Outcome {
     capacity_loss: f64,
     peak_temp_c: f64,
     unserved_j: f64,
-    faults_injected: usize,
+    faults_injected: u64,
     rejected: u64,
     fallbacks: u64,
     rearms: u64,
@@ -82,18 +78,24 @@ fn run(
     supervised: bool,
 ) -> Outcome {
     let otem = Otem::with_mpc(config, mpc()).expect("valid controller");
-    let sink = MemorySink::new();
     let sim = Simulator::new(config);
 
-    let (result, rejected, fallbacks, rearms) = if supervised {
+    let (result, faults_injected, rejected, fallbacks, rearms) = if supervised {
         let mut harness = FaultedController::new(SupervisedOtem::new(otem), plan);
-        let result = sim.run_with(&mut harness, trace, &sink);
+        let result = sim.run(&mut harness, trace);
+        let injections = harness.injections();
         let sup = harness.into_inner();
-        (result, sup.rejected(), sup.fallbacks(), sup.rearms())
+        (
+            result,
+            injections,
+            sup.rejected(),
+            sup.fallbacks(),
+            sup.rearms(),
+        )
     } else {
         let mut harness = FaultedController::new(otem, plan);
-        let result = sim.run_with(&mut harness, trace, &sink);
-        (result, 0, 0, 0)
+        let result = sim.run(&mut harness, trace);
+        (result, harness.injections(), 0, 0, 0)
     };
 
     let dt = 1.0;
@@ -112,7 +114,7 @@ fn run(
         capacity_loss: result.capacity_loss(),
         peak_temp_c,
         unserved_j,
-        faults_injected: sink.count_kind("fault_injected"),
+        faults_injected,
         rejected,
         fallbacks,
         rearms,
@@ -122,9 +124,6 @@ fn run(
 fn main() {
     let config = stress_config();
     let trace = stress_trace(StandardCycle::Us06, 1).expect("trace");
-
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut jsonl = std::fs::File::create("results/fault_sweep.jsonl").expect("jsonl file");
 
     println!("# Fault sweep — supervised vs unsupervised OTEM, US06 (city-EV rig)");
     println!(
@@ -155,35 +154,19 @@ fn main() {
     });
 
     for (name, supervised, o) in outcomes {
-        {
-            let controller = if supervised { "supervised" } else { "plain" };
-            println!(
-                "{:>18} {:>12} {:>10.3e} {:>10.2} {:>12.1} {:>7} {:>9} {:>9} {:>7}",
-                name,
-                controller,
-                o.capacity_loss,
-                o.peak_temp_c,
-                o.unserved_j,
-                o.faults_injected,
-                o.rejected,
-                o.fallbacks,
-                o.rearms
-            );
-            writeln!(
-                jsonl,
-                "{{\"campaign\":\"{name}\",\"controller\":\"{controller}\",\
-                 \"capacity_loss\":{:e},\"peak_temp_c\":{:.4},\"unserved_j\":{:.3},\
-                 \"faults_injected\":{},\"rejected\":{},\"fallbacks\":{},\"rearms\":{}}}",
-                o.capacity_loss,
-                o.peak_temp_c,
-                o.unserved_j,
-                o.faults_injected,
-                o.rejected,
-                o.fallbacks,
-                o.rearms
-            )
-            .expect("jsonl write");
-        }
+        let controller = if supervised { "supervised" } else { "plain" };
+        println!(
+            "{:>18} {:>12} {:>10.3e} {:>10.2} {:>12.1} {:>7} {:>9} {:>9} {:>7}",
+            name,
+            controller,
+            o.capacity_loss,
+            o.peak_temp_c,
+            o.unserved_j,
+            o.faults_injected,
+            o.rejected,
+            o.fallbacks,
+            o.rearms
+        );
     }
 
     println!("\nReading: under faults the supervised controller must keep Tpeak bounded and");

@@ -9,24 +9,16 @@
 //! cargo run --release -p otem-bench --bin fig6_temperature
 //! ```
 
-use otem_bench::{run_with, stress_config, stress_trace, Methodology};
+use otem_bench::{run, stress_config, stress_trace, Methodology};
 use otem_drivecycle::StandardCycle;
-use otem_telemetry::JsonlSink;
 
 fn main() {
     let config = stress_config();
     let trace = stress_trace(StandardCycle::Us06, 3).expect("trace");
 
-    std::fs::create_dir_all("results").expect("results dir");
     let results: Vec<_> = Methodology::ALL
         .iter()
-        .map(|&m| {
-            // Each methodology streams its full event log (per-step
-            // telemetry plus controller internals) next to the figure.
-            let path = format!("results/fig6_{}.jsonl", m.name().to_lowercase());
-            let sink = JsonlSink::create(&path).expect("telemetry file");
-            run_with(m, &config, &trace, &sink).expect("run")
-        })
+        .map(|&m| run(m, &config, &trace).expect("run"))
         .collect();
 
     println!("# Fig. 6 — battery temperature by methodology, US06 x3 (city-EV rig), 25,000 F (°C)");

@@ -8,9 +8,8 @@
 //! cargo run --release -p otem-bench --bin fig8_lifetime
 //! ```
 
-use otem_bench::{cycle_trace, paper_config, run, run_with, Methodology};
+use otem_bench::{cycle_trace, paper_config, run, Methodology};
 use otem_drivecycle::StandardCycle;
-use otem_telemetry::JsonlSink;
 
 /// Repeats chosen so every route lasts roughly 40–50 minutes, enough to
 /// exercise the thermal dynamics (the paper drives "multiple drive
@@ -25,18 +24,6 @@ fn repeats(cycle: StandardCycle) -> usize {
 
 fn main() {
     let config = paper_config();
-    std::fs::create_dir_all("results").expect("results dir");
-    // Telemetry is captured for one representative cycle (US06) so the
-    // JSONL logs stay bounded; the other cycles run uninstrumented.
-    let run_cycle = |m: Methodology, cycle: StandardCycle, trace: &otem_drivecycle::PowerTrace| {
-        if cycle == StandardCycle::Us06 {
-            let path = format!("results/fig8_us06_{}.jsonl", m.name().to_lowercase());
-            let sink = JsonlSink::create(&path).expect("telemetry file");
-            run_with(m, &config, trace, &sink).expect("run")
-        } else {
-            run(m, &config, trace).expect("run")
-        }
-    };
     println!("# Fig. 8 — capacity loss relative to Parallel (= 100)");
     println!(
         "{}",
@@ -56,7 +43,7 @@ fn main() {
     let mut beaten = Vec::new();
     for cycle in StandardCycle::ALL {
         let trace = cycle_trace(cycle, repeats(cycle)).expect("trace");
-        let base = run_cycle(Methodology::Parallel, cycle, &trace);
+        let base = run(Methodology::Parallel, &config, &trace).expect("run");
         let mut row = format!("{:<7} {:>10.1}", cycle.spec().name, 100.0);
         let mut best = (Methodology::Parallel, 100.0);
         for m in [
@@ -64,7 +51,7 @@ fn main() {
             Methodology::Dual,
             Methodology::Otem,
         ] {
-            let r = run_cycle(m, cycle, &trace);
+            let r = run(m, &config, &trace).expect("run");
             let ratio = r.capacity_loss() / base.capacity_loss() * 100.0;
             match m {
                 Methodology::Otem => {

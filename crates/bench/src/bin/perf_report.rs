@@ -6,7 +6,7 @@
 //! under the default iteration budget, then re-runs them under a raised
 //! budget to measure *iterations to tolerance*. Each row records forward
 //! passes and differentiated points per solve, mean iterations and the
-//! solver-outcome mix; the merged metrics snapshot closes the report.
+//! solver-outcome mix.
 //! Every field is an exact work count, so a rerun on the same commit
 //! prints the same bytes, and `crates/bench/tests/bench_record.rs`
 //! fails while the committed record is stale. Wall time per solve, with
@@ -21,8 +21,8 @@
 use otem::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem::SystemConfig;
 use otem_fleet::protocol::outcomes_json;
-use otem_fleet::SolveOutcomes;
-use otem_telemetry::{Event, MetricsRegistry, RegistrySnapshot, Sink, Tee};
+use otem_fleet::{OutcomeTally, SolveOutcomes};
+use otem_telemetry::{Event, Sink, Tee};
 use otem_thermal::ThermalState;
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,8 +60,8 @@ struct SolveStats {
     /// (a rejected line-search trial) pays for values only.
     differentiated_per_solve: f64,
     mean_iterations: f64,
-    /// The counted solves' outcome counters.
-    metrics: RegistrySnapshot,
+    /// The counted solves' outcomes.
+    outcomes: SolveOutcomes,
 }
 
 fn run_solves(p: &MpcPlant, loads: &[Watts], horizon: usize, iterations: usize) -> SolveStats {
@@ -76,10 +76,10 @@ fn run_solves(p: &MpcPlant, loads: &[Watts], horizon: usize, iterations: usize) 
     mpc.solve(p, loads, dt);
     let rollouts_before = mpc.rollouts();
     let gradients = GradientCounter::default();
-    let registry = MetricsRegistry::new();
+    let tally = OutcomeTally::new();
     let mut iters_total = 0usize;
     for _ in 0..REPS {
-        let d = mpc.solve_with(p, loads, dt, &Tee(&gradients, &registry));
+        let d = mpc.solve_with(p, loads, dt, &Tee(&gradients, &tally));
         assert!(
             d.cap_bus.is_finite() && d.cool_duty.is_finite(),
             "solve produced a non-finite command"
@@ -90,7 +90,7 @@ fn run_solves(p: &MpcPlant, loads: &[Watts], horizon: usize, iterations: usize) 
         rollouts_per_solve: (mpc.rollouts() - rollouts_before) as f64 / REPS as f64,
         differentiated_per_solve: gradients.0.load(Ordering::Relaxed) as f64 / REPS as f64,
         mean_iterations: iters_total as f64 / REPS as f64,
-        metrics: registry.snapshot(),
+        outcomes: tally.snapshot(),
     }
 }
 
@@ -102,10 +102,6 @@ fn main() {
     let p = plant(&config);
 
     let default_iters = MpcConfig::default().solver_iterations;
-    // Every row's registry merges into one snapshot, embedded in the
-    // report as the `metrics` object — the same family (and JSON shape)
-    // the serving layer exports.
-    let mut metrics = RegistrySnapshot::default();
     let mut rows = Vec::new();
     for horizon in HORIZONS {
         let loads: Vec<Watts> = (0..horizon)
@@ -115,9 +111,6 @@ fn main() {
         // Iterations-to-tolerance: same problem, raised budget, so the
         // iteration count — not the cap — decides termination.
         let adjoint_tol = run_solves(&p, &loads, horizon, TOL_BUDGET);
-        for stats in [&adjoint, &adjoint_tol] {
-            metrics.merge(&stats.metrics);
-        }
         let stats_json = |s: &SolveStats| {
             format!(
                 "{{ \"rollouts_per_solve\": {:.1}, \"differentiated_per_solve\": {:.1}, \
@@ -125,7 +118,7 @@ fn main() {
                 s.rollouts_per_solve,
                 s.differentiated_per_solve,
                 s.mean_iterations,
-                outcomes_json(&SolveOutcomes::from_snapshot(&s.metrics))
+                outcomes_json(&s.outcomes)
             )
         };
         rows.push(format!(
@@ -148,13 +141,11 @@ fn main() {
             "  \"bench\": \"mpc_solve_horizons\",\n",
             "  \"solves_per_mode\": {},\n",
             "  \"tol_budget\": {},\n",
-            "  \"results\": [\n{}\n  ],\n",
-            "  \"metrics\": {}\n",
+            "  \"results\": [\n{}\n  ]\n",
             "}}\n"
         ),
         REPS,
         TOL_BUDGET,
-        rows.join(",\n"),
-        metrics.render_json()
+        rows.join(",\n")
     );
 }

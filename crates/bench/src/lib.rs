@@ -15,7 +15,6 @@ use otem::mpc::MpcConfig;
 use otem::{OtemError, SimulationResult, Simulator, SystemConfig};
 use otem_drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 pub use otem_fleet::Methodology;
-use otem_telemetry::Sink;
 use otem_units::{Farads, Kelvin};
 
 /// The configuration the cycle-sweep experiments (Figs. 8–9) run under:
@@ -99,25 +98,6 @@ pub fn run(
 ) -> Result<SimulationResult, OtemError> {
     let mut controller = methodology.controller(config, MpcConfig::default(), None)?;
     Ok(Simulator::new(config).run(controller.as_mut(), trace))
-}
-
-/// [`run`] with structured telemetry streamed into `sink` (see
-/// `otem_telemetry`): per-step [`otem_telemetry::Event::StepCompleted`]
-/// plus whatever the methodology's controller emits (solver iterations,
-/// pool traffic, cooling toggles, ultracapacitor saturation). The result
-/// is `PartialEq`-identical to [`run`]'s for any sink.
-///
-/// # Errors
-///
-/// Propagates controller construction errors.
-pub fn run_with(
-    methodology: Methodology,
-    config: &SystemConfig,
-    trace: &PowerTrace,
-    sink: &dyn Sink,
-) -> Result<SimulationResult, OtemError> {
-    let mut controller = methodology.controller(config, MpcConfig::default(), None)?;
-    Ok(Simulator::new(config).run_with(controller.as_mut(), trace, sink))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use otem::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem::{Controller, OtemError, RunTotals, SimulationResult, StepRecord, SystemConfig};
 use otem_drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_faults::{FaultKind, FaultPlan, FaultedController};
-use otem_telemetry::{Counter, EventCounter, MetricValue, RegistrySnapshot};
+use otem_telemetry::Counter;
 use otem_units::{Farads, Kelvin, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -253,29 +253,6 @@ pub struct SolveOutcomes {
 }
 
 impl SolveOutcomes {
-    /// Reads a registry snapshot's `otem_solve_outcome_total`, summed
-    /// over `mode`; unknown outcome names are ignored.
-    pub fn from_snapshot(snapshot: &RegistrySnapshot) -> Self {
-        let mut out = Self::default();
-        let family = snapshot.families.get(EventCounter::SOLVE_OUTCOMES.name);
-        for (values, value) in family.iter().flat_map(|f| &f.children) {
-            // Label values are in sorted label-name order: `outcome`
-            // follows `mode`.
-            let (Some(outcome), &MetricValue::Counter(n)) = (values.last(), value) else {
-                continue;
-            };
-            match outcome.as_str() {
-                "converged" => out.converged += n,
-                "budget_exhausted" => out.budget_exhausted += n,
-                "stalled" => out.stalled += n,
-                "non_finite" => out.non_finite += n,
-                "deadline_reached" => out.deadline_reached += n,
-                _ => {}
-            }
-        }
-        out
-    }
-
     /// Total solves observed.
     pub fn total(&self) -> u64 {
         self.converged

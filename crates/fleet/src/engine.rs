@@ -6,7 +6,7 @@ use crate::campaign::{
 use crate::pool::fan_stealing;
 use otem::mpc::Clock;
 use otem::{OtemError, Simulator};
-use otem_telemetry::{Event, Histogram, MetricsRegistry, NullSink, Sink, Tee};
+use otem_telemetry::{Counter, Event, Histogram, NullSink, Sink, Tee};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,12 +35,18 @@ impl Schedule {
     }
 }
 
-/// Counts MPC solve outcomes: a [`MetricsRegistry`] sink read back as
-/// [`SolveOutcomes`]. Like the registry it is never `enabled()`, and its
-/// increments commute, so campaign totals are schedule- and
-/// shard-independent.
+/// Counts MPC solve outcomes ([`Event::SolveOutcome`]) by outcome, one
+/// relaxed atomic add per solve. Like the metrics registry it is never
+/// `enabled()`, and its increments commute, so campaign totals are
+/// schedule- and shard-independent.
 #[derive(Debug, Default)]
-pub struct OutcomeTally(MetricsRegistry);
+pub struct OutcomeTally {
+    converged: Counter,
+    budget_exhausted: Counter,
+    stalled: Counter,
+    non_finite: Counter,
+    deadline_reached: Counter,
+}
 
 impl OutcomeTally {
     /// An empty tally.
@@ -48,17 +54,37 @@ impl OutcomeTally {
         Self::default()
     }
 
-    /// The counts observed so far, summed over the `mode` label.
+    /// The counts observed so far.
     pub fn snapshot(&self) -> SolveOutcomes {
-        SolveOutcomes::from_snapshot(&self.0.snapshot())
+        SolveOutcomes {
+            converged: self.converged.get(),
+            budget_exhausted: self.budget_exhausted.get(),
+            stalled: self.stalled.get(),
+            non_finite: self.non_finite.get(),
+            deadline_reached: self.deadline_reached.get(),
+        }
     }
 }
 
+/// Unknown outcome names and every other event kind pass.
 impl Sink for OutcomeTally {
+    #[inline]
     fn record(&self, event: Event) {
-        self.0.record(event);
+        let Event::SolveOutcome { outcome, .. } = event else {
+            return;
+        };
+        let counter = match outcome {
+            "converged" => &self.converged,
+            "budget_exhausted" => &self.budget_exhausted,
+            "stalled" => &self.stalled,
+            "non_finite" => &self.non_finite,
+            "deadline_reached" => &self.deadline_reached,
+            _ => return,
+        };
+        counter.inc();
     }
 
+    #[inline]
     fn enabled(&self) -> bool {
         false
     }

@@ -288,7 +288,7 @@ impl ServerState {
         self.uptime.set(self.started.elapsed().as_secs_f64());
         self.in_flight_gauge
             .set(self.in_flight.load(Ordering::Relaxed) as f64);
-        self.registry.snapshot().render_prometheus()
+        self.registry.render_prometheus()
     }
 }
 
@@ -604,19 +604,9 @@ impl ServerHandle {
         self.state.event_total(EventCounter::REQUEST_TIMEOUTS)
     }
 
-    /// Request-handler panics contained by the pool.
-    pub fn panics(&self) -> u64 {
-        self.state.event_total(EventCounter::REQUEST_PANICS)
-    }
-
     /// Per-vehicle panics contained inside fleet campaigns.
     pub fn vehicle_panics(&self) -> u64 {
         self.state.event_total(EventCounter::VEHICLE_PANICS)
-    }
-
-    /// Failed `accept(2)` calls.
-    pub fn accept_errors(&self) -> u64 {
-        self.state.accept_errors.get()
     }
 
     /// Signals shutdown, wakes the accept loop and joins the serving

@@ -244,16 +244,6 @@ impl HybridHees {
         &self.cap
     }
 
-    /// The battery-side converter.
-    pub fn battery_converter(&self) -> &DcDcConverter {
-        &self.battery_converter
-    }
-
-    /// The ultracapacitor-side converter.
-    pub fn cap_converter(&self) -> &DcDcConverter {
-        &self.cap_converter
-    }
-
     /// Battery state of charge.
     #[inline]
     pub fn soc(&self) -> Ratio {

@@ -18,8 +18,7 @@
 //!   [`NullSink`] (the default: every record is a no-op, the instrumented
 //!   code path is bit-identical to an uninstrumented run),
 //!   [`MemorySink`] (bounded ring buffer for tests and in-process
-//!   inspection), [`JsonlSink`] (streaming JSON-lines writer for
-//!   `results/`) and [`Tee`] (fans one stream out to two sinks).
+//!   inspection), [`JsonlSink`] (streaming JSON-lines writer) and [`Tee`] (fans one stream out to two sinks).
 //! * [`span`] / [`Span`] / [`SpanGuard`] — hierarchical timed spans on
 //!   a monotonic clock: *where the time went* inside an MPC solve,
 //!   nested via a thread-local stack and closed by RAII. Consumed
@@ -33,8 +32,7 @@
 //! * [`RingBuffer`] — the bounded FIFO behind [`MemorySink`], exposed
 //!   for reuse.
 //! * [`MetricsRegistry`] — named counter/gauge/histogram *families*
-//!   with label sets, commutative snapshots, and hand-rolled
-//!   Prometheus text exposition (validated by the parser in
+//!   with label sets and hand-rolled Prometheus text exposition (validated by the parser in
 //!   [`promparse`]). The registry is also a [`Sink`]: one table maps
 //!   solve outcomes, sheds, timeouts and contained panics to their
 //!   counter families ([`EventCounter`]) — the one event→metrics path.
@@ -89,9 +87,7 @@ pub use context::{current_request_id, request_scope, RequestScope};
 pub use event::{write_json_string, Event};
 pub use flight::{FlightDump, FlightEntry, FlightRecorder};
 pub use metrics::{Counter, Gauge, Histogram};
-pub use registry::{
-    EventCounter, FamilySnapshot, MetricKind, MetricValue, MetricsRegistry, RegistrySnapshot,
-};
+pub use registry::{EventCounter, MetricsRegistry};
 pub use ring::RingBuffer;
 pub use sink::{ChromeTraceSink, JsonlSink, MemorySink, NullSink, Sink, Tee};
 pub use span::{span, Span, SpanGuard};

@@ -40,12 +40,6 @@ impl Counter {
     }
 }
 
-impl Clone for Counter {
-    fn clone(&self) -> Self {
-        Self(AtomicU64::new(self.get()))
-    }
-}
-
 /// A last-value-wins gauge over `f64` (stored as bits in an atomic).
 ///
 /// ```
@@ -77,14 +71,6 @@ impl Gauge {
 impl Default for Gauge {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for Gauge {
-    fn clone(&self) -> Self {
-        let g = Gauge::new();
-        g.set(self.get());
-        g
     }
 }
 
@@ -276,32 +262,6 @@ impl Histogram {
         }
         self.bounds[self.bounds.len() - 1]
     }
-
-    /// Adds every bucket of `other` into `self`. Merging is commutative
-    /// and associative on the per-bucket counts, so the merge order of
-    /// a set of histograms never matters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket edges differ.
-    pub fn merge(&self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bucket edges"
-        );
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.add_to_sum(other.sum());
-    }
-}
-
-impl Clone for Histogram {
-    fn clone(&self) -> Self {
-        let fresh = Histogram::with_bounds(&self.bounds);
-        fresh.merge(self);
-        fresh
-    }
 }
 
 #[cfg(test)]
@@ -314,7 +274,6 @@ mod tests {
         c.inc();
         c.add(10);
         assert_eq!(c.get(), 11);
-        assert_eq!(c.clone().get(), 11);
     }
 
     #[test]
@@ -398,42 +357,23 @@ mod tests {
     }
 
     #[test]
-    fn sum_tracks_finite_observations_and_merges() {
+    fn sum_tracks_finite_observations() {
         let h = Histogram::with_bounds(&[1.0, 10.0]);
         h.observe(0.5);
         h.observe(5.0);
         h.observe(f64::NAN); // counted, excluded from the sum
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 5.5);
-        let other = Histogram::with_bounds(&[1.0, 10.0]);
-        other.observe(4.5);
-        h.merge(&other);
+        h.observe(f64::INFINITY);
+        h.observe(4.5);
+        assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 10.0);
-        assert_eq!(h.clone().sum(), 10.0, "clone carries the sum");
-    }
-
-    #[test]
-    fn merge_adds_bucketwise() {
-        let a = Histogram::with_bounds(&[10.0, 20.0]);
-        let b = Histogram::with_bounds(&[10.0, 20.0]);
-        a.observe(5.0);
-        b.observe(15.0);
-        b.observe(25.0);
-        a.merge(&b);
-        assert_eq!(a.snapshot(), vec![1, 1, 1]);
-        assert_eq!(b.snapshot(), vec![0, 1, 1], "source unchanged");
     }
 
     #[test]
     fn exponential_edges_grow_geometrically() {
         let h = Histogram::exponential(1.0, 2.0, 4);
         assert_eq!(h.bounds(), &[1.0, 2.0, 4.0, 8.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket edges")]
-    fn merging_mismatched_edges_panics() {
-        Histogram::with_bounds(&[1.0]).merge(&Histogram::with_bounds(&[2.0]));
     }
 
     #[test]

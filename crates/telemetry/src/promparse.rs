@@ -1,10 +1,10 @@
 //! A small hand-rolled parser for the Prometheus text exposition
-//! format (v0.0.4) — the *other half* of [`crate::RegistrySnapshot::
+//! format (v0.0.4) — the *other half* of [`crate::MetricsRegistry::
 //! render_prometheus`].
 //!
 //! It exists so the exposition can be verified mechanically instead of
 //! by substring matching: the property suite round-trips rendered
-//! snapshots through it, and the fleet server's round-trip test
+//! registries through it, and the fleet server's round-trip test
 //! scrapes a live `/metrics` and runs [`validate_exposition`] over the
 //! bytes on the wire. It is a *validator*, not a general scrape
 //! client: unknown syntax is an error, never skipped.

@@ -1,6 +1,6 @@
 //! The unified metric registry: named counter/gauge/histogram
-//! *families* with label sets, lock-free hot paths, commutative
-//! snapshots, and hand-rolled Prometheus v0.0.4 text exposition.
+//! *families* with label sets, lock-free hot paths, and hand-rolled
+//! Prometheus v0.0.4 text exposition.
 //!
 //! # Model
 //!
@@ -12,9 +12,10 @@
 //! registry existed: one relaxed atomic op, no lock, no allocation.
 //! The registry's mutex is touched only at registration/lookup time —
 //! call sites resolve their handle once and cache the `Arc`, and a
-//! lookup of an already-registered child allocates nothing. A registry
-//! is also a [`Sink`] that counts events through one table (see
-//! [`EventCounter`]).
+//! lookup of an already-registered child allocates nothing — and by
+//! [`MetricsRegistry::render_prometheus`], which reads every child
+//! under it. A registry is also a [`Sink`] that counts events through
+//! one table (see [`EventCounter`]).
 //!
 //! # Label-order independence
 //!
@@ -23,17 +24,6 @@
 //! `[("mode", "adjoint"), ("outcome", "converged")]` and
 //! `[("outcome", "converged"), ("mode", "adjoint")]` resolve to the
 //! same child and render identically. The property suite pins this.
-//!
-//! # Snapshot and merge
-//!
-//! [`MetricsRegistry::snapshot`] captures plain data
-//! ([`RegistrySnapshot`]) that can be merged across worker threads or
-//! processes: counters and histogram buckets add, gauges **sum** —
-//! a deliberate choice that keeps the merge commutative and
-//! associative (per-worker gauges are treated as additive
-//! contributions, e.g. per-worker in-flight counts summing to the
-//! fleet total). The bench bins fold merged snapshots into their
-//! BENCH outputs; the server renders them at `/metrics`.
 
 use crate::event::Event;
 use crate::metrics::{Counter, Gauge, Histogram};
@@ -44,7 +34,7 @@ use std::sync::{Arc, Mutex};
 
 /// What a family measures — fixed at first registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+enum MetricKind {
     /// Monotone counter (`_total` by convention).
     Counter,
     /// Last-value (or summed-contribution) gauge.
@@ -55,7 +45,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// The `# TYPE` keyword for this kind.
-    pub fn as_str(self) -> &'static str {
+    fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -272,39 +262,66 @@ impl MetricsRegistry {
         }
     }
 
-    /// Captures every family and child as plain data, suitable for
-    /// merging across workers and rendering (Prometheus text or JSON).
-    pub fn snapshot(&self) -> RegistrySnapshot {
+    /// Renders every family in the Prometheus text exposition format
+    /// (v0.0.4): `# HELP` / `# TYPE` headers, escaped label values,
+    /// and histograms as cumulative `_bucket{le=...}` series plus
+    /// `_sum` / `_count`. Output is deterministic (families and
+    /// children in sorted order); children are read under the
+    /// registry's lock.
+    pub fn render_prometheus(&self) -> String {
         let families = self.families.lock().expect("metrics registry poisoned");
-        let mut out = BTreeMap::new();
+        let mut out = String::with_capacity(1024);
         for (name, family) in families.iter() {
-            let children = family
-                .children
-                .iter()
-                .map(|(values, child)| {
-                    let value = match child {
-                        Child::Counter(c) => MetricValue::Counter(c.get()),
-                        Child::Gauge(g) => MetricValue::Gauge(g.get()),
-                        Child::Histogram(h) => MetricValue::Histogram {
-                            bounds: h.bounds().to_vec(),
-                            counts: h.snapshot(),
-                            sum: h.sum(),
-                        },
-                    };
-                    (values.clone(), value)
-                })
-                .collect();
-            out.insert(
-                name.clone(),
-                FamilySnapshot {
-                    help: family.help.clone(),
-                    kind: family.kind,
-                    label_names: family.label_names.clone(),
-                    children,
-                },
-            );
+            out.push_str("# HELP ");
+            out.push_str(name);
+            out.push(' ');
+            escape_help(&mut out, &family.help);
+            out.push('\n');
+            out.push_str("# TYPE ");
+            out.push_str(name);
+            out.push(' ');
+            out.push_str(family.kind.as_str());
+            out.push('\n');
+            let labels = &family.label_names;
+            for (values, child) in &family.children {
+                match child {
+                    Child::Counter(c) => {
+                        write_sample(&mut out, name, labels, values, None);
+                        let _ = writeln!(out, " {}", c.get());
+                    }
+                    Child::Gauge(g) => {
+                        write_sample(&mut out, name, labels, values, None);
+                        out.push(' ');
+                        write_f64(&mut out, g.get());
+                        out.push('\n');
+                    }
+                    Child::Histogram(h) => {
+                        // One read of the buckets, so `+Inf` and
+                        // `_count` agree under concurrent observations.
+                        let counts = h.snapshot();
+                        let bucket = format!("{name}_bucket");
+                        let mut cum = 0u64;
+                        for (&edge, count) in h.bounds().iter().zip(&counts) {
+                            cum += count;
+                            let mut le = String::new();
+                            write_f64(&mut le, edge);
+                            write_sample(&mut out, &bucket, labels, values, Some(&le));
+                            let _ = writeln!(out, " {cum}");
+                        }
+                        cum += counts.last().copied().unwrap_or(0);
+                        write_sample(&mut out, &bucket, labels, values, Some("+Inf"));
+                        let _ = writeln!(out, " {cum}");
+                        write_sample(&mut out, &format!("{name}_sum"), labels, values, None);
+                        out.push(' ');
+                        write_f64(&mut out, h.sum());
+                        out.push('\n');
+                        write_sample(&mut out, &format!("{name}_count"), labels, values, None);
+                        let _ = writeln!(out, " {cum}");
+                    }
+                }
+            }
         }
-        RegistrySnapshot { families: out }
+        out
     }
 }
 
@@ -371,255 +388,6 @@ impl Sink for MetricsRegistry {
     #[inline]
     fn enabled(&self) -> bool {
         false
-    }
-}
-
-/// One child's captured value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Counter value.
-    Counter(u64),
-    /// Gauge value.
-    Gauge(f64),
-    /// Histogram state: per-bucket counts (finite buckets first,
-    /// overflow last) plus the sum of finite observations.
-    Histogram {
-        /// Inclusive upper bucket edges.
-        bounds: Vec<f64>,
-        /// Per-bucket counts (`bounds.len() + 1` entries; overflow
-        /// last).
-        counts: Vec<u64>,
-        /// Sum of finite observations.
-        sum: f64,
-    },
-}
-
-/// One family's captured state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FamilySnapshot {
-    /// The `# HELP` text.
-    pub help: String,
-    /// Counter / gauge / histogram.
-    pub kind: MetricKind,
-    /// Canonical (sorted) label names.
-    pub label_names: Vec<String>,
-    /// Children keyed by label values in `label_names` order.
-    pub children: BTreeMap<Vec<String>, MetricValue>,
-}
-
-/// A point-in-time capture of a whole registry: plain data, mergeable,
-/// renderable.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RegistrySnapshot {
-    /// Families keyed by metric name.
-    pub families: BTreeMap<String, FamilySnapshot>,
-}
-
-impl RegistrySnapshot {
-    /// Folds `other` into `self`. The merge is commutative and
-    /// associative: counters and histogram buckets/sums add, and
-    /// gauges **sum** (per-worker gauges are additive contributions —
-    /// see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the same family name appears with a different kind,
-    /// label set, or histogram bucket edges.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for (name, theirs) in &other.families {
-            let Some(mine) = self.families.get_mut(name) else {
-                self.families.insert(name.clone(), theirs.clone());
-                continue;
-            };
-            assert_eq!(
-                mine.kind, theirs.kind,
-                "cannot merge {name:?}: kinds differ"
-            );
-            assert_eq!(
-                mine.label_names, theirs.label_names,
-                "cannot merge {name:?}: label sets differ"
-            );
-            for (values, value) in &theirs.children {
-                let Some(existing) = mine.children.get_mut(values) else {
-                    mine.children.insert(values.clone(), value.clone());
-                    continue;
-                };
-                match (existing, value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
-                    (
-                        MetricValue::Histogram {
-                            bounds: ab,
-                            counts: ac,
-                            sum: asum,
-                        },
-                        MetricValue::Histogram {
-                            bounds: bb,
-                            counts: bc,
-                            sum: bsum,
-                        },
-                    ) => {
-                        assert_eq!(ab, bb, "cannot merge {name:?}: bucket edges differ");
-                        for (a, b) in ac.iter_mut().zip(bc.iter()) {
-                            *a += b;
-                        }
-                        *asum += bsum;
-                    }
-                    _ => unreachable!("kind equality checked above"),
-                }
-            }
-        }
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (v0.0.4): `# HELP` / `# TYPE` headers, escaped label values,
-    /// and histograms as cumulative `_bucket{le=...}` series plus
-    /// `_sum` / `_count`. Output is deterministic (families and
-    /// children in sorted order).
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        for (name, family) in &self.families {
-            out.push_str("# HELP ");
-            out.push_str(name);
-            out.push(' ');
-            escape_help(&mut out, &family.help);
-            out.push('\n');
-            out.push_str("# TYPE ");
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(family.kind.as_str());
-            out.push('\n');
-            for (values, value) in &family.children {
-                match value {
-                    MetricValue::Counter(v) => {
-                        write_sample(&mut out, name, &family.label_names, values, None);
-                        let _ = writeln!(out, " {v}");
-                    }
-                    MetricValue::Gauge(v) => {
-                        write_sample(&mut out, name, &family.label_names, values, None);
-                        out.push(' ');
-                        write_f64(&mut out, *v);
-                        out.push('\n');
-                    }
-                    MetricValue::Histogram {
-                        bounds,
-                        counts,
-                        sum,
-                    } => {
-                        let bucket = format!("{name}_bucket");
-                        let mut cum = 0u64;
-                        for (edge, count) in bounds.iter().zip(counts.iter()) {
-                            cum += count;
-                            let mut le = String::new();
-                            write_f64(&mut le, *edge);
-                            write_sample(&mut out, &bucket, &family.label_names, values, Some(&le));
-                            let _ = writeln!(out, " {cum}");
-                        }
-                        cum += counts.last().copied().unwrap_or(0);
-                        write_sample(&mut out, &bucket, &family.label_names, values, Some("+Inf"));
-                        let _ = writeln!(out, " {cum}");
-                        write_sample(
-                            &mut out,
-                            &format!("{name}_sum"),
-                            &family.label_names,
-                            values,
-                            None,
-                        );
-                        out.push(' ');
-                        write_f64(&mut out, *sum);
-                        out.push('\n');
-                        write_sample(
-                            &mut out,
-                            &format!("{name}_count"),
-                            &family.label_names,
-                            values,
-                            None,
-                        );
-                        let _ = writeln!(out, " {cum}");
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Renders the snapshot as one compact JSON object keyed by metric
-    /// name — the shape the bench bins fold into their BENCH outputs.
-    ///
-    /// Counters/gauges: `{"kind":..,"samples":[{"labels":{..},
-    /// "value":..}]}`; histograms carry `bounds`/`counts`/`sum`/
-    /// `count` instead of `value`.
-    pub fn render_json(&self) -> String {
-        use crate::event::write_json_string;
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        let mut first_family = true;
-        for (name, family) in &self.families {
-            if !first_family {
-                out.push(',');
-            }
-            first_family = false;
-            write_json_string(&mut out, name);
-            let _ = write!(
-                out,
-                ":{{\"kind\":\"{}\",\"samples\":[",
-                family.kind.as_str()
-            );
-            let mut first_child = true;
-            for (values, value) in &family.children {
-                if !first_child {
-                    out.push(',');
-                }
-                first_child = false;
-                out.push_str("{\"labels\":{");
-                for (i, (label, val)) in family.label_names.iter().zip(values).enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(&mut out, label);
-                    out.push(':');
-                    write_json_string(&mut out, val);
-                }
-                out.push('}');
-                match value {
-                    MetricValue::Counter(v) => {
-                        let _ = write!(out, ",\"value\":{v}");
-                    }
-                    MetricValue::Gauge(v) => {
-                        out.push_str(",\"value\":");
-                        write_json_f64(&mut out, *v);
-                    }
-                    MetricValue::Histogram {
-                        bounds,
-                        counts,
-                        sum,
-                    } => {
-                        out.push_str(",\"bounds\":[");
-                        for (i, b) in bounds.iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            write_json_f64(&mut out, *b);
-                        }
-                        out.push_str("],\"counts\":[");
-                        for (i, c) in counts.iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            let _ = write!(out, "{c}");
-                        }
-                        out.push_str("],\"sum\":");
-                        write_json_f64(&mut out, *sum);
-                        let total: u64 = counts.iter().sum();
-                        let _ = write!(out, ",\"count\":{total}");
-                    }
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -698,15 +466,6 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Writes an `f64` as JSON (non-finite values encode as `null`).
-fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,47 +520,11 @@ mod tests {
         let _ = MetricsRegistry::new().counter("m", "h", &[("a", "1"), ("a", "2")]);
     }
 
-    #[test]
-    fn snapshot_merge_adds_counters_and_buckets() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.counter("c_total", "h", &[]).add(2);
-        b.counter("c_total", "h", &[]).add(3);
-        a.gauge("g", "h", &[]).set(1.5);
-        b.gauge("g", "h", &[]).set(2.5);
-        a.histogram("h_seconds", "h", &[], &[1.0, 10.0])
-            .observe(0.5);
-        b.histogram("h_seconds", "h", &[], &[1.0, 10.0])
-            .observe(5.0);
-        let mut left = a.snapshot();
-        let mut right = b.snapshot();
-        let mut swapped = right.clone();
-        left.merge(&b.snapshot());
-        swapped.merge(&a.snapshot());
-        assert_eq!(left, swapped, "merge is commutative");
-        right.merge(&a.snapshot());
-        assert_eq!(
-            left.families["c_total"].children[&Vec::<String>::new()],
-            MetricValue::Counter(5)
-        );
-        assert_eq!(
-            left.families["g"].children[&Vec::<String>::new()],
-            MetricValue::Gauge(4.0),
-            "gauges sum-merge"
-        );
-        assert_eq!(
-            left.families["h_seconds"].children[&Vec::<String>::new()],
-            MetricValue::Histogram {
-                bounds: vec![1.0, 10.0],
-                counts: vec![1, 1, 0],
-                sum: 5.5
-            }
-        );
-    }
-
     /// Every `Event` kind once through one registry: a tabled kind moves
     /// exactly its family's child labelled from the event, by 1; any
-    /// other kind leaves the snapshot unchanged.
+    /// other kind leaves the exposition unchanged. After each event the
+    /// registry renders the same bytes as a second registry that received
+    /// only the expected increment.
     #[test]
     fn registry_sink_counts_exactly_the_tabled_events() {
         let every = [
@@ -898,7 +621,26 @@ mod tests {
         let reg = MetricsRegistry::new();
         assert!(!reg.enabled(), "call sites keep their zero-cost path");
         reg.register_event_counters();
-        assert_eq!(reg.snapshot().families.len(), 4, "ops families at zero");
+        let text = reg.render_prometheus();
+        assert_eq!(text.matches("# TYPE ").count(), 4, "ops families at zero");
+        assert_eq!(text.matches(" 0\n").count(), 4, "{text}");
+        let want = MetricsRegistry::new();
+        want.register_event_counters();
+        let help = |name: &str| {
+            use EventCounter as E;
+            let table = [
+                E::SOLVE_OUTCOMES,
+                E::REQUESTS_SHED,
+                E::REQUEST_TIMEOUTS,
+                E::REQUEST_PANICS,
+                E::VEHICLE_PANICS,
+            ];
+            table
+                .into_iter()
+                .find(|f| f.name == name)
+                .expect("tabled")
+                .help
+        };
         for event in every {
             // No wildcard: a new variant does not compile until it is
             // classified here.
@@ -933,16 +675,15 @@ mod tests {
                 | Event::VehicleStarted { .. }
                 | Event::StepCompleted { .. } => None,
             };
-            let before = reg.snapshot();
             reg.record(event);
-            let after = reg.snapshot();
-            let mut want = before.clone();
             if let Some((name, labels)) = expected {
-                let one = MetricsRegistry::new();
-                one.counter(name, &after.families[name].help, &labels).inc();
-                want.merge(&one.snapshot());
+                want.counter(name, help(name), &labels).inc();
             }
-            assert_eq!(after, want, "{event:?}");
+            assert_eq!(
+                reg.render_prometheus(),
+                want.render_prometheus(),
+                "{event:?}"
+            );
         }
     }
 
@@ -954,12 +695,17 @@ mod tests {
         let _ = reg.counter("m_total", "other", &[("a", "1")]);
     }
 
+    /// The exact `/metrics` bytes of a fixed registry: a counter with an
+    /// escaped label value and help text, a histogram with an overflow
+    /// observation (cumulative buckets), a label-free gauge and the four
+    /// event families at zero.
     #[test]
     fn prometheus_rendering_is_cumulative_and_escaped() {
         let reg = MetricsRegistry::new();
+        reg.register_event_counters();
         reg.counter(
             "otem_requests_total",
-            "Total requests.",
+            "Total requests\\by route\n(all).",
             &[("route", "/a\"b\\c\nd")],
         )
         .add(7);
@@ -973,39 +719,33 @@ mod tests {
         h.observe(0.5);
         h.observe(5.0);
         reg.gauge("otem_up", "Uptime.", &[]).set(12.5);
-        let text = reg.snapshot().render_prometheus();
-        assert!(text.contains("# HELP otem_requests_total Total requests.\n"));
-        assert!(text.contains("# TYPE otem_requests_total counter\n"));
-        assert!(
-            text.contains("otem_requests_total{route=\"/a\\\"b\\\\c\\nd\"} 7\n"),
-            "{text}"
+        let expected = concat!(
+            "# HELP otem_lat_seconds Latency.\n",
+            "# TYPE otem_lat_seconds histogram\n",
+            "otem_lat_seconds_bucket{route=\"/plan\",le=\"0.1\"} 1\n",
+            "otem_lat_seconds_bucket{route=\"/plan\",le=\"1\"} 2\n",
+            "otem_lat_seconds_bucket{route=\"/plan\",le=\"+Inf\"} 3\n",
+            "otem_lat_seconds_sum{route=\"/plan\"} 5.55\n",
+            "otem_lat_seconds_count{route=\"/plan\"} 3\n",
+            "# HELP otem_request_panics_total Request-handler panics contained by catch_unwind.\n",
+            "# TYPE otem_request_panics_total counter\n",
+            "otem_request_panics_total 0\n",
+            "# HELP otem_request_timeouts_total Requests cut off by a socket deadline (408).\n",
+            "# TYPE otem_request_timeouts_total counter\n",
+            "otem_request_timeouts_total 0\n",
+            "# HELP otem_requests_shed_total Connections refused with 503 because the worker queue was full.\n",
+            "# TYPE otem_requests_shed_total counter\n",
+            "otem_requests_shed_total 0\n",
+            "# HELP otem_requests_total Total requests\\\\by route\\n(all).\n",
+            "# TYPE otem_requests_total counter\n",
+            "otem_requests_total{route=\"/a\\\"b\\\\c\\nd\"} 7\n",
+            "# HELP otem_up Uptime.\n",
+            "# TYPE otem_up gauge\n",
+            "otem_up 12.5\n",
+            "# HELP otem_vehicle_panics_total Per-vehicle panics contained inside fleet campaigns.\n",
+            "# TYPE otem_vehicle_panics_total counter\n",
+            "otem_vehicle_panics_total 0\n",
         );
-        assert!(text.contains("# TYPE otem_lat_seconds histogram\n"));
-        assert!(text.contains("otem_lat_seconds_bucket{route=\"/plan\",le=\"0.1\"} 1\n"));
-        assert!(text.contains("otem_lat_seconds_bucket{route=\"/plan\",le=\"1\"} 2\n"));
-        assert!(text.contains("otem_lat_seconds_bucket{route=\"/plan\",le=\"+Inf\"} 3\n"));
-        assert!(text.contains("otem_lat_seconds_sum{route=\"/plan\"} 5.55\n"));
-        assert!(text.contains("otem_lat_seconds_count{route=\"/plan\"} 3\n"));
-        assert!(
-            text.contains("otem_up 12.5\n"),
-            "bare sample without labels"
-        );
-    }
-
-    #[test]
-    fn json_rendering_carries_labels_and_histogram_state() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c_total", "h", &[("k", "v")]).add(4);
-        reg.histogram("lat", "h", &[], &[1.0]).observe(0.5);
-        let json = reg.snapshot().render_json();
-        assert!(json.contains("\"c_total\":{\"kind\":\"counter\""), "{json}");
-        assert!(
-            json.contains("{\"labels\":{\"k\":\"v\"},\"value\":4}"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"bounds\":[1],\"counts\":[1,0],\"sum\":0.5,\"count\":1"),
-            "{json}"
-        );
+        assert_eq!(reg.render_prometheus(), expected);
     }
 }

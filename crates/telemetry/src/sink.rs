@@ -5,9 +5,7 @@ use crate::metrics::Counter;
 use crate::ring::RingBuffer;
 use crate::span;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::Write;
 use std::sync::Mutex;
 
 /// An event consumer.
@@ -143,8 +141,8 @@ impl Sink for MemorySink {
     }
 }
 
-/// Streams events as JSON lines to any writer — the sink behind the
-/// `results/*.jsonl` telemetry the experiment bins produce.
+/// Streams events as JSON lines to any writer — the sink behind
+/// `/simulate`'s `"telemetry":"jsonl"` responses.
 ///
 /// The encode buffer is reused across records, so steady-state
 /// recording performs no allocation beyond what the writer itself does.
@@ -168,18 +166,6 @@ struct JsonlState<W> {
     /// no-op).
     writer: Option<W>,
     buf: String,
-}
-
-impl JsonlSink<BufWriter<File>> {
-    /// Creates (truncating) `path` and streams events into it through a
-    /// buffered writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(Self::new(BufWriter::new(File::create(path)?)))
-    }
 }
 
 impl<W: Write + Send> JsonlSink<W> {
@@ -287,18 +273,6 @@ struct ChromeState<W> {
     any: bool,
 }
 
-impl ChromeTraceSink<BufWriter<File>> {
-    /// Creates (truncating) `path` and streams the trace into it
-    /// through a buffered writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(Self::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
 impl<W: Write + Send> ChromeTraceSink<W> {
     /// Wraps the writer.
     pub fn new(writer: W) -> Self {
@@ -389,6 +363,7 @@ impl<W: Write + Send> Sink for ChromeTraceSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io;
 
     /// Two events of different kinds, used where any event will do.
     const FILLER: Event = Event::GradientEval { dim: 2 };

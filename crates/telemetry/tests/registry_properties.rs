@@ -1,11 +1,12 @@
-//! Property tests for the metrics registry: snapshot merge is
-//! commutative and label-order independent, and the Prometheus text
-//! exposition round-trips — every value a snapshot holds is readable
-//! back out of the rendered text through the hand-rolled parser.
+//! Property tests for the metrics registry: the Prometheus text
+//! exposition is label-order independent, and it round-trips — every
+//! value an operation history leaves behind is readable back out of the
+//! rendered text through the hand-rolled parser.
 
 use otem_telemetry::promparse::validate_exposition;
-use otem_telemetry::{MetricValue, MetricsRegistry, RegistrySnapshot};
+use otem_telemetry::MetricsRegistry;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const MODES: [&str; 3] = ["adjoint", "serial", "finite_diff"];
 const OUTCOMES: [&str; 3] = ["converged", "stalled", "deadline_reached"];
@@ -16,103 +17,123 @@ const COUNTER_HELP: &str = "Property-suite counter.";
 const GAUGE_HELP: &str = "Property-suite gauge.";
 const HIST_HELP: &str = "Property-suite histogram.";
 
-/// Applies one encoded operation to `reg`. The encoding packs an
-/// operation kind, a label choice, a label *order* bit (so the suite
-/// exercises both `[mode, outcome]` and `[outcome, mode]` on the same
-/// family), and a magnitude into a single `u64`.
-fn apply(reg: &MetricsRegistry, op: u64) {
+/// One decoded operation. The encoding packs an operation kind, a label
+/// choice, a label *order* bit (so the suite exercises both
+/// `[mode, outcome]` and `[outcome, mode]` on the same family), and a
+/// magnitude into a single `u64`.
+enum Op {
+    Count {
+        labels: [(&'static str, &'static str); 2],
+        n: u64,
+    },
+    Set {
+        shard: &'static str,
+        value: f64,
+    },
+    Observe {
+        route: &'static str,
+        value: f64,
+    },
+}
+
+fn decode(op: u64) -> Op {
     let kind = op % 3;
     let pick = ((op / 3) % 9) as usize;
     let swapped = (op / 27) % 2 == 1;
     let magnitude = op / 54;
     match kind {
         0 => {
-            let mode = MODES[pick % 3];
-            let outcome = OUTCOMES[pick / 3];
-            let labels_fwd = [("mode", mode), ("outcome", outcome)];
-            let labels_rev = [("outcome", outcome), ("mode", mode)];
-            let labels: &[(&str, &str)] = if swapped { &labels_rev } else { &labels_fwd };
-            reg.counter("otem_prop_total", COUNTER_HELP, labels)
-                .add(magnitude % 100);
+            let mode = ("mode", MODES[pick % 3]);
+            let outcome = ("outcome", OUTCOMES[pick / 3]);
+            Op::Count {
+                labels: if swapped {
+                    [outcome, mode]
+                } else {
+                    [mode, outcome]
+                },
+                n: magnitude % 100,
+            }
         }
-        1 => {
-            let shard = ROUTES[pick % 3];
-            reg.gauge("otem_prop_shard_load", GAUGE_HELP, &[("shard", shard)])
-                .set((magnitude % 64) as f64 * 0.25);
-        }
-        _ => {
-            let route = ROUTES[pick % 3];
-            // Dyadic values keep f64 sums exact, so merge-order
-            // identities hold bit-for-bit rather than approximately.
-            reg.histogram("otem_prop_seconds", HIST_HELP, &[("route", route)], &BOUNDS)
-                .observe((magnitude % 4096) as f64 * (1.0 / 1024.0));
-        }
+        1 => Op::Set {
+            shard: ROUTES[pick % 3],
+            value: (magnitude % 64) as f64 * 0.25,
+        },
+        // Dyadic values keep f64 sums exact, so the model's sums equal
+        // the histogram's bit for bit.
+        _ => Op::Observe {
+            route: ROUTES[pick % 3],
+            value: (magnitude % 4096) as f64 * (1.0 / 1024.0),
+        },
     }
 }
 
 fn build(ops: &[u64]) -> MetricsRegistry {
     let reg = MetricsRegistry::new();
     for &op in ops {
-        apply(&reg, op);
+        match decode(op) {
+            Op::Count { labels, n } => reg.counter("otem_prop_total", COUNTER_HELP, &labels).add(n),
+            Op::Set { shard, value } => reg
+                .gauge("otem_prop_shard_load", GAUGE_HELP, &[("shard", shard)])
+                .set(value),
+            Op::Observe { route, value } => reg
+                .histogram("otem_prop_seconds", HIST_HELP, &[("route", route)], &BOUNDS)
+                .observe(value),
+        }
     }
     reg
 }
 
+/// What one child of the model holds after an operation history.
+#[derive(Debug, Clone, Copy)]
+enum Expected {
+    Counter(u64),
+    Gauge(f64),
+    Histogram { count: u64, sum: f64 },
+}
+
+/// Children keyed by their canonical (name-sorted) label set.
+type Children = BTreeMap<Vec<(&'static str, &'static str)>, Expected>;
+
+/// The values an operation history must leave behind, computed without
+/// a registry: per family, per child.
+fn model(ops: &[u64]) -> BTreeMap<&'static str, Children> {
+    let mut out: BTreeMap<_, Children> = BTreeMap::new();
+    for &op in ops {
+        match decode(op) {
+            Op::Count { mut labels, n } => {
+                labels.sort_unstable();
+                let child = out
+                    .entry("otem_prop_total")
+                    .or_default()
+                    .entry(labels.to_vec())
+                    .or_insert(Expected::Counter(0));
+                if let Expected::Counter(total) = child {
+                    *total += n;
+                }
+            }
+            Op::Set { shard, value } => {
+                out.entry("otem_prop_shard_load")
+                    .or_default()
+                    .insert(vec![("shard", shard)], Expected::Gauge(value));
+            }
+            Op::Observe { route, value } => {
+                let child = out
+                    .entry("otem_prop_seconds")
+                    .or_default()
+                    .entry(vec![("route", route)])
+                    .or_insert(Expected::Histogram { count: 0, sum: 0.0 });
+                if let Expected::Histogram { count, sum } = child {
+                    *count += 1;
+                    *sum += value;
+                }
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `a.merge(b)` equals `b.merge(a)` — field-for-field, and
-    /// rendered byte-for-byte — for arbitrary operation histories.
-    #[test]
-    fn snapshot_merge_is_commutative(
-        ops_a in prop::collection::vec(0u64..1_000_000, 0..60),
-        ops_b in prop::collection::vec(0u64..1_000_000, 0..60),
-    ) {
-        let a = build(&ops_a).snapshot();
-        let b = build(&ops_b).snapshot();
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(&ab, &ba);
-        prop_assert_eq!(ab.render_prometheus(), ba.render_prometheus());
-        prop_assert_eq!(ab.render_json(), ba.render_json());
-    }
-
-    /// Merging is associative: `(a+b)+c == a+(b+c)`.
-    #[test]
-    fn snapshot_merge_is_associative(
-        ops_a in prop::collection::vec(0u64..1_000_000, 0..40),
-        ops_b in prop::collection::vec(0u64..1_000_000, 0..40),
-        ops_c in prop::collection::vec(0u64..1_000_000, 0..40),
-    ) {
-        let a = build(&ops_a).snapshot();
-        let b = build(&ops_b).snapshot();
-        let c = build(&ops_c).snapshot();
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
-    /// The merge identity: folding in an empty snapshot changes
-    /// nothing, in either direction.
-    #[test]
-    fn empty_snapshot_is_the_merge_identity(
-        ops in prop::collection::vec(0u64..1_000_000, 0..60),
-    ) {
-        let a = build(&ops).snapshot();
-        let mut left = a.clone();
-        left.merge(&RegistrySnapshot::default());
-        prop_assert_eq!(&left, &a);
-        let mut right = RegistrySnapshot::default();
-        right.merge(&a);
-        prop_assert_eq!(&right, &a);
-    }
 
     /// The label *order* bit in the op encoding must not matter:
     /// flipping every order bit yields a bit-identical exposition.
@@ -126,73 +147,63 @@ proptest! {
             .iter()
             .map(|&op| if (op / 27) % 2 == 1 { op - 27 } else { op + 27 })
             .collect();
-        let original = build(&ops).snapshot();
-        let reordered = build(&flipped).snapshot();
-        prop_assert_eq!(&original, &reordered);
         prop_assert_eq!(
-            original.render_prometheus(),
-            reordered.render_prometheus()
+            build(&ops).render_prometheus(),
+            build(&flipped).render_prometheus()
         );
     }
 
-    /// Everything a snapshot holds survives the trip through
-    /// `render_prometheus` and back through the parser: counters and
-    /// gauges value-for-value, histograms as their `_sum` and `_count`
-    /// series, all under the exact label sets they were registered
-    /// with (validated structurally by `validate_exposition` first).
+    /// Everything an operation history leaves behind survives the trip
+    /// through `render_prometheus` and back through the parser, checked
+    /// against a model built from the op list: counters and gauges
+    /// value-for-value, histograms as their `_sum` and `_count` series,
+    /// all under the exact label sets they were registered with
+    /// (validated structurally by `validate_exposition` first). The
+    /// exposition holds exactly the model's families and children.
     #[test]
     fn exposition_round_trips_through_the_parser(
         ops in prop::collection::vec(0u64..1_000_000, 1..80),
     ) {
-        let snapshot = build(&ops).snapshot();
-        let text = snapshot.render_prometheus();
+        let text = build(&ops).render_prometheus();
         let parsed = validate_exposition(&text)
             .map_err(|e| TestCaseError::fail(format!("invalid exposition: {e}")))?;
-        for (name, family) in &snapshot.families {
-            let parsed_family = parsed
-                .families
-                .get(name)
-                .ok_or_else(|| TestCaseError::fail(format!("family {name} missing")))?;
-            prop_assert_eq!(
-                parsed_family.kind.as_deref(),
-                Some(family.kind.as_str())
-            );
-            for (values, value) in &family.children {
-                let labels: Vec<(&str, &str)> = family
-                    .label_names
-                    .iter()
-                    .zip(values)
-                    .map(|(n, v)| (n.as_str(), v.as_str()))
-                    .collect();
-                match value {
-                    MetricValue::Counter(v) => {
-                        let sample = parsed.sample(name, &labels).ok_or_else(|| {
-                            TestCaseError::fail(format!("counter {name}{labels:?} missing"))
-                        })?;
-                        prop_assert_eq!(sample.value, *v as f64);
+        let model = model(&ops);
+        prop_assert!(
+            parsed.families.keys().map(String::as_str).eq(model.keys().copied()),
+            "families {:?} vs model {:?}",
+            parsed.families.keys().collect::<Vec<_>>(),
+            model.keys().collect::<Vec<_>>()
+        );
+        for (name, children) in &model {
+            let parsed_family = &parsed.families[*name];
+            let mut samples = 0;
+            for (labels, expected) in children {
+                let value = |series: &str| {
+                    parsed.sample(series, labels).map(|s| s.value).ok_or_else(|| {
+                        TestCaseError::fail(format!("{series}{labels:?} missing"))
+                    })
+                };
+                match *expected {
+                    Expected::Counter(v) => {
+                        prop_assert_eq!(parsed_family.kind.as_deref(), Some("counter"));
+                        prop_assert_eq!(value(name)?, v as f64);
+                        samples += 1;
                     }
-                    MetricValue::Gauge(v) => {
-                        let sample = parsed.sample(name, &labels).ok_or_else(|| {
-                            TestCaseError::fail(format!("gauge {name}{labels:?} missing"))
-                        })?;
-                        prop_assert_eq!(sample.value, *v);
+                    Expected::Gauge(v) => {
+                        prop_assert_eq!(parsed_family.kind.as_deref(), Some("gauge"));
+                        prop_assert_eq!(value(name)?, v);
+                        samples += 1;
                     }
-                    MetricValue::Histogram { counts, sum, .. } => {
-                        let total: u64 = counts.iter().sum();
-                        let count_name = format!("{name}_count");
-                        let sum_name = format!("{name}_sum");
-                        let count_sample =
-                            parsed.sample(&count_name, &labels).ok_or_else(|| {
-                                TestCaseError::fail(format!("{count_name}{labels:?} missing"))
-                            })?;
-                        prop_assert_eq!(count_sample.value, total as f64);
-                        let sum_sample = parsed.sample(&sum_name, &labels).ok_or_else(|| {
-                            TestCaseError::fail(format!("{sum_name}{labels:?} missing"))
-                        })?;
-                        prop_assert_eq!(sum_sample.value, *sum);
+                    Expected::Histogram { count, sum } => {
+                        prop_assert_eq!(parsed_family.kind.as_deref(), Some("histogram"));
+                        prop_assert_eq!(value(&format!("{name}_count"))?, count as f64);
+                        prop_assert_eq!(value(&format!("{name}_sum"))?, sum);
+                        // One bucket per edge, `+Inf`, `_sum`, `_count`.
+                        samples += BOUNDS.len() + 3;
                     }
                 }
             }
+            prop_assert_eq!(parsed_family.samples.len(), samples);
         }
     }
 }

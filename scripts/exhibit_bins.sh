@@ -8,6 +8,7 @@ EXHIBIT_BINS=(
     ablation_weights
     ambient_sweep
     architecture_space
+    fault_sweep
     fig1_dual_thermal
     fig6_temperature
     fig7_teb

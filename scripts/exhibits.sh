@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every committed exhibit, `results/<bin>.txt`, from the
-# `otem-bench` binary of the same name (stdout only; the fig6/fig8 bins
-# also rewrite their ignored `results/*.jsonl` streams), and the MPC
-# work record `BENCH_mpc.json` from `perf_report`'s stdout.
+# stdout of the `otem-bench` binary of the same name (the bins write no
+# other file), and the MPC work record `BENCH_mpc.json` from
+# `perf_report`'s stdout.
 #   ./scripts/exhibits.sh
 #
 # Every exhibit and the record are deterministic, so a second run on the

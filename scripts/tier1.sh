@@ -34,7 +34,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # `BENCH_mpc.json` must reproduce byte for byte (all are deterministic;
 # `scripts/exhibits.sh` rewrites them after a change that moves them).
 # The fresh outputs go to a temporary directory, never over the tracked
-# files; the fig6/fig8 bins also rewrite their ignored `results/*.jsonl`.
+# files; no exhibit bin writes any other file.
 source scripts/exhibit_bins.sh
 echo "==> cargo build --release -p otem-bench --bins"
 cargo build --release -p otem-bench --bins

@@ -23,13 +23,20 @@ use otem_repro::control::mpc::{Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
 use otem_repro::control::{Controller, Simulator, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
-use otem_repro::fleet::SolveOutcomes;
-use otem_repro::telemetry::{MetricsRegistry, NullSink, Sink};
+use otem_repro::telemetry::{EventCounter, MetricsRegistry, NullSink, Sink};
 use otem_repro::thermal::ThermalState;
 use otem_repro::units::{Kelvin, Ratio, Seconds, Watts};
 
 const SOLVES: u64 = 8;
 const HORIZONS: [usize; 3] = [6, 12, 24];
+/// Every solver outcome name an `Event::SolveOutcome` can carry.
+const OUTCOMES: [&str; 5] = [
+    "converged",
+    "budget_exhausted",
+    "stalled",
+    "non_finite",
+    "deadline_reached",
+];
 
 fn plant(config: &SystemConfig) -> MpcPlant {
     let mut p = MpcPlant::new(config).expect("valid plant");
@@ -116,8 +123,16 @@ fn mpc_steady_state_allocations_are_horizon_independent() {
         "registry sink: {counts:?} allocations over {SOLVES} solves at h = {HORIZONS:?}, \
          ceiling 6/solve"
     );
+    let family = EventCounter::SOLVE_OUTCOMES;
+    let counted: u64 = OUTCOMES
+        .iter()
+        .map(|&outcome| {
+            let labels = [("mode", "adjoint"), ("outcome", outcome)];
+            registry.counter(family.name, family.help, &labels).get()
+        })
+        .sum();
     assert_eq!(
-        SolveOutcomes::from_snapshot(&registry.snapshot()).total(),
+        counted,
         HORIZONS.len() as u64 * (3 + SOLVES),
         "every solve counted"
     );
