@@ -10,7 +10,7 @@
 //! makes high-rate discharge superlinearly damaging.
 
 use crate::error::BatteryError;
-use otem_units::{Kelvin, Seconds, GAS_CONSTANT};
+use otem_units::{Kelvin, GAS_CONSTANT};
 use serde::{Deserialize, Serialize};
 
 /// Coefficients of the capacity-loss rate law (paper Eq. 5).
@@ -26,6 +26,10 @@ pub struct AgingParams {
 }
 
 impl AgingParams {
+    /// End-of-life threshold: the paper considers the battery useless
+    /// after 20 % capacity loss.
+    pub const END_OF_LIFE_LOSS: f64 = 0.20;
+
     /// Coefficients calibrated so that sustained 1C discharge at 40 °C
     /// consumes the 20 % end-of-life budget in roughly 1,500 hours of
     /// driving — the order of magnitude of the Millner model for an
@@ -119,46 +123,6 @@ impl Default for AgingParams {
     }
 }
 
-/// Accumulates capacity loss over a simulation and answers
-/// lifetime questions ("how long until 20 % of capacity is gone?").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AgingModel {
-    params: AgingParams,
-    cumulative_loss: f64,
-}
-
-impl AgingModel {
-    /// End-of-life threshold: the paper considers the battery useless
-    /// after 20 % capacity loss.
-    pub const END_OF_LIFE_LOSS: f64 = 0.20;
-
-    /// Creates a fresh accumulator.
-    pub fn new(params: AgingParams) -> Self {
-        Self {
-            params,
-            cumulative_loss: 0.0,
-        }
-    }
-
-    /// The coefficients in use.
-    pub fn params(&self) -> &AgingParams {
-        &self.params
-    }
-
-    /// Integrates one time step at the given temperature and C-rate,
-    /// returning the incremental loss fraction added by this step.
-    pub fn accumulate(&mut self, temperature: Kelvin, c_rate: f64, dt: Seconds) -> f64 {
-        let delta = self.params.loss_rate(temperature, c_rate) * dt.value();
-        self.cumulative_loss += delta;
-        delta
-    }
-
-    /// Total capacity-loss fraction so far.
-    pub fn cumulative_loss(&self) -> f64 {
-        self.cumulative_loss
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,28 +167,11 @@ mod tests {
         // hundreds to a few thousand hours.
         let p = AgingParams::default();
         let rate = p.loss_rate(t(40.0), 1.0);
-        let hours_to_eol = AgingModel::END_OF_LIFE_LOSS / rate / 3600.0;
+        let hours_to_eol = AgingParams::END_OF_LIFE_LOSS / rate / 3600.0;
         assert!(
             (200.0..20_000.0).contains(&hours_to_eol),
             "EOL after {hours_to_eol} h"
         );
-    }
-
-    #[test]
-    fn accumulator_tracks_loss_and_elapsed_time() {
-        let mut aging = AgingModel::new(AgingParams::default());
-        assert_eq!(aging.cumulative_loss(), 0.0);
-
-        let step = Seconds::new(60.0);
-        let mut total = 0.0;
-        for _ in 0..60 {
-            total += aging.accumulate(t(35.0), 1.2, step);
-        }
-        assert!(total > 0.0);
-        assert!((aging.cumulative_loss() - total).abs() < 1e-15);
-        // Constant conditions: the loss is the rate times the elapsed hour.
-        let hour = aging.params().loss_rate(t(35.0), 1.2) * 3600.0;
-        assert!((total - hour).abs() < 1e-12 * hour, "{total} vs {hour}");
     }
 
     #[test]

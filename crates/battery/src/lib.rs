@@ -41,7 +41,7 @@ mod kernel;
 mod pack;
 mod params;
 
-pub use aging::{AgingModel, AgingParams};
+pub use aging::AgingParams;
 pub use cell::{Cell, CellSnapshot};
 pub use error::BatteryError;
 pub use pack::{

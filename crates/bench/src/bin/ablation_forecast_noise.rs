@@ -89,9 +89,9 @@ fn main() {
         println!(
             "{:>14} {:>12.4e} {:>10.2} {:>10.3}",
             label,
-            r.capacity_loss(),
+            r.totals.capacity_loss,
             r.average_power().value() / 1000.0,
-            r.shortfall_energy().value() / 1e6
+            r.totals.shortfall_energy.value() / 1e6
         );
     }
     println!("\nExpected: graceful degradation — moderate noise barely matters (the");

@@ -41,9 +41,9 @@ fn main() {
         println!(
             "{:>9} {:>12.4e} {:>10.2} {:>10.3} {:>11.2}",
             horizon,
-            r.capacity_loss(),
+            r.totals.capacity_loss,
             r.average_power().value() / 1000.0,
-            r.shortfall_energy().value() / 1e6,
+            r.totals.shortfall_energy.value() / 1e6,
             otem.rollouts() as f64 / r.records.len() as f64
         );
     }

@@ -41,10 +41,10 @@ fn main() {
         println!(
             "{:>10.1e} {:>12.4e} {:>10.2} {:>10.2} {:>10.2}",
             w2,
-            r.capacity_loss(),
+            r.totals.capacity_loss,
             r.average_power().value() / 1000.0,
-            r.cooling_energy().value() / 1e6,
-            r.peak_battery_temp().to_celsius().value()
+            r.totals.cooling_energy.value() / 1e6,
+            r.totals.peak_battery_temp.to_celsius().value()
         );
     }
     println!("\nExpected: larger w2 buys battery lifetime with energy (more cooling,");

@@ -39,10 +39,10 @@ fn main() {
         (
             celsius,
             m,
-            r.capacity_loss(),
+            r.totals.capacity_loss,
             r.average_power().value() / 1000.0,
-            r.cooling_energy().value() / 1e6,
-            r.peak_battery_temp().to_celsius().value(),
+            r.totals.cooling_energy.value() / 1e6,
+            r.totals.peak_battery_temp.to_celsius().value(),
         )
     });
     for (celsius, m, loss, avg_kw, cool_mj, peak_c) in rows {

@@ -125,10 +125,10 @@ fn row(label: &str, result: &SimulationResult) {
     println!(
         "{:<34} {:>12.4e} {:>10.2} {:>10.1} {:>9.1}%",
         label,
-        result.capacity_loss(),
+        result.totals.capacity_loss,
         result.average_power().value() / 1000.0,
-        result.peak_battery_temp().to_celsius().value(),
-        result.shortfall_energy().value() / requested.max(1.0) * 100.0
+        result.totals.peak_battery_temp.to_celsius().value(),
+        result.totals.shortfall_energy.value() / requested.max(1.0) * 100.0
     );
 }
 

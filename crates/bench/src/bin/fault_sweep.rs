@@ -98,22 +98,11 @@ fn run(
         (result, harness.injections(), 0, 0, 0)
     };
 
-    let dt = 1.0;
-    let peak_temp_c = result
-        .records
-        .iter()
-        .map(|r| r.state.battery_temp.to_celsius().value())
-        .fold(f64::NEG_INFINITY, f64::max);
-    let unserved_j = result
-        .records
-        .iter()
-        .map(|r| r.hees.shortfall.value().max(0.0) * dt)
-        .sum();
-
+    let totals = result.totals;
     Outcome {
-        capacity_loss: result.capacity_loss(),
-        peak_temp_c,
-        unserved_j,
+        capacity_loss: totals.capacity_loss,
+        peak_temp_c: totals.peak_battery_temp.to_celsius().value(),
+        unserved_j: totals.shortfall_energy.value(),
         faults_injected,
         rejected,
         fallbacks,

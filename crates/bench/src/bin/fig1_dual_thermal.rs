@@ -71,7 +71,7 @@ fn main() {
         println!(
             "{:>9.0} {:>10.2} {:>12.0} {:>14}",
             farads,
-            r.peak_battery_temp().to_celsius().value(),
+            r.totals.peak_battery_temp.to_celsius().value(),
             r.time_above(limit).value(),
             fallbacks
         );

@@ -73,9 +73,9 @@ fn main() {
         println!(
             "{:>14} {:>10.2} {:>12.2} {:>12.4e}",
             r.methodology,
-            r.peak_battery_temp().to_celsius().value(),
+            r.totals.peak_battery_temp.to_celsius().value(),
             mean,
-            r.capacity_loss()
+            r.totals.capacity_loss
         );
     }
     println!("\nShape check (paper): Dual reacts at its threshold; OTEM holds the lowest");

@@ -92,13 +92,13 @@ fn main() {
         report.peaks_shared,
         report.peak_share_fraction() * 100.0
     );
-    let energy = otem::analysis::energy_breakdown(&r);
+    let energy = r.totals;
     println!(
         "  energy: delivered {:.1} MJ, battery loss {:.2} MJ, converter loss {:.2} MJ, cooling {:.2} MJ",
-        energy.delivered.value() / 1e6,
+        energy.delivered_energy.value() / 1e6,
         energy.battery_loss.value() / 1e6,
         energy.converter_loss.value() / 1e6,
-        energy.cooling.value() / 1e6
+        energy.cooling_energy.value() / 1e6
     );
     println!("\nShape check (paper): the bank is topped up before large requests and");
     println!("drains through them, keeping the HEES at its most efficient state.");

@@ -52,7 +52,7 @@ fn main() {
             Methodology::Otem,
         ] {
             let r = run(m, &config, &trace).expect("run");
-            let ratio = r.capacity_loss() / base.capacity_loss() * 100.0;
+            let ratio = r.totals.capacity_loss / base.totals.capacity_loss * 100.0;
             match m {
                 Methodology::Otem => {
                     otem_ratios.push(ratio);

@@ -139,7 +139,7 @@ fn main() {
         println!(
             "{:<7} {:>10.2} {:>12.4e} {:>12.4e} {:>11.2}",
             format!("{} x5", cycle.spec().name),
-            otem.capacity_loss() / parallel.capacity_loss() * 100.0,
+            otem.totals.capacity_loss / parallel.totals.capacity_loss * 100.0,
             cost,
             floor,
             (cost / floor - 1.0) * 100.0

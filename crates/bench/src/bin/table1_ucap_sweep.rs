@@ -32,7 +32,7 @@ fn main() {
         .expect("reference cell in grid");
     let cells = fan_stealing(jobs, 0, |_, (farads, m)| {
         let r = run(m, &stress_config_with_capacitance(farads), &trace).expect("run");
-        (r.average_power().value(), r.capacity_loss())
+        (r.average_power().value(), r.totals.capacity_loss)
     });
     let reference = cells[reference_at].1;
 

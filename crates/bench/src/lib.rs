@@ -121,7 +121,7 @@ mod tests {
         for m in [Methodology::Parallel, Methodology::Dual] {
             let result = run(m, &config, &trace).expect("runs");
             assert_eq!(result.records.len(), 30);
-            assert!(result.energy().value() > 0.0, "{}", m.name());
+            assert!(result.totals.energy.value() > 0.0, "{}", m.name());
         }
     }
 }

@@ -1,5 +1,7 @@
-//! Post-simulation analysis: TEB-event detection, energy breakdowns and
-//! thermal compliance reports over a [`SimulationResult`].
+//! Post-simulation analysis: TEB-event detection over a
+//! [`SimulationResult`]'s records. The route's energy breakdown (Fig. 7's
+//! delivered, battery-loss, converter-loss and cooling energy) is in
+//! its ledger, [`SimulationResult::totals`].
 //!
 //! The paper's Fig. 7 narrative — "the OTEM provides enough TEB when it
 //! notices large EV power requests in the near-future" — is made
@@ -9,7 +11,7 @@
 //! already below the soft ceiling, ahead of such a request.
 
 use crate::metrics::SimulationResult;
-use otem_units::{Joules, Watts};
+use otem_units::Watts;
 use serde::{Deserialize, Serialize};
 
 /// Thresholds for classifying TEB events.
@@ -97,41 +99,11 @@ pub fn teb_report(result: &SimulationResult, criteria: &TebCriteria) -> TebRepor
     report
 }
 
-/// Where the consumed energy went.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct EnergyBreakdown {
-    /// Energy delivered toward the EV load (net of cooling).
-    pub delivered: Joules,
-    /// Joule + entropic losses inside the battery.
-    pub battery_loss: Joules,
-    /// DC/DC conversion losses.
-    pub converter_loss: Joules,
-    /// Electric energy spent on the cooling system.
-    pub cooling: Joules,
-    /// Load energy that could not be served.
-    pub shortfall: Joules,
-}
-
-/// Integrates the per-step records into an [`EnergyBreakdown`].
-pub fn energy_breakdown(result: &SimulationResult) -> EnergyBreakdown {
-    let dt = result.dt;
-    let mut b = EnergyBreakdown::default();
-    for rec in &result.records {
-        // The battery's realised loss is its generated heat (Joule +
-        // entropic, Eq. 4) — robust for both discharge and charge.
-        b.delivered += (rec.hees.delivered - rec.cooling_power) * dt;
-        b.battery_loss += rec.hees.battery_heat * dt;
-        b.converter_loss += rec.hees.converter_loss * dt;
-        b.cooling += rec.cooling_power * dt;
-        b.shortfall += rec.hees.shortfall * dt;
-    }
-    b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::{StepRecord, SystemState};
+    use crate::sim::tests::replay;
     use otem_hees::HeesStep;
     use otem_units::{Kelvin, Ratio, Seconds};
 
@@ -157,12 +129,7 @@ mod tests {
     }
 
     fn result(records: Vec<StepRecord>) -> SimulationResult {
-        SimulationResult {
-            methodology: "test",
-            dt: Seconds::new(1.0),
-            records,
-            capacity_loss: 1e-6,
-        }
+        replay(Seconds::new(1.0), &records)
     }
 
     #[test]
@@ -202,15 +169,5 @@ mod tests {
         assert_eq!(report.precharge_events, 0);
         assert_eq!(report.precool_events, 0);
         assert_eq!(report.peak_share_fraction(), 0.0);
-    }
-
-    #[test]
-    fn energy_breakdown_integrates_components() {
-        let records = vec![rec(10_000.0, 0.0, 500.0, 30.0); 10];
-        let b = energy_breakdown(&result(records));
-        assert_eq!(b.delivered, Joules::new(95_000.0));
-        assert_eq!(b.battery_loss, Joules::new(2_000.0));
-        assert_eq!(b.converter_loss, Joules::new(1_000.0));
-        assert_eq!(b.cooling, Joules::new(5_000.0));
     }
 }

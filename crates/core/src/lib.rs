@@ -17,8 +17,11 @@
 //!   dual architecture ([`policy::Dual`], \[16\]);
 //! * a closed-loop **simulation engine** ([`Simulator`]) that drives any
 //!   controller over a drive-cycle power trace and produces the metrics
-//!   the paper's evaluation reports (battery capacity loss, HEES energy,
-//!   average power, temperature traces).
+//!   the paper's evaluation reports: the route totals (battery capacity
+//!   loss, HEES energy, cooling and unserved energy, the loss breakdown,
+//!   peak battery temperature), which the step loop sums once into one
+//!   ledger ([`RunTotals`]), and the per-step records behind the average
+//!   power and the temperature traces.
 //!
 //! # Quickstart
 //!
@@ -35,7 +38,7 @@
 //! let result = Simulator::new(&config).run(&mut controller, &trace);
 //! println!(
 //!     "capacity loss {:.3e}, average power {:.1} kW",
-//!     result.capacity_loss(),
+//!     result.totals.capacity_loss,
 //!     result.average_power().value() / 1000.0
 //! );
 //! # Ok(())

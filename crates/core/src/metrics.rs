@@ -1,14 +1,16 @@
 //! Simulation results: the quantities the paper's evaluation reports.
 
 use crate::controller::StepRecord;
-use otem_units::{Joules, Kelvin, Seconds, Watts};
+use crate::sim::RunTotals;
+use otem_units::{Kelvin, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 
 /// The outcome of driving one controller over one power trace.
 ///
-/// Collects the paper's Algorithm 1 outputs — accumulated battery
-/// capacity loss `Q_loss` and HEES energy `Energy` — plus the full
-/// per-step records for the temporal analyses (Figs. 6–7).
+/// Carries the paper's Algorithm 1 outputs — accumulated battery
+/// capacity loss `Q_loss` and HEES energy `Energy` — in the route
+/// ledger the step loop folded ([`RunTotals`]), plus the full per-step
+/// records for the temporal analyses (Figs. 6–7).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulationResult {
     /// Methodology name.
@@ -17,30 +19,11 @@ pub struct SimulationResult {
     pub dt: Seconds,
     /// Per-step records.
     pub records: Vec<StepRecord>,
-    /// Accumulated battery capacity loss (fraction of rated capacity).
-    pub capacity_loss: f64,
+    /// Every route total, summed once as the run stepped.
+    pub totals: RunTotals,
 }
 
 impl SimulationResult {
-    /// Accumulated capacity loss (fraction of rated capacity) — the
-    /// paper's `Q_loss` output.
-    pub fn capacity_loss(&self) -> f64 {
-        self.capacity_loss
-    }
-
-    /// Total energy consumed from the HEES (battery chemical + net
-    /// ultracapacitor energy) — the paper's `Energy` output. Includes
-    /// the energy spent powering the cooling system, which is served
-    /// from the bus.
-    pub fn energy(&self) -> Joules {
-        self.records.iter().map(|r| r.total_power() * self.dt).sum()
-    }
-
-    /// Energy drawn by the cooling system alone.
-    pub fn cooling_energy(&self) -> Joules {
-        self.records.iter().map(|r| r.cooling_power * self.dt).sum()
-    }
-
     /// Average power consumption over the route (the Fig. 9 / Table I
     /// metric).
     pub fn average_power(&self) -> Watts {
@@ -48,20 +31,12 @@ impl SimulationResult {
         if duration.value() == 0.0 {
             return Watts::ZERO;
         }
-        self.energy() / duration
+        self.totals.energy / duration
     }
 
     /// Route duration.
     pub fn duration(&self) -> Seconds {
         self.dt * self.records.len() as f64
-    }
-
-    /// Peak battery temperature reached.
-    pub fn peak_battery_temp(&self) -> Kelvin {
-        self.records
-            .iter()
-            .map(|r| r.state.battery_temp)
-            .fold(Kelvin::ZERO, Kelvin::max)
     }
 
     /// Time (s) spent with the battery above the given temperature —
@@ -73,15 +48,6 @@ impl SimulationResult {
             .filter(|r| r.state.battery_temp > limit)
             .count();
         self.dt * n as f64
-    }
-
-    /// Total unserved load energy (should be ≈ 0 for a healthy
-    /// configuration; nonzero values flag an undersized storage).
-    pub fn shortfall_energy(&self) -> Joules {
-        self.records
-            .iter()
-            .map(|r| r.hees.shortfall * self.dt)
-            .sum()
     }
 
     /// The battery-temperature time series (for Figs. 1, 6, 7).
@@ -99,8 +65,9 @@ impl SimulationResult {
 mod tests {
     use super::*;
     use crate::controller::SystemState;
+    use crate::sim::tests::replay;
     use otem_hees::HeesStep;
-    use otem_units::Ratio;
+    use otem_units::{Joules, Ratio};
 
     fn record(load: f64, internal: f64, cooling: f64, temp_c: f64) -> StepRecord {
         StepRecord {
@@ -120,23 +87,21 @@ mod tests {
     }
 
     fn result() -> SimulationResult {
-        SimulationResult {
-            methodology: "test",
-            dt: Seconds::new(1.0),
-            records: vec![
+        replay(
+            Seconds::new(1.0),
+            &[
                 record(1000.0, 1100.0, 0.0, 25.0),
                 record(2000.0, 2250.0, 200.0, 32.0),
                 record(500.0, 600.0, 200.0, 41.0),
             ],
-            capacity_loss: 1.5e-6,
-        }
+        )
     }
 
     #[test]
     fn energy_sums_internal_power() {
         let r = result();
-        assert_eq!(r.energy(), Joules::new(1100.0 + 2250.0 + 600.0));
-        assert_eq!(r.cooling_energy(), Joules::new(400.0));
+        assert_eq!(r.totals.energy, Joules::new(1100.0 + 2250.0 + 600.0));
+        assert_eq!(r.totals.cooling_energy, Joules::new(400.0));
     }
 
     #[test]
@@ -149,7 +114,7 @@ mod tests {
     #[test]
     fn thermal_summaries() {
         let r = result();
-        assert_eq!(r.peak_battery_temp(), Kelvin::from_celsius(41.0));
+        assert_eq!(r.totals.peak_battery_temp, Kelvin::from_celsius(41.0));
         assert_eq!(r.time_above(Kelvin::from_celsius(40.0)), Seconds::new(1.0));
         assert_eq!(r.time_above(Kelvin::from_celsius(30.0)), Seconds::new(2.0));
         assert_eq!(r.battery_temps().len(), 3);
@@ -157,13 +122,8 @@ mod tests {
 
     #[test]
     fn empty_result_is_well_defined() {
-        let r = SimulationResult {
-            methodology: "empty",
-            dt: Seconds::new(1.0),
-            records: vec![],
-            capacity_loss: 0.0,
-        };
+        let r = replay(Seconds::new(1.0), &[]);
         assert_eq!(r.average_power(), Watts::ZERO);
-        assert_eq!(r.energy(), Joules::ZERO);
+        assert_eq!(r.totals.energy, Joules::ZERO);
     }
 }

@@ -130,9 +130,9 @@ pub fn plan_route(config: &SystemConfig, trace: &PowerTrace) -> Result<RoutePlan
 /// energy` at the default weights: what [`RoutePlan::cost`] prices, less
 /// its constraint penalties, with no end-state term.
 pub fn realized_cost(result: &SimulationResult) -> f64 {
-    W1 * result.cooling_energy().value()
-        + MpcConfig::default().w2 * result.capacity_loss()
-        + W3 * result.energy().value()
+    W1 * result.totals.cooling_energy.value()
+        + MpcConfig::default().w2 * result.totals.capacity_loss
+        + W3 * result.totals.energy.value()
 }
 
 /// Drives a copy of `fresh` through `trace` under [`Simulator`], applying
@@ -294,6 +294,9 @@ mod tests {
             assert_eq!(record, plan.replay.records[t], "step {t}");
             energy += (record.total_power() * config.dt).value();
         }
-        assert_eq!(energy.to_bits(), plan.replay.energy().value().to_bits());
+        assert_eq!(
+            energy.to_bits(),
+            plan.replay.totals.energy.value().to_bits()
+        );
     }
 }

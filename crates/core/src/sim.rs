@@ -4,25 +4,49 @@
 use crate::config::SystemConfig;
 use crate::controller::Controller;
 use crate::metrics::SimulationResult;
-use otem_battery::AgingModel;
+use otem_battery::AgingParams;
 use otem_drivecycle::PowerTrace;
 use otem_telemetry::{span, Event, NullSink, Sink};
+use otem_units::{Joules, Kelvin, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 
 /// How many future samples the controller gets to see each step
 /// (Algorithm 1 lines 11–12 fill the control window from `P̂_e`).
 const FORECAST_LEN: usize = 64;
 
-/// Scalar outcome of a streamed run (see [`Simulator::run_each`]):
-/// what the closed loop accumulated without retaining per-step records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The route ledger: every total of a run, folded by
+/// [`RunCursor::advance`] as it steps, each in step order from `+0.0`.
+/// An energy is `Σ power·dt` over the step records, `capacity_loss` is
+/// `Σ loss_rate(T_b, c)·dt` (paper Eq. 5 read as a rate law) and the
+/// peak is a running maximum from 0 K. This is the one place a run's
+/// totals are summed; [`SimulationResult::totals`] and the fleet's
+/// summaries carry this value.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RunTotals {
     /// Steps executed (equals the trace length).
     pub steps: usize,
     /// Accumulated battery capacity loss (fraction of rated capacity) —
-    /// the paper's `Q_loss` output, bit-identical to
-    /// [`crate::SimulationResult::capacity_loss`] for the same run.
+    /// the paper's `Q_loss` output.
     pub capacity_loss: f64,
+    /// Energy consumed from the HEES (battery chemical + net
+    /// ultracapacitor energy) — the paper's `Energy` output. Includes
+    /// the energy spent powering the cooling system, which is served
+    /// from the bus.
+    pub energy: Joules,
+    /// Electric energy drawn by the cooling system.
+    pub cooling_energy: Joules,
+    /// Load energy that could not be served (≈ 0 for a healthy
+    /// configuration; nonzero values flag an undersized storage).
+    pub shortfall_energy: Joules,
+    /// Energy delivered toward the EV load (net of cooling).
+    pub delivered_energy: Joules,
+    /// Joule + entropic losses inside the battery: its generated heat
+    /// (Eq. 4), which counts both discharge and charge.
+    pub battery_loss: Joules,
+    /// DC/DC conversion losses.
+    pub converter_loss: Joules,
+    /// Peak battery temperature reached (0 K on an empty route).
+    pub peak_battery_temp: Kelvin,
 }
 
 /// Drives a [`Controller`] over a [`PowerTrace`], accumulating the
@@ -46,9 +70,8 @@ impl Simulator {
     }
 
     /// Runs the full route: for each sample, hand the controller the
-    /// load and its forecast window, apply the step, and integrate the
-    /// capacity-loss model (Eq. 5) against the realised battery
-    /// temperature and C-rate.
+    /// load and its forecast window, apply the step, and fold the
+    /// step's record into the route's [`RunTotals`].
     pub fn run(&self, controller: &mut dyn Controller, trace: &PowerTrace) -> SimulationResult {
         self.run_with(controller, trace, &NullSink)
     }
@@ -74,7 +97,7 @@ impl Simulator {
             methodology: controller.name(),
             dt: self.config.dt,
             records,
-            capacity_loss: totals.capacity_loss,
+            totals,
         }
     }
 
@@ -83,13 +106,14 @@ impl Simulator {
     /// `observe` instead of retained. This is the entry point for
     /// fleet-scale batch runs, where keeping every vehicle's full record
     /// vector would dominate memory (100k vehicles × hundreds of steps)
-    /// — the observer folds whatever summary it needs and the records
-    /// are gone.
+    /// — the returned [`RunTotals`] hold every route total, and the
+    /// records are gone.
     ///
     /// [`Simulator::run_with`] is implemented on top of this method
     /// (its observer pushes into a `Vec`), so the records a streaming
-    /// observer sees are bit-identical to a retained run's — the
-    /// contract the fleet determinism tests pin across shard counts.
+    /// observer sees, and the totals, are bit-identical to a retained
+    /// run's — the contract the fleet determinism tests pin across shard
+    /// counts.
     pub fn run_each(
         &self,
         controller: &mut dyn Controller,
@@ -110,18 +134,19 @@ impl Simulator {
     /// — the advance body *is* `run_each`'s loop body.
     pub fn cursor(&self) -> RunCursor {
         RunCursor {
-            aging: AgingModel::new(self.config.aging),
+            aging: self.config.aging,
             dt: self.config.dt,
             pad: Vec::new(),
-            t: 0,
+            totals: RunTotals::default(),
         }
     }
 }
 
 /// The resumable step loop of [`Simulator::run_each`]: holds exactly
-/// the loop state (`t`, the aging integrator and the buffer that pads
-/// the forecast window past the end of the route), borrowing nothing
-/// between steps, so the caller keeps its controller and trace.
+/// the loop state (the route ledger, whose `steps` is the next step,
+/// and the buffer that pads the forecast window past the end of the
+/// route), borrowing nothing between steps, so the caller keeps its
+/// controller and trace.
 ///
 /// Each step's forecast is borrowed from the trace
 /// ([`PowerTrace::window_in`]); only the last `FORECAST_LEN` steps copy
@@ -129,18 +154,13 @@ impl Simulator {
 /// allocates nothing a controller does not allocate itself.
 #[derive(Debug)]
 pub struct RunCursor {
-    aging: AgingModel,
-    dt: otem_units::Seconds,
-    pad: Vec<otem_units::Watts>,
-    t: usize,
+    aging: AgingParams,
+    dt: Seconds,
+    pad: Vec<Watts>,
+    totals: RunTotals,
 }
 
 impl RunCursor {
-    /// Steps executed so far.
-    pub fn steps(&self) -> usize {
-        self.t
-    }
-
     /// Runs one closed-loop step — the exact body of
     /// [`Simulator::run_each`]'s loop — and returns `true`, or returns
     /// `false` without side effects once the trace is exhausted.
@@ -151,19 +171,27 @@ impl RunCursor {
         sink: &dyn Sink,
         mut observe: impl FnMut(usize, &crate::StepRecord),
     ) -> bool {
-        let t = self.t;
+        let t = self.totals.steps;
         if t >= trace.len() {
             return false;
         }
         let _step_span = span(sink, "sim_step");
         let load = trace.get(t);
         let forecast = trace.window_in(t + 1, FORECAST_LEN, &mut self.pad);
-        let record = controller.step_with(load, forecast, self.dt, sink);
-        self.aging.accumulate(
-            record.state.battery_temp,
-            record.hees.battery_c_rate,
-            self.dt,
-        );
+        let dt = self.dt;
+        let record = controller.step_with(load, forecast, dt, sink);
+        let totals = &mut self.totals;
+        totals.capacity_loss += self
+            .aging
+            .loss_rate(record.state.battery_temp, record.hees.battery_c_rate)
+            * dt.value();
+        totals.energy += record.total_power() * dt;
+        totals.cooling_energy += record.cooling_power * dt;
+        totals.shortfall_energy += record.hees.shortfall * dt;
+        totals.delivered_energy += (record.hees.delivered - record.cooling_power) * dt;
+        totals.battery_loss += record.hees.battery_heat * dt;
+        totals.converter_loss += record.hees.converter_loss * dt;
+        totals.peak_battery_temp = totals.peak_battery_temp.max(record.state.battery_temp);
         sink.record(Event::StepCompleted {
             step: t as u64,
             load_w: record.load.value(),
@@ -175,7 +203,7 @@ impl RunCursor {
             soe: record.state.soe.value(),
         });
         observe(t, &record);
-        self.t += 1;
+        self.totals.steps += 1;
         true
     }
 
@@ -183,18 +211,75 @@ impl RunCursor {
     /// length when the cursor was drained to completion.
     pub fn finish(self, sink: &dyn Sink) -> RunTotals {
         sink.flush();
-        RunTotals {
-            steps: self.t,
-            capacity_loss: self.aging.cumulative_loss(),
-        }
+        self.totals
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::policy::Parallel;
-    use otem_units::{Seconds, Watts};
+    use crate::controller::{StepRecord, SystemState};
+    use crate::policy::{ActiveCooling, Dual, Otem, Parallel};
+    use otem_hees::HeesStep;
+    use otem_units::Ratio;
+
+    /// Runs `records` back through the simulator at control period `dt`:
+    /// the controller hands out each record in turn, so the result's
+    /// totals are the ledger folded over exactly these records.
+    pub(crate) fn replay(dt: Seconds, records: &[StepRecord]) -> SimulationResult {
+        let config = SystemConfig {
+            dt,
+            ..SystemConfig::default()
+        };
+        let trace = PowerTrace::new(dt, records.iter().map(|r| r.load).collect());
+        Simulator::new(&config).run(&mut Replay(records.iter()), &trace)
+    }
+
+    struct Replay<'a>(std::slice::Iter<'a, StepRecord>);
+
+    impl Controller for Replay<'_> {
+        fn name(&self) -> &'static str {
+            "replay"
+        }
+
+        fn step_with(
+            &mut self,
+            _load: Watts,
+            _forecast: &[Watts],
+            _dt: Seconds,
+            _sink: &dyn Sink,
+        ) -> StepRecord {
+            *self.0.next().expect("one record per step")
+        }
+
+        fn state(&self) -> SystemState {
+            self.0.as_slice().first().map_or(idle_state(), |r| r.state)
+        }
+    }
+
+    fn idle_state() -> SystemState {
+        SystemState {
+            battery_temp: Kelvin::from_celsius(25.0),
+            coolant_temp: Kelvin::from_celsius(25.0),
+            soe: Ratio::HALF,
+            soc: Ratio::ONE,
+        }
+    }
+
+    /// Every ledger field as bits, in declaration order.
+    fn total_bits(t: &RunTotals) -> [u64; 9] {
+        [
+            t.steps as u64,
+            t.capacity_loss.to_bits(),
+            t.energy.value().to_bits(),
+            t.cooling_energy.value().to_bits(),
+            t.shortfall_energy.value().to_bits(),
+            t.delivered_energy.value().to_bits(),
+            t.battery_loss.value().to_bits(),
+            t.converter_loss.value().to_bits(),
+            t.peak_battery_temp.value().to_bits(),
+        ]
+    }
 
     #[test]
     fn run_collects_one_record_per_sample() {
@@ -203,8 +288,8 @@ mod tests {
         let trace = PowerTrace::new(Seconds::new(1.0), vec![Watts::new(10_000.0); 25]);
         let result = Simulator::new(&config).run(&mut controller, &trace);
         assert_eq!(result.records.len(), 25);
-        assert!(result.capacity_loss() > 0.0);
-        assert!(result.energy().value() > 0.0);
+        assert!(result.totals.capacity_loss > 0.0);
+        assert!(result.totals.energy.value() > 0.0);
         assert_eq!(result.methodology, "Parallel");
     }
 
@@ -215,7 +300,7 @@ mod tests {
         let trace = PowerTrace::new(Seconds::new(1.0), vec![]);
         let result = Simulator::new(&config).run(&mut controller, &trace);
         assert!(result.records.is_empty());
-        assert_eq!(result.capacity_loss(), 0.0);
+        assert_eq!(result.totals.capacity_loss, 0.0);
     }
 
     /// Records every forecast window the simulator hands to the
@@ -223,24 +308,19 @@ mod tests {
     /// can be pinned explicitly.
     struct ForecastProbe {
         forecasts: Vec<Vec<Watts>>,
-        state: crate::controller::SystemState,
+        state: SystemState,
     }
 
     impl ForecastProbe {
         fn new() -> Self {
             Self {
                 forecasts: Vec::new(),
-                state: crate::controller::SystemState {
-                    battery_temp: otem_units::Kelvin::from_celsius(25.0),
-                    coolant_temp: otem_units::Kelvin::from_celsius(25.0),
-                    soe: otem_units::Ratio::HALF,
-                    soc: otem_units::Ratio::ONE,
-                },
+                state: idle_state(),
             }
         }
     }
 
-    impl crate::controller::Controller for ForecastProbe {
+    impl Controller for ForecastProbe {
         fn name(&self) -> &'static str {
             "ForecastProbe"
         }
@@ -251,17 +331,17 @@ mod tests {
             forecast: &[Watts],
             _dt: Seconds,
             _sink: &dyn Sink,
-        ) -> crate::controller::StepRecord {
+        ) -> StepRecord {
             self.forecasts.push(forecast.to_vec());
-            crate::controller::StepRecord {
+            StepRecord {
                 load,
-                hees: otem_hees::HeesStep::default(),
+                hees: HeesStep::default(),
                 cooling_power: Watts::ZERO,
                 state: self.state,
             }
         }
 
-        fn state(&self) -> crate::controller::SystemState {
+        fn state(&self) -> SystemState {
             self.state
         }
     }
@@ -365,9 +445,121 @@ mod tests {
         assert_eq!(seen, result.records, "streamed records are bit-identical");
         assert_eq!(totals.steps, result.records.len());
         assert_eq!(
-            totals.capacity_loss.to_bits(),
-            result.capacity_loss.to_bits()
+            total_bits(&totals),
+            total_bits(&result.totals),
+            "every streamed total is bit-identical"
         );
+    }
+
+    /// The independent check on the ledger: each total recomputed here
+    /// from the retained records — `Σ value·dt` and `Σ loss_rate·dt` in
+    /// step order from `+0.0`, and the running maximum of `T_b` from
+    /// 0 K — equals the folded one bit for bit, for every methodology
+    /// the paper compares.
+    #[test]
+    fn ledger_equals_the_totals_recomputed_from_the_records() {
+        let config = SystemConfig::default();
+        let loads = (0..16).map(|k| Watts::new(if k % 4 == 3 { -12_000.0 } else { 45_000.0 }));
+        let trace = PowerTrace::new(config.dt, loads.collect());
+        let controllers: [Box<dyn Controller>; 4] = [
+            Box::new(Parallel::new(&config).expect("valid")),
+            Box::new(ActiveCooling::new(&config).expect("valid")),
+            Box::new(Dual::new(&config).expect("valid")),
+            Box::new(Otem::new(&config).expect("valid")),
+        ];
+        for mut controller in controllers {
+            let result = Simulator::new(&config).run(controller.as_mut(), &trace);
+            let dt = result.dt.value();
+            let sum = |f: &dyn Fn(&StepRecord) -> f64| {
+                result.records.iter().fold(0.0, |acc, r| acc + f(r) * dt)
+            };
+            let expected = [
+                result.records.len() as u64,
+                sum(&|r| {
+                    config
+                        .aging
+                        .loss_rate(r.state.battery_temp, r.hees.battery_c_rate)
+                })
+                .to_bits(),
+                sum(&|r| r.total_power().value()).to_bits(),
+                sum(&|r| r.cooling_power.value()).to_bits(),
+                sum(&|r| r.hees.shortfall.value()).to_bits(),
+                sum(&|r| r.hees.delivered.value() - r.cooling_power.value()).to_bits(),
+                sum(&|r| r.hees.battery_heat.value()).to_bits(),
+                sum(&|r| r.hees.converter_loss.value()).to_bits(),
+                result
+                    .records
+                    .iter()
+                    .fold(0.0f64, |peak, r| peak.max(r.state.battery_temp.value()))
+                    .to_bits(),
+            ];
+            assert_eq!(result.totals.steps, trace.len(), "{}", result.methodology);
+            assert_eq!(
+                total_bits(&result.totals),
+                expected,
+                "{}",
+                result.methodology
+            );
+            assert!(result.totals.capacity_loss > 0.0, "{}", result.methodology);
+        }
+    }
+
+    #[test]
+    fn ledger_integrates_energy_components() {
+        let load = 10_000.0;
+        let record = StepRecord {
+            load: Watts::new(load),
+            hees: HeesStep {
+                delivered: Watts::new(load),
+                battery_internal: Watts::new(load),
+                battery_heat: Watts::new(0.02 * load),
+                converter_loss: Watts::new(0.01 * load),
+                ..HeesStep::default()
+            },
+            cooling_power: Watts::new(500.0),
+            state: SystemState {
+                battery_temp: Kelvin::from_celsius(30.0),
+                coolant_temp: Kelvin::from_celsius(30.0),
+                soc: Ratio::HALF,
+                soe: Ratio::HALF,
+            },
+        };
+        let b = replay(Seconds::new(1.0), &[record; 10]).totals;
+        assert_eq!(b.delivered_energy, Joules::new(95_000.0));
+        assert_eq!(b.battery_loss, Joules::new(2_000.0));
+        assert_eq!(b.converter_loss, Joules::new(1_000.0));
+        assert_eq!(b.cooling_energy, Joules::new(5_000.0));
+    }
+
+    #[test]
+    fn ledger_tracks_loss_and_elapsed_time() {
+        let step = Seconds::new(60.0);
+        assert_eq!(replay(step, &[]).totals.capacity_loss, 0.0);
+
+        let temperature = Kelvin::from_celsius(35.0);
+        let record = StepRecord {
+            load: Watts::new(10_000.0),
+            hees: HeesStep {
+                battery_c_rate: 1.2,
+                ..HeesStep::default()
+            },
+            cooling_power: Watts::ZERO,
+            state: SystemState {
+                battery_temp: temperature,
+                ..idle_state()
+            },
+        };
+        let result = replay(step, &[record; 60]);
+        let aging = SystemConfig::default().aging;
+        let mut total = 0.0;
+        for r in &result.records {
+            total += aging.loss_rate(r.state.battery_temp, r.hees.battery_c_rate) * step.value();
+        }
+        assert!(total > 0.0);
+        assert!((result.totals.capacity_loss - total).abs() < 1e-15);
+        // Constant conditions: the loss is the rate times the elapsed hour.
+        let hour = aging.loss_rate(temperature, 1.2) * 3600.0;
+        assert!((total - hour).abs() < 1e-12 * hour, "{total} vs {hour}");
     }
 
     #[test]

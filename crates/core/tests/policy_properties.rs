@@ -42,8 +42,8 @@ proptest! {
                 prop_assert!((200.0..500.0).contains(&rec.state.battery_temp.value()));
                 prop_assert!(rec.hees.battery_heat.value().is_finite());
             }
-            prop_assert!(r.capacity_loss().is_finite());
-            prop_assert!(r.capacity_loss() >= 0.0);
+            prop_assert!(r.totals.capacity_loss.is_finite());
+            prop_assert!(r.totals.capacity_loss >= 0.0);
         }
     }
 
@@ -66,8 +66,8 @@ proptest! {
         );
         let mut a = Dual::new(&config).unwrap();
         let mut b = Dual::new(&config).unwrap();
-        let full_loss = sim.run(&mut a, &full).capacity_loss();
-        let prefix_loss = sim.run(&mut b, &prefix).capacity_loss();
+        let full_loss = sim.run(&mut a, &full).totals.capacity_loss;
+        let prefix_loss = sim.run(&mut b, &prefix).totals.capacity_loss;
         prop_assert!(full_loss >= prefix_loss);
     }
 

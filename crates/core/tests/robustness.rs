@@ -53,7 +53,7 @@ fn impossible_megawatt_load_is_clamped_not_fatal() {
         let r = sim.run(controller.as_mut(), &trace);
         assert_sane(&r.records, r.methodology);
         assert!(
-            r.shortfall_energy().value() > 0.0,
+            r.totals.shortfall_energy.value() > 0.0,
             "{}: a 5 MW request must shortfall",
             r.methodology
         );
@@ -89,7 +89,7 @@ fn otem_with_depleted_storage_limps_home() {
     let r = sim.run(&mut otem, &trace);
     assert_sane(&r.records, "OTEM");
     // The load is feasible on the battery alone: no meaningful shortfall.
-    assert!(r.shortfall_energy().value() < 0.05 * r.energy().value());
+    assert!(r.totals.shortfall_energy.value() < 0.05 * r.totals.energy.value());
 }
 
 #[test]
@@ -144,7 +144,7 @@ fn microscopic_ultracapacitor_does_not_sink_otem() {
     let mut otem = Otem::with_mpc(&config, tiny_mpc()).unwrap();
     let r = sim.run(&mut otem, &trace);
     assert_sane(&r.records, "OTEM");
-    assert!(r.shortfall_energy().value() < 0.05 * r.energy().value());
+    assert!(r.totals.shortfall_energy.value() < 0.05 * r.totals.energy.value());
 }
 
 #[test]

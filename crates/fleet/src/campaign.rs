@@ -413,21 +413,16 @@ pub struct VehicleSummary {
     pub checksum: u64,
 }
 
-/// Folds a stream of [`StepRecord`]s into a [`VehicleSummary`].
+/// Folds a stream of [`StepRecord`]s into a [`VehicleSummary`]'s
+/// checksum; the summary's totals are the run's [`RunTotals`], copied.
 ///
 /// Both execution paths build summaries through this one type — the
 /// fleet engine from [`otem::Simulator::run_each`]'s streamed records,
 /// the determinism tests from a retained
 /// [`SimulationResult`] — so equal summaries certify equal record
-/// streams, not merely similar aggregates.
+/// streams, not merely equal totals.
 #[derive(Debug, Clone)]
 pub struct SummaryBuilder {
-    dt: f64,
-    steps: usize,
-    energy_j: f64,
-    cooling_j: f64,
-    peak_temp_k: f64,
-    shortfall_j: f64,
     checksum: u64,
 }
 
@@ -435,15 +430,11 @@ impl SummaryBuilder {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-    /// An empty accumulator for a run at control period `dt`.
-    pub fn new(dt: Seconds) -> Self {
+    /// An empty accumulator. The control period is not read: the run's
+    /// totals come from its ledger. The parameter stays for the callers
+    /// that pass it.
+    pub fn new(_dt: Seconds) -> Self {
         Self {
-            dt: dt.value(),
-            steps: 0,
-            energy_j: 0.0,
-            cooling_j: 0.0,
-            peak_temp_k: 0.0,
-            shortfall_j: 0.0,
             checksum: Self::FNV_OFFSET,
         }
     }
@@ -453,17 +444,8 @@ impl SummaryBuilder {
         self.checksum = self.checksum.wrapping_mul(Self::FNV_PRIME);
     }
 
-    /// Accumulates one step record.
+    /// Folds one step record into the checksum.
     pub fn push(&mut self, r: &StepRecord) {
-        self.steps += 1;
-        // Mirrors SimulationResult::energy()/cooling_energy()/
-        // shortfall_energy(): a fold of `value * dt` in step order over
-        // f64, so the streamed totals are bit-identical to the retained
-        // path's iterator sums.
-        self.energy_j += r.total_power().value() * self.dt;
-        self.cooling_j += r.cooling_power.value() * self.dt;
-        self.shortfall_j += r.hees.shortfall.value() * self.dt;
-        self.peak_temp_k = self.peak_temp_k.max(r.state.battery_temp.value());
         for bits in [
             r.load.value().to_bits(),
             r.hees.delivered.value().to_bits(),
@@ -485,15 +467,14 @@ impl SummaryBuilder {
 
     /// Finishes the summary with the run's totals.
     pub fn finish(self, id: u64, totals: RunTotals) -> VehicleSummary {
-        debug_assert_eq!(self.steps, totals.steps, "observer saw every step");
         VehicleSummary {
             id,
-            steps: self.steps,
-            energy_j: self.energy_j,
-            cooling_j: self.cooling_j,
+            steps: totals.steps,
+            energy_j: totals.energy.value(),
+            cooling_j: totals.cooling_energy.value(),
             capacity_loss: totals.capacity_loss,
-            peak_temp_k: self.peak_temp_k,
-            shortfall_j: self.shortfall_j,
+            peak_temp_k: totals.peak_battery_temp.value(),
+            shortfall_j: totals.shortfall_energy.value(),
             checksum: self.checksum,
         }
     }
@@ -505,13 +486,7 @@ impl SummaryBuilder {
         for r in &result.records {
             b.push(r);
         }
-        b.finish(
-            id,
-            RunTotals {
-                steps: result.records.len(),
-                capacity_loss: result.capacity_loss,
-            },
-        )
+        b.finish(id, result.totals)
     }
 }
 

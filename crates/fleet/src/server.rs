@@ -1275,7 +1275,7 @@ fn plan(state: &ServerState, stream: TcpStream, spec: &VehicleSpec) -> io::Resul
                 stream,
                 "{{\"event\":\"plan\",\"steps\":{},\"energy_j\":{:.6},\"cost\":{:e},\"outcome\":\"{}\",\"iterations\":{}}}",
                 p.cap_bus.len(),
-                p.replay.energy().value(),
+                p.replay.totals.energy.value(),
                 p.cost,
                 p.outcome.name(),
                 p.iterations

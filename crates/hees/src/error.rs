@@ -16,14 +16,6 @@ pub enum HeesError {
     Ultracap(UltracapError),
     /// A converter rejected a parameter or transfer.
     Converter(ConverterError),
-    /// The architecture cannot meet the load in its current state (both
-    /// storages at their limits).
-    LoadInfeasible {
-        /// Requested bus power (W).
-        requested: f64,
-        /// Best deliverable bus power (W).
-        available: f64,
-    },
 }
 
 impl fmt::Display for HeesError {
@@ -32,13 +24,6 @@ impl fmt::Display for HeesError {
             Self::Battery(e) => write!(f, "battery: {e}"),
             Self::Ultracap(e) => write!(f, "ultracapacitor: {e}"),
             Self::Converter(e) => write!(f, "converter: {e}"),
-            Self::LoadInfeasible {
-                requested,
-                available,
-            } => write!(
-                f,
-                "HEES cannot deliver {requested} W (at most {available} W available)"
-            ),
         }
     }
 }
@@ -49,7 +34,6 @@ impl Error for HeesError {
             Self::Battery(e) => Some(e),
             Self::Ultracap(e) => Some(e),
             Self::Converter(e) => Some(e),
-            Self::LoadInfeasible { .. } => None,
         }
     }
 }

@@ -50,10 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "OTEM: loss {:.3e}, energy {:.2} MJ, avg {:.2} kW, Tpeak {:.1} °C",
-        result.capacity_loss(),
-        result.energy().value() / 1e6,
+        result.totals.capacity_loss,
+        result.totals.energy.value() / 1e6,
         result.average_power().value() / 1000.0,
-        result.peak_battery_temp().to_celsius().value()
+        result.totals.peak_battery_temp.to_celsius().value()
     );
     Ok(())
 }

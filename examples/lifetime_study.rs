@@ -1,13 +1,15 @@
-//! Battery-lifetime study with degradation feedback: simulate months of
-//! daily commuting, feeding each day's capacity loss back into the pack
-//! (a smaller effective capacity raises the C-rate stress, accelerating
-//! wear), and compare how far each methodology stretches the battery.
+//! Battery-lifetime study: extrapolate months of daily commuting from
+//! one simulated day and compare how far each methodology stretches the
+//! battery. Nothing is fed back into the pack, so every day is the same
+//! run on a fresh pack; the wear feedback (a smaller effective capacity
+//! raises the C-rate stress) is modelled by scaling each day's measured
+//! loss by `(1/(1−loss))^1.15`, the aging law's current exponent.
 //!
 //! ```sh
 //! cargo run --release --example lifetime_study
 //! ```
 
-use otem_repro::battery::AgingModel;
+use otem_repro::battery::AgingParams;
 use otem_repro::control::{
     policy::{Dual, Parallel},
     Controller, Simulator, SystemConfig,
@@ -19,11 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A hard-driving day on the city-EV rig: US06 out and back, twice,
     // in a hot climate — the regime where management choices decide the
     // battery's fate.
-    let config = SystemConfig {
-        ambient: Kelvin::from_celsius(35.0),
-        ..SystemConfig::stress_rig()
-    }
-    .with_ambient(Kelvin::from_celsius(35.0));
+    let config = SystemConfig::stress_rig().with_ambient(Kelvin::from_celsius(35.0));
     let cycle = standard(StandardCycle::Us06)?.repeat(4);
     let trace = Powertrain::new(VehicleParams::compact_ev())?.power_trace(&cycle);
     let sim = Simulator::new(&config);
@@ -41,18 +39,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut total_loss = 0.0;
         let mut first_daily = None;
         let mut last_daily = 0.0;
-        while total_loss < AgingModel::END_OF_LIFE_LOSS && months < 600 {
+        while total_loss < AgingParams::END_OF_LIFE_LOSS && months < 600 {
             let mut controller: Box<dyn Controller> = match name {
                 "Parallel" => Box::new(Parallel::new(&config)?),
                 _ => Box::new(Dual::new(&config)?),
             };
-            // NOTE: each run starts from the *degraded* capacity via the
-            // higher C-rate implied by the accumulated loss. We model the
-            // feedback by scaling the measured loss: stress grows like
-            // (1/(1−loss))^1.15 (the aging law's current exponent).
+            // Each run is on a fresh pack; the accumulated loss enters only
+            // through this factor: stress grows like (1/(1−loss))^1.15.
             let r = sim.run(controller.as_mut(), &trace);
             let stress_factor = (1.0 / (1.0 - total_loss)).powf(1.15);
-            let daily = r.capacity_loss() * stress_factor;
+            let daily = r.totals.capacity_loss * stress_factor;
             first_daily.get_or_insert(daily);
             last_daily = daily;
             total_loss += daily * days_per_run;
@@ -62,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<12} {:>8} {:>15.1}% {:>17.2}x",
             name,
             months,
-            (1.0 - total_loss.min(0.2)) * 100.0,
+            (1.0 - total_loss.min(AgingParams::END_OF_LIFE_LOSS)) * 100.0,
             last_daily / first_daily.unwrap_or(1.0),
         );
     }

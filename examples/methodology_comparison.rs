@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut baseline_loss = None;
     for controller in controllers.iter_mut() {
         let r = sim.run(controller.as_mut(), &trace);
-        let loss = r.capacity_loss();
+        let loss = r.totals.capacity_loss;
         let rel = baseline_loss
             .map(|b: f64| format!(" ({:+.1}% vs Parallel)", (loss / b - 1.0) * 100.0))
             .unwrap_or_default();
@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.methodology,
             loss,
             r.average_power().value() / 1000.0,
-            r.cooling_energy().value() / 1e6,
-            r.peak_battery_temp().to_celsius().value(),
+            r.totals.cooling_energy.value() / 1e6,
+            r.totals.peak_battery_temp.to_celsius().value(),
         );
     }
     Ok(())

@@ -35,11 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. The paper's Algorithm 1 outputs.
     println!(
         "capacity loss Q_loss : {:.4e} (fraction of rated)",
-        result.capacity_loss()
+        result.totals.capacity_loss
     );
     println!(
         "HEES energy          : {:.2} MJ",
-        result.energy().value() / 1e6
+        result.totals.energy.value() / 1e6
     );
     println!(
         "average power        : {:.2} kW",
@@ -47,17 +47,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "cooling energy       : {:.2} MJ",
-        result.cooling_energy().value() / 1e6
+        result.totals.cooling_energy.value() / 1e6
     );
     println!(
         "peak battery temp    : {:.1} °C (limit {:.1} °C, exceeded {:.0} s)",
-        result.peak_battery_temp().to_celsius().value(),
+        result.totals.peak_battery_temp.to_celsius().value(),
         config.temp_max.to_celsius().value(),
         result.time_above(config.temp_max).value()
     );
     println!(
         "projected lifetime   : {:.0} driving hours to 20% capacity loss",
-        0.20 / result.capacity_loss() * result.duration().value() / 3600.0
+        0.20 / result.totals.capacity_loss * result.duration().value() / 3600.0
     );
     Ok(())
 }

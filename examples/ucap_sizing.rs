@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "{:>9.0} {:>14} {:>12.4e} {:>12.1} {:>12.0}",
                 farads,
                 r.methodology,
-                r.capacity_loss(),
-                r.peak_battery_temp().to_celsius().value(),
+                r.totals.capacity_loss,
+                r.totals.peak_battery_temp.to_celsius().value(),
                 r.time_above(config.temp_max).value(),
             );
         }

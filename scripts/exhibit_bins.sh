@@ -14,5 +14,6 @@ EXHIBIT_BINS=(
     fig7_teb
     fig8_lifetime
     fig9_power
+    plan_gap
     table1_ucap_sweep
 )

@@ -34,7 +34,7 @@
 //! let trace = Powertrain::new(VehicleParams::midsize_ev())?.power_trace(&cycle);
 //! let mut dual = Dual::new(&config)?;
 //! let result = Simulator::new(&config).run(&mut dual, &trace);
-//! assert!(result.energy().value() > 0.0);
+//! assert!(result.totals.energy.value() > 0.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -83,8 +83,8 @@ fn idle_route_consumes_almost_nothing() {
     // Only equalisation trickle between the storages; tiny versus any
     // driving consumption.
     assert!(
-        r.energy().value().abs() < 50_000.0,
+        r.totals.energy.value().abs() < 50_000.0,
         "idle energy {:?}",
-        r.energy()
+        r.totals.energy
     );
 }

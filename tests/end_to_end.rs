@@ -44,10 +44,10 @@ fn all_methodologies_complete_the_route() {
     for controller in controllers.iter_mut() {
         let r = sim.run(controller.as_mut(), &trace);
         assert_eq!(r.records.len(), trace.len(), "{}", r.methodology);
-        assert!(r.capacity_loss() > 0.0, "{}", r.methodology);
-        assert!(r.energy().value() > 0.0, "{}", r.methodology);
+        assert!(r.totals.capacity_loss > 0.0, "{}", r.methodology);
+        assert!(r.totals.energy.value() > 0.0, "{}", r.methodology);
         // The route must be essentially served (< 2 % shortfall).
-        let served = r.shortfall_energy().value() / r.energy().value();
+        let served = r.totals.shortfall_energy.value() / r.totals.energy.value();
         assert!(served < 0.02, "{} shortfall {served:.3}", r.methodology);
     }
 }
@@ -65,10 +65,10 @@ fn otem_beats_battery_only_on_capacity_loss() {
     let otem_result = sim.run(&mut otem, &trace);
 
     assert!(
-        otem_result.capacity_loss() < cooling_result.capacity_loss(),
+        otem_result.totals.capacity_loss < cooling_result.totals.capacity_loss,
         "OTEM {:.3e} vs ActiveCooling {:.3e}",
-        otem_result.capacity_loss(),
-        cooling_result.capacity_loss()
+        otem_result.totals.capacity_loss,
+        cooling_result.totals.capacity_loss
     );
 }
 

@@ -109,7 +109,7 @@ fn supervised_otem_completes_the_fault_campaign_with_bounded_state() {
             "step {step}: battery temperature ran away"
         );
     }
-    assert!(result.capacity_loss().is_finite());
+    assert!(result.totals.capacity_loss.is_finite());
 
     // The adversary actually fired, and the ladder visibly handled it.
     let supervised = harness.into_inner();
