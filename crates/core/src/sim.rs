@@ -77,9 +77,11 @@ impl Simulator {
     }
 
     /// [`Simulator::run`] with telemetry: every step emits one
-    /// [`Event::StepCompleted`] into `sink`, and the sink is handed to
-    /// the controller (via [`Controller::step_with`]) so instrumented
-    /// controllers can trace their solver and plant internals.
+    /// [`Event::StepCompleted`] into an enabled `sink` (a disabled one
+    /// gets no step events; see [`Sink::enabled`]), and the sink is
+    /// handed to the controller (via [`Controller::step_with`]) so
+    /// instrumented controllers can trace their solver and plant
+    /// internals.
     ///
     /// The sink is strictly observational: for any sink the returned
     /// [`SimulationResult`] is `PartialEq`-identical to
@@ -136,7 +138,8 @@ impl Simulator {
         RunCursor {
             aging: self.config.aging,
             dt: self.config.dt,
-            pad: Vec::new(),
+            tail: Vec::new(),
+            tail_start: 0,
             totals: RunTotals::default(),
         }
     }
@@ -144,19 +147,25 @@ impl Simulator {
 
 /// The resumable step loop of [`Simulator::run_each`]: holds exactly
 /// the loop state (the route ledger, whose `steps` is the next step,
-/// and the buffer that pads the forecast window past the end of the
-/// route), borrowing nothing between steps, so the caller keeps its
-/// controller and trace.
+/// and the route's zero-padded tail), borrowing nothing between steps,
+/// so the caller keeps its controller and trace.
 ///
-/// Each step's forecast is borrowed from the trace
-/// ([`PowerTrace::window_in`]); only the last `FORECAST_LEN` steps copy
-/// into the padding buffer, whose capacity the cursor reuses. So a step
+/// Each step's forecast window `[t + 1, t + 1 + FORECAST_LEN)` is
+/// borrowed from the trace while it lies inside the route. The first
+/// window that runs past the end builds the tail once: the samples from
+/// that window's start to the end of the route, then `FORECAST_LEN`
+/// zeros. Every later window is borrowed from the tail. So a run copies
+/// at most `2·FORECAST_LEN` samples, allocates once, and a step
 /// allocates nothing a controller does not allocate itself.
 #[derive(Debug)]
 pub struct RunCursor {
     aging: AgingParams,
     dt: Seconds,
-    pad: Vec<Watts>,
+    /// The zero-padded tail, empty until the first window runs past the
+    /// end of the route.
+    tail: Vec<Watts>,
+    /// The trace index of `tail[0]`.
+    tail_start: usize,
     totals: RunTotals,
 }
 
@@ -175,9 +184,23 @@ impl RunCursor {
         if t >= trace.len() {
             return false;
         }
-        let _step_span = span(sink, "sim_step");
+        let step_span = span(sink, "sim_step");
         let load = trace.get(t);
-        let forecast = trace.window_in(t + 1, FORECAST_LEN, &mut self.pad);
+        let start = t + 1;
+        let forecast = match trace.samples().get(start..start + FORECAST_LEN) {
+            Some(window) => window,
+            None => {
+                if self.tail.is_empty() {
+                    let rest = &trace.samples()[start..];
+                    self.tail.reserve_exact(rest.len() + FORECAST_LEN);
+                    self.tail.extend_from_slice(rest);
+                    self.tail.resize(rest.len() + FORECAST_LEN, Watts::ZERO);
+                    self.tail_start = start;
+                }
+                let at = start - self.tail_start;
+                &self.tail[at..at + FORECAST_LEN]
+            }
+        };
         let dt = self.dt;
         let record = controller.step_with(load, forecast, dt, sink);
         let totals = &mut self.totals;
@@ -192,16 +215,18 @@ impl RunCursor {
         totals.battery_loss += record.hees.battery_heat * dt;
         totals.converter_loss += record.hees.converter_loss * dt;
         totals.peak_battery_temp = totals.peak_battery_temp.max(record.state.battery_temp);
-        sink.record(Event::StepCompleted {
-            step: t as u64,
-            load_w: record.load.value(),
-            delivered_w: record.hees.delivered.value(),
-            shortfall_w: record.hees.shortfall.value(),
-            cooling_w: record.cooling_power.value(),
-            battery_temp_k: record.state.battery_temp.value(),
-            soc: record.state.soc.value(),
-            soe: record.state.soe.value(),
-        });
+        if step_span.is_active() {
+            sink.record(Event::StepCompleted {
+                step: t as u64,
+                load_w: record.load.value(),
+                delivered_w: record.hees.delivered.value(),
+                shortfall_w: record.hees.shortfall.value(),
+                cooling_w: record.cooling_power.value(),
+                battery_temp_k: record.state.battery_temp.value(),
+                soc: record.state.soc.value(),
+                soe: record.state.soe.value(),
+            });
+        }
         observe(t, &record);
         self.totals.steps += 1;
         true
@@ -304,10 +329,12 @@ pub(crate) mod tests {
     }
 
     /// Records every forecast window the simulator hands to the
-    /// controller, so the `trace.window(t + 1, FORECAST_LEN)` semantics
+    /// controller, and where it lives, so the
+    /// `trace.window(t + 1, FORECAST_LEN)` semantics and the borrowing
     /// can be pinned explicitly.
     struct ForecastProbe {
         forecasts: Vec<Vec<Watts>>,
+        addresses: Vec<usize>,
         state: SystemState,
     }
 
@@ -315,6 +342,7 @@ pub(crate) mod tests {
         fn new() -> Self {
             Self {
                 forecasts: Vec::new(),
+                addresses: Vec::new(),
                 state: idle_state(),
             }
         }
@@ -333,6 +361,7 @@ pub(crate) mod tests {
             _sink: &dyn Sink,
         ) -> StepRecord {
             self.forecasts.push(forecast.to_vec());
+            self.addresses.push(forecast.as_ptr() as usize);
             StepRecord {
                 load,
                 hees: HeesStep::default(),
@@ -424,6 +453,42 @@ pub(crate) mod tests {
                     "{steps} steps, step {t}"
                 );
             }
+        }
+    }
+
+    /// A window inside the route is the trace's own slice, not a copy;
+    /// every window past it is a slice of one tail buffer, each one
+    /// sample on from the last, so the tail is built once per run; each
+    /// window holds the samples left in the route, then zeros.
+    #[test]
+    fn windows_are_borrowed_from_the_route_and_then_from_one_tail() {
+        let config = SystemConfig::default();
+        let steps = FORECAST_LEN + 10;
+        let samples: Vec<Watts> = (0..steps).map(|k| Watts::new(k as f64)).collect();
+        let trace = PowerTrace::new(Seconds::new(1.0), samples);
+        let mut probe = ForecastProbe::new();
+        Simulator::new(&config).run(&mut probe, &trace);
+        let route = trace.samples().as_ptr_range();
+        let route = route.start as usize..route.end as usize;
+        let (inside, tail) = probe.addresses.split_at(steps - FORECAST_LEN);
+        for (t, &address) in inside.iter().enumerate() {
+            assert_eq!(
+                address,
+                route.start + (t + 1) * std::mem::size_of::<Watts>()
+            );
+        }
+        assert!(tail.iter().all(|a| !route.contains(a)), "{tail:?}");
+        for pair in tail.windows(2) {
+            assert_eq!(pair[1] - pair[0], std::mem::size_of::<Watts>(), "{tail:?}");
+        }
+        for (t, forecast) in probe.forecasts.iter().enumerate() {
+            let rest = trace.samples().get(t + 1..).unwrap_or(&[]);
+            let shown = rest.len().min(FORECAST_LEN);
+            assert_eq!(forecast[..shown], rest[..shown], "step {t}");
+            assert!(
+                forecast[shown..].iter().all(|&w| w == Watts::ZERO),
+                "step {t} is zero-padded past the end"
+            );
         }
     }
 
@@ -589,5 +654,40 @@ pub(crate) mod tests {
             "sim_step + parallel_step"
         );
         assert_eq!(sink.count_kind("span_end"), 14);
+    }
+
+    /// Counts events by kind and reports itself disabled, as the
+    /// registry, the fleet's outcome tally and the server's unsampled
+    /// sink do.
+    #[derive(Default)]
+    struct DisabledTally(std::sync::Mutex<std::collections::BTreeMap<&'static str, usize>>);
+
+    impl Sink for DisabledTally {
+        fn record(&self, event: Event) {
+            *self.0.lock().unwrap().entry(event.kind()).or_default() += 1;
+        }
+
+        fn enabled(&self) -> bool {
+            false
+        }
+    }
+
+    /// The `Sink::enabled` contract: a disabled sink gets no spans and
+    /// no step events, but still every solve outcome, and the run is
+    /// the one `Simulator::run` makes.
+    #[test]
+    fn a_disabled_sink_gets_every_solve_outcome_and_no_step_events() {
+        let config = SystemConfig::default();
+        let trace = PowerTrace::new(config.dt, vec![Watts::new(30_000.0); 4]);
+        let sink = DisabledTally::default();
+        let mut controller = Otem::new(&config).expect("valid");
+        let result = Simulator::new(&config).run_with(&mut controller, &trace, &sink);
+        let counts = sink.0.into_inner().unwrap();
+        let count = |kind: &str| counts.get(kind).copied().unwrap_or(0);
+        assert_eq!(count("step_completed"), 0, "{counts:?}");
+        assert_eq!(count("span_start") + count("span_end"), 0, "{counts:?}");
+        assert_eq!(count("solve_outcome"), trace.len(), "{counts:?}");
+        let mut plain = Otem::new(&config).expect("valid");
+        assert_eq!(result, Simulator::new(&config).run(&mut plain, &trace));
     }
 }

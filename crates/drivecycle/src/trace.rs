@@ -79,30 +79,12 @@ impl PowerTrace {
         self.samples.iter().copied().sum::<Watts>() * self.dt
     }
 
-    /// The window `[start, start + n)` padded with zeros past the end of
-    /// the route, as an owned copy of [`PowerTrace::window_in`].
-    pub fn window(&self, start: usize, n: usize) -> Vec<Watts> {
-        self.window_in(start, n, &mut Vec::new()).to_vec()
-    }
-
     /// The window `[start, start + n)`, always exactly `n` long and
-    /// zero-padded past the end of the route — the load forecast `P̂_e`
-    /// the simulator hands the controller each period (Algorithm 1
-    /// lines 11–12).
-    ///
-    /// A window inside the route is borrowed from the samples. Only a
-    /// window that runs past the end is copied, into `pad` (cleared
-    /// first, its capacity reused), so a caller that keeps one `pad`
-    /// across a run allocates at most once.
-    pub fn window_in<'a>(&'a self, start: usize, n: usize, pad: &'a mut Vec<Watts>) -> &'a [Watts] {
-        if let Some(window) = self.samples.get(start..start + n) {
-            return window;
-        }
-        let tail = self.samples.get(start..).unwrap_or(&[]);
-        pad.clear();
-        pad.resize(n, Watts::ZERO);
-        pad[..tail.len()].copy_from_slice(tail);
-        pad
+    /// zero-padded past the end of the route — the shape of the load
+    /// forecast `P̂_e` the simulator hands the controller each period
+    /// (Algorithm 1 lines 11–12), as an owned copy.
+    pub fn window(&self, start: usize, n: usize) -> Vec<Watts> {
+        (start..start + n).map(|i| self.get(i)).collect()
     }
 
     /// Concatenates `n` repetitions of the trace.
@@ -154,30 +136,14 @@ mod tests {
     #[test]
     fn window_spans_the_end() {
         let t = trace();
-        let w = t.window(2, 4);
+        assert_eq!(t.window(1, 3), &t.samples()[1..4], "inside the route");
         assert_eq!(
-            w,
-            vec![Watts::new(-50.0), Watts::ZERO, Watts::ZERO, Watts::ZERO]
+            t.window(2, 4),
+            vec![Watts::new(-50.0), Watts::ZERO, Watts::ZERO, Watts::ZERO],
+            "straddling the end"
         );
-    }
-
-    #[test]
-    fn window_in_borrows_inside_the_route_and_pads_past_it() {
-        let t = trace();
-        let mut pad = Vec::new();
-        let inside = t.window_in(1, 3, &mut pad);
-        assert_eq!(inside, &t.samples()[1..4]);
-        assert!(
-            std::ptr::eq(inside, &t.samples()[1..4]),
-            "borrowed, not copied"
-        );
-        assert!(pad.is_empty());
-        assert_eq!(
-            t.window_in(2, 3, &mut pad),
-            &[Watts::new(-50.0), Watts::ZERO, Watts::ZERO]
-        );
-        assert_eq!(t.window_in(9, 2, &mut pad), &[Watts::ZERO; 2]);
-        assert_eq!(t.window_in(4, 0, &mut pad), &[] as &[Watts]);
+        assert_eq!(t.window(9, 2), vec![Watts::ZERO; 2], "past the end");
+        assert_eq!(t.window(4, 0), Vec::<Watts>::new(), "n = 0");
     }
 
     #[test]

@@ -269,6 +269,25 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
         lines[0]
     );
 
+    // An unsampled request (an OTEM vehicle by default) runs with a
+    // disabled sink: its solve outcomes reach the live ring, its step
+    // events are never built.
+    let (status, _) = roundtrip(&handle, "POST", "/simulate", "{\"steps\":5}");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let unsampled = last_simulate_in_flight_ring(&handle);
+    assert_eq!(
+        unsampled
+            .iter()
+            .filter(|l| l.contains(SOLVE_OUTCOME))
+            .count(),
+        5,
+        "every solve outcome reached the ring: {unsampled:?}"
+    );
+    assert!(
+        !unsampled.iter().any(|l| l.contains(STEP_COMPLETED)),
+        "no step event from an unsampled request: {unsampled:?}"
+    );
+
     // Span sampling: arm 1-in-1 sampling, run a request, and the next
     // /debug/trace call streams its spans, stamped with a request id.
     let (status, lines) = roundtrip(&handle, "GET", "/debug/trace?sample=1", "");
@@ -280,6 +299,20 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
     );
     let (status, _) = roundtrip(&handle, "POST", "/simulate", "{\"steps\":5}");
     assert_eq!(status, "HTTP/1.1 200 OK");
+    // A sampled reactive vehicle, whose few spans leave its whole run in
+    // the ring.
+    let body = "{\"methodology\":\"parallel\",\"steps\":5}";
+    let (status, _) = roundtrip(&handle, "POST", "/simulate", body);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let sampled = last_simulate_in_flight_ring(&handle);
+    assert_eq!(
+        sampled
+            .iter()
+            .filter(|l| l.contains(STEP_COMPLETED))
+            .count(),
+        5,
+        "a sampled request's step events reach the ring: {sampled:?}"
+    );
     let (status, lines) = roundtrip(&handle, "GET", "/debug/trace?sample=0", "");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(
@@ -297,6 +330,32 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_eq!(lines, ["{\"event\":\"shutdown\"}"]);
     handle.shutdown();
+}
+
+const STEP_COMPLETED: &str = "\"event\":{\"event\":\"step_completed\"";
+const SOLVE_OUTCOME: &str = "\"event\":{\"event\":\"solve_outcome\"";
+
+/// The live flight-ring entries of the latest `/simulate` request, found
+/// by the request id its `request_started` entry carries.
+fn last_simulate_in_flight_ring(handle: &ServerHandle) -> Vec<String> {
+    let (status, lines) = roundtrip(handle, "GET", "/debug/flight", "");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(
+        lines[0].starts_with("{\"flight_live\":true,"),
+        "{}",
+        lines[0]
+    );
+    let id = lines
+        .iter()
+        .filter(|l| l.contains("\"event\":\"request_started\"") && l.contains("\"/simulate\""))
+        .filter_map(|l| json_f64(l, "request_id"))
+        .fold(0.0, f64::max);
+    assert!(id > 0.0, "a /simulate request in the ring: {lines:?}");
+    lines
+        .into_iter()
+        .skip(1)
+        .filter(|l| json_f64(l, "request_id") == Some(id))
+        .collect()
 }
 
 /// Sends raw bytes (no HTTP framing guarantees) and returns the status

@@ -202,7 +202,8 @@ pub enum Event {
         vehicle: u64,
     },
     /// One closed-loop simulation step completed (the per-step signal
-    /// set behind the paper's Figs. 1, 6–9).
+    /// set behind the paper's Figs. 1, 6–9). Built only for an enabled
+    /// sink (see [`Sink::enabled`](crate::Sink::enabled)).
     StepCompleted {
         /// Zero-based step index along the route.
         step: u64,

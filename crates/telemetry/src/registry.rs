@@ -366,8 +366,8 @@ impl EventCounter {
 
 /// The one event→metrics path: each event kind the table names bumps its
 /// [`EventCounter`] family, labelled from the event; other kinds pass.
-/// `enabled()` is `false`, so call sites skip derived telemetry (spans,
-/// per-iteration traces) as with a [`crate::NullSink`].
+/// `enabled()` is `false`, so it gets no spans and no per-step events,
+/// as with a [`crate::NullSink`] (see [`Sink::enabled`]).
 impl Sink for MetricsRegistry {
     #[inline]
     fn record(&self, event: Event) {

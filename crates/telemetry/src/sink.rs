@@ -19,9 +19,15 @@ pub trait Sink: Sync {
     /// Consumes one event.
     fn record(&self, event: Event);
 
-    /// `false` when recording is a guaranteed no-op ([`NullSink`]) —
-    /// lets call sites skip *expensive derived* computations, never
-    /// required for plain event emission.
+    /// `false` when the sink does not follow the timeline. A disabled
+    /// sink gets no spans ([`span`](crate::span()) hands out an inert
+    /// guard) and no per-step events (the simulator builds
+    /// [`Event::StepCompleted`] only inside an active `sim_step` span).
+    /// It still gets every other event: solve outcomes, vehicle,
+    /// request and ops events, and faults. Those are what the
+    /// [`MetricsRegistry`](crate::MetricsRegistry), the fleet's outcome
+    /// tally, a per-vehicle clock and the
+    /// [`FlightRecorder`](crate::FlightRecorder) count.
     fn enabled(&self) -> bool {
         true
     }

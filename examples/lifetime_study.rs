@@ -35,20 +35,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "methodology", "months", "capacity left", "daily loss trend"
     );
     for name in ["Parallel", "Dual"] {
+        let mut controller: Box<dyn Controller> = match name {
+            "Parallel" => Box::new(Parallel::new(&config)?),
+            _ => Box::new(Dual::new(&config)?),
+        };
+        // Every day is the same run on a fresh pack, so one run gives
+        // every month's base loss.
+        let day_loss = sim.run(controller.as_mut(), &trace).totals.capacity_loss;
         let mut months = 0u32;
         let mut total_loss = 0.0;
         let mut first_daily = None;
         let mut last_daily = 0.0;
         while total_loss < AgingParams::END_OF_LIFE_LOSS && months < 600 {
-            let mut controller: Box<dyn Controller> = match name {
-                "Parallel" => Box::new(Parallel::new(&config)?),
-                _ => Box::new(Dual::new(&config)?),
-            };
-            // Each run is on a fresh pack; the accumulated loss enters only
-            // through this factor: stress grows like (1/(1−loss))^1.15.
-            let r = sim.run(controller.as_mut(), &trace);
+            // The accumulated loss enters only through this factor:
+            // stress grows like (1/(1−loss))^1.15.
             let stress_factor = (1.0 / (1.0 - total_loss)).powf(1.15);
-            let daily = r.totals.capacity_loss * stress_factor;
+            let daily = day_loss * stress_factor;
             first_daily.get_or_insert(daily);
             last_daily = daily;
             total_loss += daily * days_per_run;
