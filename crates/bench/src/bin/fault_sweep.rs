@@ -1,24 +1,32 @@
-//! **Fault sweep** — robustness campaign for the degradation supervisor.
+//! **Fault sweep** — OTEM under seeded fault campaigns.
 //!
-//! Runs supervised and unsupervised OTEM through identical seeded fault
-//! campaigns (corrupted forecasts, stuck pump under load spikes, starved
-//! solver) on the US06 city-EV stress rig, and reports what each fault
-//! costs: capacity loss, peak battery temperature, unserved energy, and
-//! how often the supervisor's ladder fired.
+//! Runs plain OTEM through seeded fault campaigns (corrupted forecasts,
+//! stuck pump under load spikes, starved solver, noisy and biased
+//! thermistor) on the US06 city-EV stress rig, and reports what each
+//! fault costs: capacity loss, peak battery temperature, unserved
+//! energy, the realized Eq. 19 cost, and the mix of solve outcomes. The
+//! closing line checks that every run kept its state finite and
+//! physical.
 //!
 //! ```sh
 //! cargo run --release -p otem-bench --bin fault_sweep
 //! ```
 
 use otem::mpc::MpcConfig;
+use otem::planner::realized_cost;
 use otem::policy::Otem;
-use otem::{Simulator, SupervisedOtem, SystemConfig};
+use otem::{SimulationResult, Simulator, SystemConfig};
 use otem_bench::{stress_config, stress_trace};
 use otem_drivecycle::StandardCycle;
 use otem_faults::{FaultKind, FaultPlan, FaultedController};
 use otem_fleet::pool::fan_stealing;
+use otem_fleet::{OutcomeTally, SolveOutcomes};
+use otem_units::Kelvin;
 
 const SEED: u64 = 0xFA_017;
+
+/// Upper end of the battery-temperature range the check accepts.
+const T_B_MAX: Kelvin = Kelvin::from_celsius(60.0);
 
 fn mpc() -> MpcConfig {
     MpcConfig {
@@ -48,117 +56,100 @@ fn campaigns() -> Vec<(&'static str, FaultPlan)> {
         (
             "sensor_storm",
             FaultPlan::new(SEED)
-                .inject(
-                    FaultKind::SensorNoise {
-                        temp_sigma_k: 1.5,
-                        ratio_sigma: 0.01,
-                    },
-                    10,
-                    110,
-                )
+                .inject(FaultKind::SensorNoise { temp_sigma_k: 1.5 }, 10, 110)
                 .inject(FaultKind::SensorBias { temp_k: -4.0 }, 60, 100),
         ),
     ]
 }
 
 struct Outcome {
-    capacity_loss: f64,
-    peak_temp_c: f64,
-    unserved_j: f64,
+    result: SimulationResult,
     faults_injected: u64,
-    rejected: u64,
-    fallbacks: u64,
-    rearms: u64,
+    solves: SolveOutcomes,
 }
 
-fn run(
-    config: &SystemConfig,
-    trace: &otem_drivecycle::PowerTrace,
-    plan: FaultPlan,
-    supervised: bool,
-) -> Outcome {
+fn run(config: &SystemConfig, trace: &otem_drivecycle::PowerTrace, plan: FaultPlan) -> Outcome {
     let otem = Otem::with_mpc(config, mpc()).expect("valid controller");
-    let sim = Simulator::new(config);
-
-    let (result, faults_injected, rejected, fallbacks, rearms) = if supervised {
-        let mut harness = FaultedController::new(SupervisedOtem::new(otem), plan);
-        let result = sim.run(&mut harness, trace);
-        let injections = harness.injections();
-        let sup = harness.into_inner();
-        (
-            result,
-            injections,
-            sup.rejected(),
-            sup.fallbacks(),
-            sup.rearms(),
-        )
-    } else {
-        let mut harness = FaultedController::new(otem, plan);
-        let result = sim.run(&mut harness, trace);
-        (result, harness.injections(), 0, 0, 0)
-    };
-
-    let totals = result.totals;
+    let mut harness = FaultedController::new(otem, plan);
+    let tally = OutcomeTally::new();
+    let result = Simulator::new(config).run_with(&mut harness, trace, &tally);
     Outcome {
-        capacity_loss: totals.capacity_loss,
-        peak_temp_c: totals.peak_battery_temp.to_celsius().value(),
-        unserved_j: totals.shortfall_energy.value(),
-        faults_injected,
-        rejected,
-        fallbacks,
-        rearms,
+        result,
+        faults_injected: harness.injections(),
+        solves: tally.snapshot(),
     }
+}
+
+/// Whether every step's state is finite, SoC/SoE lie in `[0, 1]` and
+/// the battery stays below [`T_B_MAX`].
+fn state_in_range(result: &SimulationResult) -> bool {
+    result.records.iter().all(|r| {
+        let s = r.state;
+        s.battery_temp.value().is_finite()
+            && s.coolant_temp.value().is_finite()
+            && (0.0..=1.0).contains(&s.soc.value())
+            && (0.0..=1.0).contains(&s.soe.value())
+            && s.battery_temp < T_B_MAX
+    })
 }
 
 fn main() {
     let config = stress_config();
     let trace = stress_trace(StandardCycle::Us06, 1).expect("trace");
 
-    println!("# Fault sweep — supervised vs unsupervised OTEM, US06 (city-EV rig)");
+    println!("# Fault sweep — plain OTEM under seeded fault campaigns, US06 (city-EV rig)");
     println!(
-        "{:>18} {:>12} {:>10} {:>10} {:>12} {:>7} {:>9} {:>9} {:>7}",
+        "{:>18} {:>10} {:>10} {:>12} {:>12} {:>7} {:>6} {:>7} {:>8} {:>7} {:>9}",
         "campaign",
-        "controller",
         "Q_loss",
         "Tpeak(°C)",
         "unserved(J)",
+        "cost",
         "faults",
-        "rejected",
-        "fallback",
-        "rearm"
+        "conv",
+        "budget",
+        "stalled",
+        "nonfin",
+        "deadline"
     );
 
-    // Each (campaign, controller) run is independent and seeded; fan
-    // them across worker threads and emit rows in campaign order.
-    let jobs: Vec<(&'static str, FaultPlan, bool)> = campaigns()
-        .into_iter()
-        .flat_map(|(name, plan)| {
-            [false, true]
-                .into_iter()
-                .map(move |supervised| (name, plan.clone(), supervised))
-        })
-        .collect();
-    let outcomes = fan_stealing(jobs, 0, |_, (name, plan, supervised)| {
-        (name, supervised, run(&config, &trace, plan, supervised))
+    // Each campaign run is independent and seeded; fan them across
+    // worker threads and emit rows in campaign order.
+    let outcomes = fan_stealing(campaigns(), 0, |_, (name, plan)| {
+        (name, run(&config, &trace, plan))
     });
 
-    for (name, supervised, o) in outcomes {
-        let controller = if supervised { "supervised" } else { "plain" };
+    let mut out_of_range = Vec::new();
+    for (name, o) in &outcomes {
+        let totals = o.result.totals;
+        let s = o.solves;
         println!(
-            "{:>18} {:>12} {:>10.3e} {:>10.2} {:>12.1} {:>7} {:>9} {:>9} {:>7}",
+            "{:>18} {:>10.3e} {:>10.2} {:>12.1} {:>12.6e} {:>7} {:>6} {:>7} {:>8} {:>7} {:>9}",
             name,
-            controller,
-            o.capacity_loss,
-            o.peak_temp_c,
-            o.unserved_j,
+            totals.capacity_loss,
+            totals.peak_battery_temp.to_celsius().value(),
+            totals.shortfall_energy.value(),
+            realized_cost(&o.result),
             o.faults_injected,
-            o.rejected,
-            o.fallbacks,
-            o.rearms
+            s.converged,
+            s.budget_exhausted,
+            s.stalled,
+            s.non_finite,
+            s.deadline_reached
         );
+        if !state_in_range(&o.result) {
+            out_of_range.push(*name);
+        }
     }
 
-    println!("\nReading: under faults the supervised controller must keep Tpeak bounded and");
-    println!("finite with a nonzero fallback count; on the nominal campaign both rows match");
-    println!("(the supervisor is bit-transparent when healthy).");
+    let verdict = if out_of_range.is_empty() {
+        "holds".to_string()
+    } else {
+        format!("FAILS on {}", out_of_range.join(", "))
+    };
+    println!(
+        "\nCheck (every step of every campaign: state finite, SoC and SoE in [0, 1], \
+         T_b < {:.0} °C): {verdict}",
+        T_B_MAX.to_celsius().value()
+    );
 }

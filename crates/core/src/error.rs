@@ -26,18 +26,6 @@ pub enum OtemError {
         /// Human-readable constraint that was violated.
         constraint: &'static str,
     },
-    /// The optimiser produced an unusable result (rejected by the
-    /// supervisor's decision validation).
-    Solver {
-        /// What the validator objected to (stable snake_case token,
-        /// mirrored into [`otem_telemetry::Event::DecisionRejected`]).
-        reason: &'static str,
-    },
-    /// A quantity that must be finite was NaN or infinite.
-    NonFinite {
-        /// Which quantity went non-finite.
-        quantity: &'static str,
-    },
 }
 
 impl fmt::Display for OtemError {
@@ -55,8 +43,6 @@ impl fmt::Display for OtemError {
                     "invalid configuration: {field} must satisfy {constraint}"
                 )
             }
-            Self::Solver { reason } => write!(f, "solver: {reason}"),
-            Self::NonFinite { quantity } => write!(f, "non-finite {quantity}"),
         }
     }
 }
@@ -70,7 +56,7 @@ impl Error for OtemError {
             Self::Thermal(e) => Some(e),
             Self::Hees(e) => Some(e),
             Self::Cycle(e) => Some(e),
-            Self::InvalidConfig { .. } | Self::Solver { .. } | Self::NonFinite { .. } => None,
+            Self::InvalidConfig { .. } => None,
         }
     }
 }
@@ -114,21 +100,6 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<OtemError>();
-    }
-
-    #[test]
-    fn solver_and_non_finite_display_their_context() {
-        let s = OtemError::Solver {
-            reason: "non_finite_cost",
-        };
-        assert_eq!(s.to_string(), "solver: non_finite_cost");
-        assert!(s.source().is_none());
-
-        let n = OtemError::NonFinite {
-            quantity: "battery temperature",
-        };
-        assert_eq!(n.to_string(), "non-finite battery temperature");
-        assert!(n.source().is_none());
     }
 
     #[test]

@@ -58,11 +58,9 @@ pub mod mpc;
 pub mod planner;
 pub mod policy;
 mod sim;
-pub mod supervisor;
 
 pub use config::SystemConfig;
 pub use controller::{Controller, PlantFault, StepRecord, SystemState};
 pub use error::OtemError;
 pub use metrics::SimulationResult;
 pub use sim::{RunCursor, RunTotals, Simulator};
-pub use supervisor::SupervisedOtem;

@@ -295,8 +295,9 @@ impl Mpc {
 
     /// Caps the per-period solver iterations below the configured budget
     /// (`None` restores the configured budget). A cap of zero makes every
-    /// solve return its warm start unimproved — the "starved solver"
-    /// degradation mode the supervisor must detect.
+    /// solve return its projected, shifted warm start unimproved — the
+    /// "starved solver" degradation mode, which the closed loop rides
+    /// out by holding its last plan.
     pub fn set_iteration_cap(&mut self, cap: Option<usize>) {
         self.iteration_cap = cap;
     }
@@ -305,7 +306,8 @@ impl Mpc {
     /// [`MpcConfig::deadline_ns`] (`None` restores the configured
     /// value). A zero budget makes every solve return its projected
     /// warm start with [`SolverOutcome::DeadlineReached`] — the
-    /// "deadline-missed" degradation mode the supervisor must detect.
+    /// "deadline-missed" degradation mode, in which the closed loop
+    /// applies its last plan, shifted.
     pub fn set_deadline_ns(&mut self, deadline_ns: Option<u64>) {
         self.deadline_cap = deadline_ns;
     }

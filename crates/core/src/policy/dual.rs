@@ -10,18 +10,17 @@ use otem_telemetry::{span, Event, Sink};
 use otem_thermal::{ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 
-// The [16] switching band. The supervisor's rule-based fallback drives
-// the OTEM plant with the same band.
+// The [16] switching band.
 
 /// Battery temperature at which the load is redirected to the
 /// ultracapacitor.
-pub(crate) const HOT_THRESHOLD: Kelvin = Kelvin::from_celsius(33.0);
+const HOT_THRESHOLD: Kelvin = Kelvin::from_celsius(33.0);
 /// Battery temperature below which the battery takes the load back.
-pub(crate) const COOL_THRESHOLD: Kelvin = Kelvin::from_celsius(31.0);
+const COOL_THRESHOLD: Kelvin = Kelvin::from_celsius(31.0);
 /// Power used to recharge the bank from the battery while cool.
-pub(crate) const RECHARGE_POWER: Watts = Watts::new(6_000.0);
+const RECHARGE_POWER: Watts = Watts::new(6_000.0);
 /// Bank level above which recharging stops.
-pub(crate) const RECHARGE_TARGET: Ratio = Ratio::from_percent(95.0);
+const RECHARGE_TARGET: Ratio = Ratio::from_percent(95.0);
 
 /// Switch to the ultracapacitor when the battery crosses a temperature
 /// threshold; switch back (and recharge the bank from the battery) once

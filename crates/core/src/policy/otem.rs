@@ -70,19 +70,6 @@ impl Otem {
         })
     }
 
-    /// The system configuration this controller was built from (the
-    /// supervisor reads bounds and limits from here).
-    pub fn system_config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// Clears the MPC's warm-start memory. The supervisor calls this
-    /// when re-arming after a fallback episode so the first re-armed
-    /// solve does not extrapolate a plan computed under fault.
-    pub fn reset_mpc(&mut self) {
-        self.mpc.reset();
-    }
-
     /// Plant rollouts the MPC has run so far ([`Mpc::rollouts`]).
     pub fn rollouts(&self) -> u64 {
         self.mpc.rollouts()
@@ -157,8 +144,9 @@ impl Otem {
     /// receding-horizon optimisation, returning the planned first move
     /// *without* actuating the plant. [`Otem::step_with`] is exactly
     /// [`Otem::plan_with`] followed by [`Otem::apply_with`]; the split
-    /// exists so a supervisor can validate the decision in between and
-    /// substitute a fallback command on the same plant.
+    /// exists so the route planner ([`crate::planner`]) can record the
+    /// closed loop's moves and replay a plan's own moves on the same
+    /// plant.
     pub fn plan_with(
         &mut self,
         load: Watts,
@@ -191,8 +179,8 @@ impl Otem {
     /// Algorithm 1 lines 15–16: apply one period's command (`cap_bus`,
     /// `cool_duty`) to the real plant ([`MpcPlant::apply`]) and record
     /// what happened. The command need not come from the MPC — the
-    /// supervisor routes its rule-based fallback through the same path,
-    /// so fallback steps are physically identical to MPC steps in every
+    /// route planner replays a whole-route plan through the same path,
+    /// so replayed steps are physically identical to MPC steps in every
     /// respect but the source of the numbers. A stuck pump is a loop
     /// commanded idle: the plant steps at duty 0.
     pub fn apply_with(

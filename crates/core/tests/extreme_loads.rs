@@ -9,7 +9,7 @@
 
 use otem::mpc::MpcConfig;
 use otem::policy::{ActiveCooling, Dual, Otem, Parallel};
-use otem::{Controller, SupervisedOtem, SystemConfig};
+use otem::{Controller, SystemConfig};
 use otem_units::{Seconds, Watts};
 use proptest::prelude::*;
 
@@ -104,19 +104,6 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&state.soc.value()));
             prop_assert!((0.0..=1.0).contains(&state.soe.value()));
             prop_assert!(state.battery_temp.value().is_finite());
-        }
-    }
-
-    #[test]
-    fn supervised_otem_survives_megawatt_spikes(loads in extreme_loads()) {
-        let config = SystemConfig::default();
-        let mut sup = SupervisedOtem::new(
-            Otem::with_mpc(&config, tiny_mpc()).unwrap(),
-        );
-        let dt = Seconds::new(1.0);
-        for &l in &loads {
-            let rec = sup.step(Watts::new(l), &[Watts::new(l); 3], dt);
-            assert_record_physical(&rec)?;
         }
     }
 }

@@ -3,10 +3,11 @@
 //! Robustness claims need a repeatable adversary. This crate provides
 //! one: a seeded, schedule-driven [`FaultPlan`] and a
 //! [`FaultedController`] decorator that wraps **any**
-//! [`otem::Controller`] and corrupts what flows across its boundary —
-//! sensor readings, load, forecast — plus, for controllers that opt in
-//! via [`otem::Controller::inject`], plant-internal degradations (stuck
-//! cooling pump, starved solver, collapsed solve deadline, biased
+//! [`otem::Controller`] and corrupts what flows into it — load and
+//! forecast — plus, for controllers that opt in via
+//! [`otem::Controller::inject`], plant-internal degradations (stuck
+//! cooling pump, starved solver, collapsed solve deadline) and the
+//! battery temperature the controller reads (biased or noisy
 //! thermistor).
 //!
 //! Design rules:
@@ -14,6 +15,12 @@
 //! * **The nominal path is untouched.** Faults live entirely in this
 //!   decorator; a controller that is never wrapped runs byte-identical
 //!   code to before this crate existed.
+//! * **The books are the plant's.** Faults reach the controller, never
+//!   the [`StepRecord`] it returns: the decorator hands the wrapped
+//!   controller's record back unchanged, so route totals price what the
+//!   plant did. A controller that refuses the sensor injection (the
+//!   reactive baselines, which read no sensor) is unaffected by sensor
+//!   faults.
 //! * **Determinism.** All randomness comes from one seeded generator;
 //!   the same plan over the same trace reproduces the same corruption
 //!   bit-for-bit. Campaign results are therefore regression-testable.
@@ -26,7 +33,7 @@
 
 use otem::{Controller, PlantFault, StepRecord, SystemState};
 use otem_telemetry::{Event, Sink};
-use otem_units::{Kelvin, Ratio, Seconds, Watts};
+use otem_units::{Seconds, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -34,17 +41,15 @@ use serde::{Deserialize, Serialize};
 /// One kind of injected degradation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// Gaussian noise on the *reported* measurements: battery/coolant
-    /// temperature (K) and SoC/SoE (absolute ratio units).
+    /// Gaussian noise on the battery temperature the controller reads:
+    /// one fresh draw per step, delivered with any active
+    /// [`FaultKind::SensorBias`] through [`PlantFault::SensorBias`].
     SensorNoise {
         /// Standard deviation of the temperature noise (K).
         temp_sigma_k: f64,
-        /// Standard deviation of the SoC/SoE noise (ratio units).
-        ratio_sigma: f64,
     },
-    /// Constant offset on the temperature the controller reads
-    /// (delivered via [`PlantFault::SensorBias`] when the controller
-    /// supports it, otherwise applied to the reported record).
+    /// Constant offset on the battery temperature the controller reads
+    /// (delivered via [`PlantFault::SensorBias`]).
     SensorBias {
         /// Bias on the measured battery temperature (K).
         temp_k: f64,
@@ -62,8 +67,8 @@ pub enum FaultKind {
         gain: f64,
     },
     /// The forecast turns to garbage: every sample becomes NaN. The
-    /// nastiest case — an unsupervised MPC happily optimises a NaN
-    /// objective.
+    /// nastiest case — the MPC's objective turns NaN, and its solve
+    /// reports `NonFinite` and returns the projected, shifted warm start.
     ForecastCorrupt,
     /// An additive load transient on top of the drive-cycle demand.
     LoadSpike {
@@ -185,9 +190,6 @@ struct AppliedPlantFaults {
     iteration_cap: Option<usize>,
     deadline_ns: Option<u64>,
     sensor_bias_k: f64,
-    /// Whether the wrapped controller accepted the bias injection (if
-    /// not, the decorator biases the reported record instead).
-    bias_supported: bool,
 }
 
 /// Wraps any controller and subjects it to a [`FaultPlan`].
@@ -241,15 +243,10 @@ impl<C: Controller> FaultedController<C> {
         self.injections
     }
 
-    /// One standard-normal draw (Box–Muller over the seeded generator).
-    fn gauss(&mut self) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
     /// Reconciles the plant-level faults the schedule wants at this step
-    /// with what is currently pushed into the controller.
+    /// with what is currently pushed into the controller. The sensor
+    /// error is the sum of the active biases and one noise draw per
+    /// active [`FaultKind::SensorNoise`].
     fn reconcile_plant_faults(&mut self, step: u64) {
         let mut want_pump = false;
         let mut want_cap: Option<usize> = None;
@@ -264,7 +261,10 @@ impl<C: Controller> FaultedController<C> {
                 FaultKind::SolverDeadline { deadline_ns } => {
                     want_deadline = Some(deadline_ns);
                 }
-                FaultKind::SensorBias { temp_k } => want_bias = temp_k,
+                FaultKind::SensorBias { temp_k } => want_bias += temp_k,
+                FaultKind::SensorNoise { temp_sigma_k } => {
+                    want_bias += temp_sigma_k * gauss(&mut self.rng);
+                }
                 _ => {}
             }
         }
@@ -283,7 +283,7 @@ impl<C: Controller> FaultedController<C> {
             self.applied.deadline_ns = want_deadline;
         }
         if want_bias != self.applied.sensor_bias_k {
-            self.applied.bias_supported = self
+            let _ = self
                 .inner
                 .inject(PlantFault::SensorBias { temp_k: want_bias });
             self.applied.sensor_bias_k = want_bias;
@@ -329,44 +329,13 @@ impl<C: Controller> FaultedController<C> {
         }
         load
     }
+}
 
-    /// Applies measurement-side corruption to the reported record.
-    fn corrupt_record(&mut self, step: u64, mut record: StepRecord) -> StepRecord {
-        let mut temp_sigma = 0.0;
-        let mut ratio_sigma = 0.0;
-        let mut bias = 0.0;
-        for kind in self.plan.active(step) {
-            match kind {
-                FaultKind::SensorNoise {
-                    temp_sigma_k,
-                    ratio_sigma: rs,
-                } => {
-                    temp_sigma = temp_sigma_k;
-                    ratio_sigma = rs;
-                }
-                FaultKind::SensorBias { temp_k } if !self.applied.bias_supported => {
-                    bias = temp_k;
-                }
-                _ => {}
-            }
-        }
-        if temp_sigma > 0.0 {
-            let db = temp_sigma * self.gauss();
-            let dc = temp_sigma * self.gauss();
-            record.state.battery_temp = Kelvin::new(record.state.battery_temp.value() + db);
-            record.state.coolant_temp = Kelvin::new(record.state.coolant_temp.value() + dc);
-        }
-        if ratio_sigma > 0.0 {
-            let ds = ratio_sigma * self.gauss();
-            let de = ratio_sigma * self.gauss();
-            record.state.soc = Ratio::new(record.state.soc.value() + ds);
-            record.state.soe = Ratio::new(record.state.soe.value() + de);
-        }
-        if bias != 0.0 {
-            record.state.battery_temp = Kelvin::new(record.state.battery_temp.value() + bias);
-        }
-        record
-    }
+/// One standard-normal draw (Box–Muller over the seeded generator).
+fn gauss(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 impl<C: Controller> Controller for FaultedController<C> {
@@ -414,13 +383,10 @@ impl<C: Controller> Controller for FaultedController<C> {
         let scratch = std::mem::take(&mut self.scratch);
         let record = self.inner.step_with(eff_load, &scratch, dt, sink);
         self.scratch = scratch;
-        self.corrupt_record(step, record)
+        record
     }
 
     fn state(&self) -> SystemState {
-        // Truthful: sensor corruption applies to per-step records; the
-        // state accessor reports the plant as it is, so harnesses can
-        // compare belief vs ground truth.
         self.inner.state()
     }
 
@@ -432,7 +398,11 @@ impl<C: Controller> Controller for FaultedController<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otem_telemetry::MemorySink;
+    use otem::mpc::MpcConfig;
+    use otem::policy::Otem;
+    use otem::SystemConfig;
+    use otem_telemetry::{MemorySink, NullSink};
+    use otem_units::{Kelvin, Ratio};
 
     /// A stub controller that records exactly what it was asked to do.
     #[derive(Debug, Default)]
@@ -587,48 +557,92 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sensor_bias_falls_back_to_record_corruption_when_unsupported() {
-        let plan = FaultPlan::new(1).inject(FaultKind::SensorBias { temp_k: 5.0 }, 0, 1);
-        let mut faulted = FaultedController::new(Probe::default(), plan);
-        let rec = faulted.step(Watts::ZERO, &[], Seconds::new(1.0));
-        // Probe rejects the bias injection, so the decorator biases the
-        // reported measurement instead.
-        assert!((rec.state.battery_temp.value() - (303.15 + 5.0)).abs() < 1e-9);
-        // Ground truth stays unbiased.
-        assert!((faulted.state().battery_temp.value() - 303.15).abs() < 1e-9);
+    /// A `sensor_storm`-style plan: a noisy thermistor with a bias
+    /// window inside it.
+    fn sensor_storm() -> FaultPlan {
+        FaultPlan::new(99)
+            .inject(FaultKind::SensorNoise { temp_sigma_k: 2.0 }, 0, 10)
+            .inject(FaultKind::SensorBias { temp_k: -4.0 }, 4, 8)
     }
 
     #[test]
     fn sensor_noise_is_seed_deterministic() {
-        let plan = || {
-            FaultPlan::new(99).inject(
-                FaultKind::SensorNoise {
-                    temp_sigma_k: 2.0,
-                    ratio_sigma: 0.05,
-                },
-                0,
-                10,
-            )
+        let biases = || {
+            let probe = Probe {
+                support_bias: true,
+                ..Probe::default()
+            };
+            let mut faulted = FaultedController::new(probe, sensor_storm());
+            for _ in 0..10 {
+                let _ = faulted.step(Watts::ZERO, &[], Seconds::new(1.0));
+            }
+            let injected: Vec<u64> = faulted
+                .into_inner()
+                .plant_faults
+                .into_iter()
+                .map(|f| match f {
+                    PlantFault::SensorBias { temp_k } => temp_k.to_bits(),
+                    other => panic!("unexpected injection {other:?}"),
+                })
+                .collect();
+            injected
         };
-        let (run_a, _) = run(plan(), 10);
-        let (run_b, _) = run(plan(), 10);
-        let mut a = FaultedController::new(Probe::default(), plan());
-        let mut b = FaultedController::new(Probe::default(), plan());
-        for _ in 0..10 {
-            let ra = a.step(Watts::ZERO, &[], Seconds::new(1.0));
-            let rb = b.step(Watts::ZERO, &[], Seconds::new(1.0));
-            assert_eq!(
-                ra.state.battery_temp.value().to_bits(),
-                rb.state.battery_temp.value().to_bits()
-            );
-            assert_ne!(
-                ra.state.battery_temp.value(),
-                303.15,
-                "noise must actually perturb the reading"
-            );
+        let (a, b) = (biases(), biases());
+        assert_eq!(a, b, "same seed, same injected biases");
+        // One fresh draw per noisy step; the window closes with the run.
+        assert_eq!(a.len(), 10);
+        let draws: Vec<f64> = a.iter().map(|&v| f64::from_bits(v)).collect();
+        assert!(
+            draws.windows(2).all(|w| w[0] != w[1]),
+            "noise must change the reading every step: {draws:?}"
+        );
+    }
+
+    #[test]
+    fn sensor_faults_leave_a_refusing_controller_untouched() {
+        // The probe refuses the sensor injection, as the reactive
+        // baselines do: its records are the unwrapped probe's, bit for
+        // bit.
+        let mut faulted = FaultedController::new(Probe::default(), sensor_storm());
+        let mut bare = Probe::default();
+        let forecast = [Watts::new(10_000.0)];
+        for k in 0..10 {
+            let load = Watts::new(1_000.0 * k as f64);
+            let a = faulted.step(load, &forecast, Seconds::new(1.0));
+            let b = bare.step(load, &forecast, Seconds::new(1.0));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "step {k}");
         }
-        let _ = (run_a, run_b);
+        assert_eq!(faulted.injections(), 14);
+    }
+
+    #[test]
+    fn sensor_noise_reaches_the_mpc_and_never_the_record() {
+        let config = SystemConfig::stress_rig();
+        let mpc = MpcConfig {
+            horizon: 6,
+            solver_iterations: 15,
+            ..MpcConfig::default()
+        };
+        let otem = Otem::with_mpc(&config, mpc).expect("valid");
+        let mut clean = otem.clone();
+        let plan = FaultPlan::new(7).inject(FaultKind::SensorNoise { temp_sigma_k: 5.0 }, 0, 1);
+        let mut noisy = FaultedController::new(otem, plan);
+        let load = Watts::new(40_000.0);
+        let forecast = [Watts::new(40_000.0); 5];
+        let dt = Seconds::new(1.0);
+        let rec = noisy.step_with(load, &forecast, dt, &NullSink);
+        // The record books the plant...
+        assert_eq!(
+            rec.state.battery_temp.value().to_bits(),
+            noisy.state().battery_temp.value().to_bits()
+        );
+        // ...while the MPC planned on the noisy reading.
+        let reference = clean.step_with(load, &forecast, dt, &NullSink);
+        assert_ne!(
+            format!("{:?}", rec.hees),
+            format!("{:?}", reference.hees),
+            "the first move must see the noise"
+        );
     }
 
     #[test]

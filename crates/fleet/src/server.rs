@@ -39,8 +39,7 @@
 //! spans and flight-recorder entries name the request that caused them.
 //! An always-on [`FlightRecorder`] keeps the last N events per lane and
 //! freezes a post-mortem dump the moment a contained panic flows
-//! through it (no fleet vehicle runs the supervisor, so in the fleet a
-//! contained panic is the only trigger); the frozen dump is served on
+//! through it (its one trigger); the frozen dump is served on
 //! `GET /debug/flight` (and written to [`ServerConfig::flight_dir`]
 //! when configured). `GET /debug/trace?sample=N` arms 1-in-N span
 //! sampling and streams the sampled spans collected so far.
@@ -173,8 +172,7 @@ struct ServerState {
     /// [`Self::observe`] feeds it every event, so its event table counts
     /// solve outcomes, sheds, timeouts and contained panics.
     registry: Arc<MetricsRegistry>,
-    /// Always-on ring of recent telemetry; freezes on contained panics,
-    /// its only trigger in the fleet, whose vehicles run no supervisor
+    /// Always-on ring of recent telemetry; freezes on contained panics
     /// (see [`FlightRecorder`]).
     recorder: FlightRecorder,
     /// The most recent frozen dump, drained from the recorder by the

@@ -86,6 +86,47 @@ fn deadline_outcomes_count_every_solve() {
     assert!(report.solve_outcomes.deadline_reached > 0);
 }
 
+/// A clock whose every read advances 200 µs, past the whole 100 µs
+/// budget: each solve misses its deadline before its first iteration.
+fn starved_clock(_spec: &VehicleSpec) -> Arc<dyn Clock> {
+    Arc::new(VirtualClock::with_tick(200_000))
+}
+
+#[test]
+fn a_zero_iteration_deadline_holds_the_idle_warm_start() {
+    // No solve gets an iteration, so every decision is the projected,
+    // shifted warm start. It starts all zero and stays so: the bank
+    // idles, the pump never runs, and the route still completes.
+    let campaign = deadline_campaign();
+    let reference = FleetEngine::new(Schedule::Serial)
+        .with_clock_factory(starved_clock)
+        .run(&campaign);
+    let outcomes = reference.solve_outcomes;
+    assert_eq!(outcomes.total(), reference.total_steps);
+    assert_eq!(outcomes.deadline_reached, outcomes.total(), "{outcomes:?}");
+    assert_eq!(reference.summaries.len(), campaign.vehicles.len());
+    for s in &reference.summaries {
+        assert_eq!(s.cooling_j, 0.0, "vehicle {}: the pump ran", s.id);
+        for v in [s.energy_j, s.capacity_loss, s.peak_temp_k, s.shortfall_j] {
+            assert!(v.is_finite(), "vehicle {}: {s:?}", s.id);
+        }
+    }
+
+    for schedule in [
+        Schedule::WorkStealing { shards: 4 },
+        Schedule::WorkStealing { shards: 16 },
+    ] {
+        let report = FleetEngine::new(schedule)
+            .with_clock_factory(starved_clock)
+            .run(&campaign);
+        assert_eq!(
+            report.summaries, reference.summaries,
+            "summaries diverged under {schedule:?}"
+        );
+        assert_eq!(report.solve_outcomes, outcomes, "under {schedule:?}");
+    }
+}
+
 #[test]
 fn undeadlined_campaign_is_unchanged_by_the_tally() {
     // The outcome tally rides along on the nominal path too; it must

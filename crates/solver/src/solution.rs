@@ -3,9 +3,10 @@
 use serde::{Deserialize, Serialize};
 
 /// How a minimisation run ended — the structured replacement for a bare
-/// `converged` flag, so callers (the MPC supervisor in particular) can
-/// distinguish "met tolerance" from "ran out of budget", "line search
-/// stalled" and "the objective itself is broken".
+/// `converged` flag, so callers (the MPC's telemetry and the fleet's
+/// outcome tally in particular) can distinguish "met tolerance" from
+/// "ran out of budget", "line search stalled" and "the objective itself
+/// is broken".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SolverOutcome {
     /// The convergence tolerance was met.

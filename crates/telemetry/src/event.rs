@@ -85,36 +85,9 @@ pub enum Event {
     FaultInjected {
         /// Zero-based step index along the route.
         step: u64,
-        /// Stable snake_case fault name (e.g. `"forecast_nan"`,
+        /// Stable snake_case fault name (e.g. `"forecast_corrupt"`,
         /// `"pump_stuck"`).
         fault: &'static str,
-    },
-    /// The supervisor rejected a controller decision (or the post-step
-    /// state it produced) as unusable.
-    DecisionRejected {
-        /// Zero-based step index along the route.
-        step: u64,
-        /// Stable snake_case rejection predicate that fired (e.g.
-        /// `"non_finite_cost"`, `"soc_out_of_range"`).
-        reason: &'static str,
-    },
-    /// The supervisor disarmed the MPC and switched the plant to the
-    /// rule-based fallback policy.
-    FallbackEngaged {
-        /// Zero-based step index along the route.
-        step: u64,
-        /// Consecutive healthy steps required before the MPC is
-        /// re-armed (grows with exponential backoff on repeated
-        /// failures).
-        backoff_steps: u64,
-    },
-    /// The supervisor re-armed the MPC after enough consecutive healthy
-    /// fallback steps.
-    MpcRearmed {
-        /// Zero-based step index along the route.
-        step: u64,
-        /// Healthy fallback steps observed before re-arming.
-        healthy_steps: u64,
     },
     /// A hierarchical timed span opened (see the crate's span API:
     /// [`span`](crate::span) / [`SpanGuard`](crate::SpanGuard)).
@@ -236,9 +209,6 @@ impl Event {
             Event::UcapSaturated { .. } => "ucap_saturated",
             Event::BoundClamp { .. } => "bound_clamp",
             Event::FaultInjected { .. } => "fault_injected",
-            Event::DecisionRejected { .. } => "decision_rejected",
-            Event::FallbackEngaged { .. } => "fallback_engaged",
-            Event::MpcRearmed { .. } => "mpc_rearmed",
             Event::RequestShed { .. } => "request_shed",
             Event::RequestTimeout { .. } => "request_timeout",
             Event::PanicCaught { .. } => "panic_caught",
@@ -299,22 +269,6 @@ impl Event {
             Event::FaultInjected { step, fault } => {
                 let _ = write!(out, ",\"step\":{step}");
                 str_field(out, "fault", fault);
-            }
-            Event::DecisionRejected { step, reason } => {
-                let _ = write!(out, ",\"step\":{step}");
-                str_field(out, "reason", reason);
-            }
-            Event::FallbackEngaged {
-                step,
-                backoff_steps,
-            } => {
-                let _ = write!(out, ",\"step\":{step},\"backoff_steps\":{backoff_steps}");
-            }
-            Event::MpcRearmed {
-                step,
-                healthy_steps,
-            } => {
-                let _ = write!(out, ",\"step\":{step},\"healthy_steps\":{healthy_steps}");
             }
             Event::RequestShed {
                 queued,
@@ -541,57 +495,12 @@ mod tests {
             "{\"event\":\"fault_injected\",\"step\":42,\"fault\":\"forecast_nan\"}"
         );
         assert_eq!(
-            json(&Event::DecisionRejected {
-                step: 43,
-                reason: "non_finite_cost",
-            }),
-            "{\"event\":\"decision_rejected\",\"step\":43,\"reason\":\"non_finite_cost\"}"
-        );
-        assert_eq!(
-            json(&Event::FallbackEngaged {
-                step: 43,
-                backoff_steps: 5,
-            }),
-            "{\"event\":\"fallback_engaged\",\"step\":43,\"backoff_steps\":5}"
-        );
-        assert_eq!(
-            json(&Event::MpcRearmed {
-                step: 48,
-                healthy_steps: 5,
-            }),
-            "{\"event\":\"mpc_rearmed\",\"step\":48,\"healthy_steps\":5}"
-        );
-        assert_eq!(
             Event::FaultInjected {
                 step: 0,
                 fault: "pump_stuck",
             }
             .kind(),
             "fault_injected"
-        );
-        assert_eq!(
-            Event::DecisionRejected {
-                step: 0,
-                reason: "x",
-            }
-            .kind(),
-            "decision_rejected"
-        );
-        assert_eq!(
-            Event::FallbackEngaged {
-                step: 0,
-                backoff_steps: 0,
-            }
-            .kind(),
-            "fallback_engaged"
-        );
-        assert_eq!(
-            Event::MpcRearmed {
-                step: 0,
-                healthy_steps: 0,
-            }
-            .kind(),
-            "mpc_rearmed"
         );
     }
 
@@ -677,14 +586,14 @@ mod tests {
 
     #[test]
     fn string_fields_are_escaped_per_json_spec() {
-        let e = Event::DecisionRejected {
-            step: 1,
-            reason: "quote \" back \\ slash",
+        let e = Event::RequestStarted {
+            request_id: 1,
+            route: "quote \" back \\ slash",
         };
         assert_eq!(
             json(&e),
-            "{\"event\":\"decision_rejected\",\"step\":1,\
-             \"reason\":\"quote \\\" back \\\\ slash\"}"
+            "{\"event\":\"request_started\",\"request_id\":1,\
+             \"route\":\"quote \\\" back \\\\ slash\"}"
         );
         let e = Event::FaultInjected {
             step: 2,

@@ -1,21 +1,17 @@
 //! The always-on flight recorder: a bounded ring of recent telemetry,
 //! frozen at the moment something goes wrong.
 //!
-//! Production failures are post-hoc: by the time a panic is caught or
-//! the supervisor falls back to the rule-based policy, the JSONL
-//! stream that would explain *why* has long been discarded (or was
-//! never requested — the nominal path runs a [`NullSink`]). The
+//! Production failures are post-hoc: by the time a panic is caught,
+//! the JSONL stream that would explain *why* has long been discarded
+//! (or was never requested — the nominal path runs a [`NullSink`]). The
 //! recorder keeps the last N events per lane shard at all times, each
 //! stamped with its originating [`request_id`](crate::context), and
-//! **freezes** a copy the instant it observes a containment event
-//! flowing through it:
-//!
-//! * [`Event::PanicCaught`] — a request handler or vehicle panicked;
-//! * [`Event::FallbackEngaged`] — the supervisor disarmed the MPC.
+//! **freezes** a copy the instant it observes [`Event::PanicCaught`]
+//! (a request handler or vehicle panicked) flowing through it.
 //!
 //! Freezing *observes the event stream* instead of requiring the
-//! supervisor or the catch-unwind sites to know the recorder exists —
-//! they keep emitting the events they already emit. The first trigger
+//! catch-unwind sites to know the recorder exists — they keep emitting
+//! the events they already emit. The first trigger
 //! wins (the dump describes the *first* incident, not the last); the
 //! serving layer drains it with [`FlightRecorder::take_dump`] and
 //! writes it as JSONL, and `/debug/flight` snapshots the live ring on
@@ -28,7 +24,6 @@
 //!
 //! [`NullSink`]: crate::NullSink
 //! [`Event::PanicCaught`]: crate::Event::PanicCaught
-//! [`Event::FallbackEngaged`]: crate::Event::FallbackEngaged
 
 use crate::context::current_request_id;
 use crate::event::Event;
@@ -68,8 +63,8 @@ impl FlightEntry {
 /// A frozen copy of the ring at the moment a trigger fired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightDump {
-    /// The [`Event::kind`] that froze the recorder (`"panic_caught"`,
-    /// `"fallback_engaged"`), or `"manual"` for explicit freezes.
+    /// The [`Event::kind`] that froze the recorder (`"panic_caught"`),
+    /// or `"manual"` for explicit freezes.
     pub trigger: &'static str,
     /// The retained events across all shards, oldest first.
     pub entries: Vec<FlightEntry>,
@@ -193,12 +188,9 @@ impl Sink for FlightRecorder {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(entry);
-        // Containment events freeze the ring *after* being recorded,
-        // so the trigger itself is the dump's last entry for its lane.
-        if matches!(
-            event,
-            Event::PanicCaught { .. } | Event::FallbackEngaged { .. }
-        ) {
+        // A contained panic freezes the ring *after* being recorded, so
+        // the trigger itself is the dump's last entry for its lane.
+        if matches!(event, Event::PanicCaught { .. }) {
             self.freeze(event.kind());
         }
     }
@@ -211,9 +203,9 @@ mod tests {
 
     /// Two non-trigger events of different kinds.
     const FILLER: Event = Event::GradientEval { dim: 2 };
-    const OTHER: Event = Event::MpcRearmed {
-        step: 1,
-        healthy_steps: 2,
+    const OTHER: Event = Event::DrainStarted {
+        in_flight: 1,
+        queued: 2,
     };
 
     #[test]
@@ -238,10 +230,7 @@ mod tests {
         assert!(!recorder.has_dump());
         recorder.record(Event::PanicCaught { context: "vehicle" });
         assert!(recorder.has_dump());
-        recorder.record(Event::FallbackEngaged {
-            step: 3,
-            backoff_steps: 5,
-        });
+        recorder.record(Event::PanicCaught { context: "request" });
         let dump = recorder.take_dump().expect("frozen");
         assert_eq!(dump.trigger, "panic_caught", "first trigger wins");
         assert_eq!(dump.entries.len(), 2, "frozen before the later event");
@@ -251,13 +240,10 @@ mod tests {
             "the trigger is the last frozen entry"
         );
         assert!(!recorder.has_dump(), "take_dump re-arms");
-        recorder.record(Event::FallbackEngaged {
-            step: 9,
-            backoff_steps: 5,
-        });
+        recorder.record(Event::PanicCaught { context: "request" });
         assert_eq!(
             recorder.take_dump().map(|d| d.trigger),
-            Some("fallback_engaged"),
+            Some("panic_caught"),
             "re-armed recorder freezes on the next incident"
         );
     }

@@ -40,9 +40,9 @@
 //!   that joins telemetry back to the serving-layer request that
 //!   caused it.
 //! * [`FlightRecorder`] — an always-on bounded ring of recent events
-//!   that freezes itself the moment a containment event
-//!   ([`Event::PanicCaught`], [`Event::FallbackEngaged`]) flows
-//!   through it, yielding a JSONL post-mortem.
+//!   that freezes itself the moment a contained panic
+//!   ([`Event::PanicCaught`]) flows through it, yielding a JSONL
+//!   post-mortem.
 //!
 //! # The zero-cost contract
 //!

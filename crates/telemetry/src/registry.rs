@@ -562,18 +562,6 @@ mod tests {
                 step: 0,
                 fault: "pump_stuck",
             },
-            Event::DecisionRejected {
-                step: 0,
-                reason: "non_finite_cost",
-            },
-            Event::FallbackEngaged {
-                step: 0,
-                backoff_steps: 4,
-            },
-            Event::MpcRearmed {
-                step: 4,
-                healthy_steps: 4,
-            },
             Event::SpanStart {
                 id: 1,
                 parent: 0,
@@ -665,9 +653,6 @@ mod tests {
                 | Event::UcapSaturated { .. }
                 | Event::BoundClamp { .. }
                 | Event::FaultInjected { .. }
-                | Event::DecisionRejected { .. }
-                | Event::FallbackEngaged { .. }
-                | Event::MpcRearmed { .. }
                 | Event::SpanStart { .. }
                 | Event::SpanEnd { .. }
                 | Event::DrainStarted { .. }

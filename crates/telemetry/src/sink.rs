@@ -373,9 +373,9 @@ mod tests {
 
     /// Two events of different kinds, used where any event will do.
     const FILLER: Event = Event::GradientEval { dim: 2 };
-    const OTHER: Event = Event::MpcRearmed {
-        step: 1,
-        healthy_steps: 2,
+    const OTHER: Event = Event::DrainStarted {
+        in_flight: 1,
+        queued: 2,
     };
 
     #[test]
@@ -394,7 +394,7 @@ mod tests {
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.events(), vec![FILLER, FILLER]);
         assert_eq!(sink.count_kind("gradient_eval"), 2);
-        assert_eq!(sink.count_kind("mpc_rearmed"), 0);
+        assert_eq!(sink.count_kind("drain_started"), 0);
         sink.clear();
         assert!(sink.is_empty());
     }
@@ -410,7 +410,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
-            "{\"event\":\"mpc_rearmed\",\"step\":1,\"healthy_steps\":2}"
+            "{\"event\":\"drain_started\",\"in_flight\":1,\"queued\":2}"
         );
         assert!(lines[1].starts_with("{\"event\":\"gradient_eval\""));
     }
@@ -513,11 +513,11 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("\"name\":\"mpc_rearmed\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\""),
+            text.contains("\"name\":\"drain_started\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\""),
             "{text}"
         );
         assert!(
-            text.contains("\"args\":{\"event\":\"mpc_rearmed\",\"step\":1,\"healthy_steps\":2}"),
+            text.contains("\"args\":{\"event\":\"drain_started\",\"in_flight\":1,\"queued\":2}"),
             "{text}"
         );
     }

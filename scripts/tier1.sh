@@ -65,14 +65,14 @@ fi
 echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-# Benchmark smoke run: one short run of each workload, untraced and (for
-# mpc_loop) traced, plus serve_mix, the one run that drives the fleet
-# server's HTTP path (/simulate, /metrics). perfbench's last line is its
+# Benchmark smoke run: one short run of each workload, untraced and
+# traced, plus serve_mix, the one run that drives the fleet server's
+# HTTP path (/simulate, /metrics). perfbench's last line is its
 # JSON report, whose `correct` field is the conjunction of its output
 # checks (checksums, traced-equals-untraced streams, every vehicle
 # timed), so a broken output check fails here rather than only in a full
 # benchmark run.
-for workload in "mpc_loop --trace 0" "mpc_loop --trace 1" "fleet_mix --trace 0" "serve_mix --trace 0"; do
+for workload in "mpc_loop --trace 0" "mpc_loop --trace 1" "fleet_mix --trace 0" "fleet_mix --trace 1" "serve_mix --trace 0"; do
     echo "==> perfbench --workload ${workload} --seconds 1"
     # The workload string is split on purpose. perfbench exits non-zero
     # when a check fails; the case below reports that from its last line.

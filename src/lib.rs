@@ -18,7 +18,7 @@
 //! | [`drivecycle`] | `otem-drivecycle` | cycles + power-train model |
 //! | [`solver`] | `otem-solver` | NLP toolkit for the MPC |
 //! | [`telemetry`] | `otem-telemetry` | structured events, metrics, sinks |
-//! | [`control`] | `otem` | OTEM MPC, baselines, simulator, supervisor |
+//! | [`control`] | `otem` | OTEM MPC, baselines, simulator |
 //! | [`faults`] | `otem-faults` | deterministic fault-injection harness |
 //! | [`fleet`] | `otem-fleet` | batched fleet engine + JSONL-over-TCP server |
 //!

@@ -19,7 +19,7 @@
 //!
 use otem_repro::control::mpc::MpcConfig;
 use otem_repro::control::policy::{ActiveCooling, Dual, Otem, Parallel};
-use otem_repro::control::{Controller, SimulationResult, Simulator, SupervisedOtem, SystemConfig};
+use otem_repro::control::{Controller, SimulationResult, Simulator, SystemConfig};
 use otem_repro::drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
 use otem_repro::units::Seconds;
 use std::fmt::Write as _;
@@ -258,72 +258,4 @@ fn default_otem_agrees_with_a_solved_reference_physically() {
         rel <= 5e-3,
         "delivered energy drift {rel:.3e} ({energy_got:.4e} vs {energy_want:.4e} W·s)"
     );
-}
-
-/// The supervisor's zero-cost contract: on the nominal rig it must be
-/// invisible — bit-identical records to unsupervised OTEM (same golden
-/// trace, no new CSV) and a silent degradation ladder. This is checked
-/// in-memory against the *unsupervised* run rather than a separate
-/// golden file, so the two controllers can never drift apart unnoticed.
-#[test]
-fn golden_otem_supervised_is_bit_identical_on_nominal_route() {
-    use otem_repro::telemetry::MemorySink;
-
-    let config = SystemConfig::stress_rig();
-    let trace = rig_trace();
-
-    let mut plain = Otem::new(&config).expect("valid");
-    let baseline = Simulator::new(&config).run(&mut plain, &trace);
-
-    let mut supervised = SupervisedOtem::new(Otem::new(&config).expect("valid"));
-    let sink = MemorySink::new();
-    let result = Simulator::new(&config).run_with(&mut supervised, &trace, &sink);
-
-    assert_eq!(result.records.len(), baseline.records.len());
-    for (step, (sup, plain)) in result.records.iter().zip(&baseline.records).enumerate() {
-        assert_eq!(
-            sup.state.battery_temp.value().to_bits(),
-            plain.state.battery_temp.value().to_bits(),
-            "step {step}: supervised T_b drifted"
-        );
-        assert_eq!(
-            sup.state.soc.value().to_bits(),
-            plain.state.soc.value().to_bits()
-        );
-        assert_eq!(
-            sup.state.soe.value().to_bits(),
-            plain.state.soe.value().to_bits()
-        );
-        assert_eq!(
-            sup.hees.delivered.value().to_bits(),
-            plain.hees.delivered.value().to_bits()
-        );
-        assert_eq!(
-            sup.cooling_power.value().to_bits(),
-            plain.cooling_power.value().to_bits()
-        );
-    }
-
-    // The ladder never fired on the healthy route.
-    assert!(supervised.is_armed());
-    assert_eq!(supervised.rejected(), 0);
-    assert_eq!(supervised.fallbacks(), 0);
-    assert_eq!(sink.count_kind("decision_rejected"), 0);
-    assert_eq!(sink.count_kind("fallback_engaged"), 0);
-    assert_eq!(sink.count_kind("mpc_rearmed"), 0);
-    assert_eq!(sink.count_kind("fault_injected"), 0);
-
-    // And the supervised run still matches the committed OTEM golden.
-    let rows = rows_of(&result);
-    let path = golden_path("otem");
-    if std::env::var_os("OTEM_BLESS").is_none() {
-        let text = std::fs::read_to_string(&path).expect("otem golden present");
-        let expected = decode(&text, &path);
-        for (got, want) in rows.iter().zip(&expected) {
-            assert!(close(got.t_battery_c, want.t_battery_c, ABS_TOL_TEMP_C));
-            assert!(close(got.soc, want.soc, ABS_TOL_RATIO));
-            assert!(close(got.soe, want.soe, ABS_TOL_RATIO));
-            assert!(close(got.delivered_w, want.delivered_w, ABS_TOL_POWER_W));
-        }
-    }
 }
