@@ -51,7 +51,7 @@ fn campaigns() -> Vec<(&'static str, FaultPlan)> {
         ),
         (
             "solver_starved",
-            FaultPlan::new(SEED).inject(FaultKind::SolverStarvation { max_iterations: 0 }, 30, 60),
+            FaultPlan::new(SEED).inject(FaultKind::SolverDeadline { deadline_ns: 0 }, 30, 60),
         ),
         (
             "sensor_storm",

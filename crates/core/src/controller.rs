@@ -41,31 +41,28 @@ impl StepRecord {
     }
 }
 
-/// A plant-level degradation a fault harness may ask a controller to
-/// emulate. Faults that only corrupt the controller's *inputs* (noisy
-/// sensors, bad forecasts) don't need this channel — they are applied by
-/// the harness itself; this enum covers degradations that live *inside*
-/// the plant or the optimiser and so need the controller's cooperation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PlantFault {
-    /// Forces the cooling pump stuck (true: stuck *off* — the active
-    /// thermal loop loses actuation; false: restore normal operation).
-    PumpStuck(bool),
-    /// Caps the optimiser's per-period iteration budget (`Some(0)`
-    /// starves it completely); `None` restores the configured budget.
-    SolverIterationCap(Option<usize>),
+/// The plant-level degradations a fault harness asks a controller to
+/// emulate, as one value: what the plant and its optimiser currently
+/// suffer. Faults that only corrupt the controller's *load and
+/// forecast* are applied by the harness itself; these live *inside*
+/// the plant, the optimiser or the sensors and so need the
+/// controller's cooperation. [`PlantFaults::default`] is the healthy
+/// plant.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct PlantFaults {
+    /// The cooling pump is stuck *off*: the active thermal loop loses
+    /// actuation whatever duty the controller commands.
+    pub pump_stuck: bool,
     /// Caps the optimiser's per-solve wall-clock deadline in
-    /// nanoseconds (`Some(0)` makes every solve miss it immediately);
-    /// `None` restores the configured deadline. Models a compute
-    /// platform losing headroom — thermal throttling of the control
-    /// ECU, a co-scheduled task stealing the core.
-    SolverDeadlineNs(Option<u64>),
-    /// Additive bias (K) on the temperature the controller *reads* from
-    /// its plant — models a drifted thermistor. Zero removes the bias.
-    SensorBias {
-        /// Bias applied to the measured battery temperature.
-        temp_k: f64,
-    },
+    /// nanoseconds; `Some(0)` starves every solve, which returns its
+    /// warm start unimproved. Models a compute platform losing headroom
+    /// (thermal throttling of the control ECU, a co-scheduled task
+    /// stealing the core). `None` keeps the configured deadline.
+    pub solver_deadline_ns: Option<u64>,
+    /// Additive bias (K) on the battery temperature the controller
+    /// *reads* — a drifted or noisy thermistor. The plant itself
+    /// evolves unbiased.
+    pub sensor_bias_k: f64,
 }
 
 /// A thermal/energy management methodology driving one HEES
@@ -102,14 +99,13 @@ pub trait Controller {
     /// Current state vector.
     fn state(&self) -> SystemState;
 
-    /// Asks the controller to emulate a plant-level fault. Returns
-    /// `true` if the fault is supported and now active (or cleared);
-    /// controllers without the corresponding hardware simply return
-    /// `false` and the harness records the fault as inapplicable. The
-    /// default supports nothing.
-    fn inject(&mut self, fault: PlantFault) -> bool {
-        let _ = fault;
-        false
+    /// Sets the plant-level faults the controller emulates from now on,
+    /// replacing whatever was injected before
+    /// ([`PlantFaults::default`] heals the plant). A controller without
+    /// the corresponding hardware or sensor ignores the fault; the
+    /// default ignores every one.
+    fn inject(&mut self, faults: PlantFaults) {
+        let _ = faults;
     }
 }
 
@@ -136,8 +132,8 @@ impl Controller for Box<dyn Controller> {
         (**self).state()
     }
 
-    fn inject(&mut self, fault: PlantFault) -> bool {
-        (**self).inject(fault)
+    fn inject(&mut self, faults: PlantFaults) {
+        (**self).inject(faults);
     }
 }
 

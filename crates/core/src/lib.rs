@@ -60,7 +60,7 @@ pub mod policy;
 mod sim;
 
 pub use config::SystemConfig;
-pub use controller::{Controller, PlantFault, StepRecord, SystemState};
+pub use controller::{Controller, PlantFaults, StepRecord, SystemState};
 pub use error::OtemError;
 pub use metrics::SimulationResult;
 pub use sim::{RunCursor, RunTotals, Simulator};

@@ -221,11 +221,6 @@ pub struct Mpc {
     config: MpcConfig,
     previous: Option<Vec<f64>>,
     solver: ProjectedGradient,
-    /// Runtime ceiling on solver iterations (below the configured
-    /// budget); `None` means the configured budget applies. Exists so a
-    /// fault-injection harness can starve the solver without rebuilding
-    /// the controller.
-    iteration_cap: Option<usize>,
     /// Runtime tightening of the per-solve deadline (ns); combined with
     /// the configured [`MpcConfig::deadline_ns`] by taking the minimum,
     /// so a fault can only shrink the budget. `None` restores the
@@ -273,7 +268,6 @@ impl Mpc {
             config,
             previous: None,
             solver,
-            iteration_cap: None,
             deadline_cap: None,
             clock: Arc::new(MonotonicClock::new()),
             bounds: Bounds::new(lower, upper).partitioned_at(&[n]),
@@ -288,33 +282,19 @@ impl Mpc {
         &self.config
     }
 
-    /// Clears the warm-start memory (e.g. when the route changes).
-    pub fn reset(&mut self) {
-        self.previous = None;
-    }
-
-    /// Caps the per-period solver iterations below the configured budget
-    /// (`None` restores the configured budget). A cap of zero makes every
-    /// solve return its projected, shifted warm start unimproved — the
-    /// "starved solver" degradation mode, which the closed loop rides
-    /// out by holding its last plan.
-    pub fn set_iteration_cap(&mut self, cap: Option<usize>) {
-        self.iteration_cap = cap;
-    }
-
     /// Tightens the per-solve deadline below the configured
     /// [`MpcConfig::deadline_ns`] (`None` restores the configured
-    /// value). A zero budget makes every solve return its projected
-    /// warm start with [`SolverOutcome::DeadlineReached`] — the
-    /// "deadline-missed" degradation mode, in which the closed loop
-    /// applies its last plan, shifted.
+    /// value). A zero budget starves the solver: every solve returns its
+    /// projected warm start with [`SolverOutcome::DeadlineReached`] —
+    /// the degradation mode in which the closed loop applies its last
+    /// plan, shifted.
     pub fn set_deadline_ns(&mut self, deadline_ns: Option<u64>) {
         self.deadline_cap = deadline_ns;
     }
 
     /// The per-solve deadline budget currently in force (runtime cap
     /// combined with the configured value by minimum), if any.
-    pub fn deadline_ns(&self) -> Option<u64> {
+    fn deadline_ns(&self) -> Option<u64> {
         match (self.deadline_cap, self.config.deadline_ns) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -434,8 +414,8 @@ impl Mpc {
         self.minimize(plant, loads, dt, &NullSink)
     }
 
-    /// Runs the solver from `self.x0` on the box, within the runtime
-    /// iteration cap and deadline, through the held buffers.
+    /// Runs the solver from `self.x0` on the box, within the deadline
+    /// in force, through the held buffers.
     fn minimize(
         &mut self,
         plant: &MpcPlant,
@@ -445,15 +425,16 @@ impl Mpc {
     ) -> Solution {
         let buffers = std::mem::take(&mut self.buffers);
         let objective = RolloutObjective::new(plant, loads, dt, &self.config, buffers, sink);
-        let mut solver = self.solver;
-        if let Some(cap) = self.iteration_cap {
-            solver.max_iterations = solver.max_iterations.min(cap);
-        }
         let deadline = self
             .deadline_ns()
             .map(|budget| Deadline::after(self.clock.as_ref(), budget));
-        let solution =
-            solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref());
+        let solution = self.solver.minimize_within(
+            &objective,
+            &self.bounds,
+            &self.x0,
+            sink,
+            deadline.as_ref(),
+        );
         self.rollouts += objective.rollouts.get();
         self.buffers = objective.buffers.into_inner();
         solution
@@ -732,8 +713,6 @@ mod tests {
         // Warm-started re-solve of the same problem should converge at
         // least as fast.
         assert!(second.iterations <= first.iterations + 5);
-        mpc.reset();
-        assert!(mpc.previous.is_none());
     }
 
     #[test]
@@ -829,9 +808,21 @@ mod tests {
         assert_eq!(shifted, vec![0.4, -0.6, 0.2, 0.2, 0.9, 0.3, 0.7, 0.7]);
     }
 
+    /// A cold-started [`Mpc::solve_from`] must decide bit for bit what a
+    /// fresh controller's first [`Mpc::solve`] does.
+    fn assert_cold_solve_matches(plant: &MpcPlant, cold: &Solution, fresh: &MpcDecision) {
+        let n = cold.x.len() / 2;
+        let cap_bus = cold.x[0] * plant.cap_power_max.value();
+        assert_eq!(cap_bus.to_bits(), fresh.cap_bus.value().to_bits());
+        assert_eq!(cold.x[n].to_bits(), fresh.cool_duty.to_bits());
+        assert_eq!(cold.value.to_bits(), fresh.cost.to_bits());
+        assert_eq!(cold.iterations, fresh.iterations);
+    }
+
     #[test]
     fn workspace_is_rebuilt_on_plant_change() {
-        // Solving for one plant and then, from a cold start, for a
+        // Solving for one plant and then, from a cold start (the route
+        // planner's path: an explicit all-zero start), for a
         // differently-parameterised one must roll out the second plant:
         // each decision matches a fresh controller's bit for bit.
         let config = SystemConfig::default();
@@ -851,13 +842,9 @@ mod tests {
         };
         let mut reused = Mpc::new(cfg);
         for q in [&p, &other] {
-            reused.reset();
-            let a = reused.solve(q, &loads, dt);
+            let a = reused.solve_from(q, &loads, dt, &[0.0; 8]);
             let b = Mpc::new(cfg).solve(q, &loads, dt);
-            assert_eq!(a.cap_bus.value().to_bits(), b.cap_bus.value().to_bits());
-            assert_eq!(a.cool_duty.to_bits(), b.cool_duty.to_bits());
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.iterations, b.iterations);
+            assert_cold_solve_matches(q, &a, &b);
         }
     }
 
@@ -942,27 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn iteration_cap_starves_the_solver_structurally() {
-        let config = SystemConfig::default();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(36.0));
-        let loads = vec![Watts::new(40_000.0); 6];
-        let mut mpc = Mpc::new(MpcConfig {
-            horizon: 6,
-            ..MpcConfig::default()
-        });
-        mpc.set_iteration_cap(Some(0));
-        let starved = mpc.solve(&p, &loads, Seconds::new(1.0));
-        assert_eq!(starved.iterations, 0);
-        assert_eq!(starved.outcome, SolverOutcome::BudgetExhausted);
-
-        // Lifting the cap restores the configured budget.
-        mpc.set_iteration_cap(None);
-        let restored = mpc.solve(&p, &loads, Seconds::new(1.0));
-        assert!(restored.iterations > 0);
-    }
-
-    #[test]
     fn one_set_of_buffers_serves_every_solve() {
         use otem_telemetry::MemorySink;
         let config = SystemConfig::default();
@@ -989,10 +955,10 @@ mod tests {
 
     #[test]
     fn cold_started_solves_never_reuse_a_previous_solves_tape() {
-        // A reset before every solve starts each one at the same all-zero
-        // x0, so a tape memo that outlived its solve would hand the
-        // second plant the first plant's gradient. Each decision must
-        // match a fresh controller's bit for bit.
+        // Every solve starts from the same explicit all-zero x0, so a
+        // tape memo that outlived its solve would hand the second plant
+        // the first plant's gradient. Each decision must match a fresh
+        // controller's bit for bit.
         let config = SystemConfig::default();
         let loads: Vec<Watts> = (0..6)
             .map(|k| Watts::new(10_000.0 + 8_000.0 * k as f64))
@@ -1007,13 +973,9 @@ mod tests {
             let mut p = plant(&config);
             p.hees.set_state(Ratio::new(soc), Ratio::new(0.5));
             p.state = ThermalState::uniform(Kelvin::from_celsius(celsius));
-            reused.reset();
-            let a = reused.solve(&p, &loads, dt);
+            let a = reused.solve_from(&p, &loads, dt, &[0.0; 12]);
             let b = Mpc::new(cfg).solve(&p, &loads, dt);
-            assert_eq!(a.cap_bus.value().to_bits(), b.cap_bus.value().to_bits());
-            assert_eq!(a.cool_duty.to_bits(), b.cool_duty.to_bits());
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.iterations, b.iterations, "at {celsius} °C");
+            assert_cold_solve_matches(&p, &a, &b);
         }
     }
 
@@ -1080,8 +1042,11 @@ mod tests {
         let d = mpc.solve(&p, &loads, Seconds::new(1.0));
         assert_eq!(d.outcome, SolverOutcome::DeadlineReached);
         assert_eq!(d.iterations, 0);
-        assert!(d.cap_bus.is_finite() && d.cost.is_finite());
-        assert!((0.0..=1.0).contains(&d.cool_duty));
+        assert!(d.cost.is_finite());
+        // A first solve's warm start is the all-zero plan: a starved
+        // solve hands it back unimproved.
+        assert_eq!(d.cap_bus, Watts::ZERO);
+        assert_eq!(d.cool_duty, 0.0);
 
         // Lifting the runtime cap restores the (absent) configured
         // deadline and the solver runs to tolerance again.

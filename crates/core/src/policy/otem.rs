@@ -3,7 +3,7 @@
 //! (Section III, Algorithm 1).
 
 use crate::config::SystemConfig;
-use crate::controller::{Controller, PlantFault, StepRecord, SystemState};
+use crate::controller::{Controller, PlantFaults, StepRecord, SystemState};
 use crate::error::OtemError;
 use crate::mpc::{Mpc, MpcConfig, MpcDecision, MpcPlant};
 use otem_telemetry::{span, Event, Sink};
@@ -23,12 +23,12 @@ pub struct Otem {
     /// telemetry path can report [`Event::CoolingToggle`] on the
     /// idle↔active transitions.
     cooling_on: bool,
-    /// Injected fault: the cooling pump is stuck off (the MPC keeps
-    /// commanding it, the plant ignores the command).
-    pump_stuck: bool,
-    /// Injected fault: additive bias (K) on the battery temperature the
-    /// controller reads. The true plant state evolves unbiased.
-    sensor_bias_k: f64,
+    /// The injected plant faults: a stuck pump (the MPC keeps
+    /// commanding it, the plant ignores the command) and a sensor bias
+    /// on the battery temperature the controller reads (the true plant
+    /// state evolves unbiased). The solve deadline is forwarded to the
+    /// MPC on injection.
+    faults: PlantFaults,
     /// The control window handed to the MPC, refilled each decision so
     /// a decision allocates only what its solve does.
     loads: Vec<Watts>,
@@ -64,8 +64,7 @@ impl Otem {
             mpc: Mpc::new(mpc_config),
             config: config.clone(),
             cooling_on: false,
-            pump_stuck: false,
-            sensor_bias_k: 0.0,
+            faults: PlantFaults::default(),
             loads: Vec::with_capacity(mpc_config.horizon),
         })
     }
@@ -85,12 +84,13 @@ impl Otem {
 
     /// The plant as the MPC sees it: a copy carrying the battery
     /// temperature the controller's sensors report — the true one unless
-    /// a [`PlantFault::SensorBias`] is active.
+    /// a [`PlantFaults::sensor_bias_k`] is injected.
     pub(crate) fn plant_snapshot(&self) -> MpcPlant {
         let mut plant = self.plant.clone();
-        if self.sensor_bias_k != 0.0 {
+        let bias = self.faults.sensor_bias_k;
+        if bias != 0.0 {
             let battery = &mut plant.state.battery;
-            *battery = Kelvin::new(battery.value() + self.sensor_bias_k);
+            *battery = Kelvin::new(battery.value() + bias);
         }
         plant
     }
@@ -117,25 +117,9 @@ impl Controller for Otem {
         self.plant.system_state()
     }
 
-    fn inject(&mut self, fault: PlantFault) -> bool {
-        match fault {
-            PlantFault::PumpStuck(stuck) => {
-                self.pump_stuck = stuck;
-                true
-            }
-            PlantFault::SolverIterationCap(cap) => {
-                self.mpc.set_iteration_cap(cap);
-                true
-            }
-            PlantFault::SolverDeadlineNs(deadline_ns) => {
-                self.mpc.set_deadline_ns(deadline_ns);
-                true
-            }
-            PlantFault::SensorBias { temp_k } => {
-                self.sensor_bias_k = temp_k;
-                true
-            }
-        }
+    fn inject(&mut self, faults: PlantFaults) {
+        self.mpc.set_deadline_ns(faults.solver_deadline_ns);
+        self.faults = faults;
     }
 }
 
@@ -191,7 +175,11 @@ impl Otem {
         dt: Seconds,
         sink: &dyn Sink,
     ) -> StepRecord {
-        let cool_duty = if self.pump_stuck { 0.0 } else { cool_duty };
+        let cool_duty = if self.faults.pump_stuck {
+            0.0
+        } else {
+            cool_duty
+        };
         let cooling_active = MpcPlant::cooling_runs(cool_duty);
         if cooling_active != self.cooling_on {
             self.cooling_on = cooling_active;
@@ -278,7 +266,10 @@ mod tests {
         stuck.plant.state = ThermalState::uniform(Kelvin::from_celsius(38.0));
         let mut healthy = stuck.clone();
         let mut cooled = stuck.clone();
-        assert!(stuck.inject(PlantFault::PumpStuck(true)));
+        stuck.inject(PlantFaults {
+            pump_stuck: true,
+            ..PlantFaults::default()
+        });
         let dt = Seconds::new(1.0);
         for k in 0..30 {
             let load = Watts::new(if k % 3 == 0 { 60_000.0 } else { 8_000.0 });

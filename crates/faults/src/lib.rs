@@ -4,11 +4,11 @@
 //! one: a seeded, schedule-driven [`FaultPlan`] and a
 //! [`FaultedController`] decorator that wraps **any**
 //! [`otem::Controller`] and corrupts what flows into it — load and
-//! forecast — plus, for controllers that opt in via
+//! forecast — plus, as one [`PlantFaults`] value handed to
 //! [`otem::Controller::inject`], plant-internal degradations (stuck
-//! cooling pump, starved solver, collapsed solve deadline) and the
-//! battery temperature the controller reads (biased or noisy
-//! thermistor).
+//! cooling pump, collapsed solve deadline, down to a starved solver at
+//! zero nanoseconds) and the battery temperature the controller reads
+//! (biased or noisy thermistor).
 //!
 //! Design rules:
 //!
@@ -18,7 +18,7 @@
 //! * **The books are the plant's.** Faults reach the controller, never
 //!   the [`StepRecord`] it returns: the decorator hands the wrapped
 //!   controller's record back unchanged, so route totals price what the
-//!   plant did. A controller that refuses the sensor injection (the
+//!   plant did. A controller that ignores the sensor bias (the
 //!   reactive baselines, which read no sensor) is unaffected by sensor
 //!   faults.
 //! * **Determinism.** All randomness comes from one seeded generator;
@@ -31,7 +31,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-use otem::{Controller, PlantFault, StepRecord, SystemState};
+use otem::{Controller, PlantFaults, StepRecord, SystemState};
 use otem_telemetry::{Event, Sink};
 use otem_units::{Seconds, Watts};
 use rand::rngs::StdRng;
@@ -43,13 +43,13 @@ use serde::{Deserialize, Serialize};
 pub enum FaultKind {
     /// Gaussian noise on the battery temperature the controller reads:
     /// one fresh draw per step, delivered with any active
-    /// [`FaultKind::SensorBias`] through [`PlantFault::SensorBias`].
+    /// [`FaultKind::SensorBias`] through [`PlantFaults::sensor_bias_k`].
     SensorNoise {
         /// Standard deviation of the temperature noise (K).
         temp_sigma_k: f64,
     },
     /// Constant offset on the battery temperature the controller reads
-    /// (delivered via [`PlantFault::SensorBias`]).
+    /// (delivered via [`PlantFaults::sensor_bias_k`]).
     SensorBias {
         /// Bias on the measured battery temperature (K).
         temp_k: f64,
@@ -81,18 +81,13 @@ pub enum FaultKind {
         /// Residual efficiency in `(0, 1]`.
         efficiency: f64,
     },
-    /// The cooling pump sticks off ([`PlantFault::PumpStuck`]).
+    /// The cooling pump sticks off ([`PlantFaults::pump_stuck`]).
     PumpStuck,
-    /// The solver's per-period iteration budget collapses
-    /// ([`PlantFault::SolverIterationCap`]).
-    SolverStarvation {
-        /// Remaining iteration budget (0 = fully starved).
-        max_iterations: usize,
-    },
     /// The solver's wall-clock deadline collapses
-    /// ([`PlantFault::SolverDeadlineNs`]) — models a throttled or
-    /// overloaded control ECU. Zero nanoseconds makes every solve miss
-    /// the deadline before its first iteration.
+    /// ([`PlantFaults::solver_deadline_ns`]) — models a throttled or
+    /// overloaded control ECU. Zero nanoseconds starves the solver:
+    /// every solve misses the deadline before its first iteration and
+    /// returns its warm start.
     SolverDeadline {
         /// Remaining per-solve budget in nanoseconds.
         deadline_ns: u64,
@@ -122,7 +117,6 @@ impl FaultKind {
             Self::LoadSpike { .. } => "load_spike",
             Self::ConverterDerate { .. } => "converter_derate",
             Self::PumpStuck => "pump_stuck",
-            Self::SolverStarvation { .. } => "solver_starvation",
             Self::SolverDeadline { .. } => "solver_deadline",
             Self::Poison => "poison",
         }
@@ -181,17 +175,6 @@ impl FaultPlan {
     }
 }
 
-/// Tracks which plant-level faults the decorator has pushed into the
-/// wrapped controller, so injections are idempotent per window and are
-/// cleared the step after their window closes.
-#[derive(Debug, Clone, Copy, Default)]
-struct AppliedPlantFaults {
-    pump_stuck: bool,
-    iteration_cap: Option<usize>,
-    deadline_ns: Option<u64>,
-    sensor_bias_k: f64,
-}
-
 /// Wraps any controller and subjects it to a [`FaultPlan`].
 ///
 /// The decorator owns the step counter: each [`Controller::step`] /
@@ -207,7 +190,10 @@ pub struct FaultedController<C: Controller> {
     last_forecast: Vec<Watts>,
     /// Scratch for the corrupted forecast handed to the controller.
     scratch: Vec<Watts>,
-    applied: AppliedPlantFaults,
+    /// The plant faults last injected into the wrapped controller, so
+    /// each change is injected once and a closed window is cleared the
+    /// step after it ends.
+    applied: PlantFaults,
     injections: u64,
 }
 
@@ -222,7 +208,7 @@ impl<C: Controller> FaultedController<C> {
             step: 0,
             last_forecast: Vec::new(),
             scratch: Vec::new(),
-            applied: AppliedPlantFaults::default(),
+            applied: PlantFaults::default(),
             injections: 0,
         }
     }
@@ -243,50 +229,28 @@ impl<C: Controller> FaultedController<C> {
         self.injections
     }
 
-    /// Reconciles the plant-level faults the schedule wants at this step
-    /// with what is currently pushed into the controller. The sensor
-    /// error is the sum of the active biases and one noise draw per
-    /// active [`FaultKind::SensorNoise`].
+    /// Injects the plant faults the schedule wants at this step when
+    /// they differ from the ones last injected. The sensor error is the
+    /// sum of the active biases and one noise draw per active
+    /// [`FaultKind::SensorNoise`].
     fn reconcile_plant_faults(&mut self, step: u64) {
-        let mut want_pump = false;
-        let mut want_cap: Option<usize> = None;
-        let mut want_deadline: Option<u64> = None;
-        let mut want_bias = 0.0;
+        let mut want = PlantFaults::default();
         for kind in self.plan.active(step) {
             match kind {
-                FaultKind::PumpStuck => want_pump = true,
-                FaultKind::SolverStarvation { max_iterations } => {
-                    want_cap = Some(max_iterations);
-                }
+                FaultKind::PumpStuck => want.pump_stuck = true,
                 FaultKind::SolverDeadline { deadline_ns } => {
-                    want_deadline = Some(deadline_ns);
+                    want.solver_deadline_ns = Some(deadline_ns);
                 }
-                FaultKind::SensorBias { temp_k } => want_bias += temp_k,
+                FaultKind::SensorBias { temp_k } => want.sensor_bias_k += temp_k,
                 FaultKind::SensorNoise { temp_sigma_k } => {
-                    want_bias += temp_sigma_k * gauss(&mut self.rng);
+                    want.sensor_bias_k += temp_sigma_k * gauss(&mut self.rng);
                 }
                 _ => {}
             }
         }
-        if want_pump != self.applied.pump_stuck {
-            let _ = self.inner.inject(PlantFault::PumpStuck(want_pump));
-            self.applied.pump_stuck = want_pump;
-        }
-        if want_cap != self.applied.iteration_cap {
-            let _ = self.inner.inject(PlantFault::SolverIterationCap(want_cap));
-            self.applied.iteration_cap = want_cap;
-        }
-        if want_deadline != self.applied.deadline_ns {
-            let _ = self
-                .inner
-                .inject(PlantFault::SolverDeadlineNs(want_deadline));
-            self.applied.deadline_ns = want_deadline;
-        }
-        if want_bias != self.applied.sensor_bias_k {
-            let _ = self
-                .inner
-                .inject(PlantFault::SensorBias { temp_k: want_bias });
-            self.applied.sensor_bias_k = want_bias;
+        if want != self.applied {
+            self.inner.inject(want);
+            self.applied = want;
         }
     }
 
@@ -389,10 +353,6 @@ impl<C: Controller> Controller for FaultedController<C> {
     fn state(&self) -> SystemState {
         self.inner.state()
     }
-
-    fn inject(&mut self, fault: PlantFault) -> bool {
-        self.inner.inject(fault)
-    }
 }
 
 #[cfg(test)]
@@ -409,8 +369,7 @@ mod tests {
     struct Probe {
         loads: Vec<f64>,
         forecasts: Vec<Vec<f64>>,
-        plant_faults: Vec<PlantFault>,
-        support_bias: bool,
+        plant_faults: Vec<PlantFaults>,
     }
 
     impl Controller for Probe {
@@ -445,12 +404,8 @@ mod tests {
             }
         }
 
-        fn inject(&mut self, fault: PlantFault) -> bool {
-            self.plant_faults.push(fault);
-            match fault {
-                PlantFault::SensorBias { .. } => self.support_bias,
-                _ => true,
-            }
+        fn inject(&mut self, faults: PlantFaults) {
+            self.plant_faults.push(faults);
         }
     }
 
@@ -476,10 +431,6 @@ mod tests {
         assert!(w.covers(3));
         assert!(!w.covers(4));
         assert_eq!(FaultKind::ForecastDropout.name(), "forecast_dropout");
-        assert_eq!(
-            FaultKind::SolverStarvation { max_iterations: 0 }.name(),
-            "solver_starvation"
-        );
     }
 
     #[test]
@@ -534,21 +485,22 @@ mod tests {
 
     #[test]
     fn plant_faults_are_idempotent_and_cleared() {
-        let plan = FaultPlan::new(1)
-            .inject(FaultKind::PumpStuck, 1, 3)
-            .inject(FaultKind::SolverStarvation { max_iterations: 0 }, 1, 3)
-            .inject(FaultKind::SolverDeadline { deadline_ns: 500 }, 1, 3);
+        let plan = FaultPlan::new(1).inject(FaultKind::PumpStuck, 1, 3).inject(
+            FaultKind::SolverDeadline { deadline_ns: 500 },
+            1,
+            3,
+        );
         let (f, _) = run(plan, 5);
         // One injection on entry, one clear on exit — not one per step.
         assert_eq!(
             f.inner().plant_faults,
             vec![
-                PlantFault::PumpStuck(true),
-                PlantFault::SolverIterationCap(Some(0)),
-                PlantFault::SolverDeadlineNs(Some(500)),
-                PlantFault::PumpStuck(false),
-                PlantFault::SolverIterationCap(None),
-                PlantFault::SolverDeadlineNs(None),
+                PlantFaults {
+                    pump_stuck: true,
+                    solver_deadline_ns: Some(500),
+                    sensor_bias_k: 0.0,
+                },
+                PlantFaults::default(),
             ]
         );
         assert_eq!(
@@ -568,11 +520,7 @@ mod tests {
     #[test]
     fn sensor_noise_is_seed_deterministic() {
         let biases = || {
-            let probe = Probe {
-                support_bias: true,
-                ..Probe::default()
-            };
-            let mut faulted = FaultedController::new(probe, sensor_storm());
+            let mut faulted = FaultedController::new(Probe::default(), sensor_storm());
             for _ in 0..10 {
                 let _ = faulted.step(Watts::ZERO, &[], Seconds::new(1.0));
             }
@@ -580,9 +528,9 @@ mod tests {
                 .into_inner()
                 .plant_faults
                 .into_iter()
-                .map(|f| match f {
-                    PlantFault::SensorBias { temp_k } => temp_k.to_bits(),
-                    other => panic!("unexpected injection {other:?}"),
+                .map(|f| {
+                    assert!(!f.pump_stuck && f.solver_deadline_ns.is_none(), "{f:?}");
+                    f.sensor_bias_k.to_bits()
                 })
                 .collect();
             injected
@@ -600,7 +548,7 @@ mod tests {
 
     #[test]
     fn sensor_faults_leave_a_refusing_controller_untouched() {
-        // The probe refuses the sensor injection, as the reactive
+        // The probe ignores the injected sensor bias, as the reactive
         // baselines do: its records are the unwrapped probe's, bit for
         // bit.
         let mut faulted = FaultedController::new(Probe::default(), sensor_storm());

@@ -4,7 +4,7 @@
 use crate::error::HeesError;
 use crate::pack_domain_bank;
 use crate::step::HeesStep;
-use otem_battery::{BatteryPack, CellParams, PackConfig};
+use otem_battery::{BatteryPack, CellParams, PackConfig, PowerDraw};
 use otem_ultracap::{UltracapBank, UltracapParams};
 use otem_units::{Amps, Farads, Kelvin, Ratio, Seconds, Watts};
 use serde::{Deserialize, Serialize};
@@ -125,7 +125,13 @@ impl ParallelHees {
         let heat = self.battery.cell().heat_generation(per_cell, temperature)
             * self.battery.config().cell_count() as f64;
         let c_rate = self.battery.cell().c_rate(per_cell).abs();
-        self.battery.cell_integrate(Amps::new(i_b), dt);
+        self.battery.integrate(
+            PowerDraw {
+                current: Amps::new(i_b),
+                ..PowerDraw::IDLE
+            },
+            dt,
+        );
 
         // Apply to the ultracapacitor: its store sees V_c·I_c.
         let cap_internal = Watts::new(v_c * i_c);
@@ -143,8 +149,9 @@ impl ParallelHees {
     }
 }
 
-/// Private integration helpers that bypass the feasibility guards — the
-/// circuit solve above already guarantees consistency.
+/// Private integration helper that bypasses the bank's feasibility guards
+/// and self-discharge leak — the circuit solve above already guarantees
+/// consistency.
 trait ForceIntegrate {
     fn force_integrate(&mut self, internal_power: Watts, dt: Seconds);
 }
@@ -155,20 +162,6 @@ impl ForceIntegrate for UltracapBank {
         let delta = internal_power.value() * dt.value() / e_cap;
         let soe = self.soe().value() - delta;
         self.set_soe(Ratio::new(soe));
-    }
-}
-
-trait CellIntegrate {
-    fn cell_integrate(&mut self, pack_current: Amps, dt: Seconds);
-}
-
-impl CellIntegrate for BatteryPack {
-    fn cell_integrate(&mut self, pack_current: Amps, dt: Seconds) {
-        let per_cell = pack_current / self.config().parallel as f64;
-        let cap_c = self.cell().params().capacity.to_coulombs().value();
-        let delta = per_cell.value() * dt.value() / cap_c;
-        let soc = self.soc().value() - delta;
-        self.set_soc(Ratio::new(soc));
     }
 }
 

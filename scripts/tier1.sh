@@ -20,6 +20,15 @@ cargo build --release
 echo "==> cargo build --workspace --examples"
 cargo build --workspace --examples
 
+# A build proves an example compiles, not that it runs: each root
+# example runs once in release and must exit zero (all five take well
+# under a second). Their output is not checked, only discarded.
+for example in examples/*.rs; do
+    example=$(basename "$example" .rs)
+    echo "==> cargo run --release --example ${example}"
+    cargo run --release --quiet -p otem-repro --example "$example" > /dev/null
+done
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -3,7 +3,9 @@
 //!
 //! * surfaces a corrupted forecast structurally (solver outcome
 //!   `NonFinite`) while still applying a finite move — the projected,
-//!   shifted warm start, i.e. its last plan — and
+//!   shifted warm start, i.e. its last plan —,
+//! * surfaces a starved solver (a zero deadline) as
+//!   `DeadlineReached`, applying the same warm start, and
 //! * completes the route with finite, physical state and a bounded
 //!   battery temperature.
 
@@ -42,7 +44,7 @@ fn campaign_plan() -> FaultPlan {
         .inject(FaultKind::ForecastCorrupt, 20, 35)
         .inject(FaultKind::PumpStuck, 50, 75)
         .inject(FaultKind::LoadSpike { power_w: 400_000.0 }, 55, 60)
-        .inject(FaultKind::SolverStarvation { max_iterations: 0 }, 90, 100)
+        .inject(FaultKind::SolverDeadline { deadline_ns: 0 }, 90, 100)
         .inject(FaultKind::SensorNoise { temp_sigma_k: 0.5 }, 40, 50)
 }
 
@@ -103,11 +105,13 @@ fn plain_otem_completes_the_fault_campaign_with_bounded_state() {
     }
     assert!(result.totals.capacity_loss.is_finite());
 
-    // The adversary fired, and each corrupted forecast surfaced as one
-    // non-finite solve.
+    // The adversary fired: each corrupted forecast surfaced as one
+    // non-finite solve, and each starved solve as one that reached its
+    // zero deadline.
     assert!(harness.injections() > 0, "no faults injected");
     let outcomes = tally.snapshot();
     assert_eq!(outcomes.non_finite, 15, "{outcomes:?}");
+    assert_eq!(outcomes.deadline_reached, 10, "{outcomes:?}");
     assert_eq!(outcomes.total(), STEPS as u64, "{outcomes:?}");
 }
 
