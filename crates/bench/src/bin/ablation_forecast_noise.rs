@@ -1,59 +1,20 @@
 //! **Ablation** — forecast quality: OTEM assumes the EV power requests
 //! are predictable (route + power-train model). How gracefully does it
-//! degrade when the forecast is noisy or absent?
+//! degrade when the forecast is noisy or absent? The corruption is
+//! scheduled through `otem-faults` over the whole route:
+//! [`FaultKind::ForecastNoise`] for the σ rows and
+//! [`FaultKind::ForecastDropout`] (an empty window, which OTEM pads with
+//! zero load) for the last one.
 //!
 //! ```sh
 //! cargo run --release -p otem-bench --bin ablation_forecast_noise
 //! ```
 
 use otem::policy::Otem;
-use otem::{Controller, Simulator, StepRecord, SystemState};
+use otem::Simulator;
 use otem_bench::{cycle_trace, paper_config};
 use otem_drivecycle::StandardCycle;
-use otem_telemetry::Sink;
-use otem_units::{Seconds, Watts};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Wraps OTEM, corrupting the forecast it sees with multiplicative noise
-/// (σ as a fraction), or zeroing it entirely.
-struct NoisyForecast {
-    inner: Otem,
-    sigma: f64,
-    zero: bool,
-    rng: StdRng,
-}
-
-impl Controller for NoisyForecast {
-    fn name(&self) -> &'static str {
-        "OTEM(noisy)"
-    }
-
-    fn step_with(
-        &mut self,
-        load: Watts,
-        forecast: &[Watts],
-        dt: Seconds,
-        sink: &dyn Sink,
-    ) -> StepRecord {
-        let corrupted: Vec<Watts> = if self.zero {
-            vec![Watts::ZERO; forecast.len()]
-        } else {
-            forecast
-                .iter()
-                .map(|p| {
-                    let factor = 1.0 + self.rng.gen_range(-1.0..1.0) * self.sigma;
-                    *p * factor
-                })
-                .collect()
-        };
-        self.inner.step_with(load, &corrupted, dt, sink)
-    }
-
-    fn state(&self) -> SystemState {
-        self.inner.state()
-    }
-}
+use otem_faults::{FaultKind, FaultPlan, FaultedController};
 
 fn main() {
     let config = paper_config();
@@ -72,20 +33,19 @@ fn main() {
         "{:>14} {:>12} {:>10} {:>10}",
         "forecast", "Q_loss", "avgP (kW)", "short(MJ)"
     );
-    for (label, sigma, zero) in [
-        ("perfect", 0.0, false),
-        ("σ = 10%", 0.10, false),
-        ("σ = 30%", 0.30, false),
-        ("σ = 60%", 0.60, false),
-        ("none (zero)", 0.0, true),
+    for (label, fault) in [
+        ("perfect", None),
+        ("σ = 10%", Some(FaultKind::ForecastNoise { sigma: 0.10 })),
+        ("σ = 30%", Some(FaultKind::ForecastNoise { sigma: 0.30 })),
+        ("σ = 60%", Some(FaultKind::ForecastNoise { sigma: 0.60 })),
+        ("none (zero)", Some(FaultKind::ForecastDropout)),
     ] {
-        let mut controller = NoisyForecast {
-            inner: Otem::new(&config).expect("controller"),
-            sigma,
-            zero,
-            rng: StdRng::seed_from_u64(99),
-        };
-        let r = sim.run(&mut controller, &trace);
+        let mut plan = FaultPlan::new(99);
+        if let Some(kind) = fault {
+            plan = plan.inject(kind, 0, u64::MAX);
+        }
+        let otem = Otem::new(&config).expect("controller");
+        let r = sim.run(&mut FaultedController::new(otem, plan), &trace);
         println!(
             "{:>14} {:>12.4e} {:>10.2} {:>10.3}",
             label,

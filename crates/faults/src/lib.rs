@@ -3,12 +3,15 @@
 //! Robustness claims need a repeatable adversary. This crate provides
 //! one: a seeded, schedule-driven [`FaultPlan`] and a
 //! [`FaultedController`] decorator that wraps **any**
-//! [`otem::Controller`] and corrupts what flows into it — load and
-//! forecast — plus, as one [`PlantFaults`] value handed to
-//! [`otem::Controller::inject`], plant-internal degradations (stuck
-//! cooling pump, collapsed solve deadline, down to a starved solver at
-//! zero nanoseconds) and the battery temperature the controller reads
-//! (biased or noisy thermistor).
+//! [`otem::Controller`] and corrupts what flows into it — load spikes,
+//! and a forecast that drops out, turns noisy or turns NaN — plus, as
+//! one [`PlantFaults`] value handed to [`otem::Controller::inject`],
+//! plant-internal degradations (stuck cooling pump, collapsed solve
+//! deadline, down to a starved solver at zero nanoseconds) and the
+//! battery temperature the controller reads (biased or noisy
+//! thermistor). It is the one place a run's inputs are perturbed: the
+//! forecast-quality ablation schedules [`FaultKind::ForecastNoise`] and
+//! [`FaultKind::ForecastDropout`] here too.
 //!
 //! Design rules:
 //!
@@ -55,16 +58,15 @@ pub enum FaultKind {
         temp_k: f64,
     },
     /// The forecast channel goes dark: the controller sees an empty
-    /// window.
+    /// window (OTEM pads it with zero load).
     ForecastDropout,
-    /// The forecast freezes: the controller keeps seeing the window
-    /// from the step before the fault began.
-    ForecastStale,
-    /// The forecast is systematically mis-scaled (e.g. `gain: 0.2`
-    /// models a planner that wildly underestimates demand).
-    ForecastScale {
-        /// Multiplier applied to every forecast sample.
-        gain: f64,
+    /// Multiplicative forecast error: every sample is scaled by
+    /// `1 + σ·u` with `u` drawn uniformly from `[-1, 1)`, one fresh draw
+    /// per sample per step — a route preview that is right on average
+    /// but wrong by up to `σ` at any one point.
+    ForecastNoise {
+        /// Largest relative error of one sample (`0.1` = ±10 %).
+        sigma: f64,
     },
     /// The forecast turns to garbage: every sample becomes NaN. The
     /// nastiest case — the MPC's objective turns NaN, and its solve
@@ -74,12 +76,6 @@ pub enum FaultKind {
     LoadSpike {
         /// Extra bus power demanded (W; may be negative).
         power_w: f64,
-    },
-    /// A degraded DC-DC stage: extra conversion loss modelled as an
-    /// inflated load, `load += |load| · (1/efficiency − 1)`.
-    ConverterDerate {
-        /// Residual efficiency in `(0, 1]`.
-        efficiency: f64,
     },
     /// The cooling pump sticks off ([`PlantFaults::pump_stuck`]).
     PumpStuck,
@@ -111,11 +107,9 @@ impl FaultKind {
             Self::SensorNoise { .. } => "sensor_noise",
             Self::SensorBias { .. } => "sensor_bias",
             Self::ForecastDropout => "forecast_dropout",
-            Self::ForecastStale => "forecast_stale",
-            Self::ForecastScale { .. } => "forecast_scale",
+            Self::ForecastNoise { .. } => "forecast_noise",
             Self::ForecastCorrupt => "forecast_corrupt",
             Self::LoadSpike { .. } => "load_spike",
-            Self::ConverterDerate { .. } => "converter_derate",
             Self::PumpStuck => "pump_stuck",
             Self::SolverDeadline { .. } => "solver_deadline",
             Self::Poison => "poison",
@@ -186,8 +180,6 @@ pub struct FaultedController<C: Controller> {
     plan: FaultPlan,
     rng: StdRng,
     step: u64,
-    /// Latest un-faulted forecast, kept for [`FaultKind::ForecastStale`].
-    last_forecast: Vec<Watts>,
     /// Scratch for the corrupted forecast handed to the controller.
     scratch: Vec<Watts>,
     /// The plant faults last injected into the wrapped controller, so
@@ -206,7 +198,6 @@ impl<C: Controller> FaultedController<C> {
             plan,
             rng,
             step: 0,
-            last_forecast: Vec::new(),
             scratch: Vec::new(),
             applied: PlantFaults::default(),
             injections: 0,
@@ -266,18 +257,10 @@ impl<C: Controller> FaultedController<C> {
                 FaultKind::LoadSpike { power_w } => {
                     load += Watts::new(power_w);
                 }
-                FaultKind::ConverterDerate { efficiency } => {
-                    let eff = efficiency.clamp(1e-3, 1.0);
-                    load += Watts::new(load.value().abs() * (1.0 / eff - 1.0));
-                }
                 FaultKind::ForecastDropout => dropout = true,
-                FaultKind::ForecastStale => {
-                    self.scratch.clear();
-                    self.scratch.extend_from_slice(&self.last_forecast);
-                }
-                FaultKind::ForecastScale { gain } => {
+                FaultKind::ForecastNoise { sigma } => {
                     for w in &mut self.scratch {
-                        *w = Watts::new(w.value() * gain);
+                        *w = *w * (1.0 + self.rng.gen_range(-1.0..1.0) * sigma);
                     }
                 }
                 FaultKind::ForecastCorrupt => {
@@ -333,17 +316,6 @@ impl<C: Controller> Controller for FaultedController<C> {
 
         self.reconcile_plant_faults(step);
         let eff_load = self.corrupt_inputs(step, load, forecast);
-        // Freeze the stale buffer *after* corruption so a stale window
-        // replays the last pre-fault window, not its own output.
-        if !self
-            .plan
-            .active(step)
-            .any(|k| k == FaultKind::ForecastStale)
-        {
-            self.last_forecast.clear();
-            self.last_forecast.extend_from_slice(forecast);
-        }
-
         let scratch = std::mem::take(&mut self.scratch);
         let record = self.inner.step_with(eff_load, &scratch, dt, sink);
         self.scratch = scratch;
@@ -435,52 +407,39 @@ mod tests {
 
     #[test]
     fn load_faults_reshape_the_demand() {
-        let plan = FaultPlan::new(1)
-            .inject(
-                FaultKind::LoadSpike {
-                    power_w: 1_000_000.0,
-                },
-                1,
-                2,
-            )
-            .inject(FaultKind::ConverterDerate { efficiency: 0.5 }, 2, 3);
+        let plan = FaultPlan::new(1).inject(
+            FaultKind::LoadSpike {
+                power_w: 1_000_000.0,
+            },
+            1,
+            2,
+        );
         let (f, sink) = run(plan, 3);
         assert_eq!(f.inner().loads[0], 5_000.0);
         assert_eq!(f.inner().loads[1], 1_005_000.0);
-        assert_eq!(f.inner().loads[2], 10_000.0, "1/0.5 − 1 doubles |load|");
-        assert_eq!(sink.count_kind("fault_injected"), 2);
-        assert_eq!(f.injections(), 2);
+        assert_eq!(f.inner().loads[2], 5_000.0, "nominal after the window");
+        assert_eq!(sink.count_kind("fault_injected"), 1);
+        assert_eq!(f.injections(), 1);
     }
 
     #[test]
     fn forecast_faults_corrupt_the_window() {
         let plan = FaultPlan::new(1)
-            .inject(FaultKind::ForecastScale { gain: 0.1 }, 0, 1)
+            .inject(FaultKind::ForecastNoise { sigma: 0.1 }, 0, 1)
             .inject(FaultKind::ForecastDropout, 1, 2)
             .inject(FaultKind::ForecastCorrupt, 2, 3);
         let (f, _) = run(plan, 4);
         let fc = &f.inner().forecasts;
-        assert_eq!(fc[0], vec![1_000.0, 2_000.0]);
+        assert_eq!(fc[0].len(), 2);
+        for (noisy, nominal) in fc[0].iter().zip([10_000.0, 20_000.0]) {
+            assert!(
+                noisy != &nominal && (noisy - nominal).abs() <= 0.1 * nominal,
+                "{noisy} is not a ±10 % perturbation of {nominal}"
+            );
+        }
         assert!(fc[1].is_empty());
         assert!(fc[2].iter().all(|v| v.is_nan()));
         assert_eq!(fc[3], vec![10_000.0, 20_000.0], "nominal after the window");
-    }
-
-    #[test]
-    fn stale_forecast_replays_the_pre_fault_window() {
-        let mut faulted = FaultedController::new(
-            Probe::default(),
-            FaultPlan::new(1).inject(FaultKind::ForecastStale, 1, 3),
-        );
-        for k in 0..4u64 {
-            let fresh = [Watts::new(1_000.0 * k as f64)];
-            let _ = faulted.step(Watts::ZERO, &fresh, Seconds::new(1.0));
-        }
-        let fc = &faulted.inner().forecasts;
-        assert_eq!(fc[0], vec![0.0]);
-        assert_eq!(fc[1], vec![0.0], "frozen at the step-0 window");
-        assert_eq!(fc[2], vec![0.0], "still frozen");
-        assert_eq!(fc[3], vec![3_000.0], "thaws when the window closes");
     }
 
     #[test]
@@ -519,13 +478,16 @@ mod tests {
 
     #[test]
     fn sensor_noise_is_seed_deterministic() {
-        let biases = || {
-            let mut faulted = FaultedController::new(Probe::default(), sensor_storm());
+        // Sensor and forecast noise share the seeded generator, so one
+        // seed pins both kinds of draw.
+        let plan = sensor_storm().inject(FaultKind::ForecastNoise { sigma: 0.3 }, 0, 10);
+        let draws = || {
+            let mut faulted = FaultedController::new(Probe::default(), plan.clone());
             for _ in 0..10 {
-                let _ = faulted.step(Watts::ZERO, &[], Seconds::new(1.0));
+                let _ = faulted.step(Watts::ZERO, &[Watts::new(1_000.0)], Seconds::new(1.0));
             }
-            let injected: Vec<u64> = faulted
-                .into_inner()
+            let probe = faulted.into_inner();
+            let injected: Vec<u64> = probe
                 .plant_faults
                 .into_iter()
                 .map(|f| {
@@ -533,17 +495,20 @@ mod tests {
                     f.sensor_bias_k.to_bits()
                 })
                 .collect();
-            injected
+            let forecasts: Vec<u64> = probe.forecasts.iter().map(|w| w[0].to_bits()).collect();
+            (injected, forecasts)
         };
-        let (a, b) = (biases(), biases());
-        assert_eq!(a, b, "same seed, same injected biases");
+        let (a, b) = (draws(), draws());
+        assert_eq!(a, b, "same seed, same injected biases and forecasts");
         // One fresh draw per noisy step; the window closes with the run.
-        assert_eq!(a.len(), 10);
-        let draws: Vec<f64> = a.iter().map(|&v| f64::from_bits(v)).collect();
-        assert!(
-            draws.windows(2).all(|w| w[0] != w[1]),
-            "noise must change the reading every step: {draws:?}"
-        );
+        for (kind, bits) in [("sensor", &a.0), ("forecast", &a.1)] {
+            assert_eq!(bits.len(), 10, "{kind}");
+            let draws: Vec<f64> = bits.iter().map(|&v| f64::from_bits(v)).collect();
+            assert!(
+                draws.windows(2).all(|w| w[0] != w[1]),
+                "{kind} noise must change every step: {draws:?}"
+            );
+        }
     }
 
     #[test]

@@ -255,9 +255,12 @@ impl SimulateRequest {
         if !(1..=64).contains(&mpc_horizon) {
             return Err("\"mpc_horizon\" must be in 1..=64".into());
         }
+        // A zero budget would hand back every warm start labelled
+        // `budget_exhausted`, the label of a nominal solve; a starved
+        // solver is a zero deadline, which `/metrics` tells apart.
         let mpc_iterations = json_uint(body, "mpc_iterations")?.unwrap_or(24);
-        if mpc_iterations > 400 {
-            return Err("\"mpc_iterations\" must be ≤ 400".into());
+        if !(1..=400).contains(&mpc_iterations) {
+            return Err("\"mpc_iterations\" must be in 1..=400".into());
         }
         Ok(Self::Vehicle {
             spec: VehicleSpec {
@@ -439,6 +442,7 @@ mod tests {
         assert!(SimulateRequest::parse("{\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"poison_id\":4}").is_err());
+        assert!(SimulateRequest::parse("{\"mpc_iterations\":0}").is_err());
     }
 
     #[test]

@@ -45,6 +45,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # The fresh outputs go to a temporary directory, never over the tracked
 # files; no exhibit bin writes any other file.
 source scripts/exhibit_bins.sh
+# The list and the committed files must match one to one: an exhibit
+# left out of EXHIBIT_BINS would never be checked, and a listed bin
+# without a committed file has nothing to be checked against.
+echo "==> exhibit list vs results/*.txt"
+unlisted=()
+for committed in results/*.txt; do
+    bin=$(basename "$committed" .txt)
+    [[ " ${EXHIBIT_BINS[*]} " == *" ${bin} "* ]] || unlisted+=("$committed")
+done
+uncommitted=()
+for bin in "${EXHIBIT_BINS[@]}"; do
+    [[ -f "results/${bin}.txt" ]] || uncommitted+=("$bin")
+done
+if ((${#unlisted[@]} + ${#uncommitted[@]})); then
+    echo "exhibits without a bin in scripts/exhibit_bins.sh: ${unlisted[*]:-none}" >&2
+    echo "bins in scripts/exhibit_bins.sh without results/<bin>.txt: ${uncommitted[*]:-none}" >&2
+    exit 1
+fi
 echo "==> cargo build --release -p otem-bench --bins"
 cargo build --release -p otem-bench --bins
 target_dir="${CARGO_TARGET_DIR:-target}"
