@@ -326,13 +326,10 @@ impl Mpc {
         self.solve_with(plant, loads, dt, &NullSink)
     }
 
-    /// [`Mpc::solve`] with telemetry: the solve streams
-    /// [`Event::SolverIteration`] / [`Event::GradientEval`] from the
-    /// inner solver, one [`Event::SolveOutcome`] at its end, and
-    /// [`Event::BoundClamp`] when the applied first move sits pinned on
-    /// a box bound (saturated ultracapacitor share at ±1, cooler duty at
-    /// its ceiling — the always-active idle duty floor is deliberately
-    /// not reported).
+    /// [`Mpc::solve`] with telemetry: the solve streams one
+    /// [`Event::GradientEval`] per differentiated point from the inner
+    /// solver and one [`Event::SolveOutcome`] at its end, inside the
+    /// `mpc_solve` span.
     ///
     /// Observation only: for any sink the returned [`MpcDecision`] is
     /// bit-identical to [`Mpc::solve`]'s.
@@ -370,21 +367,6 @@ impl Mpc {
             mode: "adjoint",
             iterations: iterations as u64,
         });
-
-        if x[0] == -1.0 || x[0] == 1.0 {
-            sink.record(Event::BoundClamp {
-                index: 0,
-                raw: x[0] * plant.cap_power_max.value(),
-                bound: x[0],
-            });
-        }
-        if x[n] == 1.0 {
-            sink.record(Event::BoundClamp {
-                index: n as u64,
-                raw: x[n],
-                bound: 1.0,
-            });
-        }
 
         let decision = MpcDecision {
             cap_bus: Watts::new(x[0] * plant.cap_power_max.value()),
@@ -469,8 +451,6 @@ struct RolloutBuffers {
     /// the start state, forecast and step change between objectives
     /// while the decision vector can repeat.
     taped_at: Vec<f64>,
-    /// Backward sweeps (gradients) run through these buffers.
-    sweeps: u64,
 }
 
 /// One window's problem: the Eq. 19 cost of a decision vector and its
@@ -576,7 +556,6 @@ impl Objective for RolloutObjective<'_> {
         let _rollout_span = span(self.sink, "rollout");
         let buffers = &mut *self.buffers.borrow_mut();
         self.tape_at(buffers, x);
-        buffers.sweeps += 1;
         crate::adjoint::adjoint_sweep(self.plant, &self.stage, self.config, &buffers.tape, grad);
     }
 }
@@ -874,9 +853,8 @@ mod tests {
             assert_eq!(plain.cost.to_bits(), observed.cost.to_bits());
             assert_eq!(plain.iterations, observed.iterations);
         }
-        // Every solver iteration left a trace, and every solve one
+        // Every differentiated point left a trace, and every solve one
         // outcome.
-        assert!(sink.count_kind("solver_iteration") > 0);
         assert!(sink.count_kind("gradient_eval") > 0);
         assert_eq!(sink.count_kind("solve_outcome"), 2);
     }
@@ -944,13 +922,10 @@ mod tests {
             let d = mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
             assert!(d.cost.is_finite());
         }
-        // One set of buffers, held from the first solve into the second:
-        // it swept every gradient of both.
-        assert_eq!(mpc.buffers.sweeps, sink.count_kind("gradient_eval") as u64);
+        // One set of buffers, held from the first solve into the second.
         assert_eq!(mpc.buffers.tape.len(), 6);
         // Telemetry keeps flowing unchanged through the same spans.
         assert!(sink.count_kind("gradient_eval") > 0);
-        assert!(sink.count_kind("solver_iteration") > 0);
     }
 
     #[test]
@@ -1012,7 +987,6 @@ mod tests {
         objective.gradient(&other, &mut grad);
         assert_eq!(bits(&grad), bits(&reference(&p, &other)));
         assert_eq!(objective.rollouts.get(), 2);
-        assert_eq!(objective.buffers.borrow().sweeps, 2);
 
         // A new objective on the first one's buffers: the same decision
         // vector from a different start state must not hit the old tape.
@@ -1086,7 +1060,7 @@ mod tests {
 
     #[test]
     fn every_solve_emits_one_solve_outcome_event() {
-        use otem_telemetry::MemorySink;
+        use otem_telemetry::{Event as TEvent, MemorySink};
         let config = SystemConfig::default();
         let p = plant(&config);
         let loads = vec![Watts::new(20_000.0); 6];
@@ -1096,9 +1070,37 @@ mod tests {
         });
         let sink = MemorySink::new();
         for _ in 0..3 {
-            mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
+            let d = mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
+            // Besides spans, a solve emits one `gradient_eval` per
+            // differentiated point (one per `gradient` span: the start
+            // and every accepted iterate but a budget's last) and then
+            // its one `solve_outcome`.
+            let differentiated = sink
+                .events()
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        TEvent::SpanStart {
+                            name: "gradient",
+                            ..
+                        }
+                    )
+                })
+                .count();
+            let budget_spent = d.outcome == SolverOutcome::BudgetExhausted;
+            assert_eq!(differentiated, d.iterations + usize::from(!budget_spent));
+            let kinds: Vec<&str> = sink
+                .events()
+                .iter()
+                .map(|e| e.kind())
+                .filter(|k| !k.starts_with("span_"))
+                .collect();
+            let mut want = vec!["gradient_eval"; differentiated];
+            want.push("solve_outcome");
+            assert_eq!(kinds, want);
+            sink.clear();
         }
-        assert_eq!(sink.count_kind("solve_outcome"), 3);
     }
 
     #[test]
@@ -1178,11 +1180,9 @@ mod tests {
 
             p.apply(loads[0], d.cap_bus, d.cool_duty, dt);
         }
-        let sweeps = mpc.buffers.sweeps;
         let rejected = trials - accepted;
-        assert_eq!(sweeps, gradient_evals);
         assert!(rejected > 0, "no line-search trial was rejected");
         assert!(exhausted > 0, "no solve ran out of budget");
-        assert_eq!(mpc.rollouts() - sweeps, rejected + exhausted);
+        assert_eq!(mpc.rollouts() - gradient_evals, rejected + exhausted);
     }
 }

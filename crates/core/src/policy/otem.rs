@@ -18,7 +18,6 @@ pub struct Otem {
     /// The plant the MPC predicts and each period's move is applied to.
     plant: MpcPlant,
     mpc: Mpc,
-    config: SystemConfig,
     /// Whether the cooling loop ran last period — tracked solely so the
     /// telemetry path can report [`Event::CoolingToggle`] on the
     /// idle↔active transitions.
@@ -62,7 +61,6 @@ impl Otem {
         Ok(Self {
             plant: MpcPlant::new(config)?,
             mpc: Mpc::new(mpc_config),
-            config: config.clone(),
             cooling_on: false,
             faults: PlantFaults::default(),
             loads: Vec::with_capacity(mpc_config.horizon),
@@ -151,10 +149,11 @@ impl Otem {
             .mpc
             .solve_with(&self.plant_snapshot(), &self.loads, dt, sink);
 
-        if decision.cap_bus.value().abs() >= 0.995 * self.config.cap_power_max.value() {
+        let limit_w = self.plant.cap_power_max.value();
+        if decision.cap_bus.value().abs() >= 0.995 * limit_w {
             sink.record(Event::UcapSaturated {
                 commanded_w: decision.cap_bus.value(),
-                limit_w: self.config.cap_power_max.value(),
+                limit_w,
             });
         }
         decision

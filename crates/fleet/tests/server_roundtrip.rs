@@ -271,8 +271,9 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
 
     // An unsampled request (an OTEM vehicle by default) runs with a
     // disabled sink: its solve outcomes reach the live ring, its step
-    // events are never built.
-    let (status, _) = roundtrip(&handle, "POST", "/simulate", "{\"steps\":5}");
+    // events are never built. Thirty OTEM steps fit one lane's shard
+    // with the request's own `request_started` still in it.
+    let (status, _) = roundtrip(&handle, "POST", "/simulate", "{\"steps\":30}");
     assert_eq!(status, "HTTP/1.1 200 OK");
     let unsampled = last_simulate_in_flight_ring(&handle);
     assert_eq!(
@@ -280,7 +281,7 @@ fn serves_health_fleet_vehicle_plan_metrics_and_shuts_down() {
             .iter()
             .filter(|l| l.contains(SOLVE_OUTCOME))
             .count(),
-        5,
+        30,
         "every solve outcome reached the ring: {unsampled:?}"
     );
     assert!(

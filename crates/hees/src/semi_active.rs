@@ -144,13 +144,15 @@ impl SemiActiveHees {
                     match storage_request {
                         Ok(p) => {
                             let (i, h, c, d) = self.battery_leg(p, temperature, dt);
-                            (
-                                i,
-                                h,
-                                c,
-                                if d == p { converted_bus } else { d },
-                                (d - converted_bus).abs(),
-                            )
+                            // The pack clamps only a discharge: the bus then
+                            // gets what the converter makes of the clamped
+                            // draw.
+                            let bus_got = if d == p {
+                                converted_bus
+                            } else {
+                                self.converter.output_for_input(d, v).unwrap_or(Watts::ZERO)
+                            };
+                            (i, h, c, bus_got, (d - bus_got).abs())
                         }
                         Err(_) => (Watts::ZERO, Watts::ZERO, 0.0, Watts::ZERO, Watts::ZERO),
                     };
@@ -190,9 +192,15 @@ impl SemiActiveHees {
                         self.cap.integrate(d, dt);
                         let bus_got = if clamped == p {
                             bus
-                        } else {
+                        } else if bus.value() >= 0.0 {
                             self.converter
                                 .output_for_input(clamped, v)
+                                .unwrap_or(Watts::ZERO)
+                        } else {
+                            // Charge leg clamped: less is taken off the
+                            // bus than commanded.
+                            self.converter
+                                .input_for_output(clamped, v)
                                 .unwrap_or(Watts::ZERO)
                         };
                         (
@@ -336,6 +344,53 @@ mod tests {
                 .unwrap()
                 .side(),
             ConvertedSide::Battery
+        );
+    }
+
+    #[test]
+    fn cap_converted_charge_clamp_takes_at_least_what_the_bank_stores() {
+        // A regen request far past the nearly full bank's charge limit:
+        // the bank takes its limit, and the bus must supply that plus
+        // the converter's loss.
+        let mut h = SemiActiveHees::cap_converted(Farads::new(5_000.0)).unwrap();
+        h.set_state(Ratio::new(0.8), Ratio::new(0.98));
+        let before = h.cap.stored_energy().value();
+        let dt = Seconds::new(1.0);
+        let step = h.step(Watts::new(-200_000.0), Watts::new(-200_000.0), room(), dt);
+        let stored = (h.cap.stored_energy().value() - before) / dt.value();
+        // The battery's share is zero, so the whole bus draw is the
+        // converted leg's.
+        let taken = -step.delivered.value();
+        assert!(stored > 0.0 && stored < 200_000.0, "stored {stored} W");
+        assert!(
+            taken >= stored,
+            "bus gave {taken} W, bank stored {stored} W"
+        );
+        let terminal = -step.cap_internal.value();
+        assert!((taken - terminal - step.converter_loss.value()).abs() < 1e-6 * taken);
+    }
+
+    #[test]
+    fn battery_converted_discharge_clamp_books_the_converters_output() {
+        // A request past the half-empty pack's peak: the pack delivers
+        // what it can, and the bus gets that less the converter's loss.
+        let mut h = SemiActiveHees::battery_converted(Farads::new(5_000.0)).unwrap();
+        h.set_state(Ratio::new(0.3), Ratio::new(0.5));
+        let v = h.battery.open_circuit_voltage();
+        let load = Watts::new(400_000.0);
+        let step = h.step(load, load, room(), Seconds::new(1.0));
+        let delivered = step.delivered.value();
+        let loss = step.converter_loss.value();
+        assert!(delivered > 0.0 && step.shortfall.value() > 0.0, "{step:?}");
+        assert_eq!(step.shortfall.value(), load.value() - delivered);
+        // A loss, not the unserved request.
+        assert!(loss > 0.0 && loss < 0.05 * delivered, "{step:?}");
+        // The pack's terminal draw is what the converter needs to put
+        // `delivered` on the bus.
+        let draw = h.converter.input_for_output(step.delivered, v).unwrap();
+        assert!(
+            (draw.value() - delivered - loss).abs() < 1e-6 * delivered,
+            "{step:?}"
         );
     }
 }

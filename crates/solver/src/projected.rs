@@ -55,10 +55,8 @@ pub struct ProjectedGradient {
 impl ProjectedGradient {
     /// Minimises `f` over the box from the starting point `x0`
     /// (projected into the box first), with telemetry and an optional
-    /// [`Deadline`]. Emits one
-    /// [`Event::SolverIteration`] per outer iteration (its `step` is the
-    /// first block's step length) and one
-    /// [`Event::GradientEval`] per gradient evaluation into `sink`
+    /// [`Deadline`]. Emits one [`Event::GradientEval`] per gradient
+    /// evaluation into `sink`, each inside its `gradient` span
     /// (observation only — the iterates are bit-identical for any sink).
     ///
     /// The deadline is polled once per outer iteration, *after* the
@@ -129,12 +127,6 @@ impl ProjectedGradient {
                     (trial - x[i]).abs()
                 })
                 .fold(0.0, f64::max);
-            sink.record(Event::SolverIteration {
-                iteration: iter as u64,
-                value,
-                residual: pg_norm,
-                step: steps[0],
-            });
             if pg_norm < self.tolerance {
                 return Solution::new(x, value, iter, SolverOutcome::Converged);
             }
@@ -439,9 +431,6 @@ mod tests {
             observed.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             plain.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-        // One iteration event per outer iteration, plus the terminal
-        // iteration that observed convergence before returning.
-        assert_eq!(sink.count_kind("solver_iteration"), observed.iterations + 1);
         // One gradient per accepted iterate plus the initial gradient.
         assert_eq!(sink.count_kind("gradient_eval"), observed.iterations + 1);
     }
@@ -694,32 +683,6 @@ mod tests {
         let one = minimize(&solver, &f, &bounds, &x0);
         assert_eq!(one.outcome, SolverOutcome::BudgetExhausted, "{one:?}");
         assert_eq!(one.iterations, 40);
-    }
-
-    #[test]
-    fn iteration_events_report_the_first_blocks_step() {
-        let (f, bounds) = two_scale_qp();
-        let bounds = bounds.partitioned_at(&[BLOCK]);
-        let x0 = [0.0; 2 * BLOCK];
-        let sink = MemorySink::new();
-        let sol = tight().minimize_within(&f, &bounds, &x0, &sink, None);
-
-        let mut grad = [0.0; 2 * BLOCK];
-        f.gradient(&x0, &mut grad);
-        let max_abs = |g: &[f64]| g.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
-        let first = 1.0 / max_abs(&grad[..BLOCK]);
-        assert_ne!(first, 1.0 / max_abs(&grad[BLOCK..]), "blocks must differ");
-
-        let steps: Vec<f64> = sink
-            .events()
-            .iter()
-            .filter_map(|e| match *e {
-                Event::SolverIteration { step, .. } => Some(step),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(steps.len(), sol.iterations + 1);
-        assert_eq!(steps[0], first);
     }
 
     proptest! {

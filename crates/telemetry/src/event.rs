@@ -13,23 +13,6 @@ use std::fmt::Write as _;
 /// conventions of the component crates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
-    /// One outer iteration of the solver ([`ProjectedGradient`]):
-    /// current objective value, convergence residual (projected-gradient
-    /// infinity norm) and the step length about to be tried (on a box
-    /// split into blocks, the first block's).
-    ///
-    /// [`ProjectedGradient`]: https://docs.rs/otem-solver
-    SolverIteration {
-        /// Zero-based outer-iteration index within one solve.
-        iteration: u64,
-        /// Objective value at the current iterate.
-        value: f64,
-        /// Convergence residual (infinity norm the solver converges on).
-        residual: f64,
-        /// Step length entering this iteration's line search: the first
-        /// block's, when each block of the box keeps its own.
-        step: f64,
-    },
     /// One full gradient evaluation: a backward sweep over the tape of
     /// the last taped rollout in the adjoint mode (plus one taped
     /// rollout when that tape is stale), `2·dim` plant rollouts under
@@ -67,17 +50,6 @@ pub enum Event {
         commanded_w: f64,
         /// The applicable limit (W).
         limit_w: f64,
-    },
-    /// A decision variable ended on (or beyond) its box bound and was
-    /// pinned there when the move was extracted — active-constraint
-    /// telemetry for the MPC.
-    BoundClamp {
-        /// Index of the decision variable in the solver's layout.
-        index: u64,
-        /// Raw value before pinning.
-        raw: f64,
-        /// The bound it was pinned to.
-        bound: f64,
     },
     /// A scheduled fault from a fault plan is active this step (one
     /// event per active fault per step, so campaigns are fully
@@ -202,12 +174,10 @@ impl Event {
     /// JSONL encoding).
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::SolverIteration { .. } => "solver_iteration",
             Event::GradientEval { .. } => "gradient_eval",
             Event::SolveOutcome { .. } => "solve_outcome",
             Event::CoolingToggle { .. } => "cooling_toggle",
             Event::UcapSaturated { .. } => "ucap_saturated",
-            Event::BoundClamp { .. } => "bound_clamp",
             Event::FaultInjected { .. } => "fault_injected",
             Event::RequestShed { .. } => "request_shed",
             Event::RequestTimeout { .. } => "request_timeout",
@@ -227,17 +197,6 @@ impl Event {
     pub fn write_json(&self, out: &mut String) {
         let _ = write!(out, "{{\"event\":\"{}\"", self.kind());
         match *self {
-            Event::SolverIteration {
-                iteration,
-                value,
-                residual,
-                step,
-            } => {
-                let _ = write!(out, ",\"iteration\":{iteration}");
-                field(out, "value", value);
-                field(out, "residual", residual);
-                field(out, "step", step);
-            }
             Event::GradientEval { dim } => {
                 let _ = write!(out, ",\"dim\":{dim}");
             }
@@ -260,11 +219,6 @@ impl Event {
             } => {
                 field(out, "commanded_w", commanded_w);
                 field(out, "limit_w", limit_w);
-            }
-            Event::BoundClamp { index, raw, bound } => {
-                let _ = write!(out, ",\"index\":{index}");
-                field(out, "raw", raw);
-                field(out, "bound", bound);
             }
             Event::FaultInjected { step, fault } => {
                 let _ = write!(out, ",\"step\":{step}");
@@ -417,16 +371,13 @@ mod tests {
 
     #[test]
     fn json_encoding_is_one_object_per_event() {
-        let e = Event::SolverIteration {
-            iteration: 3,
-            value: 12.5,
-            residual: 1e-3,
-            step: 0.5,
+        let e = Event::UcapSaturated {
+            commanded_w: 12.5,
+            limit_w: 1e-3,
         };
         assert_eq!(
             json(&e),
-            "{\"event\":\"solver_iteration\",\"iteration\":3,\"value\":12.5,\
-             \"residual\":0.001,\"step\":0.5}"
+            "{\"event\":\"ucap_saturated\",\"commanded_w\":12.5,\"limit_w\":0.001}"
         );
         assert_eq!(
             json(&Event::GradientEval { dim: 2 }),

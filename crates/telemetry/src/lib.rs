@@ -10,16 +10,16 @@
 //!
 //! # Pieces
 //!
-//! * [`Event`] — the typed event taxonomy: solver iterations, gradient
-//!   evaluations, solve outcomes, cooling toggles,
-//!   ultracapacitor saturation, bound clamps, and completed simulation
+//! * [`Event`] — the typed event taxonomy: gradient evaluations, solve
+//!   outcomes, cooling toggles, ultracapacitor saturation, injected
+//!   faults, spans, serving-layer events and completed simulation
 //!   steps. Every variant is `Copy` so emission never allocates.
 //! * [`Sink`] — where events go. Implementations:
 //!   [`NullSink`] (the default: every record is a no-op, the instrumented
 //!   code path is bit-identical to an uninstrumented run),
 //!   [`MemorySink`] (bounded ring buffer for tests and in-process
 //!   inspection), [`JsonlSink`] (streaming JSON-lines writer) and [`Tee`] (fans one stream out to two sinks).
-//! * [`span`] / [`Span`] / [`SpanGuard`] — hierarchical timed spans on
+//! * [`span`] / [`SpanGuard`] — hierarchical timed spans on
 //!   a monotonic clock: *where the time went* inside an MPC solve,
 //!   nested via a thread-local stack and closed by RAII. Consumed
 //!   through [`Event::SpanStart`] / [`Event::SpanEnd`] by any sink; the
@@ -60,14 +60,13 @@
 //!
 //! let sink = MemorySink::with_capacity(16);
 //! sink.record(Event::GradientEval { dim: 24 });
-//! sink.record(Event::SolverIteration {
-//!     iteration: 0,
-//!     value: 12.5,
-//!     residual: 1e-3,
-//!     step: 0.5,
+//! sink.record(Event::SolveOutcome {
+//!     outcome: "converged",
+//!     mode: "adjoint",
+//!     iterations: 7,
 //! });
 //! assert_eq!(sink.len(), 2);
-//! assert_eq!(sink.count_kind("solver_iteration"), 1);
+//! assert_eq!(sink.count_kind("solve_outcome"), 1);
 //! ```
 
 #![deny(missing_docs)]
@@ -90,4 +89,4 @@ pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{EventCounter, MetricsRegistry};
 pub use ring::RingBuffer;
 pub use sink::{ChromeTraceSink, JsonlSink, MemorySink, NullSink, Sink, Tee};
-pub use span::{span, Span, SpanGuard};
+pub use span::{span, SpanGuard};

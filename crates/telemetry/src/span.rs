@@ -86,40 +86,6 @@ pub(crate) fn lane() -> u64 {
     LANE.with(|l| *l)
 }
 
-/// A named span definition — a `const`-constructible handle that can be
-/// entered many times.
-///
-/// ```
-/// use otem_telemetry::{MemorySink, Span};
-///
-/// const SOLVE: Span = Span::new("mpc_solve");
-/// let sink = MemorySink::new();
-/// let guard = SOLVE.enter(&sink);
-/// guard.close();
-/// assert_eq!(sink.count_kind("span_end"), 1);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    name: &'static str,
-}
-
-impl Span {
-    /// A span definition with the given stable snake_case name.
-    pub const fn new(name: &'static str) -> Self {
-        Self { name }
-    }
-
-    /// The span's name.
-    pub const fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Opens this span on `sink` (see [`span`]).
-    pub fn enter<'a>(&self, sink: &'a dyn Sink) -> SpanGuard<'a> {
-        span(sink, self.name)
-    }
-}
-
 /// Opens a named span: records [`Event::SpanStart`] (parented to the
 /// innermost span already open on this thread) and returns a guard that
 /// records [`Event::SpanEnd`] on drop.
@@ -362,16 +328,5 @@ mod tests {
         assert_eq!(lanes.len(), 2);
         assert_ne!(lanes[0], lanes[1], "threads must get distinct lanes");
         assert!(here > 0);
-    }
-
-    #[test]
-    fn const_span_definitions_reenter() {
-        const PHASE: Span = Span::new("phase");
-        assert_eq!(PHASE.name(), "phase");
-        let sink = MemorySink::new();
-        PHASE.enter(&sink).close();
-        PHASE.enter(&sink).close();
-        assert_eq!(sink.count_kind("span_start"), 2);
-        assert_eq!(sink.count_kind("span_end"), 2);
     }
 }

@@ -20,13 +20,15 @@ cargo build --release
 echo "==> cargo build --workspace --examples"
 cargo build --workspace --examples
 
-# A build proves an example compiles, not that it runs: each root
-# example runs once in release and must exit zero (all five take well
-# under a second). Their output is not checked, only discarded.
-for example in examples/*.rs; do
+# A build proves an example compiles, not that it runs: each workspace
+# example (the root ones and every member crate's) runs once in release
+# and must exit zero (each takes well under a second). Their output is
+# not checked, only discarded. A bare `--example` resolves the name
+# across the default members.
+for example in examples/*.rs crates/*/examples/*.rs; do
     example=$(basename "$example" .rs)
     echo "==> cargo run --release --example ${example}"
-    cargo run --release --quiet -p otem-repro --example "$example" > /dev/null
+    cargo run --release --quiet --example "$example" > /dev/null
 done
 
 echo "==> cargo test -q"
