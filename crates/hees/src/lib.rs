@@ -13,7 +13,10 @@
 //! * [`HybridHees`] — each storage sits behind its own DC/DC converter
 //!   on a common DC bus (\[3\]): fully independent power commands, at the
 //!   price of conversion losses that grow as the ultracapacitor's
-//!   voltage sags. This is the architecture OTEM controls.
+//!   voltage sags. This is the architecture OTEM controls. A
+//!   semi-active wiring (one converter, Cao & Emadi \[20\]) is a
+//!   [`HybridHees`] whose direct leg is
+//!   [`DcDcConverter::direct`](otem_converter::DcDcConverter::direct).
 //!
 //! All architectures expose a step interface that *resolves* a power
 //! request into per-storage operating points, applies them, and returns
@@ -38,7 +41,6 @@ mod dual;
 mod error;
 mod hybrid;
 mod parallel;
-mod semi_active;
 mod step;
 
 pub use dual::{DualHees, DualMode};
@@ -48,7 +50,6 @@ pub use hybrid::{
     HybridCommand, HybridHees,
 };
 pub use parallel::ParallelHees;
-pub use semi_active::{ConvertedSide, SemiActiveHees};
 pub use step::HeesStep;
 
 use otem_ultracap::UltracapParams;
@@ -56,8 +57,9 @@ use otem_units::{Farads, Volts};
 
 /// Maps the paper's cell-referenced capacitance label (5,000–25,000 F at
 /// a 16 V rated bank) onto a pack-voltage-domain equivalent with the
-/// *same stored energy*, for the converter-less Parallel and Dual
-/// architectures whose bank must live in the battery's voltage domain.
+/// *same stored energy*, for a bank that couples to the bus without a
+/// converter (Parallel, Dual, and the battery-converted semi-active
+/// wiring) and so must live in the battery's voltage domain.
 ///
 /// `½·C_pack·V_pack² = ½·C_label·16²` ⇒ `C_pack = C_label·(16/V_pack)²`.
 pub fn pack_domain_bank(label: Farads, pack_rated_voltage: Volts) -> UltracapParams {

@@ -16,11 +16,15 @@
 //! cap share, the duty box bounds), where one-sided derivatives differ
 //! and neither FD nor the adjoint is canonical.
 
+use otem_repro::battery::BatteryPack;
 use otem_repro::control::mpc::{rollout_cost, rollout_gradient_adjoint, Mpc, MpcConfig, MpcPlant};
 use otem_repro::control::SystemConfig;
+use otem_repro::converter::DcDcConverter;
+use otem_repro::hees::{pack_domain_bank, HybridHees};
 use otem_repro::solver::{Bounds, Objective, ProjectedGradient};
 use otem_repro::telemetry::NullSink;
 use otem_repro::thermal::ThermalState;
+use otem_repro::ultracap::UltracapParams;
 use otem_repro::units::{Kelvin, Ratio, Seconds, Watts};
 use proptest::prelude::*;
 
@@ -28,6 +32,39 @@ fn plant(config: &SystemConfig, soc: f64, soe: f64, celsius: f64) -> MpcPlant {
     let mut p = MpcPlant::new(config).expect("valid plant");
     p.hees.set_state(Ratio::new(soc), Ratio::new(soe));
     p.state = ThermalState::uniform(Kelvin::from_celsius(celsius));
+    p
+}
+
+/// [`plant`] with a semi-active HEES: one storage behind its converter
+/// and the other on the bus through a lossless direct leg. The
+/// battery-converted wiring's bank lives in the pack's voltage domain.
+fn direct_leg_plant(
+    config: &SystemConfig,
+    cap_converted: bool,
+    soc: f64,
+    soe: f64,
+    celsius: f64,
+) -> MpcPlant {
+    let mut p = plant(config, soc, soe, celsius);
+    let battery = BatteryPack::new(config.cell.clone(), config.pack).expect("valid pack");
+    p.hees = if cap_converted {
+        HybridHees::new(
+            battery,
+            UltracapParams::paper_bank(config.capacitance),
+            DcDcConverter::direct(),
+            DcDcConverter::ultracap_side(),
+        )
+    } else {
+        let rated = battery.open_circuit_voltage();
+        HybridHees::new(
+            battery,
+            pack_domain_bank(config.capacitance, rated),
+            DcDcConverter::battery_side(),
+            DcDcConverter::direct(),
+        )
+    }
+    .expect("valid wiring");
+    p.hees.set_state(Ratio::new(soc), Ratio::new(soe));
     p
 }
 
@@ -186,8 +223,10 @@ fn zero_length_forecast_stays_finite_and_matches_fd() {
 /// both legs: the backward sweep reproduces central differences at
 /// interior points of every penalty branch. The decisions avoid `z[k] =
 /// 0`, which sits exactly on the converter's no-load-loss ramp kink.
-#[test]
-fn adjoint_matches_fd_at_fixed_warm_hot_and_depleted_states() {
+fn assert_parity_at_fixed_states(
+    what: &str,
+    plant_at: impl Fn(&SystemConfig, f64, f64, f64) -> MpcPlant,
+) {
     let config = SystemConfig::default();
     let n = 8;
     let cfg = MpcConfig {
@@ -208,7 +247,7 @@ fn adjoint_matches_fd_at_fixed_warm_hot_and_depleted_states() {
         })
         .collect();
     for (celsius, soc, soe) in [(33.0, 0.8, 0.5), (39.0, 0.9, 0.25), (25.0, 0.35, 0.85)] {
-        let p = plant(&config, soc, soe, celsius);
+        let p = plant_at(&config, soc, soe, celsius);
         let mut adjoint = vec![0.0; 2 * n];
         let cost = rollout_gradient_adjoint(&p, &loads, dt, &cfg, &z, &mut adjoint);
         assert_eq!(
@@ -217,7 +256,26 @@ fn adjoint_matches_fd_at_fixed_warm_hot_and_depleted_states() {
             "taped forward pass must be bit-identical to the objective"
         );
         let fd = richardson_gradient(&z, |zz| rollout_cost(&p, &loads, dt, &cfg, zz));
-        assert_parity(&adjoint, &fd, &format!("{celsius} °C"));
+        assert_parity(&adjoint, &fd, &format!("{what}, {celsius} °C"));
+    }
+}
+
+#[test]
+fn adjoint_matches_fd_at_fixed_warm_hot_and_depleted_states() {
+    assert_parity_at_fixed_states("two converters", |config, soc, soe, celsius| {
+        plant(config, soc, soe, celsius)
+    });
+}
+
+/// The same states on both semi-active wirings: a direct leg's maps are
+/// the identity, so its pullback must carry unit gain and no converter
+/// partials.
+#[test]
+fn adjoint_matches_fd_on_direct_leg_wirings() {
+    for (what, cap_converted) in [("cap converted", true), ("battery converted", false)] {
+        assert_parity_at_fixed_states(what, |config, soc, soe, celsius| {
+            direct_leg_plant(config, cap_converted, soc, soe, celsius)
+        });
     }
 }
 
