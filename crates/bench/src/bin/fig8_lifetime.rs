@@ -4,6 +4,9 @@
 //! Paper headline: OTEM reduces capacity loss by 16.38 % on average
 //! versus the parallel architecture (and far more versus the others).
 //!
+//! Below the figure's table, each run's end state (SoC, SoE, T_b): the
+//! capacity loss prices no charge left in the pack or the bank.
+//!
 //! ```sh
 //! cargo run --release -p otem-bench --bin fig8_lifetime
 //! ```
@@ -41,9 +44,13 @@ fn main() {
     // Cycles where another methodology lost less than OTEM: (cycle,
     // rival, rival's ratio, OTEM's ratio).
     let mut beaten = Vec::new();
+    // Each run's end state: (cycle, methodology, last record's state).
+    let mut ends = Vec::new();
+    let end = |r: &otem::SimulationResult| r.records.last().expect("a route has steps").state;
     for cycle in StandardCycle::ALL {
         let trace = cycle_trace(cycle, repeats(cycle)).expect("trace");
         let base = run(Methodology::Parallel, &config, &trace).expect("run");
+        ends.push((cycle.spec().name, base.methodology, end(&base)));
         let mut row = format!("{:<7} {:>10.1}", cycle.spec().name, 100.0);
         let mut best = (Methodology::Parallel, 100.0);
         for m in [
@@ -53,6 +60,7 @@ fn main() {
         ] {
             let r = run(m, &config, &trace).expect("run");
             let ratio = r.totals.capacity_loss / base.totals.capacity_loss * 100.0;
+            ends.push((cycle.spec().name, r.methodology, end(&r)));
             match m {
                 Methodology::Otem => {
                     otem_ratios.push(ratio);
@@ -89,5 +97,22 @@ fn main() {
     );
     for (cycle, rival, rival_ratio, otem_ratio) in beaten {
         println!("  not on {cycle}: {rival} {rival_ratio:.1} vs OTEM {otem_ratio:.1}");
+    }
+
+    println!("\n# End state — each run's last record; every run starts at SoC 1 and SoE 1");
+    println!("# (ActiveCooling has no bank and reads SoE 0)");
+    println!(
+        "{:<7} {:<14} {:>6} {:>6} {:>9}",
+        "cycle", "methodology", "SoC", "SoE", "T_b (°C)"
+    );
+    for (cycle, methodology, state) in ends {
+        println!(
+            "{:<7} {:<14} {:>6.3} {:>6.3} {:>9.2}",
+            cycle,
+            methodology,
+            state.soc.value(),
+            state.soe.value(),
+            state.battery_temp.to_celsius().value()
+        );
     }
 }

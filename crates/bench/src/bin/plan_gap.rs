@@ -1,6 +1,6 @@
 //! **Solve quality** — how far the default MPC budget leaves each plan
-//! from a long solve of the same problem, and what the default
-//! controller realizes in closed loop.
+//! from a long solve of the same problem, and what each configuration of
+//! the closed-loop frontier realizes.
 //!
 //! 1. Per solve: a fixed rule (no MPC) drives the stress rig over US06
 //!    ×3, so every solver sees the same sequence of states. At each
@@ -8,15 +8,18 @@
 //!    sequence: one at the default 20 iterations, one at 400. The gap
 //!    is `(cost₂₀ − cost₄₀₀) / |cost₄₀₀|` of the Eq. 19 objective
 //!    (penalties included) at the two plans.
-//! 2. Closed loop: the default OTEM over `fig8_lifetime`'s NYCC ×5 and
-//!    US06 ×5 under `paper_config()`. "Loss" is its capacity loss as a
-//!    percentage of Parallel's on the same route (Fig. 8); "cost" is the
-//!    realized Eq. 19 cost `w1·cooling + w2·Q_loss + w3·HEES energy`
-//!    with the default weights, and no end-state term
-//!    ([`realized_cost`]). "Floor cost" is the same cost realized by the
-//!    whole-route plan ([`plan_route`]) of the same route, and "regret"
-//!    is how far the closed loop's cost lies above it. The floor is a
-//!    best-known plan, not a bound, so the regret is a lower bound.
+//! 2. Closed loop: the frontier ([`frontier_rows`]) over
+//!    `fig8_lifetime`'s NYCC ×5 and US06 ×5 under `paper_config()`, each
+//!    row the default OTEM with its horizon `h`, re-plan period `k`,
+//!    budget, tail and `w2` set. "Loss" is capacity loss as a percentage
+//!    of Parallel's (Fig. 8); "cost" is the realized Eq. 19 cost
+//!    `w1·cooling + w2·Q_loss + w3·HEES energy` at the default weights
+//!    whatever the row's `w2` ([`realized_cost`]). "Floor cost" is the
+//!    cost the whole-route plan ([`plan_route`]) realizes, and "regret"
+//!    how far the row's cost lies above it. The floor is a best-known
+//!    plan, not a bound, and the cost has no end-state term (the end
+//!    SoC, SoE and T_b are printed beside it), so the regret is a lower
+//!    bound. "Stages" is forward stage steps per decision.
 //!
 //! ```sh
 //! cargo run --release -p otem-bench --bin plan_gap
@@ -26,7 +29,9 @@ use otem::mpc::MpcConfig;
 use otem::planner::{plan_route, realized_cost};
 use otem::policy::Otem;
 use otem::{Controller, SystemConfig};
-use otem_bench::{cycle_trace, paper_config, run, stress_trace, Methodology};
+use otem_bench::{
+    cycle_trace, frontier_rows, paper_config, run, run_frontier_row, stress_trace, Methodology,
+};
 use otem_drivecycle::StandardCycle;
 use otem_telemetry::NullSink;
 use otem_units::{Kelvin, Watts};
@@ -122,27 +127,44 @@ fn main() {
     );
 
     println!(
-        "\n# Closed loop — default OTEM, {}",
+        "\n# Closed loop — the frontier, {}",
         otem_bench::PAPER_CONFIG
     );
     println!(
-        "{:<7} {:>10} {:>12} {:>12} {:>11}",
-        "route", "loss (%)", "cost", "floor cost", "regret (%)"
+        "{:<7} {:>3} {:>2} {:>3} {:>5} {:>7} {:>8} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>6} {:>6} {:>10}",
+        "route", "h", "k", "it", "tail", "w2", "loss (%)", "avgP (kW)", "cool (MJ)", "Tpeak (°C)",
+        "short (MJ)", "cost", "floor cost", "regret (%)", "stages", "SoC", "SoE", "T_b (°C)"
     );
     let config = paper_config();
     for cycle in [StandardCycle::Nycc, StandardCycle::Us06] {
         let trace = cycle_trace(cycle, 5).expect("trace");
         let parallel = run(Methodology::Parallel, &config, &trace).expect("run");
-        let otem = run(Methodology::Otem, &config, &trace).expect("run");
-        let cost = realized_cost(&otem);
         let floor = realized_cost(&plan_route(&config, &trace).expect("plan").replay);
-        println!(
-            "{:<7} {:>10.2} {:>12.4e} {:>12.4e} {:>11.2}",
-            format!("{} x5", cycle.spec().name),
-            otem.totals.capacity_loss / parallel.totals.capacity_loss * 100.0,
-            cost,
-            floor,
-            (cost / floor - 1.0) * 100.0
-        );
+        for (mpc, k) in frontier_rows() {
+            let (r, stages) = run_frontier_row((mpc, k), &config, &trace, &NullSink).expect("run");
+            let cost = realized_cost(&r);
+            let end = r.records.last().expect("a route has steps").state;
+            println!(
+                "{:<7} {:>3} {:>2} {:>3} {:>5} {:>7.1e} {:>8.2} {:>9.2} {:>9.2} {:>10.2} {:>10.3} {:>10.4e} {:>10.4e} {:>10.2} {:>8.1} {:>6.3} {:>6.3} {:>10.2}",
+                format!("{} x5", cycle.spec().name),
+                mpc.horizon,
+                k,
+                mpc.solver_iterations,
+                mpc.terminal_tail,
+                mpc.w2,
+                r.totals.capacity_loss / parallel.totals.capacity_loss * 100.0,
+                r.average_power().value() / 1000.0,
+                r.totals.cooling_energy.value() / 1e6,
+                r.totals.peak_battery_temp.to_celsius().value(),
+                r.totals.shortfall_energy.value() / 1e6,
+                cost,
+                floor,
+                (cost / floor - 1.0) * 100.0,
+                stages,
+                end.soc.value(),
+                end.soe.value(),
+                end.battery_temp.to_celsius().value()
+            );
+        }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Each binary in `src/bin/` reproduces one exhibit (see DESIGN.md §4);
 //! this library holds the common pieces: the standard configurations
-//! and traces, and running a [`Methodology`] (the fleet's methodology
-//! table) over them.
+//! and traces, running a [`Methodology`] (the fleet's methodology
+//! table) over them, and the rows of `plan_gap`'s closed-loop frontier.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -12,9 +12,12 @@
 pub mod plot;
 
 use otem::mpc::MpcConfig;
+use otem::policy::Otem;
 use otem::{OtemError, SimulationResult, Simulator, SystemConfig};
 use otem_drivecycle::{standard, PowerTrace, Powertrain, StandardCycle, VehicleParams};
+use otem_faults::{FaultKind, FaultPlan, FaultedController};
 pub use otem_fleet::Methodology;
+use otem_telemetry::Sink;
 use otem_units::{Farads, Kelvin};
 
 /// The configuration the cycle-sweep experiments (Figs. 8–9) run under:
@@ -98,6 +101,81 @@ pub fn run(
 ) -> Result<SimulationResult, OtemError> {
     let mut controller = methodology.controller(config, MpcConfig::default(), None)?;
     Ok(Simulator::new(config).run(controller.as_mut(), trace))
+}
+
+/// The closed-loop frontier's rows (`plan_gap`), as `(horizon, re-plan
+/// period k, budget, terminal tail, w2)`: the default
+/// ([`MpcConfig::default`]), then window × re-plan period × budget, then
+/// budget, tail, horizon and `w2`, each moved alone from the default.
+const FRONTIER: [(usize, u64, usize, f64, f64); 22] = [
+    (12, 1, 20, 600.0, 8.0e12),
+    (12, 2, 20, 600.0, 8.0e12),
+    (12, 4, 20, 600.0, 8.0e12),
+    (12, 4, 80, 600.0, 8.0e12),
+    (24, 1, 20, 600.0, 8.0e12),
+    (24, 2, 20, 600.0, 8.0e12),
+    (24, 4, 20, 600.0, 8.0e12),
+    (48, 1, 20, 600.0, 8.0e12),
+    (48, 4, 20, 600.0, 8.0e12),
+    (48, 8, 20, 600.0, 8.0e12),
+    (48, 8, 40, 600.0, 8.0e12),
+    (12, 1, 5, 600.0, 8.0e12),
+    (12, 1, 40, 600.0, 8.0e12),
+    (12, 1, 20, 0.0, 8.0e12),
+    (12, 1, 20, 1800.0, 8.0e12),
+    (1, 1, 20, 600.0, 8.0e12),
+    (3, 1, 20, 600.0, 8.0e12),
+    (6, 1, 20, 600.0, 8.0e12),
+    (12, 1, 20, 600.0, 0.0),
+    (12, 1, 20, 600.0, 1.0e12),
+    (12, 1, 20, 600.0, 5.0e12),
+    (12, 1, 20, 600.0, 2.0e13),
+];
+
+/// The closed-loop frontier's rows: each an MPC tuning and its re-plan
+/// period `k`.
+pub fn frontier_rows() -> impl Iterator<Item = (MpcConfig, u64)> {
+    FRONTIER
+        .into_iter()
+        .map(|(horizon, k, solver_iterations, terminal_tail, w2)| {
+            let mpc = MpcConfig {
+                horizon,
+                w2,
+                solver_iterations,
+                terminal_tail,
+                deadline_ns: None,
+            };
+            (mpc, k)
+        })
+}
+
+/// Runs OTEM tuned by `mpc` over `trace`, solving on one step of every
+/// `k`, and returns the run with its forward stage steps per decision
+/// (rollouts × horizon / steps). The `k − 1` held steps of every `k` are
+/// starved of solver time (`SolverDeadline { deadline_ns: 0 }` through
+/// [`FaultedController`]): each applies the shifted previous plan and
+/// still pays the warm start's forward pass.
+///
+/// # Errors
+///
+/// Propagates controller construction errors.
+pub fn run_frontier_row(
+    (mpc, k): (MpcConfig, u64),
+    config: &SystemConfig,
+    trace: &PowerTrace,
+    sink: &dyn Sink,
+) -> Result<(SimulationResult, f64), OtemError> {
+    let starved = FaultKind::SolverDeadline { deadline_ns: 0 };
+    let mut plan = FaultPlan::new(0);
+    if k > 1 {
+        for t in (0..trace.len() as u64).step_by(k as usize) {
+            plan = plan.inject(starved, t + 1, t + k);
+        }
+    }
+    let mut otem = FaultedController::new(Otem::with_mpc(config, mpc)?, plan);
+    let result = Simulator::new(config).run_with(&mut otem, trace, sink);
+    let stages = otem.inner().rollouts() as f64 * mpc.horizon as f64 / result.records.len() as f64;
+    Ok((result, stages))
 }
 
 #[cfg(test)]

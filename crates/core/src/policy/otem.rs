@@ -44,7 +44,7 @@ impl Otem {
     }
 
     /// Builds the controller with explicit MPC tuning (used by the
-    /// horizon/weight ablations).
+    /// rows of `plan_gap`'s closed-loop frontier).
     ///
     /// # Errors
     ///

@@ -162,9 +162,11 @@ impl VehicleSpec {
             _ => Methodology::Otem,
         };
         let mpc_horizon = rng.gen_range(6usize..=12);
-        // Budget sized for the default adjoint gradient (one taped
-        // rollout per gradient, ~2.5 rollouts per iteration with the
-        // line search). Last draw, so no field above depends on it.
+        // Budget sized for the default adjoint gradient, which sweeps
+        // the tape of the line search's accepted trial, so an iteration
+        // costs one forward pass per trial: 1.29 trials per search on
+        // the benchmark's `mpc_loop`, 1.60 on `fleet_mix`. Last draw, so
+        // no field above depends on it.
         let mpc_iterations = rng.gen_range(16usize..=32);
         Self {
             id,

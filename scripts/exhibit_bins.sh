@@ -4,8 +4,6 @@
 # reproduce byte for byte.
 EXHIBIT_BINS=(
     ablation_forecast_noise
-    ablation_horizon
-    ablation_weights
     ambient_sweep
     architecture_space
     fault_sweep

@@ -65,6 +65,22 @@ if ((${#unlisted[@]} + ${#uncommitted[@]})); then
     echo "bins in scripts/exhibit_bins.sh without results/<bin>.txt: ${uncommitted[*]:-none}" >&2
     exit 1
 fi
+# Every otem-bench bin is an exhibit or the work record: a bin outside
+# EXHIBIT_BINS and perf_report would escape the reproduction check
+# below. The manifest's `[[bin]]` entries and the files cargo
+# auto-discovers under src/bin/ must both equal that list.
+echo "==> otem-bench bins vs EXHIBIT_BINS + perf_report"
+expected=$(printf '%s\n' "${EXHIBIT_BINS[@]}" perf_report | sort)
+declared=$(awk '/^\[\[bin\]\]/ { bin = 1; next } bin && /^name = / { gsub(/"/, "", $3); print $3; bin = 0 }' \
+    crates/bench/Cargo.toml | sort)
+discovered=$(for file in crates/bench/src/bin/*.rs; do basename "$file" .rs; done | sort)
+for found in "declared:${declared}" "discovered:${discovered}"; do
+    if [[ "${found#*:}" != "$expected" ]]; then
+        echo "otem-bench bins (${found%%:*}) differ from EXHIBIT_BINS + perf_report:" >&2
+        diff <(echo "$expected") <(echo "${found#*:}") >&2 || true
+        exit 1
+    fi
+done
 echo "==> cargo build --release -p otem-bench --bins"
 cargo build --release -p otem-bench --bins
 target_dir="${CARGO_TARGET_DIR:-target}"
